@@ -7,7 +7,7 @@ the same random multi-graph stream:
   the sharded pipeline must beat;
 * ``sharded threads`` at 1, 2, and 4 workers: the
   :class:`~repro.parallel.graph_workers.ShardedIngestor` pipeline
-  (partition + per-shard int16-radix folds) on the thread backend;
+  (partition + per-shard folds) on the thread backend;
 * ``sharded processes`` at 4 workers: pool tensors in shared memory,
   worker processes attached by name;
 * ``legacy worker pool``: the seed design (per-node batches through
@@ -18,17 +18,15 @@ Every sharded row is checked for a **bit-identical** spanning forest
 (and pool tensors) against the serial baseline, recorded per backend as
 ``forest_bit_identical`` in ``BENCH_parallel.json``.
 
-The headline acceptance (ISSUE 3): sharded threads at 4 workers must
-beat the serial columnar rate with margin on a 20k-node / 60k-update
-stream (originally >= 2x; see ``MIN_SPEEDUP`` for how PR 9's serial
-scratch arena recalibrated the floor).  On a single-core host the gap
-comes from the sharded fold kernel itself (shard-local node offsets
-keep the fold's sort on numpy's int16 radix path); on multi-core
-hardware the thread scaling stacks on top.
+Serial and sharded ingest run the same fold kernel, so sharding buys
+concurrency only: with at least two usable cores, sharded threads at 4
+workers must not be slower than the serial columnar rate on the
+20k-node / 60k-update stream (see ``MIN_SPEEDUP``).  On one core there
+is nothing to win and only bit-identity is asserted.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shrinks the workload
-and only requires parallel >= serial-columnar throughput, since tiny
-per-shard groups under-amortise the kernel's fixed costs.
+and asserts bit-identity on both backends only: its per-shard groups
+are too small for a rate comparison to mean anything.
 """
 
 from __future__ import annotations
@@ -55,15 +53,13 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 #: 60k-update random stream; smoke mode shrinks it for CI.
 NUM_NODES = 2_000 if SMOKE else 20_000
 NUM_EDGES = 6_000 if SMOKE else 60_000
-#: Required sharded-over-serial speedup at 4 workers (smoke only
-#: asserts parallel >= serial).  ISSUE 3's original >= 2x floor was met
-#: against the pre-arena serial baseline; PR 9's fold scratch arena
-#: then sped *serial* columnar ~1.8x (the sharded path had already
-#: amortised its allocations via the hash-once producer, so its
-#: absolute rate is unchanged and the ratio narrowed to ~1.7x on one
-#: core).  The floor asserts the sharded pipeline still beats the
-#: faster baseline with margin; absolute rates live in the ledger.
-MIN_SPEEDUP = 1.0 if SMOKE else 1.4
+#: Required sharded-over-serial rate ratio at 4 workers, applied to the
+#: full-scale run on hosts with at least two usable cores.  Earlier
+#: floors (2x, then 1.4x) were met on ONE core because only shard-local
+#: folds reached the old kernel's int16 sort; with one kernel for every
+#: fold, a single core has nothing left to win.  Absolute rates live in
+#: the ledger.
+MIN_SPEEDUP = 1.0
 #: Stream slice for the (slow) legacy reference row.
 LEGACY_SLICE = 1_000 if SMOKE else 5_000
 
@@ -217,8 +213,9 @@ def test_parallel_ingest_ledger():
 
     assert identical["threads"], "threads backend diverged from serial ingest"
     assert identical["processes"], "processes backend diverged from serial ingest"
-    threads4 = next(r for r in rows if r["path"] == "sharded threads x4")
-    assert threads4["updates_per_sec"] >= MIN_SPEEDUP * serial_rate, (
-        f"sharded threads x4 only {threads4['updates_per_sec'] / serial_rate:.2f}x "
-        f"over serial columnar (need >= {MIN_SPEEDUP}x)"
-    )
+    if not SMOKE and usable_cores() >= 2:
+        threads4 = next(r for r in rows if r["path"] == "sharded threads x4")
+        assert threads4["updates_per_sec"] >= MIN_SPEEDUP * serial_rate, (
+            f"sharded threads x4 only {threads4['updates_per_sec'] / serial_rate:.2f}x "
+            f"over serial columnar (need >= {MIN_SPEEDUP}x)"
+        )

@@ -74,7 +74,7 @@ from repro.sketch.flat_node_sketch import FlatNodeSketch, merged_round_query
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.sizes import node_sketch_size_bytes
 from repro.sketch.sketch_base import SampleResult
-from repro.sketch.tensor_pool import NodeTensorPool, auto_num_shards, shard_bounds
+from repro.sketch.tensor_pool import MAX_PAGE_NODES, NodeTensorPool, shard_bounds
 from repro.types import Edge, EdgeUpdate, UpdateType, canonical_edge
 
 
@@ -899,18 +899,17 @@ class GraphZeppelin:
         """Node-group boundaries the buffering layer collects columns by.
 
         Tensor-pool engines buffer per page: the paged pool's own page
-        boundaries out of core, and radix-span-sized node groups for
-        the in-RAM pool (so an emitted column folds through the
-        kernel's int16 fast path in one pass).  The legacy per-node
-        object stores keep per-node gutters (``None``).
+        boundaries out of core, and even node groups of at most
+        :data:`~repro.sketch.tensor_pool.MAX_PAGE_NODES` nodes for the
+        in-RAM pool (a gutter's capacity scales with its group, so the
+        group size bounds the column one emission folds).  The legacy
+        per-node object stores keep per-node gutters (``None``).
         """
         if self._pool is None:
             return None
         if self._pool.is_paged:
             return self._pool.page_bounds
-        return shard_bounds(
-            self.num_nodes, auto_num_shards(self.num_nodes, self._pool.num_rows)
-        )
+        return shard_bounds(self.num_nodes, -(-self.num_nodes // MAX_PAGE_NODES))
 
     def _build_buffering(self) -> Optional[BufferingSystem]:
         mode = self.config.buffering
@@ -955,10 +954,10 @@ class GraphZeppelin:
         A flush can emit hundreds of page batches at once (one per
         gutter); folding them one by one would pay the kernel's fixed
         cost per page.  Page columns bound for a tensor pool are
-        concatenated and handed to the pool as **one** mixed column --
-        the pool's fold planner then picks per-page radix folds or a
-        single combined fold, whichever is cheaper for the batch shape.
-        Per-node batches (legacy stores) apply individually as before.
+        concatenated and handed to the pool as **one** mixed column,
+        which the fold kernel takes in a single pass whatever pages it
+        spans.  Per-node batches (legacy stores) apply individually as
+        before.
         """
         page_batches = [
             b for b in batches if isinstance(b, PageBatch) and len(b) > 0

@@ -203,7 +203,7 @@ def repair_pages(
                         idx_parts.append(idx[mask])
             if dst_parts:
                 dsts = np.concatenate(dst_parts)
-                pool._fold_columns(dsts, np.concatenate(idx_parts))
+                pool._fold(np.concatenate(idx_parts), (dsts,))
                 replayed = int(dsts.size)
     # Publish: bump the pool version (fold caches must not serve
     # pre-repair assemblies) but *not* the update counters -- see above.

@@ -24,11 +24,10 @@ Execution backends (``GraphZeppelinConfig.parallel_backend``):
   -- the seed design (per-node batches through per-node locks), kept as
   the reference backend and for buffered/out-of-core engines.
 
-Sharding also pays off single-threaded: shard node ranges are sized so
-the fold kernel's int16 radix sort applies to mixed-node groups
-(:func:`~repro.sketch.flat_node_sketch.max_radix_dst_span`), which is
-~2-3x faster than the flat int64 argsort the unsharded columnar path
-needs.  :class:`repro.parallel.cost_model.ShardedIngestModel` prices
+Serial and sharded ingest run the same fold kernel, whose cost does not
+depend on a group's node range, so sharding buys concurrency only and
+shards are sized for load balance (a few per worker).
+:class:`repro.parallel.cost_model.ShardedIngestModel` prices
 the pipeline (partition + per-shard folds + barrier);
 :class:`repro.parallel.cost_model.ThreadScalingModel` remains the
 calibrated Figure-14 curve for the legacy pool.

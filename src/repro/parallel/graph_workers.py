@@ -20,10 +20,9 @@ mutable state between shards: scatter targets are disjoint by
 construction, and because bucket updates are XOR-folds the shard-local
 application order is irrelevant -- the resulting pool is bit-identical
 to serial :meth:`~repro.core.graph_zeppelin.GraphZeppelin.ingest_batch`
-under the same seed.  Shard node ranges are also sized (see
-:func:`~repro.sketch.tensor_pool.auto_num_shards`) so the fold kernel's
-int16 radix fast path applies, which makes sharded ingest faster than
-the serial columnar path even on a single core.
+under the same seed.  The fold kernel's cost does not depend on how a
+group's destinations spread, so shards are sized for load balance alone
+(:func:`~repro.sketch.tensor_pool.auto_num_shards`: a few per worker).
 
 Two execution backends implement the fold step
 (``GraphZeppelinConfig.parallel_backend``):
@@ -116,9 +115,8 @@ def partition_mirrored_updates(
     num_edges = lo.size
     dsts = np.concatenate([lo, hi])
     shard_ids = np.searchsorted(bounds, dsts, side="right") - 1
-    # Shard counts are node counts at most, so the ids fit int16 for
-    # any graph the int16 fold fast path itself supports -- which keeps
-    # the grouping argsort on numpy's radix sort.
+    # Few shards are the common case, and int16 ids keep the grouping
+    # argsort on numpy's radix sort.
     sort_ids = (
         shard_ids.astype(np.int16) if num_shards <= np.iinfo(np.int16).max else shard_ids
     )
@@ -197,12 +195,12 @@ class ShardedIngestor:
     num_workers:
         Concurrent shard workers (default ``engine.config.num_workers``).
     num_shards:
-        Node-range count (default ``engine.config.num_shards``, or an
-        automatic count sized so every shard gets the fold kernel's
-        int16 radix fast path).  May exceed ``num_workers``; workers
-        pick up shard groups as they free up.  Over a paged pool shard
-        boundaries snap to page boundaries and the count is capped at
-        the page count.
+        Node-range count (default ``engine.config.num_shards``, or a
+        few per worker -- see
+        :func:`~repro.sketch.tensor_pool.auto_num_shards`).  May exceed
+        ``num_workers``; workers pick up shard groups as they free up.
+        Over a paged pool shard boundaries snap to page boundaries and
+        the count is capped at the page count.
     backend:
         ``"threads"`` or ``"processes"`` (default
         ``engine.config.parallel_backend``).
@@ -255,17 +253,18 @@ class ShardedIngestor:
         if self.num_workers < 1:
             raise ConfigurationError("num_workers must be at least 1")
         shards = num_shards if num_shards is not None else engine.config.num_shards
-        if shards is None and not self.paged:
-            shards = auto_num_shards(engine.num_nodes, pool.num_rows, self.num_workers)
+        if shards is None:
+            # A few shards per worker keeps the load balanced without
+            # flooding the executor with tiny tasks.
+            shards = auto_num_shards(
+                pool.num_pages if self.paged else engine.num_nodes, self.num_workers
+            )
         if self.paged:
             # Page-affine mode: shard boundaries snap to the pool's page
             # boundaries so each page is folded by exactly one worker
             # (pages, not nodes, are the unit of slab ownership out of
-            # core).  A few shards per worker keeps the load balanced
-            # without flooding the executor with per-page tasks.
+            # core).
             num_pages = pool.num_pages
-            if shards is None:
-                shards = min(num_pages, 4 * self.num_workers)
             shards = max(1, min(int(shards), num_pages))
             page_cuts = (
                 np.arange(shards + 1, dtype=np.int64) * np.int64(num_pages)

@@ -20,9 +20,9 @@ On top of the samplers sits the columnar sketch engine:
 
 * :class:`repro.sketch.flat_node_sketch.FlatNodeSketch` -- one node's
   entire bundle of per-round CubeSketches flattened into two contiguous
-  uint64 tensors, updated by a single hash-matrix + argsort +
-  XOR-prefix-scan kernel instead of Python loops over rounds and
-  columns (bit-identical to the legacy bundles under the same seed);
+  uint64 tensors, updated by a single hash-matrix + level-peeling
+  segmented-XOR kernel instead of Python loops over rounds and columns
+  (bit-identical to the legacy bundles under the same seed);
 * :class:`repro.sketch.tensor_pool.NodeTensorPool` -- the whole graph's
   sketch state in one tensor pair, able to fold mixed multi-node update
   columns in one kernel pass and answer Boruvka cut queries with one
@@ -30,8 +30,8 @@ On top of the samplers sits the columnar sketch engine:
 * :class:`repro.sketch.paged_pool.PagedTensorPool` -- the out-of-core
   twin: the same round-major tensors partitioned into node-group pages
   stored through the hybrid memory, with an LRU-pinned working set,
-  dirty write-back, per-page or combined folds, and round slabs
-  assembled via partial-range reads.
+  dirty write-back, one fold pass per batch scattered page by page, and
+  round slabs assembled via partial-range reads.
 """
 
 from repro.sketch.bucket import CubeBucket, StandardBucket

@@ -12,9 +12,13 @@ hash seed into one seed matrix, so a batch of ``K`` edge-slot indices is
 1. hashed **once** as a ``(K, rounds x columns)`` matrix
    (:func:`~repro.hashing.mixers.seeded_hash64_matrix`),
 2. mapped to bucket depths with one vectorised pass, and
-3. folded into every bucket with a single argsort + cumulative-XOR
-   prefix scan over the flattened update set
-   (:func:`columnar_fold`).
+3. folded into every bucket by the level-peeling kernel
+   (:func:`fold_hashed`): the updates' destination nodes are sorted once,
+   bucket row 0 (which receives every update) is one segmented XOR over
+   the destination groups, and each deeper row is a segmented XOR over
+   the updates that reach it -- about half as many per row, so the whole
+   fold costs about two passes over the ``updates x slots`` set whatever
+   the destinations are.
 
 The arithmetic is bit-for-bit identical to the legacy path: the seeds
 are derived with the same labels, the hashes are the same functions, and
@@ -63,40 +67,46 @@ from repro.sketch.sizes import (
 from repro.sketch.sketch_base import SAMPLE_FAIL, SAMPLE_GOOD, SAMPLE_ZERO, SampleResult
 
 _GAMMA_MASK = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 _ZERO64 = np.uint64(0)
 
-#: Updates per internal chunk of the fold kernel; bounds the
-#: ``(K, slots)`` temporaries to a few tens of megabytes while keeping
-#: per-chunk fixed costs amortised.
+#: Updates per internal chunk of :meth:`FlatNodeSketch.apply_indices`;
+#: bounds the ``(K, slots)`` temporaries to a few tens of megabytes
+#: while keeping per-chunk fixed costs amortised.
 BATCH_CHUNK = 1 << 15
 
-#: Thread-local scratch arena for the fold kernel's large temporaries
-#: (the ``(K, S)`` hash matrices and the ``(S, K)`` int16 sort keys).
-#: Chunked ingest folds millions of same-shaped batches, so reusing the
-#: buffers removes the dominant allocator churn of the numpy path;
-#: thread-local storage keeps concurrent shard folds from sharing them.
+#: Thread-local scratch arena for the hash phase's ``(K, S)`` matrices.
+#: Chunked ingest hashes millions of batches, so reusing the buffers
+#: removes the dominant allocator churn of the numpy path; thread-local
+#: storage keeps concurrent shard folds from sharing them.
 _FOLD_SCRATCH = threading.local()
 
 
 def fold_scratch(tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """A reusable per-thread scratch buffer keyed by role, shape and dtype.
+    """A reusable per-thread scratch buffer for one role and dtype.
 
-    Buffers live until the thread exits; distinct batch shapes get
-    distinct buffers, and the chunked callers quantise their batch
-    sizes, so the arena stays small.  Callers must finish consuming a
-    buffer before requesting the same ``(tag, shape, dtype)`` again on
-    the same thread.
+    Each ``(tag, dtype)`` role owns one grow-only buffer and callers get
+    a view of its head, so the arena holds what the largest batch needed
+    however many distinct batch sizes went through.  Buffers live until
+    the thread exits.  Callers must finish consuming a view before
+    requesting the same role again on the same thread.
     """
     buffers = getattr(_FOLD_SCRATCH, "buffers", None)
     if buffers is None:
         buffers = {}
         _FOLD_SCRATCH.buffers = buffers
-    key = (tag, shape, np.dtype(dtype).str)
+    key = (tag, np.dtype(dtype).str)
+    size = int(np.prod(shape))
     buffer = buffers.get(key)
-    if buffer is None:
-        buffer = np.empty(shape, dtype=dtype)
-        buffers[key] = buffer
-    return buffer
+    if buffer is None or buffer.size < size:
+        buffer = buffers[key] = np.empty(size, dtype=dtype)
+    return buffer[:size].reshape(shape)
+
+
+def fold_scratch_bytes() -> int:
+    """Bytes the calling thread's scratch arena currently holds."""
+    buffers = getattr(_FOLD_SCRATCH, "buffers", {})
+    return sum(buffer.nbytes for buffer in buffers.values())
 
 
 @lru_cache(maxsize=64)
@@ -167,9 +177,8 @@ def hash_depths_checksums(
     reuse the matrices.  ``reuse_scratch`` backs the hash matrices with
     the per-thread :func:`fold_scratch` arena instead of fresh
     allocations; the returned arrays are then only valid until this
-    thread's next ``reuse_scratch`` call with the same batch shape, so
-    it is for callers (like :func:`columnar_fold`) that consume them
-    immediately.
+    thread's next ``reuse_scratch`` call, so it is for callers that
+    consume them immediately.
     """
     idx = indices.astype(np.uint64, copy=False)
     shape = (idx.size, mixed_membership.size)
@@ -188,16 +197,12 @@ def hash_depths_checksums(
     return depths, checksums
 
 
-def max_radix_dst_span(num_rows: int) -> int:
-    """Widest destination-node span the int16 fold fast path supports.
-
-    The multi-destination fast path of :func:`fold_hashed` sorts each
-    slot column by the composite key
-    ``(dst - dst_min) * (num_rows + 1) + inverted_depth``, which must
-    fit in an int16 for numpy's radix sort to apply.  Shard planners
-    size their node ranges against this bound.
-    """
-    return max((np.iinfo(np.int16).max - num_rows) // (num_rows + 1), 1)
+def _segment_starts(keys: np.ndarray) -> np.ndarray:
+    """First position of every run of equal values in a non-empty 1-D array."""
+    new_segment = np.empty(keys.size, dtype=bool)
+    new_segment[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_segment[1:])
+    return np.flatnonzero(new_segment)
 
 
 def fold_hashed(
@@ -205,152 +210,92 @@ def fold_hashed(
     depths: np.ndarray,
     checksums: np.ndarray,
     num_rows: int,
-    dsts: Optional[np.ndarray] = None,
+    dsts: np.ndarray,
+    edge_rows: Optional[np.ndarray] = None,
     dst_stride: Optional[int] = None,
     slot_offsets: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduction phase of the fold kernel (see :func:`columnar_fold`).
+    packed: bool = False,
+) -> Tuple[np.ndarray, ...]:
+    """Reduction phase of the fold kernel: peel the bucket rows level by level.
 
-    ``dst_stride`` and ``slot_offsets`` let a multi-destination caller
-    relocate bucket ``(dst, slot)`` to segment
-    ``dst * dst_stride + slot_offsets[slot]`` instead of the default
-    node-major ``dst * num_slots + slot``; the tensor pool uses this to
-    emit round-major flat offsets directly from the kernel.  The mapping
-    must stay injective over ``(dst, slot)`` pairs.
+    ``indices`` holds ``K`` edge slots and ``depths`` / ``checksums``
+    their ``(K, S)`` hash matrices (:func:`hash_depths_checksums`).
+    Update ``i`` folds edge ``edge_rows[i]`` (edge ``i`` when
+    ``edge_rows`` is ``None``) into node ``dsts[i]``, so the mirrored
+    copies of an edge share one row of the matrices.
+
+    An update of depth ``d`` belongs to bucket rows ``0 .. d - 1`` of its
+    ``(destination, slot)`` column.  The ``M`` destinations are
+    stable-sorted once and the depths and values are gathered into
+    ``(S, M)`` order, which makes every column's updates contiguous.
+    Row 0 receives every update: one segmented XOR over the destination
+    groups.  Row ``r >= 1`` receives the updates with ``depth > r``: the
+    survivors are compacted (keeping their order, so columns stay
+    contiguous), segmented by the column they carry along, and reduced
+    again.  Depths are geometric, so each row keeps about half of the
+    row before it and the loop ends when no update is deep enough.
+
+    Bucket ``(dst, slot, row)`` is emitted at flat offset
+    ``(dst * dst_stride + slot_offsets[slot]) * num_rows + row``
+    (node-major ``dst * S + slot`` by default; any mapping injective
+    over ``(dst, slot)`` works, which is how the pools get round-major
+    and page-local offsets straight from the kernel).
+
+    Returns ``(targets, alpha_values, gamma_values)``, or with ``packed``
+    ``(targets, values)`` where ``values = alpha << 32 | gamma`` came out
+    of a single reduction (``packed`` needs edge slots below ``2**32``).
+    Targets are unique within one call -- at most one per
+    ``(dst, slot, row)`` -- and ordered row-major, not ascending.
     """
-    idx = indices.astype(np.uint64, copy=False)
-    k = idx.size
     num_slots = depths.shape[1]
+    stride = num_slots if dst_stride is None else int(dst_stride)
+    offsets = np.arange(num_slots, dtype=np.int64) if slot_offsets is None else slot_offsets
+    dst_arr = np.asarray(dsts).astype(np.int64, copy=False)
+    order = np.argsort(dst_arr, kind="stable")
+    sorted_dsts = dst_arr[order]
+    rows = order if edge_rows is None else edge_rows[order]
+    count = rows.size
 
-    slot_ids = np.arange(num_slots, dtype=np.int64)
-    # Custom slot offsets must ascend with the slot id so that the
-    # per-slot fast path's slot-order emission still matches the flat
-    # composite-key sort order.
-    offsets = slot_ids if slot_offsets is None else slot_offsets
-    dst_arr = dst_min = None
-    if dsts is not None:
-        dst_arr = np.asarray(dsts).astype(np.int64, copy=False)
-        dst_min = int(dst_arr.min())
-        if int(dst_arr.max()) - dst_min > max_radix_dst_span(num_rows) - 1:
-            dst_arr = None
-    if dsts is None and num_rows < np.iinfo(np.int16).max:
-        # Single-destination batch: every slot is one segment holding
-        # exactly ``k`` updates, so the composite (segment, inverted
-        # depth) key collapses to the inverted depth alone -- an int16.
-        # Sorting each slot column independently lets numpy use its
-        # radix sort for short integers (~7x faster than argsorting the
-        # flat int64 composite key) and the segment structure is known
-        # without decoding any keys.  The (S, K) key buffer comes from
-        # the per-thread scratch arena (it never escapes this call) and
-        # the subtract writes it directly, skipping the int64
-        # intermediate the expression form would materialise.
-        inv_depth = fold_scratch("key16", (num_slots, k), np.int16)
-        np.subtract(np.int64(num_rows), depths.T, out=inv_depth, casting="unsafe")
-        order_rows = np.argsort(inv_depth, axis=1, kind="stable")
-        sorted_depth = np.int64(num_rows) - np.take_along_axis(
-            inv_depth, order_rows, axis=1
-        ).ravel().astype(np.int64)
-        # Column s's entries live at flat positions k_i * S + s of the
-        # row-major (K, S) matrices; emitting columns in slot order
-        # reproduces the flat composite-key sort order exactly.
-        order = (order_rows * np.int64(num_slots) + slot_ids[:, None]).ravel()
-        sorted_seg = np.repeat(offsets, k)
-        total = k * num_slots
-        new_seg = np.zeros(total, dtype=bool)
-        new_seg[::k] = True
-    elif dst_arr is not None:
-        # Multi-destination batch over a narrow node range (a shard):
-        # the composite (node-local destination, inverted depth) key
-        # fits an int16, so each slot column sorts with the same radix
-        # fast path the single-destination branch uses.  This is what
-        # makes sharded ingest faster than the flat int64 argsort even
-        # before any threads join in; the shard planner picks node
-        # ranges no wider than :func:`max_radix_dst_span`.
-        stride = num_slots if dst_stride is None else int(dst_stride)
-        dloc = dst_arr - np.int64(dst_min)
-        # Same arena-backed (S, K) key buffer as the single-destination
-        # branch: inverted depth written in place, then the node-local
-        # destination term added broadcast per column.
-        key16 = fold_scratch("key16", (num_slots, k), np.int16)
-        np.subtract(np.int64(num_rows), depths.T, out=key16, casting="unsafe")
-        key16 += (dloc * np.int64(num_rows + 1)).astype(np.int16)[None, :]
-        order_rows = np.argsort(key16, axis=1, kind="stable")
-        sorted_key = (
-            np.take_along_axis(key16, order_rows, axis=1).astype(np.int64).ravel()
-        )
-        sorted_dloc = sorted_key // (num_rows + 1)
-        sorted_depth = np.int64(num_rows) - (
-            sorted_key - sorted_dloc * (num_rows + 1)
-        )
-        order = (order_rows.astype(np.int64) * num_slots + slot_ids[:, None]).ravel()
-        sorted_seg = np.repeat(offsets, k) + (sorted_dloc + np.int64(dst_min)) * stride
-        total = k * num_slots
-        # A segment boundary is a destination change within a slot
-        # column or the start of the next column (``[::k]``).
-        new_seg = np.empty(total, dtype=bool)
-        new_seg[0] = True
-        np.not_equal(sorted_dloc[1:], sorted_dloc[:-1], out=new_seg[1:])
-        new_seg[::k] = True
+    alpha = indices.astype(np.uint64, copy=False)[rows]
+    depth = np.ascontiguousarray(depths[rows].astype(np.int8).T)
+    gamma = checksums[rows]
+    if packed:
+        gamma |= (alpha << _SHIFT32)[:, None]
+        planes = [np.ascontiguousarray(gamma.T)]
     else:
-        # Composite sort key: (destination, slot) segment-major, deepest
-        # updates first within a segment.  depth is in [1, num_rows], so
-        # (num_rows - depth) orders a segment's updates descending by
-        # depth without colliding across segments.
-        if dsts is None:
-            seg = np.broadcast_to(offsets, (k, num_slots))
-        else:
-            stride = num_slots if dst_stride is None else int(dst_stride)
-            seg = dsts.astype(np.int64, copy=False)[:, None] * stride + offsets
-        key = (seg * (num_rows + 1) + (np.int64(num_rows) - depths)).ravel()
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        sorted_seg = sorted_key // (num_rows + 1)
-        sorted_depth = np.int64(num_rows) - (sorted_key - sorted_seg * (num_rows + 1))
-        total = sorted_key.size
-        new_seg = np.empty(total, dtype=bool)
-        new_seg[0] = True
-        np.not_equal(sorted_seg[1:], sorted_seg[:-1], out=new_seg[1:])
+        planes = [np.broadcast_to(alpha, (num_slots, count)), np.ascontiguousarray(gamma.T)]
 
-    cum_alpha = np.bitwise_xor.accumulate(
-        np.broadcast_to(idx[:, None], (k, num_slots)).ravel()[order]
-    )
-    cum_gamma = np.bitwise_xor.accumulate(checksums.ravel()[order])
+    # Flat offset of a column's row 0, split into its slot and
+    # destination terms so it is only ever materialised for survivors.
+    slot_base = offsets * np.int64(num_rows)
+    dst_base = sorted_dsts * np.int64(stride * num_rows)
 
-    # Cumulative XOR runs over the whole sorted array; each segment's
-    # fold needs the scan *restarted* at its start, which XOR's
-    # self-inverse gives for free: subtract (XOR) the prefix just before
-    # the segment.
-    seg_starts = np.flatnonzero(new_seg)
-    seg_index = np.cumsum(new_seg) - 1
-    prefix_alpha = np.where(
-        seg_starts > 0, cum_alpha[np.maximum(seg_starts - 1, 0)], _ZERO64
-    )[seg_index]
-    prefix_gamma = np.where(
-        seg_starts > 0, cum_gamma[np.maximum(seg_starts - 1, 0)], _ZERO64
-    )[seg_index]
+    starts = _segment_starts(sorted_dsts)
+    targets = [(slot_base[:, None] + dst_base[starts][None, :]).ravel()]
+    values = [
+        [np.bitwise_xor.reduceat(plane, starts, axis=1).ravel()] for plane in planes
+    ]
 
-    # Element p (depth d_p) is the newest member of bucket rows
-    # [next_depth, d_p) of its segment, where next_depth is the depth of
-    # the following element (0 at segment end).  Those rows' final fold
-    # value is exactly the prefix XOR through p, so each element emits a
-    # run of (row, value) pairs and every bucket is emitted at most once.
-    next_depth = np.empty(total, dtype=np.int64)
-    next_depth[-1] = 0
-    np.copyto(next_depth[:-1], np.where(new_seg[1:], 0, sorted_depth[1:]))
-    runs = sorted_depth - next_depth
-
-    emit = runs > 0
-    runs = runs[emit]
-    emit_seg = sorted_seg[emit]
-    emit_base = next_depth[emit]
-    emit_alpha = cum_alpha[emit] ^ prefix_alpha[emit]
-    emit_gamma = cum_gamma[emit] ^ prefix_gamma[emit]
-
-    run_starts = np.cumsum(runs) - runs
-    rows = np.arange(int(runs.sum()), dtype=np.int64) - np.repeat(run_starts, runs)
-    rows += np.repeat(emit_base, runs)
-    targets = np.repeat(emit_seg * num_rows, runs) + rows
-    return targets, np.repeat(emit_alpha, runs), np.repeat(emit_gamma, runs)
+    # ``flatnonzero`` + ``take`` compacts ~8x faster than boolean-mask
+    # indexing, and the (S, M) flat order is slot-major, so survivors of
+    # one column stay adjacent.
+    keep = np.flatnonzero(depth > 1)
+    slot = keep // count
+    column = slot_base[slot] + dst_base[keep - slot * count]
+    depth = depth.ravel().take(keep)
+    planes = [np.take(plane, keep) for plane in planes]
+    row = 1
+    while column.size:
+        starts = _segment_starts(column)
+        targets.append(column.take(starts) + row)
+        for emitted, plane in zip(values, planes):
+            emitted.append(np.bitwise_xor.reduceat(plane, starts))
+        row += 1
+        keep = np.flatnonzero(depth > row)
+        column = column.take(keep)
+        depth = depth.take(keep)
+        planes = [plane.take(keep) for plane in planes]
+    return (np.concatenate(targets), *(np.concatenate(emitted) for emitted in values))
 
 
 def columnar_fold(
@@ -358,47 +303,22 @@ def columnar_fold(
     mixed_membership: np.ndarray,
     mixed_checksum: np.ndarray,
     num_rows: int,
-    dsts: Optional[np.ndarray] = None,
-    dst_stride: Optional[int] = None,
-    slot_offsets: Optional[np.ndarray] = None,
-    reuse_scratch: bool = True,
+    dsts: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columnar engine's whole update kernel, over one chunk.
+    """Hash and fold one chunk of ``(destination, edge slot)`` updates.
 
-    Hashes ``K`` edge-slot ``indices`` against all ``S`` (round, column)
-    hash functions as one ``(K, S)`` matrix, computes bucket depths
-    vectorised, and reduces every bucket's XOR contribution with a
-    single argsort + cumulative-XOR prefix scan over the flattened
-    ``K x S`` update set.
-
-    When ``dsts`` is given (one destination node per update), updates
-    for *all* nodes are folded in the same pass: the sort key simply
-    gains the node id, so ingesting a mixed multi-node batch costs one
-    kernel invocation instead of one per node.
-
-    Returns ``(targets, alpha_values, gamma_values)``: flat bucket
-    offsets -- ``(dst * S + slot) * num_rows + row`` into a rows-innermost
-    tensor pool -- and the values to XOR into them.  Targets are unique
-    within one call, so the caller can fold with a fancy-indexed
+    :func:`hash_depths_checksums` followed by :func:`fold_hashed`:
+    ``indices[i]`` folds into node ``dsts[i]``, updates for *all* nodes
+    in the same pass.  Returns ``(targets, alpha_values, gamma_values)``
+    -- flat bucket offsets ``(dst * S + slot) * num_rows + row`` into a
+    rows-innermost tensor and the values to XOR there.  Targets are
+    unique within one call, so the caller can fold with a fancy-indexed
     ``pool[targets] ^= values`` (no slow ``ufunc.at`` scatter needed).
-
-    The ``(K, S)`` hash matrices live in the per-thread scratch arena by
-    default (they are consumed before this function returns); pass
-    ``reuse_scratch=False`` to force fresh allocations.
     """
     depths, checksums = hash_depths_checksums(
-        indices, mixed_membership, mixed_checksum, num_rows,
-        reuse_scratch=reuse_scratch,
+        indices, mixed_membership, mixed_checksum, num_rows, reuse_scratch=True
     )
-    return fold_hashed(
-        indices,
-        depths,
-        checksums,
-        num_rows,
-        dsts=dsts,
-        dst_stride=dst_stride,
-        slot_offsets=slot_offsets,
-    )
+    return fold_hashed(indices, depths, checksums, num_rows, dsts)
 
 
 def query_bucket_arrays(
@@ -778,11 +698,13 @@ class FlatNodeSketch:
         alpha_flat = self._alpha.reshape(-1)
         gamma_flat = self._gamma.reshape(-1)
         for start in range(0, idx.size, BATCH_CHUNK):
+            chunk = idx[start : start + BATCH_CHUNK]
             targets, alpha_vals, gamma_vals = columnar_fold(
-                idx[start : start + BATCH_CHUNK],
+                chunk,
                 self._mixed_membership,
                 self._mixed_checksum,
                 self.num_rows,
+                np.zeros(chunk.size, dtype=np.int64),
             )
             alpha_flat[targets] ^= alpha_vals
             gamma_flat[targets] ^= gamma_vals

@@ -22,16 +22,25 @@ Bucket storage comes in two modes:
 
 Bucket ``(round, node, row, col)`` sits at flat offset
 ``((round * num_nodes + node) * cols + col) * rows + row``; the shared
-:func:`~repro.sketch.flat_node_sketch.columnar_fold` kernel emits these
+:func:`~repro.sketch.flat_node_sketch.fold_hashed` kernel emits these
 offsets directly (via its ``dst_stride`` / ``slot_offsets`` segment
-mapping), so a *mixed multi-node* batch of updates still folds with one
-hash + one argsort + one fancy-indexed XOR per chunk -- no Python loop
-over nodes, rounds, or columns.
+mapping), so a *mixed multi-node* batch of updates folds with one hash,
+one sort of its destinations, one segmented XOR per bucket row and one
+fancy-indexed XOR into the pool per chunk -- no Python loop over nodes,
+rounds, or columns, and no dependence on how the destinations spread.
+
+Every fold entry point (:meth:`~NodeTensorPool.apply_updates`,
+``apply_edges``, ``apply_node_batch``, ``fold_shard``,
+``fold_shard_hashed``, ``fold_page_batch``) validates its arguments and
+hands them to one private path, :meth:`NodeTensorPool._fold`: a native
+provider call when the pool has one, otherwise hash + kernel + scatter
+per chunk.  The paged pool overrides only where offsets point and how
+they are scattered.
 
 This is what turns ``GraphZeppelin.ingest_batch`` into a columnar
-pipeline: canonicalise the edge array, mirror it, encode the edge slots,
-and hand ``(destination, index)`` columns straight to
-:meth:`NodeTensorPool.apply_updates`.
+pipeline: canonicalise the edge array, encode the edge slots, and hand
+the ``(lo, hi, index)`` columns straight to
+:meth:`NodeTensorPool.apply_edges`.
 
 The pool is also the query engine's substrate: one Boruvka round's cut
 samples for *every* active component come out of a single segmented
@@ -51,15 +60,12 @@ from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConfigurationError, IncompatibleSketchError
 from repro.observability.tracing import span
 from repro.sketch.flat_node_sketch import (
-    BATCH_CHUNK,
     FlatNodeSketch,
-    columnar_fold,
     decode_column_batch,
     flat_seed_matrices,
     fold_hashed,
     group_nodes_by_label,
     hash_depths_checksums,
-    max_radix_dst_span,
     query_bucket_arrays,
     query_bucket_arrays_batch,
     segmented_xor,
@@ -77,13 +83,21 @@ from repro.sketch.sketch_base import (
     SampleResult,
 )
 
-#: Element budget for one ``(K, S)`` hash matrix of the fold kernel
-#: (uint64, so 1 << 22 elements is ~32 MiB per temporary).
-_CHUNK_ELEMENT_BUDGET = 1 << 22
-#: Chunks below ~8k updates under-amortise the kernel's fixed costs
-#: (ROADMAP measurement), chunks above 128k stop paying for their RAM.
-_MIN_FOLD_CHUNK = 1 << 13
-_MAX_FOLD_CHUNK = 1 << 17
+#: Element budget for one ``(updates, slots)`` matrix of a numpy fold
+#: pass: 1 << 16 uint64 elements is 512 KiB, so a pass's hash matrices
+#: and the kernel's gathers stay cache-resident, and the pass shrinks
+#: as the graph (and with it the slot count) grows.  Interleaved runs
+#: at 20 000 nodes: 312 edges per pass folds ~45% more edges per second
+#: than 8 192 per pass, and no slower at 200 or 1 000 nodes.
+_FOLD_PASS_ELEMENTS = 1 << 16
+
+#: Shards per worker of the automatic shard planner: enough that a
+#: worker which drew a light node range picks up another, few enough
+#: that per-shard fixed costs stay amortised.
+SHARDS_PER_WORKER = 4
+#: Most nodes one node group spans -- an out-of-core page or an in-RAM
+#: gutter group.  Bounds the update column a single emitted batch folds.
+MAX_PAGE_NODES = 1056
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -104,32 +118,27 @@ def shard_bounds(num_nodes: int, num_shards: int) -> np.ndarray:
     ) // np.int64(num_shards)
 
 
-def auto_num_shards(num_nodes: int, num_rows: int, num_workers: int = 1) -> int:
-    """Shard count giving every shard the int16 fold fast path.
+def auto_num_shards(num_units: int, num_workers: int = 1) -> int:
+    """Shard count for load balance: :data:`SHARDS_PER_WORKER` per worker.
 
-    The smallest count whose node ranges fit inside
-    :func:`~repro.sketch.flat_node_sketch.max_radix_dst_span`, rounded up
-    to a multiple of ``num_workers`` so the shards distribute evenly.
+    ``num_units`` is what shard boundaries can fall between (nodes for
+    the in-RAM pool, pages for the paged one) and caps the count.
     """
-    span = max_radix_dst_span(num_rows)
-    shards = max(-(-int(num_nodes) // span), 1)
-    workers = max(int(num_workers), 1)
-    return -(-shards // workers) * workers
+    return max(1, min(int(num_units), SHARDS_PER_WORKER * max(int(num_workers), 1)))
 
 
-def auto_fold_chunk(num_slots: int, batch_size: int) -> int:
-    """Updates per fold-kernel pass, tuned to the sketch geometry.
+def xor_scatter(
+    tensors: Sequence[np.ndarray], targets: np.ndarray, values: Sequence[np.ndarray]
+) -> None:
+    """XOR fold-kernel output into bucket tensors at flat offsets.
 
-    The kernel's dominant temporaries are ``(K, num_slots)`` uint64
-    matrices, so the chunk size that keeps them inside the element
-    budget shrinks as the graph (and with it ``num_slots``) grows.
-    Small graphs get proportionally larger chunks, which is where the
-    fixed per-chunk costs used to dominate.  The result is clamped to
-    the measured sweet spot and never exceeds the batch itself.
+    ``tensors`` and ``values`` pair up: the packed bucket tensor with
+    packed values, or the alpha and gamma tensors with theirs (gamma
+    narrows to the tensor's uint32).  Targets are unique within one
+    kernel call, which is what makes the fancy-indexed XOR exact.
     """
-    chunk = _CHUNK_ELEMENT_BUDGET // max(int(num_slots), 1)
-    chunk = min(max(chunk, _MIN_FOLD_CHUNK), _MAX_FOLD_CHUNK)
-    return max(min(chunk, max(int(batch_size), 1)), 1)
+    for tensor, vals in zip(tensors, values):
+        tensor.reshape(-1)[targets] ^= vals.astype(tensor.dtype, copy=False)
 
 
 def _shm_view(segment, shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -183,6 +192,9 @@ class NodeTensorPool:
         pool state and query results do not depend on this choice.
     """
 
+    #: Element budget of one numpy fold pass (see :meth:`_pass_rows`).
+    _fold_pass_elements = _FOLD_PASS_ELEMENTS
+
     def __init__(
         self,
         num_nodes: int,
@@ -233,8 +245,7 @@ class NodeTensorPool:
                 self._gamma = np.zeros(shape, dtype=np.uint32)
         # Fold-kernel segment mapping: bucket (dst, slot) of the
         # slot-major kernel lands at round-major segment
-        # dst * num_columns + _slot_offsets[slot] (strictly increasing
-        # in slot, as the kernel's fast path requires).
+        # dst * num_columns + _slot_offsets[slot].
         slots = np.arange(self.num_slots, dtype=np.int64)
         self._slot_offsets = (slots // self.num_columns) * (
             self.num_nodes * self.num_columns
@@ -255,28 +266,101 @@ class NodeTensorPool:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def _scatter(
-        self,
-        targets: np.ndarray,
-        alpha_vals: np.ndarray,
-        gamma_vals: np.ndarray,
-        bump_version: bool = True,
-    ) -> None:
-        """XOR fold-kernel output into the pool at round-major offsets.
+    def _fold_layout(self, dsts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Kernel destinations and slot offsets that emit this pool's offsets.
 
-        ``bump_version=False`` is for shard workers, whose concurrent
-        folds must not race on the version counter; the ingest
-        coordinator bumps it once per batch via
-        :meth:`mark_external_updates`.
+        Bucket ``(dst, slot)`` of the slot-major kernel lands at
+        round-major segment ``dst * num_columns + _slot_offsets[slot]``.
         """
-        if self._packed:
-            flat = self._buckets.reshape(-1)
-            flat[targets] ^= (alpha_vals << _SHIFT32) | gamma_vals
+        return dsts, self._slot_offsets
+
+    def _scatter(self, targets: np.ndarray, values: Sequence[np.ndarray]) -> None:
+        """XOR one fold's emitted values into the pool at flat offsets."""
+        tensors = (self._buckets,) if self._packed else (self._alpha, self._gamma)
+        xor_scatter(tensors, targets, values)
+
+    def _fold_native(self, indices: np.ndarray, dst_columns: Sequence[np.ndarray]) -> None:
+        """Provider fold of ``indices`` into every destination column.
+
+        The native fold fuses hash + depth + XOR scatter with no
+        temporaries, so the whole batch goes in one call; the mirrored
+        form hashes each edge slot once and scatters to both endpoints.
+        """
+        if len(dst_columns) == 2:
+            self._kernels.fold_pool_edges(self, indices, *dst_columns)
         else:
-            self._alpha.reshape(-1)[targets] ^= alpha_vals
-            self._gamma.reshape(-1)[targets] ^= gamma_vals.astype(np.uint32)
-        if bump_version:
-            self._version += 1
+            self._kernels.fold_pool(self, indices, dst_columns[0])
+
+    def _fold_chunk(
+        self,
+        dsts: np.ndarray,
+        edge_rows: np.ndarray,
+        indices: np.ndarray,
+        depths: np.ndarray,
+        checksums: np.ndarray,
+    ) -> None:
+        """Reduce one hashed chunk with the level-peeling kernel and scatter it."""
+        with span("ingest.fold"):
+            kernel_dsts, slot_offsets = self._fold_layout(dsts)
+            targets, *values = fold_hashed(
+                indices,
+                depths,
+                checksums,
+                self.num_rows,
+                kernel_dsts,
+                edge_rows=edge_rows,
+                dst_stride=self.num_columns,
+                slot_offsets=slot_offsets,
+                packed=self._packed,
+            )
+            self._scatter(targets, values)
+
+    def _pass_rows(self, rows: int, width: int, chunk_size: Optional[int]) -> int:
+        """Rows per numpy fold pass, each row carrying ``width`` updates.
+
+        ``chunk_size`` when the caller gave one, otherwise as many as
+        keep the kernel's ``(updates, num_slots)`` matrices inside this
+        pool's element budget (never more than the batch itself).
+        """
+        if chunk_size:
+            return max(int(chunk_size), 1)
+        updates = min(self._fold_pass_elements // self.num_slots, width * rows)
+        return max(updates // width, 1)
+
+    def _fold(
+        self,
+        indices: np.ndarray,
+        dst_columns: Sequence[np.ndarray],
+        chunk_size: Optional[int] = None,
+    ) -> int:
+        """Fold validated edge slots into the nodes of every destination column.
+
+        The single fold path behind every entry point: ``indices[i]``
+        goes to node ``column[i]`` of each column (one column for a
+        plain update batch, two for the mirrored halves of an edge
+        batch), hashed **once** per index whatever the column count.
+        The numpy path runs :meth:`_pass_rows` indices per kernel pass.
+        Bumps neither the version nor the update counter; returns the
+        updates folded.
+        """
+        width = len(dst_columns)
+        count = width * int(indices.size)
+        if self._kernels is not None:
+            with span("ingest.fold"):
+                self._fold_native(indices, dst_columns)
+            return count
+        chunk = self._pass_rows(indices.size, width, chunk_size)
+        for start in range(0, indices.size, chunk):
+            block = indices[start : start + chunk]
+            with span("ingest.hash"):
+                depths, checksums = hash_depths_checksums(
+                    block, self._mixed_membership, self._mixed_checksum, self.num_rows,
+                    reuse_scratch=True,
+                )
+            dsts = np.concatenate([column[start : start + chunk] for column in dst_columns])
+            edge_rows = np.tile(np.arange(block.size), width)
+            self._fold_chunk(dsts, edge_rows, block, depths, checksums)
+        return count
 
     def apply_updates(
         self,
@@ -288,9 +372,8 @@ class NodeTensorPool:
 
         ``dsts[i]`` is the node whose bundle receives edge-slot
         ``indices[i]``.  The whole batch -- regardless of how many
-        distinct nodes it touches -- goes through the shared columnar
-        fold kernel in chunks sized by :func:`auto_fold_chunk` (or
-        ``chunk_size`` when given).
+        distinct nodes it touches -- goes through the shared fold path
+        (:meth:`_fold`).
         """
         dsts = np.asarray(dsts)
         if dsts.shape != np.shape(indices) or dsts.ndim != 1:
@@ -299,28 +382,8 @@ class NodeTensorPool:
         if idx is None:
             return
         self._check_destinations(dsts)
-        if self._kernels is not None:
-            # The native fold fuses hash + depth + XOR scatter with no
-            # temporaries, so the whole batch goes in one call.
-            with span("ingest.fold"):
-                self._kernels.fold_pool(self, idx, dsts)
-            self._version += 1
-            self._updates_applied += int(idx.size)
-            return
-        chunk = int(chunk_size) if chunk_size else auto_fold_chunk(self.num_slots, idx.size)
-        for start in range(0, idx.size, chunk):
-            with span("ingest.fold"):
-                targets, alpha_vals, gamma_vals = columnar_fold(
-                    idx[start : start + chunk].astype(np.uint64, copy=False),
-                    self._mixed_membership,
-                    self._mixed_checksum,
-                    self.num_rows,
-                    dsts=dsts[start : start + chunk],
-                    dst_stride=self.num_columns,
-                    slot_offsets=self._slot_offsets,
-                )
-                self._scatter(targets, alpha_vals, gamma_vals)
-        self._updates_applied += int(idx.size)
+        self._version += 1
+        self._updates_applied += self._fold(idx, (dsts,), chunk_size)
 
     def apply_edges(
         self,
@@ -334,53 +397,21 @@ class NodeTensorPool:
         ``indices[i]`` is the edge slot of the canonical edge
         ``(lo[i], hi[i])``; both endpoints' bundles receive it.  The
         hash matrices depend only on the index, not the destination, so
-        each index is hashed **once** and the depth/checksum matrices
-        are shared by the two mirrored halves -- half the hash cost of
-        pushing the duplicated column through :meth:`apply_updates`.
-        Chunks are sized by :func:`auto_fold_chunk` (halved, since the
-        mirrored halves double the reduction width) unless ``chunk_size``
-        overrides it.
+        each index is hashed **once** and the mirrored halves read the
+        same rows -- half the hash cost of pushing the duplicated
+        column through :meth:`apply_updates`.  ``chunk_size`` counts
+        edges per kernel pass.
         """
         if not (np.shape(indices) == np.shape(lo) == np.shape(hi)) or np.ndim(indices) != 1:
             raise ValueError("lo, hi and indices must be matching one-dimensional arrays")
         idx = validate_indices(indices, self.encoder.vector_length)
         if idx is None:
             return
-        self._check_destinations(np.asarray(lo))
-        self._check_destinations(np.asarray(hi))
-        if self._kernels is not None:
-            # Mirrored native fold: hashes each edge slot once and
-            # scatters to both endpoints' bundles in the same pass
-            # (hash + fold are fused, so the span covers both).
-            with span("ingest.fold"):
-                self._kernels.fold_pool_edges(self, idx, lo, hi)
-            self._version += 1
-            self._updates_applied += 2 * int(idx.size)
-            return
-        if chunk_size:
-            edge_chunk = max(int(chunk_size), 1)
-        else:
-            edge_chunk = max(auto_fold_chunk(self.num_slots, idx.size) // 2, 1)
-        for start in range(0, idx.size, edge_chunk):
-            chunk = idx[start : start + edge_chunk]
-            with span("ingest.hash"):
-                depths, checksums = hash_depths_checksums(
-                    chunk, self._mixed_membership, self._mixed_checksum, self.num_rows
-                )
-            with span("ingest.fold"):
-                targets, alpha_vals, gamma_vals = fold_hashed(
-                    np.concatenate([chunk, chunk]),
-                    np.concatenate([depths, depths]),
-                    np.concatenate([checksums, checksums]),
-                    self.num_rows,
-                    dsts=np.concatenate(
-                        [lo[start : start + edge_chunk], hi[start : start + edge_chunk]]
-                    ),
-                    dst_stride=self.num_columns,
-                    slot_offsets=self._slot_offsets,
-                )
-                self._scatter(targets, alpha_vals, gamma_vals)
-        self._updates_applied += 2 * int(idx.size)
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        self._check_destinations(lo)
+        self._check_destinations(hi)
+        self._version += 1
+        self._updates_applied += self._fold(idx, (lo, hi), chunk_size)
 
     def apply_node_batch(self, node: int, neighbors) -> None:
         """Fold a batch of edges ``{node, w}`` into one node's bundle.
@@ -393,32 +424,26 @@ class NodeTensorPool:
         indices = self.encoder.encode_batch(node, neighbors)
         if indices.size == 0:
             return
-        if self._kernels is not None:
-            with span("ingest.fold"):
-                self._kernels.fold_pool(
-                    self, indices, np.full(indices.size, int(node), dtype=np.int64)
-                )
-            self._version += 1
-            self._updates_applied += int(indices.size)
-            return
-        rows = np.int64(self.num_rows)
-        node_base = np.int64(node * self.num_columns)
-        for start in range(0, indices.size, BATCH_CHUNK):
-            with span("ingest.fold"):
-                targets, alpha_vals, gamma_vals = columnar_fold(
-                    indices[start : start + BATCH_CHUNK],
-                    self._mixed_membership,
-                    self._mixed_checksum,
-                    self.num_rows,
-                )
-                # The single-destination kernel emits node-local slot-major
-                # offsets; relocate them into the round-major pool.
-                slot = targets // rows
-                targets = (self._slot_offsets[slot] + node_base) * rows + (
-                    targets - slot * rows
-                )
-                self._scatter(targets, alpha_vals, gamma_vals)
-        self._updates_applied += int(indices.size)
+        self._version += 1
+        self._updates_applied += self._fold(
+            indices, (np.full(indices.size, int(node), dtype=np.int64),)
+        )
+
+    def _check_shard(self, dsts: np.ndarray, node_lo: int, node_hi: int) -> None:
+        """Reject a shard range outside the pool or a destination outside it.
+
+        One scan covers both destination guards: a node inside the
+        shard range is inside the pool, since the range itself was
+        checked.
+        """
+        if not 0 <= node_lo <= node_hi <= self.num_nodes:
+            raise ValueError(
+                f"shard range [{node_lo}, {node_hi}) outside [0, {self.num_nodes})"
+            )
+        if ((dsts < node_lo) | (dsts >= node_hi)).any():
+            raise ValueError(
+                f"destination node outside shard range [{node_lo}, {node_hi})"
+            )
 
     def fold_shard(
         self,
@@ -434,10 +459,8 @@ class NodeTensorPool:
         the shard's node range ``[node_lo, node_hi)``, whose buckets no
         other shard touches, so concurrent ``fold_shard`` calls for
         *different* shards need no locks -- their scatter targets are
-        disjoint by construction.  When the shard span fits
-        :func:`~repro.sketch.flat_node_sketch.max_radix_dst_span` (the
-        planner guarantees it), the fold runs through the kernel's int16
-        radix fast path.
+        disjoint by construction (and the native kernels release the
+        GIL, so thread-backend shards overlap fully).
 
         Deliberately does **not** bump the pool version or the update
         counter -- shared counters would race across workers, and worker
@@ -448,41 +471,11 @@ class NodeTensorPool:
         dsts = np.asarray(dsts)
         if dsts.shape != np.shape(indices) or dsts.ndim != 1:
             raise ValueError("dsts and indices must be matching one-dimensional arrays")
-        if not 0 <= node_lo <= node_hi <= self.num_nodes:
-            raise ValueError(
-                f"shard range [{node_lo}, {node_hi}) outside [0, {self.num_nodes})"
-            )
         idx = validate_indices(indices, self.encoder.vector_length)
         if idx is None:
             return 0
-        # One scan covers both guards: a destination inside the shard
-        # range is inside the pool, since the range itself was checked.
-        if ((dsts < node_lo) | (dsts >= node_hi)).any():
-            raise ValueError(
-                f"destination node outside shard range [{node_lo}, {node_hi})"
-            )
-        if self._kernels is not None:
-            # Shard folds stay lock-free under the native kernels for
-            # the same reason as the numpy path (disjoint node ranges),
-            # and the compiled region releases the GIL, so concurrent
-            # thread-backend shards now overlap fully.
-            with span("ingest.fold"):
-                self._kernels.fold_pool(self, idx, dsts)
-            return int(idx.size)
-        chunk = int(chunk_size) if chunk_size else auto_fold_chunk(self.num_slots, idx.size)
-        for start in range(0, idx.size, chunk):
-            with span("ingest.fold"):
-                targets, alpha_vals, gamma_vals = columnar_fold(
-                    idx[start : start + chunk].astype(np.uint64, copy=False),
-                    self._mixed_membership,
-                    self._mixed_checksum,
-                    self.num_rows,
-                    dsts=dsts[start : start + chunk],
-                    dst_stride=self.num_columns,
-                    slot_offsets=self._slot_offsets,
-                )
-                self._scatter(targets, alpha_vals, gamma_vals, bump_version=False)
-        return int(idx.size)
+        self._check_shard(dsts, node_lo, node_hi)
+        return self._fold(idx, (dsts,), chunk_size)
 
     def fold_shard_hashed(
         self,
@@ -501,8 +494,8 @@ class NodeTensorPool:
         destination, so a mirrored batch's two copies of every edge
         share one row of ``depths`` / ``checksums``.  The ingest
         coordinator hashes the *unique* ``indices`` once and shard
-        workers gather their rows by ``edge_rows[i]`` (the position of
-        update ``i``'s edge in ``indices``) -- half the hash cost of
+        workers read their rows through ``edge_rows[i]`` (the position
+        of update ``i``'s edge in ``indices``) -- half the hash cost of
         :meth:`fold_shard`, which is what the thread backend uses where
         the matrices can be shared by reference.  Same shard-ownership
         contract and (deliberate) lack of version/counter updates as
@@ -511,40 +504,24 @@ class NodeTensorPool:
         dsts = np.asarray(dsts)
         if dsts.shape != np.shape(edge_rows) or dsts.ndim != 1:
             raise ValueError("dsts and edge_rows must be matching one-dimensional arrays")
-        if not 0 <= node_lo <= node_hi <= self.num_nodes:
-            raise ValueError(
-                f"shard range [{node_lo}, {node_hi}) outside [0, {self.num_nodes})"
-            )
         if dsts.size == 0:
             return 0
-        if ((dsts < node_lo) | (dsts >= node_hi)).any():
-            raise ValueError(
-                f"destination node outside shard range [{node_lo}, {node_hi})"
-            )
+        self._check_shard(dsts, node_lo, node_hi)
         if self._kernels is not None:
             # The native fold hashes in-kernel for less than the cost of
             # gathering the precomputed matrices, and hashing is
             # deterministic, so re-deriving depths/checksums from the
             # indices keeps the buckets bit-identical.
-            with span("ingest.fold"):
-                self._kernels.fold_pool(self, np.asarray(indices)[edge_rows], dsts)
-            return int(dsts.size)
-        chunk = (
-            int(chunk_size) if chunk_size else auto_fold_chunk(self.num_slots, dsts.size)
-        )
+            return self._fold(np.asarray(indices)[edge_rows], (dsts,))
+        chunk = self._pass_rows(dsts.size, 1, chunk_size)
         for start in range(0, dsts.size, chunk):
-            rows = edge_rows[start : start + chunk]
-            with span("ingest.fold"):
-                targets, alpha_vals, gamma_vals = fold_hashed(
-                    indices[rows],
-                    depths[rows],
-                    checksums[rows],
-                    self.num_rows,
-                    dsts=dsts[start : start + chunk],
-                    dst_stride=self.num_columns,
-                    slot_offsets=self._slot_offsets,
-                )
-                self._scatter(targets, alpha_vals, gamma_vals, bump_version=False)
+            self._fold_chunk(
+                dsts[start : start + chunk],
+                edge_rows[start : start + chunk],
+                indices,
+                depths,
+                checksums,
+            )
         return int(dsts.size)
 
     def fold_page_batch(

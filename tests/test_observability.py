@@ -136,6 +136,40 @@ def test_sharded_threads_bit_identical_under_observability():
     assert default_registry().snapshot().histograms["ingest.fold"].count > 0
 
 
+def test_serial_numpy_chunk_records_one_hash_and_one_fold_span():
+    edges = _random_edges(300, seed=17)  # well inside one fold pass at 48 nodes
+    default_registry().reset()
+    _ingested(edges)
+    histograms = default_registry().snapshot().histograms
+    assert histograms["ingest.hash"].count == 1
+    assert histograms["ingest.fold"].count == 1
+
+
+def test_ingest_updates_counts_once_per_update_on_every_path():
+    edges = _random_edges(400, seed=19)
+
+    default_registry().reset()
+    _ingested(edges)
+    assert default_registry().snapshot().counters["ingest.updates"] == edges.shape[0]
+
+    default_registry().reset()
+    sharded = GraphZeppelin(NUM_NODES, config=GraphZeppelinConfig(seed=9))
+    with sharded.parallel_ingestor(num_workers=2, backend="threads") as ingestor:
+        ingestor.ingest_batch(edges)
+    assert default_registry().snapshot().counters["ingest.updates"] == edges.shape[0]
+
+    default_registry().reset()
+    paged = GraphZeppelin(
+        NUM_NODES,
+        config=GraphZeppelinConfig(seed=9, ram_budget_bytes=64_000, nodes_per_page=8),
+    )
+    assert paged.tensor_pool.is_paged
+    paged.ingest_batch(edges)
+    paged.flush()
+    assert default_registry().snapshot().counters["ingest.updates"] == edges.shape[0]
+    assert default_registry().snapshot().histograms["ingest.fold"].count > 0
+
+
 def test_distributed_merge_bit_identical_and_counters_equal_serial(tmp_path):
     from repro.distributed.multi_ingestor import distributed_ingest
 

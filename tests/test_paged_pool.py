@@ -137,15 +137,13 @@ def test_page_affine_sharded_ingest_bit_identical(edges, seed, num_workers):
 # page machinery
 # ----------------------------------------------------------------------
 def test_plan_page_bounds_shapes():
-    bounds = plan_page_bounds(10, node_bytes=100, block_size=1024, num_rows=15,
-                              nodes_per_page=4)
+    bounds = plan_page_bounds(10, node_bytes=100, block_size=1024, nodes_per_page=4)
     assert bounds.tolist() == [0, 4, 8, 10]
-    auto = plan_page_bounds(1000, node_bytes=4096, block_size=16384, num_rows=15)
+    auto = plan_page_bounds(1000, node_bytes=4096, block_size=16384)
     # Auto sizing targets 16 blocks -> 64 nodes of 4 KiB per page.
     assert auto[1] - auto[0] == 64
     # Tiny graphs collapse to one page.
-    assert plan_page_bounds(3, node_bytes=10, block_size=1024, num_rows=15).tolist() \
-        == [0, 3]
+    assert plan_page_bounds(3, node_bytes=10, block_size=1024).tolist() == [0, 3]
 
 
 def test_paged_pool_rejects_unbounded_memory():

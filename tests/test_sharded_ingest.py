@@ -17,13 +17,8 @@ from repro.core.graph_zeppelin import GraphZeppelin
 from repro.exceptions import ConfigurationError
 from repro.generators.random_graphs import random_multigraph_edges
 from repro.parallel.graph_workers import ShardedIngestor, partition_mirrored_updates
-from repro.sketch import flat_node_sketch
-from repro.sketch.flat_node_sketch import (
-    fold_hashed,
-    hash_depths_checksums,
-    max_radix_dst_span,
-)
 from repro.sketch.tensor_pool import (
+    SHARDS_PER_WORKER,
     NodeTensorPool,
     auto_num_shards,
     shard_bounds,
@@ -60,14 +55,11 @@ def test_shard_bounds_degenerate_cases():
         shard_bounds(10, 0)
 
 
-def test_auto_num_shards_respects_radix_span_and_workers():
-    num_rows = 30
-    span = max_radix_dst_span(num_rows)
-    shards = auto_num_shards(20_000, num_rows, num_workers=4)
-    assert shards % 4 == 0
-    assert max(np.diff(shard_bounds(20_000, shards))) <= span
-    # Small graphs need only the worker-multiple minimum.
-    assert auto_num_shards(50, num_rows, num_workers=3) == 3
+def test_auto_num_shards_balances_load_per_worker():
+    assert auto_num_shards(20_000, num_workers=4) == 4 * SHARDS_PER_WORKER
+    assert auto_num_shards(20_000) == SHARDS_PER_WORKER
+    # Never more shards than units (nodes, or pages out of core).
+    assert auto_num_shards(3, num_workers=4) == 3
 
 
 def test_partition_mirrored_updates_routes_each_endpoint():
@@ -94,30 +86,10 @@ def test_partition_mirrored_updates_routes_each_endpoint():
 
 
 # ----------------------------------------------------------------------
-# the fold kernel's multi-destination int16 fast path
+# mixed-node folds against per-node folds (the kernel's own oracle
+# tests live in test_fold_kernel.py)
 # ----------------------------------------------------------------------
-def test_fold_fast_path_matches_slow_path(monkeypatch):
-    rng = np.random.default_rng(7)
-    num_rows, num_slots, k = 14, 12, 400
-    indices = rng.integers(0, 1 << 20, k).astype(np.uint64)
-    dsts = rng.integers(10, 10 + 37, k)  # narrow span -> fast path eligible
-    seeds = rng.integers(1, 1 << 60, num_slots).astype(np.uint64)
-    checks = rng.integers(1, 1 << 60, num_slots).astype(np.uint64)
-    depths, checksums = hash_depths_checksums(indices, seeds, checks, num_rows)
-
-    fast = fold_hashed(indices, depths, checksums, num_rows, dsts=dsts)
-    monkeypatch.setattr(flat_node_sketch, "max_radix_dst_span", lambda rows: 1)
-    slow = fold_hashed(indices, depths, checksums, num_rows, dsts=dsts)
-
-    def as_map(result):
-        targets, alpha, gamma = result
-        assert np.unique(targets).size == targets.size
-        return dict(zip(targets.tolist(), zip(alpha.tolist(), gamma.tolist())))
-
-    assert as_map(fast) == as_map(slow)
-
-
-def test_fold_fast_path_matches_per_node_folds():
+def test_mixed_fold_matches_per_node_folds():
     num_nodes = 61
     encoder = EdgeEncoder(num_nodes)
     mixed = NodeTensorPool(num_nodes, encoder, graph_seed=5)
