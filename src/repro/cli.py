@@ -472,7 +472,8 @@ def _print_io_report(engine, checkpointer=None) -> None:
               f"{counters['io_retries']} retried")
         print(f"integrity        : {counters['checksum_failures']} checksum failures, "
               f"{counters['blocks_scrubbed']} blocks scrubbed, "
-              f"{counters['pages_repaired']} pages repaired")
+              f"{counters['pages_repaired']} pages repaired, "
+              f"{snap.counters.get('integrity.blocks_digested', 0)} blocks digested")
         print(f"overload         : {counters['pressure_events']} pressure events, "
               f"{counters['deadline_misses']} deadline misses, "
               f"{counters['breaker_rejections']} breaker rejections")

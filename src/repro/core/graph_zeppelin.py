@@ -108,8 +108,17 @@ class GraphZeppelin:
         self.encoder = EdgeEncoder(self.num_nodes)
         self.num_rounds = num_boruvka_rounds(self.num_nodes)
 
+        # Resolve the hot-kernel provider once; every pool, per-node
+        # sketch and the hybrid memory's block digests share the same
+        # instance (providers are stateless singletons, so sharing is
+        # free).
+        from repro.kernels import resolve_kernels
+
+        self._kernels = resolve_kernels(self.config.kernel_backend)
         if memory is not None:
             self.memory: Optional[HybridMemory] = memory
+            if memory.kernels is None:
+                memory.kernels = self._kernels
         elif self.config.ram_budget_bytes is not None:
             retry = None
             if self.config.io_retry_attempts > 1:
@@ -132,17 +141,12 @@ class GraphZeppelin:
                 retry=retry,
                 deadline_seconds=self.config.io_deadline_seconds,
                 breaker=breaker,
+                kernels=self._kernels,
             )
         else:
             self.memory = None
 
         self._backend = self.config.sketch_backend
-        # Resolve the hot-kernel provider once; every pool and per-node
-        # sketch this engine builds shares the same instance (providers
-        # are stateless singletons, so sharing is free).
-        from repro.kernels import resolve_kernels
-
-        self._kernels = resolve_kernels(self.config.kernel_backend)
         external = self.memory is not None and not self.memory.is_unbounded
         self._pool: Optional[NodeTensorPool] = None
         self._store: Optional[SketchStore] = None

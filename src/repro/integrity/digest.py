@@ -7,7 +7,11 @@ byte-for-byte.  This module supplies the one digest primitive the whole
 integrity plane shares: a position-sensitive xxHash64-style digest of a
 byte payload, computed with the same vectorised mixing kernels the
 sketch hot path uses (:mod:`repro.hashing.mixers`), so checksumming a
-16 KB block is a handful of numpy passes rather than a Python loop.
+16 KB block is a handful of numpy passes rather than a Python loop --
+or, when the caller passes the native kernel provider its engine
+resolved (``kernels=``), one compiled pass over the bytes.  Digests are
+an on-disk format: the numpy code here is the reference, and every
+provider's ``block_digests`` kernel is bit-identical to it.
 
 The digest views the payload as little-endian 64-bit words (the tail is
 zero-padded), XORs each word with its diffused word position and the
@@ -35,6 +39,7 @@ from repro.hashing.mixers import (
     splitmix64_array,
     splitmix64_inplace,
 )
+from repro.observability.metrics import default_registry
 
 #: Seed for every storage digest.  Fixed (not configurable): digests are
 #: an on-disk format, so two processes must always agree on it.
@@ -116,22 +121,39 @@ class StreamingDigest:
         return seeded_hash64(acc ^ splitmix64(self._nbytes), self._seed)
 
 
-def payload_digest(data: Buffer, seed: int = DIGEST_SEED) -> int:
-    """The 64-bit digest of one byte payload."""
+def payload_digest(data: Buffer, seed: int = DIGEST_SEED, kernels=None) -> int:
+    """The 64-bit digest of one byte payload.
+
+    ``kernels`` is the caller's resolved native provider (or ``None``
+    for the numpy reference); the value is the same either way.
+    """
+    if kernels is not None:
+        return int(kernels.block_digests(data, max(len(data), 1), seed)[0])
     digest = StreamingDigest(seed)
     digest.update(data)
     return digest.digest()
 
 
-def block_digests(payload: Buffer, block_size: int, seed: int = DIGEST_SEED) -> List[int]:
-    """Per-block digests of a blob, one vectorised pass for full blocks.
+def block_digests(
+    payload: Buffer, block_size: int, seed: int = DIGEST_SEED, kernels=None
+) -> List[int]:
+    """Per-block digests of a blob, one pass over all of its blocks.
 
     Entry ``i`` equals ``payload_digest(payload[i*B : (i+1)*B])``
-    bit-for-bit, so blob writers can checksum every block at once while
-    single-block reads verify with :func:`payload_digest`.
+    bit-for-bit, so a writer checksums every block of a blob at once
+    and a reader verifies any block range against those records.  With
+    ``kernels`` (the native provider the owning engine resolved) the
+    whole blob is one compiled call; without, full blocks share one
+    vectorised numpy pass.  Counts the blocks it hashed in the
+    ``integrity.blocks_digested`` registry counter.
     """
     data = memoryview(payload)
     num_blocks = max(1, -(-len(data) // block_size))
+    registry = default_registry()
+    if registry.enabled:
+        registry.counter("integrity.blocks_digested").inc(num_blocks)
+    if kernels is not None:
+        return kernels.block_digests(data, block_size, seed).tolist()
     full = len(data) // block_size
     digests: List[int] = []
     if full and block_size % 8 == 0:

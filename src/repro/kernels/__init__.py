@@ -1,12 +1,15 @@
 """Native-speed kernel backends for the columnar sketch engine.
 
-The three hot kernels of the engine -- the ingest fold
+The four hot kernels of the engine -- the ingest fold
 (:func:`~repro.sketch.flat_node_sketch.columnar_fold` /
 ``fold_hashed``), the whole-round query reduce
-(:func:`~repro.sketch.flat_node_sketch.segmented_xor`), and the batched
+(:func:`~repro.sketch.flat_node_sketch.segmented_xor`), the batched
 bucket decoder
-(:func:`~repro.sketch.flat_node_sketch.decode_column_batch`) -- have
-compiled twins selected through ``config.kernel_backend``:
+(:func:`~repro.sketch.flat_node_sketch.decode_column_batch`), and the
+storage-integrity block digest
+(:func:`~repro.integrity.digest.block_digests`, which an out-of-core
+engine's hybrid memory runs over every byte that crosses the device) --
+have compiled twins selected through ``config.kernel_backend``:
 
 ``"numpy"``
     The default: the pure-numpy kernels, no compiled code anywhere.
@@ -26,11 +29,13 @@ Two providers implement the same compiled loops:
   when numba is absent but a C compiler exists.
 
 Every provider is property-tested **bit-identical** to the numpy path
-(``tests/test_native_kernels.py``): same seed in, same tensors, forests,
-and stats out, across packed/wide bucket modes, flat/paged pools, and
-serial/sharded/distributed ingest.  ``kernel_backend`` therefore stays
-out of :meth:`~repro.core.config.GraphZeppelinConfig.sketch_fingerprint`
--- snapshots interchange freely across backends.
+(``tests/test_native_kernels.py``; ``tests/test_integrity.py`` for the
+digests, which are an on-disk format): same seed in, same tensors,
+forests, and stats out, across packed/wide bucket modes, flat/paged
+pools, and serial/sharded/distributed ingest.  ``kernel_backend``
+therefore stays out of
+:meth:`~repro.core.config.GraphZeppelinConfig.sketch_fingerprint` --
+snapshots interchange freely across backends.
 """
 
 from __future__ import annotations

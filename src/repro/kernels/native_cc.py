@@ -1,9 +1,10 @@
 """The compiled-C native kernel provider (gcc + ctypes, zero dependencies).
 
-This module implements the three hot kernels of the columnar engine --
-the ingest fold, the query-side segmented XOR-reduce, and the batched
-bucket decode -- as a small C library compiled **at first use** with the
-host's C compiler and loaded through :mod:`ctypes`.  It is the fallback
+This module implements the four hot kernels of the engine -- the ingest
+fold, the query-side segmented XOR-reduce, the batched bucket decode,
+and the storage-integrity block digest -- as a small C library compiled
+**at first use** with the host's C compiler and loaded through
+:mod:`ctypes`.  It is the fallback
 provider of the ``native`` kernel backend for environments that have a
 C toolchain but not :mod:`numba` (the preferred provider; see
 :mod:`repro.kernels.native_numba`), and the two providers implement the
@@ -28,6 +29,11 @@ Why compiling beats the numpy kernels:
   ``(C, rows)`` bucket arrays building masks before it can hash the
   candidates.  The C decoder scans each component's rows once,
   checksum-hashing only candidate buckets inline.
+* **block digests**: the numpy digest of a 16 KB block is ~37 us of
+  call overhead (a position-vector XOR, five in-place splitmix passes,
+  a reduce, a scalar finaliser) around ~2 us of arithmetic.  The C
+  kernel mixes, XOR-reduces, length-folds and finalises every block of
+  a blob in one pass with no temporaries, so a page-in pays one call.
 
 The calls release the GIL (ctypes ``CDLL`` semantics), which is what
 finally lets the sharded thread ingest scale past the numpy kernels'
@@ -54,6 +60,7 @@ import numpy as np
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
+#include <string.h>
 
 /* Bit-identical C twins of repro.hashing.mixers: splitmix64 followed by
  * the xxHash64 avalanche, over pre-mixed (seed-diffused) keys.  All
@@ -264,6 +271,49 @@ void repro_decode_column(const uint64_t *alpha, const uint64_t *gamma,
         index[c] = best;
     }
 }
+
+/* ------------------------------------------------------------------ */
+/* Storage digests (repro.integrity.digest): out[b] is the digest of   */
+/* bytes [b * block_size, (b + 1) * block_size) of `data`, the last    */
+/* block possibly short; an empty payload is one empty block.  Words   */
+/* are little-endian with a zero-padded tail, each mixed with its      */
+/* diffused position and the diffused seed, XOR-reduced, then folded   */
+/* with the block's byte length through the seeded finaliser.          */
+/* ------------------------------------------------------------------ */
+
+static inline uint64_t repro_load_le64(const uint8_t *p, size_t n) {
+    uint64_t w = 0;
+    memcpy(&w, p, n);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    return w;
+}
+
+void repro_block_digests(const uint8_t *data, int64_t nbytes,
+                         int64_t block_size, uint64_t seed, uint64_t *out) {
+    const uint64_t mixed_seed = repro_splitmix64(seed);
+    const int64_t num_blocks =
+        nbytes > 0 ? (nbytes + block_size - 1) / block_size : 1;
+    int64_t b, i;
+    for (b = 0; b < num_blocks; b++) {
+        const uint8_t *p = data + b * block_size;
+        const int64_t rest = nbytes - b * block_size;
+        const int64_t len = rest < block_size ? rest : block_size;
+        const int64_t nwords = len >> 3;
+        uint64_t acc = 0;
+        for (i = 0; i < nwords; i++)
+            acc ^= repro_splitmix64(repro_load_le64(p + 8 * i, 8)
+                                    ^ repro_splitmix64((uint64_t)i)
+                                    ^ mixed_seed);
+        if (len & 7)
+            acc ^= repro_splitmix64(
+                repro_load_le64(p + 8 * nwords, (size_t)(len & 7))
+                ^ repro_splitmix64((uint64_t)nwords) ^ mixed_seed);
+        out[b] = repro_finalise(
+            acc ^ repro_splitmix64((uint64_t)len) ^ mixed_seed);
+    }
+}
 """
 
 _U64P = ctypes.POINTER(ctypes.c_uint64)
@@ -282,6 +332,7 @@ _SIGNATURES = {
     "repro_seg_xor_u64": [_U64P, _I64, _I64, _I64, _I64P, _I64, _I64P, _I64, _U64P],
     "repro_seg_xor_u32": [_U32P, _I64, _I64, _I64, _I64P, _I64, _I64P, _I64, _U32P],
     "repro_decode_column": [_U64P, _U64P, _I64, _I64, _U64, _U64, _U8P, _U8P, _I64P],
+    "repro_block_digests": [_U8P, _I64, _I64, _U64, _U64P],
 }
 
 
@@ -526,6 +577,27 @@ class CcKernels:
             good.ctypes.data_as(_U8P), zero.ctypes.data_as(_U8P), _i64(index),
         )
         return good.view(np.bool_), zero.view(np.bool_), index
+
+    # ------------------------------------------------------------------
+    # storage integrity
+    # ------------------------------------------------------------------
+    def block_digests(self, data, block_size: int, seed: int) -> np.ndarray:
+        """Digest every ``block_size``-byte block of ``data`` in one pass.
+
+        Entry ``i`` equals the numpy
+        :func:`~repro.integrity.digest.payload_digest` of block ``i``
+        bit-for-bit (the final block may be short; an empty payload is
+        one empty block).  ``data`` is any contiguous byte buffer.
+        """
+        if block_size <= 0:
+            raise ValueError("block_size must be positive")
+        raw = np.frombuffer(data, dtype=np.uint8)
+        out = np.empty(max(1, -(-raw.size // block_size)), dtype=np.uint64)
+        self._lib.repro_block_digests(
+            raw.ctypes.data_as(_U8P), raw.size, block_size,
+            seed & 0xFFFFFFFFFFFFFFFF, _u64(out),
+        )
+        return out
 
 
 _OFFSET_CACHE: dict = {}

@@ -43,6 +43,8 @@ _S30 = np.uint64(30)
 _S31 = np.uint64(31)
 _S32 = np.uint64(32)
 _S33 = np.uint64(33)
+_S3 = np.uint64(3)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _JIT = dict(cache=True, nogil=True)
 
@@ -61,6 +63,25 @@ def _finalise(v):
     v *= _XXP3
     v ^= v >> _S32
     return v
+
+
+@njit(inline="always", **_JIT)
+def _splitmix64(v):
+    v = v + _GAMMA
+    v ^= v >> _S30
+    v *= _MUL1
+    v ^= v >> _S27
+    v *= _MUL2
+    v ^= v >> _S31
+    return v
+
+
+@njit(inline="always", **_JIT)
+def _load_le64(data, start, count):
+    w = _U0
+    for j in range(count):
+        w |= np.uint64(data[start + j]) << (np.uint64(j) << _S3)
+    return w
 
 
 @njit(inline="always", **_JIT)
@@ -199,6 +220,27 @@ def _decode_column(alpha, gamma, num_rows, veclen, mixed_seed, good, zero, index
         index[c] = best
 
 
+@njit(**_JIT)
+def _block_digests(data, block_size, seed, out):
+    # out[b] digests bytes [b * block_size, (b + 1) * block_size) exactly
+    # like repro.integrity.digest.payload_digest: little-endian words
+    # (zero-padded tail) mixed with their diffused position and the
+    # diffused seed, XOR-reduced, length folded through the finaliser.
+    mixed_seed = _splitmix64(seed)
+    for b in range(out.size):
+        start = b * block_size
+        length = min(block_size, data.size - start)
+        nwords = length >> 3
+        acc = _U0
+        for i in range(nwords):
+            word = _load_le64(data, start + 8 * i, 8)
+            acc ^= _splitmix64(word ^ _splitmix64(np.uint64(i)) ^ mixed_seed)
+        if length & 7:
+            word = _load_le64(data, start + 8 * nwords, length & 7)
+            acc ^= _splitmix64(word ^ _splitmix64(np.uint64(nwords)) ^ mixed_seed)
+        out[b] = _finalise(acc ^ _splitmix64(np.uint64(length)) ^ mixed_seed)
+
+
 def _as_i64(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.int64)
 
@@ -335,3 +377,12 @@ class NumbaKernels:
             np.uint64(mixed_seed), good, zero, index,
         )
         return good, zero, index
+
+    # -- storage integrity ----------------------------------------------
+    def block_digests(self, data, block_size: int, seed: int) -> np.ndarray:
+        if block_size <= 0:
+            raise ValueError("block_size must be positive")
+        raw = np.frombuffer(data, dtype=np.uint8)
+        out = np.empty(max(1, -(-raw.size // block_size)), dtype=np.uint64)
+        _block_digests(raw, block_size, np.uint64(seed & _MASK64), out)
+        return out

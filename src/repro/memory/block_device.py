@@ -15,10 +15,10 @@ latency per 16 KB block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import CorruptionError, StorageError
-from repro.integrity.digest import block_digests, payload_digest
+from repro.integrity.digest import block_digests
 from repro.memory.metrics import IOStats
 
 #: Default block size: 16 KB, the write granularity GraphZeppelin uses
@@ -74,6 +74,10 @@ class BlockDevice:
         :class:`~repro.exceptions.CorruptionError` on mismatch.  Turning
         it off skips checksumming entirely (the "unchecked" baseline the
         integrity benchmark measures overhead against).
+    kernels:
+        The native kernel provider of the owning engine (``None`` for
+        the numpy digests); it only changes how fast blocks are hashed,
+        never a digest value.
     """
 
     def __init__(
@@ -82,6 +86,7 @@ class BlockDevice:
         profile: Optional[DeviceProfile] = None,
         stats: Optional[IOStats] = None,
         verify_checksums: bool = True,
+        kernels=None,
     ) -> None:
         if block_size <= 0:
             raise StorageError("block_size must be positive")
@@ -89,6 +94,7 @@ class BlockDevice:
         self.profile = profile or DeviceProfile()
         self.stats = stats if stats is not None else IOStats()
         self.verify_checksums = bool(verify_checksums)
+        self.kernels = kernels
         #: Consulted by :meth:`write_block` for injected bit rot
         #: (``site="block"`` specs); the hybrid layer keeps it in sync
         #: with its own plan.
@@ -113,7 +119,7 @@ class BlockDevice:
             # model bit rot *after* the digest was taken -- that is the
             # silent-corruption ordering the read-side check defends.
             self._digests[block_id] = (
-                payload_digest(payload) if _digest is None else _digest
+                self.block_digests(payload)[0] if _digest is None else _digest
             )
         if self.fault_plan is not None:
             payload = self.fault_plan.corrupt_block_write(payload)
@@ -121,20 +127,7 @@ class BlockDevice:
 
     def read_block(self, block_id: int) -> bytes:
         """Read one block, verifying its checksum when enabled."""
-        if block_id not in self._blocks:
-            raise StorageError(f"block {block_id} has never been written")
-        payload = self._blocks[block_id]
-        self._charge(block_id, is_write=False, nbytes=len(payload))
-        if self.verify_checksums:
-            expected = self._digests.get(block_id)
-            if expected is not None and payload_digest(payload) != expected:
-                self.stats.checksum_failures += 1
-                raise CorruptionError(
-                    f"block {block_id} failed checksum verification "
-                    f"({len(payload)} bytes): stored content no longer "
-                    f"matches its write-time digest"
-                )
-        return payload
+        return self.read_blob(block_id, 1)
 
     def has_block(self, block_id: int) -> bool:
         return block_id in self._blocks
@@ -166,7 +159,7 @@ class BlockDevice:
         elif _digests is not None and len(_digests) == num_blocks:
             digests = _digests
         else:
-            digests = block_digests(payload, self.block_size)
+            digests = self.block_digests(payload)
         for i in range(num_blocks):
             chunk = payload[i * self.block_size : (i + 1) * self.block_size]
             self.write_block(
@@ -178,8 +171,53 @@ class BlockDevice:
 
     def read_blob(self, start_block: int, num_blocks: int) -> bytes:
         """Read ``num_blocks`` consecutive blocks back as one byte string."""
-        parts = [self.read_block(start_block + i) for i in range(num_blocks)]
-        return b"".join(parts)
+        return self.read_blob_digests(start_block, num_blocks)[0]
+
+    def read_blob_digests(
+        self, start_block: int, num_blocks: int
+    ) -> Tuple[bytes, Optional[List[int]]]:
+        """Range-verified read: the joined blocks and their digests.
+
+        Every block is fetched and charged in order, the joined bytes
+        are hashed by **one** :func:`block_digests` call, and each
+        digest is compared against the block's write-time record
+        (:class:`~repro.exceptions.CorruptionError` on the first
+        mismatch).  The computed digests are returned so a caller
+        holding its own per-block record of the same bytes (the hybrid
+        memory does) compares instead of hashing again; ``None`` when
+        checksums are off.
+        """
+        parts = []
+        for block_id in range(start_block, start_block + num_blocks):
+            if block_id not in self._blocks:
+                raise StorageError(f"block {block_id} has never been written")
+            payload = self._blocks[block_id]
+            self._charge(block_id, is_write=False, nbytes=len(payload))
+            parts.append(payload)
+        blob = b"".join(parts)
+        if not self.verify_checksums:
+            return blob, None
+        full_before_last = all(len(part) == self.block_size for part in parts[:-1])
+        if parts and full_before_last and (parts[-1] or num_blocks == 1):
+            digests = self.block_digests(blob)
+        else:
+            # A short block before the last one (or an empty last one)
+            # puts the blocks off the block_size grid of the joined bytes.
+            digests = [self.block_digests(part)[0] for part in parts]
+        for block_id, digest in zip(range(start_block, start_block + num_blocks), digests):
+            expected = self._digests.get(block_id)
+            if expected is not None and digest != expected:
+                self.stats.checksum_failures += 1
+                raise CorruptionError(
+                    f"block {block_id} failed checksum verification "
+                    f"({len(self._blocks[block_id])} bytes): stored content no "
+                    f"longer matches its write-time digest"
+                )
+        return blob, digests
+
+    def block_digests(self, payload: bytes) -> List[int]:
+        """Digests of ``payload`` cut on this device's block grid."""
+        return block_digests(payload, self.block_size, kernels=self.kernels)
 
     # ------------------------------------------------------------------
     @property

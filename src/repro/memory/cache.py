@@ -54,19 +54,23 @@ class LRUCache:
 
     def put(self, key: Hashable, payload: bytes) -> None:
         """Insert or refresh an entry, evicting LRU entries as needed."""
+        # Drop the key's previous entry first: a stale copy must never
+        # outlive a put, cacheable or not.
+        self.pop(key)
         if len(payload) > self.capacity_bytes:
             # The item can never fit; treat it as uncacheable but still
             # notify the eviction callback so it is not silently lost.
             if self._on_evict is not None:
                 self._on_evict(key, payload)
             return
-        if key in self._entries:
-            self._bytes_used -= len(self._entries[key])
-            del self._entries[key]
         self._entries[key] = payload
         self._bytes_used += len(payload)
-        self._entries.move_to_end(key)
         self._evict_to_budget()
+
+    def peek(self, key: Hashable) -> Optional[bytes]:
+        """The cached payload or ``None``, without counting a hit or a
+        miss and without refreshing the entry's LRU position."""
+        return self._entries.get(key)
 
     def pop(self, key: Hashable) -> Optional[bytes]:
         """Remove and return an entry without invoking the callback."""

@@ -35,7 +35,6 @@ from repro.exceptions import (
     DeadlineExceededError,
     StorageError,
 )
-from repro.integrity.digest import block_digests
 from repro.memory.block_device import DEFAULT_BLOCK_SIZE, BlockDevice, DeviceProfile
 from repro.memory.cache import LRUCache
 from repro.memory.metrics import IOStats
@@ -115,6 +114,9 @@ class HybridMemory:
         :class:`~repro.exceptions.CorruptionError` bypasses it
         entirely -- corruption is data damage, not device
         unavailability.
+    kernels:
+        The native kernel provider of the owning engine, used to hash
+        blocks (``None``: the numpy digests, same values).
     """
 
     def __init__(
@@ -127,6 +129,7 @@ class HybridMemory:
         verify_checksums: bool = True,
         deadline_seconds: Optional[float] = None,
         breaker=None,
+        kernels=None,
     ) -> None:
         if ram_bytes is not None and ram_bytes < 0:
             raise StorageError("ram_bytes must be non-negative or None")
@@ -143,6 +146,7 @@ class HybridMemory:
             profile=profile,
             stats=self.stats,
             verify_checksums=verify_checksums,
+            kernels=kernels,
         )
         self.fault_plan = fault_plan
         capacity = ram_bytes if ram_bytes is not None else (1 << 62)
@@ -177,6 +181,15 @@ class HybridMemory:
         self.device.fault_plan = plan
 
     @property
+    def kernels(self):
+        """The digest kernel provider (held by the device)."""
+        return self.device.kernels
+
+    @kernels.setter
+    def kernels(self, provider) -> None:
+        self.device.kernels = provider
+
+    @property
     def is_unbounded(self) -> bool:
         """True when no RAM limit is in force (nothing ever spills)."""
         return self.ram_bytes is None
@@ -195,7 +208,7 @@ class HybridMemory:
         the reassembled payload after every spilled :meth:`load`.
         """
         if self.verify_checksums:
-            self._payload_digests[key] = block_digests(payload, self.block_size)
+            self._payload_digests[key] = self.device.block_digests(payload)
         if self.fault_plan is not None and self.fault_plan.on_memory_check():
             # Injected allocation squeeze: degrade (listeners shrink
             # their working sets), never refuse the bytes -- pressure
@@ -207,11 +220,11 @@ class HybridMemory:
     def load(self, key: Hashable) -> bytes:
         """Load the payload for ``key``, reading from disk on a cache miss.
 
-        A payload pulled back from the device is verified twice: every
-        block against its write-time digest (inside the device) and the
-        reassembled payload against the digest recorded at
-        :meth:`store` time, so allocation bookkeeping bugs surface as
-        :class:`~repro.exceptions.CorruptionError` too.
+        A payload pulled back from the device is hashed once and that
+        one list of block digests is compared against two records: each
+        block's write-time digest (inside the device) and the digests
+        recorded at :meth:`store` time, so allocation bookkeeping bugs
+        surface as :class:`~repro.exceptions.CorruptionError` too.
         """
         cached = self._cache.get(key)
         if cached is not None:
@@ -221,22 +234,47 @@ class HybridMemory:
         start, _, length = self._allocations[key]
         if length == 0:
             return b""
-        # Read only the blocks the *current* payload spans -- after a
-        # smaller re-put the allocation keeps its original capacity, but
-        # the stale tail blocks are never touched.
-        payload = self._device_call(
-            lambda: self.device.read_blob(start, -(-length // self.block_size)),
-            is_write=False,
-        )[:length]
-        self._verify_payload(key, payload)
+        payload, digests = self._read_spilled(start, length)
+        self._verify_payload(key, payload, digests)
         self._cache.put(key, payload)
         return payload
 
-    def _verify_payload(self, key: Hashable, payload: bytes) -> None:
+    def _read_spilled(self, start: int, length: int) -> Tuple[bytes, Optional[List[int]]]:
+        """Read a spilled payload; returns it with its block digests.
+
+        The device verifies every block and hands back the digests it
+        computed; they are the payload's own block digests (comparable
+        with the :meth:`store` record) unless the blocks hold more bytes
+        than the payload, in which case ``None`` is returned for them.
+        """
+        # Read only the blocks the *current* payload spans -- after a
+        # smaller re-put the allocation keeps its original capacity, but
+        # the stale tail blocks are never touched.
+        blob, digests = self._device_call(
+            lambda: self.device.read_blob_digests(start, -(-length // self.block_size)),
+            is_write=False,
+        )
+        if len(blob) != length:
+            return blob[:length], None
+        return blob, digests
+
+    def _verify_payload(
+        self, key: Hashable, payload: bytes, digests: Optional[List[int]] = None
+    ) -> None:
+        """Compare ``payload``'s block digests with the :meth:`store` record.
+
+        ``digests`` are the payload's block digests when the device
+        already computed them on the way in; otherwise they are taken
+        here.
+        """
         if not self.verify_checksums:
             return
         expected = self._payload_digests.get(key)
-        if expected is not None and block_digests(payload, self.block_size) != expected:
+        if expected is None:
+            return
+        if digests is None:
+            digests = self.device.block_digests(payload)
+        if digests != expected:
             self.stats.checksum_failures += 1
             raise CorruptionError(
                 f"payload for key {key!r} failed checksum verification "
@@ -310,9 +348,7 @@ class HybridMemory:
         if not self.verify_checksums:
             return 0
         blocks = 0
-        cached = next(
-            (payload for k, payload in self._cache.items() if k == key), None
-        )
+        cached = self._cache.peek(key)
         if cached is not None:
             blocks += max(1, -(-len(cached) // self.block_size))
             self._verify_payload(key, cached)
@@ -320,17 +356,13 @@ class HybridMemory:
         if allocation is not None:
             start, _, length = allocation
             if length > 0:
-                num_blocks = -(-length // self.block_size)
-                payload = self._device_call(
-                    lambda: self.device.read_blob(start, num_blocks),
-                    is_write=False,
-                )[:length]
-                blocks += num_blocks
+                payload, digests = self._read_spilled(start, length)
+                blocks += -(-length // self.block_size)
                 # A dirty cached copy makes the spilled bytes stale (but
                 # still internally consistent): block digests above are
                 # authoritative, the payload digest is not.
                 if key not in self._dirty:
-                    self._verify_payload(key, payload)
+                    self._verify_payload(key, payload, digests)
         if cached is None and allocation is None:
             raise KeyError(key)
         return blocks

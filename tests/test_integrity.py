@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import GraphZeppelinConfig
 from repro.core.graph_zeppelin import GraphZeppelin
@@ -16,10 +18,33 @@ from repro.integrity.digest import (
     payload_digest,
 )
 from repro.integrity.repair import RepairReport, find_valid_checkpoint, scrub_and_repair
+from repro.kernels import native_kernels, native_unavailable_reason
+from repro.memory.block_device import BlockDevice
+from repro.memory.hybrid import HybridMemory
+from repro.observability.metrics import default_registry
 from repro.resilience.checkpoint import CheckpointPolicy, recover_latest
 from repro.resilience.faults import FaultPlan, FaultSpec
 
 NUM_NODES = 40
+
+NATIVE = native_kernels()
+#: The digest providers: the numpy reference and, when one is usable,
+#: the native kernels (skipped like ``tests/test_native_kernels.py``).
+PROVIDERS = [
+    pytest.param(None, id="numpy"),
+    pytest.param(
+        NATIVE,
+        id="native",
+        marks=pytest.mark.skipif(
+            NATIVE is None,
+            reason=f"no native kernel provider usable ({native_unavailable_reason()})",
+        ),
+    ),
+]
+
+
+def _blocks_digested() -> int:
+    return default_registry().counter("integrity.blocks_digested").value
 
 
 def _random_edges(count: int, seed: int) -> np.ndarray:
@@ -115,6 +140,51 @@ def test_block_digests_match_per_block_digests():
         assert digests[index] == payload_digest(block)
 
 
+@pytest.mark.parametrize("kernels", PROVIDERS)
+@settings(max_examples=120, deadline=None)
+@given(
+    block_size=st.sampled_from([8, 13, 16, 64]),  # 13: blocks off the word grid
+    length_case=st.integers(0, 8),
+    seed=st.one_of(st.sampled_from([0, 7, DIGEST_SEED]), st.integers(0, 2**64 - 1)),
+    chunk=st.integers(1, 40),
+    data=st.data(),
+)
+def test_digest_format_is_one_function(kernels, block_size, length_case, seed, chunk, data):
+    """Digests are an on-disk format: every way of computing them agrees.
+
+    provider ``block_digests`` == numpy ``block_digests`` == per-block
+    ``payload_digest`` == ``StreamingDigest`` fed in arbitrary chunks.
+    """
+    B = block_size
+    length = (0, 1, 7, 8, 9, B - 1, B, B + 1, 3 * B + 5)[length_case]
+    payload = data.draw(st.binary(min_size=length, max_size=length))
+    reference = block_digests(payload, B, seed)
+    assert block_digests(payload, B, seed, kernels=kernels) == reference
+    blocks = [payload[i : i + B] for i in range(0, max(length, 1), B)]
+    assert [payload_digest(block, seed, kernels=kernels) for block in blocks] == reference
+    for block, expected in zip(blocks, reference):
+        streamed = StreamingDigest(seed)
+        for start in range(0, len(block), chunk):
+            streamed.update(block[start : start + chunk])
+        assert streamed.digest() == expected
+
+
+@pytest.mark.parametrize("kernels", PROVIDERS)
+def test_golden_digests_recorded_at_the_parent_commit(kernels):
+    """Values computed by the code before the native digest kernel existed."""
+    long = bytes(range(256)) * 65 + b"tail"
+    assert payload_digest(long, kernels=kernels) == 0x5752346DBF09FF86
+    assert block_digests(long, 16384, kernels=kernels) == [
+        0xF01223E076466150, 0x475C2DE736F1DB1C,
+    ]
+    short = b"GraphZeppelin"
+    assert payload_digest(short, seed=7, kernels=kernels) == 0xF33A2D552B874CA9
+    assert block_digests(short, 5, seed=7, kernels=kernels) == [
+        0xF9B3073F714F98E7, 0x3813B05D6770369B, 0xBB215477C19EF827,
+    ]
+    assert payload_digest(b"", kernels=kernels) == 0xADD60C7865CBCEC5
+
+
 # ----------------------------------------------------------------------
 # fault specs
 # ----------------------------------------------------------------------
@@ -197,6 +267,133 @@ def test_unchecked_memory_does_not_verify():
     assert memory.load("k") != b"0123456789abcdef"  # rot passes through
     assert memory.stats.checksum_failures == 0
     assert memory.scrub() == []
+
+
+# ----------------------------------------------------------------------
+# range-verified reads: one hash per page-in, and no check lost with it
+# ----------------------------------------------------------------------
+def _spill(kernels, payload: bytes, rotten_write=None, **settings) -> HybridMemory:
+    """Store ``payload`` under "k" on a 16-byte-block device with no RAM
+    tier; ``rotten_write`` flips one bit of that block write after its
+    digest was taken."""
+    plan = None
+    if rotten_write is not None:
+        plan = FaultPlan([FaultSpec(site="block", mode="corrupt", at=rotten_write, offset=37)])
+    memory = HybridMemory(ram_bytes=0, block_size=16, fault_plan=plan, kernels=kernels, **settings)
+    memory.store("k", payload)
+    return memory
+
+
+@pytest.mark.parametrize("kernels", PROVIDERS)
+@pytest.mark.parametrize("k", range(4))
+def test_bit_flip_in_any_block_is_named_counted_and_never_cached(kernels, k):
+    payload = os.urandom(4 * 16 - 3)
+    memory = _spill(kernels, payload, rotten_write=k + 1)
+    block = memory._allocations["k"][0] + k
+    with pytest.raises(CorruptionError, match=rf"block {block} failed"):
+        memory.load("k")
+    assert memory.stats.checksum_failures == 1
+    # A straddling partial read crosses the clean neighbours and block k.
+    with pytest.raises(CorruptionError, match=rf"block {block} failed"):
+        memory.load_range("k", max(16 * k - 2, 0), 20)
+    assert memory.stats.checksum_failures == 2
+    assert "k" not in memory._cache and memory.cached_bytes == 0
+    assert memory.scrub() == ["k"]
+
+
+@pytest.mark.parametrize("kernels", PROVIDERS)
+def test_tampered_payload_record_fails_although_every_block_verifies(kernels):
+    payload = os.urandom(50)
+    memory = _spill(kernels, payload)
+    start = memory._allocations["k"][0]
+    assert memory.device.read_blob(start, 4) == payload  # device-level checks pass
+    memory._payload_digests["k"][2] ^= 1
+    with pytest.raises(CorruptionError, match="payload for key 'k'"):
+        memory.load("k")
+    assert memory.stats.checksum_failures == 1
+    assert "k" not in memory._cache
+    assert memory.scrub() == ["k"]
+
+
+@pytest.mark.parametrize("kernels", PROVIDERS)
+def test_short_non_final_block_is_verified_block_by_block(kernels):
+    device = BlockDevice(block_size=16, kernels=kernels)
+    parts = [b"a" * 16, b"b" * 5, b"c" * 16, b""]
+    for block_id, part in enumerate(parts):
+        device.write_block(block_id, part)
+    blob, digests = device.read_blob_digests(0, 4)
+    assert blob == b"".join(parts)
+    assert digests == [payload_digest(part) for part in parts]
+    device._blocks[2] = b"c" * 15 + b"d"
+    with pytest.raises(CorruptionError, match="block 2 failed"):
+        device.read_blob(0, 4)
+    assert device.stats.checksum_failures == 1
+    assert device.read_blob(0, 2) == b"a" * 16 + b"b" * 5
+
+
+def test_unchecked_memory_digests_nothing():
+    memory = HybridMemory(ram_bytes=0, block_size=16, verify_checksums=False)
+    before = _blocks_digested()
+    memory.store("k", os.urandom(70))
+    assert len(memory.load("k")) == 70 and len(memory.load_range("k", 10, 30)) == 30
+    assert memory.scrub() == []
+    assert _blocks_digested() == before
+
+
+@pytest.mark.parametrize("kernels", PROVIDERS)
+def test_page_in_hashes_every_block_exactly_once(kernels):
+    """The tentpole, pinned: n blocks in, n blocks digested -- not 2n."""
+    n = 5
+    before = _blocks_digested()
+    memory = _spill(kernels, os.urandom(n * 16 - 3))
+    assert _blocks_digested() - before == n  # store: hashed once, written with those digests
+    before = _blocks_digested()
+    memory.load("k")
+    assert _blocks_digested() - before == n
+    before = _blocks_digested()
+    memory.load_range("k", 20, 20)  # blocks 1-2
+    assert _blocks_digested() - before == 2
+    before = _blocks_digested()
+    assert memory.verify_key("k") == n
+    assert _blocks_digested() - before == n
+
+
+@pytest.mark.parametrize("writer, reader", [(None, NATIVE), (NATIVE, None)])
+@pytest.mark.skipif(NATIVE is None, reason="no native kernel provider usable")
+def test_device_records_written_by_one_provider_verify_under_the_other(writer, reader):
+    payload = os.urandom(16 * 6 + 11)
+    memory = _spill(writer, payload)
+    memory.kernels = reader
+    assert memory.load("k") == payload
+    assert memory.load_range("k", 30, 40) == payload[30:70]
+    assert memory.scrub() == [] and memory.stats.checksum_failures == 0
+
+
+@pytest.mark.skipif(NATIVE is None, reason="no native kernel provider usable")
+def test_numpy_written_snapshot_and_checkpoint_load_under_native_digests(tmp_path):
+    """State written by the numpy digest path (the only one the parent
+    commit had) loads, pages in and scrubs clean under the native one."""
+    writer = GraphZeppelin(NUM_NODES, config=_paged_config())
+    checkpointer = writer.attach_checkpointer(
+        tmp_path / "ck", policy=CheckpointPolicy(every_n_updates=100, keep=2)
+    )
+    edges = _random_edges(300, seed=23)
+    for start in range(0, edges.shape[0], 100):
+        writer.ingest_batch(edges[start : start + 100])
+    assert checkpointer.checkpoints_written >= 1
+    writer.save_snapshot(tmp_path / "a.snap")
+
+    native = _paged_config(kernel_backend="native")
+    loaded = GraphZeppelin.load_snapshot(tmp_path / "a.snap", config=native)
+    assert loaded.memory.kernels is NATIVE
+    assert _pools_equal(loaded.tensor_pool, writer.tensor_pool)
+    _settle(loaded)
+    assert loaded.scrub_storage() == []
+    recovered, _, skipped = recover_latest(tmp_path / "ck", config=native)
+    assert skipped == [] and recovered.memory.kernels is NATIVE
+    _settle(recovered)
+    assert recovered.scrub_storage() == []
+    assert recovered.memory.stats.checksum_failures == 0
 
 
 # ----------------------------------------------------------------------
@@ -490,6 +687,16 @@ def test_cli_components_scrub_every_and_report(stream_file, capsys):
     assert "scrubbed every 400 updates" in out
     assert "integrity        : 0 checksum failures" in out
     assert "io failures" in out
+
+
+def test_cli_report_shows_blocks_digested(stream_file, capsys):
+    import re
+
+    from repro.cli import main
+
+    assert main(["components", str(stream_file), "--ram-budget-mib", "0.05", "--report"]) == 0
+    match = re.search(r"integrity +: .* (\d+) blocks digested", capsys.readouterr().out)
+    assert match is not None and int(match.group(1)) > 0
 
 
 def test_cli_resume_report_and_v1_note(tmp_path, stream_file, capsys):

@@ -138,6 +138,30 @@ def test_cache_pop_does_not_invoke_callback():
     assert evicted == []
 
 
+def test_cache_oversize_reput_drops_the_stale_entry():
+    """An uncacheable re-put must not leave the key's old payload behind."""
+    evicted = []
+    cache = LRUCache(100, on_evict=lambda k, v: evicted.append((k, v)))
+    cache.put("k", b"a" * 50)
+    cache.put("other", b"o" * 10)
+    cache.put("k", b"b" * 200)  # larger than the whole cache
+    assert evicted == [("k", b"b" * 200)]
+    assert "k" not in cache and cache.get("k") is None
+    assert cache.bytes_used == 10 and len(cache) == 1
+
+
+def test_cache_peek_counts_nothing_and_keeps_lru_order():
+    cache = LRUCache(100)
+    cache.put("a", b"1" * 40)
+    cache.put("b", b"2" * 40)
+    hits, misses = cache.stats.cache_hits, cache.stats.cache_misses
+    assert cache.peek("a") == b"1" * 40
+    assert cache.peek("missing") is None
+    assert (cache.stats.cache_hits, cache.stats.cache_misses) == (hits, misses)
+    cache.put("c", b"3" * 40)  # "a" is still the LRU entry and goes first
+    assert "a" not in cache and "b" in cache and "c" in cache
+
+
 def test_zero_capacity_cache_never_stores():
     cache = LRUCache(0)
     cache.put("a", b"")
@@ -530,3 +554,33 @@ def test_verify_key_skips_stale_spilled_payload_of_dirty_key():
     memory.store("k", b"NEW-payload-NEW-payload!")  # dirty over stale spill
     assert memory.verify_key("k") > 0  # no CorruptionError
     assert memory.stats.checksum_failures == 0
+
+
+def test_load_after_oversize_restore_returns_the_new_bytes():
+    """Regression: re-storing a key with a payload larger than the RAM
+    tier used to leave the old cached copy answering every load."""
+    memory = HybridMemory(ram_bytes=100, block_size=16)
+    memory.store("k", b"a" * 50)
+    memory.store("k", b"b" * 200)
+    assert memory.load("k") == b"b" * 200
+    assert memory.load_range("k", 190, 20) == b"b" * 10
+    # The oversize payload went straight to the device: nothing cached,
+    # nothing dirty, one allocation of exactly its size on record.
+    assert memory.cached_bytes == 0 and "k" not in memory._dirty
+    assert memory._allocations["k"][2] == 200
+    assert memory.scrub() == [] and memory.stats.checksum_failures == 0
+    memory.store("k", b"c" * 30)  # and back to a cacheable size
+    assert memory.load("k") == b"c" * 30 and memory.cached_bytes == 30
+
+
+def test_scrub_does_not_touch_cache_counters_or_lru_order():
+    memory = HybridMemory(ram_bytes=64, block_size=16)
+    for key in ("a", "b", "c"):
+        memory.store(key, key.encode() * 30)
+    memory.load("a")  # cached: "c" (LRU) then "a"; "b" is spilled
+    order = [key for key, _ in memory._cache.items()]
+    assert order == ["c", "a"]
+    hits, misses = memory.stats.cache_hits, memory.stats.cache_misses
+    assert memory.scrub() == []
+    assert (memory.stats.cache_hits, memory.stats.cache_misses) == (hits, misses)
+    assert [key for key, _ in memory._cache.items()] == order
