@@ -14,7 +14,9 @@ Four subcommands cover the everyday workflow:
     print its statistics.
 
 ``repro-graph components <stream>``
-    Ingest a stream file with GraphZeppelin and print the connected
+    Ingest a stream file with GraphZeppelin (serial ingest hands the
+    file's rows to the columnar ``ingest_batch`` path in chunks; no
+    per-update Python objects are built) and print the connected
     components (optionally comparing against the exact in-memory
     reference with ``--verify``).  ``--distributed K`` splits the
     stream round-robin across K ingestor processes and XOR-merges

@@ -162,6 +162,19 @@ class Checkpointer:
     def updates_since_checkpoint(self) -> int:
         return self._updates_since
 
+    def updates_until_due(self) -> Optional[int]:
+        """Updates left before the every-N policy fires (at least 1).
+
+        ``None`` when the policy has no update cadence.  A batching
+        caller cuts its batch here, so the checkpoint is written at the
+        same update count as if updates had arrived one by one; after a
+        swallowed failure that is the very next update.
+        """
+        every = self.policy.every_n_updates
+        if every is None:
+            return None
+        return max(1, every - self._updates_since)
+
     def note_updates(self, count: int) -> Optional[Path]:
         """Record ingest progress; checkpoint if the policy says so.
 

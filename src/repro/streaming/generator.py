@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.exceptions import GraphGenerationError
 from repro.streaming.stream import GraphStream
-from repro.types import Edge, EdgeUpdate, UpdateType, canonical_edge
+from repro.types import Edge, canonical_edge
 
 
 @dataclass(frozen=True)
@@ -100,34 +100,25 @@ def graph_to_stream(
     # Kept edges selected for a delete + re-insert cycle.
     num_reinsert = int(len(kept_edges) * settings.reinsert_fraction)
     reinsert_positions = (
-        set(rng.choice(len(kept_edges), size=num_reinsert, replace=False).tolist())
+        rng.choice(len(kept_edges), size=num_reinsert, replace=False)
         if num_reinsert
-        else set()
+        else np.empty(0, dtype=np.int64)
     )
 
-    # Build per-edge update sequences, then interleave them randomly
-    # while preserving each edge's internal order (which is what
-    # guarantees (i) and (ii)).
-    per_edge_sequences: List[List[EdgeUpdate]] = []
-    for position, edge in enumerate(kept_edges):
-        u, v = edge
-        if position in reinsert_positions:
-            per_edge_sequences.append(
-                [
-                    EdgeUpdate(u, v, UpdateType.INSERT),
-                    EdgeUpdate(u, v, UpdateType.DELETE),
-                    EdgeUpdate(u, v, UpdateType.INSERT),
-                ]
-            )
-        else:
-            per_edge_sequences.append([EdgeUpdate(u, v, UpdateType.INSERT)])
-    for u, v in removed_edges + churn_edges:
-        per_edge_sequences.append(
-            [EdgeUpdate(u, v, UpdateType.INSERT), EdgeUpdate(u, v, UpdateType.DELETE)]
-        )
-
-    updates = _interleave(per_edge_sequences, rng)
-    return GraphStream(num_nodes=num_nodes, updates=updates, name=name)
+    # One update sequence per edge -- insert, delete, insert, ... -- of
+    # length 1 for a kept edge (3 when it also gets the delete +
+    # re-insert cycle) and 2 for every removed or churn edge, interleaved
+    # randomly while preserving each edge's internal order (which is
+    # what guarantees (i) and (ii)).
+    sequence_edges = np.array(
+        kept_edges + removed_edges + churn_edges, dtype=np.int64
+    ).reshape(-1, 2)
+    lengths = np.full(sequence_edges.shape[0], 2, dtype=np.int64)
+    lengths[: len(kept_edges)] = 1
+    lengths[reinsert_positions] = 3
+    return GraphStream.from_rows(
+        num_nodes, _interleave(sequence_edges, lengths, rng), name=name
+    )
 
 
 # ----------------------------------------------------------------------
@@ -166,21 +157,21 @@ def _sample_absent_edges(
 
 
 def _interleave(
-    sequences: List[List[EdgeUpdate]], rng: np.random.Generator
-) -> List[EdgeUpdate]:
-    """Randomly interleave sequences, preserving each sequence's order."""
-    total = sum(len(sequence) for sequence in sequences)
-    # Build a tag array with one entry per update naming its sequence,
-    # shuffle it, and emit each sequence's updates in tag order.
-    tags = np.repeat(
-        np.arange(len(sequences)), [len(sequence) for sequence in sequences]
-    )
+    edges: np.ndarray, lengths: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Randomly interleave per-edge sequences into ``(kind, u, v)`` rows.
+
+    Sequence ``s`` is ``lengths[s]`` updates of ``edges[s]`` alternating
+    insert, delete, insert, ...; each sequence's order is preserved.
+    """
+    # One tag per update naming its sequence, shuffled; the k-th
+    # occurrence of a tag is that sequence's k-th update.
+    tags = np.repeat(np.arange(lengths.size), lengths)
     rng.shuffle(tags)
-    cursors = [0] * len(sequences)
-    updates: List[EdgeUpdate] = []
-    for tag in tags:
-        sequence = sequences[tag]
-        updates.append(sequence[cursors[tag]])
-        cursors[tag] += 1
-    assert len(updates) == total
-    return updates
+    order = np.argsort(tags, kind="stable")
+    occurrence = np.empty(tags.size, dtype=np.int64)
+    occurrence[order] = np.arange(tags.size) - (np.cumsum(lengths) - lengths)[tags[order]]
+    rows = np.empty((tags.size, 3), dtype=np.int64)
+    rows[:, 0] = 1 - 2 * (occurrence & 1)
+    rows[:, 1:] = edges[tags]
+    return rows

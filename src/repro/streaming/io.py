@@ -8,9 +8,20 @@ Two interchangeable on-disk representations are provided:
       i 0 17
       d 0 17
 
-* a compact binary format: a 16-byte header (magic, node count, update
-  count) followed by one ``int64`` triple ``(kind, u, v)`` per update,
-  written with numpy so multi-gigabyte streams load quickly.
+* a compact binary format: a 16-byte little-endian header (magic, node
+  count, update count) followed by one ``int64`` triple ``(kind, u, v)``
+  per update -- 24 bytes each, ``kind`` ``+1`` for an insertion and
+  ``-1`` for a deletion.  The payload is the
+  :attr:`~repro.streaming.stream.GraphStream.rows` array itself, so a
+  file is read with one ``frombuffer`` and written with one ``tobytes``.
+
+Both readers hand their rows to
+:func:`~repro.streaming.stream.canonical_rows`: an update kind other
+than ``+1``/``-1``, a self loop or a negative node id raises
+:class:`~repro.exceptions.StreamFormatError` naming the file and the row
+(binary) or line (text), as does a bad magic, a truncated header or
+payload, a missing or unreadable ``# nodes=`` header and a malformed
+line.
 """
 
 from __future__ import annotations
@@ -23,12 +34,15 @@ import numpy as np
 
 from repro.exceptions import StreamFormatError
 from repro.streaming.stream import GraphStream
-from repro.types import EdgeUpdate, UpdateType
 
 PathLike = Union[str, Path]
 
 _BINARY_MAGIC = 0x475A5354  # "GZST"
 _HEADER = struct.Struct("<IIQ")
+_ROW = np.dtype("<i8")
+_TEXT_KINDS = {"i": 1, "d": -1}
+#: Rows formatted per ``writelines`` call of the text writer.
+_TEXT_CHUNK_ROWS = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -39,33 +53,48 @@ def write_stream_text(stream: GraphStream, path: PathLike) -> None:
     path = Path(path)
     with path.open("w", encoding="ascii") as handle:
         handle.write(f"# nodes={stream.num_nodes}\n")
-        for update in stream:
-            tag = "i" if update.is_insert else "d"
-            handle.write(f"{tag} {update.u} {update.v}\n")
+        for start in range(0, len(stream), _TEXT_CHUNK_ROWS):
+            chunk = stream.rows[start : start + _TEXT_CHUNK_ROWS].tolist()
+            handle.writelines(
+                f"{'i' if kind == 1 else 'd'} {u} {v}\n" for kind, u, v in chunk
+            )
 
 
 def read_stream_text(path: PathLike, name: str | None = None) -> GraphStream:
     """Read a stream previously written by :func:`write_stream_text`."""
     path = Path(path)
     num_nodes = None
-    updates = []
+    rows = []
+    line_numbers = []
     with path.open("r", encoding="ascii") as handle:
         for line_number, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                if "nodes=" in line:
-                    num_nodes = int(line.split("nodes=")[1])
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in ("i", "d"):
-                raise StreamFormatError(f"{path}:{line_number}: malformed line {line!r}")
-            kind = UpdateType.INSERT if parts[0] == "i" else UpdateType.DELETE
-            updates.append(EdgeUpdate(int(parts[1]), int(parts[2]), kind))
+            try:
+                if line.startswith("#"):
+                    if "nodes=" in line:
+                        num_nodes = int(line.split("nodes=")[1])
+                    continue
+                tag, u, v = line.split()
+                rows.append((_TEXT_KINDS[tag], int(u), int(v)))
+            except (KeyError, ValueError):
+                raise StreamFormatError(
+                    f"{path}:{line_number}: malformed line {line!r}"
+                ) from None
+            line_numbers.append(line_number)
     if num_nodes is None:
         raise StreamFormatError(f"{path}: missing '# nodes=<V>' header")
-    return GraphStream(num_nodes=num_nodes, updates=updates, name=name or path.stem)
+    try:
+        array = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        raise StreamFormatError(f"{path}: node id does not fit in 64 bits") from None
+    return GraphStream.from_rows(
+        num_nodes,
+        array,
+        name=name or path.stem,
+        where=lambda index: f"{path}:{line_numbers[index]}",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -74,14 +103,9 @@ def read_stream_text(path: PathLike, name: str | None = None) -> GraphStream:
 def write_stream_binary(stream: GraphStream, path: PathLike) -> None:
     """Write a stream in the compact binary format."""
     path = Path(path)
-    array = np.empty((len(stream), 3), dtype=np.int64)
-    for position, update in enumerate(stream):
-        array[position, 0] = 1 if update.is_insert else -1
-        array[position, 1] = update.u
-        array[position, 2] = update.v
     with path.open("wb") as handle:
         handle.write(_HEADER.pack(_BINARY_MAGIC, stream.num_nodes, len(stream)))
-        handle.write(array.tobytes(order="C"))
+        handle.write(stream.rows.astype(_ROW, copy=False).tobytes(order="C"))
 
 
 def read_stream_binary(path: PathLike, name: str | None = None) -> GraphStream:
@@ -94,16 +118,12 @@ def read_stream_binary(path: PathLike, name: str | None = None) -> GraphStream:
         magic, num_nodes, num_updates = _HEADER.unpack(header)
         if magic != _BINARY_MAGIC:
             raise StreamFormatError(f"{path}: bad magic {magic:#x}")
-        payload = handle.read(num_updates * 3 * 8)
-    if len(payload) != num_updates * 3 * 8:
+        payload = handle.read(num_updates * 3 * _ROW.itemsize)
+    if len(payload) != num_updates * 3 * _ROW.itemsize:
         raise StreamFormatError(f"{path}: truncated update payload")
-    array = np.frombuffer(payload, dtype=np.int64).reshape(num_updates, 3)
-    updates = [
-        EdgeUpdate(
-            int(row[1]),
-            int(row[2]),
-            UpdateType.INSERT if row[0] == 1 else UpdateType.DELETE,
-        )
-        for row in array
-    ]
-    return GraphStream(num_nodes=int(num_nodes), updates=updates, name=name or path.stem)
+    return GraphStream.from_rows(
+        int(num_nodes),
+        np.frombuffer(payload, dtype=_ROW).reshape(num_updates, 3),
+        name=name or path.stem,
+        where=lambda index: f"{path}: row {index}",
+    )

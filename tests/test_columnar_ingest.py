@@ -12,9 +12,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import graph_zeppelin
 from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.graph_zeppelin import GraphZeppelin
+from repro.distributed.snapshot import read_snapshot_meta
 from repro.exceptions import InvalidStreamError
+from repro.integrity.digest import payload_digest
+from repro.kernels import native_kernels, native_unavailable_reason
+from repro.resilience.checkpoint import CheckpointPolicy, list_checkpoints
+from repro.streaming.stream import GraphStream
+from repro.types import EdgeUpdate, UpdateType
 
 
 def _random_edges(num_nodes: int, count: int, seed: int) -> np.ndarray:
@@ -176,3 +183,174 @@ def test_columnar_stream_ingest_matches_scalar(medium_stream):
     assert (
         scalar.list_spanning_forest().edges == columnar.list_spanning_forest().edges
     )
+
+
+# ----------------------------------------------------------------------
+# ingest(): the columnar twin of one apply_update per element
+# ----------------------------------------------------------------------
+_NATIVE_UNAVAILABLE = pytest.mark.skipif(
+    native_kernels() is None,
+    reason=f"no native kernel provider usable ({native_unavailable_reason()})",
+)
+_POOLS = {
+    "flat": {},
+    "paged": {"ram_budget_bytes": 3_000, "nodes_per_page": 5},
+}
+_SOURCES = {
+    "list": list,
+    "generator": lambda updates: (update for update in updates),
+    "stream": lambda updates: GraphStream(_INGEST_NODES, updates),
+    "stream-slice": lambda updates: GraphStream(_INGEST_NODES, updates).updates[:],
+}
+_INGEST_NODES = 24
+
+
+def _legal_updates(count: int, seed: int):
+    """A legal insert/delete sequence over few enough edges to repeat."""
+    rng = np.random.default_rng(seed)
+    live, updates = set(), []
+    while len(updates) < count:
+        u, v = sorted(rng.integers(0, _INGEST_NODES, 2).tolist())
+        if u == v:
+            continue
+        kind = UpdateType.DELETE if (u, v) in live else UpdateType.INSERT
+        live ^= {(u, v)}
+        # Endpoints in either order: EdgeUpdate canonicalises.
+        updates.append(EdgeUpdate(v, u, kind) if len(updates) % 3 else EdgeUpdate(u, v, kind))
+    return updates
+
+
+def _per_update(engine: GraphZeppelin, updates) -> None:
+    for update in updates:
+        engine.apply_update(update)
+
+
+def _pool_digests(engine: GraphZeppelin):
+    engine.flush()
+    return [
+        payload_digest(np.ascontiguousarray(tensor).tobytes())
+        for tensor in engine.tensor_pool.raw_tensors()
+    ]
+
+
+@pytest.mark.parametrize(
+    "kernel_backend", ["numpy", pytest.param("native", marks=_NATIVE_UNAVAILABLE)]
+)
+@pytest.mark.parametrize("pool", sorted(_POOLS))
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+def test_ingest_matches_the_per_update_loop(monkeypatch, source, pool, kernel_backend):
+    # Several chunks, the last one short.
+    monkeypatch.setattr(graph_zeppelin, "INGEST_CHUNK_ROWS", 64)
+    updates = _legal_updates(300, seed=4)
+    config = dict(seed=21, kernel_backend=kernel_backend, **_POOLS[pool])
+    reference = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(**config))
+    columnar = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(**config))
+    assert columnar.tensor_pool.is_paged == (pool == "paged")
+
+    _per_update(reference, updates)
+    assert columnar.ingest(_SOURCES[source](updates)) == len(updates)
+
+    assert columnar.updates_processed == reference.updates_processed == len(updates)
+    assert _pool_digests(columnar) == _pool_digests(reference)
+    assert (
+        columnar.list_spanning_forest().edges == reference.list_spanning_forest().edges
+    )
+    assert columnar.ingest([]) == 0 and columnar.ingest(GraphStream(_INGEST_NODES)) == 0
+
+
+@pytest.mark.parametrize("backend", ["legacy", "per_node"])
+def test_ingest_matches_the_per_update_loop_on_object_stores(monkeypatch, backend):
+    monkeypatch.setattr(graph_zeppelin, "INGEST_CHUNK_ROWS", 64)
+    updates = _legal_updates(150, seed=5)
+    config = (
+        dict(sketch_backend="legacy")
+        if backend == "legacy"
+        else dict(ram_budget_bytes=3_000, out_of_core_pool="per_node")
+    )
+    reference = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=3, **config))
+    columnar = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=3, **config))
+    _per_update(reference, updates)
+    columnar.ingest(GraphStream(_INGEST_NODES, updates))
+    reference.flush()
+    columnar.flush()
+    for node in range(_INGEST_NODES):
+        assert columnar.node_sketch(node).to_bytes() == reference.node_sketch(node).to_bytes()
+
+
+def _illegal_at(updates, k: int, kind: UpdateType):
+    """``updates`` with an illegal ``kind`` update spliced in at index ``k``."""
+    live = GraphStream(_INGEST_NODES, updates).edges_at(k)
+    if kind is UpdateType.INSERT:
+        edge = sorted(live)[0]
+    else:
+        edge = next(
+            (u, v)
+            for u in range(_INGEST_NODES)
+            for v in range(u + 1, _INGEST_NODES)
+            if (u, v) not in live
+        )
+    return updates[:k] + [EdgeUpdate(*edge, kind)] + updates[k:]
+
+
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+@pytest.mark.parametrize("kind", list(UpdateType))
+@pytest.mark.parametrize("k", [5, 63, 64, 65, 200])
+def test_validating_ingest_applies_exactly_the_valid_prefix(monkeypatch, k, kind, source):
+    monkeypatch.setattr(graph_zeppelin, "INGEST_CHUNK_ROWS", 64)
+    updates = _illegal_at(_legal_updates(260, seed=6), k, kind)
+    config = GraphZeppelinConfig(seed=8, validate_stream=True)
+    reference = GraphZeppelin(_INGEST_NODES, config=config)
+    columnar = GraphZeppelin(_INGEST_NODES, config=config)
+
+    with pytest.raises(InvalidStreamError) as expected:
+        _per_update(reference, updates)
+    with pytest.raises(InvalidStreamError) as raised:
+        columnar.ingest(_SOURCES[source](updates))
+
+    assert str(raised.value) == str(expected.value)
+    assert columnar.updates_processed == reference.updates_processed == k
+    assert columnar._current_edges == reference._current_edges
+    assert _pool_digests(columnar) == _pool_digests(reference)
+    # Both engines carry on from the same place.
+    _per_update(reference, updates[k + 1 :])
+    columnar.ingest(updates[k + 1 :])
+    assert columnar._current_edges == reference._current_edges
+    assert _pool_digests(columnar) == _pool_digests(reference)
+
+
+def test_ingest_rejects_an_endpoint_outside_the_graph_after_the_prefix(monkeypatch):
+    monkeypatch.setattr(graph_zeppelin, "INGEST_CHUNK_ROWS", 64)
+    updates = _legal_updates(100, seed=7)
+    reference = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=2))
+    columnar = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=2))
+    _per_update(reference, updates[:70])
+    with pytest.raises(InvalidStreamError, match=r"\(3, 24\).*outside \[0, 24\)"):
+        columnar.ingest(updates[:70] + [EdgeUpdate(24, 3)] + updates[70:])
+    assert columnar.updates_processed == 70
+    assert _pool_digests(columnar) == _pool_digests(reference)
+
+
+@pytest.mark.parametrize("source", ["generator", "stream"])
+@pytest.mark.parametrize("every", [1, 100, 63, 64, 65])
+def test_ingest_checkpoints_at_the_per_update_cadence(monkeypatch, tmp_path, every, source):
+    monkeypatch.setattr(graph_zeppelin, "INGEST_CHUNK_ROWS", 64)
+    updates = _legal_updates(290, seed=9)
+    written = {}
+    for name, run in (
+        ("per-update", _per_update),
+        ("columnar", lambda engine, items: engine.ingest(_SOURCES[source](items))),
+    ):
+        engine = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=5))
+        engine.attach_checkpointer(
+            tmp_path / name, policy=CheckpointPolicy(every_n_updates=every, keep=1_000)
+        )
+        # Start the stream off the cadence's beat.
+        engine.insert(0, 1)
+        engine.delete(0, 1)
+        run(engine, updates)
+        written[name] = sorted(
+            read_snapshot_meta(path).engine_updates
+            for _, path in list_checkpoints(tmp_path / name)
+        )
+    assert written["columnar"] == written["per-update"]
+    assert written["columnar"] == list(range(every, 292 + 1, every))

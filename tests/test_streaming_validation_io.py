@@ -1,5 +1,8 @@
 """Tests for stream validation and the stream file formats."""
 
+import re
+import struct
+
 import pytest
 
 from repro.exceptions import InvalidStreamError, StreamFormatError
@@ -136,6 +139,65 @@ def test_binary_format_rejects_bad_magic(tmp_path):
     path.write_bytes(b"\x00" * 64)
     with pytest.raises(StreamFormatError):
         read_stream_binary(path)
+
+
+def _binary_file(path, num_nodes, rows):
+    """A well-formed header followed by the given (kind, u, v) rows."""
+    payload = b"".join(struct.pack("<qqq", *row) for row in rows)
+    path.write_bytes(struct.pack("<IIQ", 0x475A5354, num_nodes, len(rows)) + payload)
+    return path
+
+
+def test_binary_format_rejects_unknown_update_kinds(tmp_path):
+    # Any kind other than 1 used to load as a deletion.
+    path = _binary_file(tmp_path / "kinds.bin", 8, [[0, 1, 2], [7, 2, 3]])
+    with pytest.raises(StreamFormatError, match=r"kinds\.bin: row 0: update kind 0"):
+        read_stream_binary(path)
+    path = _binary_file(tmp_path / "kinds.bin", 8, [[-1, 1, 2], [7, 2, 3]])
+    with pytest.raises(StreamFormatError, match=r"kinds\.bin: row 1: update kind 7"):
+        read_stream_binary(path)
+
+
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        ([[1, 0, 1], [1, 4, 4]], "row 1: self loop (4, 4)"),
+        ([[1, -2, 1]], "row 0: negative node id in update (-2, 1)"),
+        ([[1, 0, 1], [-1, 0, 1], [-1, 3, -1]], "row 2: negative node id"),
+    ],
+)
+def test_binary_format_rejects_invalid_rows(tmp_path, rows, where):
+    path = _binary_file(tmp_path / "rows.bin", 8, rows)
+    with pytest.raises(StreamFormatError, match=re.escape(f"{path}: {where}")):
+        read_stream_binary(path)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("# nodes=8\ni 0 1\n\ni 3 3\n", ":4: self loop (3, 3)"),
+        ("# nodes=8\nd -1 2\n", ":2: negative node id in update (-1, 2)"),
+        ("# nodes=8 scale=3\ni 0 1\n", ":1: malformed line '# nodes=8 scale=3'"),
+        ("# nodes=8\ni 0 x\n", ":2: malformed line 'i 0 x'"),
+        ("# nodes=8\ni 0 1 2\n", ":2: malformed line 'i 0 1 2'"),
+        ("# nodes=8\ni 0 99999999999999999999\n", "does not fit in 64 bits"),
+    ],
+)
+def test_text_format_rejects_invalid_lines(tmp_path, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(StreamFormatError, match=re.escape(where)) as raised:
+        read_stream_text(path)
+    assert str(path) in str(raised.value)
+
+
+def test_readers_canonicalise_reversed_endpoints(tmp_path):
+    binary = _binary_file(tmp_path / "rev.bin", 8, [[1, 5, 2], [-1, 2, 5]])
+    text = tmp_path / "rev.txt"
+    text.write_text("# comment\n# nodes=8\ni 5 2\nd 2 5\n")
+    for stream in (read_stream_binary(binary), read_stream_text(text)):
+        assert stream.rows.tolist() == [[1, 2, 5], [-1, 2, 5]]
+        assert stream.final_edges() == set()
 
 
 def test_empty_stream_roundtrips(tmp_path):
