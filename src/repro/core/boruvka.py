@@ -13,6 +13,12 @@ are added to the forest and the components merged.  The loop ends when
 no component yields a new edge (all remaining cuts are empty) or when
 the provisioned number of rounds is exhausted, in which case the result
 is flagged incomplete (the paper's asymptotically-small failure case).
+
+Two drivers share that contract: the per-component scalar reference
+(:func:`sketch_spanning_forest`) and the whole-round one engines run
+(:func:`vectorized_spanning_forest`): one batched sampler call per
+round, then the round tail -- union-find plus relabel -- through
+:func:`round_tail` or a native provider's compiled twin.
 """
 
 from __future__ import annotations
@@ -211,12 +217,86 @@ def batch_sampler_from_scalar(cut_sampler: CutSampler) -> BatchCutSampler:
     return batch
 
 
+def round_tail(
+    parent: List[int],
+    size: List[int],
+    settled: np.ndarray,
+    labels: np.ndarray,
+    sampled_u: np.ndarray,
+    sampled_v: np.ndarray,
+) -> Tuple[np.ndarray, List[Edge]]:
+    """Union one round's sampled edges and relabel the nodes (numpy path).
+
+    ``parent`` / ``size`` (plain lists: half the cost of DSU method
+    calls) and the per-root empty-cut flags ``settled`` are updated in
+    place.  Unions are by size, ties keeping ``u``'s root, **without**
+    path compression: decisions depend only on roots and sizes, so that
+    is transparent, and the trees stay logarithmically shallow.  Returns
+    the new labels and the edges (validated samples, ``u < v``) that
+    merged two components, in merge order; a native provider's
+    ``round_tail`` is the compiled twin over int64 arrays.
+    """
+    num_nodes = labels.size
+    # Samples the merge loop would skip untouched are dropped vectorised
+    # first: an edge inside one pre-round component, and re-occurrences
+    # of an edge two components sampled from both sides (the first union
+    # makes the second a no-op; if the first is skipped so is the second).
+    crossing = labels[sampled_u] != labels[sampled_v]
+    sampled_u = sampled_u[crossing]
+    sampled_v = sampled_v[crossing]
+    pair_keys = sampled_u * num_nodes + sampled_v  # any injective key would do
+    keep = np.sort(np.unique(pair_keys, return_index=True)[1])
+    merged_edges: List[Edge] = []
+    changed_roots: List[int] = []
+    for u, v in zip(sampled_u[keep].tolist(), sampled_v[keep].tolist()):
+        root_u = u
+        while parent[root_u] != root_u:
+            root_u = parent[root_u]
+        root_v = v
+        while parent[root_v] != root_v:
+            root_v = parent[root_v]
+        if root_u == root_v:
+            continue
+        if size[root_u] < size[root_v]:
+            root_u, root_v = root_v, root_u
+        parent[root_v] = root_u
+        size[root_u] += size[root_v]
+        settled[root_u] = False
+        settled[root_v] = False
+        changed_roots.append(root_u)
+        changed_roots.append(root_v)
+        merged_edges.append((u, v))  # canonical u < v: forest orientation
+
+    if len(merged_edges) > num_nodes // 64:
+        # Mass-merge round: re-derive every node's root in a few
+        # whole-array gathers by chasing the parent array to its fixed
+        # point (union by size keeps the trees a handful of levels deep).
+        parent_array = np.asarray(parent, dtype=np.int64)
+        labels = parent_array[labels]
+        chased = parent_array[labels]
+        while not np.array_equal(chased, labels):
+            labels = chased
+            chased = parent_array[labels]
+    elif merged_edges:
+        # Few merges: patch only the roots that took part in a union
+        # instead of converting the whole parent list.
+        relabel = np.arange(num_nodes, dtype=np.int64)
+        for old_root in changed_roots:
+            new_root = old_root
+            while parent[new_root] != new_root:
+                new_root = parent[new_root]
+            relabel[old_root] = new_root
+        labels = relabel[labels]
+    return labels, merged_edges
+
+
 def vectorized_spanning_forest(
     num_nodes: int,
     num_rounds: int,
     encoder: EdgeEncoder,
     batch_cut_sampler: BatchCutSampler,
     strict: bool = False,
+    kernels=None,
 ) -> tuple[SpanningForest, BoruvkaStats]:
     """Run Boruvka's algorithm one whole round at a time.
 
@@ -225,22 +305,22 @@ def vectorized_spanning_forest(
     O(n) concatenation per merge), every active component's cut is
     sampled by **one** ``batch_cut_sampler`` call per round, sampled
     indices are validated and decoded with vectorised
-    :class:`EdgeEncoder` expressions, and the DSU is touched only for
-    the at-most ``n - 1`` actual merges.  Output -- forest, stats, and
-    the per-component samples behind them -- is bit-identical to the
-    scalar driver under the same sketches: the scalar loop visits
-    surviving components in ascending root order (dict insertion
-    order), which is exactly the sorted-label order the batched
-    samplers return.
+    :class:`EdgeEncoder` expressions, and the union-find is touched only
+    for the at-most ``n - 1`` actual merges, by :func:`round_tail` or
+    the compiled ``round_tail`` of ``kernels`` (a native provider) when
+    it has one.  Output -- forest, stats, and the per-component samples
+    behind them -- is bit-identical to the scalar driver under the same
+    sketches, whichever tail runs: the scalar loop visits surviving
+    components in ascending root order (dict insertion order), which is
+    exactly the sorted-label order the batched samplers return.
     """
-    # The union-find runs inline on plain lists (roughly half the cost
-    # of going through DSU method calls in the merge loop); the finished
-    # state is handed to the forest via DisjointSetUnion.from_arrays.
-    # Skipping find()'s path compression here is semantically
-    # transparent: union-by-size decisions depend only on roots and
-    # sizes, and union by size keeps the trees logarithmically shallow.
-    parent = list(range(num_nodes))
-    size = [1] * num_nodes
+    tail = getattr(kernels, "round_tail", None)
+    if tail is None:
+        tail = round_tail
+        parent, size = list(range(num_nodes)), [1] * num_nodes
+    else:
+        parent = np.arange(num_nodes, dtype=np.int64)
+        size = np.ones(num_nodes, dtype=np.int64)
     num_components = num_nodes
     labels = np.arange(num_nodes, dtype=np.int64)
     # settled[r] for a current component root r: its cut has been
@@ -250,6 +330,7 @@ def vectorized_spanning_forest(
     forest_edges: List[Edge] = []
     stats = BoruvkaStats()
 
+    complete = True
     found_edge = True
     round_index = 0
     while found_edge and num_components > 1:
@@ -259,15 +340,9 @@ def vectorized_spanning_forest(
                     f"Boruvka did not converge within {num_rounds} rounds "
                     f"({num_components} components remain)"
                 )
-            forest = SpanningForest.from_prevalidated(
-                num_nodes,
-                forest_edges,
-                DisjointSetUnion.from_arrays(parent, size, num_components),
-                complete=False,
-            )
-            return forest, stats
+            complete = False
+            break
 
-        found_edge = False
         stats.rounds_used = round_index + 1
         registry = default_registry()
         if registry.enabled:
@@ -289,83 +364,25 @@ def vectorized_spanning_forest(
             valid = encoder.valid_index_mask(good_indices)
             # Corrupted buckets that slipped past their checksums; ignore them.
             stats.invalid_samples += int(good_indices.size - np.count_nonzero(valid))
-            good_indices = good_indices[valid]
-            # Sampled edges the scalar merge loop would skip without touching
-            # anything are dropped vectorised before the Python loop: an edge
-            # inside one pre-round component (its endpoints' roots already
-            # match), and re-occurrences of an edge two components sampled
-            # from both sides (the first union makes the second a no-op, and
-            # if the first is skipped so is the second).
-            sampled_u, sampled_v = encoder.decode_endpoints(good_indices)
-            crossing = labels[sampled_u] != labels[sampled_v]
-            good_indices = good_indices[crossing]
-            _, first_occurrence = np.unique(good_indices, return_index=True)
-            keep = np.sort(first_occurrence)
-            sampled_u = sampled_u[crossing][keep]
-            sampled_v = sampled_v[crossing][keep]
-
+            sampled_u, sampled_v = encoder.decode_endpoints(good_indices[valid])
             with span("query.unionfind"):
-                merges_this_round = 0
-                changed_roots: List[int] = []
-                for u, v in zip(sampled_u.tolist(), sampled_v.tolist()):
-                    root_u = u
-                    while parent[root_u] != root_u:
-                        root_u = parent[root_u]
-                    root_v = v
-                    while parent[root_v] != root_v:
-                        root_v = parent[root_v]
-                    if root_u == root_v:
-                        continue
-                    if size[root_u] < size[root_v]:
-                        root_u, root_v = root_v, root_u
-                    parent[root_v] = root_u
-                    size[root_u] += size[root_v]
-                    num_components -= 1
-                    settled[root_u] = False
-                    settled[root_v] = False
-                    changed_roots.append(root_u)
-                    changed_roots.append(root_v)
-                    # Valid slots decode to canonical u < v, so the edge is
-                    # already in forest orientation.
-                    forest_edges.append((u, v))
-                    merges_this_round += 1
-                    found_edge = True
+                labels, merged_edges = tail(parent, size, settled, labels, sampled_u, sampled_v)
 
-                if merges_this_round > num_nodes // 64:
-                    # Mass-merge round: re-derive every node's root in a few
-                    # whole-array gathers by chasing the parent array to its
-                    # fixed point (union by size keeps the trees a handful of
-                    # levels deep).
-                    parent_array = np.asarray(parent, dtype=np.int64)
-                    labels = parent_array[labels]
-                    chased = parent_array[labels]
-                    while not np.array_equal(chased, labels):
-                        labels = chased
-                        chased = parent_array[labels]
-                elif merges_this_round:
-                    # Few merges: patch only the roots that took part in a
-                    # union instead of converting the whole parent list.
-                    relabel = np.arange(num_nodes, dtype=np.int64)
-                    for old_root in changed_roots:
-                        new_root = old_root
-                        while parent[new_root] != new_root:
-                            new_root = parent[new_root]
-                        relabel[old_root] = new_root
-                    labels = relabel[labels]
-
+        merges_this_round = len(merged_edges)
+        forest_edges.extend(merged_edges)
+        num_components -= merges_this_round
         stats.merges += merges_this_round
         stats.per_round_merges.append(merges_this_round)
         # A failed sample says nothing about the cut being empty; as long as
         # unused rounds (with fresh, independent sketches) remain, retry the
         # unresolved components there instead of declaring convergence.
-        if failures_this_round and not found_edge:
-            found_edge = True
+        found_edge = merges_this_round > 0 or failures_this_round > 0
         round_index += 1
 
     forest = SpanningForest.from_prevalidated(
         num_nodes,
         forest_edges,
         DisjointSetUnion.from_arrays(parent, size, num_components),
-        complete=True,
+        complete=complete,
     )
     return forest, stats

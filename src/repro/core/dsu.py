@@ -27,17 +27,18 @@ class DisjointSetUnion:
     def from_arrays(
         cls, parent: List[int], size: List[int], num_components: int
     ) -> "DisjointSetUnion":
-        """Adopt parent/size state built elsewhere (no copies, no checks).
+        """Adopt parent/size state built elsewhere (no checks).
 
-        The vectorized Boruvka driver runs its union-find inline on
-        plain lists for speed and hands the finished state over through
-        this constructor; the caller guarantees the arrays form a valid
+        The vectorized Boruvka driver runs its union-find on plain
+        lists (adopted as they are) or, under a native round tail, on
+        int64 arrays (converted with ``tolist()``: every public view
+        keeps handing out plain ``int`` s); the caller guarantees a valid
         union-by-size forest with ``num_components`` roots.
         """
         dsu = cls(0)
         dsu.num_nodes = len(parent)
-        dsu._parent = parent
-        dsu._size = size
+        dsu._parent = parent if isinstance(parent, list) else parent.tolist()
+        dsu._size = size if isinstance(size, list) else size.tolist()
         dsu._num_components = int(num_components)
         return dsu
 

@@ -527,6 +527,7 @@ class GraphZeppelin:
                 encoder=self.encoder,
                 batch_cut_sampler=self._component_cut_sample_batch,
                 strict=self.config.strict_queries,
+                kernels=self._kernels,
             )
         else:
             forest, stats = sketch_spanning_forest(

@@ -1,15 +1,21 @@
 """Native-speed kernel backends for the columnar sketch engine.
 
-The four hot kernels of the engine -- the ingest fold
+The six hot kernels of the engine -- the ingest fold
 (:func:`~repro.sketch.flat_node_sketch.columnar_fold` /
 ``fold_hashed``), the whole-round query reduce
 (:func:`~repro.sketch.flat_node_sketch.segmented_xor`), the batched
 bucket decoder
-(:func:`~repro.sketch.flat_node_sketch.decode_column_batch`), and the
+(:func:`~repro.sketch.flat_node_sketch.decode_column_batch`), the
 storage-integrity block digest
 (:func:`~repro.integrity.digest.block_digests`, which an out-of-core
-engine's hybrid memory runs over every byte that crosses the device) --
-have compiled twins selected through ``config.kernel_backend``:
+engine's hybrid memory runs over every byte that crosses the device),
+and the two halves of a Boruvka round: the fused group -> reduce ->
+decode ``sample_components`` behind
+:meth:`~repro.sketch.tensor_pool.NodeTensorPool.query_components` and
+the union-find/relabel ``round_tail``
+(:func:`~repro.core.boruvka.round_tail`) -- have compiled twins
+selected through ``config.kernel_backend``.  A provider without the
+two round kernels (numba) composes reduce + decode and the numpy tail.
 
 ``"numpy"``
     The default: the pure-numpy kernels, no compiled code anywhere.
@@ -18,7 +24,8 @@ have compiled twins selected through ``config.kernel_backend``:
     :class:`~repro.exceptions.ConfigurationError` when none is usable.
 ``"auto"``
     Use a compiled provider when one is available, fall back to numpy
-    silently otherwise (the selection is logged once per process).
+    otherwise (the selection is logged once per process, the reason
+    kept, and ``kernels.provider_unavailable`` counted).
 
 Two providers implement the same compiled loops:
 
@@ -40,11 +47,14 @@ snapshots interchange freely across backends.
 
 from __future__ import annotations
 
+import importlib
+import subprocess
 import threading
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
 from repro.observability.log import get_logger
+from repro.observability.metrics import default_registry
 
 logger = get_logger(__name__)
 
@@ -65,7 +75,11 @@ def native_kernels():
     ``pip install .[native]`` provider), then the runtime-compiled C
     provider.  Both the provider instance and a failure are cached, so
     repeated calls are cheap and every pool in the process shares one
-    compiled library.
+    compiled library.  Only what "cannot be used here" raises (missing
+    module, missing or failing compiler, unloadable library, jit error)
+    makes a provider unavailable -- anything else is a bug and
+    propagates; when none loads the reasons are kept and
+    ``kernels.provider_unavailable`` is bumped.
     """
     global _resolved, _provider, _unavailable_reason
     if _resolved:
@@ -73,20 +87,27 @@ def native_kernels():
     with _lock:
         if _resolved:
             return _provider
-        reasons = []
+        unusable = (ImportError, OSError, subprocess.CalledProcessError, RuntimeError)
         try:
-            from repro.kernels.native_numba import NumbaKernels
+            from numba.core.errors import NumbaError
 
-            _provider = NumbaKernels()
-        except Exception as exc:  # ImportError without numba, or jit failure
-            reasons.append(f"numba: {exc}")
+            unusable += (NumbaError,)
+        except ImportError:
+            pass
+        reasons = []
+        for label, module, name in (
+            ("numba", "repro.kernels.native_numba", "NumbaKernels"),
+            ("cc", "repro.kernels.native_cc", "CcKernels"),
+        ):
             try:
-                from repro.kernels.native_cc import CcKernels
-
-                _provider = CcKernels()
-            except Exception as cc_exc:
-                reasons.append(f"cc: {cc_exc}")
-                _unavailable_reason = "; ".join(reasons)
+                _provider = getattr(importlib.import_module(module), name)()
+                break
+            except unusable as exc:
+                reasons.append(f"{label}: {exc}")
+        else:
+            _unavailable_reason = "; ".join(reasons)
+            if default_registry().enabled:
+                default_registry().counter("kernels.provider_unavailable").inc()
         _resolved = True
     return _provider
 

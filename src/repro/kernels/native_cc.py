@@ -1,8 +1,9 @@
 """The compiled-C native kernel provider (gcc + ctypes, zero dependencies).
 
-This module implements the four hot kernels of the engine -- the ingest
+This module implements the six hot kernels of the engine -- the ingest
 fold, the query-side segmented XOR-reduce, the batched bucket decode,
-and the storage-integrity block digest -- as a small C library compiled
+the storage-integrity block digest, and the fused sample and the round
+tail of a Boruvka round -- as a small C library compiled
 **at first use** with the host's C compiler and loaded through
 :mod:`ctypes`.  It is the fallback
 provider of the ``native`` kernel backend for environments that have a
@@ -34,6 +35,13 @@ Why compiling beats the numpy kernels:
   a reduce, a scalar finaliser) around ~2 us of arithmetic.  The C
   kernel mixes, XOR-reduces, length-folds and finalises every block of
   a blob in one pass with no temporaries, so a page-in pays one call.
+* **round sample**: composed from the kernels above, a round still
+  pays an argsort and ``>> 32`` / ``& LOW32`` over fresh ``(segments,
+  rows)`` temporaries.  ``sample_components`` counting-sorts the active
+  nodes by label, XORs column 0 of each component into a scratch row,
+  decodes it, and reads columns 1..C-1 only while unresolved.
+* **round tail**: ``round_tail`` runs the per-edge Python union-by-size
+  loop (no path compression, so the same trees) and the relabel in C.
 
 The calls release the GIL (ctypes ``CDLL`` semantics), which is what
 finally lets the sharded thread ingest scale past the numpy kernels'
@@ -159,9 +167,15 @@ void repro_fold_sep64(uint64_t *alpha, uint64_t *gamma, const uint64_t *idx,
 }
 
 /* Mirrored edge fold: both endpoints' bundles receive every edge slot,
- * and the hashes depend only on the slot -- hash once, scatter twice. */
+ * and the hashes depend only on the slot -- hash once, scatter twice.
+ * A small delta folded into a large pool is one dependent cache miss
+ * per (edge, endpoint, slot), so PREFETCH touches the first line (rows
+ * are geometric: > 99 % of the writes) of the buckets at offset `at`,
+ * REPRO_PREFETCH_AHEAD edges on. */
 
-#define REPRO_EDGE_LOOP(WRITE)                                              \
+#define REPRO_PREFETCH_AHEAD 8
+
+#define REPRO_EDGE_LOOP(PREFETCH, WRITE)                                    \
     int64_t s, i, r, e;                                                     \
     for (s = 0; s < num_slots; s++) {                                       \
         const uint64_t mms = mm[s];                                         \
@@ -169,6 +183,11 @@ void repro_fold_sep64(uint64_t *alpha, uint64_t *gamma, const uint64_t *idx,
         const int64_t off = slot_offsets[s];                                \
         for (i = 0; i < k; i++) {                                           \
             const uint64_t v = idx[i];                                      \
+            for (e = 0; e < 2 && i + REPRO_PREFETCH_AHEAD < k; e++) {       \
+                const int64_t at = ((e ? hi : lo)[i + REPRO_PREFETCH_AHEAD] \
+                                    * dst_stride + off) * num_rows;         \
+                PREFETCH                                                    \
+            }                                                               \
             const uint64_t g = repro_finalise(v ^ mcs) & 0xFFFFFFFFULL;     \
             const int64_t depth =                                           \
                 repro_depth(repro_finalise(v ^ mms), num_rows);             \
@@ -186,7 +205,7 @@ void repro_fold_edges_packed(uint64_t *pool, const uint64_t *idx,
                              int64_t num_slots, int64_t num_rows,
                              int64_t dst_stride,
                              const int64_t *slot_offsets) {
-    REPRO_EDGE_LOOP({
+    REPRO_EDGE_LOOP(__builtin_prefetch(pool + at, 1);, {
         uint64_t *base = pool + seg * num_rows;
         const uint64_t val = (v << 32) | g;
         for (r = 0; r < depth; r++) base[r] ^= val;
@@ -199,7 +218,8 @@ void repro_fold_edges_wide(uint64_t *alpha, uint32_t *gamma,
                            const uint64_t *mc, int64_t num_slots,
                            int64_t num_rows, int64_t dst_stride,
                            const int64_t *slot_offsets) {
-    REPRO_EDGE_LOOP({
+    REPRO_EDGE_LOOP(
+        __builtin_prefetch(alpha + at, 1); __builtin_prefetch(gamma + at, 1);, {
         uint64_t *abase = alpha + seg * num_rows;
         uint32_t *gbase = gamma + seg * num_rows;
         const uint32_t g32 = (uint32_t)g;
@@ -242,34 +262,157 @@ void repro_seg_xor_u32(const uint32_t *slab, int64_t node_stride,
 }
 
 /* ------------------------------------------------------------------ */
-/* Batched bucket decode: one pass over each component's column,       */
-/* deepest verified bucket wins (rows ascend by depth, so the last     */
-/* verified row is the deepest -- same pick as the numpy decoder).     */
+/* Batched bucket decode: a column is scanned from the deepest row up   */
+/* and the first verified bucket wins (the numpy decoder's pick); *any */
+/* is set once a non-empty bucket is seen, so always before a hit.     */
+/* g == NULL: `a` holds packed alpha<<32 | gamma words.                */
 /* ------------------------------------------------------------------ */
+
+static inline int64_t repro_decode_one(const uint64_t *a, const uint64_t *g,
+                                       int64_t num_rows, uint64_t veclen,
+                                       uint64_t mixed_seed, int *any) {
+    int64_t r;
+    for (r = num_rows - 1; r >= 0; r--) {
+        const uint64_t av = g ? a[r] : a[r] >> 32;
+        const uint64_t gv = g ? g[r] : a[r] & 0xFFFFFFFFULL;
+        if (av == 0 && gv == 0) continue;
+        *any = 1;
+        if (av >= veclen) continue;
+        if ((repro_finalise(av ^ mixed_seed) & 0xFFFFFFFFULL) == gv)
+            return (int64_t)av;
+    }
+    return -1;
+}
 
 void repro_decode_column(const uint64_t *alpha, const uint64_t *gamma,
                          int64_t count, int64_t num_rows, uint64_t veclen,
                          uint64_t mixed_seed, uint8_t *good, uint8_t *zero,
                          int64_t *index) {
-    int64_t c, r;
+    int64_t c;
     for (c = 0; c < count; c++) {
-        const uint64_t *a = alpha + c * num_rows;
-        const uint64_t *g = gamma + c * num_rows;
         int any = 0;
-        int64_t best = -1;
-        for (r = 0; r < num_rows; r++) {
-            const uint64_t av = a[r];
-            const uint64_t gv = g[r];
-            if (av == 0 && gv == 0) continue;
-            any = 1;
-            if (av >= veclen) continue;
-            if ((repro_finalise(av ^ mixed_seed) & 0xFFFFFFFFULL) == gv)
-                best = (int64_t)av;
-        }
+        const int64_t best = repro_decode_one(
+            alpha + c * num_rows, gamma + c * num_rows, num_rows, veclen,
+            mixed_seed, &any);
         good[c] = (uint8_t)(best >= 0);
         zero[c] = (uint8_t)(!any);
         index[c] = best;
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Fused round sample: group -> reduce -> decode for every component   */
+/* of a Boruvka round, no per-segment intermediates.  Active nodes     */
+/* (mask NULL = all) are counting-sorted by label -- the caller        */
+/* guarantees 0 <= labels[i] < num_nodes -- so components come out in  */
+/* ascending label order.  Per component: XOR column 0 of the members, */
+/* decode, and only if that fails pull columns 1..C-1 in one pass.     */
+/* status 0 ZERO (every column empty), 1 GOOD, 2 FAIL as SAMPLE_*;     */
+/* `gamma` NULL = packed slab; scratch `work` 2*num_nodes, `acc`       */
+/* 2*num_cols*num_rows; outputs num_nodes.  Returns the count.         */
+/* ------------------------------------------------------------------ */
+
+/* XOR [off, off + width) of `count` member rows (`avail` readable). */
+static inline void repro_xor_members(
+        const uint64_t *slab, const uint32_t *gamma, int64_t stride,
+        int64_t off, int64_t width, const int64_t *members, int64_t count,
+        int64_t avail, uint64_t *xa, uint64_t *xg) {
+    int64_t m, w;
+    for (w = 0; w < width; w++) xa[w] = 0;
+    if (gamma) for (w = 0; w < width; w++) xg[w] = 0;
+    for (m = 0; m < count; m++) {
+        const int64_t at = members[m] * stride + off;
+        if (m + REPRO_PREFETCH_AHEAD < avail) {
+            const int64_t next =
+                members[m + REPRO_PREFETCH_AHEAD] * stride + off;
+            for (w = 0; w < width && w < 32; w += 8)
+                __builtin_prefetch(slab + next + w);
+            if (gamma) __builtin_prefetch(gamma + next);
+        }
+        for (w = 0; w < width; w++) xa[w] ^= slab[at + w];
+        if (gamma) for (w = 0; w < width; w++) xg[w] ^= gamma[at + w];
+    }
+}
+
+int64_t repro_sample_components(
+        const uint64_t *slab, const uint32_t *gamma, int64_t num_nodes,
+        int64_t num_cols, int64_t num_rows, const int64_t *labels,
+        const uint8_t *mask, uint64_t veclen, const uint64_t *mixed_seeds,
+        int64_t *work, uint64_t *acc, int64_t *roots, uint8_t *statuses,
+        int64_t *indices) {
+    const int64_t stride = num_cols * num_rows;
+    int64_t *cursor = work, *sorted = work + num_nodes;
+    uint64_t *xa = acc, *xg = gamma ? acc + stride : NULL;
+    int64_t i, c, col, count = 0, total = 0, start = 0;
+
+    memset(cursor, 0, (size_t)num_nodes * sizeof(int64_t));
+    for (i = 0; i < num_nodes; i++)
+        if (!mask || mask[i]) cursor[labels[i]]++;
+    for (i = 0; i < num_nodes; i++) {
+        const int64_t size = cursor[i];
+        if (!size) continue;
+        roots[count++] = i;
+        cursor[i] = total;
+        total += size;
+    }
+    for (i = 0; i < num_nodes; i++)
+        if (!mask || mask[i]) sorted[cursor[labels[i]]++] = i;
+
+    for (c = 0; c < count; c++) {
+        const int64_t end = cursor[roots[c]];
+        int any = 0;
+        int64_t best;
+        repro_xor_members(slab, gamma, stride, 0, num_rows, sorted + start,
+                          end - start, total - start, xa, xg);
+        best = repro_decode_one(xa, xg, num_rows, veclen, mixed_seeds[0], &any);
+        if (best < 0 && num_cols > 1) {
+            repro_xor_members(slab, gamma, stride, num_rows,
+                              stride - num_rows, sorted + start, end - start,
+                              total - start, xa, xg);
+            for (col = 1; col < num_cols && best < 0; col++)
+                best = repro_decode_one(
+                    xa + (col - 1) * num_rows,
+                    xg ? xg + (col - 1) * num_rows : NULL, num_rows, veclen,
+                    mixed_seeds[col], &any);
+        }
+        statuses[c] = (uint8_t)(best >= 0 ? 1 : (any ? 2 : 0));
+        indices[c] = best;
+        start = end;
+    }
+    return count;
+}
+
+/* ------------------------------------------------------------------ */
+/* Boruvka round tail: union by size, no path compression, over the    */
+/* sampled edges (ties keep u's root); merged roots lose `settled`,    */
+/* merging edges are recorded in order, then every label is chased to  */
+/* its root.  All ids must lie in [0, num_nodes).  Returns the merges. */
+/* ------------------------------------------------------------------ */
+
+int64_t repro_round_tail(int64_t *parent, int64_t *size, uint8_t *settled,
+                         int64_t *labels, int64_t num_nodes,
+                         const int64_t *us, const int64_t *vs, int64_t k,
+                         int64_t *merged_u, int64_t *merged_v) {
+    int64_t i, merges = 0;
+    for (i = 0; i < k; i++) {
+        int64_t ru = us[i], rv = vs[i];
+        while (parent[ru] != ru) ru = parent[ru];
+        while (parent[rv] != rv) rv = parent[rv];
+        if (ru == rv) continue;
+        if (size[ru] < size[rv]) { const int64_t t = ru; ru = rv; rv = t; }
+        parent[rv] = ru;
+        size[ru] += size[rv];
+        settled[ru] = settled[rv] = 0;
+        merged_u[merges] = us[i];
+        merged_v[merges++] = vs[i];
+    }
+    if (merges)
+        for (i = 0; i < num_nodes; i++) {
+            int64_t root = labels[i];
+            while (parent[root] != root) root = parent[root];
+            labels[i] = root;
+        }
+    return merges;
 }
 
 /* ------------------------------------------------------------------ */
@@ -333,6 +476,8 @@ _SIGNATURES = {
     "repro_seg_xor_u32": [_U32P, _I64, _I64, _I64, _I64P, _I64, _I64P, _I64, _U32P],
     "repro_decode_column": [_U64P, _U64P, _I64, _I64, _U64, _U64, _U8P, _U8P, _I64P],
     "repro_block_digests": [_U8P, _I64, _I64, _U64, _U64P],
+    "repro_sample_components": [_U64P, _U32P, _I64, _I64, _I64, _I64P, _U8P, _U64, _U64P, _I64P, _U64P, _I64P, _U8P, _I64P],
+    "repro_round_tail": [_I64P, _I64P, _U8P, _I64P, _I64, _I64P, _I64P, _I64, _I64P, _I64P],
 }
 
 
@@ -383,7 +528,9 @@ def _build_library() -> ctypes.CDLL:
     for name, argtypes in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
-        fn.restype = None
+        # The two round kernels return a count, the rest nothing.
+        returns_count = name in ("repro_sample_components", "repro_round_tail")
+        fn.restype = _I64 if returns_count else None
     return lib
 
 
@@ -577,6 +724,56 @@ class CcKernels:
             good.ctypes.data_as(_U8P), zero.ctypes.data_as(_U8P), _i64(index),
         )
         return good.view(np.bool_), zero.view(np.bool_), index
+
+    def sample_components(
+        self, slabs: Tuple[np.ndarray, ...], labels: np.ndarray,
+        node_mask: Optional[np.ndarray], vector_length: int,
+        mixed_seeds: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cut-sample every component of one round in a single fused pass.
+
+        ``slabs`` is the round's ``(packed,)`` or ``(alpha, gamma)``
+        view(s), ``mixed_seeds`` its per-column checksum seeds.  The
+        caller has checked ``labels`` to lie in ``[0, num_nodes)`` and
+        ``node_mask`` to be contiguous bools; results as the composed path.
+        """
+        slab = np.ascontiguousarray(slabs[0])
+        gamma = np.ascontiguousarray(slabs[1]) if len(slabs) == 2 else None
+        num_nodes, num_cols, num_rows = slab.shape
+        labels = _as_i64(labels)
+        seeds = _as_u64(mixed_seeds)
+        work = np.empty(2 * num_nodes, dtype=np.int64)
+        acc = np.empty(2 * num_cols * num_rows, dtype=np.uint64)
+        roots, indices = np.empty((2, num_nodes), dtype=np.int64)
+        statuses = np.empty(num_nodes, dtype=np.uint8)
+        count = self._lib.repro_sample_components(
+            _u64(slab), None if gamma is None else _u32(gamma), num_nodes,
+            num_cols, num_rows, _i64(labels),
+            None if node_mask is None else node_mask.ctypes.data_as(_U8P),
+            np.uint64(vector_length), _u64(seeds), _i64(work), _u64(acc),
+            _i64(roots), statuses.ctypes.data_as(_U8P), _i64(indices),
+        )
+        return roots[:count], statuses[:count], indices[:count]
+
+    def round_tail(
+        self, parent: np.ndarray, size: np.ndarray, settled: np.ndarray,
+        labels: np.ndarray, sampled_u: np.ndarray, sampled_v: np.ndarray,
+    ) -> Tuple[np.ndarray, list]:
+        """Compiled twin of :func:`repro.core.boruvka.round_tail`; the
+        int64 (``settled``: bool) per-node arrays are updated **in place**."""
+        for array in (parent, size, labels, settled):
+            dtype = np.bool_ if array is settled else np.int64
+            if array.dtype != dtype or array.shape != labels.shape or not array.flags.c_contiguous:
+                raise TypeError("round_tail needs contiguous int64/bool per-node arrays")
+        us = _as_i64(sampled_u)
+        vs = _as_i64(sampled_v)
+        merged = np.empty((2, us.size), dtype=np.int64)
+        merges = self._lib.repro_round_tail(
+            _i64(parent), _i64(size), settled.ctypes.data_as(_U8P),
+            _i64(labels), labels.size, _i64(us), _i64(vs), us.size,
+            _i64(merged[0]), _i64(merged[1]),
+        )
+        return labels, list(zip(*merged[:, :merges].tolist()))
 
     # ------------------------------------------------------------------
     # storage integrity

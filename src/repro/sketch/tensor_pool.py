@@ -730,20 +730,32 @@ class NodeTensorPool:
         :data:`~repro.sketch.sketch_base.SAMPLE_ZERO` /
         ``SAMPLE_GOOD`` / ``SAMPLE_FAIL`` code, and its sampled edge
         slot (-1 unless GOOD).  Results are bit-identical to calling
-        :meth:`query_merged` per component.
+        :meth:`query_merged` per component -- also when a native
+        provider's ``sample_components`` fuses the three steps above
+        into one call (``query.sample``).
         """
         labels = np.asarray(labels)
         if labels.shape != (self.num_nodes,):
             raise ValueError("labels must hold one component label per node")
         if not 0 <= round_index < self.num_rounds:
             raise ValueError(f"round {round_index} outside [0, {self.num_rounds})")
-        if node_mask is None:
-            excluded = np.empty(0, dtype=np.int64)
-        else:
-            mask = np.asarray(node_mask, dtype=bool)
+        mask = None
+        if node_mask is not None:
+            mask = np.ascontiguousarray(node_mask, dtype=bool)
             if mask.shape != (self.num_nodes,):
                 raise ValueError("node_mask must hold one flag per node")
-            excluded = np.flatnonzero(~mask)
+        base = round_index * self.num_columns
+        sample = getattr(self._kernels, "sample_components", None)
+        # The fused kernel counting-sorts into a node-sized table, and
+        # labels are caller-supplied: any outside [0, num_nodes) take
+        # the composed path, whose comparison sort accepts all values.
+        if sample is not None and 0 <= int(labels.min()) and int(labels.max()) < self.num_nodes:
+            keys = ("packed",) if self._packed else ("alpha", "gamma")
+            slabs = tuple(self._round_view(key, round_index) for key in keys)
+            seeds = self._mixed_checksum[base : base + self.num_columns]
+            with span("query.sample"):
+                return sample(slabs, labels, mask, self.encoder.vector_length, seeds)
+        excluded = np.empty(0, dtype=np.int64) if mask is None else np.flatnonzero(~mask)
         sorted_nodes, seg_starts, roots = group_nodes_by_label(labels, node_mask)
         if roots.size == 0:
             return roots, np.empty(0, dtype=np.uint8), roots.copy()
@@ -751,7 +763,6 @@ class NodeTensorPool:
         count = roots.size
         statuses = np.full(count, SAMPLE_FAIL, dtype=np.uint8)
         indices = np.full(count, -1, dtype=np.int64)
-        base = round_index * self.num_columns
 
         # Phase 1: reduce and decode column 0 alone for every component.
         # Most components resolve here, so the common case touches only

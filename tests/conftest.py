@@ -25,6 +25,17 @@ def rng():
 
 
 @pytest.fixture
+def native_provider():
+    """The process-wide native kernel provider; skips when none is usable."""
+    from repro.kernels import native_kernels, native_unavailable_reason
+
+    provider = native_kernels()
+    if provider is None:
+        pytest.skip(f"no native kernel provider usable ({native_unavailable_reason()})")
+    return provider
+
+
+@pytest.fixture
 def small_graph():
     """A fixed 8-node graph with two non-trivial components and two isolates.
 

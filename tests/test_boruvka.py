@@ -3,17 +3,43 @@
 The driver is exercised with an *exact* cut sampler (computed from an
 explicit edge set), so these tests isolate the Boruvka control flow --
 component bookkeeping, settled detection, round limits -- from sketch
-randomness.
+randomness.  The driver contracts (round exhaustion, ``SAMPLE_FAIL``
+retry, invalid slots, plain-Python public views) are held on every
+driver users can run: the scalar reference, and the whole-round driver
+with the numpy and with the native round tail.
 """
 
+import json
 from typing import Sequence
 
 import pytest
 
-from repro.core.boruvka import sketch_spanning_forest
+from repro.core.boruvka import (
+    batch_sampler_from_scalar,
+    sketch_spanning_forest,
+    vectorized_spanning_forest,
+)
 from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConnectivityError
 from repro.sketch.sketch_base import SampleResult
+
+
+@pytest.fixture(params=["scalar", "vectorized-numpy", "vectorized-native"])
+def run_driver(request):
+    """``run(num_nodes, num_rounds, encoder, cut_sampler, strict=False)``."""
+    if request.param == "scalar":
+        return sketch_spanning_forest
+    kernels = None
+    if request.param == "vectorized-native":
+        kernels = request.getfixturevalue("native_provider")
+
+    def run(num_nodes, num_rounds, encoder, cut_sampler, strict=False):
+        return vectorized_spanning_forest(
+            num_nodes, num_rounds, encoder, batch_sampler_from_scalar(cut_sampler),
+            strict=strict, kernels=kernels,
+        )
+
+    return run
 
 
 def exact_cut_sampler(num_nodes, edges):
@@ -80,30 +106,60 @@ def test_boruvka_uses_logarithmically_many_rounds():
     assert stats.rounds_used <= 8
 
 
-def test_transient_failures_are_tolerated():
+def test_transient_failures_are_tolerated(run_driver):
     edges = [(0, 1), (1, 2)]
     encoder, sampler = failing_then_exact_sampler(4, edges, fail_rounds=2)
-    forest, stats = sketch_spanning_forest(4, 6, encoder, sampler)
+    forest, stats = run_driver(4, 6, encoder, sampler)
+    assert forest.complete
     assert forest.connected(0, 2)
-    assert stats.failed_samples > 0
+    assert stats.failed_samples == 8  # four singletons, two failing rounds
+    assert stats.per_round_merges[:2] == [0, 0]
 
 
-def test_round_exhaustion_returns_incomplete_forest():
+def test_round_exhaustion_returns_incomplete_forest(run_driver):
     edges = [(0, 1), (1, 2)]
     encoder, sampler = failing_then_exact_sampler(4, edges, fail_rounds=100)
-    forest, stats = sketch_spanning_forest(4, 3, encoder, sampler, strict=False)
+    forest, stats = run_driver(4, 3, encoder, sampler, strict=False)
     assert not forest.complete
     assert forest.num_edges == 0
+    assert stats.rounds_used == 3
 
 
-def test_round_exhaustion_raises_in_strict_mode():
+def test_round_exhaustion_raises_in_strict_mode(run_driver):
     edges = [(0, 1), (1, 2)]
     encoder, sampler = failing_then_exact_sampler(4, edges, fail_rounds=100)
     with pytest.raises(ConnectivityError):
-        sketch_spanning_forest(4, 3, encoder, sampler, strict=True)
+        run_driver(4, 3, encoder, sampler, strict=True)
 
 
-def test_invalid_sample_indices_are_rejected():
+def test_round_exhaustion_mid_merge_keeps_the_partial_forest(run_driver):
+    """(1, 2) is only sampled once {0, 1} and {2, 3} exist: one round is short."""
+    encoder, sampler = exact_cut_sampler(4, [(0, 1), (2, 3), (1, 2)])
+    forest, stats = run_driver(4, 1, encoder, sampler)
+    assert not forest.complete
+    assert forest.edges == ((0, 1), (2, 3))
+    assert stats.merges == 2 and forest.num_components == 2
+    with pytest.raises(ConnectivityError):
+        run_driver(4, 1, encoder, sampler, strict=True)
+
+
+def test_forest_views_are_plain_python(run_driver):
+    """Whatever arrays a driver works on, the forest hands out ``int``s."""
+    edges = [(0, 1), (1, 2), (4, 5)]
+    encoder, sampler = exact_cut_sampler(7, edges)
+    forest, _ = run_driver(7, 4, encoder, sampler)
+    assert json.loads(json.dumps(forest.edges)) == [list(e) for e in forest.edges]
+    assert forest.connected(0, 2) is True
+    assert forest.connected(0, 4) is False
+    for value in (
+        [node for component in forest.components() for node in component]
+        + forest.component_labels()
+        + [endpoint for edge in forest.edges for endpoint in edge]
+    ):
+        assert type(value) is int
+
+
+def test_invalid_sample_indices_are_rejected(run_driver):
     """A sampler returning a non-edge index must not corrupt the forest."""
     encoder = EdgeEncoder(4)
     calls = {"count": 0}
@@ -117,9 +173,10 @@ def test_invalid_sample_indices_are_rejected():
             return SampleResult.good(encoder.encode(0, 1))
         return SampleResult.zero()
 
-    forest, stats = sketch_spanning_forest(4, 4, encoder, sampler)
+    forest, stats = run_driver(4, 4, encoder, sampler)
     assert stats.invalid_samples == 1
     assert forest.connected(0, 1)
+    assert forest.edges == ((0, 1),)
 
 
 def test_sampler_receives_growing_components():

@@ -351,6 +351,56 @@ def test_resolve_kernels_modes():
         resolve_kernels("fast")
 
 
+def test_failed_c_build_is_typed_counted_and_never_silent(monkeypatch, tmp_path):
+    """A C source that does not compile must not pass for "no provider".
+
+    ``$CC`` = ``false`` with an empty kernel cache makes the build fail
+    the way a typo in the C source would: ``auto`` falls back to numpy
+    with the reason kept and ``kernels.provider_unavailable`` bumped,
+    ``native`` refuses to run.
+    """
+    import repro.kernels as kernels
+    from repro.observability.metrics import default_registry
+
+    if NATIVE.name != "cc":
+        pytest.skip("numba resolves first; the C build is never attempted")
+    monkeypatch.setenv("CC", "false")
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    # Forget the cached resolution for this test only (monkeypatch
+    # restores the real provider, which other tests hold by identity).
+    monkeypatch.setattr(kernels, "_resolved", False)
+    monkeypatch.setattr(kernels, "_provider", None)
+    monkeypatch.setattr(kernels, "_unavailable_reason", None)
+    counter = default_registry().counter("kernels.provider_unavailable")
+    before = counter.value
+
+    assert resolve_kernels("auto") is None
+    reason = native_unavailable_reason()
+    assert "numba:" in reason and "cc:" in reason and "false" in reason
+    assert counter.value == before + 1
+    with pytest.raises(ConfigurationError, match="cc:"):
+        resolve_kernels("native")
+    engine = GraphZeppelin(16, GraphZeppelinConfig(kernel_backend="auto"))
+    assert engine.resolved_kernel_backend == "numpy"
+    assert counter.value == before + 1  # the failure is cached, counted once
+
+
+def test_unexpected_provider_errors_propagate(monkeypatch):
+    """Only the typed "cannot be used here" errors mean numpy fallback."""
+    import repro.kernels as kernels
+
+    if NATIVE.name != "cc":
+        pytest.skip("numba resolves first; the cc provider is never loaded")
+    monkeypatch.setattr(kernels, "_resolved", False)
+    monkeypatch.setattr(kernels, "_provider", None)
+    # A provider module that imports but lacks its class: AttributeError,
+    # the same error a symbol missing from the built library raises.
+    monkeypatch.delattr("repro.kernels.native_cc.CcKernels")
+    with pytest.raises(AttributeError):
+        resolve_kernels("auto")
+    assert kernels._resolved is False
+
+
 def test_config_rejects_unknown_kernel_backend():
     with pytest.raises(ConfigurationError):
         GraphZeppelinConfig(kernel_backend="cuda")

@@ -338,10 +338,22 @@ def test_wide_bucket_storage_matches_packed(edges, seed):
     assert wide.node_sketch(1) == sketch
 
 
-def test_query_components_handles_labels_beyond_int16():
-    """Label values outside int16 must not wrap through the radix fast path."""
+@pytest.fixture(params=["numpy", "native"])
+def pool_kernels(request):
+    """``None`` for the numpy kernels, else the native provider (or skip)."""
+    if request.param == "numpy":
+        return None
+    return request.getfixturevalue("native_provider")
+
+
+def test_query_components_handles_labels_beyond_int16(pool_kernels):
+    """Label values outside int16 must not wrap through the radix fast path.
+
+    Nor -- on a native pool, whose fused kernel counting-sorts by label
+    -- index past a node-sized table: ``1 << 17`` on a 24-node pool.
+    """
     encoder = EdgeEncoder(NUM_NODES)
-    pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=4)
+    pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=4, kernels=pool_kernels)
     pool.apply_edges(
         np.asarray([0, 1, 2]),
         np.asarray([5, 6, 7]),
@@ -349,16 +361,17 @@ def test_query_components_handles_labels_beyond_int16():
     )
     labels = np.zeros(NUM_NODES, dtype=np.int64)
     labels[::2] = 1 << 17  # collides with label 0 under an int16 cast
-    roots, statuses, indices = pool.query_components(labels, 0)
-    assert roots.tolist() == [0, 1 << 17]
-    for root, status, index in zip(roots, statuses, indices):
-        members = np.flatnonzero(labels == root).tolist()
-        assert _sample_of(status, index) == pool.query_merged(members, 0)
+    for shift, expected_roots in ((0, [0, 1 << 17]), (-5, [-5, (1 << 17) - 5])):
+        roots, statuses, indices = pool.query_components(labels + shift, 0)
+        assert roots.tolist() == expected_roots
+        for root, status, index in zip(roots, statuses, indices):
+            members = np.flatnonzero(labels + shift == root).tolist()
+            assert _sample_of(status, index) == pool.query_merged(members, 0)
 
 
-def test_query_components_input_validation():
+def test_query_components_input_validation(pool_kernels):
     encoder = EdgeEncoder(NUM_NODES)
-    pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=1)
+    pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=1, kernels=pool_kernels)
     labels = np.zeros(NUM_NODES, dtype=np.int64)
     with pytest.raises(ValueError):
         pool.query_components(labels[:-1], 0)
