@@ -15,12 +15,19 @@ Why compiling beats the numpy kernels:
 
 * **fold**: the numpy fold materialises two ``(K, slots)`` uint64 hash
   matrices, argsorts a composite key, and runs ~15 vectorised passes of
-  prefix-scan emission machinery.  The C fold fuses hash, depth
-  extraction (a ``ctz`` instruction instead of a float ``log2`` round
-  trip), and the bucket XOR into one pass with **no temporaries at
-  all** -- each update hashes and scatters straight into the pool
-  tensor.  XOR folding is order-independent, so the resulting buckets
-  are bit-identical to the argsort + prefix-scan emission path.
+  prefix-scan emission machinery.  The C fold is one loop in two phases
+  per (slot, block of <= 256 updates).  Phase 1 hashes the block --
+  checksum word and membership hash -- into 4 KiB of stack scratch with
+  no store to the pool, which the compiler turns into vector code.
+  Phase 2 walks the block, prefetches the destination buckets a few
+  updates ahead, and writes the rows without a data-dependent branch:
+  **row r is written <=> the low r bits of the membership hash are
+  zero**, so rows 0..3 take one masked 4-lane XOR per update and the
+  row loop (depth via ``ctz``, not a float ``log2`` round trip) runs
+  for one update in 16.  A masked XOR still touches its row, so that
+  head applies from ``num_rows >= 4``; a two-node graph (3 rows) keeps
+  the plain depth loop.  XOR folding is order-independent, so the
+  buckets are bit-identical to the argsort + prefix-scan emission path.
 * **segmented XOR**: ``np.bitwise_xor.reduceat`` runs a scalar inner
   loop (~5 ns/element), and even the blocked two-level scheme pays a
   gather copy of the reordered rows.  The C kernel fuses the gather and
@@ -48,9 +55,12 @@ finally lets the sharded thread ingest scale past the numpy kernels'
 serialised sections.
 
 The shared library is cached under ``$REPRO_KERNEL_CACHE`` (default: a
-``repro-ckernels`` directory in the system temp dir) keyed by a source
-hash, so each source revision compiles once per machine; concurrent
-builds race benignly through an atomic rename.
+``repro-ckernels`` directory in the system temp dir) under a name made
+of the source hash, the build flavour and -- for the ``-march=native``
+flavour, which may only run on the CPU it was built for -- the host's
+CPU identity, so each source revision compiles once per kind of
+machine and a cache directory can be shared or baked into an image;
+concurrent builds race benignly through an atomic rename.
 """
 
 from __future__ import annotations
@@ -58,9 +68,11 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
+import weakref
 from typing import Optional, Tuple
 
 import numpy as np
@@ -105,126 +117,124 @@ static inline int64_t repro_depth(uint64_t h, int64_t num_rows) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Ingest folds: fused hash + depth + XOR scatter, no temporaries.     */
-/* Loops run slot-outer so one (round, column) hash seed pair stays in */
-/* registers and writes cluster inside one round's slab.  `dsts` may   */
-/* be NULL for single-destination (whole-bundle) folds.  Bucket        */
-/* (dst, slot, row) lands at flat offset                               */
-/*   (dst * dst_stride + slot_offsets[s]) * num_rows + row             */
-/* -- the same injective segment mapping the numpy kernel emits.       */
+/* Ingest folds: one two-phase loop behind all five entry points.      */
+/* Slot-outer, so one (round, column) seed pair stays in registers and */
+/* writes cluster inside one round's slab; per slot, blocks of at most */
+/* REPRO_FOLD_BLOCK updates go through                                 */
+/*   phase 1: checksum word and membership hash of the block into two  */
+/*     stack arrays (fold_shard runs concurrently on threads), no      */
+/*     store to the pool -- straight-line code the compiler vectorises */
+/*     (vpmullq under -march=native);                                  */
+/*   phase 2: walk the block, prefetch the destination buckets         */
+/*     REPRO_FOLD_AHEAD updates on (a small delta in a large pool is   */
+/*     one dependent miss per (update, slot, destination); the block's */
+/*     first ones are touched before phase 1, which hides them), and   */
+/*     write the rows without a data-dependent branch.                 */
+/* Row mask identity: row r takes the update <=> depth > r <=> the low */
+/* r bits of the membership hash h are zero (h == 0 reaches every row; */
+/* the clamp at num_rows never shows because r < num_rows).  Depth is  */
+/* geometric, so rows 0..3 are XORed unconditionally, row r under the  */
+/* mask (h & ((1 << r) - 1)) == 0 -- one 4-lane vector op per plane -- */
+/* and the row loop is entered only when (h & 15) == 0, one update in  */
+/* 16.  A masked XOR still touches its row, so that head needs         */
+/* num_rows >= 4; narrower geometries (a two-node graph has 3 rows)    */
+/* keep the plain depth loop: no row >= num_rows is read or written.   */
+/* Bucket (dst, slot, row) lands at flat offset REPRO_AT + row, the    */
+/* same injective segment mapping the numpy kernel emits.              */
 /* ------------------------------------------------------------------ */
 
-#define REPRO_FOLD_LOOP(WRITE)                                              \
-    int64_t s, i, r;                                                        \
+#define REPRO_FOLD_BLOCK 256
+#define REPRO_FOLD_AHEAD 16
+#define REPRO_AT(dst) (((dst) * dst_stride + slot_offsets[s]) * num_rows)
+
+/* Update j goes to the NDST nodes DST(e, j); STORE(OP, at) applies a
+ * per-plane OP (below) at bucket offset `at`. */
+#define REPRO_FOLD(NDST, DST, STORE)                                        \
+    uint64_t gs[REPRO_FOLD_BLOCK], hs[REPRO_FOLD_BLOCK];                    \
+    const int64_t head = num_rows >= 4 ? 4 : 0;                             \
+    int64_t s, b, i, e, r;                                                  \
     for (s = 0; s < num_slots; s++) {                                       \
-        const uint64_t mms = mm[s];                                         \
-        const uint64_t mcs = mc[s];                                         \
-        const int64_t off = slot_offsets[s];                                \
-        for (i = 0; i < k; i++) {                                           \
-            const uint64_t v = idx[i];                                      \
-            const uint64_t g = repro_finalise(v ^ mcs) & 0xFFFFFFFFULL;     \
-            const int64_t depth =                                           \
-                repro_depth(repro_finalise(v ^ mms), num_rows);             \
-            const int64_t seg =                                             \
-                (dsts ? dsts[i] * dst_stride : 0) + off;                    \
-            WRITE                                                           \
-        }                                                                   \
-    }
-
-void repro_fold_packed(uint64_t *pool, const uint64_t *idx,
-                       const int64_t *dsts, int64_t k, const uint64_t *mm,
-                       const uint64_t *mc, int64_t num_slots,
-                       int64_t num_rows, int64_t dst_stride,
-                       const int64_t *slot_offsets) {
-    REPRO_FOLD_LOOP({
-        uint64_t *base = pool + seg * num_rows;
-        const uint64_t val = (v << 32) | g;
-        for (r = 0; r < depth; r++) base[r] ^= val;
-    })
-}
-
-void repro_fold_wide(uint64_t *alpha, uint32_t *gamma, const uint64_t *idx,
-                     const int64_t *dsts, int64_t k, const uint64_t *mm,
-                     const uint64_t *mc, int64_t num_slots, int64_t num_rows,
-                     int64_t dst_stride, const int64_t *slot_offsets) {
-    REPRO_FOLD_LOOP({
-        uint64_t *abase = alpha + seg * num_rows;
-        uint32_t *gbase = gamma + seg * num_rows;
-        const uint32_t g32 = (uint32_t)g;
-        for (r = 0; r < depth; r++) { abase[r] ^= v; gbase[r] ^= g32; }
-    })
-}
-
-void repro_fold_sep64(uint64_t *alpha, uint64_t *gamma, const uint64_t *idx,
-                      const int64_t *dsts, int64_t k, const uint64_t *mm,
-                      const uint64_t *mc, int64_t num_slots, int64_t num_rows,
-                      int64_t dst_stride, const int64_t *slot_offsets) {
-    REPRO_FOLD_LOOP({
-        uint64_t *abase = alpha + seg * num_rows;
-        uint64_t *gbase = gamma + seg * num_rows;
-        for (r = 0; r < depth; r++) { abase[r] ^= v; gbase[r] ^= g; }
-    })
-}
-
-/* Mirrored edge fold: both endpoints' bundles receive every edge slot,
- * and the hashes depend only on the slot -- hash once, scatter twice.
- * A small delta folded into a large pool is one dependent cache miss
- * per (edge, endpoint, slot), so PREFETCH touches the first line (rows
- * are geometric: > 99 % of the writes) of the buckets at offset `at`,
- * REPRO_PREFETCH_AHEAD edges on. */
-
-#define REPRO_PREFETCH_AHEAD 8
-
-#define REPRO_EDGE_LOOP(PREFETCH, WRITE)                                    \
-    int64_t s, i, r, e;                                                     \
-    for (s = 0; s < num_slots; s++) {                                       \
-        const uint64_t mms = mm[s];                                         \
-        const uint64_t mcs = mc[s];                                         \
-        const int64_t off = slot_offsets[s];                                \
-        for (i = 0; i < k; i++) {                                           \
-            const uint64_t v = idx[i];                                      \
-            for (e = 0; e < 2 && i + REPRO_PREFETCH_AHEAD < k; e++) {       \
-                const int64_t at = ((e ? hi : lo)[i + REPRO_PREFETCH_AHEAD] \
-                                    * dst_stride + off) * num_rows;         \
-                PREFETCH                                                    \
+        const uint64_t mms = mm[s], mcs = mc[s];                            \
+        for (b = 0; b < k; b += REPRO_FOLD_BLOCK) {                         \
+            const int64_t n =                                               \
+                k - b < REPRO_FOLD_BLOCK ? k - b : REPRO_FOLD_BLOCK;        \
+            for (i = 0; i < n && i < REPRO_FOLD_AHEAD; i++)                 \
+                for (e = 0; e < NDST; e++)                                  \
+                    STORE(REPRO_TOUCH, REPRO_AT(DST(e, b + i)));            \
+            for (i = 0; i < n; i++) {                                       \
+                gs[i] = repro_finalise(idx[b + i] ^ mcs) & 0xFFFFFFFFULL;   \
+                hs[i] = repro_finalise(idx[b + i] ^ mms);                   \
             }                                                               \
-            const uint64_t g = repro_finalise(v ^ mcs) & 0xFFFFFFFFULL;     \
-            const int64_t depth =                                           \
-                repro_depth(repro_finalise(v ^ mms), num_rows);             \
-            for (e = 0; e < 2; e++) {                                       \
-                const int64_t seg =                                         \
-                    (e ? hi[i] : lo[i]) * dst_stride + off;                 \
-                WRITE                                                       \
+            for (i = 0; i < n; i++) {                                       \
+                const int64_t j = b + i, ahead = j + REPRO_FOLD_AHEAD;      \
+                const uint64_t v = idx[j], g = gs[i], h = hs[i];            \
+                const int deep = !head || !(h & 15);                        \
+                for (e = 0; e < NDST && ahead < k; e++)                     \
+                    STORE(REPRO_TOUCH, REPRO_AT(DST(e, ahead)));            \
+                for (e = 0; e < NDST; e++) {                                \
+                    const int64_t at = REPRO_AT(DST(e, j));                 \
+                    if (head) STORE(REPRO_HEAD, at);                        \
+                    if (__builtin_expect(deep, 0)) {                        \
+                        const int64_t depth = repro_depth(h, num_rows);     \
+                        for (r = head; r < depth; r++)                      \
+                            STORE(REPRO_XOR, at + r);                       \
+                    }                                                       \
+                }                                                           \
             }                                                               \
         }                                                                   \
     }
 
-void repro_fold_edges_packed(uint64_t *pool, const uint64_t *idx,
-                             const int64_t *lo, const int64_t *hi, int64_t k,
-                             const uint64_t *mm, const uint64_t *mc,
-                             int64_t num_slots, int64_t num_rows,
-                             int64_t dst_stride,
-                             const int64_t *slot_offsets) {
-    REPRO_EDGE_LOOP(__builtin_prefetch(pool + at, 1);, {
-        uint64_t *base = pool + seg * num_rows;
-        const uint64_t val = (v << 32) | g;
-        for (r = 0; r < depth; r++) base[r] ^= val;
-    })
+/* One destination column (NULL: everything into bundle 0), or both
+ * endpoints of a canonical edge -- hashed once, scattered twice. */
+#define REPRO_FOLD_ARGS                                                     \
+    int64_t k, const uint64_t *mm, const uint64_t *mc, int64_t num_slots,   \
+    int64_t num_rows, int64_t dst_stride, const int64_t *slot_offsets
+#define REPRO_NODE_ARGS                                                     \
+    const uint64_t *idx, const int64_t *dsts, REPRO_FOLD_ARGS
+#define REPRO_NODE_DST(e, j) (dsts ? dsts[j] : 0)
+#define REPRO_EDGE_ARGS                                                     \
+    const uint64_t *idx, const int64_t *lo, const int64_t *hi, REPRO_FOLD_ARGS
+#define REPRO_EDGE_DST(e, j) ((e) ? hi[j] : lo[j])
+
+/* Per-plane ops at p for the plane's word x: prefetch the head rows
+ * (they may straddle a cache line); fold x into rows 0..3 under the row
+ * masks of h (T: four rows as a vector, any alignment); fold x into *p. */
+typedef uint64_t repro_u64x4
+    __attribute__((vector_size(32), aligned(8), may_alias));
+typedef uint32_t repro_u32x4
+    __attribute__((vector_size(16), aligned(4), may_alias));
+#define REPRO_TOUCH(T, p, x)                                                \
+    (__builtin_prefetch(p, 1), __builtin_prefetch((p) + 3, 1))
+#define REPRO_HEAD(T, p, x)                                                 \
+    (*(T *)(p) ^=                                                           \
+     (T){x, x, x, x} & (T)(((T){h, h, h, h} & (T){0, 1, 3, 7}) == 0))
+#define REPRO_XOR(T, p, x) (*(p) ^= (x))
+
+/* The three bucket layouts; gamma stays 32-bit in wide mode. */
+#define REPRO_PACKED(OP, at) OP(repro_u64x4, pool + (at), (v << 32) | g)
+#define REPRO_WIDE(OP, at)                                                  \
+    (OP(repro_u64x4, alpha + (at), v), OP(repro_u32x4, gamma + (at), g))
+#define REPRO_SEP64(OP, at)                                                 \
+    (OP(repro_u64x4, alpha + (at), v), OP(repro_u64x4, gamma + (at), g))
+
+void repro_fold_packed(uint64_t *pool, REPRO_NODE_ARGS) {
+    REPRO_FOLD(1, REPRO_NODE_DST, REPRO_PACKED)
 }
 
-void repro_fold_edges_wide(uint64_t *alpha, uint32_t *gamma,
-                           const uint64_t *idx, const int64_t *lo,
-                           const int64_t *hi, int64_t k, const uint64_t *mm,
-                           const uint64_t *mc, int64_t num_slots,
-                           int64_t num_rows, int64_t dst_stride,
-                           const int64_t *slot_offsets) {
-    REPRO_EDGE_LOOP(
-        __builtin_prefetch(alpha + at, 1); __builtin_prefetch(gamma + at, 1);, {
-        uint64_t *abase = alpha + seg * num_rows;
-        uint32_t *gbase = gamma + seg * num_rows;
-        const uint32_t g32 = (uint32_t)g;
-        for (r = 0; r < depth; r++) { abase[r] ^= v; gbase[r] ^= g32; }
-    })
+void repro_fold_wide(uint64_t *alpha, uint32_t *gamma, REPRO_NODE_ARGS) {
+    REPRO_FOLD(1, REPRO_NODE_DST, REPRO_WIDE)
+}
+
+void repro_fold_sep64(uint64_t *alpha, uint64_t *gamma, REPRO_NODE_ARGS) {
+    REPRO_FOLD(1, REPRO_NODE_DST, REPRO_SEP64)
+}
+
+void repro_fold_edges_packed(uint64_t *pool, REPRO_EDGE_ARGS) {
+    REPRO_FOLD(2, REPRO_EDGE_DST, REPRO_PACKED)
+}
+
+void repro_fold_edges_wide(uint64_t *alpha, uint32_t *gamma, REPRO_EDGE_ARGS) {
+    REPRO_FOLD(2, REPRO_EDGE_DST, REPRO_WIDE)
 }
 
 /* ------------------------------------------------------------------ */
@@ -311,6 +321,8 @@ void repro_decode_column(const uint64_t *alpha, const uint64_t *gamma,
 /* `gamma` NULL = packed slab; scratch `work` 2*num_nodes, `acc`       */
 /* 2*num_cols*num_rows; outputs num_nodes.  Returns the count.         */
 /* ------------------------------------------------------------------ */
+
+#define REPRO_PREFETCH_AHEAD 8
 
 /* XOR [off, off + width) of `count` member rows (`avail` readable). */
 static inline void repro_xor_members(
@@ -496,34 +508,74 @@ def find_compiler() -> Optional[str]:
     return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
 
 
+def _host_cpu_tag() -> str:
+    """``<machine>-<digest>`` naming the CPU a ``-march=native`` build assumes.
+
+    The digest covers the instruction-set flags the OS reports, so two
+    hosts sharing a cache directory (a network mount, a baked image)
+    share a native build only when neither has an instruction the other
+    lacks.
+    """
+    identity = platform.machine() + platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as handle:
+            identity += next(
+                (line for line in handle if line.startswith(("flags", "Features"))), ""
+            )
+    except OSError:
+        pass
+    digest = hashlib.sha256(identity.encode("ascii", "replace")).hexdigest()[:8]
+    return f"{platform.machine()}-{digest}"
+
+
+def _library_path(native: bool) -> str:
+    """Where one build flavour of this source revision is cached.
+
+    A ``-march=native`` library may execute only on the CPU it was
+    built for (the fold's hash phase is AVX-512 code where the builder
+    has it: ``SIGILL`` anywhere else), so its name carries the host's
+    CPU identity; the portable flavour runs on any CPU of the
+    architecture.  Neither name can be taken for the other.
+    """
+    digest = hashlib.sha256(_C_SOURCE.encode("ascii")).hexdigest()[:16]
+    flavour = f"native-{_host_cpu_tag()}" if native else f"portable-{platform.machine()}"
+    return os.path.join(_cache_dir(), f"repro_ckernels_{digest}_{flavour}.so")
+
+
+def _compile(compiler: str, flags: list, so_path: str) -> None:
+    """Build ``_C_SOURCE`` with ``flags`` and publish it at ``so_path``."""
+    cache = os.path.dirname(so_path)
+    os.makedirs(cache, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=cache) as workdir:
+        source = os.path.join(workdir, "kernels.c")
+        with open(source, "w", encoding="ascii") as handle:
+            handle.write(_C_SOURCE)
+        built = os.path.join(workdir, "kernels.so")
+        subprocess.run(
+            [compiler, *flags, "-O3", "-fPIC", "-shared", source, "-o", built],
+            check=True, capture_output=True,
+        )
+        # Atomic publish: concurrent processes race benignly.
+        os.replace(built, so_path)
+
+
 def _build_library() -> ctypes.CDLL:
-    """Compile (once per source revision) and load the kernel library."""
+    """Compile (once per source revision, flavour and CPU) and load the library."""
     compiler = find_compiler()
     if compiler is None:
         raise RuntimeError("no C compiler found (set $CC or install gcc/clang)")
-    digest = hashlib.sha256(_C_SOURCE.encode("ascii")).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = os.path.join(cache, f"repro_ckernels_{digest}.so")
+    so_path = _library_path(native=True)
     if not os.path.exists(so_path):
-        os.makedirs(cache, exist_ok=True)
-        with tempfile.TemporaryDirectory(dir=cache) as workdir:
-            source = os.path.join(workdir, "kernels.c")
-            with open(source, "w", encoding="ascii") as handle:
-                handle.write(_C_SOURCE)
-            built = os.path.join(workdir, "kernels.so")
-            base = [compiler, "-O3", "-fPIC", "-shared", source, "-o", built]
-            # -march=native unlocks the wide-vector segmented XOR; some
-            # toolchains (cross compilers, old clangs) reject it, so
-            # fall back to the portable build rather than fail.
-            try:
-                subprocess.run(
-                    base[:1] + ["-march=native"] + base[1:],
-                    check=True, capture_output=True,
-                )
-            except (subprocess.CalledProcessError, OSError):
-                subprocess.run(base, check=True, capture_output=True)
-            # Atomic publish: concurrent processes race benignly.
-            os.replace(built, so_path)
+        # -march=native unlocks the vectorised fold hashing and the
+        # wide-vector segmented XOR; some toolchains (cross compilers,
+        # old clangs) reject it, so fall back to the portable build
+        # rather than fail.
+        try:
+            _compile(compiler, ["-march=native"], so_path)
+        except (subprocess.CalledProcessError, OSError):
+            so_path = _library_path(native=False)
+            if not os.path.exists(so_path):
+                _compile(compiler, [], so_path)
     lib = ctypes.CDLL(so_path)
     for name, argtypes in _SIGNATURES.items():
         fn = getattr(lib, name)
@@ -568,6 +620,8 @@ class CcKernels:
 
     def __init__(self) -> None:
         self._lib = _build_library()
+        #: pool -> its bound fold arguments (see :meth:`_fold_tail`).
+        self._fold_tails: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     # Singletons survive copy/pickle by reference/name: a pool carrying
     # a kernels object must stay deep-copyable and picklable even
@@ -586,24 +640,43 @@ class CcKernels:
     # ------------------------------------------------------------------
     # ingest folds
     # ------------------------------------------------------------------
-    def fold_pool(self, pool, indices: np.ndarray, dsts: np.ndarray) -> None:
-        """Fold a mixed multi-node batch straight into the pool tensors."""
-        idx = _as_u64(indices)
-        dst = _as_i64(dsts)
-        offsets = pool._slot_offsets
-        if pool._packed:
-            self._lib.repro_fold_packed(
-                _u64(pool._buckets), _u64(idx), _i64(dst), idx.size,
+    def _fold_tail(self, pool, offsets: np.ndarray) -> tuple:
+        """The pool-constant tail of every fold call, bound once per pool.
+
+        ``(mm, mc, num_slots, num_rows, dst_stride, slot_offsets)``: the
+        seed and offset arrays never change for the life of a pool, so
+        their pointers (which keep the arrays alive) are built on the
+        first fold instead of on every 64-edge delta.  The cache holds
+        no reference to the pool itself.
+        """
+        bound = self._fold_tails.get(pool)
+        if bound is None or bound[0] is not offsets:
+            bound = self._fold_tails[pool] = (offsets, (
                 _u64(pool._mixed_membership), _u64(pool._mixed_checksum),
                 pool.num_slots, pool.num_rows, pool.num_columns, _i64(offsets),
+            ))
+        return bound[1]
+
+    def _fold_nodes(self, tensors, indices, dsts, tail) -> None:
+        """One destination column into packed ``(buckets,)`` or wide planes."""
+        idx = _as_u64(indices)
+        dst = _as_i64(dsts)
+        if len(tensors) == 1:
+            self._lib.repro_fold_packed(
+                _u64(tensors[0]), _u64(idx), _i64(dst), idx.size, *tail
             )
         else:
             self._lib.repro_fold_wide(
-                _u64(pool._alpha), _u32(pool._gamma), _u64(idx), _i64(dst),
-                idx.size, _u64(pool._mixed_membership),
-                _u64(pool._mixed_checksum), pool.num_slots, pool.num_rows,
-                pool.num_columns, _i64(offsets),
+                _u64(tensors[0]), _u32(tensors[1]), _u64(idx), _i64(dst),
+                idx.size, *tail,
             )
+
+    def fold_pool(self, pool, indices: np.ndarray, dsts: np.ndarray) -> None:
+        """Fold a mixed multi-node batch straight into the pool tensors."""
+        tensors = (pool._buckets,) if pool._packed else (pool._alpha, pool._gamma)
+        self._fold_nodes(
+            tensors, indices, dsts, self._fold_tail(pool, pool._slot_offsets)
+        )
 
     def fold_pool_edges(
         self, pool, indices: np.ndarray, lo: np.ndarray, hi: np.ndarray
@@ -612,20 +685,16 @@ class CcKernels:
         idx = _as_u64(indices)
         lo64 = _as_i64(lo)
         hi64 = _as_i64(hi)
-        offsets = pool._slot_offsets
+        tail = self._fold_tail(pool, pool._slot_offsets)
         if pool._packed:
             self._lib.repro_fold_edges_packed(
                 _u64(pool._buckets), _u64(idx), _i64(lo64), _i64(hi64),
-                idx.size, _u64(pool._mixed_membership),
-                _u64(pool._mixed_checksum), pool.num_slots, pool.num_rows,
-                pool.num_columns, _i64(offsets),
+                idx.size, *tail,
             )
         else:
             self._lib.repro_fold_edges_wide(
                 _u64(pool._alpha), _u32(pool._gamma), _u64(idx), _i64(lo64),
-                _i64(hi64), idx.size, _u64(pool._mixed_membership),
-                _u64(pool._mixed_checksum), pool.num_slots, pool.num_rows,
-                pool.num_columns, _i64(offsets),
+                _i64(hi64), idx.size, *tail,
             )
 
     def fold_page(
@@ -633,21 +702,10 @@ class CcKernels:
         local_dsts: np.ndarray,
     ) -> None:
         """Fold one page's column into its pinned tensors (paged pool)."""
-        idx = _as_u64(indices)
-        dst = _as_i64(local_dsts)
-        offsets = pool._combined_offsets
-        if pool._packed:
-            self._lib.repro_fold_packed(
-                _u64(entry[0]), _u64(idx), _i64(dst), idx.size,
-                _u64(pool._mixed_membership), _u64(pool._mixed_checksum),
-                pool.num_slots, pool.num_rows, pool.num_columns, _i64(offsets),
-            )
-        else:
-            self._lib.repro_fold_wide(
-                _u64(entry[0]), _u32(entry[1]), _u64(idx), _i64(dst), idx.size,
-                _u64(pool._mixed_membership), _u64(pool._mixed_checksum),
-                pool.num_slots, pool.num_rows, pool.num_columns, _i64(offsets),
-            )
+        self._fold_nodes(
+            entry, indices, local_dsts,
+            self._fold_tail(pool, pool._combined_offsets),
+        )
 
     def fold_bundle(self, sketch, indices: np.ndarray) -> None:
         """Fold edge slots into one node's whole bundle (FlatNodeSketch)."""

@@ -528,21 +528,32 @@ class PagedTensorPool(NodeTensorPool):
         The native fold hashes + scatters per update straight into a
         page's tensors (re-hashing the mirrored copy of an edge is
         deterministic, so the result stays bit-identical), and has no
-        per-page fixed cost worth amortising.
+        per-page fixed cost worth amortising.  A single column whose
+        destinations all lie in one page -- what ``fold_page_batch`` is
+        handed -- goes to that page as it is; anything else is grouped
+        by page first.
         """
+        if len(dst_columns) == 1:
+            dsts = dst_columns[0]
+            page = self.page_of(dsts.min())
+            if dsts.max() < self.page_bounds[page + 1]:
+                self._fold_page_native(page, indices, dsts)
+                return
         dsts = np.concatenate(dst_columns).astype(np.int64, copy=False)
         rows = np.tile(np.arange(indices.size), len(dst_columns))
         pages = np.searchsorted(self.page_bounds, dsts, side="right") - 1
         for page, (page_dsts, page_rows) in self._split_by_page(pages, [dsts, rows]):
-            entry = self._pin(page)
-            try:
-                self._kernels.fold_page(
-                    self, entry, indices[page_rows], page_dsts - self.page_bounds[page]
-                )
-                with self._lock:
-                    self._dirty.add(page)
-            finally:
-                self._unpin(page)
+            self._fold_page_native(page, indices[page_rows], page_dsts)
+
+    def _fold_page_native(self, page: int, indices: np.ndarray, dsts: np.ndarray) -> None:
+        """Pin ``page`` and fold its (global) destinations' updates into it."""
+        entry = self._pin(page)
+        try:
+            self._kernels.fold_page(self, entry, indices, dsts - self.page_bounds[page])
+            with self._lock:
+                self._dirty.add(page)
+        finally:
+            self._unpin(page)
 
     # The fold entry points are the parent's.  They are bound on this
     # class as well because bench/trace.py patches them per class and

@@ -25,6 +25,7 @@ from repro.sketch.flat_node_sketch import (
     columnar_fold,
     fold_hashed,
     fold_scratch_bytes,
+    hash_depths_checksums,
 )
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.tensor_pool import NodeTensorPool
@@ -317,3 +318,235 @@ def test_scratch_arena_bounded_by_largest_batch():
     # Two (K, S) uint64 hash matrices are all the largest batch needs.
     largest = 2 * int(sizes.max()) * pool.num_slots * 8
     assert 0 < arena_bytes[0] <= 2 * largest
+
+
+# ----------------------------------------------------------------------
+# the compiled two-phase loop: block edges, narrow geometries, every
+# entry point, against the scalar reference and the numpy pool
+# ----------------------------------------------------------------------
+BLOCK_EDGE_SIZES = (1, 255, 256, 257, 513)
+
+
+def _pool_buckets(pool):
+    """A pool's non-zero buckets as the reference's ``{offset: (alpha, gamma)}``."""
+    alpha, gamma = (np.asarray(t, dtype=np.uint64).reshape(-1) for t in pool.raw_tensors())
+    hit = np.flatnonzero((alpha != 0) | (gamma != 0))
+    return dict(zip(hit.tolist(), zip(alpha[hit].tolist(), gamma[hit].tolist())))
+
+
+def _round_major(pool):
+    def locate(dst, slot):
+        round_index, col = divmod(slot, pool.num_columns)
+        return ((round_index * pool.num_nodes + dst) * pool.num_columns + col) * pool.num_rows
+
+    return locate
+
+
+def _expected_buckets(pool, indices, dsts, edge_rows):
+    depths, checksums = hash_depths_checksums(
+        indices, pool._mixed_membership, pool._mixed_checksum, pool.num_rows
+    )
+    return depths, reference_fold(
+        indices, depths, checksums, pool.num_rows, dsts, edge_rows, _round_major(pool)
+    )
+
+
+def _random_pairs(num_nodes, count, rng):
+    lo = rng.integers(0, num_nodes - 1, count)
+    return lo, lo + 1 + rng.integers(0, num_nodes - 1 - lo)
+
+
+def _make_pool(paged, num_nodes, kernels, force_wide):
+    encoder = EdgeEncoder(num_nodes)
+    if not paged:
+        return NodeTensorPool(
+            num_nodes, encoder, graph_seed=77, force_wide=force_wide, kernels=kernels
+        )
+    # Five-node pages over 21 nodes: the tail page owns one node.
+    return PagedTensorPool(
+        num_nodes, encoder, memory=HybridMemory(ram_bytes=1 << 20), graph_seed=77,
+        force_wide=force_wide, nodes_per_page=5, kernels=kernels,
+    )
+
+
+@pytest.mark.parametrize("force_wide", [False, True])
+@pytest.mark.parametrize("paged", [False, True])
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
+def test_native_fold_block_edges(native_provider, size, paged, force_wide):
+    """Batches one short of, at and one past a whole number of hash blocks."""
+    num_nodes = 21
+    rng = np.random.default_rng(size)
+    lo, hi = _random_pairs(num_nodes, size, rng)
+    native = _make_pool(paged, num_nodes, native_provider, force_wide)
+    numpy_pool = _make_pool(False, num_nodes, None, force_wide)
+    indices = native.encoder.encode_canonical_pairs(lo, hi)
+    # fold_pool_edges (flat) / the grouped multi-page path (paged) ...
+    native.apply_edges(lo, hi, indices)
+    numpy_pool.apply_edges(lo, hi, indices)
+    # ... fold_pool / fold_page with a page-local column, tail page included.
+    columns = [
+        np.flatnonzero((lo >= page_lo) & (lo < page_lo + 5))[::2]
+        for page_lo in range(0, num_nodes, 5)
+    ]
+    for column in columns:
+        native.apply_updates(lo[column], indices[column])
+        numpy_pool.apply_updates(lo[column], indices[column])
+    tail = np.full(size, num_nodes - 1)
+    native.apply_updates(tail, indices)
+    numpy_pool.apply_updates(tail, indices)
+
+    assert _pool_buckets(native) == _pool_buckets(numpy_pool)
+    if size <= 257:  # the scalar reference is a Python triple loop
+        column = np.concatenate(columns)
+        dsts = np.concatenate([lo, hi, lo[column], tail])
+        edge_rows = np.concatenate([np.tile(np.arange(size), 2), column, np.arange(size)])
+        _, expected = _expected_buckets(native, indices, dsts, edge_rows)
+        assert _pool_buckets(native) == expected
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
+def test_native_fold_bundle_block_edges(native_provider, size):
+    """``fold_bundle``: one destination, no ``dsts`` array at all."""
+    from repro.sketch.flat_node_sketch import FlatNodeSketch
+
+    encoder = EdgeEncoder(40)
+    indices = np.random.default_rng(size).integers(
+        0, encoder.vector_length, size, dtype=np.uint64
+    )
+    native = FlatNodeSketch(3, encoder, graph_seed=5, kernels=native_provider)
+    reference = FlatNodeSketch(3, encoder, graph_seed=5)
+    native.apply_indices(indices)
+    reference.apply_indices(indices)
+    assert np.array_equal(native._alpha, reference._alpha)
+    assert np.array_equal(native._gamma, reference._gamma)
+
+
+@pytest.mark.parametrize("force_wide", [False, True])
+@pytest.mark.parametrize("num_nodes, num_rows", [(2, 3), (3, 5)])
+def test_native_fold_narrow_geometry(native_provider, num_nodes, num_rows, force_wide):
+    """Fewer rows than the unrolled head, and the depth clamp at ``num_rows``."""
+    rng = np.random.default_rng(num_nodes)
+    lo, hi = _random_pairs(num_nodes, 301, rng)
+    native = _make_pool(False, num_nodes, native_provider, force_wide)
+    numpy_pool = _make_pool(False, num_nodes, None, force_wide)
+    assert native.num_rows == num_rows
+    indices = native.encoder.encode_canonical_pairs(lo, hi)
+    for pool in (native, numpy_pool):
+        pool.apply_edges(lo, hi, indices)
+        pool.apply_updates(hi[::3], indices[::3])
+    dsts = np.concatenate([lo, hi, hi[::3]])
+    edge_rows = np.concatenate([np.tile(np.arange(301), 2), np.arange(301)[::3]])
+    depths, expected = _expected_buckets(native, indices, dsts, edge_rows)
+    assert (depths == num_rows).any()  # some hash reached (or passed) the last row
+    assert _pool_buckets(native) == expected == _pool_buckets(numpy_pool)
+
+
+def test_native_fold_same_bucket_twice_in_one_block(native_provider):
+    """Two updates of one block hitting the same bucket must both land."""
+    pool = _make_pool(False, 21, native_provider, False)
+    indices = pool.encoder.encode_canonical_pairs(np.array([4, 4]), np.array([9, 17]))
+    pool.apply_updates(np.array([4, 4]), indices)
+    row0 = pool.raw_tensors()[0][:, 4, :, 0]
+    assert (row0 == np.uint64(int(indices[0]) ^ int(indices[1]))).all()
+    dsts = np.full(300, 4)
+    many = pool.encoder.encode_canonical_pairs(dsts, 5 + np.arange(300) % 16)
+    pool.apply_updates(dsts, many)
+    _, expected = _expected_buckets(
+        pool, np.concatenate([indices, many]), np.full(302, 4), np.arange(302)
+    )
+    assert _pool_buckets(pool) == expected
+
+
+def test_fold_shard_on_two_threads_gives_the_serial_bytes(native_provider):
+    """Disjoint shards share nothing: not the pool rows, not the hash scratch."""
+    num_nodes, half = 64, 32
+    rng = np.random.default_rng(21)
+    dsts = rng.integers(0, num_nodes, 40_000)
+    indices = rng.integers(0, num_nodes * num_nodes, 40_000).astype(np.uint64)
+    shards = [(dsts < half, 0, half), (dsts >= half, half, num_nodes)]
+    serial = _make_pool(False, num_nodes, native_provider, False)
+    threaded = _make_pool(False, num_nodes, native_provider, False)
+    start = threading.Barrier(2)
+
+    def fold(mask, node_lo, node_hi):
+        start.wait(timeout=60)
+        for _ in range(5):
+            threaded.fold_shard(dsts[mask], indices[mask], node_lo, node_hi)
+
+    workers = [threading.Thread(target=fold, args=shard) for shard in shards]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    for mask, node_lo, node_hi in shards:
+        serial.fold_shard(dsts[mask], indices[mask], node_lo, node_hi)
+    assert serial._buckets.any()
+    assert np.array_equal(serial._buckets, threaded._buckets)
+
+
+# ----------------------------------------------------------------------
+# the five C entry points over synthetic buffers: any num_rows >= 1,
+# and no word outside the addressed columns is ever written
+# ----------------------------------------------------------------------
+C_ENTRY_POINTS = ("packed", "wide", "sep64", "bundle", "edges_packed", "edges_wide")
+
+
+@pytest.mark.parametrize("count", [0, 1, 256, 700])
+@pytest.mark.parametrize("num_rows", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("entry", C_ENTRY_POINTS)
+def test_c_fold_entry_points_stay_inside_their_columns(native_provider, entry, num_rows, count):
+    if native_provider.name != "cc":
+        pytest.skip("drives the C library's entry points")
+    from repro.kernels.native_cc import _i64, _u32, _u64
+
+    lib = native_provider._lib
+    num_slots, num_dsts = 3, 1 if entry == "bundle" else 4
+    rng = np.random.default_rng(num_rows * 1000 + count)
+    mm, mc = rng.integers(1, 1 << 63, (2, num_slots)).astype(np.uint64)
+    # Only even segments are addressed: every column is followed by a
+    # whole column of canary words that must stay zero.
+    offsets = 2 * np.arange(num_slots, dtype=np.int64)
+    stride = 2 * num_slots
+    words = num_dsts * stride * num_rows
+    index_bits = 32 if "packed" in entry else 40
+    indices = rng.integers(0, 1 << index_bits, count).astype(np.uint64)
+    lo = rng.integers(0, num_dsts, count).astype(np.int64)
+    hi = rng.integers(0, num_dsts, count).astype(np.int64)
+    tail = (count, _u64(mm), _u64(mc), num_slots, num_rows, stride, _i64(offsets))
+    alpha = np.zeros(words, dtype=np.uint64)
+    gamma = np.zeros(words, dtype=np.uint32 if "wide" in entry else np.uint64)
+    gamma_ptr = _u32(gamma) if "wide" in entry else _u64(gamma)
+    if entry == "packed":
+        lib.repro_fold_packed(_u64(alpha), _u64(indices), _i64(lo), *tail)
+    elif entry == "edges_packed":
+        lib.repro_fold_edges_packed(_u64(alpha), _u64(indices), _i64(lo), _i64(hi), *tail)
+    elif entry == "wide":
+        lib.repro_fold_wide(_u64(alpha), gamma_ptr, _u64(indices), _i64(lo), *tail)
+    elif entry == "edges_wide":
+        lib.repro_fold_edges_wide(
+            _u64(alpha), gamma_ptr, _u64(indices), _i64(lo), _i64(hi), *tail
+        )
+    else:
+        dsts = None if entry == "bundle" else _i64(lo)
+        lib.repro_fold_sep64(_u64(alpha), gamma_ptr, _u64(indices), dsts, *tail)
+
+    if "packed" in entry:
+        alpha, gamma = alpha >> _SHIFT32, alpha & _LOW32
+    columns = [plane.reshape(num_dsts * num_slots, 2, num_rows) for plane in (alpha, gamma)]
+    assert not any(plane[:, 1].any() for plane in columns)  # the canaries
+    if entry == "bundle":
+        lo = np.zeros(count, dtype=np.int64)
+    mirrored = entry.startswith("edges")
+    depths, checksums = hash_depths_checksums(indices, mm, mc, num_rows)
+    expected = reference_fold(
+        indices, depths, checksums, num_rows,
+        np.concatenate([lo, hi]) if mirrored else lo,
+        np.tile(np.arange(count), 2 if mirrored else 1),
+        lambda dst, slot: (dst * stride + int(offsets[slot])) * num_rows,
+    )
+    hit = np.flatnonzero((alpha != 0) | (gamma != 0))
+    got = dict(zip(hit.tolist(), zip(alpha[hit].tolist(), gamma[hit].tolist())))
+    assert got == expected
+    if count >= 256:
+        assert (depths == num_rows).any() and (depths == 1).any()

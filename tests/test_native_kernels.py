@@ -17,6 +17,7 @@ supported configuration and its suite must stay green.
 from __future__ import annotations
 
 import copy
+import os
 import pickle
 
 import numpy as np
@@ -425,3 +426,94 @@ def test_health_reports_resolved_backend():
     assert engine.health()["kernel_backend"] == NATIVE.name
     numpy_engine = GraphZeppelin(32, GraphZeppelinConfig())
     assert numpy_engine.health()["kernel_backend"] == "numpy"
+
+
+# ----------------------------------------------------------------------
+# the C build: cache key, and the portable flavour of every kernel
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def portable_build(tmp_path_factory):
+    """``(provider, cache)``: the library a compiler without ``-march=native`` gives.
+
+    Built into its own ``REPRO_KERNEL_CACHE`` through a ``$CC`` wrapper
+    that fails on ``-march=native`` the way a cross compiler does, so
+    ``_build_library`` takes its fallback branch.
+    """
+    from repro.kernels import native_cc
+
+    compiler = native_cc.find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler")
+    root = tmp_path_factory.mktemp("portable")
+    wrapper = root / "cc-without-march-native"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        'for arg in "$@"; do\n'
+        '  if [ "$arg" = "-march=native" ]; then\n'
+        '    echo "error: unsupported option -march=native" >&2; exit 1\n'
+        "  fi\n"
+        "done\n"
+        f'exec "{compiler}" "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    cache = root / "cache"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("CC", str(wrapper))
+        patch.setenv("REPRO_KERNEL_CACHE", str(cache))
+        provider = native_cc.CcKernels()
+    return provider, cache
+
+
+def test_build_flavours_get_their_own_cache_paths(portable_build, monkeypatch):
+    from repro.kernels import native_cc
+
+    provider, cache = portable_build
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache))
+    portable, native = native_cc._library_path(False), native_cc._library_path(True)
+    assert portable != native
+    # The wrapper's build is the portable one and published nothing else.
+    assert provider._lib._name == portable
+    assert sorted(path.name for path in cache.iterdir()) == [portable.rsplit("/", 1)[1]]
+
+    # A compiler that does take -march=native, sharing the cache, builds
+    # beside the portable library -- never over it, never loading it.
+    before = (open(portable, "rb").read(), os.stat(portable).st_mtime_ns)
+    rebuilt = native_cc.CcKernels()
+    assert (open(portable, "rb").read(), os.stat(portable).st_mtime_ns) == before
+    if os.path.exists(native):
+        assert rebuilt._lib._name == native
+    else:  # the host compiler itself has no -march=native
+        assert rebuilt._lib._name == portable
+
+    # A native build names the CPU it may run on; the portable one does not.
+    monkeypatch.setattr(native_cc, "_host_cpu_tag", lambda: "x86_64-0badcafe")
+    assert native_cc._library_path(True) not in (native, portable)
+    assert native_cc._library_path(False) == portable
+
+
+@pytest.mark.parametrize("force_wide", [False, True])
+def test_portable_build_kernels_bit_identical(portable_build, force_wide):
+    """Fold, round sample + tail and digests of the fallback build, vs numpy."""
+    from test_round_kernels import _round_trace
+
+    from repro.integrity.digest import block_digests
+
+    provider, _ = portable_build
+    num_nodes = 150
+    engine = GraphZeppelin(num_nodes, GraphZeppelinConfig(seed=5))
+    edges = _random_edges(num_nodes, 700, seed=19)
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    indices = engine.encoder.encode_canonical_pairs(lo, hi)
+    results = []
+    for kernels in (None, provider):
+        pool = NodeTensorPool(
+            num_nodes, engine.encoder, graph_seed=5, force_wide=force_wide, kernels=kernels
+        )
+        pool.apply_edges(lo, hi, indices)
+        pool.apply_updates(hi[::4], indices[::4])
+        alpha, gamma = pool.raw_tensors()
+        results.append((alpha.tolist(), gamma.tolist(), _round_trace(pool, kernels)))
+    assert results[0] == results[1]
+
+    payload = np.random.default_rng(3).bytes(40_001)
+    assert block_digests(payload, 4096, kernels=provider) == block_digests(payload, 4096)

@@ -372,3 +372,69 @@ def test_sync_failure_leaves_exactly_unwritten_pages_dirty():
     memory.fault_plan = None
     pool.sync()
     assert not pool._dirty
+
+
+# ----------------------------------------------------------------------
+# the native fold: a one-page column goes straight to its page
+# ----------------------------------------------------------------------
+def _native_paged_pair(native_provider, monkeypatch):
+    """A 5-node-page native pool over 21 nodes (one-node tail page), its
+    numpy in-RAM reference, and the list of pages ``_split_by_page`` grouped."""
+    encoder = EdgeEncoder(21)
+    paged = PagedTensorPool(
+        21, encoder, memory=HybridMemory(ram_bytes=1 << 20), graph_seed=3,
+        nodes_per_page=5, kernels=native_provider,
+    )
+    assert paged.page_span(paged.num_pages - 1) == (20, 21)
+    grouped = []
+    split = paged._split_by_page
+
+    def recording_split(pages, columns):
+        groups = split(pages, columns)
+        grouped.append([page for page, _ in groups])
+        return groups
+
+    monkeypatch.setattr(paged, "_split_by_page", recording_split)
+    return paged, NodeTensorPool(21, encoder, graph_seed=3), grouped
+
+
+@pytest.mark.parametrize(
+    "dsts", [[5, 9, 7, 5, 9], [12], [20, 20, 20]], ids=["whole-page", "one-update", "tail-page"]
+)
+def test_native_one_page_column_skips_the_grouping(native_provider, monkeypatch, dsts):
+    paged, reference, grouped = _native_paged_pair(native_provider, monkeypatch)
+    dsts = np.asarray(dsts)
+    indices = paged.encoder.encode_batch(0, 1 + np.arange(dsts.size))
+    page_lo, page_hi = paged.page_span(paged.page_of(dsts[0]))
+    paged.fold_page_batch(page_lo, page_hi, dsts, indices)
+    reference.apply_updates(dsts, indices)
+    assert grouped == []
+    assert paged.updates_applied == dsts.size
+    _assert_pools_identical(reference, paged)
+
+
+@pytest.mark.parametrize(
+    "dsts, pages",
+    [([4, 5], [0, 1]), ([9, 4, 9, 4], [0, 1]), ([19, 20], [3, 4]), ([0, 12, 20], [0, 2, 4])],
+    ids=["straddle", "straddle-unsorted", "into-tail-page", "three-pages"],
+)
+def test_native_multi_page_column_keeps_the_grouped_path(
+    native_provider, monkeypatch, dsts, pages
+):
+    paged, reference, grouped = _native_paged_pair(native_provider, monkeypatch)
+    dsts = np.asarray(dsts)
+    indices = paged.encoder.encode_batch(0, 1 + np.arange(dsts.size))
+    paged.apply_updates(dsts, indices)
+    reference.apply_updates(dsts, indices)
+    assert grouped == [pages]
+    _assert_pools_identical(reference, paged)
+
+
+def test_native_two_column_fold_keeps_the_grouped_path(native_provider, monkeypatch):
+    paged, reference, grouped = _native_paged_pair(native_provider, monkeypatch)
+    lo, hi = np.array([5, 6, 7]), np.array([8, 9, 9])  # both endpoints in page 1
+    indices = paged.encoder.encode_canonical_pairs(lo, hi)
+    paged.apply_edges(lo, hi, indices)
+    reference.apply_edges(lo, hi, indices)
+    assert grouped == [[1]]
+    _assert_pools_identical(reference, paged)
