@@ -97,7 +97,9 @@ def test_cc_query_latency_ledger():
             engine.num_nodes,
             engine.num_rounds,
             engine.encoder,
-            engine._component_cut_sample,
+            lambda round_index, members: engine.tensor_pool.query_merged(
+                members, round_index
+            ),
         ),
         QUERY_REPS,
     )

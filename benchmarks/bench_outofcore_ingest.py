@@ -1,35 +1,28 @@
-"""Out-of-core ingest benchmark: paged-columnar vs seed per-node store.
+"""Out-of-core ingest benchmark: the paged pool against the in-RAM pool.
 
 The repo's performance ledger for the out-of-core engine (ISSUE 4).
-Three engines ingest the same random stream through the same user API
+Two engines ingest the same random stream through the same user API
 (`ingest_batch` chunks, then `flush`):
 
-* ``in-RAM columnar``: no RAM budget -- the reference both out-of-core
-  rows must stay **bit-identical** to (same forest, same bucket
-  tensors under the same seed);
+* ``in-RAM columnar``: no RAM budget -- the reference the out-of-core
+  row must stay **bit-identical** to (same forest, same bucket tensors
+  under the same seed);
 * ``paged columnar``: ``ram_budget_bytes`` set, the
   :class:`~repro.sketch.paged_pool.PagedTensorPool` -- node-group
   pages through the hybrid memory, page-coalesced buffering, combined
-  fold kernel;
-* ``per-node blob store``: the same RAM budget through the seed
-  per-node ``SketchStore`` design
-  (``config.out_of_core_pool = "per_node"``): one serialised
-  ``FlatNodeSketch`` payload per node, per-node gutters, one blob
-  round trip per emitted batch.
+  fold kernel.
 
 The RAM budget is an eighth of the sketch-state bytes, which leaves
 well over half of the pages spilled to the simulated SSD (the spill
 fraction is recorded and asserted >= 50%).  The workload is the
 out-of-core regime the paper's Figures 12/15 target: a graph whose
-node universe dwarfs the buffered updates per node, so the per-node
-path pays a kernel invocation and a blob round trip for every touched
-node while the paged path folds whole mixed-node columns.
+node universe dwarfs the buffered updates per node.
 
-Acceptance (full scale, ISSUE 4): paged-columnar ingest >= 5x the
-per-node store's update rate, with strictly fewer block-device I/Os
-per flushed update and a forest bit-identical to the in-RAM engine.
-Smoke mode (``REPRO_BENCH_SMOKE=1``, CI) shrinks the workload and only
-requires paged >= per-node plus the identity/IO properties.
+Acceptance: a forest and bucket tensors bit-identical to the in-RAM
+engine at >= 50% spill.  (The seed design's per-node blob store, which
+the committed ledger's third row and its 5x floor measured, was retired
+in PR 18.)  Smoke mode (``REPRO_BENCH_SMOKE=1``, CI) shrinks the
+workload.
 """
 
 from __future__ import annotations
@@ -57,9 +50,6 @@ NUM_EDGES = 2_000 if SMOKE else 20_000
 #: Ingest chunk handed to ``ingest_batch`` (the buffering layer sits
 #: behind it either way).
 CHUNK = 1_000 if SMOKE else 4_000
-#: Required paged-over-per-node speedup (ISSUE 4: >= 5x at full scale;
-#: smoke only requires parity -- tiny workloads under-amortise pages).
-MIN_SPEEDUP = 1.0 if SMOKE else 5.0
 #: Required spill: at least half the pages must not fit the working set.
 MIN_SPILL_FRACTION = 0.5
 
@@ -75,9 +65,7 @@ def _ram_budget() -> int:
 def _config(kind: str) -> GraphZeppelinConfig:
     if kind == "in_ram":
         return GraphZeppelinConfig(seed=SEED)
-    return GraphZeppelinConfig(
-        seed=SEED, ram_budget_bytes=_ram_budget(), out_of_core_pool=kind
-    )
+    return GraphZeppelinConfig(seed=SEED, ram_budget_bytes=_ram_budget())
 
 
 def _ingest(kind: str, edges: np.ndarray) -> GraphZeppelin:
@@ -103,7 +91,7 @@ def test_outofcore_ingest_ledger():
     edges = random_multigraph_edges(NUM_NODES, NUM_EDGES, seed=5)
     count = int(edges.shape[0])
 
-    specs = ["in_ram", "paged", "per_node"]
+    specs = ["in_ram", "paged"]
     engines = {}
 
     def on_result(kind: str, rep: int, engine: GraphZeppelin) -> None:
@@ -118,7 +106,7 @@ def test_outofcore_ingest_ledger():
         on_result=on_result,
     )
 
-    # Correctness half of the ledger: both out-of-core engines answer
+    # Correctness half of the ledger: the out-of-core engine answers
     # with the in-RAM forest, and the paged pool's bucket tensors are
     # bit-identical to the in-RAM pool's.
     reference_forest = engines["in_ram"].list_spanning_forest().partition_signature()
@@ -126,23 +114,15 @@ def test_outofcore_ingest_ledger():
         engines["paged"].list_spanning_forest().partition_signature()
         == reference_forest
     )
-    per_node_matches = (
-        engines["per_node"].list_spanning_forest().partition_signature()
-        == reference_forest
-    )
 
     page_info = engines["paged"].tensor_pool.page_stats()
     spill_fraction = 1.0 - page_info["resident_budget"] / page_info["num_pages"]
-    io_per_update = {
-        kind: engines[kind].io_stats.total_ios / count
-        for kind in ("paged", "per_node")
-    }
+    io_per_update = engines["paged"].io_stats.total_ios / count
 
     rows = []
     for kind, label in [
         ("in_ram", "in-RAM columnar (reference)"),
         ("paged", "paged columnar (PagedTensorPool)"),
-        ("per_node", "per-node blob store (seed design)"),
     ]:
         seconds = medians[kind]
         row = {
@@ -152,16 +132,11 @@ def test_outofcore_ingest_ledger():
         }
         if kind != "in_ram":
             row["block_ios"] = engines[kind].io_stats.total_ios
-            row["ios_per_update"] = round(io_per_update[kind], 3)
+            row["ios_per_update"] = round(io_per_update, 3)
             row["modelled_io_seconds"] = round(
                 engines[kind].io_stats.modelled_seconds, 3
             )
         rows.append(row)
-    speedup = rows[1]["updates_per_sec"] / rows[2]["updates_per_sec"]
-    for row in rows:
-        row["speedup_vs_per_node"] = round(
-            row["updates_per_sec"] / rows[2]["updates_per_sec"], 2
-        )
 
     print_table(
         render_table(
@@ -188,28 +163,15 @@ def test_outofcore_ingest_ledger():
         "timing_reps": TIMING_REPS,
         "rows": rows,
         "paged_bit_identical_to_in_ram": paged_identical,
-        "per_node_forest_matches": per_node_matches,
-        "paged_speedup_vs_per_node": round(speedup, 2),
-        "min_speedup_required": MIN_SPEEDUP,
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULTS_PATH}")
 
-    # Acceptance: bit-identical answers, >= 50% spill, strictly fewer
-    # block I/Os per flushed update, and the speedup floor.
+    # Acceptance: bit-identical answers at >= 50% spill.
     assert paged_identical, "paged pool diverged from the in-RAM reference"
-    assert per_node_matches, "per-node baseline diverged from the reference"
     assert spill_fraction >= MIN_SPILL_FRACTION, (
         f"workload only spills {spill_fraction:.0%} of pages; "
         "tighten the RAM budget"
-    )
-    assert io_per_update["paged"] < io_per_update["per_node"], (
-        "paged path must issue strictly fewer block I/Os per flushed update "
-        f"({io_per_update['paged']:.3f} vs {io_per_update['per_node']:.3f})"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"paged columnar ingest reached only {speedup:.2f}x the per-node "
-        f"store (required {MIN_SPEEDUP}x)"
     )
 
 

@@ -1,6 +1,6 @@
 """Parallel-ingest benchmark: sharded columnar workers vs serial columnar.
 
-The repo's performance ledger for the parallel layer.  Five paths over
+The repo's performance ledger for the parallel layer.  Four paths over
 the same random multi-graph stream:
 
 * ``serial columnar``: single-threaded ``ingest_batch`` -- the baseline
@@ -9,10 +9,7 @@ the same random multi-graph stream:
   :class:`~repro.parallel.graph_workers.ShardedIngestor` pipeline
   (partition + per-shard folds) on the thread backend;
 * ``sharded processes`` at 4 workers: pool tensors in shared memory,
-  worker processes attached by name;
-* ``legacy worker pool``: the seed design (per-node batches through
-  per-node locks), measured on a slice of the stream and extrapolated,
-  kept as the reference for how far the layer has come.
+  worker processes attached by name.
 
 Every sharded row is checked for a **bit-identical** spanning forest
 (and pool tensors) against the serial baseline, recorded per backend as
@@ -44,8 +41,7 @@ from repro.core.config import GraphZeppelinConfig
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.generators.random_graphs import random_multigraph_edges
 from repro.parallel.cost_model import usable_cores
-from repro.parallel.graph_workers import ParallelIngestor, ShardedIngestor
-from repro.types import EdgeUpdate, UpdateType
+from repro.parallel.graph_workers import ShardedIngestor
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -60,8 +56,6 @@ NUM_EDGES = 6_000 if SMOKE else 60_000
 #: fold, a single core has nothing left to win.  Absolute rates live in
 #: the ledger.
 MIN_SPEEDUP = 1.0
-#: Stream slice for the (slow) legacy reference row.
-LEGACY_SLICE = 1_000 if SMOKE else 5_000
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
@@ -81,8 +75,7 @@ def _engine() -> GraphZeppelin:
 
 def _release(engine: GraphZeppelin) -> None:
     """Free an engine's (possibly shared-memory) pool between rows."""
-    if engine.tensor_pool is not None:
-        engine.tensor_pool.release_shared()
+    engine.tensor_pool.release_shared()
 
 
 def _pools_equal(a: GraphZeppelin, b: GraphZeppelin) -> bool:
@@ -115,23 +108,12 @@ def test_parallel_ingest_ledger():
 
         return run
 
-    def legacy():
-        engine = _engine()
-        stream = [
-            EdgeUpdate(int(u), int(v), UpdateType.INSERT)
-            for u, v in edges[:LEGACY_SLICE].tolist()
-        ]
-        with ParallelIngestor(engine, num_workers=4) as ing:
-            ing.ingest(stream)
-        return engine
-
     specs = [
         ("serial columnar (ingest_batch)", count, serial),
         ("sharded threads x1", count, sharded("threads", 1)),
         ("sharded threads x2", count, sharded("threads", 2)),
         ("sharded threads x4", count, sharded("threads", 4)),
         ("sharded processes x4", count, sharded("processes", 4)),
-        ("legacy worker pool x4", LEGACY_SLICE, legacy),
     ]
 
     # Bit-identity of every sharded engine against the serial baseline

@@ -1,7 +1,6 @@
 """The paged out-of-core engine: columnar ingest past the RAM budget.
 
-Since PR 4 a RAM-budgeted GraphZeppelin no longer falls back to a
-per-node blob store: sketch state lives in a
+A RAM-budgeted GraphZeppelin keeps its sketch state in a
 :class:`~repro.sketch.paged_pool.PagedTensorPool` -- the round-major
 bucket tensors partitioned into node-group *pages* (whole device
 blocks each) behind the hybrid-memory substrate.  Buffered updates are
@@ -10,13 +9,11 @@ pin; connectivity queries assemble each Boruvka round's slab with
 partial-range reads and run the same vectorized whole-round driver the
 in-RAM engine uses.
 
-This example ingests one stream three ways -- in RAM, paged
-out-of-core, and the seed per-node blob store kept as the reference
-(``out_of_core_pool="per_node"``) -- then shows:
+This example ingests one stream two ways -- in RAM and paged
+out-of-core -- then shows:
 
-* bit-identical spanning forests across all three,
+* bit-identical spanning forests across both,
 * the paged pool's page geometry and working-set telemetry,
-* the block-I/O gap between paging node groups and paging nodes,
 * page-affine sharded parallel ingest over the paged pool.
 
 Run with:  python examples/out_of_core_paged.py
@@ -60,18 +57,11 @@ def main() -> None:
     paged, paged_s, paged_forest = ingest(
         GraphZeppelinConfig(seed=SEED, ram_budget_bytes=budget), edges
     )
-    per_node, per_node_s, per_node_forest = ingest(
-        GraphZeppelinConfig(
-            seed=SEED, ram_budget_bytes=budget, out_of_core_pool="per_node"
-        ),
-        edges,
-    )
 
     rows = []
     for name, engine, seconds in [
         ("in RAM (NodeTensorPool)", in_ram, in_ram_s),
         ("SSD, paged (PagedTensorPool)", paged, paged_s),
-        ("SSD, per-node blobs (seed design)", per_node, per_node_s),
     ]:
         stats = engine.io_stats
         rows.append(
@@ -83,14 +73,10 @@ def main() -> None:
                 "modelled_io_s": f"{stats.modelled_seconds:.2f}" if stats else "-",
             }
         )
-    print(render_table(rows, title="Out-of-core ingest: pages vs per-node blobs"))
+    print(render_table(rows, title="Out-of-core ingest: in RAM vs paged"))
 
-    assert (
-        in_ram_forest.partition_signature()
-        == paged_forest.partition_signature()
-        == per_node_forest.partition_signature()
-    )
-    print("\nAll three engines return the same spanning forest "
+    assert in_ram_forest.partition_signature() == paged_forest.partition_signature()
+    print("\nBoth engines return the same spanning forest "
           f"({in_ram_forest.num_components} components).")
 
     info = paged.tensor_pool.page_stats()
@@ -118,8 +104,7 @@ def main() -> None:
     )
     print(
         f"\nPage-affine sharded ingest (threads x{ingestor.effective_workers}): "
-        f"{format_rate(edges.shape[0] / sharded_s)} -- same forest, no legacy "
-        "worker pool anywhere."
+        f"{format_rate(edges.shape[0] / sharded_s)} -- same forest."
     )
 
 

@@ -23,7 +23,6 @@ setup(
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.24"],
     extras_require={
-        "native": ["numba>=0.59"],
         "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy", "networkx"],
     },
     entry_points={

@@ -30,7 +30,6 @@ from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.generators.datasets import DATASET_SPECS, Dataset, load_dataset
 from repro.parallel.cost_model import ThreadScalingModel
-from repro.parallel.graph_workers import ParallelIngestor
 from repro.sketch.cubesketch import CubeSketch
 from repro.sketch.sizes import cubesketch_size_bytes, standard_l0_size_bytes
 from repro.sketch.standard_l0 import StandardL0Sketch
@@ -347,8 +346,8 @@ def thread_scaling_experiment(
             dataset.num_nodes, config=GraphZeppelinConfig(seed=seed)
         )
         start = time.perf_counter()
-        with ParallelIngestor(engine, num_workers=num_workers) as ingestor:
-            ingestor.ingest(dataset.stream)
+        with engine.parallel_ingestor(num_workers=num_workers) as ingestor:
+            ingestor.ingest_stream(dataset.stream.edge_array_chunks())
         elapsed = max(time.perf_counter() - start, 1e-9)
         rate = len(dataset.stream) / elapsed
         if num_workers == 1 or single_thread_rate is None:

@@ -1,10 +1,15 @@
-"""Common types and interface for the buffering layer."""
+"""Common types and interface for the buffering layer.
+
+Both gutter structures key their buffers by node-group *page* (a
+contiguous node range; one node per page unless the caller passes
+``page_bounds``) and emit one batch type, :class:`PageBatch`.
+"""
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -14,46 +19,10 @@ BYTES_PER_BUFFERED_UPDATE = 8
 
 
 @dataclass(slots=True)
-class Batch:
-    """A batch of buffered updates bound for a single graph node.
-
-    ``node`` is the node whose sketch the batch must be applied to, and
-    ``neighbors`` lists the other endpoint of each buffered edge update
-    (duplicates are legal: an edge inserted and later deleted appears
-    twice and cancels inside the Z_2 sketch).
-
-    .. deprecated:: PR 4
-        Per-node batches are no longer the buffering hot path: engines
-        holding a tensor pool (in-RAM or paged) buffer per node-group
-        *page* and emit :class:`PageBatch` mixed-node columns instead.
-        ``Batch`` remains the emission unit only for the **legacy**
-        sketch backend's per-node object store (and its worker pool).
-    """
-
-    node: int
-    neighbors: List[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.neighbors)
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.neighbors) * BYTES_PER_BUFFERED_UPDATE
-
-    @property
-    def lock_key(self) -> Tuple[str, int]:
-        """Serialisation key for the legacy worker pool's per-target locks."""
-        return ("node", self.node)
-
-
-@dataclass(slots=True)
 class PageBatch:
     """A batch of buffered updates bound for one node-group page.
 
-    The page-mode emission unit: a *mixed-node* update column -- update
+    The gutters' emission unit: a *mixed-node* update column -- update
     ``i`` toggles edge ``{dsts[i], neighbors[i]}`` in ``dsts[i]``'s
     sketch -- whose destinations all fall inside the page's node range
     ``[node_lo, node_hi)``.  The engine folds the whole column through
@@ -75,31 +44,26 @@ class PageBatch:
     def size_bytes(self) -> int:
         return len(self) * BYTES_PER_BUFFERED_UPDATE
 
-    @property
-    def lock_key(self) -> Tuple[str, int]:
-        """Serialisation key for the legacy worker pool's per-target locks."""
-        return ("page", self.page)
-
 
 class BufferingSystem(abc.ABC):
     """Interface shared by the leaf-only gutters and the gutter tree."""
 
     @abc.abstractmethod
-    def insert(self, u: int, v: int) -> List[Batch]:
+    def insert(self, u: int, v: int) -> List[PageBatch]:
         """Buffer the update ``{u, v}`` for node ``u``.
 
         Returns the (possibly empty) list of batches that became full as
-        a result and must now be handed to a Graph Worker.  The caller
+        a result and must now be folded into the sketches.  The caller
         is responsible for also inserting the mirrored update
         ``(v, u)`` -- ``edge_update`` in the engine does both.
         """
 
     @abc.abstractmethod
-    def flush_all(self) -> List[Batch]:
+    def flush_all(self) -> List[PageBatch]:
         """Empty every buffer, returning all remaining non-empty batches."""
 
     @abc.abstractmethod
-    def restore(self, batches: List[Batch]) -> None:
+    def restore(self, batches: List[PageBatch]) -> None:
         """Put emitted-but-unapplied batches back into the buffers.
 
         The engine's failure-atomic flush depends on this:
@@ -120,13 +84,13 @@ class BufferingSystem(abc.ABC):
     def capacity_per_node(self) -> int:
         """Updates a single node's gutter holds before it is emitted."""
 
-    def insert_edge(self, u: int, v: int) -> List[Batch]:
+    def insert_edge(self, u: int, v: int) -> List[PageBatch]:
         """Buffer both directions of an edge update (the public entry point)."""
         batches = self.insert(u, v)
         batches.extend(self.insert(v, u))
         return batches
 
-    def insert_batch(self, dsts, neighbors) -> List[Batch]:
+    def insert_batch(self, dsts, neighbors) -> List[PageBatch]:
         """Buffer a column of single-direction updates at once.
 
         ``dsts[i]`` receives the update ``{dsts[i], neighbors[i]}``; the
@@ -134,7 +98,7 @@ class BufferingSystem(abc.ABC):
         array in one call.  The base implementation loops; the concrete
         buffering structures override it with vectorised grouping.
         """
-        batches: List[Batch] = []
+        batches: List[PageBatch] = []
         for u, v in zip(dsts, neighbors):
             batches.extend(self.insert(int(u), int(v)))
         return batches
@@ -164,8 +128,7 @@ def group_update_columns(
     """Yield ``(key, column_chunks)`` groups of parallel update columns.
 
     One stable argsort of ``keys``, then contiguous segments -- the
-    single grouping pass behind every vectorised buffering insert,
-    whether keyed per destination node or per node-group page.
+    single grouping pass behind every vectorised buffering insert.
     """
     if keys.size == 0:
         return
@@ -181,14 +144,6 @@ def group_update_columns(
         yield int(sorted_keys[start]), tuple(
             column[start:end] for column in sorted_columns
         )
-
-
-def group_by_destination(
-    dsts: np.ndarray, neighbors: np.ndarray
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(node, neighbor_chunk)`` groups of an update column."""
-    for node, (chunk,) in group_update_columns(dsts, neighbors):
-        yield node, chunk
 
 
 def page_of_nodes(nodes: np.ndarray, page_bounds: np.ndarray) -> np.ndarray:

@@ -22,11 +22,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.buffering.base import (
     BYTES_PER_BUFFERED_UPDATE,
-    Batch,
     BufferingSystem,
     PageBatch,
     as_update_columns,
@@ -76,13 +75,10 @@ class GutterTree(BufferingSystem):
         Children per internal vertex; the default follows
         ``buffer_bytes / flush_block_bytes``.
     page_bounds:
-        Optional node-group page boundaries.  When given, the leaves
-        are per-*page* gutters emitting
-        :class:`~repro.buffering.base.PageBatch` mixed-node columns
-        (capacity scaled by the page's node count) -- the tensor-pool
-        engines' emission mode.  Without it the leaves are the seed
-        design's per-node gutters emitting per-node ``Batch`` objects,
-        kept for the legacy sketch backend.
+        Node-group page boundaries: the leaves are per-*page* gutters
+        emitting :class:`~repro.buffering.base.PageBatch` mixed-node
+        columns (capacity scaled by the page's node count).  Defaults
+        to one-node pages.
     """
 
     def __init__(
@@ -112,15 +108,16 @@ class GutterTree(BufferingSystem):
         self._buffer_capacity = max(1, buffer_bytes // BYTES_PER_BUFFERED_UPDATE)
         self._leaf_capacity = gutter_capacity_updates(node_sketch_bytes, leaf_fraction)
         self._bounds = (
-            np.asarray(page_bounds, dtype=np.int64) if page_bounds is not None else None
+            np.asarray(page_bounds, dtype=np.int64)
+            if page_bounds is not None
+            else np.arange(self.num_nodes + 1, dtype=np.int64)
         )
         # Python-list twin of the bounds: the leaf-flush loop maps one
         # node per update, and bisect on a list is ~10x cheaper than a
         # scalar numpy searchsorted call.
-        self._bounds_list = self._bounds.tolist() if self._bounds is not None else None
+        self._bounds_list = self._bounds.tolist()
 
-        #: leaf page -> (destination list, neighbor list); per-node mode
-        #: uses the node id as the page id.
+        #: leaf page -> (destination list, neighbor list)
         self._leaf_gutters: Dict[int, Tuple[List[int], List[int]]] = {}
         self._pending = 0
         self._root = self._build_tree()
@@ -141,7 +138,7 @@ class GutterTree(BufferingSystem):
             node = node.children[0]
         return height
 
-    def insert(self, u: int, v: int) -> List[Batch]:
+    def insert(self, u: int, v: int) -> List[PageBatch]:
         self._check_node(u)
         self._check_node(v)
         self._root.buffer.append((u, v))
@@ -150,7 +147,7 @@ class GutterTree(BufferingSystem):
             return self._flush_node(self._root)
         return []
 
-    def insert_batch(self, dsts, neighbors) -> List[Batch]:
+    def insert_batch(self, dsts, neighbors) -> List[PageBatch]:
         """Buffer a whole update column at the root in one extend.
 
         The root buffer is the only structure the scalar path touches
@@ -169,46 +166,32 @@ class GutterTree(BufferingSystem):
             return self._flush_node(self._root)
         return []
 
-    def flush_all(self) -> List[Union[Batch, PageBatch]]:
+    def flush_all(self) -> List[PageBatch]:
         batches = self._flush_node(self._root, force=True)
         for page in sorted(self._leaf_gutters):
             if self._leaf_gutters[page][0]:
                 batches.append(self._emit_leaf(page))
         return batches
 
-    def restore(self, batches: List[Union[Batch, PageBatch]]) -> None:
+    def restore(self, batches: List[PageBatch]) -> None:
         # Restored updates go straight to the leaf gutters (the tree
         # stages above only exist to batch the journey down; these
         # updates already completed it once).
         for batch in batches:
-            if isinstance(batch, PageBatch):
-                page = batch.page
-                dsts: List[int] = batch.dsts.tolist()
-                neighbors: List[int] = batch.neighbors.tolist()
-            else:
-                page = batch.node
-                neighbors = list(batch.neighbors)
-                dsts = [batch.node] * len(neighbors)
-            leaf_dsts, leaf_neighbors = self._leaf_gutters.setdefault(page, ([], []))
-            leaf_dsts.extend(dsts)
-            leaf_neighbors.extend(neighbors)
-            self._pending += len(dsts)
+            leaf_dsts, leaf_neighbors = self._leaf_gutters.setdefault(
+                batch.page, ([], [])
+            )
+            leaf_dsts.extend(batch.dsts.tolist())
+            leaf_neighbors.extend(batch.neighbors.tolist())
+            self._pending += len(batch)
 
     def pending_updates(self) -> int:
         return self._pending
 
-    @property
-    def page_mode(self) -> bool:
-        return self._bounds is not None
-
     def _page_of(self, node: int) -> int:
-        if self._bounds_list is None:
-            return node
         return bisect_right(self._bounds_list, node) - 1
 
     def _leaf_capacity_for(self, page: int) -> int:
-        if self._bounds is None:
-            return self._leaf_capacity
         return self._leaf_capacity * int(self._bounds[page + 1] - self._bounds[page])
 
     # ------------------------------------------------------------------
@@ -239,10 +222,10 @@ class GutterTree(BufferingSystem):
                 break
         return root
 
-    def _flush_node(self, node: _TreeNode, force: bool = False) -> List[Batch]:
+    def _flush_node(self, node: _TreeNode, force: bool = False) -> List[PageBatch]:
         """Flush a vertex's buffer to its children (or leaf gutters)."""
         if not node.buffer:
-            batches: List[Batch] = []
+            batches: List[PageBatch] = []
             if force:
                 for child in node.children:
                     batches.extend(self._flush_node(child, force=True))
@@ -277,19 +260,16 @@ class GutterTree(BufferingSystem):
                 return child
         raise AssertionError(f"graph node {graph_node} not covered by tree vertex")
 
-    def _emit_leaf(self, page: int) -> Union[Batch, PageBatch]:
+    def _emit_leaf(self, page: int) -> PageBatch:
         dsts, neighbors = self._leaf_gutters.pop(page, ([], []))
         self._pending -= len(dsts)
-        if self._bounds is None:
-            batch: Union[Batch, PageBatch] = Batch(node=page, neighbors=neighbors)
-        else:
-            batch = PageBatch(
-                page=page,
-                node_lo=int(self._bounds[page]),
-                node_hi=int(self._bounds[page + 1]),
-                dsts=np.asarray(dsts, dtype=np.int64),
-                neighbors=np.asarray(neighbors, dtype=np.int64),
-            )
+        batch = PageBatch(
+            page=page,
+            node_lo=int(self._bounds[page]),
+            node_hi=int(self._bounds[page + 1]),
+            dsts=np.asarray(dsts, dtype=np.int64),
+            neighbors=np.asarray(neighbors, dtype=np.int64),
+        )
         if self.memory is not None:
             # Reading the leaf gutter back from disk before applying it.
             self.memory.charge_read(batch.size_bytes, sequential=True)

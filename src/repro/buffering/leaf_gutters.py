@@ -1,34 +1,28 @@
-"""Leaf-only gutters: one update buffer per node group (or per node).
+"""Leaf-only gutters: one update buffer per node group.
 
 This is the buffering structure GraphZeppelin uses when RAM is
 plentiful (``M > V * B``): gutters sized as a fraction ``f`` of the
 node-sketch size, filled directly by ``buffer_insert`` and emitted as a
 batch the moment they fill (Section 5.1).
 
-Since PR 4 the gutters are keyed by **node-group page**: with
-``page_bounds`` given, each gutter collects the mixed-node update
-column of one contiguous node range and emits a
-:class:`~repro.buffering.base.PageBatch` sized to amortise a single
-page pin of the paged tensor pool (capacity scales with the page's
-node count, so total buffered bytes match the per-node sizing).  This
-is the emission mode every tensor-pool engine uses -- one fold kernel
-pass per flush, one block-device round trip per *page* out of core.
-
-Without ``page_bounds`` the structure degenerates to the seed design's
-per-node gutters (every node its own page) and emits per-node
-:class:`~repro.buffering.base.Batch` objects -- kept for the legacy
-sketch backend's object store and its worker pool.
+The gutters are keyed by **node-group page**: each gutter collects the
+mixed-node update column of one contiguous node range of
+``page_bounds`` and emits a :class:`~repro.buffering.base.PageBatch`
+sized to amortise a single page pin of the paged tensor pool (capacity
+scales with the page's node count, so total buffered bytes match the
+per-node sizing) -- one fold kernel pass per flush, one block-device
+round trip per *page* out of core.  Without ``page_bounds`` every node
+is its own one-node page (the paper's per-node gutters).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.buffering.base import (
-    Batch,
     BufferingSystem,
     PageBatch,
     as_update_columns,
@@ -41,7 +35,7 @@ from repro.memory.hybrid import HybridMemory
 
 
 class LeafGutters(BufferingSystem):
-    """Per-page (or per-node) update gutters kept in RAM.
+    """Per-page update gutters kept in RAM.
 
     Parameters
     ----------
@@ -63,10 +57,9 @@ class LeafGutters(BufferingSystem):
         charges a sequential read of its own bytes, modelling gutters
         that have been swapped to SSD.
     page_bounds:
-        Optional ``num_pages + 1`` ascending node-range boundaries.
-        When given, gutters are keyed per page, capacities scale with
-        each page's node count, and emissions are
-        :class:`~repro.buffering.base.PageBatch` mixed-node columns.
+        ``num_pages + 1`` ascending node-range boundaries: gutters are
+        keyed per page and capacities scale with each page's node
+        count.  Defaults to one-node pages.
     """
 
     def __init__(
@@ -93,14 +86,15 @@ class LeafGutters(BufferingSystem):
         self.num_nodes = int(num_nodes)
         self.memory = memory
         self._bounds = (
-            np.asarray(page_bounds, dtype=np.int64) if page_bounds is not None else None
+            np.asarray(page_bounds, dtype=np.int64)
+            if page_bounds is not None
+            else np.arange(self.num_nodes + 1, dtype=np.int64)
         )
         # Python-list twin of the bounds for the scalar insert path:
         # bisect on a list is ~10x cheaper per update than a scalar
         # numpy searchsorted call.
-        self._bounds_list = self._bounds.tolist() if self._bounds is not None else None
-        #: page -> (destination list, neighbor list); in per-node mode
-        #: the page id *is* the node id.
+        self._bounds_list = self._bounds.tolist()
+        #: page -> (destination list, neighbor list)
         self._gutters: Dict[int, Tuple[List[int], List[int]]] = {}
         self._pending = 0
 
@@ -109,21 +103,13 @@ class LeafGutters(BufferingSystem):
     def capacity_per_node(self) -> int:
         return self._capacity
 
-    @property
-    def page_mode(self) -> bool:
-        return self._bounds is not None
-
     def _page_of(self, node: int) -> int:
-        if self._bounds_list is None:
-            return node
         return bisect_right(self._bounds_list, node) - 1
 
     def _page_capacity(self, page: int) -> int:
-        if self._bounds is None:
-            return self._capacity
         return self._capacity * int(self._bounds[page + 1] - self._bounds[page])
 
-    def insert(self, u: int, v: int) -> List[Union[Batch, PageBatch]]:
+    def insert(self, u: int, v: int) -> List[PageBatch]:
         self._check_node(u)
         self._check_node(v)
         page = self._page_of(u)
@@ -135,7 +121,7 @@ class LeafGutters(BufferingSystem):
             return [self._emit(page)]
         return []
 
-    def insert_batch(self, dsts, neighbors) -> List[Union[Batch, PageBatch]]:
+    def insert_batch(self, dsts, neighbors) -> List[PageBatch]:
         """Vectorised buffering of a whole update column.
 
         Groups the column by owning gutter with one argsort and extends
@@ -149,10 +135,8 @@ class LeafGutters(BufferingSystem):
         dst_array, neighbor_array = as_update_columns(dsts, neighbors, self.num_nodes)
         if dst_array.size == 0:
             return []
-        keys = (
-            dst_array if self._bounds is None else page_of_nodes(dst_array, self._bounds)
-        )
-        batches: List[Union[Batch, PageBatch]] = []
+        keys = page_of_nodes(dst_array, self._bounds)
+        batches: List[PageBatch] = []
         for page, (dst_chunk, neighbor_chunk) in group_update_columns(
             keys, dst_array, neighbor_array
         ):
@@ -164,53 +148,42 @@ class LeafGutters(BufferingSystem):
                 batches.append(self._emit(page))
         return batches
 
-    def flush_all(self) -> List[Union[Batch, PageBatch]]:
+    def flush_all(self) -> List[PageBatch]:
         batches = [
             self._emit(page) for page in sorted(self._gutters) if self._gutters[page][0]
         ]
         return [batch for batch in batches if len(batch) > 0]
 
-    def restore(self, batches: List[Union[Batch, PageBatch]]) -> None:
+    def restore(self, batches: List[PageBatch]) -> None:
         for batch in batches:
-            if isinstance(batch, PageBatch):
-                page = batch.page
-                dsts: List[int] = batch.dsts.tolist()
-                neighbors: List[int] = batch.neighbors.tolist()
-            else:
-                page = batch.node
-                neighbors = list(batch.neighbors)
-                dsts = [batch.node] * len(neighbors)
-            gutter_dsts, gutter_neighbors = self._gutters.setdefault(page, ([], []))
-            gutter_dsts.extend(dsts)
-            gutter_neighbors.extend(neighbors)
-            self._pending += len(dsts)
+            gutter_dsts, gutter_neighbors = self._gutters.setdefault(
+                batch.page, ([], [])
+            )
+            gutter_dsts.extend(batch.dsts.tolist())
+            gutter_neighbors.extend(batch.neighbors.tolist())
+            self._pending += len(batch)
 
     def pending_updates(self) -> int:
         return self._pending
 
     def pending_for(self, node: int) -> int:
         """Updates currently buffered for one node (for tests/inspection)."""
-        if self._bounds is None:
-            return len(self._gutters.get(node, ([], []))[0])
         gutter = self._gutters.get(self._page_of(node))
         if gutter is None:
             return 0
         return sum(1 for dst in gutter[0] if dst == node)
 
     # ------------------------------------------------------------------
-    def _emit(self, page: int) -> Union[Batch, PageBatch]:
+    def _emit(self, page: int) -> PageBatch:
         dsts, neighbors = self._gutters.pop(page, ([], []))
         self._pending -= len(dsts)
-        if self._bounds is None:
-            batch: Union[Batch, PageBatch] = Batch(node=page, neighbors=neighbors)
-        else:
-            batch = PageBatch(
-                page=page,
-                node_lo=int(self._bounds[page]),
-                node_hi=int(self._bounds[page + 1]),
-                dsts=np.asarray(dsts, dtype=np.int64),
-                neighbors=np.asarray(neighbors, dtype=np.int64),
-            )
+        batch = PageBatch(
+            page=page,
+            node_lo=int(self._bounds[page]),
+            node_hi=int(self._bounds[page + 1]),
+            dsts=np.asarray(dsts, dtype=np.int64),
+            neighbors=np.asarray(neighbors, dtype=np.int64),
+        )
         if self.memory is not None and not self.memory.is_unbounded:
             # Gutters that overflowed RAM live on disk; emitting the batch
             # reads it back sequentially.
@@ -222,8 +195,7 @@ class LeafGutters(BufferingSystem):
             raise ValueError(f"node {node} outside [0, {self.num_nodes})")
 
     def __repr__(self) -> str:
-        mode = "pages" if self.page_mode else "nodes"
         return (
             f"LeafGutters(num_nodes={self.num_nodes}, capacity={self._capacity}, "
-            f"keyed_by={mode}, pending={self._pending})"
+            f"pages={self._bounds.size - 1}, pending={self._pending})"
         )

@@ -131,22 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional RAM budget; sketches beyond it page to the simulated SSD",
     )
     components_parser.add_argument(
-        "--query-backend", choices=["vectorized", "scalar"], default="vectorized",
-        help="whole-round vectorized Boruvka (default) or the per-component reference",
-    )
-    components_parser.add_argument(
         "--kernel-backend", choices=["numpy", "native", "auto"], default="numpy",
-        help="hot-kernel implementation: pure numpy (default), a compiled "
-             "native provider (numba/cc; errors when unavailable), or auto "
+        help="hot-kernel implementation: pure numpy (default), the compiled "
+             "C provider (errors when unavailable), or auto "
              "(native when available, numpy otherwise); bit-identical results",
     )
     components_parser.add_argument(
         "--workers", type=int, default=1,
         help="parallel ingest workers; above 1 the stream is ingested through "
-             "the sharded columnar pipeline (or the legacy worker pool)",
+             "the sharded columnar pipeline",
     )
     components_parser.add_argument(
-        "--parallel-backend", choices=["threads", "processes", "legacy"],
+        "--parallel-backend", choices=["threads", "processes"],
         default="threads",
         help="execution backend of the parallel ingest layer (default threads)",
     )
@@ -214,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Engine flags the snapshot command does not expose follow the
     # components subcommand's defaults; set once so they cannot drift.
     snapshot_parser.set_defaults(
-        buffering=BufferingMode.LEAF_GUTTERS.value, query_backend="vectorized",
-        workers=1, parallel_backend="threads", kernel_backend="numpy",
+        buffering=BufferingMode.LEAF_GUTTERS.value, workers=1,
+        parallel_backend="threads", kernel_backend="numpy",
     )
 
     resume_parser = subparsers.add_parser(
@@ -270,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exposition format (default prometheus text)",
     )
     stats_parser.set_defaults(
-        buffering=BufferingMode.LEAF_GUTTERS.value, query_backend="vectorized",
-        workers=1, parallel_backend="threads", kernel_backend="numpy",
+        buffering=BufferingMode.LEAF_GUTTERS.value, workers=1,
+        parallel_backend="threads", kernel_backend="numpy",
     )
 
     scrub_parser = subparsers.add_parser(
@@ -373,7 +369,7 @@ def _print_forest(engine, num_nodes: int, ingest_mode: str, show: int) -> None:
     print(f"components       : {forest.num_components}")
     print(f"sketch space     : {format_bytes(engine.sketch_bytes())}")
     pool = engine.tensor_pool
-    if pool is not None and pool.is_paged:
+    if pool.is_paged:
         page_info = pool.page_stats()
         print(f"page size        : {page_info['nodes_per_page']} nodes / "
               f"{format_bytes(page_info['page_payload_bytes'])} "
@@ -410,7 +406,6 @@ def _engine_config(args, **overrides) -> GraphZeppelinConfig:
         buffering=BufferingMode(args.buffering),
         ram_budget_bytes=_ram_budget_bytes(args),
         seed=args.seed,
-        query_backend=args.query_backend,
         kernel_backend=getattr(args, "kernel_backend", "numpy"),
         num_workers=max(args.workers, 1),
         parallel_backend=args.parallel_backend,
@@ -575,21 +570,17 @@ def _cmd_components(args) -> int:
     checkpointer = _attach_cli_checkpointer(args, engine)
     if args.workers > 1:
         backend = args.parallel_backend
-        pool = engine.tensor_pool
-        if backend == "processes" and pool is not None and pool.is_paged:
+        if backend == "processes" and engine.tensor_pool.is_paged:
             # Page-affine sharded ingest folds pages in place; pages
             # cannot migrate to shared memory, so workers are threads.
             print("note: paged out-of-core pool folds in place; "
                   "using the threads backend")
             backend = "threads"
         with engine.parallel_ingestor(backend=backend) as ingestor:
-            if backend == "legacy":
-                ingestor.ingest(stream)
-            else:
-                ingestor.ingest_stream(stream.edge_array_chunks())
-        # Report what actually ran: the sharded backends clamp the
-        # worker count to the usable cores.
-        effective = getattr(ingestor, "effective_workers", args.workers)
+            ingestor.ingest_stream(stream.edge_array_chunks())
+        # Report what actually ran: the worker count is clamped to the
+        # usable cores.
+        effective = ingestor.effective_workers
         ingest_mode = f"{backend} x{effective}"
         if effective != args.workers:
             ingest_mode += f" (clamped from {args.workers})"

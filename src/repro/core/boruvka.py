@@ -177,14 +177,10 @@ def batch_sampler_from_scalar(cut_sampler: CutSampler) -> BatchCutSampler:
     """Adapt a per-component :data:`CutSampler` to the batched signature.
 
     Groups nodes by component label with one argsort (no per-merge list
-    concatenation) and calls the scalar sampler once per segment, so
-    backends without a native whole-round kernel (the legacy per-node
-    object stores, the StreamingCC baseline) still run under the array
-    driver.  Since PR 4 the out-of-core flat engines hold a
-    :class:`~repro.sketch.paged_pool.PagedTensorPool` with a native
-    ``query_components``, so :func:`vectorized_spanning_forest` is the
-    single driver for in-RAM and out-of-core connectivity alike and
-    this adapter covers only the reference backends.
+    concatenation) and calls the scalar sampler once per segment, so a
+    sampler without a whole-round kernel (the StreamingCC baseline, a
+    test's reference sampler over ``query_merged``) still runs under the
+    array driver.
     Member lists are passed in ascending node order; every sampler in
     the tree XOR-folds or sums its members, so the order cannot change
     the sample.

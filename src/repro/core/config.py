@@ -37,16 +37,6 @@ class GraphZeppelinConfig:
         RAM available for node sketches.  ``None`` keeps everything in
         RAM; a finite budget routes sketches through the hybrid memory
         substrate so the run pays modelled SSD I/O.
-    out_of_core_pool:
-        Which out-of-core sketch store a RAM-budgeted flat engine uses:
-        ``"paged"`` (default) is the
-        :class:`~repro.sketch.paged_pool.PagedTensorPool` -- node-group
-        pages, columnar page folds, whole-round queries;
-        ``"per_node"`` is the seed design's per-node blob store
-        (:class:`~repro.memory.hybrid.SketchStore` of serialised
-        :class:`~repro.sketch.flat_node_sketch.FlatNodeSketch`), kept
-        as the reference/baseline.  Ignored when everything fits in RAM
-        or under the legacy sketch backend.
     nodes_per_page:
         Page granularity of the paged out-of-core pool (nodes per
         node-group page).  ``None`` (default) sizes pages to a whole
@@ -54,15 +44,13 @@ class GraphZeppelinConfig:
         :data:`~repro.sketch.paged_pool.DEFAULT_PAGE_TARGET_BLOCKS`.
     num_workers:
         Workers used by the parallel ingestion path (the
-        single-threaded engine ignores this except for work-queue sizing).
+        single-threaded engine ignores this).
     parallel_backend:
         Execution backend of the sharded parallel ingest layer:
         ``"threads"`` (default; numpy releases the GIL inside the fold
-        kernels, so a thread pool over disjoint shard slabs scales),
+        kernels, so a thread pool over disjoint shard slabs scales) or
         ``"processes"`` (pool tensors in shared memory, worker
-        processes attach by name and fold in place), or ``"legacy"``
-        (the seed design: per-node batches through per-node locks,
-        kept as the reference backend).
+        processes attach by name and fold in place).
     num_shards:
         Node-range count of the sharded parallel ingest layer.  ``None``
         (default) picks the smallest count that keeps every shard inside
@@ -79,16 +67,6 @@ class GraphZeppelinConfig:
         the partial forest is returned with ``complete=False``.
     seed:
         Root seed from which every hash function is derived.
-    sketch_backend:
-        ``"flat"`` (default) stores node sketches as contiguous tensors
-        -- one :class:`~repro.sketch.tensor_pool.NodeTensorPool` for the
-        whole graph when everything fits in RAM, per-node
-        :class:`~repro.sketch.flat_node_sketch.FlatNodeSketch` blobs
-        when a RAM budget forces sketches through the hybrid memory.
-        ``"legacy"`` keeps the original per-round CubeSketch bundles;
-        both backends are bit-identical under the same seed (the
-        property tests assert this), so legacy exists for comparison
-        benchmarks and as the reference implementation.
     io_retry_attempts:
         Total tries for each hybrid-memory device read/write before the
         ``OSError`` surfaces (1 = no retry, the default).  Transient
@@ -112,22 +90,15 @@ class GraphZeppelinConfig:
     io_breaker_reset_seconds:
         How long an open breaker rejects before admitting a half-open
         probe call.
-    query_backend:
-        ``"vectorized"`` (default) runs connectivity queries through the
-        whole-round Boruvka driver: one segmented XOR-reduce plus one
-        batched bucket decode per round instead of one Python query per
-        component.  ``"scalar"`` keeps the per-component loop, the
-        bit-identical reference (the property tests assert both return
-        the same forest, stats, and samples under the same seed).
     kernel_backend:
         Which implementation of the three hot kernels (ingest fold,
         whole-round segmented XOR, batched bucket decode) the engine
         runs: ``"numpy"`` (default) uses the pure-numpy kernels,
-        ``"native"`` requires a compiled provider (numba via
-        ``pip install .[native]``, or the runtime-compiled C library)
-        and raises when none is usable, ``"auto"`` prefers a compiled
-        provider and falls back to numpy silently.  Every provider is
-        property-tested bit-identical to numpy under the same seed, so
+        ``"native"`` requires the compiled provider (the C library
+        built at first use) and raises when it is not usable,
+        ``"auto"`` prefers it and falls back to numpy when no compiler
+        is found.  The provider is property-tested bit-identical to
+        numpy under the same seed, so
         this field deliberately stays **out** of
         :meth:`sketch_fingerprint` -- snapshots interchange freely
         across kernel backends.
@@ -137,7 +108,6 @@ class GraphZeppelinConfig:
     buffering: BufferingMode = BufferingMode.LEAF_GUTTERS
     gutter_fraction: float = 0.5
     ram_budget_bytes: Optional[int] = None
-    out_of_core_pool: str = "paged"
     nodes_per_page: Optional[int] = None
     num_workers: int = 1
     parallel_backend: str = "threads"
@@ -145,8 +115,6 @@ class GraphZeppelinConfig:
     validate_stream: bool = False
     strict_queries: bool = False
     seed: int = 0
-    sketch_backend: str = "flat"
-    query_backend: str = "vectorized"
     kernel_backend: str = "numpy"
     io_retry_attempts: int = 1
     io_retry_backoff_seconds: float = 0.01
@@ -157,15 +125,6 @@ class GraphZeppelinConfig:
     def __post_init__(self) -> None:
         if not 0 < self.delta < 1:
             raise ConfigurationError("delta must be in (0, 1)")
-        if self.sketch_backend not in ("flat", "legacy"):
-            raise ConfigurationError(
-                f"unknown sketch_backend {self.sketch_backend!r} (use 'flat' or 'legacy')"
-            )
-        if self.query_backend not in ("vectorized", "scalar"):
-            raise ConfigurationError(
-                f"unknown query_backend {self.query_backend!r} "
-                "(use 'vectorized' or 'scalar')"
-            )
         if self.kernel_backend not in ("numpy", "native", "auto"):
             raise ConfigurationError(
                 f"unknown kernel_backend {self.kernel_backend!r} "
@@ -175,20 +134,15 @@ class GraphZeppelinConfig:
             raise ConfigurationError("gutter_fraction must be positive")
         if self.num_workers < 1:
             raise ConfigurationError("num_workers must be at least 1")
-        if self.parallel_backend not in ("threads", "processes", "legacy"):
+        if self.parallel_backend not in ("threads", "processes"):
             raise ConfigurationError(
                 f"unknown parallel_backend {self.parallel_backend!r} "
-                "(use 'threads', 'processes', or 'legacy')"
+                "(use 'threads' or 'processes')"
             )
         if self.num_shards is not None and self.num_shards < 1:
             raise ConfigurationError("num_shards must be at least 1 or None")
         if self.ram_budget_bytes is not None and self.ram_budget_bytes < 0:
             raise ConfigurationError("ram_budget_bytes must be non-negative or None")
-        if self.out_of_core_pool not in ("paged", "per_node"):
-            raise ConfigurationError(
-                f"unknown out_of_core_pool {self.out_of_core_pool!r} "
-                "(use 'paged' or 'per_node')"
-            )
         if self.nodes_per_page is not None and self.nodes_per_page < 1:
             raise ConfigurationError("nodes_per_page must be at least 1 or None")
         if self.io_retry_attempts < 1:
@@ -209,9 +163,8 @@ class GraphZeppelinConfig:
 
         Two engines whose configs share this fingerprint build
         bit-identical sketch state from the same update stream: the
-        hash functions (``seed``), the geometry (``delta``), and the
-        bucket layout family (``sketch_backend``) all enter the digest,
-        while fields that only change *how* the state is computed
+        hash functions (``seed``) and the geometry (``delta``) enter the
+        digest, while fields that only change *how* the state is computed
         (buffering, RAM budget, workers, page size) deliberately do
         not -- a snapshot written by an in-RAM engine must load into an
         out-of-core one.  Snapshots store the fingerprint and refuse to
@@ -226,7 +179,10 @@ class GraphZeppelinConfig:
         # written under seed=-1 must fingerprint-match the config
         # rebuilt from its header.
         masked_seed = self.seed & 0xFFFFFFFFFFFFFFFF
-        blob = f"{self.delta!r}|{masked_seed}|{self.sketch_backend}".encode("ascii")
+        # The trailing "flat" names the one bucket layout; it is part of
+        # the on-disk format of every snapshot and checkpoint written so
+        # far and must not change.
+        blob = f"{self.delta!r}|{masked_seed}|flat".encode("ascii")
         return xxhash64(blob, seed=0x5A45_5050)
 
     @classmethod

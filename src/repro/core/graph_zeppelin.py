@@ -14,25 +14,21 @@ connectivity query flushes the buffers and runs the sketch-based
 Boruvka algorithm, returning a
 :class:`~repro.core.spanning_forest.SpanningForest`.
 
-Sketch state lives in one of three places depending on configuration:
+Sketch state lives in one of two places, chosen by whether the engine
+has a bounded RAM budget (``config.ram_budget_bytes`` or an injected
+bounded :class:`~repro.memory.hybrid.HybridMemory`):
 
-* **flat backend, everything in RAM** (the default): a single
+* **everything in RAM** (the default): a single
   :class:`~repro.sketch.tensor_pool.NodeTensorPool` holds every node's
   bundle in two contiguous tensors and mixed multi-node batches fold in
   one columnar kernel pass;
-* **flat backend, RAM budget**: a
-  :class:`~repro.sketch.paged_pool.PagedTensorPool` -- the same
-  round-major tensors partitioned into node-group pages stored through
-  the hybrid-memory substrate, folded per page and queried per round
-  slab, paying modelled SSD I/O per *page* (the out-of-core
-  experiments, Figures 12, 15, 16b).  The seed design's per-node
-  :class:`~repro.sketch.flat_node_sketch.FlatNodeSketch` blob store is
-  kept behind ``config.out_of_core_pool = "per_node"`` as the
-  reference baseline;
-* **legacy backend**: the original per-round CubeSketch bundles, kept
-  as the bit-identical reference implementation.
+* **RAM budget**: a :class:`~repro.sketch.paged_pool.PagedTensorPool`
+  -- the same round-major tensors partitioned into node-group pages
+  stored through the hybrid-memory substrate, folded per page and
+  queried per round slab, paying modelled SSD I/O per *page* (the
+  out-of-core experiments, Figures 12, 15, 16b).
 
-Either tensor pool makes the engine fully columnar: buffering (when
+Either pool keeps the engine fully columnar: buffering (when
 configured) collects mixed-node update columns per page and emits
 :class:`~repro.buffering.base.PageBatch` objects that fold in one
 kernel pass per page, and connectivity queries always run the
@@ -47,37 +43,26 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from repro.buffering.base import (
-    Batch,
-    BufferingSystem,
-    PageBatch,
-    group_by_destination,
-)
+from repro.buffering.base import BufferingSystem, PageBatch
 from repro.buffering.gutter_tree import GutterTree
 from repro.buffering.leaf_gutters import LeafGutters
-from repro.core.boruvka import (
-    BoruvkaStats,
-    batch_sampler_from_scalar,
-    sketch_spanning_forest,
-    vectorized_spanning_forest,
-)
+from repro.core.boruvka import BoruvkaStats, vectorized_spanning_forest
 from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
-from repro.core.node_sketch import NodeSketch, merged_round_sketch, num_boruvka_rounds
+from repro.core.node_sketch import num_boruvka_rounds
 from repro.core.spanning_forest import SpanningForest
 from repro.exceptions import (
     ConfigurationError,
     InvalidStreamError,
     StreamFormatError,
 )
-from repro.memory.hybrid import HybridMemory, SketchStore
+from repro.memory.hybrid import HybridMemory
 from repro.memory.metrics import IOStats
 from repro.observability.metrics import default_registry
 from repro.observability.tracing import span
-from repro.sketch.flat_node_sketch import FlatNodeSketch, merged_round_query
+from repro.sketch.flat_node_sketch import FlatNodeSketch
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.sizes import node_sketch_size_bytes
-from repro.sketch.sketch_base import SampleResult
 from repro.sketch.tensor_pool import MAX_PAGE_NODES, NodeTensorPool, shard_bounds
 from repro.streaming.stream import GraphStream, StreamUpdates, update_rows
 from repro.types import Edge, EdgeUpdate, UpdateType, canonical_edge
@@ -124,8 +109,8 @@ class GraphZeppelin:
         self.encoder = EdgeEncoder(self.num_nodes)
         self.num_rounds = num_boruvka_rounds(self.num_nodes)
 
-        # Resolve the hot-kernel provider once; every pool, per-node
-        # sketch and the hybrid memory's block digests share the same
+        # Resolve the hot-kernel provider once; the pool, its node
+        # views and the hybrid memory's block digests share the same
         # instance (providers are stateless singletons, so sharing is
         # free).
         from repro.kernels import resolve_kernels
@@ -162,14 +147,10 @@ class GraphZeppelin:
         else:
             self.memory = None
 
-        self._backend = self.config.sketch_backend
-        external = self.memory is not None and not self.memory.is_unbounded
-        self._pool: Optional[NodeTensorPool] = None
-        self._store: Optional[SketchStore] = None
-        if self._backend == "flat" and not external:
+        if self.memory is None or self.memory.is_unbounded:
             # Everything fits in RAM: one contiguous tensor pool for the
             # whole graph, shared by the columnar and per-edge paths.
-            self._pool = NodeTensorPool(
+            self._pool: NodeTensorPool = NodeTensorPool(
                 self.num_nodes,
                 self.encoder,
                 graph_seed=self.config.seed,
@@ -177,7 +158,7 @@ class GraphZeppelin:
                 num_rounds=self.num_rounds,
                 kernels=self._kernels,
             )
-        elif self._backend == "flat" and self.config.out_of_core_pool == "paged":
+        else:
             # RAM budget: the same tensors in node-group pages behind
             # the hybrid memory -- every layer stays columnar.
             self._pool = PagedTensorPool(
@@ -190,26 +171,6 @@ class GraphZeppelin:
                 nodes_per_page=self.config.nodes_per_page,
                 kernels=self._kernels,
             )
-        else:
-            if self._backend == "flat":
-                deserialize = lambda payload: FlatNodeSketch.from_bytes(
-                    payload,
-                    self.encoder,
-                    self.config.seed,
-                    delta=self.config.delta,
-                    kernels=self._kernels,
-                )
-            else:
-                deserialize = lambda payload: NodeSketch.from_bytes(
-                    payload, self.encoder, self.config.seed, delta=self.config.delta
-                )
-            self._store = SketchStore(
-                serialize=lambda sketch: sketch.to_bytes(),
-                deserialize=deserialize,
-                memory=self.memory,
-            )
-            for node in range(self.num_nodes):
-                self._store.put(node, self._new_node_sketch(node))
 
         self._node_sketch_bytes = node_sketch_size_bytes(
             self.num_nodes, self.config.delta
@@ -369,8 +330,7 @@ class GraphZeppelin:
         goes straight through the columnar fold kernel (buffering would
         only add copying); out-of-core configurations route the columns
         through the buffering structure's vectorised ``insert_batch`` so
-        per-page (or, for the per-node reference stores, per-node)
-        batches still amortise sketch page-ins.
+        per-page batches still amortise sketch page-ins.
 
         Like :meth:`edge_update`, each row is a toggle: inserting an
         absent edge and deleting a present one are the same operation
@@ -391,9 +351,7 @@ class GraphZeppelin:
             registry.counter("ingest.updates").inc(count)
 
         with span("ingest.batch"):
-            if self._pool is not None and (
-                self._buffering is None or not self._pool.is_paged
-            ):
+            if self._buffering is None or not self._pool.is_paged:
                 # In-RAM pools fold directly even when buffering is
                 # configured (the gutters would only copy); the paged pool
                 # keeps the buffering layer in front so small batches still
@@ -405,10 +363,7 @@ class GraphZeppelin:
             else:
                 dsts = np.concatenate([lo, hi])
                 neighbors = np.concatenate([hi, lo])
-                if self._buffering is not None:
-                    self._apply_emitted(self._buffering.insert_batch(dsts, neighbors))
-                else:
-                    self._apply_grouped(dsts, neighbors)
+                self._apply_emitted(self._buffering.insert_batch(dsts, neighbors))
         self._note_checkpoint_progress(count)
         return count
 
@@ -459,23 +414,17 @@ class GraphZeppelin:
         num_shards: Optional[int] = None,
         backend: Optional[str] = None,
     ):
-        """An ingestor matching ``config.parallel_backend`` (or ``backend``).
+        """A :class:`~repro.parallel.graph_workers.ShardedIngestor` over this engine.
 
-        ``"threads"`` / ``"processes"`` return a
-        :class:`~repro.parallel.graph_workers.ShardedIngestor` over this
-        engine's tensor pool; ``"legacy"`` returns the seed design's
-        :class:`~repro.parallel.graph_workers.ParallelIngestor`.  Use as
-        a context manager around the ingest loop.
+        ``num_workers``, ``num_shards`` and ``backend`` (``"threads"`` or
+        ``"processes"``) default to the engine's config.  Use as a
+        context manager around the ingest loop.
         """
         # Local import: repro.parallel imports this module.
-        from repro.parallel.graph_workers import ParallelIngestor, ShardedIngestor
+        from repro.parallel.graph_workers import ShardedIngestor
 
-        resolved = backend if backend is not None else self.config.parallel_backend
-        workers = num_workers if num_workers is not None else self.config.num_workers
-        if resolved == "legacy":
-            return ParallelIngestor(self, num_workers=workers)
         return ShardedIngestor(
-            self, num_workers=workers, num_shards=num_shards, backend=resolved
+            self, num_workers=num_workers, num_shards=num_shards, backend=backend
         )
 
     def _note_parallel_ingest(self, count: int) -> None:
@@ -496,8 +445,7 @@ class GraphZeppelin:
             if registry.enabled:
                 registry.counter("ingest.updates").inc(int(count))
         self._cached_forest = None
-        if self._pool is not None:
-            self._pool.mark_external_updates(2 * int(count))
+        self._pool.mark_external_updates(2 * int(count))
         if count:
             self._note_checkpoint_progress(int(count))
 
@@ -520,23 +468,14 @@ class GraphZeppelin:
         if self._cached_forest is not None:
             return self._cached_forest
         self.flush()
-        if self.config.query_backend == "vectorized":
-            forest, stats = vectorized_spanning_forest(
-                num_nodes=self.num_nodes,
-                num_rounds=self.num_rounds,
-                encoder=self.encoder,
-                batch_cut_sampler=self._component_cut_sample_batch,
-                strict=self.config.strict_queries,
-                kernels=self._kernels,
-            )
-        else:
-            forest, stats = sketch_spanning_forest(
-                num_nodes=self.num_nodes,
-                num_rounds=self.num_rounds,
-                encoder=self.encoder,
-                cut_sampler=self._component_cut_sample,
-                strict=self.config.strict_queries,
-            )
+        forest, stats = vectorized_spanning_forest(
+            num_nodes=self.num_nodes,
+            num_rounds=self.num_rounds,
+            encoder=self.encoder,
+            batch_cut_sampler=self._component_cut_sample_batch,
+            strict=self.config.strict_queries,
+            kernels=self._kernels,
+        )
         self._last_query_stats = stats
         self._cached_forest = forest
         return forest
@@ -574,11 +513,6 @@ class GraphZeppelin:
         :meth:`load_snapshot` + re-ingesting from the recorded offset
         replays bit-identically.  Returns the written metadata.
         """
-        if self._pool is None:
-            raise ConfigurationError(
-                "snapshots require a tensor-pool engine (the flat sketch "
-                "backend); the legacy object stores do not snapshot"
-            )
         from repro.distributed.snapshot import save_pool_snapshot
 
         self.flush()
@@ -627,11 +561,6 @@ class GraphZeppelin:
                 f"{config.sketch_fingerprint():#x}"
             )
         engine = cls(meta.num_nodes, config=config, memory=memory)
-        if engine._pool is None:
-            raise ConfigurationError(
-                "snapshot loading requires a tensor-pool engine (the flat "
-                "sketch backend)"
-            )
         load_snapshot_into(path, engine._pool)
         engine._updates_processed = meta.engine_updates
         engine._resume_offset = meta.stream_offset
@@ -737,14 +666,9 @@ class GraphZeppelin:
         if self._buffering is None:
             return
         batches = self._buffering.flush_all()
-        if (
-            self._pool is None
-            or self.memory is None
-            or self.memory.is_unbounded
-        ):
-            # In-RAM pools cannot fail mid-fold; object stores mutate
-            # before their write-back, so restoring could double-apply
-            # -- both keep the coalesced fast path.
+        if self.memory is None or self.memory.is_unbounded:
+            # In-RAM pools cannot fail mid-fold: keep the coalesced
+            # fast path.
             self._apply_emitted(batches)
             return
         applied = 0
@@ -756,11 +680,9 @@ class GraphZeppelin:
             self._buffering.restore(batches[applied:])
             raise
 
-    def node_sketch(self, node: int) -> Union[NodeSketch, FlatNodeSketch]:
-        """The current sketch of one node (a copy-safe reference)."""
-        if self._pool is not None:
-            return self._pool.node_sketch(node)
-        return self._store.get(node)
+    def node_sketch(self, node: int) -> FlatNodeSketch:
+        """The current sketch of one node (a detached copy)."""
+        return self._pool.node_sketch(node)
 
     def scrub_storage(self) -> list:
         """Verify checksums of all spilled and cached sketch state.
@@ -768,20 +690,17 @@ class GraphZeppelin:
         Flushes buffered updates and syncs dirty pages first, so the
         byte tier is authoritative, then verifies every stored payload
         (per-block device digests plus whole-payload digests).  Returns
-        what failed: corrupt page indices for a paged pool, raw storage
-        keys otherwise.  Fully in-RAM engines have no byte tier and
-        return ``[]``.  The scrub only *detects* -- healing a corrupt
-        page is :func:`repro.integrity.repair.scrub_and_repair`'s job.
+        the corrupt page indices.  Fully in-RAM engines have no byte
+        tier and return ``[]``.  The scrub only *detects* -- healing a
+        corrupt page is :func:`repro.integrity.repair.scrub_and_repair`'s
+        job.
         """
-        if self.memory is None or self.memory.is_unbounded:
+        if not self._pool.is_paged:
             return []
         with span("scrub.pass"):
             self.flush()
-            if self._pool is not None and self._pool.is_paged:
-                self._pool.sync()
-                return self._pool.scrub()
-            self.memory.flush()
-            return self.memory.scrub()
+            self._pool.sync()
+            return self._pool.scrub()
 
     # ------------------------------------------------------------------
     # accounting
@@ -858,7 +777,7 @@ class GraphZeppelin:
             registry.gauge("breaker.rejections").set(float(breaker.rejections))
             registry.gauge("breaker.probes").set(float(breaker.probes))
             registry.gauge("breaker.open").set(1.0 if breaker.state == "open" else 0.0)
-        if self._pool is not None and self._pool.is_paged:
+        if self._pool.is_paged:
             for key, value in self._pool.page_stats().items():
                 registry.gauge(f"page.{key}").set(float(value))
         registry.gauge("checkpoint.failures_total").set(float(self.checkpoint_failures))
@@ -924,7 +843,7 @@ class GraphZeppelin:
             report["breaker"] = breaker.snapshot()
             degraded = degraded or breaker.times_opened > 0
             circuit_open = breaker.state == "open"
-        if self._pool is not None and self._pool.is_paged:
+        if self._pool.is_paged:
             page_stats = self._pool.page_stats()
             report["page_stats"] = page_stats
             degraded = degraded or page_stats["pressure_degradations"] > 0
@@ -952,14 +871,14 @@ class GraphZeppelin:
         """Which hot-kernel implementation this engine actually runs.
 
         ``config.kernel_backend`` is the *request* (``"auto"`` may fall
-        back); this is the outcome: the provider's name (``"numba"`` or
-        ``"cc"``) when a native provider is live, else ``"numpy"``.
+        back); this is the outcome: the provider's name (``"cc"``) when
+        the native provider is live, else ``"numpy"``.
         """
         return self._kernels.name if self._kernels is not None else "numpy"
 
     @property
-    def tensor_pool(self) -> Optional[NodeTensorPool]:
-        """The whole-graph tensor pool (``None`` for object-store backends).
+    def tensor_pool(self) -> NodeTensorPool:
+        """The whole-graph tensor pool (flat in RAM, paged under a budget).
 
         The sharded parallel ingest layer folds into this directly.
         """
@@ -975,36 +894,14 @@ class GraphZeppelin:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _new_node_sketch(self, node: int) -> Union[NodeSketch, FlatNodeSketch]:
-        if self._backend == "flat":
-            return FlatNodeSketch(
-                node,
-                self.encoder,
-                graph_seed=self.config.seed,
-                delta=self.config.delta,
-                num_rounds=self.num_rounds,
-                kernels=self._kernels,
-            )
-        return NodeSketch(
-            node,
-            self.encoder,
-            graph_seed=self.config.seed,
-            delta=self.config.delta,
-            num_rounds=self.num_rounds,
-        )
-
-    def _buffering_page_bounds(self) -> Optional[np.ndarray]:
+    def _buffering_page_bounds(self) -> np.ndarray:
         """Node-group boundaries the buffering layer collects columns by.
 
-        Tensor-pool engines buffer per page: the paged pool's own page
-        boundaries out of core, and even node groups of at most
-        :data:`~repro.sketch.tensor_pool.MAX_PAGE_NODES` nodes for the
-        in-RAM pool (a gutter's capacity scales with its group, so the
-        group size bounds the column one emission folds).  The legacy
-        per-node object stores keep per-node gutters (``None``).
+        The paged pool's own page boundaries out of core, and even node
+        groups of at most :data:`~repro.sketch.tensor_pool.MAX_PAGE_NODES`
+        nodes for the in-RAM pool (a gutter's capacity scales with its
+        group, so the group size bounds the column one emission folds).
         """
-        if self._pool is None:
-            return None
         if self._pool.is_paged:
             return self._pool.page_bounds
         return shard_bounds(self.num_nodes, -(-self.num_nodes // MAX_PAGE_NODES))
@@ -1038,109 +935,55 @@ class GraphZeppelin:
             registry.counter("ingest.updates").inc()
         self._cached_forest = None
         if self._buffering is None:
-            self._apply_batch(Batch(node=u, neighbors=[v]))
-            self._apply_batch(Batch(node=v, neighbors=[u]))
-            self._note_checkpoint_progress(1)
-            return
-        for batch in self._buffering.insert_edge(u, v):
-            self._apply_batch(batch)
+            self._pool.apply_node_batch(u, [v])
+            self._pool.apply_node_batch(v, [u])
+            self._batches_applied += 2
+        else:
+            for batch in self._buffering.insert_edge(u, v):
+                self._apply_batch(batch)
         self._note_checkpoint_progress(1)
 
-    def _apply_emitted(self, batches: Sequence[Union[Batch, PageBatch]]) -> None:
+    def _apply_emitted(self, batches: Sequence[PageBatch]) -> None:
         """Apply a list of emitted buffer batches, coalescing page columns.
 
         A flush can emit hundreds of page batches at once (one per
         gutter); folding them one by one would pay the kernel's fixed
-        cost per page.  Page columns bound for a tensor pool are
-        concatenated and handed to the pool as **one** mixed column,
-        which the fold kernel takes in a single pass whatever pages it
-        spans.  Per-node batches (legacy stores) apply individually as
-        before.
+        cost per page.  The page columns are concatenated and handed to
+        the pool as **one** mixed column, which the fold kernel takes in
+        a single pass whatever pages it spans.
         """
-        page_batches = [
-            b for b in batches if isinstance(b, PageBatch) and len(b) > 0
-        ]
-        coalesce = self._pool is not None and len(page_batches) > 1
-        if coalesce:
-            dsts = np.concatenate([b.dsts for b in page_batches])
-            neighbors = np.concatenate([b.neighbors for b in page_batches])
-            self._cached_forest = None
-            lo = np.minimum(dsts, neighbors)
-            hi = np.maximum(dsts, neighbors)
-            self._pool.apply_updates(
-                dsts, self.encoder.encode_canonical_pairs(lo, hi)
-            )
-            self._batches_applied += len(page_batches)
-        for batch in batches:
-            if coalesce and isinstance(batch, PageBatch):
-                continue
-            self._apply_batch(batch)
-
-    def _apply_batch(self, batch: Union[Batch, PageBatch]) -> None:
-        if len(batch) == 0:
+        page_batches = [b for b in batches if len(b) > 0]
+        if len(page_batches) <= 1:
+            for batch in page_batches:
+                self._apply_batch(batch)
             return
-        if isinstance(batch, PageBatch):
-            self._apply_page_batch(batch)
-            return
-        # Also reached by the parallel ingestor's workers, which submit
-        # batches without passing through the user-facing entry points.
+        dsts = np.concatenate([b.dsts for b in page_batches])
+        neighbors = np.concatenate([b.neighbors for b in page_batches])
         self._cached_forest = None
-        if self._pool is not None:
-            self._pool.apply_node_batch(batch.node, batch.neighbors)
-        else:
-            sketch = self._store.get(batch.node)
-            sketch.apply_batch(batch.neighbors)
-            self._store.put(batch.node, sketch)
-        self._batches_applied += 1
+        lo = np.minimum(dsts, neighbors)
+        hi = np.maximum(dsts, neighbors)
+        self._pool.apply_updates(dsts, self.encoder.encode_canonical_pairs(lo, hi))
+        self._batches_applied += len(page_batches)
 
-    def _apply_page_batch(self, batch: PageBatch) -> None:
+    def _apply_batch(self, batch: PageBatch) -> None:
         """Fold one emitted page column into the sketch state.
 
-        The tensor-pool hot path: the whole mixed-node column encodes
-        vectorised and folds through
+        The whole mixed-node column encodes vectorised and folds through
         :meth:`~repro.sketch.tensor_pool.NodeTensorPool.fold_page_batch`
-        -- for a paged pool that is exactly one page pin.  Object-store
-        engines (which normally emit per-node batches) degrade to
-        grouping the column per destination.
+        -- for a paged pool that is exactly one page pin.
         """
+        if len(batch) == 0:
+            return
         self._cached_forest = None
-        if self._pool is not None:
-            lo = np.minimum(batch.dsts, batch.neighbors)
-            hi = np.maximum(batch.dsts, batch.neighbors)
-            self._pool.fold_page_batch(
-                batch.node_lo,
-                batch.node_hi,
-                batch.dsts,
-                self.encoder.encode_canonical_pairs(lo, hi),
-            )
-        else:
-            for node, chunk in group_by_destination(batch.dsts, batch.neighbors):
-                sketch = self._store.get(node)
-                sketch.apply_batch(chunk)
-                self._store.put(node, sketch)
+        lo = np.minimum(batch.dsts, batch.neighbors)
+        hi = np.maximum(batch.dsts, batch.neighbors)
+        self._pool.fold_page_batch(
+            batch.node_lo,
+            batch.node_hi,
+            batch.dsts,
+            self.encoder.encode_canonical_pairs(lo, hi),
+        )
         self._batches_applied += 1
-
-    def _apply_grouped(self, dsts: np.ndarray, neighbors: np.ndarray) -> None:
-        """Group a mixed update column by destination and apply per node."""
-        for node, chunk in group_by_destination(dsts, neighbors):
-            self._apply_batch(Batch(node=node, neighbors=chunk))
-
-    def _component_cut_sample(
-        self, round_index: int, members: Sequence[int]
-    ) -> SampleResult:
-        """Cut sampler handed to the Boruvka driver.
-
-        XOR-merges the round-``round_index`` sketches of the component's
-        member nodes (without mutating them) and queries the result.
-        With the tensor pool this is one fancy gather + XOR reduction;
-        the object-store backends stack their members' raw arrays.
-        """
-        if self._pool is not None:
-            return self._pool.query_merged(members, round_index)
-        sketches = [self._store.get(node) for node in members]
-        if self._backend == "legacy":
-            return merged_round_sketch(sketches, round_index).query()
-        return merged_round_query(sketches, round_index)
 
     def _component_cut_sample_batch(
         self,
@@ -1150,13 +993,7 @@ class GraphZeppelin:
     ):
         """Whole-round cut sampler handed to the vectorized Boruvka driver.
 
-        With the tensor pool every component's merged sketch comes out
-        of one segmented XOR-reduce over the pool; the object-store
-        backends fall back to grouping nodes by label and querying per
-        component (still without any member-list bookkeeping).
+        Every component's merged sketch comes out of one segmented
+        XOR-reduce over the pool.
         """
-        if self._pool is not None:
-            return self._pool.query_components(labels, round_index, node_mask=node_mask)
-        return batch_sampler_from_scalar(self._component_cut_sample)(
-            round_index, labels, node_mask
-        )
+        return self._pool.query_components(labels, round_index, node_mask=node_mask)

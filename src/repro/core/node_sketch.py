@@ -22,7 +22,6 @@ from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConfigurationError, IncompatibleSketchError
 from repro.hashing.prng import derive_seed
 from repro.sketch.cubesketch import CubeSketch
-from repro.sketch.serialization import cubesketch_from_bytes, cubesketch_to_bytes
 from repro.sketch.sketch_base import SampleResult
 
 #: Label used when deriving the per-round sketch seeds from the graph seed.
@@ -144,7 +143,7 @@ class NodeSketch:
         return clone
 
     # ------------------------------------------------------------------
-    # accounting and serialisation
+    # accounting
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
         """Total payload bytes across all rounds (paper's accounting)."""
@@ -152,42 +151,6 @@ class NodeSketch:
 
     def is_empty(self) -> bool:
         return all(sketch.is_empty() for sketch in self.sketches)
-
-    def to_bytes(self) -> bytes:
-        """Serialise all rounds into one blob (node-group disk layout)."""
-        parts = [len(self.sketches).to_bytes(4, "little"), self.node.to_bytes(8, "little")]
-        for sketch in self.sketches:
-            payload = cubesketch_to_bytes(sketch)
-            parts.append(len(payload).to_bytes(4, "little"))
-            parts.append(payload)
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(
-        cls,
-        payload: bytes,
-        encoder: EdgeEncoder,
-        graph_seed: int,
-        delta: float = 0.01,
-    ) -> "NodeSketch":
-        """Reconstruct a node sketch serialised with :meth:`to_bytes`."""
-        num_rounds = int.from_bytes(payload[0:4], "little")
-        node = int.from_bytes(payload[4:12], "little")
-        offset = 12
-        sketches = []
-        for _ in range(num_rounds):
-            length = int.from_bytes(payload[offset : offset + 4], "little")
-            offset += 4
-            sketches.append(cubesketch_from_bytes(payload[offset : offset + length], delta=delta))
-            offset += length
-        instance = cls.__new__(cls)
-        instance.node = node
-        instance.encoder = encoder
-        instance.graph_seed = graph_seed
-        instance.delta = delta
-        instance.num_rounds = num_rounds
-        instance.sketches = sketches
-        return instance
 
     def __repr__(self) -> str:
         return (

@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from repro.core.boruvka import (
     BoruvkaStats,
     batch_sampler_from_scalar,
-    sketch_spanning_forest,
     vectorized_spanning_forest,
 )
 from repro.core.edge_encoding import EdgeEncoder
@@ -50,21 +49,12 @@ class StreamingCC:
         delta: float = 0.01,
         seed: int = 0,
         num_rounds: Optional[int] = None,
-        query_backend: str = "vectorized",
     ) -> None:
         if num_nodes < 2:
             raise ConfigurationError("StreamingCC needs at least two nodes")
-        if query_backend not in ("vectorized", "scalar"):
-            raise ConfigurationError(
-                f"unknown query_backend {query_backend!r} (use 'vectorized' or 'scalar')"
-            )
         self.num_nodes = int(num_nodes)
         self.delta = float(delta)
         self.seed = int(seed)
-        # The general-purpose sketches have no whole-round kernel, but
-        # the array driver still replaces the per-merge member-list
-        # concatenation with one argsort-based grouping per round.
-        self.query_backend = query_backend
         self.encoder = EdgeEncoder(self.num_nodes)
         self.num_rounds = (
             int(num_rounds) if num_rounds is not None else num_boruvka_rounds(self.num_nodes)
@@ -122,22 +112,16 @@ class StreamingCC:
     # queries
     # ------------------------------------------------------------------
     def list_spanning_forest(self) -> SpanningForest:
-        if self.query_backend == "vectorized":
-            forest, stats = vectorized_spanning_forest(
-                num_nodes=self.num_nodes,
-                num_rounds=self.num_rounds,
-                encoder=self.encoder,
-                batch_cut_sampler=batch_sampler_from_scalar(self._component_cut_sample),
-                strict=False,
-            )
-        else:
-            forest, stats = sketch_spanning_forest(
-                num_nodes=self.num_nodes,
-                num_rounds=self.num_rounds,
-                encoder=self.encoder,
-                cut_sampler=self._component_cut_sample,
-                strict=False,
-            )
+        # The general-purpose sketches have no whole-round kernel, but
+        # the array driver still replaces the per-merge member-list
+        # concatenation with one argsort-based grouping per round.
+        forest, stats = vectorized_spanning_forest(
+            num_nodes=self.num_nodes,
+            num_rounds=self.num_rounds,
+            encoder=self.encoder,
+            batch_cut_sampler=batch_sampler_from_scalar(self._component_cut_sample),
+            strict=False,
+        )
         self._last_query_stats = stats
         return forest
 

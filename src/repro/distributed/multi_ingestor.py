@@ -125,7 +125,6 @@ def _worker_ingest(task: Tuple) -> None:
             engine = GraphZeppelin(num_nodes, config=config)
             if fault_plan is not None and engine.memory is not None:
                 engine.memory.fault_plan = fault_plan
-            pool = engine.tensor_pool
 
             def chunks():
                 for index, start in enumerate(range(0, edges.shape[0], chunk_size)):
@@ -133,7 +132,7 @@ def _worker_ingest(task: Tuple) -> None:
                         fault_plan.check_worker_batch(worker, attempt, index + 1)
                     yield edges[start : start + chunk_size]
 
-            if pool is not None and not pool.is_paged:
+            if not engine.tensor_pool.is_paged:
                 with engine.parallel_ingestor(backend="threads") as ingestor:
                     ingestor.ingest_stream(chunks())
             else:
@@ -213,8 +212,7 @@ def distributed_ingest(
     kills/hangs/raises at chosen batch indices and device-I/O faults in
     out-of-core configs.
 
-    ``config`` needs a flat sketch backend (snapshots are pool-level);
-    a RAM-budgeted config works -- each worker builds its own paged
+    A RAM-budgeted ``config`` works -- each worker builds its own paged
     pool and the merge runs page by page under the coordinator's
     budget.
     """
@@ -228,11 +226,6 @@ def distributed_ingest(
     from repro.resilience.supervisor import WorkerSupervisor
 
     config = config or GraphZeppelinConfig()
-    if config.sketch_backend != "flat":
-        raise ConfigurationError(
-            "distributed ingest requires the flat sketch backend "
-            "(pool snapshots are the merge medium)"
-        )
     if config.validate_stream:
         raise ConfigurationError(
             "distributed ingest cannot validate streams: workers only see "

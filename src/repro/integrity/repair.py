@@ -145,7 +145,7 @@ def repair_pages(
     from repro.sketch.flat_node_sketch import validate_indices
 
     pool = engine.tensor_pool
-    if pool is None or not pool.is_paged:
+    if not pool.is_paged:
         raise RecoveryError(
             "read-repair needs a paged tensor pool; flat engines recover "
             "via recover_latest plus a full suffix replay"

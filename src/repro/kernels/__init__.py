@@ -14,28 +14,23 @@ decode ``sample_components`` behind
 :meth:`~repro.sketch.tensor_pool.NodeTensorPool.query_components` and
 the union-find/relabel ``round_tail``
 (:func:`~repro.core.boruvka.round_tail`) -- have compiled twins
-selected through ``config.kernel_backend``.  A provider without the
-two round kernels (numba) composes reduce + decode and the numpy tail.
+selected through ``config.kernel_backend``.
 
 ``"numpy"``
     The default: the pure-numpy kernels, no compiled code anywhere.
 ``"native"``
-    Require a compiled provider; raise
-    :class:`~repro.exceptions.ConfigurationError` when none is usable.
+    Require the compiled provider; raise
+    :class:`~repro.exceptions.ConfigurationError` when it is not usable.
 ``"auto"``
-    Use a compiled provider when one is available, fall back to numpy
+    Use the compiled provider when it is available, fall back to numpy
     otherwise (the selection is logged once per process, the reason
     kept, and ``kernels.provider_unavailable`` counted).
 
-Two providers implement the same compiled loops:
+There is one provider, :mod:`repro.kernels.native_cc`: a small C
+library compiled at first use with the host toolchain and driven
+through :mod:`ctypes`.
 
-* :mod:`repro.kernels.native_numba` -- numba ``@njit`` kernels,
-  preferred when :mod:`numba` is importable (``pip install .[native]``).
-* :mod:`repro.kernels.native_cc` -- a small C library compiled at first
-  use with the host toolchain and driven through :mod:`ctypes`; used
-  when numba is absent but a C compiler exists.
-
-Every provider is property-tested **bit-identical** to the numpy path
+It is property-tested **bit-identical** to the numpy path
 (``tests/test_native_kernels.py``; ``tests/test_integrity.py`` for the
 digests, which are an on-disk format): same seed in, same tensors,
 forests, and stats out, across packed/wide bucket modes, flat/paged
@@ -47,7 +42,6 @@ snapshots interchange freely across backends.
 
 from __future__ import annotations
 
-import importlib
 import subprocess
 import threading
 from typing import Optional
@@ -71,14 +65,13 @@ _logged_choice = False
 def native_kernels():
     """The process-wide native kernel provider, or ``None``.
 
-    Resolution happens once per process: numba first (the preferred,
-    ``pip install .[native]`` provider), then the runtime-compiled C
-    provider.  Both the provider instance and a failure are cached, so
-    repeated calls are cheap and every pool in the process shares one
-    compiled library.  Only what "cannot be used here" raises (missing
-    module, missing or failing compiler, unloadable library, jit error)
-    makes a provider unavailable -- anything else is a bug and
-    propagates; when none loads the reasons are kept and
+    Resolution happens once per process: the C library is built (or
+    loaded from its cache) on the first call.  Both the provider
+    instance and a failure are cached, so repeated calls are cheap and
+    every pool in the process shares one compiled library.  Only what
+    "cannot be used here" raises (missing or failing compiler,
+    unloadable library) makes the provider unavailable -- anything else
+    is a bug and propagates; the reason is kept and
     ``kernels.provider_unavailable`` is bumped.
     """
     global _resolved, _provider, _unavailable_reason
@@ -87,25 +80,12 @@ def native_kernels():
     with _lock:
         if _resolved:
             return _provider
-        unusable = (ImportError, OSError, subprocess.CalledProcessError, RuntimeError)
         try:
-            from numba.core.errors import NumbaError
+            from repro.kernels import native_cc
 
-            unusable += (NumbaError,)
-        except ImportError:
-            pass
-        reasons = []
-        for label, module, name in (
-            ("numba", "repro.kernels.native_numba", "NumbaKernels"),
-            ("cc", "repro.kernels.native_cc", "CcKernels"),
-        ):
-            try:
-                _provider = getattr(importlib.import_module(module), name)()
-                break
-            except unusable as exc:
-                reasons.append(f"{label}: {exc}")
-        else:
-            _unavailable_reason = "; ".join(reasons)
+            _provider = native_cc.CcKernels()
+        except (ImportError, OSError, subprocess.CalledProcessError, RuntimeError) as exc:
+            _unavailable_reason = f"cc: {exc}"
             if default_registry().enabled:
                 default_registry().counter("kernels.provider_unavailable").inc()
         _resolved = True
@@ -113,7 +93,7 @@ def native_kernels():
 
 
 def native_unavailable_reason() -> Optional[str]:
-    """Why no native provider loaded (``None`` when one did)."""
+    """Why the native provider did not load (``None`` when it did)."""
     native_kernels()
     return _unavailable_reason
 
@@ -121,10 +101,10 @@ def native_unavailable_reason() -> Optional[str]:
 def resolve_kernels(backend: str):
     """Resolve a ``kernel_backend`` config value to a provider.
 
-    Returns a provider instance for native execution or ``None`` for
+    Returns the provider instance for native execution or ``None`` for
     the numpy kernels.  ``"native"`` raises
-    :class:`~repro.exceptions.ConfigurationError` when no provider is
-    usable; ``"auto"`` falls back to numpy and logs the choice once per
+    :class:`~repro.exceptions.ConfigurationError` when the provider is
+    not usable; ``"auto"`` falls back to numpy and logs the choice once per
     process.
     """
     global _logged_choice
@@ -137,8 +117,8 @@ def resolve_kernels(backend: str):
     provider = native_kernels()
     if provider is None and backend == "native":
         raise ConfigurationError(
-            "kernel_backend='native' but no native provider is usable "
-            f"({_unavailable_reason}); install the [native] extra or use 'auto'"
+            "kernel_backend='native' but the native provider is not usable "
+            f"({_unavailable_reason}); install a C compiler or use 'auto'"
         )
     if not _logged_choice:
         _logged_choice = True

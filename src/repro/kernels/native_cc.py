@@ -5,11 +5,8 @@ fold, the query-side segmented XOR-reduce, the batched bucket decode,
 the storage-integrity block digest, and the fused sample and the round
 tail of a Boruvka round -- as a small C library compiled
 **at first use** with the host's C compiler and loaded through
-:mod:`ctypes`.  It is the fallback
-provider of the ``native`` kernel backend for environments that have a
-C toolchain but not :mod:`numba` (the preferred provider; see
-:mod:`repro.kernels.native_numba`), and the two providers implement the
-same loops so either is property-tested bit-identical to the numpy path.
+:mod:`ctypes`.  It is the provider of the ``native`` kernel backend,
+property-tested bit-identical to the numpy path.
 
 Why compiling beats the numpy kernels:
 

@@ -25,7 +25,7 @@ on any machine.
 
 from repro.memory.block_device import BlockDevice, DeviceProfile
 from repro.memory.cache import LRUCache
-from repro.memory.hybrid import HybridMemory, SketchStore
+from repro.memory.hybrid import HybridMemory
 from repro.memory.metrics import IOStats
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "HybridMemory",
     "IOStats",
     "LRUCache",
-    "SketchStore",
 ]

@@ -7,10 +7,6 @@ simulated :class:`~repro.memory.block_device.BlockDevice` and later
 reads charge block I/Os and modelled latency.  With an unlimited RAM
 budget the device is never touched, which is the "everything fits in
 RAM" configuration of the experiments.
-
-:class:`SketchStore` layers object (de)serialisation on top, so the
-connectivity engine can address node sketches by node id without caring
-where they currently live.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    Generic,
     Hashable,
     Iterator,
     List,
@@ -601,64 +596,3 @@ class HybridMemory:
     def __repr__(self) -> str:
         limit = "unbounded" if self.is_unbounded else f"{self.ram_bytes}B"
         return f"HybridMemory(ram={limit}, block_size={self.block_size})"
-
-
-class SketchStore(Generic[T]):
-    """Keyed store of (de)serialisable objects on top of a HybridMemory.
-
-    The connectivity engine keeps one entry per graph node.  In the
-    unbounded-RAM configuration objects are kept live in a dict and the
-    hybrid memory is bypassed entirely; with a RAM budget, objects are
-    serialised into the hybrid memory so that access patterns incur the
-    same I/O a real out-of-core run would.
-    """
-
-    def __init__(
-        self,
-        serialize: Callable[[T], bytes],
-        deserialize: Callable[[bytes], T],
-        memory: Optional[HybridMemory] = None,
-    ) -> None:
-        self._serialize = serialize
-        self._deserialize = deserialize
-        self.memory = memory
-        self._live: Dict[Hashable, T] = {}
-
-    @property
-    def uses_external_memory(self) -> bool:
-        return self.memory is not None and not self.memory.is_unbounded
-
-    def put(self, key: Hashable, obj: T) -> None:
-        if self.uses_external_memory:
-            assert self.memory is not None
-            self.memory.store(key, self._serialize(obj))
-        else:
-            self._live[key] = obj
-
-    def get(self, key: Hashable) -> T:
-        if self.uses_external_memory:
-            assert self.memory is not None
-            return self._deserialize(self.memory.load(key))
-        return self._live[key]
-
-    def __contains__(self, key: Hashable) -> bool:
-        if self.uses_external_memory:
-            assert self.memory is not None
-            return key in self.memory
-        return key in self._live
-
-    def keys(self) -> Iterator[Hashable]:
-        if self.uses_external_memory:
-            assert self.memory is not None
-            yield from self.memory.keys()
-        else:
-            yield from self._live.keys()
-
-    def flush(self) -> None:
-        if self.uses_external_memory:
-            assert self.memory is not None
-            self.memory.flush()
-
-    @property
-    def stats(self) -> Optional[IOStats]:
-        return self.memory.stats if self.memory is not None else None

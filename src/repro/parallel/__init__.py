@@ -8,9 +8,9 @@ ever touches them.  A batch of edge updates is mirrored (one copy per
 endpoint), split into per-shard groups with one vectorised
 ``searchsorted`` + radix-argsort pass, and each group is folded through
 the shared columnar kernel straight into its shard's slab -- no
-per-node locks, no ``Batch`` objects, no shared mutable state between
-shards.  XOR-folds commute, so the result is bit-identical to serial
-ingest under the same seed regardless of worker interleaving.
+per-node locks, no shared mutable state between shards.  XOR-folds
+commute, so the result is bit-identical to serial ingest under the same
+seed regardless of worker interleaving.
 
 Execution backends (``GraphZeppelinConfig.parallel_backend``):
 
@@ -19,31 +19,21 @@ Execution backends (``GraphZeppelinConfig.parallel_backend``):
   pool over disjoint slabs scales on real cores;
 * ``"processes"`` -- the pool tensors move to
   ``multiprocessing.shared_memory``; worker processes attach by segment
-  name and fold in place;
-* ``"legacy"`` (:class:`repro.parallel.graph_workers.ParallelIngestor`)
-  -- the seed design (per-node batches through per-node locks), kept as
-  the reference backend and for buffered/out-of-core engines.
+  name and fold in place.
 
 Serial and sharded ingest run the same fold kernel, whose cost does not
 depend on a group's node range, so sharding buys concurrency only and
 shards are sized for load balance (a few per worker).
 :class:`repro.parallel.cost_model.ShardedIngestModel` prices
 the pipeline (partition + per-shard folds + barrier);
-:class:`repro.parallel.cost_model.ThreadScalingModel` remains the
-calibrated Figure-14 curve for the legacy pool.
+:class:`repro.parallel.cost_model.ThreadScalingModel` is the paper's
+calibrated Figure-14 curve.
 """
 
 from repro.parallel.cost_model import ShardedIngestModel, ThreadScalingModel
-from repro.parallel.graph_workers import (
-    GraphWorkerPool,
-    ParallelIngestor,
-    ShardedIngestor,
-    partition_mirrored_updates,
-)
+from repro.parallel.graph_workers import ShardedIngestor, partition_mirrored_updates
 
 __all__ = [
-    "GraphWorkerPool",
-    "ParallelIngestor",
     "ShardedIngestor",
     "ShardedIngestModel",
     "ThreadScalingModel",

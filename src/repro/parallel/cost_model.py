@@ -7,7 +7,7 @@ Two models live here:
   partition step, per-shard folds that divide across workers up to the
   available cores, and a per-batch barrier.  Calibrated against the
   measured rows of ``BENCH_parallel.json``.
-* :class:`ThreadScalingModel` -- the legacy Figure-14 model.  The paper
+* :class:`ThreadScalingModel` -- the paper's Figure-14 model.  The paper
   shows ingestion rising ~26x from 1 to 46 threads on a 24-core
   (48-thread) machine; a pure-Python reproduction cannot demonstrate
   that directly, so the Figure-14 benchmark combines a small real

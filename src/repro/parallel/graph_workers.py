@@ -15,8 +15,8 @@ writer that ever touches those buckets.  Ingesting a batch is then:
    through the shared columnar fold kernel into its own slab
    (:meth:`~repro.sketch.tensor_pool.NodeTensorPool.fold_shard`).
 
-There are no per-node locks, no ``Batch`` objects, and no shared
-mutable state between shards: scatter targets are disjoint by
+There are no per-node locks and no shared mutable state between
+shards: scatter targets are disjoint by
 construction, and because bucket updates are XOR-folds the shard-local
 application order is irrelevant -- the resulting pool is bit-identical
 to serial :meth:`~repro.core.graph_zeppelin.GraphZeppelin.ingest_batch`
@@ -50,34 +50,23 @@ shard boundaries snap to the pool's node-group page boundaries, so one
 worker owns each page's fold (the pool's pin/evict bookkeeping
 serialises under its own lock while the fold kernels run concurrently
 on disjoint pages).  Page-affine mode runs on the threads backend --
-pages cannot migrate to shared memory -- and means ``--workers`` no
-longer falls back to the legacy pool for RAM-budgeted engines.
-
-The seed design -- a :class:`GraphWorkerPool` popping per-node
-``Batch`` objects through per-target locks -- is kept as the
-``"legacy"`` reference backend (:class:`ParallelIngestor`).
+pages cannot migrate to shared memory.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.buffering.base import Batch
-from repro.buffering.work_queue import WorkQueue
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.exceptions import ConfigurationError
 from repro.parallel.cost_model import usable_cores
 from repro.sketch.flat_node_sketch import hash_depths_checksums
 from repro.sketch.tensor_pool import NodeTensorPool, auto_num_shards, shard_bounds
-
-#: Signature of the function a legacy worker applies to each batch.
-BatchApplier = Callable[[Batch], None]
 
 #: Default bound on the pipelined producer's prepared-batch backlog, in
 #: bytes of update columns.  Big enough for several typical stream
@@ -186,12 +175,10 @@ class ShardedIngestor:
     Parameters
     ----------
     engine:
-        The GraphZeppelin instance to ingest into.  Must hold a flat
-        tensor pool: the in-RAM :class:`NodeTensorPool` (the default)
-        or the out-of-core
+        The GraphZeppelin instance to ingest into: over the in-RAM
+        :class:`NodeTensorPool` (the default) or the out-of-core
         :class:`~repro.sketch.paged_pool.PagedTensorPool` (page-affine
-        mode, threads backend only).  Only the legacy sketch backend's
-        per-node object store keeps the legacy worker pool.
+        mode, threads backend only).
     num_workers:
         Concurrent shard workers (default ``engine.config.num_workers``).
     num_shards:
@@ -222,25 +209,14 @@ class ShardedIngestor:
         max_queued_bytes: Optional[int] = None,
     ) -> None:
         pool = engine.tensor_pool
-        if pool is None:
-            raise ConfigurationError(
-                "sharded parallel ingest requires a flat tensor pool (in-RAM "
-                "or paged); use the legacy ParallelIngestor for the legacy "
-                "sketch backend's per-node object store"
-            )
         self.engine = engine
         self.pool: NodeTensorPool = pool
         self.paged = pool.is_paged
         self.backend = backend if backend is not None else engine.config.parallel_backend
-        if self.backend == "legacy":
-            raise ConfigurationError(
-                "parallel_backend='legacy' maps to ParallelIngestor, not "
-                "ShardedIngestor; use GraphZeppelin.parallel_ingestor()"
-            )
         if self.backend not in ("threads", "processes"):
             raise ConfigurationError(
                 f"unknown parallel backend {self.backend!r} "
-                "(use 'threads', 'processes', or 'legacy')"
+                "(use 'threads' or 'processes')"
             )
         if self.paged and self.backend == "processes":
             raise ConfigurationError(
@@ -575,182 +551,3 @@ class ShardedIngestor:
         self._updates_ingested += count
         self.engine._toggle_tracked_edges(lo, hi)
         self.engine._note_parallel_ingest(count)
-
-
-# ----------------------------------------------------------------------
-# legacy reference backend (the seed design, shutdown race fixed)
-# ----------------------------------------------------------------------
-class GraphWorkerPool:
-    """A pool of worker threads consuming per-node batches from a queue.
-
-    The seed repository's Graph Workers pipeline, kept as the
-    ``"legacy"`` reference backend: a producer pushes
-    :class:`~repro.buffering.base.Batch` objects into the bounded work
-    queue and ``num_workers`` threads pop and apply them, serialising
-    same-node batches with a per-node lock.  The sharded path above
-    replaces all of this for the in-RAM tensor pool; this pool remains
-    for buffered/out-of-core engines and as the comparison baseline.
-
-    Shutdown uses task-done accounting: :meth:`join` blocks on the
-    queue's unfinished-task count -- which reaches zero only after the
-    *apply* of the last popped batch completes, not merely after the
-    queue drains -- and then wakes each worker with a sentinel.  There
-    is no polling loop anywhere.
-    """
-
-    def __init__(
-        self,
-        apply_batch: BatchApplier,
-        num_workers: int = 4,
-        work_queue: Optional[WorkQueue] = None,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        self.num_workers = num_workers
-        self.apply_batch = apply_batch
-        self.work_queue = (
-            work_queue if work_queue is not None else WorkQueue(num_workers=num_workers)
-        )
-        self._node_locks: Dict[int, threading.Lock] = {}
-        self._node_locks_guard = threading.Lock()
-        self._threads: List[threading.Thread] = []
-        self._batches_processed = 0
-        self._updates_processed = 0
-        self._counter_lock = threading.Lock()
-        self._worker_errors: List[BaseException] = []
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start the worker threads (idempotent)."""
-        if self._threads:
-            return
-        for worker_id in range(self.num_workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"graph-worker-{worker_id}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def submit(self, batch: Batch) -> None:
-        """Enqueue one batch for processing."""
-        self.work_queue.put(batch)
-
-    def submit_all(self, batches: Iterable[Batch]) -> None:
-        for batch in batches:
-            self.submit(batch)
-
-    def join(self) -> None:
-        """Wait until every submitted batch has been *applied*, then stop.
-
-        ``task_done`` accounting tracks in-flight batches, so a batch a
-        worker has already popped but is still applying holds this call
-        open until its apply returns.  An exception raised by
-        ``apply_batch`` does not kill its worker (the pool keeps its
-        full worker count and every sentinel is consumed); the first
-        such error is re-raised here after shutdown.
-        """
-        self.work_queue.join_tasks()
-        for _ in self._threads:
-            self.work_queue.put_sentinel()
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
-        if self._worker_errors:
-            errors, self._worker_errors = self._worker_errors, []
-            raise errors[0]
-
-    # ------------------------------------------------------------------
-    @property
-    def batches_processed(self) -> int:
-        return self._batches_processed
-
-    @property
-    def updates_processed(self) -> int:
-        return self._updates_processed
-
-    # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
-        while True:
-            batch = self.work_queue.get(block=True)
-            if batch is WorkQueue.SENTINEL:
-                self.work_queue.task_done()
-                return
-            try:
-                lock = self._lock_for(batch.lock_key)
-                with lock:
-                    self.apply_batch(batch)
-                with self._counter_lock:
-                    self._batches_processed += 1
-                    self._updates_processed += len(batch)
-            except BaseException as exc:  # noqa: BLE001 -- surfaced by join()
-                with self._counter_lock:
-                    self._worker_errors.append(exc)
-            finally:
-                self.work_queue.task_done()
-
-    def _lock_for(self, key) -> threading.Lock:
-        """Lock serialising batches for one target (a node or a page)."""
-        with self._node_locks_guard:
-            lock = self._node_locks.get(key)
-            if lock is None:
-                lock = threading.Lock()
-                self._node_locks[key] = lock
-            return lock
-
-
-class ParallelIngestor:
-    """Drives a GraphZeppelin instance with the legacy Graph Worker pool.
-
-    The single-threaded engine applies batches inline as the buffering
-    layer emits them; this wrapper reroutes emitted batches through a
-    :class:`GraphWorkerPool` instead, so multiple node sketches are
-    updated concurrently.  This is the ``"legacy"`` reference backend --
-    per-node batches, per-node locks, scalar apply path; prefer
-    :class:`ShardedIngestor` whenever the engine holds the in-RAM
-    tensor pool.  Use it as a context manager::
-
-        with ParallelIngestor(gz, num_workers=8) as ingestor:
-            for update in stream:
-                ingestor.edge_update(update.u, update.v)
-        forest = gz.list_spanning_forest()
-    """
-
-    def __init__(self, engine: GraphZeppelin, num_workers: int = 4) -> None:
-        self.engine = engine
-        self.pool = GraphWorkerPool(
-            apply_batch=engine._apply_batch, num_workers=num_workers
-        )
-
-    def __enter__(self) -> "ParallelIngestor":
-        self.pool.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.finish()
-
-    # ------------------------------------------------------------------
-    def edge_update(self, u: int, v: int) -> None:
-        """Buffer one update, dispatching any emitted batches to workers."""
-        buffering = self.engine.buffering
-        self.engine._updates_processed += 1
-        if buffering is None:
-            self.pool.submit(Batch(node=u, neighbors=[v]))
-            self.pool.submit(Batch(node=v, neighbors=[u]))
-            return
-        for batch in buffering.insert_edge(u, v):
-            self.pool.submit(batch)
-
-    def ingest(self, updates: Iterable) -> int:
-        count = 0
-        for update in updates:
-            self.edge_update(update.u, update.v)
-            count += 1
-        return count
-
-    def finish(self) -> None:
-        """Flush remaining buffered updates through the pool and stop it."""
-        buffering = self.engine.buffering
-        if buffering is not None:
-            for batch in buffering.flush_all():
-                self.pool.submit(batch)
-        self.pool.join()

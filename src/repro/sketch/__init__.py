@@ -22,7 +22,7 @@ On top of the samplers sits the columnar sketch engine:
   entire bundle of per-round CubeSketches flattened into two contiguous
   uint64 tensors, updated by a single hash-matrix + level-peeling
   segmented-XOR kernel instead of Python loops over rounds and columns
-  (bit-identical to the legacy bundles under the same seed);
+  (bit-identical to the per-round CubeSketch bundles under the same seed);
 * :class:`repro.sketch.tensor_pool.NodeTensorPool` -- the whole graph's
   sketch state in one tensor pair, able to fold mixed multi-node update
   columns in one kernel pass and answer Boruvka cut queries with one
@@ -36,11 +36,7 @@ On top of the samplers sits the columnar sketch engine:
 
 from repro.sketch.bucket import CubeBucket, StandardBucket
 from repro.sketch.cubesketch import CubeSketch
-from repro.sketch.flat_node_sketch import (
-    FlatNodeSketch,
-    merged_round_query,
-    query_bucket_arrays_batch,
-)
+from repro.sketch.flat_node_sketch import FlatNodeSketch, query_bucket_arrays_batch
 from repro.sketch.sketch_base import (
     SAMPLE_FAIL,
     SAMPLE_GOOD,
@@ -66,7 +62,6 @@ __all__ = [
     "L0Sampler",
     "NodeTensorPool",
     "PagedTensorPool",
-    "merged_round_query",
     "query_bucket_arrays_batch",
     "SAMPLE_FAIL",
     "SAMPLE_GOOD",

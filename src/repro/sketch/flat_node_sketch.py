@@ -802,30 +802,6 @@ class FlatNodeSketch:
         gamma.flags.writeable = False
         return alpha, gamma
 
-    def to_bytes(self) -> bytes:
-        """Serialise the whole bundle as one contiguous blob."""
-        from repro.sketch.serialization import flat_node_sketch_to_bytes
-
-        return flat_node_sketch_to_bytes(self)
-
-    @classmethod
-    def from_bytes(
-        cls,
-        payload: bytes,
-        encoder: EdgeEncoder,
-        graph_seed: int,
-        delta: float = 0.01,
-        kernels=None,
-    ) -> "FlatNodeSketch":
-        """Reconstruct a bundle serialised with :meth:`to_bytes`."""
-        from repro.sketch.serialization import flat_node_sketch_from_bytes
-
-        sketch = flat_node_sketch_from_bytes(
-            payload, encoder, graph_seed=graph_seed, delta=delta
-        )
-        sketch._kernels = kernels
-        return sketch
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlatNodeSketch):
             return NotImplemented
@@ -840,39 +816,3 @@ class FlatNodeSketch:
             f"FlatNodeSketch(node={self.node}, rounds={self.num_rounds}, "
             f"rows={self.num_rows}, cols={self.num_columns}, bytes={self.size_bytes()})"
         )
-
-
-def merged_round_query(
-    node_sketches: Sequence[FlatNodeSketch],
-    round_index: int,
-) -> SampleResult:
-    """Query the XOR of several nodes' round-``round_index`` buckets.
-
-    The Boruvka cut-merge inner loop: instead of materialising a merged
-    CubeSketch object, the members' round slices are XOR-reduced in one
-    stacked numpy reduction and queried in place.  Inputs are not
-    mutated, so the stream can continue after the query.
-    """
-    if not node_sketches:
-        raise ValueError("merged_round_query requires at least one node sketch")
-    first = node_sketches[0]
-    for sketch in node_sketches[1:]:
-        if not first.is_compatible(sketch):
-            raise IncompatibleSketchError(
-                "node sketches from different graphs/seeds cannot be merged"
-            )
-    if len(node_sketches) == 1:
-        return first.query_round(round_index)
-    alpha = np.bitwise_xor.reduce(
-        np.stack([sketch._alpha[round_index] for sketch in node_sketches])
-    )
-    gamma = np.bitwise_xor.reduce(
-        np.stack([sketch._gamma[round_index] for sketch in node_sketches])
-    )
-    base = round_index * first.num_columns
-    return query_bucket_arrays(
-        alpha.T,
-        gamma.T,
-        first.encoder.vector_length,
-        first._checksum_seeds[base : base + first.num_columns],
-    )

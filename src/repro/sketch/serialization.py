@@ -1,52 +1,29 @@
-"""Serialisation of sketches to and from bytes.
+"""Serialisation of a CubeSketch to and from bytes.
 
-GraphZeppelin stores node sketches contiguously on disk so a node
-group's sketches can be fetched with a few sequential block reads
-(Section 4.1).  The external-memory substrate in :mod:`repro.memory`
-works on byte blobs, so sketches need a compact, deterministic binary
-form.  Two formats live here:
+The external-memory substrate in :mod:`repro.memory` works on byte
+blobs, so a sketch needs a compact, deterministic binary form:
+``header (5 x uint64 little-endian): magic, vector_length, rows, cols,
+seed`` followed by the raw ``alpha`` array (uint64) and ``gamma``
+array (uint64), both in C order.  The magic and length checks are
+shared with the pool snapshot format of :mod:`repro.distributed.snapshot`.
 
-* **CubeSketch** --
-  ``header (5 x uint64 little-endian): magic, vector_length, rows, cols,
-  seed`` followed by the raw ``alpha`` array (uint64) and ``gamma``
-  array (uint64), both in C order.
-* **FlatNodeSketch** -- one blob for a node's *entire* bundle:
-  ``header (7 x uint64): magic, node, num_rounds, num_rows, num_cols,
-  num_nodes, graph_seed`` followed by the full alpha tensor and gamma tensor in
-  their native slot-major ``(rounds, cols, rows)`` layout, each as a
-  single C-order ``tobytes`` dump.  There is no per-round framing,
-  which is what lets the out-of-core store move a node's bundle with
-  one contiguous read/write.
-
-Only these two classes round-trip; the general-purpose sampler holds
-unbounded Python integers and exists only as an in-memory baseline.
+The general-purpose sampler holds unbounded Python integers and exists
+only as an in-memory baseline; it does not round-trip.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import StreamFormatError
 from repro.sketch.cubesketch import CubeSketch
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.edge_encoding import EdgeEncoder
-    from repro.sketch.flat_node_sketch import FlatNodeSketch
-
 #: Magic number identifying a serialised CubeSketch ("CUBE" + version 1).
 CUBESKETCH_MAGIC = 0x43554245_00000001
 
-#: Magic number identifying a serialised FlatNodeSketch ("FLAT" + version 1).
-FLAT_NODE_SKETCH_MAGIC = 0x464C4154_00000001
-
 _HEADER_STRUCT = struct.Struct("<5Q")
-
-_FLAT_HEADER_STRUCT = struct.Struct("<7Q")
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def check_magic(actual: int, expected: int, what: str) -> None:
@@ -116,90 +93,3 @@ def cubesketch_from_bytes(payload: bytes, delta: float = 0.01) -> CubeSketch:
 def serialized_size_bytes(sketch: CubeSketch) -> int:
     """Exact byte length :func:`cubesketch_to_bytes` will produce."""
     return _HEADER_STRUCT.size + 2 * sketch.num_rows * sketch.num_columns * 8
-
-
-# ======================================================================
-# FlatNodeSketch: whole-bundle columnar format
-# ======================================================================
-def flat_node_sketch_to_bytes(sketch: "FlatNodeSketch") -> bytes:
-    """Serialise a flat node sketch as one contiguous blob.
-
-    The tensors are dumped in their native slot-major (rows-innermost)
-    layout, so each ``tobytes`` is a straight memory copy with no
-    transposition.
-    """
-    header = _FLAT_HEADER_STRUCT.pack(
-        FLAT_NODE_SKETCH_MAGIC,
-        sketch.node,
-        sketch.num_rounds,
-        sketch.num_rows,
-        sketch.num_columns,
-        sketch.encoder.num_nodes,
-        sketch.graph_seed & _MASK64,
-    )
-    return header + sketch._alpha.tobytes(order="C") + sketch._gamma.tobytes(order="C")
-
-
-def flat_node_sketch_from_bytes(
-    payload: bytes,
-    encoder: "EdgeEncoder",
-    graph_seed: int,
-    delta: float = 0.01,
-) -> "FlatNodeSketch":
-    """Reconstruct a flat node sketch from :func:`flat_node_sketch_to_bytes`.
-
-    The hash seeds are re-derived from ``graph_seed`` (they are a pure
-    function of it and the geometry), so the payload carries only the
-    bucket tensors plus the seed itself -- which is cross-checked
-    against the caller's, because buckets interpreted under the wrong
-    hash functions silently fail every query instead of erroring.
-    """
-    from repro.sketch.flat_node_sketch import FlatNodeSketch
-
-    if len(payload) < _FLAT_HEADER_STRUCT.size:
-        raise StreamFormatError("payload too short to contain a flat-sketch header")
-    magic, node, rounds, rows, cols, num_nodes, stored_seed = (
-        _FLAT_HEADER_STRUCT.unpack_from(payload)
-    )
-    check_magic(magic, FLAT_NODE_SKETCH_MAGIC, "flat-sketch")
-    if num_nodes != encoder.num_nodes:
-        raise StreamFormatError(
-            f"flat sketch was built for {num_nodes} nodes, encoder has {encoder.num_nodes}"
-        )
-    if stored_seed != graph_seed & _MASK64:
-        raise StreamFormatError(
-            f"flat sketch was written under graph seed {stored_seed}, "
-            f"caller supplied {graph_seed & _MASK64}"
-        )
-
-    tensor_elems = rounds * rows * cols
-    check_payload_length(
-        len(payload),
-        _FLAT_HEADER_STRUCT.size + 2 * tensor_elems * 8,
-        "flat-sketch payload",
-    )
-
-    body = np.frombuffer(payload, dtype=np.uint64, offset=_FLAT_HEADER_STRUCT.size)
-
-    sketch = FlatNodeSketch(
-        int(node),
-        encoder,
-        graph_seed=int(graph_seed),
-        delta=delta,
-        num_rounds=int(rounds),
-    )
-    if sketch.num_rows != rows or sketch.num_columns != cols:
-        raise StreamFormatError(
-            "serialised geometry does not match the encoder/delta-derived geometry"
-        )
-    sketch._alpha = body[:tensor_elems].reshape(rounds, cols, rows).copy()
-    sketch._gamma = body[tensor_elems:].reshape(rounds, cols, rows).copy()
-    return sketch
-
-
-def flat_serialized_size_bytes(sketch: "FlatNodeSketch") -> int:
-    """Exact byte length :func:`flat_node_sketch_to_bytes` will produce."""
-    return (
-        _FLAT_HEADER_STRUCT.size
-        + 2 * sketch.num_rounds * sketch.num_rows * sketch.num_columns * 8
-    )

@@ -416,10 +416,8 @@ class NodeTensorPool:
     def apply_node_batch(self, node: int, neighbors) -> None:
         """Fold a batch of edges ``{node, w}`` into one node's bundle.
 
-        Used by the buffering path, whose emitted batches are already
-        grouped per destination node.  Writes touch only ``node``'s
-        buckets, so batches for different nodes can be applied
-        concurrently by the worker pool.
+        The unbuffered per-update path folds each endpoint's single
+        update through here.  Writes touch only ``node``'s buckets.
         """
         indices = self.encoder.encode_batch(node, neighbors)
         if indices.size == 0:

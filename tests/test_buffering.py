@@ -1,25 +1,22 @@
-"""Tests for the buffering layer: work queue, leaf gutters, gutter tree."""
+"""Tests for the buffering layer: leaf gutters, gutter tree."""
 
+import numpy as np
 import pytest
 
-from repro.buffering.base import BYTES_PER_BUFFERED_UPDATE, Batch, gutter_capacity_updates
+from repro.buffering.base import (
+    BYTES_PER_BUFFERED_UPDATE,
+    PageBatch,
+    gutter_capacity_updates,
+)
 from repro.buffering.gutter_tree import GutterTree
 from repro.buffering.leaf_gutters import LeafGutters
-from repro.buffering.work_queue import WorkQueue
 from repro.exceptions import ConfigurationError
 from repro.memory.hybrid import HybridMemory
 
 
 # ----------------------------------------------------------------------
-# Batch and capacity helpers
+# capacity helpers
 # ----------------------------------------------------------------------
-def test_batch_len_iter_and_size():
-    batch = Batch(node=3, neighbors=[1, 2, 5])
-    assert len(batch) == 3
-    assert list(batch) == [1, 2, 5]
-    assert batch.size_bytes == 3 * BYTES_PER_BUFFERED_UPDATE
-
-
 def test_gutter_capacity_updates():
     assert gutter_capacity_updates(800, 0.5) == 50
     assert gutter_capacity_updates(8, 0.001) == 1  # clamps at the minimum
@@ -30,48 +27,7 @@ def test_gutter_capacity_updates():
 
 
 # ----------------------------------------------------------------------
-# WorkQueue
-# ----------------------------------------------------------------------
-def test_work_queue_fifo_and_counters():
-    queue = WorkQueue(num_workers=2)
-    queue.put(Batch(node=1, neighbors=[2]))
-    queue.put(Batch(node=2, neighbors=[3, 4]))
-    assert len(queue) == 2
-    assert queue.batches_enqueued == 2
-    assert queue.updates_enqueued == 3
-    first = queue.get()
-    assert first.node == 1
-    assert queue.get().node == 2
-    assert queue.is_empty
-
-
-def test_work_queue_capacity_default():
-    queue = WorkQueue(num_workers=3)
-    assert queue.capacity == 24
-
-
-def test_work_queue_drain():
-    queue = WorkQueue()
-    queue.put_all([Batch(node=i) for i in range(5)])
-    drained = list(queue.drain())
-    assert [batch.node for batch in drained] == [0, 1, 2, 3, 4]
-    assert queue.get_nowait() is None
-
-
-def test_work_queue_high_watermark():
-    queue = WorkQueue(num_workers=1, capacity=10)
-    for i in range(4):
-        queue.put(Batch(node=i))
-    assert queue.high_watermark == 4
-
-
-def test_work_queue_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        WorkQueue(num_workers=0)
-
-
-# ----------------------------------------------------------------------
-# LeafGutters
+# LeafGutters (default bounds: every node its own one-node page)
 # ----------------------------------------------------------------------
 def test_leaf_gutter_emits_batch_when_full():
     gutters = LeafGutters(num_nodes=10, capacity_updates=3)
@@ -79,8 +35,10 @@ def test_leaf_gutter_emits_batch_when_full():
     assert gutters.insert(0, 2) == []
     emitted = gutters.insert(0, 3)
     assert len(emitted) == 1
-    assert emitted[0].node == 0
-    assert emitted[0].neighbors == [1, 2, 3]
+    batch = emitted[0]
+    assert (batch.page, batch.node_lo, batch.node_hi) == (0, 0, 1)
+    assert batch.dsts.tolist() == [0, 0, 0]
+    assert batch.neighbors.tolist() == [1, 2, 3]
     assert gutters.pending_for(0) == 0
 
 
@@ -94,7 +52,7 @@ def test_leaf_gutter_flush_all_returns_remaining():
     gutters.insert(1, 2)
     gutters.insert(3, 4)
     batches = gutters.flush_all()
-    assert sorted(batch.node for batch in batches) == [1, 3]
+    assert [(batch.node_lo, batch.node_hi) for batch in batches] == [(1, 2), (3, 4)]
     assert gutters.pending_updates() == 0
 
 
@@ -178,7 +136,8 @@ def test_gutter_tree_batches_are_per_node():
     for _ in range(30):
         tree.insert(3, 5)
     batches = tree.flush_all()
-    assert all(batch.node == 3 for batch in batches)
+    assert all((batch.node_lo, batch.node_hi) == (3, 4) for batch in batches)
+    assert all((batch.dsts == 3).all() for batch in batches)
     assert sum(len(b) for b in batches) == 30
 
 
@@ -206,28 +165,20 @@ def test_gutter_tree_validation():
 
 
 # ----------------------------------------------------------------------
-# Page mode: gutters keyed per node group, emitting PageBatch columns
+# Explicit page bounds: gutters keyed per node group
 # ----------------------------------------------------------------------
-import numpy as np
-
-from repro.buffering.base import PageBatch
-
-
-def test_page_batch_len_size_and_lock_key():
+def test_page_batch_len_and_size():
     batch = PageBatch(
         page=2, node_lo=8, node_hi=12,
         dsts=np.asarray([8, 9, 8]), neighbors=np.asarray([1, 2, 3]),
     )
     assert len(batch) == 3
     assert batch.size_bytes == 3 * BYTES_PER_BUFFERED_UPDATE
-    assert batch.lock_key == ("page", 2)
-    assert Batch(node=4).lock_key == ("node", 4)
 
 
 def test_leaf_gutters_page_mode_emits_mixed_node_columns():
     bounds = np.asarray([0, 4, 8, 10])
     gutters = LeafGutters(num_nodes=10, capacity_updates=2, page_bounds=bounds)
-    assert gutters.page_mode
     # Page 0 holds nodes 0-3 with capacity 2 * 4 = 8 updates.
     emitted = []
     for i in range(7):

@@ -91,7 +91,7 @@ def test_unknown_dataset_rejected_by_parser():
         main(["generate", "not-a-dataset", "out.stream"])
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes", "legacy"])
+@pytest.mark.parametrize("backend", ["threads", "processes"])
 def test_components_parallel_backends_match_reference(tmp_path, capsys, backend):
     stream_path = tmp_path / "kron13.stream"
     main(["generate", "kron13", str(stream_path), "--scale-reduction", "8", "--seed", "3"])
@@ -105,14 +105,14 @@ def test_components_parallel_backends_match_reference(tmp_path, capsys, backend)
     output = capsys.readouterr().out
     from repro.parallel.cost_model import usable_cores
 
-    # Sharded backends report the effective (core-clamped) worker count.
-    effective = 2 if backend == "legacy" else min(2, usable_cores())
+    # The report shows the effective (core-clamped) worker count.
+    effective = min(2, usable_cores())
     assert f"({backend} x{effective}" in output
     assert "matches exact reference: True" in output
 
 
 def test_components_workers_with_ram_budget_runs_page_affine_sharded(tmp_path, capsys):
-    """Out-of-core engines no longer fall back to the legacy worker pool."""
+    """Out-of-core engines ingest page-affine through the sharded pipeline."""
     stream_path = tmp_path / "small.stream"
     main(["generate", "kron13", str(stream_path), "--scale-reduction", "8"])
     capsys.readouterr()
@@ -123,7 +123,6 @@ def test_components_workers_with_ram_budget_runs_page_affine_sharded(tmp_path, c
         ]
     ) == 0
     output = capsys.readouterr().out
-    assert "legacy worker pool" not in output
     assert "(threads x" in output
     assert "page size        :" in output
     assert "RAM-tier hit rate:" in output

@@ -22,6 +22,11 @@ from repro.kernels import native_kernels, native_unavailable_reason
 from repro.resilience.checkpoint import CheckpointPolicy, list_checkpoints
 from repro.streaming.stream import GraphStream
 from repro.types import EdgeUpdate, UpdateType
+from sketch_reference import (
+    assert_node_state_matches,
+    reference_forest,
+    reference_node_sketches,
+)
 
 
 def _random_edges(num_nodes: int, count: int, seed: int) -> np.ndarray:
@@ -69,23 +74,14 @@ def test_ingest_batch_matches_per_edge_path(buffering):
 
 
 def test_flat_and_legacy_backends_answer_identically():
+    """The pool holds what per-round CubeSketch bundles hold, and answers alike."""
     edges = _random_edges(40, 250, seed=4)
-    flat = GraphZeppelin(40, config=GraphZeppelinConfig(seed=3, sketch_backend="flat"))
-    legacy = GraphZeppelin(40, config=GraphZeppelinConfig(seed=3, sketch_backend="legacy"))
+    flat = GraphZeppelin(40, config=GraphZeppelinConfig(seed=3))
     flat.ingest_batch(edges)
-    for u, v in edges.tolist():
-        legacy.edge_update(u, v)
-    flat.flush()
-    legacy.flush()
-    for node in range(40):
-        flat_sketch = flat.node_sketch(node)
-        legacy_sketch = legacy.node_sketch(node)
-        for round_index in range(flat.num_rounds):
-            alpha_f, gamma_f = flat_sketch.round_arrays(round_index)
-            alpha_l, gamma_l = legacy_sketch.round_sketch(round_index).raw_arrays()
-            assert np.array_equal(alpha_f, alpha_l)
-            assert np.array_equal(gamma_f, gamma_l)
-    assert flat.list_spanning_forest().edges == legacy.list_spanning_forest().edges
+    assert_node_state_matches(flat, reference_node_sketches(40, edges.tolist(), seed=3))
+    forest, stats = reference_forest(flat)
+    assert flat.list_spanning_forest().edges == forest.edges
+    assert flat.last_query_stats == stats
 
 
 def test_ingest_batch_out_of_core_flat_backend():
@@ -258,23 +254,18 @@ def test_ingest_matches_the_per_update_loop(monkeypatch, source, pool, kernel_ba
     assert columnar.ingest([]) == 0 and columnar.ingest(GraphStream(_INGEST_NODES)) == 0
 
 
-@pytest.mark.parametrize("backend", ["legacy", "per_node"])
-def test_ingest_matches_the_per_update_loop_on_object_stores(monkeypatch, backend):
+@pytest.mark.parametrize("pool", sorted(_POOLS))
+def test_ingest_matches_edge_by_edge_node_sketches(monkeypatch, pool):
     monkeypatch.setattr(graph_zeppelin, "INGEST_CHUNK_ROWS", 64)
     updates = _legal_updates(150, seed=5)
-    config = (
-        dict(sketch_backend="legacy")
-        if backend == "legacy"
-        else dict(ram_budget_bytes=3_000, out_of_core_pool="per_node")
+    columnar = GraphZeppelin(
+        _INGEST_NODES, config=GraphZeppelinConfig(seed=3, **_POOLS[pool])
     )
-    reference = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=3, **config))
-    columnar = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=3, **config))
-    _per_update(reference, updates)
     columnar.ingest(GraphStream(_INGEST_NODES, updates))
-    reference.flush()
-    columnar.flush()
-    for node in range(_INGEST_NODES):
-        assert columnar.node_sketch(node).to_bytes() == reference.node_sketch(node).to_bytes()
+    reference = reference_node_sketches(
+        _INGEST_NODES, [update.edge for update in updates], seed=3
+    )
+    assert_node_state_matches(columnar, reference)
 
 
 def _illegal_at(updates, k: int, kind: UpdateType):

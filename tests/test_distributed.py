@@ -113,15 +113,6 @@ def test_distributed_ingest_keeps_snapshots_when_asked(tmp_path):
     assert engine.num_connected_components() >= 1
 
 
-def test_distributed_ingest_rejects_legacy_backend():
-    with pytest.raises(ConfigurationError, match="flat"):
-        distributed_ingest(
-            _random_edges(10, seed=1),
-            NUM_NODES,
-            config=GraphZeppelinConfig(sketch_backend="legacy"),
-        )
-
-
 def test_distributed_ingest_rejects_stream_validation():
     with pytest.raises(ConfigurationError, match="validate"):
         distributed_ingest(

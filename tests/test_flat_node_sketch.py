@@ -5,7 +5,7 @@ hold *exactly* the same bucket contents as the legacy per-CubeSketch
 bundles under the same graph seed: same alpha/gamma words, same query
 results, same merged cut sketches.  These tests drive both
 implementations with identical random streams (hypothesis) and compare
-raw state, plus round-trip the new whole-bundle serialisation format.
+raw state.
 """
 
 from __future__ import annotations
@@ -16,37 +16,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.node_sketch import NodeSketch, merged_round_sketch
-from repro.exceptions import IncompatibleSketchError, StreamFormatError
+from repro.exceptions import IncompatibleSketchError
 from repro.sketch.flat_node_sketch import (
     _XOR_BLOCK_ROWS,
     FlatNodeSketch,
     _segmented_xor_blocked,
     columnar_fold,
     flat_seed_matrices,
-    merged_round_query,
     segmented_xor,
 )
-from repro.sketch.serialization import (
-    flat_node_sketch_from_bytes,
-    flat_node_sketch_to_bytes,
-    flat_serialized_size_bytes,
-)
 from repro.sketch.tensor_pool import NodeTensorPool
+from sketch_reference import assert_same_node_state
 
 NUM_NODES = 24
 
 node_ids = st.integers(min_value=0, max_value=NUM_NODES - 1)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 neighbor_lists = st.lists(node_ids, min_size=0, max_size=80)
-
-
-def _assert_same_state(legacy: NodeSketch, flat: FlatNodeSketch) -> None:
-    assert legacy.num_rounds == flat.num_rounds
-    for round_index in range(flat.num_rounds):
-        alpha, gamma = legacy.round_sketch(round_index).raw_arrays()
-        flat_alpha, flat_gamma = flat.round_arrays(round_index)
-        assert np.array_equal(alpha, flat_alpha), f"alpha differs in round {round_index}"
-        assert np.array_equal(gamma, flat_gamma), f"gamma differs in round {round_index}"
 
 
 @given(neighbors=neighbor_lists, seed=seeds)
@@ -59,7 +45,7 @@ def test_flat_batch_is_bit_identical_to_legacy(neighbors, seed):
     flat = FlatNodeSketch(node, encoder, graph_seed=seed)
     legacy.apply_batch(neighbors)
     flat.apply_batch(neighbors)
-    _assert_same_state(legacy, flat)
+    assert_same_node_state(legacy, flat)
     for round_index in range(flat.num_rounds):
         assert legacy.query_round(round_index) == flat.query_round(round_index)
 
@@ -105,7 +91,7 @@ def test_pool_matches_legacy_engine_state(seed, data):
             legacy[v].apply_edge(u)
 
     for node in range(NUM_NODES):
-        _assert_same_state(legacy[node], pool.node_sketch(node))
+        assert_same_node_state(legacy[node], pool.node_sketch(node))
 
     members = sorted({e[0] for e in edges} | {0, 1})
     for round_index in range(pool.num_rounds):
@@ -113,20 +99,6 @@ def test_pool_matches_legacy_engine_state(seed, data):
             pool.query_merged(members, round_index)
             == merged_round_sketch([legacy[n] for n in members], round_index).query()
         )
-
-
-@given(neighbors=neighbor_lists, seed=seeds)
-@settings(max_examples=25, deadline=None)
-def test_flat_serialization_round_trip(neighbors, seed):
-    encoder = EdgeEncoder(NUM_NODES)
-    node = 7
-    sketch = FlatNodeSketch(node, encoder, graph_seed=seed)
-    sketch.apply_batch([w for w in neighbors if w != node])
-    payload = sketch.to_bytes()
-    assert len(payload) == flat_serialized_size_bytes(sketch)
-    restored = FlatNodeSketch.from_bytes(payload, encoder, graph_seed=seed)
-    assert restored == sketch
-    assert restored.node == node
 
 
 def test_flat_apply_rejects_out_of_range_indices_like_legacy():
@@ -162,29 +134,6 @@ def test_pool_accessors_reject_wrapping_node_ids():
         pool.query_merged([0, -1], 0)
 
 
-def test_flat_serialization_rejects_seed_mismatch():
-    encoder = EdgeEncoder(NUM_NODES)
-    sketch = FlatNodeSketch(1, encoder, graph_seed=3)
-    sketch.apply_batch([2, 4])
-    payload = sketch.to_bytes()
-    with pytest.raises(StreamFormatError):
-        FlatNodeSketch.from_bytes(payload, encoder, graph_seed=4)
-
-
-def test_flat_serialization_rejects_bad_payloads():
-    encoder = EdgeEncoder(NUM_NODES)
-    sketch = FlatNodeSketch(1, encoder, graph_seed=3)
-    payload = flat_node_sketch_to_bytes(sketch)
-    with pytest.raises(StreamFormatError):
-        flat_node_sketch_from_bytes(payload[:10], encoder, graph_seed=3)
-    with pytest.raises(StreamFormatError):
-        flat_node_sketch_from_bytes(payload + b"\0" * 8, encoder, graph_seed=3)
-    with pytest.raises(StreamFormatError):
-        flat_node_sketch_from_bytes(b"\0" * len(payload), encoder, graph_seed=3)
-    with pytest.raises(StreamFormatError):
-        flat_node_sketch_from_bytes(payload, EdgeEncoder(NUM_NODES + 1), graph_seed=3)
-
-
 def test_merge_and_copy_semantics():
     encoder = EdgeEncoder(NUM_NODES)
     a = FlatNodeSketch(0, encoder, graph_seed=1)
@@ -199,24 +148,13 @@ def test_merge_and_copy_semantics():
     legacy_b = NodeSketch(1, encoder, graph_seed=1)
     legacy_b.apply_batch([2, 3])
     merged_legacy.merge(legacy_b)
-    _assert_same_state(merged_legacy, a)
+    assert_same_node_state(merged_legacy, a)
     # The pre-merge copy is untouched.
     assert not clone == a
 
     incompatible = FlatNodeSketch(0, encoder, graph_seed=2)
     with pytest.raises(IncompatibleSketchError):
         a.merge(incompatible)
-
-
-def test_merged_round_query_does_not_mutate_inputs():
-    encoder = EdgeEncoder(NUM_NODES)
-    a = FlatNodeSketch(0, encoder, graph_seed=5)
-    b = FlatNodeSketch(1, encoder, graph_seed=5)
-    a.apply_batch([3, 4])
-    b.apply_batch([5, 6])
-    before_a, before_b = a.copy(), b.copy()
-    merged_round_query([a, b], 0)
-    assert a == before_a and b == before_b
 
 
 def test_seed_matrices_match_legacy_cubesketch_seeds():

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import StorageError
 from repro.memory.block_device import DEFAULT_BLOCK_SIZE, BlockDevice, DeviceProfile
 from repro.memory.cache import LRUCache
-from repro.memory.hybrid import HybridMemory, SketchStore
+from repro.memory.hybrid import HybridMemory
 from repro.memory.metrics import IOStats
 
 
@@ -327,30 +327,6 @@ def test_load_range_does_not_populate_cache():
     memory.store("b", b"B" * 48)  # evicts "a" (written back dirty)
     assert memory.load_range("a", 0, 8) == b"A" * 8
     assert memory.load("a") == b"A" * 48
-
-
-# ----------------------------------------------------------------------
-# SketchStore
-# ----------------------------------------------------------------------
-def test_sketch_store_in_ram_mode_keeps_objects_live():
-    store = SketchStore(serialize=str.encode, deserialize=bytes.decode)
-    store.put(1, "hello")
-    assert store.get(1) == "hello"
-    assert 1 in store and 2 not in store
-    assert list(store.keys()) == [1]
-    assert store.stats is None
-
-
-def test_sketch_store_external_mode_roundtrips_through_bytes():
-    memory = HybridMemory(ram_bytes=4, block_size=16)
-    store = SketchStore(serialize=str.encode, deserialize=bytes.decode, memory=memory)
-    assert store.uses_external_memory
-    store.put("x", "alpha")
-    store.put("y", "beta")
-    assert store.get("x") == "alpha"
-    assert store.get("y") == "beta"
-    assert memory.stats.total_ios > 0
-    store.flush()
 
 
 # ----------------------------------------------------------------------

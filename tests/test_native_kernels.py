@@ -1,7 +1,7 @@
-"""Native kernel providers must be bit-identical to the numpy kernels.
+"""The native kernel provider must be bit-identical to the numpy kernels.
 
-The compiled hot-kernel twins (``repro.kernels``: numba when installed,
-the runtime-compiled C library otherwise) are pure optimisations: under
+The compiled hot-kernel twins (``repro.kernels``: the runtime-compiled C
+library) are pure optimisations: under
 the same seed they must produce the *same bits* as the numpy path --
 same pool tensors, same forests, same Boruvka stats -- across
 packed/wide bucket modes, flat/paged pools, and
@@ -9,8 +9,8 @@ serial/sharded/distributed ingest.  These tests assert exactly that,
 plus the dispatch plumbing (config validation, auto fallback,
 fingerprint exclusion).
 
-The whole module skips -- not errors -- when no native provider is
-usable (no numba and no C toolchain): the numpy-only environment is a
+The whole module skips -- not errors -- when the native provider is
+not usable (no C toolchain): the numpy-only environment is a
 supported configuration and its suite must stay green.
 """
 
@@ -34,6 +34,11 @@ from repro.sketch.flat_node_sketch import (
     segmented_xor,
 )
 from repro.sketch.tensor_pool import NodeTensorPool
+from sketch_reference import (
+    assert_node_state_matches,
+    reference_forest,
+    reference_node_sketches,
+)
 
 NATIVE = native_kernels()
 
@@ -54,14 +59,13 @@ def _random_edges(num_nodes: int, count: int, seed: int) -> np.ndarray:
 def _assert_same_engine_state(native: GraphZeppelin, reference: GraphZeppelin) -> None:
     reference.flush()
     native.flush()
-    if reference.tensor_pool is not None:
-        ref_alpha, ref_gamma = reference.tensor_pool.raw_tensors()
-        got_alpha, got_gamma = native.tensor_pool.raw_tensors()
-        assert np.array_equal(ref_alpha, got_alpha)
-        assert np.array_equal(
-            np.asarray(ref_gamma, dtype=np.uint64),
-            np.asarray(got_gamma, dtype=np.uint64),
-        )
+    ref_alpha, ref_gamma = reference.tensor_pool.raw_tensors()
+    got_alpha, got_gamma = native.tensor_pool.raw_tensors()
+    assert np.array_equal(ref_alpha, got_alpha)
+    assert np.array_equal(
+        np.asarray(ref_gamma, dtype=np.uint64),
+        np.asarray(got_gamma, dtype=np.uint64),
+    )
     ref_forest = reference.list_spanning_forest()
     got_forest = native.list_spanning_forest()
     assert got_forest.partition_signature() == ref_forest.partition_signature()
@@ -210,10 +214,6 @@ def test_fold_bundle_matches_numpy_flat_sketch():
     assert np.array_equal(sketch_np._alpha, sketch_native._alpha)
     assert np.array_equal(sketch_np._gamma, sketch_native._gamma)
     assert sketch_native.copy()._kernels is NATIVE
-    restored = FlatNodeSketch.from_bytes(
-        sketch_native.to_bytes(), engine.encoder, 17, kernels=NATIVE
-    )
-    assert np.array_equal(restored._alpha, sketch_np._alpha)
 
 
 # ----------------------------------------------------------------------
@@ -261,15 +261,18 @@ def test_paged_engine_bit_identical():
 
 
 def test_per_node_store_engine_bit_identical():
+    """A native engine holds the per-node CubeSketch bundles' bits, flat and paged."""
     num_nodes = 80
     edges = _random_edges(num_nodes, 900, seed=41)
-    kwargs = dict(seed=8, ram_budget_bytes=256_000, out_of_core_pool="per_node")
-    reference = _run_engine(num_nodes, edges, **kwargs)
-    native = _run_engine(num_nodes, edges, kernel_backend="native", **kwargs)
-    ref_forest = reference.list_spanning_forest()
-    got_forest = native.list_spanning_forest()
-    assert got_forest.partition_signature() == ref_forest.partition_signature()
-    assert sorted(got_forest.edges) == sorted(ref_forest.edges)
+    bundles = reference_node_sketches(num_nodes, edges.tolist(), seed=8)
+    for budget in (None, 256_000):
+        native = _run_engine(
+            num_nodes, edges, seed=8, ram_budget_bytes=budget, kernel_backend="native"
+        )
+        assert_node_state_matches(native, bundles)
+        forest, stats = reference_forest(native)
+        assert native.list_spanning_forest().edges == forest.edges
+        assert native.last_query_stats == stats
 
 
 @pytest.mark.parametrize("ram_budget", [None, 1 << 20])
@@ -363,8 +366,6 @@ def test_failed_c_build_is_typed_counted_and_never_silent(monkeypatch, tmp_path)
     import repro.kernels as kernels
     from repro.observability.metrics import default_registry
 
-    if NATIVE.name != "cc":
-        pytest.skip("numba resolves first; the C build is never attempted")
     monkeypatch.setenv("CC", "false")
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
     # Forget the cached resolution for this test only (monkeypatch
@@ -377,7 +378,7 @@ def test_failed_c_build_is_typed_counted_and_never_silent(monkeypatch, tmp_path)
 
     assert resolve_kernels("auto") is None
     reason = native_unavailable_reason()
-    assert "numba:" in reason and "cc:" in reason and "false" in reason
+    assert "cc:" in reason and "false" in reason
     assert counter.value == before + 1
     with pytest.raises(ConfigurationError, match="cc:"):
         resolve_kernels("native")
@@ -390,8 +391,6 @@ def test_unexpected_provider_errors_propagate(monkeypatch):
     """Only the typed "cannot be used here" errors mean numpy fallback."""
     import repro.kernels as kernels
 
-    if NATIVE.name != "cc":
-        pytest.skip("numba resolves first; the cc provider is never loaded")
     monkeypatch.setattr(kernels, "_resolved", False)
     monkeypatch.setattr(kernels, "_provider", None)
     # A provider module that imports but lacks its class: AttributeError,

@@ -119,17 +119,6 @@ def test_copy_is_deep(encoder):
     assert a.round_sketch(0) != clone.round_sketch(0)
 
 
-def test_serialization_roundtrip(encoder):
-    sketch = NodeSketch(6, encoder, graph_seed=11)
-    sketch.apply_batch([1, 2, 3])
-    payload = sketch.to_bytes()
-    restored = NodeSketch.from_bytes(payload, encoder, graph_seed=11)
-    assert restored.node == 6
-    assert restored.num_rounds == sketch.num_rounds
-    for round_index in range(sketch.num_rounds):
-        assert restored.round_sketch(round_index) == sketch.round_sketch(round_index)
-
-
 def test_size_bytes_accounts_all_rounds(encoder):
     sketch = NodeSketch(0, encoder, graph_seed=0)
     assert sketch.size_bytes() == sum(s.size_bytes() for s in sketch.sketches)

@@ -1,165 +1,13 @@
-"""Tests for the worker pools and the parallel cost models."""
+"""Tests for the parallel cost models."""
 
 import json
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.baselines.adjacency_matrix import AdjacencyMatrixGraph
-from repro.buffering.base import Batch
-from repro.buffering.work_queue import WorkQueue
-from repro.core.config import BufferingMode, GraphZeppelinConfig
-from repro.core.graph_zeppelin import GraphZeppelin
-from repro.generators.erdos_renyi import erdos_renyi_gnm
 from repro.parallel.cost_model import ShardedIngestModel, ThreadScalingModel
-from repro.parallel.graph_workers import GraphWorkerPool, ParallelIngestor
-from repro.streaming.generator import StreamConversionSettings, graph_to_stream
 
 BENCH_PARALLEL = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
-
-
-# ----------------------------------------------------------------------
-# GraphWorkerPool
-# ----------------------------------------------------------------------
-def test_pool_processes_all_batches():
-    processed = []
-    pool = GraphWorkerPool(apply_batch=lambda batch: processed.append(batch.node), num_workers=3)
-    pool.start()
-    pool.submit_all([Batch(node=i, neighbors=[i + 1]) for i in range(20)])
-    pool.join()
-    assert sorted(processed) == list(range(20))
-    assert pool.batches_processed == 20
-    assert pool.updates_processed == 20
-
-
-def test_pool_serialises_same_node_batches():
-    """Batches for one node must not interleave (per-node critical section)."""
-    log = []
-
-    def apply(batch):
-        log.append(("start", batch.node))
-        log.append(("end", batch.node))
-
-    pool = GraphWorkerPool(apply_batch=apply, num_workers=4)
-    pool.start()
-    pool.submit_all([Batch(node=7, neighbors=[i]) for i in range(50)])
-    pool.join()
-    # Every start for node 7 must be immediately followed by its end.
-    for position in range(0, len(log), 2):
-        assert log[position][0] == "start"
-        assert log[position + 1][0] == "end"
-
-
-def test_pool_join_waits_for_in_flight_batches():
-    """join() must account for a popped-but-still-applying batch.
-
-    The seed implementation polled ``is_empty`` and could return while a
-    worker was mid-apply on the final batch; task-done accounting closes
-    that window.  A slow apply makes the old race all but certain.
-    """
-    def slow_apply(batch):
-        time.sleep(0.05)
-
-    pool = GraphWorkerPool(apply_batch=slow_apply, num_workers=2)
-    pool.start()
-    pool.submit_all([Batch(node=i, neighbors=[i + 1]) for i in range(4)])
-    pool.join()
-    # With the old queue-empty poll the last applies were still running
-    # here; with task-done accounting every batch is fully processed.
-    assert pool.batches_processed == 4
-    assert pool.updates_processed == 4
-
-
-def test_pool_surfaces_apply_errors_and_keeps_workers():
-    """An apply_batch exception must not silently kill a worker.
-
-    The error is recorded and re-raised from join(); the worker stays in
-    its loop, so every sentinel is consumed and a restarted pool still
-    has its full worker count.
-    """
-    def apply(batch):
-        if batch.node == 3:
-            raise ValueError("bad batch")
-
-    pool = GraphWorkerPool(apply_batch=apply, num_workers=2)
-    pool.start()
-    pool.submit_all([Batch(node=i, neighbors=[i + 1]) for i in range(5)])
-    with pytest.raises(ValueError):
-        pool.join()
-    pool.start()
-    pool.submit(Batch(node=0, neighbors=[1]))
-    pool.join()
-    assert pool.batches_processed == 5  # 4 good batches + 1 after restart
-
-
-def test_pool_restarts_after_join():
-    processed = []
-    pool = GraphWorkerPool(apply_batch=lambda b: processed.append(b.node), num_workers=2)
-    pool.start()
-    pool.submit(Batch(node=1, neighbors=[2]))
-    pool.join()
-    pool.start()
-    pool.submit(Batch(node=3, neighbors=[4]))
-    pool.join()
-    assert sorted(processed) == [1, 3]
-
-
-def test_pool_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        GraphWorkerPool(apply_batch=lambda b: None, num_workers=0)
-
-
-def test_pool_uses_shared_work_queue():
-    queue = WorkQueue(num_workers=2)
-    pool = GraphWorkerPool(apply_batch=lambda b: None, num_workers=2, work_queue=queue)
-    pool.start()
-    pool.submit(Batch(node=1, neighbors=[2]))
-    pool.join()
-    assert queue.batches_enqueued == 1
-
-
-# ----------------------------------------------------------------------
-# ParallelIngestor
-# ----------------------------------------------------------------------
-def test_parallel_ingestion_matches_reference():
-    num_nodes, edges = erdos_renyi_gnm(40, 80, seed=1)
-    stream = graph_to_stream(
-        num_nodes, edges, settings=StreamConversionSettings(seed=2, disconnect_nodes=3)
-    )
-    engine = GraphZeppelin(num_nodes, config=GraphZeppelinConfig(seed=3))
-    reference = AdjacencyMatrixGraph(num_nodes, strict=False)
-    with ParallelIngestor(engine, num_workers=4) as ingestor:
-        for update in stream:
-            ingestor.edge_update(update.u, update.v)
-            reference.edge_update(update.u, update.v)
-    assert (
-        engine.list_spanning_forest().partition_signature()
-        == reference.spanning_forest().partition_signature()
-    )
-    assert engine.updates_processed == len(stream)
-
-
-def test_parallel_ingestion_unbuffered_mode():
-    engine = GraphZeppelin(
-        16, config=GraphZeppelinConfig(buffering=BufferingMode.NONE, seed=4)
-    )
-    with ParallelIngestor(engine, num_workers=2) as ingestor:
-        ingestor.edge_update(0, 1)
-        ingestor.edge_update(1, 2)
-    forest = engine.list_spanning_forest()
-    assert forest.connected(0, 2)
-
-
-def test_parallel_ingest_helper_counts():
-    num_nodes, edges = erdos_renyi_gnm(16, 20, seed=5)
-    stream = graph_to_stream(
-        num_nodes, edges, settings=StreamConversionSettings(seed=6, disconnect_nodes=0)
-    )
-    engine = GraphZeppelin(num_nodes, config=GraphZeppelinConfig(seed=7))
-    with ParallelIngestor(engine, num_workers=2) as ingestor:
-        count = ingestor.ingest(stream)
-    assert count == len(stream)
 
 
 # ----------------------------------------------------------------------

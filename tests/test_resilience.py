@@ -26,7 +26,6 @@ from repro.exceptions import (
 )
 from repro.resilience import (
     CheckpointPolicy,
-    Checkpointer,
     FaultPlan,
     FaultSpec,
     InjectedFault,
@@ -156,14 +155,6 @@ def test_wall_clock_policy_with_fake_clock(tmp_path):
     clock[0] = 8.0
     engine.edge_update(2, 3)
     assert checkpointer.checkpoints_written == 1
-
-
-def test_checkpointer_requires_tensor_pool():
-    engine = GraphZeppelin(
-        NUM_NODES, config=GraphZeppelinConfig(sketch_backend="legacy")
-    )
-    with pytest.raises(ConfigurationError, match="tensor-pool"):
-        Checkpointer(engine, "unused")
 
 
 def test_policy_driven_failure_is_swallowed_and_counted(tmp_path):

@@ -371,25 +371,12 @@ def test_fold_shard_rejects_out_of_range_destinations():
 # configuration and wiring
 # ----------------------------------------------------------------------
 def test_engine_factory_resolves_backends():
-    from repro.parallel.graph_workers import ParallelIngestor
-
-    engine = _engine(16, parallel_backend="legacy")
-    assert isinstance(engine.parallel_ingestor(), ParallelIngestor)
+    engine = _engine(16, parallel_backend="processes", num_workers=3)
+    configured = engine.parallel_ingestor()
+    assert isinstance(configured, ShardedIngestor)
+    assert (configured.backend, configured.num_workers) == ("processes", 3)
     sharded = engine.parallel_ingestor(backend="threads", num_workers=2)
-    assert isinstance(sharded, ShardedIngestor)
-    assert sharded.num_workers == 2
-
-
-def test_sharded_ingestor_requires_tensor_pool():
-    # Only the legacy sketch backend (per-node object store) and the
-    # per-node out-of-core reference lack a pool now.
-    for config in (
-        GraphZeppelinConfig(seed=1, sketch_backend="legacy"),
-        GraphZeppelinConfig(seed=1, ram_budget_bytes=1024, out_of_core_pool="per_node"),
-    ):
-        engine = GraphZeppelin(16, config=config)
-        with pytest.raises(ConfigurationError):
-            ShardedIngestor(engine)
+    assert (sharded.backend, sharded.num_workers) == ("threads", 2)
 
 
 def test_sharded_ingestor_paged_pool_snaps_to_pages_and_rejects_processes():
@@ -398,7 +385,7 @@ def test_sharded_ingestor_paged_pool_snaps_to_pages_and_rejects_processes():
         config=GraphZeppelinConfig(seed=1, ram_budget_bytes=1024, nodes_per_page=8),
     )
     pool = engine.tensor_pool
-    assert pool is not None and pool.is_paged
+    assert pool.is_paged
     with pytest.raises(ConfigurationError):
         ShardedIngestor(engine, backend="processes")
     ingestor = ShardedIngestor(engine, backend="threads", num_workers=2)

@@ -310,6 +310,21 @@ def test_fingerprint_mismatch_rejected_on_load(snapshot_file):
         GraphZeppelin.load_snapshot(path, config=GraphZeppelinConfig(seed=99))
 
 
+def test_sketch_fingerprint_golden_values():
+    """The fingerprint is stored in every snapshot and checkpoint header.
+
+    Values recorded at the commit before ``sketch_backend`` left the
+    config: the digest must not move with the field, or every existing
+    snapshot is refused on load.
+    """
+    assert GraphZeppelinConfig().sketch_fingerprint() == 0xE05A324C2524B5B6
+    assert (
+        GraphZeppelinConfig(seed=7, delta=0.05).sketch_fingerprint()
+        == 0xDDBB5B9E8F8BBB8B
+    )
+    assert GraphZeppelinConfig(seed=-1).sketch_fingerprint() == 0x521535B2DE1019CC
+
+
 def test_merge_requires_at_least_one_path():
     with pytest.raises(ValueError):
         merge_snapshots([])
@@ -321,14 +336,6 @@ def test_snapshot_leaves_no_temp_file(tmp_path, snapshot_file):
     assert not list(tmp_path.glob("*.tmp"))
     # Snapshotting does not consume the engine: ingest continues.
     engine.ingest_batch(np.asarray([[1, 2]]))
-
-
-def test_legacy_backend_cannot_snapshot(tmp_path):
-    engine = GraphZeppelin(
-        8, config=GraphZeppelinConfig(seed=1, sketch_backend="legacy")
-    )
-    with pytest.raises(ConfigurationError, match="tensor-pool"):
-        engine.save_snapshot(tmp_path / "nope.snap")
 
 
 def test_resume_with_stream_validation_rejected(snapshot_file):

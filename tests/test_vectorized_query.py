@@ -4,8 +4,8 @@ The vectorized Boruvka driver (segmented XOR-reduce over the tensor
 pool + batched bucket decode) must return *exactly* what the
 per-component scalar reference returns under the same graph seed: the
 same spanning forest edge tuple, the same :class:`BoruvkaStats`, and
-the same per-component samples.  These tests drive both backends with
-identical random streams (hypothesis, mirroring
+the same per-component samples.  These tests run both drivers over the
+same sketch state built from random streams (hypothesis, mirroring
 ``tests/test_flat_node_sketch.py``'s equivalence pattern), check the
 batched decoder against the scalar bucket scan, and cover the cached
 spanning forest's invalidation rules.
@@ -26,10 +26,10 @@ from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.core.streaming_cc import StreamingCC
-from repro.exceptions import ConfigurationError
 from repro.sketch.flat_node_sketch import query_bucket_arrays, query_bucket_arrays_batch
 from repro.sketch.sketch_base import OUTCOME_BY_CODE, SAMPLE_GOOD, SampleResult
 from repro.sketch.tensor_pool import NodeTensorPool
+from sketch_reference import reference_forest
 
 NUM_NODES = 24
 
@@ -42,13 +42,8 @@ edge_lists = st.lists(
 )
 
 
-def _engine(seed: int, query_backend: str, edges, **overrides) -> GraphZeppelin:
-    config = GraphZeppelinConfig(
-        buffering=BufferingMode.NONE,
-        seed=seed,
-        query_backend=query_backend,
-        **overrides,
-    )
+def _engine(seed: int, edges, **overrides) -> GraphZeppelin:
+    config = GraphZeppelinConfig(buffering=BufferingMode.NONE, seed=seed, **overrides)
     engine = GraphZeppelin(NUM_NODES, config=config)
     if edges:
         engine.ingest_batch(np.asarray(edges, dtype=np.int64))
@@ -62,17 +57,17 @@ def _sample_of(status: int, index: int) -> SampleResult:
     return SampleResult(outcome)
 
 
-@given(edges=edge_lists, seed=seeds)
+@given(edges=edge_lists, seed=seeds, ram_budget=st.sampled_from([None, 4_000]))
 @settings(max_examples=30, deadline=None)
-def test_vectorized_forest_and_stats_bit_identical_to_scalar(edges, seed):
-    scalar = _engine(seed, "scalar", edges)
-    vectorized = _engine(seed, "vectorized", edges)
-    forest_s = scalar.list_spanning_forest()
-    forest_v = vectorized.list_spanning_forest()
+def test_vectorized_forest_and_stats_bit_identical_to_scalar(edges, seed, ram_budget):
+    engine = _engine(seed, edges, ram_budget_bytes=ram_budget)
+    assert engine.tensor_pool.is_paged == (ram_budget is not None)
+    forest_s, stats_s = reference_forest(engine)
+    forest_v = engine.list_spanning_forest()
     assert forest_v.edges == forest_s.edges
     assert forest_v.complete == forest_s.complete
     assert forest_v.partition_signature() == forest_s.partition_signature()
-    assert vectorized.last_query_stats == scalar.last_query_stats
+    assert engine.last_query_stats == stats_s
 
 
 @given(edges=edge_lists, seed=seeds, data=st.data())
@@ -171,66 +166,57 @@ def test_batched_decode_rejects_corrupt_buckets_like_scalar():
 @given(edges=edge_lists, seed=seeds)
 @settings(max_examples=10, deadline=None)
 def test_streaming_cc_vectorized_matches_scalar(edges, seed):
-    scalar = StreamingCC(NUM_NODES, seed=seed, query_backend="scalar")
-    vectorized = StreamingCC(NUM_NODES, seed=seed, query_backend="vectorized")
+    baseline = StreamingCC(NUM_NODES, seed=seed)
     for u, v in edges:
-        scalar.insert(u, v)
-        vectorized.insert(u, v)
-    forest_s = scalar.list_spanning_forest()
-    forest_v = vectorized.list_spanning_forest()
+        baseline.insert(u, v)
+    forest_s, stats_s = sketch_spanning_forest(
+        baseline.num_nodes,
+        baseline.num_rounds,
+        baseline.encoder,
+        baseline._component_cut_sample,
+    )
+    forest_v = baseline.list_spanning_forest()
     assert forest_v.edges == forest_s.edges
-    assert vectorized.last_query_stats == scalar.last_query_stats
+    assert baseline.last_query_stats == stats_s
 
 
 def test_vectorized_driver_via_scalar_adapter_matches_reference():
-    """The adapter path (used by object-store backends) is also identical."""
-    engine = _engine(21, "scalar", [(0, 1), (1, 2), (4, 5), (6, 7), (2, 3)])
-    forest_s, stats_s = sketch_spanning_forest(
-        engine.num_nodes,
-        engine.num_rounds,
-        engine.encoder,
-        engine._component_cut_sample,
-    )
-    forest_v, stats_v = vectorized_spanning_forest(
-        engine.num_nodes,
-        engine.num_rounds,
-        engine.encoder,
-        batch_sampler_from_scalar(engine._component_cut_sample),
-    )
-    assert forest_v.edges == forest_s.edges
-    assert stats_v == stats_s
+    """All three drivers agree over one pool, packed and forced-wide alike."""
+    encoder = EdgeEncoder(NUM_NODES)
+    lo = np.asarray([0, 1, 4, 6, 2])
+    hi = np.asarray([1, 2, 5, 7, 3])
+    for force_wide in (False, True):
+        pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=21, force_wide=force_wide)
+        pool.apply_edges(lo, hi, encoder.encode_canonical_pairs(lo, hi))
 
+        def scalar_sampler(round_index, members):
+            return pool.query_merged(members, round_index)
 
-def test_out_of_core_engine_uses_vectorized_driver_via_adapter():
-    """The per-node reference store (no tensor pool) answers identically."""
-    edges = [(0, 1), (1, 2), (3, 4), (5, 6), (2, 3)]
-    in_ram = _engine(33, "vectorized", edges)
-    budgeted = GraphZeppelin(
-        NUM_NODES,
-        config=GraphZeppelinConfig.out_of_core(
-            ram_budget_bytes=64 * 1024, seed=33, query_backend="vectorized",
-            out_of_core_pool="per_node",
-        ),
-    )
-    for u, v in edges:
-        budgeted.edge_update(u, v)
-    assert budgeted._pool is None  # really exercising the adapter path
-    assert budgeted.list_spanning_forest().edges == in_ram.list_spanning_forest().edges
+        def pool_sampler(round_index, labels, node_mask=None):
+            return pool.query_components(labels, round_index, node_mask=node_mask)
+
+        forest_s, stats_s = sketch_spanning_forest(
+            NUM_NODES, pool.num_rounds, encoder, scalar_sampler
+        )
+        for batch_sampler in (batch_sampler_from_scalar(scalar_sampler), pool_sampler):
+            forest_v, stats_v = vectorized_spanning_forest(
+                NUM_NODES, pool.num_rounds, encoder, batch_sampler
+            )
+            assert forest_v.edges == forest_s.edges
+            assert stats_v == stats_s
 
 
 def test_out_of_core_paged_engine_runs_the_pool_query_driver():
-    """The default RAM-budgeted engine holds a paged pool, no adapter."""
+    """A RAM-budgeted engine holds a paged pool and answers like the flat one."""
     edges = [(0, 1), (1, 2), (3, 4), (5, 6), (2, 3)]
-    in_ram = _engine(33, "vectorized", edges)
+    in_ram = _engine(33, edges)
     budgeted = GraphZeppelin(
         NUM_NODES,
-        config=GraphZeppelinConfig.out_of_core(
-            ram_budget_bytes=64 * 1024, seed=33, query_backend="vectorized"
-        ),
+        config=GraphZeppelinConfig.out_of_core(ram_budget_bytes=64 * 1024, seed=33),
     )
     for u, v in edges:
         budgeted.edge_update(u, v)
-    assert budgeted._pool is not None and budgeted._pool.is_paged
+    assert budgeted.tensor_pool.is_paged
     assert budgeted.list_spanning_forest().edges == in_ram.list_spanning_forest().edges
 
 
@@ -238,7 +224,7 @@ def test_out_of_core_paged_engine_runs_the_pool_query_driver():
 # cached spanning forest
 # ----------------------------------------------------------------------
 def test_forest_is_cached_between_queries():
-    engine = _engine(3, "vectorized", [(0, 1), (1, 2), (5, 6)])
+    engine = _engine(3, [(0, 1), (1, 2), (5, 6)])
     first = engine.list_spanning_forest()
     assert engine.list_spanning_forest() is first
     assert engine.spanning_forest() is first
@@ -250,9 +236,7 @@ def test_forest_is_cached_between_queries():
 
 @pytest.mark.parametrize("mutate", ["edge_update", "insert", "ingest_batch"])
 def test_forest_cache_invalidated_by_ingest(mutate):
-    engine = _engine(
-        7, "vectorized", [(0, 1), (1, 2)], validate_stream=(mutate == "insert")
-    )
+    engine = _engine(7, [(0, 1), (1, 2)], validate_stream=(mutate == "insert"))
     before = engine.list_spanning_forest()
     assert not before.connected(0, 5)
     if mutate == "edge_update":
@@ -268,9 +252,7 @@ def test_forest_cache_invalidated_by_ingest(mutate):
 
 def test_forest_cache_invalidated_by_buffered_ingest():
     """Updates sitting in the gutters must invalidate the cache too."""
-    config = GraphZeppelinConfig(
-        buffering=BufferingMode.LEAF_GUTTERS, seed=5, query_backend="vectorized"
-    )
+    config = GraphZeppelinConfig(buffering=BufferingMode.LEAF_GUTTERS, seed=5)
     engine = GraphZeppelin(NUM_NODES, config=config)
     engine.edge_update(0, 1)
     before = engine.list_spanning_forest()
@@ -279,23 +261,6 @@ def test_forest_cache_invalidated_by_buffered_ingest():
     after = engine.list_spanning_forest()
     assert after is not before
     assert not after.connected(0, 1)
-
-
-def test_scalar_backend_also_caches_and_agrees():
-    scalar = _engine(11, "scalar", [(0, 1), (2, 3)])
-    vectorized = _engine(11, "vectorized", [(0, 1), (2, 3)])
-    assert scalar.list_spanning_forest() is scalar.list_spanning_forest()
-    assert (
-        scalar.list_spanning_forest().edges
-        == vectorized.list_spanning_forest().edges
-    )
-
-
-def test_unknown_query_backend_rejected():
-    with pytest.raises(ConfigurationError):
-        GraphZeppelinConfig(query_backend="turbo")
-    with pytest.raises(ConfigurationError):
-        StreamingCC(NUM_NODES, query_backend="turbo")
 
 
 @given(edges=edge_lists, seed=seeds)
