@@ -1,10 +1,12 @@
-"""Shared fixtures and configuration for the benchmark harness.
+"""Shared fixtures and configuration for the paper-figure scripts.
 
-Every benchmark file reproduces one table or figure from the paper's
-evaluation (see DESIGN.md for the index).  Benchmarks print their
-result tables so a plain ``pytest benchmarks/ --benchmark-only -s``
-run regenerates the paper's rows; the pytest-benchmark timings cover
-the performance-critical kernels of each experiment.
+Every ``bench_*.py`` here reproduces one table, figure or section of
+the paper's evaluation (README "Reproducing the paper's figures" is the
+index).  Each prints its result table, so ``python -m pytest
+benchmarks/bench_*.py -s`` regenerates the paper's rows; the
+pytest-benchmark timings cover the performance-critical kernel of each
+experiment.  The repository's own performance is measured by
+``bench/run.py``, not here.
 
 Scale note: workload sizes default to laptop-friendly values (see
 ``BENCH_SCALE_REDUCTION``).  Setting the environment variable

@@ -53,9 +53,9 @@ class GraphZeppelinConfig:
         processes attach by name and fold in place).
     num_shards:
         Node-range count of the sharded parallel ingest layer.  ``None``
-        (default) picks the smallest count that keeps every shard inside
-        the fold kernel's int16 radix fast path, rounded up to a
-        multiple of ``num_workers``.
+        (default) sizes shards for load balance:
+        :func:`~repro.sketch.tensor_pool.auto_num_shards`, four per
+        worker, capped by the node (or page) count.
     validate_stream:
         When true, the engine tracks the exact current edge set and
         rejects illegal updates (inserting a present edge / deleting an

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.core.config import GraphZeppelinConfig
 from repro.core.graph_zeppelin import GraphZeppelin
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, CorruptionError, StreamFormatError
 from repro.observability.metrics import MetricsSnapshot, default_registry
 from repro.observability.tracing import span
 
@@ -221,7 +221,6 @@ def distributed_ingest(
         read_snapshot_meta,
         verify_snapshot_payload,
     )
-    from repro.exceptions import CorruptionError
     from repro.parallel.graph_workers import process_context
     from repro.resilience.supervisor import WorkerSupervisor
 
@@ -267,9 +266,13 @@ def distributed_ingest(
         return process
 
     def validate(worker: int) -> Optional[str]:
+        # Only what the two readers document is a bad snapshot (missing,
+        # truncated, torn, rotten) and worth a re-dispatch; any other
+        # exception is a bug in the reader and must surface, not burn
+        # the supervisor's retry budget.
         try:
             meta = read_snapshot_meta(paths[worker])
-        except Exception as exc:  # missing, truncated, or torn snapshot
+        except (OSError, StreamFormatError) as exc:
             return f"snapshot unreadable: {exc}"
         if meta.num_nodes != num_nodes:
             return f"snapshot has {meta.num_nodes} nodes, expected {num_nodes}"
@@ -285,7 +288,7 @@ def distributed_ingest(
             verify_snapshot_payload(paths[worker], meta)
         except CorruptionError:
             return "payload checksum mismatch"
-        except Exception as exc:
+        except (OSError, StreamFormatError) as exc:
             return f"snapshot unreadable: {exc}"
         return None
 

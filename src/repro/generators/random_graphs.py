@@ -94,7 +94,7 @@ def preferential_attachment_graph(
 def random_multigraph_edges(num_nodes: int, count: int, seed: int = 0) -> np.ndarray:
     """Up to ``count`` uniform random edges as an ``(N, 2)`` int64 array.
 
-    The standard workload of the ingest benchmarks and the sharded
+    The standard workload of the examples and the sharded
     parallel-ingest tests: endpoints drawn independently (so repeated
     edges -- Z_2 toggles -- occur naturally), self loops dropped, no
     canonicalisation.  Feed it straight to

@@ -8,16 +8,10 @@ checksums.  This package provides:
 * :mod:`repro.hashing.mixers` -- vectorised 64-bit mixing hashes
   (splitmix64 / xxHash avalanche) over numpy arrays, used by the hot
   batched sketch-update path,
-* :mod:`repro.hashing.carter_wegman` -- a classical 2-wise-independent
-  hash family modulo the Mersenne prime ``2^61 - 1``, used by the
-  general-purpose l0-sampler baseline and by tests of independence,
-* :mod:`repro.hashing.tabulation` -- tabulation hashing (3-wise
-  independent), an alternative vectorisable family,
 * :mod:`repro.hashing.prng` -- deterministic seed derivation so an
   entire GraphZeppelin instance is reproducible from one integer seed.
 """
 
-from repro.hashing.carter_wegman import CarterWegmanHash, MERSENNE_PRIME_61
 from repro.hashing.mixers import (
     hash_to_depth,
     mix_seed_array,
@@ -30,14 +24,10 @@ from repro.hashing.mixers import (
     xxhash_avalanche_array,
 )
 from repro.hashing.prng import SeedSequenceFactory, derive_seed
-from repro.hashing.tabulation import TabulationHash
 from repro.hashing.xxhash64 import xxhash64, xxhash64_int
 
 __all__ = [
-    "CarterWegmanHash",
-    "MERSENNE_PRIME_61",
     "SeedSequenceFactory",
-    "TabulationHash",
     "derive_seed",
     "hash_to_depth",
     "mix_seed_array",

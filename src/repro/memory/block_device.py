@@ -72,8 +72,7 @@ class BlockDevice:
         When true (the default) every written block carries an xxHash64
         digest and every read verifies it, raising
         :class:`~repro.exceptions.CorruptionError` on mismatch.  Turning
-        it off skips checksumming entirely (the "unchecked" baseline the
-        integrity benchmark measures overhead against).
+        it off skips checksumming entirely.
     kernels:
         The native kernel provider of the owning engine (``None`` for
         the numpy digests); it only changes how fast blocks are hashed,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -13,6 +13,10 @@ class IOStats:
     that owns these counters; it is the number every "on-SSD" figure in
     the benchmark harness reports, so results do not depend on the host
     machine's actual storage.
+
+    Every dataclass field is a counter: :meth:`snapshot`,
+    :meth:`merged_with` and :meth:`reset` walk ``fields(self)``, so a
+    counter declared here cannot be missed by one of them.
     """
 
     block_reads: int = 0
@@ -63,47 +67,13 @@ class IOStats:
 
     def merged_with(self, other: "IOStats") -> "IOStats":
         """A new IOStats summing this one and ``other``."""
-        return IOStats(
-            block_reads=self.block_reads + other.block_reads,
-            block_writes=self.block_writes + other.block_writes,
-            bytes_read=self.bytes_read + other.bytes_read,
-            bytes_written=self.bytes_written + other.bytes_written,
-            sequential_accesses=self.sequential_accesses + other.sequential_accesses,
-            random_accesses=self.random_accesses + other.random_accesses,
-            modelled_seconds=self.modelled_seconds + other.modelled_seconds,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            read_failures=self.read_failures + other.read_failures,
-            write_failures=self.write_failures + other.write_failures,
-            io_retries=self.io_retries + other.io_retries,
-            checksum_failures=self.checksum_failures + other.checksum_failures,
-            blocks_scrubbed=self.blocks_scrubbed + other.blocks_scrubbed,
-            pages_repaired=self.pages_repaired + other.pages_repaired,
-            pressure_events=self.pressure_events + other.pressure_events,
-            deadline_misses=self.deadline_misses + other.deadline_misses,
-            breaker_rejections=self.breaker_rejections + other.breaker_rejections,
-        )
+        mine = self.snapshot()
+        return type(self)(**{name: mine[name] + getattr(other, name) for name in mine})
 
     def reset(self) -> None:
         """Zero every counter in place."""
-        self.block_reads = 0
-        self.block_writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.sequential_accesses = 0
-        self.random_accesses = 0
-        self.modelled_seconds = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.read_failures = 0
-        self.write_failures = 0
-        self.io_retries = 0
-        self.checksum_failures = 0
-        self.blocks_scrubbed = 0
-        self.pages_repaired = 0
-        self.pressure_events = 0
-        self.deadline_misses = 0
-        self.breaker_rejections = 0
+        for counter in fields(self):
+            setattr(self, counter.name, counter.default)
 
     def diff(self, earlier: dict) -> dict:
         """Per-counter deltas versus an earlier :meth:`snapshot` dict.
@@ -117,24 +87,5 @@ class IOStats:
         return {key: value - earlier.get(key, 0) for key, value in current.items()}
 
     def snapshot(self) -> dict:
-        """A plain-dict copy, convenient for result tables."""
-        return {
-            "block_reads": self.block_reads,
-            "block_writes": self.block_writes,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "sequential_accesses": self.sequential_accesses,
-            "random_accesses": self.random_accesses,
-            "modelled_seconds": self.modelled_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "read_failures": self.read_failures,
-            "write_failures": self.write_failures,
-            "io_retries": self.io_retries,
-            "checksum_failures": self.checksum_failures,
-            "blocks_scrubbed": self.blocks_scrubbed,
-            "pages_repaired": self.pages_repaired,
-            "pressure_events": self.pressure_events,
-            "deadline_misses": self.deadline_misses,
-            "breaker_rejections": self.breaker_rejections,
-        }
+        """A plain-dict copy, one key per counter in declaration order."""
+        return {counter.name: getattr(self, counter.name) for counter in fields(self)}

@@ -15,9 +15,9 @@ Design constraints, in order:
    context manager -- no allocation, no clock read -- so the fold hot
    loop pays one attribute check (property-tested zero-allocation).
 2. **On is cheap.**  Instrumentation sits at batch/round/page
-   granularity, never per edge; the ledgered full-instrumentation
-   overhead bound is <= 3% on serial columnar ingest and whole-round
-   queries (``benchmarks/bench_observability.py``).
+   granularity, never per edge.  Enabled is the default, so its cost
+   is inside every ``bench/run.py`` number; an on-versus-off ratio has
+   no benchmark workload yet.
 3. **Snapshots merge like pool snapshots.**  A
    :class:`~repro.observability.metrics.MetricsSnapshot` is a picklable
    value object; per-worker registries travel back through

@@ -24,18 +24,15 @@ Execution backends (``GraphZeppelinConfig.parallel_backend``):
 Serial and sharded ingest run the same fold kernel, whose cost does not
 depend on a group's node range, so sharding buys concurrency only and
 shards are sized for load balance (a few per worker).
-:class:`repro.parallel.cost_model.ShardedIngestModel` prices
-the pipeline (partition + per-shard folds + barrier);
 :class:`repro.parallel.cost_model.ThreadScalingModel` is the paper's
 calibrated Figure-14 curve.
 """
 
-from repro.parallel.cost_model import ShardedIngestModel, ThreadScalingModel
+from repro.parallel.cost_model import ThreadScalingModel
 from repro.parallel.graph_workers import ShardedIngestor, partition_mirrored_updates
 
 __all__ = [
     "ShardedIngestor",
-    "ShardedIngestModel",
     "ThreadScalingModel",
     "partition_mirrored_updates",
 ]

@@ -1,18 +1,12 @@
-"""Analytic scaling models for parallel stream ingestion.
+"""Analytic scaling model for parallel stream ingestion.
 
-Two models live here:
-
-* :class:`ShardedIngestModel` -- the sharded columnar pipeline
-  (:class:`~repro.parallel.graph_workers.ShardedIngestor`): a serial
-  partition step, per-shard folds that divide across workers up to the
-  available cores, and a per-batch barrier.  Calibrated against the
-  measured rows of ``BENCH_parallel.json``.
-* :class:`ThreadScalingModel` -- the paper's Figure-14 model.  The paper
-  shows ingestion rising ~26x from 1 to 46 threads on a 24-core
-  (48-thread) machine; a pure-Python reproduction cannot demonstrate
-  that directly, so the Figure-14 benchmark combines a small real
-  thread-pool measurement with this calibrated Amdahl + contention +
-  hyper-threading model.
+:class:`ThreadScalingModel` is the paper's Figure-14 model.  The paper
+shows ingestion rising ~26x from 1 to 46 threads on a 24-core
+(48-thread) machine; a pure-Python reproduction cannot demonstrate
+that directly, so the Figure-14 benchmark combines a small real
+thread-pool measurement with this calibrated Amdahl + contention +
+hyper-threading model.  :func:`usable_cores` is the affinity-aware core
+count the sharded ingestor clamps its worker count to.
 """
 
 from __future__ import annotations
@@ -34,108 +28,6 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # platforms without sched_getaffinity
         return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class ShardedIngestModel:
-    """Predicted cost of the sharded columnar ingest pipeline.
-
-    One batch of ``N`` edge updates costs
-
-    ``N / fold_rate * partition_fraction``                (serial: canonicalise
-    + mirror + searchsorted/argsort partition, one producer thread)
-    ``+ N / fold_rate * (1 - partition_fraction) / W``    (per-shard folds,
-    spread over ``W = min(num_workers, available_cores)`` effective workers)
-    ``+ barrier_seconds``                                 (the end-of-batch join).
-
-    Attributes
-    ----------
-    fold_rate:
-        Measured updates/second of the whole pipeline with one worker.
-    partition_fraction:
-        Fraction of single-worker time spent in the serial partition
-        step (measured ~5% at benchmark scale -- the partition is one
-        radix argsort of the mirrored destination column, far cheaper
-        than the hash + fold it feeds).
-    barrier_seconds:
-        Fixed per-batch cost of dispatching the shard groups and
-        waiting on the last worker.
-    available_cores:
-        Workers beyond this count add no parallel speedup (they time-
-        slice the same cores).  Defaults to the process's usable core
-        count (affinity-aware), so the model predicts flat scaling on a
-        single-core host -- which is exactly what the measurement shows
-        there.
-    batch_size:
-        Edge updates per batch, used to amortise the barrier.
-    """
-
-    fold_rate: float
-    partition_fraction: float = 0.05
-    barrier_seconds: float = 1e-3
-    available_cores: int = usable_cores()
-    batch_size: int = 1 << 14
-
-    def effective_workers(self, num_workers: int) -> int:
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        return min(num_workers, max(self.available_cores, 1))
-
-    def batch_seconds(self, num_workers: int, batch_size: int | None = None) -> float:
-        """Predicted seconds to ingest one batch with ``num_workers``."""
-        size = self.batch_size if batch_size is None else int(batch_size)
-        base = size / self.fold_rate
-        workers = self.effective_workers(num_workers)
-        return (
-            base * self.partition_fraction
-            + base * (1.0 - self.partition_fraction) / workers
-            + self.barrier_seconds
-        )
-
-    def ingestion_rate(self, num_workers: int, batch_size: int | None = None) -> float:
-        """Predicted updates/second for ``num_workers`` shard workers."""
-        size = self.batch_size if batch_size is None else int(batch_size)
-        return size / self.batch_seconds(num_workers, size)
-
-    def speedup(self, num_workers: int) -> float:
-        """Predicted speedup over one shard worker."""
-        return self.batch_seconds(1) / self.batch_seconds(num_workers)
-
-    def curve(self, worker_counts: List[int]) -> List[dict]:
-        """Model predictions for a list of worker counts (bench output rows)."""
-        return [
-            {
-                "workers": count,
-                "speedup": self.speedup(count),
-                "ingestion_rate": self.ingestion_rate(count),
-            }
-            for count in worker_counts
-        ]
-
-    @classmethod
-    def calibrated(
-        cls,
-        single_worker_rate: float,
-        batch_size: int,
-        available_cores: int | None = None,
-    ) -> "ShardedIngestModel":
-        """A model whose one-worker rate matches a measured rate.
-
-        Solves ``ingestion_rate(1) == single_worker_rate`` for
-        ``fold_rate`` given the default partition/barrier constants, so
-        predicted multi-worker rates sit on the measured curve's scale.
-        """
-        size = int(batch_size)
-        base = cls(fold_rate=1.0, batch_size=size)
-        seconds_wanted = size / float(single_worker_rate)
-        fold_rate = size / max(seconds_wanted - base.barrier_seconds, 1e-9)
-        return cls(
-            fold_rate=fold_rate,
-            batch_size=size,
-            available_cores=(
-                available_cores if available_cores is not None else usable_cores()
-            ),
-        )
 
 
 @dataclass(frozen=True)

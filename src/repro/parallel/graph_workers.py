@@ -42,7 +42,7 @@ footprint would exceed ``max_queued_bytes``, at which point the
 producer *blocks* (folding queued batches) instead of buffering an
 unbounded prepared backlog -- backpressure, so a fast source cannot
 balloon RAM ahead of slow folds.  ``peak_queued_bytes`` records the
-high-water mark for the overload benchmarks.
+high-water mark, which ``tests/test_overload.py`` holds under the bound.
 
 Out-of-core engines participate through a **page-affine** mode: when
 the engine holds a :class:`~repro.sketch.paged_pool.PagedTensorPool`,

@@ -22,8 +22,8 @@ module is the harness that soaks the whole stack in that composition:
   ingest -> query -> checkpoint -> scrub -> recover loop, over and
   over, under fire.
 
-The invariants the property tests and ``benchmarks/bench_chaos.py``
-assert on the resulting :class:`ChaosReport`:
+The invariants the property tests (``tests/test_chaos.py``) assert on
+the resulting :class:`ChaosReport`:
 
 1. **bit-identity** -- the surviving engine's tensors and forest
    partition match a fault-free serial shadow ingest of the same

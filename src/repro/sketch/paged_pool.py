@@ -426,8 +426,8 @@ class PagedTensorPool(NodeTensorPool):
     def sync(self) -> None:
         """Write every dirty resident page back to the hybrid memory.
 
-        The working set stays resident (and clean); serialisation and
-        benchmarks call this to make the byte tier authoritative.  A
+        The working set stays resident (and clean); scrub and repair
+        call this to make the byte tier authoritative.  A
         failed write-back leaves exactly the unwritten pages dirty (the
         error propagates -- sync callers need the byte tier to actually
         be authoritative), so a later sync over a healed device

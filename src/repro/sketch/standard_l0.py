@@ -26,7 +26,6 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError, IncompatibleSketchError
-from repro.hashing.carter_wegman import MERSENNE_PRIME_61
 from repro.hashing.mixers import seeded_hash64, trailing_zeros64
 from repro.hashing.prng import derive_seed
 from repro.sketch.bucket import StandardBucket
@@ -38,6 +37,8 @@ from repro.sketch.sizes import (
     standard_l0_size_bytes,
 )
 
+#: Mersenne prime 2^61 - 1: the checksum modulus while 64-bit arithmetic suffices.
+MERSENNE_PRIME_61 = (1 << 61) - 1
 #: Mersenne prime 2^127 - 1, used once 64-bit arithmetic is insufficient.
 MERSENNE_PRIME_127 = (1 << 127) - 1
 

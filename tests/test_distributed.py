@@ -146,3 +146,55 @@ def test_keep_snapshots_reports_their_location():
         assert all(Path(p).exists() for p in report.snapshot_paths)
     finally:
         shutil.rmtree(report.workdir, ignore_errors=True)
+
+
+# ----------------------------------------------------------------------
+# snapshot validation: a bad file re-dispatches, a reader bug surfaces
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("torn_in", ["header", "payload", "digest trailer"])
+def test_truncated_worker_snapshot_is_redispatched(tmp_path, torn_in):
+    from repro.distributed.snapshot import _HEADER
+    from repro.resilience import FaultPlan, FaultSpec
+
+    edges = _random_edges(200, seed=15)
+    config = GraphZeppelinConfig(seed=6)
+    # A flat pool's snapshot layout depends on the geometry only, so an
+    # empty engine's snapshot tells where header, payload and trailer lie.
+    meta = GraphZeppelin(NUM_NODES, config=config).save_snapshot(tmp_path / "probe.snap")
+    size = (tmp_path / "probe.snap").stat().st_size
+    assert size == _HEADER.size + meta.payload_bytes + meta.digest_section_bytes
+    keep_bytes = {
+        "header": _HEADER.size // 2,
+        "payload": _HEADER.size + meta.payload_bytes // 2,
+        "digest trailer": size - 8,
+    }[torn_in]
+    plan = FaultPlan(
+        [FaultSpec(site="snapshot", mode="torn", at=1, offset=keep_bytes,
+                   worker=1, attempt=0)]
+    )
+    engine, report = distributed_ingest(
+        edges, NUM_NODES, config=config, num_ingestors=2, fault_plan=plan
+    )
+    assert report.worker_attempts == [1, 2]
+    assert report.worker_retries == 1
+    assert np.array_equal(
+        engine.tensor_pool._buckets, _serial_reference(edges, config).tensor_pool._buckets
+    )
+
+
+def test_snapshot_reader_bug_propagates_instead_of_redispatching(monkeypatch):
+    import repro.distributed.snapshot as snapshot
+
+    calls = []
+
+    def broken_reader(path):
+        calls.append(path)
+        raise AttributeError("a programming error, not a bad snapshot")
+
+    monkeypatch.setattr(snapshot, "read_snapshot_meta", broken_reader)
+    with pytest.raises(AttributeError, match="programming error"):
+        distributed_ingest(
+            _random_edges(60, seed=2), NUM_NODES,
+            config=GraphZeppelinConfig(seed=1), num_ingestors=2,
+        )
+    assert len(calls) == 1  # surfaced on first sight, no retry budget spent

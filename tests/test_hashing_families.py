@@ -1,109 +1,6 @@
-"""Tests for the Carter-Wegman and tabulation hash families and seed derivation."""
+"""Tests for deterministic seed derivation."""
 
-import numpy as np
-import pytest
-
-from repro.hashing.carter_wegman import MERSENNE_PRIME_61, CarterWegmanHash
 from repro.hashing.prng import SeedSequenceFactory, derive_seed
-from repro.hashing.tabulation import TabulationHash
-
-
-# ----------------------------------------------------------------------
-# Carter-Wegman
-# ----------------------------------------------------------------------
-def test_cw_output_below_prime():
-    hasher = CarterWegmanHash(a=12345, b=6789)
-    for key in (0, 1, 10**9, 2**60):
-        assert 0 <= hasher(key) < MERSENNE_PRIME_61
-
-
-def test_cw_output_range_reduction():
-    hasher = CarterWegmanHash(a=99991, b=31337, output_range=100)
-    assert all(0 <= hasher(key) < 100 for key in range(1000))
-
-
-def test_cw_identity_like_case():
-    # h(x) = (1*x + 0) mod p mod 0-range -> x for x < p
-    hasher = CarterWegmanHash(a=1, b=0)
-    assert hasher(42) == 42
-    assert hasher(MERSENNE_PRIME_61 - 1) == MERSENNE_PRIME_61 - 1
-
-
-def test_cw_rejects_bad_coefficients():
-    with pytest.raises(ValueError):
-        CarterWegmanHash(a=0, b=1)
-    with pytest.raises(ValueError):
-        CarterWegmanHash(a=1, b=MERSENNE_PRIME_61)
-    with pytest.raises(ValueError):
-        CarterWegmanHash(a=1, b=0, output_range=-1)
-
-
-def test_cw_rejects_negative_key():
-    hasher = CarterWegmanHash(a=5, b=3)
-    with pytest.raises(ValueError):
-        hasher(-1)
-
-
-def test_cw_random_members_differ():
-    rng = np.random.default_rng(0)
-    h1 = CarterWegmanHash.random(rng, output_range=1 << 20)
-    h2 = CarterWegmanHash.random(rng, output_range=1 << 20)
-    values1 = [h1(k) for k in range(200)]
-    values2 = [h2(k) for k in range(200)]
-    assert values1 != values2
-
-
-def test_cw_pairwise_collision_rate_is_small():
-    rng = np.random.default_rng(1)
-    output_range = 1024
-    hasher = CarterWegmanHash.random(rng, output_range=output_range)
-    keys = list(range(2000))
-    values = [hasher(k) for k in keys]
-    collisions = sum(
-        1 for i in range(0, len(keys), 2) if values[i] == values[i + 1]
-    )
-    # Expected collision probability is 1/1024 per pair -> ~1 among 1000 pairs.
-    assert collisions <= 10
-
-
-def test_cw_hash_array_matches_scalar():
-    hasher = CarterWegmanHash(a=7919, b=104729, output_range=997)
-    keys = np.arange(50, dtype=np.uint64)
-    assert hasher.hash_array(keys).tolist() == [hasher(int(k)) for k in keys]
-
-
-# ----------------------------------------------------------------------
-# Tabulation hashing
-# ----------------------------------------------------------------------
-def test_tabulation_deterministic_per_seed():
-    a = TabulationHash(seed=3)
-    b = TabulationHash(seed=3)
-    assert [a(k) for k in range(100)] == [b(k) for k in range(100)]
-
-
-def test_tabulation_different_seeds_differ():
-    a = TabulationHash(seed=1)
-    b = TabulationHash(seed=2)
-    assert [a(k) for k in range(50)] != [b(k) for k in range(50)]
-
-
-def test_tabulation_array_matches_scalar():
-    hasher = TabulationHash(seed=9)
-    keys = np.array([0, 1, 255, 256, 2**32, 2**63], dtype=np.uint64)
-    assert hasher.hash_array(keys).tolist() == [hasher(int(k)) for k in keys]
-
-
-def test_tabulation_rejects_negative():
-    with pytest.raises(ValueError):
-        TabulationHash(seed=0)(-5)
-
-
-def test_tabulation_distribution():
-    hasher = TabulationHash(seed=4)
-    keys = np.arange(10_000, dtype=np.uint64)
-    hashed = hasher.hash_array(keys)
-    # Low bit should be close to uniform.
-    assert 0.45 < (hashed & np.uint64(1)).mean() < 0.55
 
 
 # ----------------------------------------------------------------------

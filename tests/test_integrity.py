@@ -256,7 +256,7 @@ def test_corruption_error_is_not_retried():
 
 
 def test_unchecked_memory_does_not_verify():
-    """verify_checksums=False is the ledgered baseline: no detection, no cost."""
+    """verify_checksums=False: no detection, no cost."""
     from repro.memory.hybrid import HybridMemory
 
     memory = HybridMemory(ram_bytes=0, block_size=16, verify_checksums=False)
@@ -267,6 +267,27 @@ def test_unchecked_memory_does_not_verify():
     assert memory.load("k") != b"0123456789abcdef"  # rot passes through
     assert memory.stats.checksum_failures == 0
     assert memory.scrub() == []
+
+
+def test_unchecked_engine_is_bit_identical_to_checked():
+    """Verification never perturbs state: the same spilled pages and the
+    same forest with the digests on (default) or off."""
+    edges = _random_edges(600, seed=35)
+    checked = GraphZeppelin(NUM_NODES, config=_paged_config())
+    unchecked = GraphZeppelin(
+        NUM_NODES,
+        config=_paged_config(),
+        memory=HybridMemory(ram_bytes=1 << 14, verify_checksums=False),
+    )
+    for engine in (checked, unchecked):
+        engine.ingest_batch(edges)
+        _settle(engine)
+    assert checked.memory.stats.block_writes > 0  # pages really went to the device
+    assert _pools_equal(checked.tensor_pool, unchecked.tensor_pool)
+    assert (
+        checked.list_spanning_forest().partition_signature()
+        == unchecked.list_spanning_forest().partition_signature()
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the hybrid-memory substrate (block device, cache, store)."""
 
+from dataclasses import dataclass, fields
+
 import pytest
 
 from repro.exceptions import StorageError
@@ -26,6 +28,27 @@ def test_iostats_accumulation_and_reset():
 def test_iostats_snapshot_keys():
     snap = IOStats().snapshot()
     assert "block_reads" in snap and "modelled_seconds" in snap
+    assert list(snap) == [counter.name for counter in fields(IOStats)]
+
+
+def test_iostats_helpers_cover_every_declared_counter():
+    """A counter added to the dataclass reaches snapshot, merged_with,
+    diff and reset without being listed anywhere else."""
+
+    @dataclass
+    class Extended(IOStats):
+        page_faults: int = 0
+
+    stats = Extended(block_reads=4, modelled_seconds=0.5, page_faults=7)
+    before = stats.snapshot()
+    assert before["page_faults"] == 7 and list(before)[-1] == "page_faults"
+    merged = stats.merged_with(Extended(block_reads=1, page_faults=2))
+    assert isinstance(merged, Extended)
+    assert (merged.block_reads, merged.modelled_seconds, merged.page_faults) == (5, 0.5, 9)
+    stats.page_faults += 3
+    assert stats.diff(before)["page_faults"] == 3
+    stats.reset()
+    assert stats == Extended()
 
 
 # ----------------------------------------------------------------------

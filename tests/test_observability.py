@@ -115,9 +115,11 @@ def test_disabled_run_records_no_metrics():
 def test_forests_bit_identical_with_observability_on_off():
     edges = _random_edges(500, seed=7)
     enable()
+    install_trace_ring()  # registry + ring: the most instrumented configuration
     on = _ingested(edges)
     on.list_spanning_forest()
     disable()
+    remove_trace_ring()
     off = _ingested(edges)
     off.list_spanning_forest()
     assert _same_state(on, off)

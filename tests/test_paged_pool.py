@@ -233,13 +233,21 @@ def test_paged_engine_charges_io_and_reports_page_stats():
     rng = np.random.default_rng(11)
     u = rng.integers(0, 40, 500)
     v = (u + 1 + rng.integers(0, 38, 500)) % 40
-    engine.ingest_batch(np.stack([u, v], axis=1))
-    engine.list_spanning_forest()
+    edges = np.stack([u, v], axis=1)
+    engine.ingest_batch(edges)
+    forest = engine.list_spanning_forest()
     stats = engine.tensor_pool.page_stats()
     assert stats["num_pages"] == 8
     assert stats["page_payload_bytes"] % engine.memory.block_size == 0
     assert engine.io_stats.total_ios > 0
     assert engine.io_stats.modelled_seconds > 0
+    # At least half the pages do not fit the working set, and the
+    # spilling engine still answers bit for bit like the in-RAM one.
+    assert 2 * stats["resident_budget"] <= stats["num_pages"]
+    in_ram = GraphZeppelin(40, config=GraphZeppelinConfig(seed=11))
+    in_ram.ingest_batch(edges)
+    _assert_pools_identical(in_ram.tensor_pool, engine.tensor_pool)
+    assert forest.partition_signature() == in_ram.list_spanning_forest().partition_signature()
 
 
 def test_wide_mode_paged_pool_matches_in_ram():

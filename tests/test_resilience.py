@@ -114,6 +114,8 @@ def test_attach_checkpointer_writes_generations_during_ingest(tmp_path):
     for start in range(0, edges.shape[0], 50):
         engine.ingest_batch(edges[start : start + 50])
     assert checkpointer.checkpoints_written >= 3
+    # Checkpointing never perturbs the engine it snapshots.
+    _assert_same_state(engine, _serial_reference(edges, GraphZeppelinConfig()))
     # Rotation: only the `keep` newest generations remain on disk.
     remaining = list_checkpoints(tmp_path)
     assert len(remaining) == 2

@@ -5,8 +5,11 @@ import pytest
 
 from repro.exceptions import ConfigurationError, IncompatibleSketchError
 from repro.sketch.sizes import WIDE_ARITHMETIC_THRESHOLD
-from repro.sketch.standard_l0 import MERSENNE_PRIME_127, StandardL0Sketch
-from repro.hashing.carter_wegman import MERSENNE_PRIME_61
+from repro.sketch.standard_l0 import (
+    MERSENNE_PRIME_61,
+    MERSENNE_PRIME_127,
+    StandardL0Sketch,
+)
 
 
 def test_empty_sketch_reports_zero_vector():
