@@ -9,9 +9,13 @@ example runs the same dynamic stream through three configurations:
   SSD),
 * the full gutter tree with the same budget,
 
-and reports wall time, modelled I/O time, I/O counts and cache hit
-rates from the hybrid-memory substrate, plus an unbuffered run showing
-why batching matters once sketches live on disk.
+and reports wall time, modelled I/O time, I/O counts and the RAM tier's
+hit rate from the hybrid-memory substrate, plus an unbuffered run
+showing why batching matters once sketches live on disk.
+
+The RAM tier is the paged pool's working set of page frames, so
+``cache_hit_rate`` is frame-table hits / page pins: how often a fold
+found its page already resident instead of reading it from the device.
 
 Run with:  python examples/out_of_core_ingestion.py
 """
@@ -89,6 +93,10 @@ def main() -> None:
     print("I/O profile changes.  Buffered configurations amortise each node-")
     print("sketch read over a whole batch of updates, which is why the")
     print("unbuffered run pays orders of magnitude more block I/Os.")
+    print("\ncache_hit_rate = frame-table hits / page pins.  A buffered flush")
+    print("visits each page once, in page order, so with more pages than")
+    print("frames it reads 0.00; the unbuffered run pins a page per update and")
+    print("finds it resident about as often as the working set covers the pool.")
 
 
 if __name__ == "__main__":

@@ -88,6 +88,13 @@ def main() -> None:
         f"({info['page_ins']} page-ins, {info['page_writebacks']} write-backs, "
         f"{info['partial_reads']} partial round reads)."
     )
+    io = paged.io_stats
+    print(
+        f"RAM tier: {format_bytes(paged.memory.reserved_bytes + paged.memory.cached_bytes)} "
+        f"of the budget held (page frames, query slab, range scratch); "
+        f"{io.cache_hits} of {io.cache_hits + io.cache_misses} page pins found "
+        f"their page resident (hit rate {io.cache_hit_rate:.2f})."
+    )
 
     # Page-affine sharded parallel ingest: shard boundaries snap to the
     # pool's page boundaries, so each page is folded by one worker.

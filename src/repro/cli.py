@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     components_parser.add_argument(
         "--scrub-every", type=int, default=None, metavar="N",
-        help="verify all spilled/cached sketch checksums every N ingested "
+        help="verify the checksums of all stored sketch pages every N ingested "
              "updates (serial ingest only); with --checkpoint-dir a detected "
              "corruption is healed by read-repair instead of aborting",
     )
@@ -374,10 +374,12 @@ def _print_forest(engine, num_nodes: int, ingest_mode: str, show: int) -> None:
         print(f"page size        : {page_info['nodes_per_page']} nodes / "
               f"{format_bytes(page_info['page_payload_bytes'])} "
               f"({page_info['page_blocks']} blocks)")
+        # The RAM tier is the pool's working set of page frames: a hit
+        # is a page pin that found its page already resident.
         stats = engine.io_stats
-        lookups = stats.cache_hits + stats.cache_misses
+        pins = stats.cache_hits + stats.cache_misses
         print(f"RAM-tier hit rate: {stats.cache_hit_rate:.1%} "
-              f"({stats.cache_hits}/{lookups} lookups, "
+              f"({stats.cache_hits}/{pins} page pins, "
               f"{page_info['resident_pages']}/{page_info['num_pages']} pages resident)")
     if engine.io_stats is not None:
         print(f"modelled disk I/O: {engine.io_stats.total_ios} block accesses, "
@@ -461,7 +463,7 @@ def _print_io_report(engine, checkpointer=None) -> None:
           f"(requested {engine.config.kernel_backend})")
     stats = engine.io_stats
     if stats is None:
-        print("io report        : engine is fully in RAM (no byte tier)")
+        print("io report        : engine is fully in RAM (no device)")
     else:
         counters = stats.snapshot()
         print(f"io failures      : {counters['read_failures']} read, "

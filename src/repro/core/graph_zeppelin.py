@@ -685,13 +685,13 @@ class GraphZeppelin:
         return self._pool.node_sketch(node)
 
     def scrub_storage(self) -> list:
-        """Verify checksums of all spilled and cached sketch state.
+        """Verify checksums of all stored sketch state.
 
         Flushes buffered updates and syncs dirty pages first, so the
-        byte tier is authoritative, then verifies every stored payload
+        device is authoritative, then verifies every stored payload
         (per-block device digests plus whole-payload digests).  Returns
-        the corrupt page indices.  Fully in-RAM engines have no byte
-        tier and return ``[]``.  The scrub only *detects* -- healing a
+        the corrupt page indices.  Fully in-RAM engines have no device
+        and return ``[]``.  The scrub only *detects* -- healing a
         corrupt page is :func:`repro.integrity.repair.scrub_and_repair`'s
         job.
         """

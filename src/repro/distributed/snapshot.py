@@ -33,7 +33,7 @@ flavours: a flat :class:`~repro.sketch.tensor_pool.NodeTensorPool`
 writes its tensors as a straight memory dump, while a
 :class:`~repro.sketch.paged_pool.PagedTensorPool` streams one page's
 round stripe at a time through :class:`~repro.memory.hybrid.HybridMemory`
-(resident pages serve live tensors, spilled pages pay partial-range
+(resident pages copy out of their frames, the others pay partial-range
 reads) -- the whole pool is never materialised in RAM, going in either
 direction.
 
@@ -465,18 +465,13 @@ def _apply_paged(
     for page in range(pool.num_pages):
         tensors = _read_page_tensors(handle, meta, pool, page)
         if xor:
-            entry = pool._pin(page)
-            try:
+            with pool._pinned(page) as entry:
                 for target, source in zip(entry, tensors):
                     target ^= source
-                with pool._lock:
-                    pool._dirty.add(page)
-            finally:
-                pool._unpin(page)
         else:
             if not any(tensor.any() for tensor in tensors):
                 continue
-            pool.memory.store(pool._page_key(page), pool._serialize_page(page, tensors))
+            pool.replace_page(page, tensors)
 
 
 def load_snapshot_into(path: PathLike, pool: NodeTensorPool) -> SnapshotMeta:

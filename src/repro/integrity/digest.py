@@ -47,6 +47,12 @@ DIGEST_SEED = 0x1BAD_B10C
 
 Buffer = Union[bytes, bytearray, memoryview]
 
+
+def byte_view(buffer) -> memoryview:
+    """``buffer`` (numpy arrays included) as a flat ``uint8`` view, no copy."""
+    view = memoryview(buffer)
+    return view if view.ndim == 1 and view.format == "B" else view.cast("B")
+
 #: Cache of seed-premixed diffused word-position vectors keyed by
 #: ``(start, count, mixed_seed)``.  Block-sized payloads hit
 #: ``(0, block_size // 8, ...)`` on every call, which removes the
@@ -181,5 +187,6 @@ __all__ = [
     "MASK64",
     "StreamingDigest",
     "block_digests",
+    "byte_view",
     "payload_digest",
 ]

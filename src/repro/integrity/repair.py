@@ -162,20 +162,9 @@ def repair_pages(
     checkpoint_path = Path(checkpoint_path)
     with checkpoint_path.open("rb") as handle:
         for page in pages:
-            tensors = _read_page_tensors(handle, meta, pool, page)
-            with pool._lock:
-                # Drop any resident copy (it deserialised from, or will
-                # write back over, the rotten bytes) and every assembled
-                # round cache; the store below becomes the page's truth.
-                pool._resident.pop(page, None)
-                pool._dirty.discard(page)
-                pool._assembled.clear()
-            pool.memory.store(pool._page_key(page), pool._serialize_page(page, tensors))
-    # Persist now: the device still holds the rotten blocks, and the
-    # fresh payload sits dirty in the cache.  Flushing rewrites the
-    # blocks (and their digests), so a follow-up scrub sees clean state
-    # instead of re-detecting the old corruption underneath the cache.
-    pool.memory.flush()
+            # The store rewrites the rotten blocks (and their digests)
+            # on the device, so a follow-up scrub sees clean state.
+            pool.replace_page(page, _read_page_tensors(handle, meta, pool, page))
 
     # Phase 2: re-fold the stream suffix, restricted to healed spans.
     replayed = 0
@@ -209,7 +198,6 @@ def repair_pages(
     # pre-repair assemblies) but *not* the update counters -- see above.
     pool._version += 1
     pool.sync()
-    pool.memory.flush()
     pool.memory.stats.pages_repaired += len(pages)
     engine._cached_forest = None
     return replayed

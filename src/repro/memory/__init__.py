@@ -11,10 +11,13 @@ This package simulates that environment deterministically:
 * :class:`repro.memory.block_device.BlockDevice` -- a block-addressed
   store that counts reads/writes and models sequential vs random access
   latency,
-* :class:`repro.memory.cache.LRUCache` -- a byte-budgeted page cache,
-* :class:`repro.memory.hybrid.HybridMemory` -- RAM budget + device +
-  cache glued together; objects stored through it report how many I/Os
-  and how much modelled time their access pattern would cost on an SSD,
+* :class:`repro.memory.hybrid.HybridMemory` -- the device plus the RAM
+  budget *ledger*; objects stored through it report how many I/Os and
+  how much modelled time their access pattern would cost on an SSD.
+  There is one RAM tier and the memory does not own it: the paged
+  tensor pool keeps its working set in preallocated page frames
+  reserved from the budget, ``load`` reads into a frame and ``store``
+  writes from one -- no second, byte-format cache sits in between,
 * :class:`repro.memory.metrics.IOStats` -- the counters every component
   shares.
 
@@ -24,7 +27,6 @@ on any machine.
 """
 
 from repro.memory.block_device import BlockDevice, DeviceProfile
-from repro.memory.cache import LRUCache
 from repro.memory.hybrid import HybridMemory
 from repro.memory.metrics import IOStats
 
@@ -33,5 +35,4 @@ __all__ = [
     "DeviceProfile",
     "HybridMemory",
     "IOStats",
-    "LRUCache",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import CorruptionError, StorageError
-from repro.integrity.digest import block_digests
+from repro.integrity.digest import Buffer, block_digests, byte_view
 from repro.memory.metrics import IOStats
 
 #: Default block size: 16 KB, the write granularity GraphZeppelin uses
@@ -103,26 +103,13 @@ class BlockDevice:
         self._last_block_accessed: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def write_block(self, block_id: int, payload: bytes, _digest: Optional[int] = None) -> None:
+    def write_block(self, block_id: int, payload: Buffer) -> None:
         """Write one block; payloads longer than ``block_size`` are rejected."""
-        if block_id < 0:
-            raise StorageError("block ids are non-negative")
         if len(payload) > self.block_size:
             raise StorageError(
                 f"payload of {len(payload)} bytes exceeds block size {self.block_size}"
             )
-        self._charge(block_id, is_write=True, nbytes=len(payload))
-        payload = bytes(payload)
-        if self.verify_checksums:
-            # Checksum what the caller handed us, then let the fault plan
-            # model bit rot *after* the digest was taken -- that is the
-            # silent-corruption ordering the read-side check defends.
-            self._digests[block_id] = (
-                self.block_digests(payload)[0] if _digest is None else _digest
-            )
-        if self.fault_plan is not None:
-            payload = self.fault_plan.corrupt_block_write(payload)
-        self._blocks[block_id] = payload
+        self.write_blob(block_id, payload)
 
     def read_block(self, block_id: int) -> bytes:
         """Read one block, verifying its checksum when enabled."""
@@ -140,7 +127,7 @@ class BlockDevice:
     def write_blob(
         self,
         start_block: int,
-        payload: bytes,
+        payload: Buffer,
         _digests: Optional[list] = None,
     ) -> int:
         """Write an arbitrary-length blob across consecutive blocks.
@@ -150,8 +137,12 @@ class BlockDevice:
         is how a contiguous node-group sketch read behaves on disk.
         ``_digests`` lets a caller that already block-digested this
         payload (the hybrid memory does, at ``store`` time) hand the
-        digests down instead of paying a second hashing pass.
+        digests down instead of paying a second hashing pass.  Every
+        block is stored as its own ``bytes`` copy, so ``payload`` may be
+        a view of memory the caller goes on to reuse (a page frame).
         """
+        if start_block < 0:
+            raise StorageError("block ids are non-negative")
         num_blocks = max(1, -(-len(payload) // self.block_size))
         if not self.verify_checksums:
             digests = None
@@ -159,13 +150,18 @@ class BlockDevice:
             digests = _digests
         else:
             digests = self.block_digests(payload)
+        self._charge(start_block, num_blocks, is_write=True, nbytes=len(payload))
         for i in range(num_blocks):
-            chunk = payload[i * self.block_size : (i + 1) * self.block_size]
-            self.write_block(
-                start_block + i,
-                chunk,
-                _digest=None if digests is None else digests[i],
-            )
+            chunk = bytes(payload[i * self.block_size : (i + 1) * self.block_size])
+            if digests is not None:
+                # Checksum what the caller handed us, then let the fault
+                # plan model bit rot *after* the digest was taken -- that
+                # is the silent-corruption ordering the read-side check
+                # defends.
+                self._digests[start_block + i] = digests[i]
+            if self.fault_plan is not None:
+                chunk = self.fault_plan.corrupt_block_write(chunk)
+            self._blocks[start_block + i] = chunk
         return num_blocks
 
     def read_blob(self, start_block: int, num_blocks: int) -> bytes:
@@ -175,34 +171,54 @@ class BlockDevice:
     def read_blob_digests(
         self, start_block: int, num_blocks: int
     ) -> Tuple[bytes, Optional[List[int]]]:
-        """Range-verified read: the joined blocks and their digests.
+        """:meth:`read_into` a fresh buffer: the joined blocks and their digests."""
+        buffer = bytearray(num_blocks * self.block_size)
+        total, digests = self.read_into(start_block, num_blocks, buffer)
+        return bytes(buffer[:total]), digests
 
-        Every block is fetched and charged in order, the joined bytes
-        are hashed by **one** :func:`block_digests` call, and each
-        digest is compared against the block's write-time record
+    def read_into(
+        self, start_block: int, num_blocks: int, out: Buffer
+    ) -> Tuple[int, Optional[List[int]]]:
+        """Range-verified read into a caller-owned buffer.
+
+        Every block is fetched and charged in order and copied to the
+        front of ``out`` (any writable contiguous buffer long enough --
+        the paged pool hands in a page frame, so a page-in allocates
+        nothing); the bytes are hashed where they landed by **one**
+        :func:`block_digests` call, and each digest is compared against
+        the block's write-time record
         (:class:`~repro.exceptions.CorruptionError` on the first
-        mismatch).  The computed digests are returned so a caller
-        holding its own per-block record of the same bytes (the hybrid
-        memory does) compares instead of hashing again; ``None`` when
-        checksums are off.
+        mismatch, leaving unverified bytes in ``out``).  Returns the
+        byte count and the computed digests (``None`` when checksums
+        are off), so a caller holding its own per-block record of the
+        same bytes (the hybrid memory does) compares instead of hashing
+        again.
         """
-        parts = []
+        view = byte_view(out)
+        blocks, block_size = self._blocks, self.block_size
+        sizes = []
+        total = 0
         for block_id in range(start_block, start_block + num_blocks):
-            if block_id not in self._blocks:
+            payload = blocks.get(block_id)
+            if payload is None:
                 raise StorageError(f"block {block_id} has never been written")
-            payload = self._blocks[block_id]
-            self._charge(block_id, is_write=False, nbytes=len(payload))
-            parts.append(payload)
-        blob = b"".join(parts)
+            stop = total + len(payload)
+            view[total:stop] = payload
+            sizes.append(stop - total)
+            total = stop
+        self._charge(start_block, num_blocks, is_write=False, nbytes=total)
         if not self.verify_checksums:
-            return blob, None
-        full_before_last = all(len(part) == self.block_size for part in parts[:-1])
-        if parts and full_before_last and (parts[-1] or num_blocks == 1):
-            digests = self.block_digests(blob)
+            return total, None
+        on_grid = sizes and total == (num_blocks - 1) * block_size + sizes[-1]
+        if on_grid and (sizes[-1] or num_blocks == 1):
+            digests = self.block_digests(view[:total])
         else:
             # A short block before the last one (or an empty last one)
             # puts the blocks off the block_size grid of the joined bytes.
-            digests = [self.block_digests(part)[0] for part in parts]
+            digests, stop = [], 0
+            for size in sizes:
+                digests.append(self.block_digests(view[stop : stop + size])[0])
+                stop += size
         for block_id, digest in zip(range(start_block, start_block + num_blocks), digests):
             expected = self._digests.get(block_id)
             if expected is not None and digest != expected:
@@ -212,9 +228,9 @@ class BlockDevice:
                     f"({len(self._blocks[block_id])} bytes): stored content no "
                     f"longer matches its write-time digest"
                 )
-        return blob, digests
+        return total, digests
 
-    def block_digests(self, payload: bytes) -> List[int]:
+    def block_digests(self, payload: Buffer) -> List[int]:
         """Digests of ``payload`` cut on this device's block grid."""
         return block_digests(payload, self.block_size, kernels=self.kernels)
 
@@ -227,24 +243,37 @@ class BlockDevice:
     def bytes_in_use(self) -> int:
         return sum(len(b) for b in self._blocks.values())
 
-    def _charge(self, block_id: int, is_write: bool, nbytes: int) -> None:
-        sequential = (
+    def _charge(self, start_block: int, num_blocks: int, is_write: bool, nbytes: int) -> None:
+        """Charge a run of consecutive blocks holding ``nbytes`` in all.
+
+        Block for block what charging each in turn would add: the first
+        is sequential only if it follows the last block accessed, the
+        rest always are, and ``modelled_seconds`` is summed in the same
+        order (so the float comes out bit-identical).
+        """
+        if num_blocks < 1:
+            return
+        stats, profile = self.stats, self.profile
+        follows = (
             self._last_block_accessed is not None
-            and block_id == self._last_block_accessed + 1
+            and start_block == self._last_block_accessed + 1
         )
-        if sequential:
-            self.stats.sequential_accesses += 1
-            self.stats.modelled_seconds += self.profile.sequential_seconds_per_block
-        else:
-            self.stats.random_accesses += 1
-            self.stats.modelled_seconds += self.profile.random_seconds_per_block
+        sequential = num_blocks if follows else num_blocks - 1
+        seconds = stats.modelled_seconds
+        if not follows:
+            stats.random_accesses += 1
+            seconds += profile.random_seconds_per_block
+        for _ in range(sequential):
+            seconds += profile.sequential_seconds_per_block
+        stats.sequential_accesses += sequential
+        stats.modelled_seconds = seconds
         if is_write:
-            self.stats.block_writes += 1
-            self.stats.bytes_written += nbytes
+            stats.block_writes += num_blocks
+            stats.bytes_written += nbytes
         else:
-            self.stats.block_reads += 1
-            self.stats.bytes_read += nbytes
-        self._last_block_accessed = block_id
+            stats.block_reads += num_blocks
+            stats.bytes_read += nbytes
+        self._last_block_accessed = start_block + num_blocks - 1
 
     def __repr__(self) -> str:
         return (

@@ -1,12 +1,18 @@
 """RAM budget + block device glued into one hybrid memory.
 
 :class:`HybridMemory` is the substrate the rest of the system stores
-its large objects through.  Payloads are kept in a byte-budgeted LRU
-cache (the RAM tier); when the cache overflows, payloads spill to the
-simulated :class:`~repro.memory.block_device.BlockDevice` and later
-reads charge block I/Os and modelled latency.  With an unlimited RAM
-budget the device is never touched, which is the "everything fits in
-RAM" configuration of the experiments.
+its large objects through.  There is **one RAM tier and the memory
+does not own it**: payloads live on the simulated
+:class:`~repro.memory.block_device.BlockDevice` and in whatever working
+set a client keeps (the paged tensor pool's page frames), so
+:meth:`~HybridMemory.store` writes through to the device and
+:meth:`~HybridMemory.load` reads into the caller's buffer, each moving
+the bytes once and charging block I/Os and modelled latency.  The RAM
+budget is a ledger: clients :meth:`~HybridMemory.reserve` what they
+hold, the memory's one buffer of its own (the range-read scratch) is
+charged beside them, and the sum never exceeds ``ram_bytes``.  With an
+unlimited budget nothing is refused -- the "everything fits in RAM"
+configuration of the experiments.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import (
     Optional,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from repro.exceptions import (
@@ -30,8 +37,8 @@ from repro.exceptions import (
     DeadlineExceededError,
     StorageError,
 )
+from repro.integrity.digest import Buffer, byte_view
 from repro.memory.block_device import DEFAULT_BLOCK_SIZE, BlockDevice, DeviceProfile
-from repro.memory.cache import LRUCache
 from repro.memory.metrics import IOStats
 from repro.observability.tracing import span
 
@@ -67,13 +74,13 @@ class RetryPolicy:
 
 
 class HybridMemory:
-    """A keyed byte store with a RAM budget backed by a simulated disk.
+    """A keyed byte store on a simulated disk, plus the RAM budget ledger.
 
     Parameters
     ----------
     ram_bytes:
-        RAM budget for cached payloads.  ``None`` means unlimited (pure
-        in-RAM operation, no device traffic ever).
+        RAM budget that :meth:`reserve` carves from.  ``None`` means
+        unlimited (reservations are never refused or counted).
     block_size:
         Device block size ``B``.
     profile:
@@ -90,9 +97,9 @@ class HybridMemory:
         forwarded to the device, which flips bits in stored blocks.
     verify_checksums:
         When true (the default) every device block and every stored
-        payload carries an xxHash64 digest; reads that pull spilled
-        state back in raise :class:`~repro.exceptions.CorruptionError`
-        on mismatch, and :meth:`scrub` audits everything at rest.
+        payload carries an xxHash64 digest; reads raise
+        :class:`~repro.exceptions.CorruptionError` on mismatch, and
+        :meth:`scrub` audits everything at rest.
     deadline_seconds:
         Optional per-operation deadline on device calls: an attempt
         that ran longer (e.g. under an injected ``slow`` fault) raises
@@ -144,18 +151,21 @@ class HybridMemory:
             kernels=kernels,
         )
         self.fault_plan = fault_plan
-        capacity = ram_bytes if ram_bytes is not None else (1 << 62)
-        self._cache = LRUCache(capacity, stats=self.stats, on_evict=self._write_back)
-        self._dirty: set = set()
+        #: key -> ``(start_block, capacity_blocks, payload_length)``.
         self._allocations: Dict[Hashable, Tuple[int, int, int]] = {}
         #: Per-key *block* digest lists recorded at :meth:`store` time --
         #: the payload-level integrity record and, handed down to
-        #: :meth:`BlockDevice.write_blob` at persist time, the write-time
-        #: block digests, so the write path hashes every byte exactly
-        #: once.
+        #: :meth:`BlockDevice.write_blob`, the write-time block digests,
+        #: so the write path hashes every byte exactly once.
         self._payload_digests: Dict[Hashable, List[int]] = {}
         self._next_block = 0
         self._reserved_bytes = 0
+        #: The one buffer the memory itself holds: :meth:`load_range`
+        #: reads the blocks a range straddles into it, grown to the
+        #: largest range seen and charged to the budget as
+        #: :attr:`cached_bytes`.
+        self._range_scratch = bytearray()
+        self._scratch_charged = 0
         #: Callbacks fired on every memory-pressure event (refused
         #: reservation or injected allocation squeeze); the paged pool
         #: registers its degrade-to-floor handler here.
@@ -186,190 +196,176 @@ class HybridMemory:
 
     @property
     def is_unbounded(self) -> bool:
-        """True when no RAM limit is in force (nothing ever spills)."""
+        """True when no RAM limit is in force (reservations are free)."""
         return self.ram_bytes is None
 
     @property
     def block_size(self) -> int:
         return self.device.block_size
 
-    def store(self, key: Hashable, payload: bytes) -> None:
-        """Store (or replace) the payload for ``key``.
+    def store(self, key: Hashable, payload: Buffer) -> None:
+        """Write (or replace) the payload for ``key`` on the device.
 
-        The per-block digests are taken *now*, while the bytes are
-        authoritative: they verify the RAM-cached copy on demand
-        (:meth:`verify_key`), travel down to the device when the
-        payload is persisted (so write-back never re-hashes), and check
-        the reassembled payload after every spilled :meth:`load`.
+        ``payload`` is any contiguous byte buffer; the paged pool hands
+        in a page frame and goes on reusing it, which is safe because
+        the device keeps its own copy of every block.  The bytes are
+        hashed **once**, here: the per-block digests go down to the
+        device as its write-time records and, once the write has
+        succeeded, become the payload record every later :meth:`load`
+        is compared against.  A write that never happens (open breaker,
+        faults past the retry budget) changes nothing -- the previous
+        payload stays loadable -- so a caller still holding the bytes (a
+        dirty resident page) simply keeps them.
+
+        An unbounded memory does the same with a page: it has no RAM
+        tier to hold it either, so only :meth:`reserve` differs.
+        Nothing in ``src/`` stores through one (an unbounded engine
+        gets the flat in-RAM pool).
         """
-        if self.verify_checksums:
-            self._payload_digests[key] = self.device.block_digests(payload)
+        view = byte_view(payload)
+        digests = self.device.block_digests(view) if self.verify_checksums else None
         if self.fault_plan is not None and self.fault_plan.on_memory_check():
             # Injected allocation squeeze: degrade (listeners shrink
             # their working sets), never refuse the bytes -- pressure
             # models load, and dropping a payload would lose data.
             self._note_pressure()
-        self._dirty.add(key)
-        self._cache.put(key, payload)
+        num_blocks = max(1, -(-len(view) // self.block_size))
+        previous = self._allocations.get(key)
+        outgrown = previous is None or previous[1] < num_blocks
+        if outgrown:
+            start, capacity = self._next_block, num_blocks
+        else:
+            # Re-put inside an existing allocation: keep its full block
+            # capacity on record, so a payload that shrinks and later
+            # regrows (e.g. a recompacted page) stays in place instead
+            # of taking a fresh allocation.
+            start, capacity = previous[0], previous[1]
 
-    def load(self, key: Hashable) -> bytes:
-        """Load the payload for ``key``, reading from disk on a cache miss.
+        def write() -> None:
+            self.device.write_blob(start, view, _digests=digests)
+            # From here on the blocks hold the new bytes -- even if the
+            # attempt is then ruled past its deadline -- so the records
+            # must describe them.
+            self._allocations[key] = (start, capacity, len(view))
+            if digests is not None:
+                self._payload_digests[key] = digests
+            if outgrown:
+                self._next_block = start + num_blocks
+                if previous is not None:
+                    # TRIM the superseded extent -- only now: a write that
+                    # never happened must leave the old bytes readable.
+                    for block_id in range(previous[0], previous[0] + previous[1]):
+                        self.device.delete_block(block_id)
 
-        A payload pulled back from the device is hashed once and that
-        one list of block digests is compared against two records: each
-        block's write-time digest (inside the device) and the digests
-        recorded at :meth:`store` time, so allocation bookkeeping bugs
-        surface as :class:`~repro.exceptions.CorruptionError` too.
+        self._device_call(write, is_write=True)
+
+    def load(self, key: Hashable, out: Optional[Buffer] = None) -> Union[bytes, int]:
+        """Read the payload for ``key`` off the device into ``out``.
+
+        ``out`` is a writable contiguous buffer at least as long as the
+        payload (the paged pool passes a page frame); the payload
+        length is returned.  Without ``out`` the payload comes back as
+        fresh ``bytes``.
+
+        The bytes are hashed once, where they landed, and that one list
+        of block digests is compared against two records: each block's
+        write-time digest (inside the device) and the digests recorded
+        at :meth:`store` time, so allocation bookkeeping bugs surface
+        as :class:`~repro.exceptions.CorruptionError` too.  When this
+        raises, ``out`` holds unverified bytes the caller must not
+        publish.
         """
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if key not in self._allocations:
-            raise KeyError(key)
         start, _, length = self._allocations[key]
-        if length == 0:
-            return b""
-        payload, digests = self._read_spilled(start, length)
-        self._verify_payload(key, payload, digests)
-        self._cache.put(key, payload)
-        return payload
-
-    def _read_spilled(self, start: int, length: int) -> Tuple[bytes, Optional[List[int]]]:
-        """Read a spilled payload; returns it with its block digests.
-
-        The device verifies every block and hands back the digests it
-        computed; they are the payload's own block digests (comparable
-        with the :meth:`store` record) unless the blocks hold more bytes
-        than the payload, in which case ``None`` is returned for them.
-        """
-        # Read only the blocks the *current* payload spans -- after a
-        # smaller re-put the allocation keeps its original capacity, but
-        # the stale tail blocks are never touched.
-        blob, digests = self._device_call(
-            lambda: self.device.read_blob_digests(start, -(-length // self.block_size)),
-            is_write=False,
-        )
-        if len(blob) != length:
-            return blob[:length], None
-        return blob, digests
-
-    def _verify_payload(
-        self, key: Hashable, payload: bytes, digests: Optional[List[int]] = None
-    ) -> None:
-        """Compare ``payload``'s block digests with the :meth:`store` record.
-
-        ``digests`` are the payload's block digests when the device
-        already computed them on the way in; otherwise they are taken
-        here.
-        """
-        if not self.verify_checksums:
-            return
-        expected = self._payload_digests.get(key)
-        if expected is None:
-            return
-        if digests is None:
-            digests = self.device.block_digests(payload)
-        if digests != expected:
-            self.stats.checksum_failures += 1
-            raise CorruptionError(
-                f"payload for key {key!r} failed checksum verification "
-                f"({len(payload)} bytes)"
+        buffer = bytearray(length) if out is None else out
+        if length:
+            # Read only the blocks the *current* payload spans -- after
+            # a smaller re-put the allocation keeps its original
+            # capacity, but the stale tail blocks are never touched.
+            _, digests = self._device_call(
+                lambda: self.device.read_into(start, -(-length // self.block_size), buffer),
+                is_write=False,
             )
+            expected = self._payload_digests.get(key)
+            if digests is not None and expected is not None and digests != expected:
+                self.stats.checksum_failures += 1
+                raise CorruptionError(
+                    f"payload for key {key!r} failed checksum verification "
+                    f"({length} bytes)"
+                )
+        return bytes(buffer) if out is None else length
 
-    def load_range(self, key: Hashable, offset: int, length: int) -> bytes:
-        """Load ``length`` bytes at ``offset`` of ``key``'s payload.
+    def load_range(
+        self, key: Hashable, offset: int, length: int, out: Optional[Buffer] = None
+    ) -> Union[bytes, int]:
+        """Read ``length`` bytes at ``offset`` of ``key``'s payload into ``out``.
 
         The paged tensor pool's query path: one Boruvka round occupies a
-        contiguous byte range of a node-group page, so a spilled page
-        only pays the block reads covering that range instead of the
-        whole slab.  A RAM-cached payload is sliced for free (counted as
-        a cache hit); a spilled one reads exactly the blocks
-        ``[offset, offset + length)`` straddles and charges them to
-        :class:`~repro.memory.metrics.IOStats`.  Partial reads do *not*
-        populate the cache -- a fragment must never shadow the full
-        payload on a later :meth:`load`.
+        contiguous byte range of a node-group page, so a page only pays
+        the block reads covering that range instead of the whole slab.
+        Exactly the blocks ``[offset, offset + length)`` straddles are
+        read into the reusable scratch and charged, each is verified
+        against its write-time digest, and the range is copied once to
+        the front of ``out`` (the pool passes its slice of the query
+        slab).  Returns the bytes copied -- the range is clipped to the
+        payload -- or, without ``out``, the range itself as ``bytes``.
+        Not re-entrant (one scratch): callers serialise range reads.
         """
         if offset < 0 or length < 0:
             raise StorageError("offset and length must be non-negative")
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached[offset : offset + length]
-        if key not in self._allocations:
-            raise KeyError(key)
-        start, num_blocks, stored_length = self._allocations[key]
-        if offset >= stored_length or length == 0:
-            return b""
+        start, _, stored_length = self._allocations[key]
         stop = min(offset + length, stored_length)
+        if stop <= offset:
+            return b"" if out is None else 0
         first = offset // self.block_size
-        last = min(-(-stop // self.block_size), num_blocks)
-        chunk = self._device_call(
-            lambda: self.device.read_blob(start + first, last - first),
+        num_blocks = -(-stop // self.block_size) - first
+        scratch = self._scratch(num_blocks * self.block_size)
+        self._device_call(
+            lambda: self.device.read_into(start + first, num_blocks, scratch),
             is_write=False,
         )
         base = first * self.block_size
-        return chunk[offset - base : stop - base]
+        piece = memoryview(scratch)[offset - base : stop - base]
+        if out is None:
+            return bytes(piece)
+        byte_view(out)[: len(piece)] = piece
+        return len(piece)
+
+    def _scratch(self, nbytes: int) -> bytearray:
+        """The range-read buffer, grown to ``nbytes`` and charged to the
+        budget (a floor like the pool's one page: with less room left
+        than a range needs, the charge is what remained)."""
+        if len(self._range_scratch) < nbytes:
+            self._range_scratch = bytearray(nbytes)
+            if not self.is_unbounded:
+                self._scratch_charged = min(nbytes, self.ram_bytes - self._reserved_bytes)
+        return self._range_scratch
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._cache or key in self._allocations
+        return key in self._allocations
 
     def keys(self) -> Iterator[Hashable]:
-        seen = set()
-        for key, _ in self._cache.items():
-            seen.add(key)
-            yield key
-        for key in self._allocations:
-            if key not in seen:
-                yield key
-
-    def flush(self) -> None:
-        """Write every dirty cached payload back to the device."""
-        for key, payload in self._cache.items():
-            if key in self._dirty:
-                self._persist(key, payload)
+        return iter(self._allocations)
 
     # ------------------------------------------------------------------
     def verify_key(self, key: Hashable) -> int:
-        """Verify one key's bytes wherever they live; returns blocks checked.
+        """Verify one key's stored bytes; returns the blocks checked.
 
-        RAM-cached payloads are verified against the digest recorded at
-        :meth:`store` time; spilled payloads are read straight off the
-        device (charging real I/O, bypassing the cache so a scrub never
-        perturbs the working set) which verifies each block digest, then
-        checked against the payload digest unless the cached copy is
-        newer (dirty) than the spilled one.  Raises
-        :class:`~repro.exceptions.CorruptionError` on the first
-        mismatch.
+        A throwaway :meth:`load` (real I/O, no client's working set
+        touched): every block digest, then the payload record; raises
+        :class:`~repro.exceptions.CorruptionError` on the first mismatch.
         """
         if not self.verify_checksums:
             return 0
-        blocks = 0
-        cached = self._cache.peek(key)
-        if cached is not None:
-            blocks += max(1, -(-len(cached) // self.block_size))
-            self._verify_payload(key, cached)
-        allocation = self._allocations.get(key)
-        if allocation is not None:
-            start, _, length = allocation
-            if length > 0:
-                payload, digests = self._read_spilled(start, length)
-                blocks += -(-length // self.block_size)
-                # A dirty cached copy makes the spilled bytes stale (but
-                # still internally consistent): block digests above are
-                # authoritative, the payload digest is not.
-                if key not in self._dirty:
-                    self._verify_payload(key, payload, digests)
-        if cached is None and allocation is None:
-            raise KeyError(key)
-        return blocks
+        return -(-len(self.load(key)) // self.block_size)
 
     def scrub(self) -> list:
         """Audit every stored payload; returns the keys that failed.
 
-        Walks all resident and spilled state, verifying block and
-        payload digests, counting verified blocks in
-        ``stats.blocks_scrubbed``.  Corruption does not stop the pass:
-        each failing key is collected (its ``checksum_failures`` count
-        still increments) so read-repair can heal them all in one go.
+        Walks everything on the device, verifying block and payload
+        digests, counting verified blocks in ``stats.blocks_scrubbed``.
+        Corruption does not stop the pass: each failing key is
+        collected (its ``checksum_failures`` count still increments) so
+        read-repair can heal them all in one go.
         """
         corrupt = []
         for key in list(self.keys()):
@@ -380,16 +376,14 @@ class HybridMemory:
         return corrupt
 
     def reserve(self, nbytes: int) -> int:
-        """Carve ``nbytes`` of the RAM budget out of the byte cache.
+        """Claim ``nbytes`` of the RAM budget for a client's own buffers.
 
-        A component holding its own deserialised RAM claims it here, so
-        the byte cache plus every reservation never exceed the
-        configured budget.  Two callers today: the paged tensor pool's
-        pinned page working set (at construction) and its query-side
-        round-slab buffers (at the first query).  Shrinking evicts (and
-        write-backs) any overflow immediately.  Returns the bytes
-        actually reserved (clamped to what the cache still had); a
-        no-op when unbounded.
+        Ledger arithmetic against ``ram_bytes``: every reservation plus
+        the memory's own scratch never exceed the configured budget.
+        Two callers today: the paged tensor pool's page frames (at
+        construction) and its query-side round-slab buffers (at the
+        first query).  Returns the bytes actually reserved (clamped to
+        what the budget still had); a no-op when unbounded.
 
         Under an injected memory-pressure fault the reservation is
         *refused* (returns 0, counts a ``pressure_events``, notifies
@@ -402,30 +396,32 @@ class HybridMemory:
         if self.fault_plan is not None and self.fault_plan.on_memory_check():
             self._note_pressure()
             return 0
-        taken = min(max(int(nbytes), 0), self._cache.capacity_bytes)
-        self._cache.resize(self._cache.capacity_bytes - taken)
+        free = self.ram_bytes - self._reserved_bytes - self._scratch_charged
+        taken = min(max(int(nbytes), 0), free)
         self._reserved_bytes += taken
         return taken
 
     def release(self, nbytes: int) -> int:
-        """Return previously :meth:`reserve`-d bytes to the byte cache.
+        """Return previously :meth:`reserve`-d bytes to the budget.
 
         The degradation path: a component shrinking its working set
-        under pressure hands its reservation back so the cache can
-        absorb payloads the smaller working set now spills.  Clamped to
-        what is actually reserved; returns the bytes released.
+        under pressure frees its buffers and hands the reservation
+        back.  Clamped to what is reserved; returns the bytes released.
         """
-        if self.is_unbounded:
-            return 0
         given = min(max(int(nbytes), 0), self._reserved_bytes)
-        self._cache.resize(self._cache.capacity_bytes + given)
         self._reserved_bytes -= given
         return given
 
     @property
     def reserved_bytes(self) -> int:
-        """Bytes currently carved out of the cache by :meth:`reserve`."""
+        """Budget bytes currently claimed through :meth:`reserve`."""
         return self._reserved_bytes
+
+    @property
+    def cached_bytes(self) -> int:
+        """Budget bytes the memory's own buffer (the range scratch) holds;
+        ``cached_bytes + reserved_bytes`` is the whole RAM tier."""
+        return self._scratch_charged
 
     def add_pressure_listener(self, listener: Callable[[], None]) -> None:
         """Register a callback fired on every memory-pressure event."""
@@ -556,38 +552,6 @@ class HybridMemory:
                 delay = self.retry.delay(failed)
                 if delay > 0:
                     time.sleep(delay)
-
-    def _write_back(self, key: Hashable, payload: bytes) -> None:
-        if key in self._dirty:
-            self._persist(key, payload)
-
-    def _persist(self, key: Hashable, payload: bytes) -> None:
-        num_blocks = max(1, -(-len(payload) // self.block_size))
-        allocation = self._allocations.get(key)
-        if allocation is None or allocation[1] < num_blocks:
-            start = self._next_block
-            fresh_allocation = True
-            capacity = num_blocks
-        else:
-            # Re-put inside an existing allocation: keep its full block
-            # capacity on record, so a payload that shrinks and later
-            # regrows (e.g. a recompacted page) stays in place instead
-            # of leaking a fresh allocation.
-            start, capacity = allocation[0], allocation[1]
-            fresh_allocation = False
-        digests = self._payload_digests.get(key) if self.verify_checksums else None
-        self._device_call(
-            lambda: self.device.write_blob(start, payload, _digests=digests),
-            is_write=True,
-        )
-        if fresh_allocation:
-            self._next_block = start + num_blocks
-        self._allocations[key] = (start, capacity, len(payload))
-        self._dirty.discard(key)
-
-    @property
-    def cached_bytes(self) -> int:
-        return self._cache.bytes_used
 
     @property
     def device_bytes(self) -> int:

@@ -26,6 +26,8 @@ class IOStats:
     sequential_accesses: int = 0
     random_accesses: int = 0
     modelled_seconds: float = 0.0
+    #: RAM-tier lookups.  The tier is the paged pool's frame table, so
+    #: these count page pins that found their page resident / did not.
     cache_hits: int = 0
     cache_misses: int = 0
     #: Device reads/writes that raised ``OSError`` (each failed attempt

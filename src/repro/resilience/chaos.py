@@ -28,8 +28,9 @@ the resulting :class:`ChaosReport`:
 1. **bit-identity** -- the surviving engine's tensors and forest
    partition match a fault-free serial shadow ingest of the same
    stream (sketch linearity makes every recovery order equivalent);
-2. **bounded RAM** -- cached payload bytes plus reservations never
-   exceeded the configured budget at any observation point;
+2. **bounded RAM** -- the hybrid memory's own buffer plus every
+   reservation (page frames, query slab) never exceeded the configured
+   budget at any observation point;
 3. **bounded wall-clock** -- every injected stall is interruptible or
    deadline-bounded, so the whole soak finishes in bounded time.
 

@@ -6,10 +6,13 @@ bucket tensors, but partitioned into contiguous node-range **pages** --
 node-group slabs whose serialised payload is a whole number of device
 blocks -- stored through :class:`~repro.memory.hybrid.HybridMemory` as
 raw byte payloads.  The pool keeps an **LRU-pinned working set** of
-deserialised pages; a fold pins each page it touches (paging it in if
+pages in preallocated **frames**: page-sized byte buffers whose contents
+*are* the payload, the page's tensors being views of them.  A fold pins
+each page it touches (reading it from the device into a free frame if
 needed), XORs into it, and marks it dirty, and dirty pages write back
-through the hybrid memory when the working set evicts them (paying
-modelled SSD I/O once per page instead of once per node).
+through the hybrid memory -- handed a view of the frame -- when the
+working set evicts them (paying modelled SSD I/O once per page instead
+of once per node).  Bytes move once each way; nothing is allocated.
 
 Folds run through the parent's single fold path.  Pages are uniform, so
 a numpy kernel pass takes its updates whatever pages they touch: the
@@ -23,8 +26,8 @@ keeps an alpha uint64 and gamma uint32 pair back to back).  Round-major
 *within the page* means one Boruvka round of the page is a contiguous
 byte range of the payload, so the query side rebuilds a whole round
 slab with **partial-range reads**
-(:meth:`~repro.memory.hybrid.HybridMemory.load_range`): a spilled page
-contributes only the blocks its round stripe straddles, roughly
+(:meth:`~repro.memory.hybrid.HybridMemory.load_range`): a page that is
+not resident contributes only the blocks its round stripe straddles, roughly
 ``1 / num_rounds`` of the page, instead of a whole-page (or per-node
 blob) round trip.  The assembled slab feeds the *unchanged*
 whole-round query machinery of the parent class -- the pool only
@@ -38,30 +41,36 @@ interleaving of the same updates holds buckets **bit-identical** to the
 in-RAM pool (property-tested across RAM budgets, page sizes, and
 buffering modes).
 
-RAM accounting.  The pinned working set's bytes are *reserved* out of
-the hybrid memory's byte cache, so pinned pages plus cached payloads
-stay inside the configured budget.  Query-side slab assembly is
-charged the same way: each round's whole-graph slab
+RAM accounting.  There is one RAM tier and this pool holds it:
+``resident_pages + 1`` frames, allocated once and *reserved* from the
+hybrid memory's budget.  The spare lets a page be read in before the
+LRU victim is written back (the device-op order seeded fault plans are
+keyed on); a frame beyond the reservation exists only while every
+resident page is pinned or a write-back has failed.  Query-side slab
+assembly is charged the same way: each round's whole-graph slab
 (``1 / num_rounds`` of the pool -- exactly what the whole-round query
 engine scans, in RAM or out of core) is assembled into a persistent
-per-tensor buffer whose bytes are reserved from the byte cache at the
-first query, making the budget a hard ceiling for queries too.  The
-one remaining floor: a budget smaller than a single round slab still
-allocates the buffer, mirroring the one-page working-set floor.
+per-tensor buffer reserved at the first query, and the memory charges
+its range-read scratch beside it, making the budget a hard ceiling for
+queries too.  The remaining floors: a budget smaller than one round
+slab (or two frames) still allocates them and reserves what there was.
 
 Concurrency: page pin/unpin/evict bookkeeping -- and with it all
-*fold-side* hybrid-memory traffic -- serialises under one lock, while
-the folds themselves (the expensive kernels) run outside it on
-disjoint pages.  A pinned page is never evicted, which is what lets
-the page-affine sharded ingest fold different pages from different
-worker threads.  Queries concurrent with folds are **not** supported
-(the read path's partial-range loads run outside the lock), matching
-the parent pool's contract: fold, publish, then query.
+hybrid-memory traffic, the query side's range reads included (they
+share the memory's one scratch) -- serialises under one lock, while the
+folds themselves (the expensive kernels) run outside it on disjoint
+pages.  A pinned page is never evicted and its frame never reused,
+which is what lets the page-affine sharded ingest fold different pages
+from different worker threads; nothing may keep a view of a page's
+tensors past its unpin, because the frame goes on to hold another page.
+Queries concurrent with folds are **not** supported, matching the
+parent pool's contract: fold, publish, then query.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -123,10 +132,9 @@ class PagedTensorPool(NodeTensorPool):
         Working-set budget: how many deserialised pages the pool keeps
         pinned at once.  ``None`` sizes it to half the memory's RAM
         budget, floored at one page -- a fold always needs a live
-        tensor to scatter into.  The working set's bytes are
-        **reserved** out of the hybrid memory's byte cache
-        (:meth:`~repro.memory.hybrid.HybridMemory.reserve`), so pinned
-        pages plus cached payloads stay inside the configured budget.
+        tensor to scatter into.  The working set's frames (plus one
+        spare) are **reserved** from the hybrid memory's budget
+        (:meth:`~repro.memory.hybrid.HybridMemory.reserve`).
     """
 
     #: A numpy fold pass pins every page its updates touch, so out of
@@ -186,12 +194,12 @@ class PagedTensorPool(NodeTensorPool):
             budget = (memory.ram_bytes or 0) // 2
             resident_pages = budget // max(self._page_bytes, 1)
         self.resident_pages = int(min(max(resident_pages, 1), self.num_pages))
-        # The working set's RAM comes out of the shared budget: reserve
-        # it from the hybrid memory's byte cache so pinned pages plus
-        # cached payloads never exceed ``ram_bytes`` combined.
-        self._working_set_reserved = memory.reserve(
-            self.resident_pages * self._page_bytes
-        )
+        # The working set's RAM comes out of the shared budget: the
+        # frames (one spare) are reserved and allocated exactly once.
+        frames = self.resident_pages + 1
+        self._working_set_reserved = memory.reserve(frames * self._page_bytes)
+        #: Frames not holding a page (last released, first taken).
+        self._free_frames: List[np.ndarray] = [self._new_frame() for _ in range(frames)]
         # Fold segment mapping (see _fold_layout): remapped destination
         # d' = (d // npp) * rounds * npp + d % npp makes the
         # page-pool-flat bucket offset affine in d', so one kernel call
@@ -208,21 +216,24 @@ class PagedTensorPool(NodeTensorPool):
         #: page -> bucket tensor (packed) or (alpha, gamma) pair (wide);
         #: insertion order doubles as LRU recency (moved on access).
         self._resident: Dict[int, Tuple[np.ndarray, ...]] = {}
+        #: page -> the frame those tensors are views of.
+        self._frames: Dict[int, np.ndarray] = {}
         self._pins: Dict[int, int] = {}
         self._dirty: set = set()
         #: Persistent query-slab scratch, one whole-graph round slab per
         #: bucket tensor, allocated lazily at the first query and
-        #: *reserved* out of the hybrid memory's byte cache -- query
-        #: scratch is charged against the RAM budget like the fold-side
-        #: working set, not stacked on top of it.
+        #: *reserved* from the hybrid memory's budget -- query scratch
+        #: is charged against the RAM budget like the fold-side working
+        #: set, not stacked on top of it.
         self._slab_bufs: Optional[Dict[str, np.ndarray]] = None
         self._slab_reserved_bytes = 0
         #: per-key ``(round, version)`` tag of the slab currently held
         #: in the reusable buffer above.
         self._assembled: Dict[str, Tuple[int, int]] = {}
-        # Working-set telemetry (page_ins counts misses that had to
-        # deserialise; partial_reads counts query-side round stripes
-        # served by byte-range loads).
+        # Working-set telemetry (page_ins counts misses that had to read
+        # the device; partial_reads counts query-side round stripes
+        # served by byte-range loads; frame-table hits and misses at
+        # _pin are memory.stats.cache_hits / cache_misses).
         self.page_ins = 0
         self.page_writebacks = 0
         self.partial_reads = 0
@@ -259,13 +270,12 @@ class PagedTensorPool(NodeTensorPool):
         """Serialised page size: uniform, a whole number of device blocks."""
         return self._page_bytes
 
-    def _round_stripe(self, key: str, round_index: int) -> Tuple[int, int]:
-        """Byte range of one round's stripe inside a page payload."""
+    def _round_stripe_offset(self, key: str, round_index: int) -> int:
+        """Byte offset of one round's stripe inside a page payload."""
         stripe64 = self.nodes_per_page * self.num_columns * self.num_rows * 8
         if key in ("packed", "alpha"):
-            return round_index * stripe64, stripe64
-        stripe32 = stripe64 // 2
-        return self.num_rounds * stripe64 + round_index * stripe32, stripe32
+            return round_index * stripe64
+        return self.num_rounds * stripe64 + round_index * (stripe64 // 2)
 
     def _page_key(self, page: int) -> Tuple[str, int]:
         return ("sketch-page", page)
@@ -276,63 +286,88 @@ class PagedTensorPool(NodeTensorPool):
     # ------------------------------------------------------------------
     # the LRU-pinned working set
     # ------------------------------------------------------------------
-    def _materialize(self, page: int) -> Tuple[np.ndarray, ...]:
-        """Deserialise a page from the hybrid memory (zeros if untouched)."""
+    def _new_frame(self) -> np.ndarray:
+        return np.empty(self._page_bytes, dtype=np.uint8)
+
+    def _take_frame(self) -> np.ndarray:
+        """A free frame, or an overflow frame while the set is over budget."""
+        return self._free_frames.pop() if self._free_frames else self._new_frame()
+
+    def _release_frame(self, frame: np.ndarray) -> None:
+        """Take back a frame no page holds; overflow frames are dropped."""
+        if len(self._free_frames) + len(self._resident) <= self.resident_pages:
+            self._free_frames.append(frame)
+
+    def _frame_tensors(self, frame: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The page's bucket tensors as views of ``frame`` (the payload layout)."""
         shape = self._page_shape()
-        key = self._page_key(page)
-        if key not in self.memory:
-            # Never-written pages are implicitly all-zero: sketches are
-            # allocated lazily, so construction does not spill V pages.
-            if self._packed:
-                return (np.zeros(shape, dtype=np.uint64),)
-            return (np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=np.uint32))
-        with span("page.materialize"):
-            payload = self.memory.load(key)
-            self.page_ins += 1
-            count = int(np.prod(shape))
-            if self._packed:
-                return (
-                    np.frombuffer(payload, dtype=np.uint64, count=count)
-                    .reshape(shape)
-                    .copy(),
-                )
-            alpha = np.frombuffer(payload, dtype=np.uint64, count=count).reshape(shape).copy()
-            gamma = (
-                np.frombuffer(payload, dtype=np.uint32, offset=count * 8, count=count)
-                .reshape(shape)
-                .copy()
-            )
-            return alpha, gamma
+        split = self._page_elems * 8
+        alpha = frame[:split].view(np.uint64).reshape(shape)
+        if self._packed:
+            return (alpha,)
+        gamma = frame[split : split + self._page_elems * 4].view(np.uint32).reshape(shape)
+        return alpha, gamma
 
-    def _serialize_page(self, page: int, entry: Tuple[np.ndarray, ...]) -> bytes:
-        raw = b"".join(tensor.tobytes(order="C") for tensor in entry)
-        if len(raw) == self._page_bytes:
-            return raw
-        return raw.ljust(self._page_bytes, b"\0")
+    def _page_in(self, page: int) -> Tuple[np.ndarray, ...]:
+        """Fill a frame with ``page`` and publish it as resident (lock held).
 
-    def _write_back(self, page: int, entry: Tuple[np.ndarray, ...]) -> None:
+        The hybrid memory reads into the frame and verifies it there
+        (block digests and payload record) *before* the page enters the
+        frame table: a read that raises hands the frame back and
+        publishes nothing.
+        """
+        frame = self._take_frame()
+        try:
+            key = self._page_key(page)
+            if key in self.memory:
+                with span("page.materialize"):
+                    self.memory.load(key, frame)
+                    self.page_ins += 1
+            else:
+                # Never-written pages are implicitly all-zero: sketches
+                # are allocated lazily, construction spills nothing.
+                frame.fill(0)
+        except BaseException:
+            self._release_frame(frame)
+            raise
+        entry = self._frame_tensors(frame)
+        self._resident[page] = entry
+        self._frames[page] = frame
+        return entry
+
+    def _write_back(self, page: int) -> None:
+        """Store a resident page; the device copies out of its frame."""
         with span("page.writeback"):
-            self.memory.store(self._page_key(page), self._serialize_page(page, entry))
+            self.memory.store(self._page_key(page), self._frames[page])
             self.page_writebacks += 1
 
     def _pin(self, page: int) -> Tuple[np.ndarray, ...]:
-        """Pin a page into the working set; pair with :meth:`_unpin`."""
+        """Pin a page into the working set; pair with :meth:`_unpin`.
+
+        The tensors are views of the page's frame, valid until the unpin.
+        """
         with span("page.pin"), self._lock:
             entry = self._resident.get(page)
-            if entry is None:
-                entry = self._materialize(page)
-                self._resident[page] = entry
-                # Pin BEFORE evicting: when every other resident page is
-                # pinned (concurrent page-affine folds on a tiny working
-                # set), the eviction sweep must not pick the page we just
-                # brought in -- its upcoming fold would land in an
-                # orphaned tensor and silently vanish.
-                self._pins[page] = self._pins.get(page, 0) + 1
-                self._evict_to_budget()
-            else:
+            if entry is not None:
+                self.memory.stats.cache_hits += 1
                 # Refresh recency: dict order is the LRU order.
                 self._resident[page] = self._resident.pop(page)
                 self._pins[page] = self._pins.get(page, 0) + 1
+                return entry
+            self.memory.stats.cache_misses += 1
+            entry = self._page_in(page)
+            # Pin BEFORE evicting: when every other resident page is
+            # pinned (concurrent page-affine folds on a tiny working
+            # set), the eviction sweep must not pick the page we just
+            # brought in -- its upcoming fold would land in a frame
+            # that now belongs to another page and silently vanish.
+            self._pins[page] = self._pins.get(page, 0) + 1
+            try:
+                self._evict_to_budget()
+            except BaseException:
+                # The caller never sees the pin, so it cannot undo it.
+                self._unpin(page)
+                raise
             return entry
 
     def _unpin(self, page: int) -> None:
@@ -343,6 +378,18 @@ class PagedTensorPool(NodeTensorPool):
             else:
                 self._pins[page] = remaining
 
+    @contextmanager
+    def _pinned(self, page: int, dirty: bool = True):
+        """Pin ``page`` for the block; a clean exit marks it dirty."""
+        entry = self._pin(page)
+        try:
+            yield entry
+            if dirty:
+                with self._lock:
+                    self._dirty.add(page)
+        finally:
+            self._unpin(page)
+
     def _evict_to_budget(self) -> None:
         """Evict least-recently-used unpinned pages, writing back dirty ones.
 
@@ -351,13 +398,14 @@ class PagedTensorPool(NodeTensorPool):
         lose its updates -- and pressure resolves at the next unpinned
         eviction opportunity.
 
-        A write-back that fails with ``OSError`` (a flaky device; the
-        fault-injection tests replay this) must not lose the page: its
-        buckets exist nowhere but in the evicted tensors.  The victim
-        is restored resident-and-dirty, the failure is counted, and the
-        sweep stops with the budget temporarily overflowed -- the next
-        eviction opportunity retries, exactly like the all-pinned
-        overflow above.
+        A write-back that fails must not lose the page: its buckets
+        exist nowhere but in its frame.  The victim goes back
+        resident-and-dirty at the MRU end (so the retry does not
+        re-pick it first).  An ``OSError`` (a flaky device; the
+        fault-injection tests replay this) is counted and the sweep
+        stops with the budget temporarily overflowed -- the next
+        eviction opportunity retries, like the all-pinned overflow
+        above; anything else (an open circuit breaker) propagates.
         """
         if len(self._resident) <= self.resident_pages:
             return
@@ -368,17 +416,21 @@ class PagedTensorPool(NodeTensorPool):
                 )
                 if victim is None:
                     return
+                # Out of the table while written: a pressure event inside
+                # store() re-enters this sweep and must not re-pick it.
                 entry = self._resident.pop(victim)
-                if victim in self._dirty:
-                    try:
-                        self._write_back(victim, entry)
-                    except OSError:
-                        # Still dirty (never discarded); re-residency at the
-                        # MRU end keeps the retry from re-picking it first.
-                        self._resident[victim] = entry
-                        self.page_writeback_failures += 1
-                        return
-                    self._dirty.discard(victim)
+                try:
+                    if victim in self._dirty:
+                        self._write_back(victim)
+                        self._dirty.discard(victim)
+                except OSError:
+                    self._resident[victim] = entry
+                    self.page_writeback_failures += 1
+                    return
+                except BaseException:
+                    self._resident[victim] = entry
+                    raise
+                self._release_frame(self._frames.pop(victim))
 
     def _on_memory_pressure(self) -> None:
         """Degrade the working set to the one-page floor under pressure.
@@ -386,9 +438,9 @@ class PagedTensorPool(NodeTensorPool):
         Registered with the hybrid memory's pressure listeners: when a
         reservation is refused or an injected allocation-pressure fault
         fires, the pool shrinks ``resident_pages`` to 1, evicts down to
-        the new budget, and hands the freed reservation back to the
-        byte cache.  Throughput degrades (more page churn); answers do
-        not -- the fold/query paths never depended on the working-set
+        the new budget, frees the emptied frames and hands their
+        reservation back.  Throughput degrades (more page churn); answers
+        do not -- the fold/query paths never depended on the working-set
         size.  The degradation is sticky until :meth:`restore_working_set`.
         """
         with self._lock:
@@ -397,6 +449,7 @@ class PagedTensorPool(NodeTensorPool):
             freed = (self.resident_pages - 1) * self._page_bytes
             self.resident_pages = 1
             self._evict_to_budget()
+            del self._free_frames[max(0, 2 - len(self._resident)) :]
             released = self.memory.release(min(freed, self._working_set_reserved))
             self._working_set_reserved -= released
             self.pressure_degradations += 1
@@ -404,11 +457,11 @@ class PagedTensorPool(NodeTensorPool):
     def restore_working_set(self, resident_pages: Optional[int] = None) -> int:
         """Re-grow a degraded working set once pressure has passed.
 
-        Re-reserves bytes from the hybrid memory's cache for up to
+        Re-reserves bytes from the hybrid memory's budget for up to
         ``resident_pages`` pages (the original construction-time budget
-        when ``None``) and raises the working-set budget by however
-        many whole pages the reservation actually covered.  Returns the
-        new budget.
+        when ``None``), raises the working-set budget by however many
+        whole pages the reservation actually covered, and allocates
+        their frames.  Returns the new budget.
         """
         with self._lock:
             if resident_pages is None:
@@ -420,40 +473,62 @@ class PagedTensorPool(NodeTensorPool):
             wanted = (target - self.resident_pages) * self._page_bytes
             taken = self.memory.reserve(wanted)
             self._working_set_reserved += taken
-            self.resident_pages += taken // self._page_bytes
+            regained = taken // self._page_bytes
+            self.resident_pages += regained
+            self._free_frames.extend(self._new_frame() for _ in range(regained))
             return self.resident_pages
 
     def sync(self) -> None:
         """Write every dirty resident page back to the hybrid memory.
 
         The working set stays resident (and clean); scrub and repair
-        call this to make the byte tier authoritative.  A
+        call this to make the device authoritative.  A
         failed write-back leaves exactly the unwritten pages dirty (the
-        error propagates -- sync callers need the byte tier to actually
+        error propagates -- sync callers need the device to actually
         be authoritative), so a later sync over a healed device
         finishes the job.
         """
         with self._lock:
             for page in sorted(self._dirty):
-                entry = self._resident.get(page)
-                if entry is not None:
-                    self._write_back(page, entry)
+                if page in self._resident:
+                    self._write_back(page)
                 self._dirty.discard(page)
 
-    def resident_page_count(self) -> int:
+    def replace_page(self, page: int, tensors: Sequence[np.ndarray]) -> None:
+        """Drop any resident copy of ``page`` and store ``tensors`` as the page.
+
+        The write path of snapshot loading and read-repair: the new
+        state comes from outside the pool, so what the working set holds
+        is discarded unwritten (it was read from, or would write back
+        over, the bytes being replaced) with every assembled round slab,
+        and the page-shaped tensors go to the device through a borrowed
+        frame without entering the working set.
+        """
         with self._lock:
-            return len(self._resident)
+            if self._resident.pop(page, None) is not None:
+                self._release_frame(self._frames.pop(page))
+            self._dirty.discard(page)
+            self._assembled.clear()
+            frame = self._take_frame()
+            try:
+                views = self._frame_tensors(frame)
+                for view, tensor in zip(views, tensors):
+                    view[...] = tensor
+                frame[sum(view.nbytes for view in views) :] = 0  # block padding
+                self.memory.store(self._page_key(page), frame)
+            finally:
+                self._release_frame(frame)
 
     def scrub(self) -> List[int]:
         """Verify checksums of every stored page; return the corrupt ones.
 
-        Walks all pages the hybrid memory holds (cached and spilled)
+        Walks all pages the hybrid memory holds
         through :meth:`~repro.memory.hybrid.HybridMemory.verify_key`,
         which checks both the per-block device digests and the
         whole-payload digest.  Returns the sorted page indices whose
         stored bytes failed -- the exact input read-repair needs.  Call
-        :meth:`sync` first so dirty resident pages are represented in
-        the byte tier; the scrub itself mutates nothing.
+        :meth:`sync` first so dirty resident pages are represented on
+        the device; the scrub itself mutates nothing.
         """
         with self._lock:
             corrupt = self.memory.scrub()
@@ -514,13 +589,8 @@ class PagedTensorPool(NodeTensorPool):
         for page, (page_targets, *page_values) in self._split_by_page(
             targets // page_elems, [targets, *values]
         ):
-            entry = self._pin(page)
-            try:
+            with self._pinned(page) as entry:
                 xor_scatter(entry, page_targets - page * page_elems, page_values)
-                with self._lock:
-                    self._dirty.add(page)
-            finally:
-                self._unpin(page)
 
     def _fold_native(self, indices: np.ndarray, dst_columns: Sequence[np.ndarray]) -> None:
         """Provider fold, one pinned page at a time.
@@ -547,13 +617,8 @@ class PagedTensorPool(NodeTensorPool):
 
     def _fold_page_native(self, page: int, indices: np.ndarray, dsts: np.ndarray) -> None:
         """Pin ``page`` and fold its (global) destinations' updates into it."""
-        entry = self._pin(page)
-        try:
+        with self._pinned(page) as entry:
             self._kernels.fold_page(self, entry, indices, dsts - self.page_bounds[page])
-            with self._lock:
-                self._dirty.add(page)
-        finally:
-            self._unpin(page)
 
     # The fold entry points are the parent's.  They are bound on this
     # class as well because bench/trace.py patches them per class and
@@ -567,54 +632,63 @@ class PagedTensorPool(NodeTensorPool):
     # ------------------------------------------------------------------
     # query-side slab assembly
     # ------------------------------------------------------------------
-    def _page_round_array(self, page: int, key: str, round_index: int) -> np.ndarray:
-        """One page's ``(page_nodes, cols, rows)`` stripe of a round.
+    def _read_round_stripe(
+        self, page: int, key: str, round_index: int, out: np.ndarray
+    ) -> None:
+        """Copy one page's stripe of a round into ``out``.
 
-        A resident page serves its live tensor; a spilled page pays a
-        partial-range read covering only this round's bytes.  Queries
-        deliberately do not promote pages into the working set -- a
-        round scan touching every page would evict the fold path's hot
-        pages for read-only data.  Tail pages return only the node rows
-        they actually own (the padding stays internal).
+        ``out`` is a C-contiguous ``(page_nodes, cols, rows)`` array
+        (the page's slice of the query slab), so tail pages hand over
+        only the node rows they own.  A resident page copies out of its
+        frame; any other pays a partial-range read covering only this
+        round's bytes, verified and copied straight into ``out``.
+        Queries deliberately do not promote pages into the working set
+        -- a round scan touching every page would evict the fold path's
+        hot pages for read-only data.
         """
-        nodes = self._page_nodes(page)
         with self._lock:
             entry = self._resident.get(page)
             if entry is not None:
                 tensor = entry[0] if key in ("packed", "alpha") else entry[1]
-                return tensor[round_index, :nodes]
-        shape = (self.nodes_per_page, self.num_columns, self.num_rows)
-        memory_key = self._page_key(page)
-        dtype = np.uint32 if key == "gamma" else np.uint64
-        if memory_key not in self.memory:
-            return np.zeros((nodes,) + shape[1:], dtype=dtype)
-        offset, length = self._round_stripe(key, round_index)
-        payload = self.memory.load_range(memory_key, offset, length)
-        self.partial_reads += 1
-        return np.frombuffer(payload, dtype=dtype).reshape(shape)[:nodes]
+                out[...] = tensor[round_index, : out.shape[0]]
+                return
+            memory_key = self._page_key(page)
+            if memory_key not in self.memory:
+                out.fill(0)
+                return
+            self.memory.load_range(
+                memory_key, self._round_stripe_offset(key, round_index), out.nbytes, out
+            )
+            self.partial_reads += 1
+
+    def _page_round_array(self, page: int, key: str, round_index: int) -> np.ndarray:
+        """One page's ``(page_nodes, cols, rows)`` stripe of a round, as a copy."""
+        out = np.empty(
+            (self._page_nodes(page), self.num_columns, self.num_rows),
+            dtype=np.uint32 if key == "gamma" else np.uint64,
+        )
+        self._read_round_stripe(page, key, round_index, out)
+        return out
 
     def _slab_buffer(self, key: str) -> np.ndarray:
         """The persistent whole-graph round-slab buffer for one tensor key.
 
         Allocated once, at the first query, and its bytes are reserved
-        out of the hybrid memory's byte cache
+        from the hybrid memory's budget
         (:meth:`~repro.memory.hybrid.HybridMemory.reserve`) -- so the
         RAM budget is a hard ceiling for queries too, not just folds.
         Like the one-page working-set floor, a budget smaller than a
         single round slab still allocates the buffer (a whole-round
         query cannot scan less than one round); the reservation then
-        simply claims whatever cache capacity remained.
+        simply claims whatever the budget had left.
         """
         with self._lock:
             if self._slab_bufs is None:
                 shape = (self.num_nodes, self.num_columns, self.num_rows)
+                planes = {"alpha": np.uint64, "gamma": np.uint32}
                 if self._packed:
-                    bufs = {"packed": np.empty(shape, dtype=np.uint64)}
-                else:
-                    bufs = {
-                        "alpha": np.empty(shape, dtype=np.uint64),
-                        "gamma": np.empty(shape, dtype=np.uint32),
-                    }
+                    planes = {"packed": np.uint64}
+                bufs = {key: np.empty(shape, dtype=dtype) for key, dtype in planes.items()}
                 self._slab_reserved_bytes = self.memory.reserve(
                     sum(buf.nbytes for buf in bufs.values())
                 )
@@ -637,9 +711,11 @@ class PagedTensorPool(NodeTensorPool):
             if self._assembled.get(key) == (round_index, self._version):
                 return buf
             version = self._version
+        bounds = self.page_bounds.tolist()
         for page in range(self.num_pages):
-            lo, hi = self.page_span(page)
-            buf[lo:hi] = self._page_round_array(page, key, round_index)
+            self._read_round_stripe(
+                page, key, round_index, buf[bounds[page] : bounds[page + 1]]
+            )
         with self._lock:
             self._assembled[key] = (round_index, version)
         return buf
@@ -662,32 +738,24 @@ class PagedTensorPool(NodeTensorPool):
     def _node_bundle_arrays(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
         page = self.page_of(node)
         local = node - int(self.page_bounds[page])
-        entry = self._pin(page)
-        try:
+        with self._pinned(page, dirty=False) as entry:
             if self._packed:
                 packed = entry[0][:, local]
                 return packed >> _SHIFT32, packed & _LOW32
-            return (
-                np.ascontiguousarray(entry[0][:, local]),
-                entry[1][:, local].astype(np.uint64),
-            )
-        finally:
-            self._unpin(page)
+            # A copy, never a view: the frame outlives this pin as
+            # some other page (and with one round the slice is already
+            # contiguous, so ascontiguousarray would alias it).
+            return entry[0][:, local].copy(), entry[1][:, local].astype(np.uint64)
 
     def _write_node_bundle(self, node: int, alpha: np.ndarray, gamma: np.ndarray) -> None:
         page = self.page_of(node)
         local = node - int(self.page_bounds[page])
-        entry = self._pin(page)
-        try:
+        with self._pinned(page) as entry:
             if self._packed:
                 entry[0][:, local] = (alpha << _SHIFT32) | gamma
             else:
                 entry[0][:, local] = alpha
                 entry[1][:, local] = gamma.astype(np.uint32)
-            with self._lock:
-                self._dirty.add(page)
-        finally:
-            self._unpin(page)
 
     # ------------------------------------------------------------------
     # whole-pool views and unsupported parent features
@@ -745,36 +813,23 @@ class PagedTensorPool(NodeTensorPool):
                 slabs = [other._round_view(key, round_index) for key in keys]
                 for page in range(self.num_pages):
                     lo, hi = self.page_span(page)
-                    entry = self._pin(page)
-                    try:
+                    with self._pinned(page) as entry:
                         for tensor, slab in zip(entry, slabs):
                             tensor[round_index, : hi - lo] ^= slab[lo:hi]
-                        with self._lock:
-                            self._dirty.add(page)
-                    finally:
-                        self._unpin(page)
         else:
             for page in range(self.num_pages):
                 lo, hi = self.page_span(page)
-                entry = self._pin(page)
-                try:
+                with self._pinned(page) as entry:
                     if other.is_paged:
-                        other_entry = other._pin(page)
-                        try:
+                        with other._pinned(page, dirty=False) as other_entry:
                             for tensor, source in zip(entry, other_entry):
                                 tensor ^= source
-                        finally:
-                            other._unpin(page)
                     else:
                         for key, tensor in zip(keys, entry):
                             for round_index in range(self.num_rounds):
                                 tensor[round_index, : hi - lo] ^= other._round_view(
                                     key, round_index
                                 )[lo:hi]
-                    with self._lock:
-                        self._dirty.add(page)
-                finally:
-                    self._unpin(page)
         self._version += 1
         self._updates_applied += other._updates_applied
 

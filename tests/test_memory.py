@@ -1,4 +1,4 @@
-"""Tests for the hybrid-memory substrate (block device, cache, store)."""
+"""Tests for the hybrid-memory substrate (block device, budget ledger, store)."""
 
 from dataclasses import dataclass, fields
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import StorageError
 from repro.memory.block_device import DEFAULT_BLOCK_SIZE, BlockDevice, DeviceProfile
-from repro.memory.cache import LRUCache
 from repro.memory.hybrid import HybridMemory
 from repro.memory.metrics import IOStats
 
@@ -113,94 +112,18 @@ def test_invalid_block_size_rejected():
 
 
 # ----------------------------------------------------------------------
-# LRUCache
-# ----------------------------------------------------------------------
-def test_cache_hit_and_miss_counters():
-    cache = LRUCache(100)
-    assert cache.get("a") is None
-    cache.put("a", b"123")
-    assert cache.get("a") == b"123"
-    assert cache.stats.cache_hits == 1
-    assert cache.stats.cache_misses == 1
-
-
-def test_cache_evicts_lru_when_over_budget():
-    evicted = []
-    cache = LRUCache(10, on_evict=lambda key, payload: evicted.append(key))
-    cache.put("a", b"12345")
-    cache.put("b", b"12345")
-    cache.get("a")            # refresh "a"; "b" becomes LRU
-    cache.put("c", b"12345")  # evicts "b"
-    assert "b" in evicted
-    assert "a" in cache and "c" in cache
-
-
-def test_cache_rejects_oversized_items_via_callback():
-    evicted = []
-    cache = LRUCache(4, on_evict=lambda key, payload: evicted.append(key))
-    cache.put("big", b"123456789")
-    assert "big" not in cache
-    assert evicted == ["big"]
-
-
-def test_cache_flush_evicts_everything():
-    evicted = []
-    cache = LRUCache(100, on_evict=lambda key, payload: evicted.append(key))
-    cache.put("a", b"1")
-    cache.put("b", b"2")
-    cache.flush()
-    assert len(cache) == 0
-    assert set(evicted) == {"a", "b"}
-
-
-def test_cache_pop_does_not_invoke_callback():
-    evicted = []
-    cache = LRUCache(100, on_evict=lambda key, payload: evicted.append(key))
-    cache.put("a", b"1")
-    assert cache.pop("a") == b"1"
-    assert evicted == []
-
-
-def test_cache_oversize_reput_drops_the_stale_entry():
-    """An uncacheable re-put must not leave the key's old payload behind."""
-    evicted = []
-    cache = LRUCache(100, on_evict=lambda k, v: evicted.append((k, v)))
-    cache.put("k", b"a" * 50)
-    cache.put("other", b"o" * 10)
-    cache.put("k", b"b" * 200)  # larger than the whole cache
-    assert evicted == [("k", b"b" * 200)]
-    assert "k" not in cache and cache.get("k") is None
-    assert cache.bytes_used == 10 and len(cache) == 1
-
-
-def test_cache_peek_counts_nothing_and_keeps_lru_order():
-    cache = LRUCache(100)
-    cache.put("a", b"1" * 40)
-    cache.put("b", b"2" * 40)
-    hits, misses = cache.stats.cache_hits, cache.stats.cache_misses
-    assert cache.peek("a") == b"1" * 40
-    assert cache.peek("missing") is None
-    assert (cache.stats.cache_hits, cache.stats.cache_misses) == (hits, misses)
-    cache.put("c", b"3" * 40)  # "a" is still the LRU entry and goes first
-    assert "a" not in cache and "b" in cache and "c" in cache
-
-
-def test_zero_capacity_cache_never_stores():
-    cache = LRUCache(0)
-    cache.put("a", b"")
-    assert cache.get("a") in (None, b"")
-
-
-# ----------------------------------------------------------------------
 # HybridMemory
 # ----------------------------------------------------------------------
-def test_unbounded_memory_never_touches_device():
+def test_unbounded_memory_stores_on_the_device_and_reserves_nothing():
+    """One tier: "unbounded" only means the ledger never refuses or counts."""
     memory = HybridMemory(ram_bytes=None)
     memory.store("k", b"payload")
     assert memory.load("k") == b"payload"
     assert memory.is_unbounded
-    assert memory.stats.block_reads == 0
-    assert memory.stats.block_writes == 0
+    assert (memory.stats.block_writes, memory.stats.block_reads) == (1, 1)
+    assert memory.reserve(1 << 40) == 0 and memory.release(1 << 40) == 0
+    assert memory.load_range("k", 2, 3) == b"ylo"
+    assert memory.reserved_bytes == 0 and memory.cached_bytes == 0
 
 
 def test_bounded_memory_spills_and_reloads():
@@ -219,19 +142,16 @@ def test_missing_key_raises():
     assert "missing" not in memory
 
 
-def test_flush_persists_dirty_entries():
-    memory = HybridMemory(ram_bytes=1024, block_size=32)
-    memory.store("a", b"abc")
-    memory.flush()
-    assert memory.device_bytes > 0
-
-
 def test_store_overwrite_returns_latest():
     memory = HybridMemory(ram_bytes=8, block_size=16)
     memory.store("a", b"v1v1v1v1")
     memory.store("b", b"v2v2v2v2")
     memory.store("a", b"v3v3v3v3")
     assert memory.load("a") == b"v3v3v3v3"
+    # The payload record follows the overwrite: verification compares
+    # the new bytes with the new digests, never a stale record.
+    assert memory.verify_key("a") == 1 and memory.scrub() == []
+    assert memory.stats.checksum_failures == 0
 
 
 def test_charge_helpers_accumulate_modelled_time():
@@ -246,48 +166,26 @@ def test_charge_helpers_accumulate_modelled_time():
     assert memory.stats.block_reads == 4
 
 
-def test_keys_lists_cached_and_spilled():
+def test_keys_lists_every_stored_key():
     memory = HybridMemory(ram_bytes=8, block_size=16)
     memory.store("a", b"12345678")
     memory.store("b", b"12345678")
-    assert set(memory.keys()) == {"a", "b"}
+    memory.store("a", b"x")
+    assert list(memory.keys()) == ["a", "b"]
+    assert "a" in memory and "c" not in memory
 
 
 def test_zero_ram_budget_routes_everything_through_device():
-    """ram_bytes=0: every store persists immediately, every load reads disk."""
+    """Every store persists immediately, every load reads the device."""
     memory = HybridMemory(ram_bytes=0, block_size=16)
     memory.store("a", b"A" * 40)
     assert memory.stats.block_writes == 3  # ceil(40 / 16)
     assert memory.load("a") == b"A" * 40
     assert memory.stats.block_reads == 3
-    # Nothing is ever cached, so a repeat load pays the reads again.
+    # The memory keeps no copy, so a repeat load pays the reads again.
     assert memory.load("a") == b"A" * 40
     assert memory.stats.block_reads == 6
     assert memory.cached_bytes == 0
-
-
-def test_dirty_eviction_write_back_ordering():
-    """LRU evictions persist dirty payloads oldest-first, and only once."""
-    writes = []
-    memory = HybridMemory(ram_bytes=32, block_size=16)
-    original_persist = memory._persist
-
-    def recording_persist(key, payload):
-        writes.append(key)
-        original_persist(key, payload)
-
-    memory._persist = recording_persist
-    memory.store("a", b"A" * 16)
-    memory.store("b", b"B" * 16)
-    assert writes == []           # both fit: nothing written back yet
-    memory.store("c", b"C" * 16)  # budget is 2 payloads: evicts "a"
-    memory.store("d", b"D" * 16)  # evicts "b"
-    assert writes == ["a", "b"]   # write-back follows LRU order
-    memory.flush()                # persists the remaining dirty entries
-    assert writes == ["a", "b", "c", "d"]
-    memory.flush()                # clean entries are not re-written
-    assert writes == ["a", "b", "c", "d"]
-    assert memory.load("a") == b"A" * 16
 
 
 def test_smaller_reput_over_spilled_allocation():
@@ -307,18 +205,9 @@ def test_smaller_reput_over_spilled_allocation():
     assert memory.load("k") == b"Z" * 33
 
 
-def test_load_range_slices_cached_payload_without_io():
-    memory = HybridMemory(ram_bytes=1024, block_size=16)
-    memory.store("k", bytes(range(64)))
-    reads_before = memory.stats.block_reads
-    assert memory.load_range("k", 10, 5) == bytes(range(10, 15))
-    assert memory.stats.block_reads == reads_before
-    assert memory.stats.cache_hits >= 1
-
-
 def test_load_range_reads_only_straddled_blocks():
     memory = HybridMemory(ram_bytes=0, block_size=16)
-    payload = bytes(range(64))  # 4 blocks, never cached (zero budget)
+    payload = bytes(range(64))  # 4 blocks
     memory.store("k", payload)
     stats_before = memory.stats.snapshot()
     # Range [20, 40) straddles blocks 1 and 2 only.
@@ -343,13 +232,21 @@ def test_load_range_edge_cases():
         memory.load_range("k", -1, 4)
 
 
-def test_load_range_does_not_populate_cache():
-    """A partial read must never shadow the full payload."""
+def test_load_and_load_range_fill_a_caller_buffer():
+    """The frame path: bytes land in ``out``, the length comes back."""
     memory = HybridMemory(ram_bytes=64, block_size=16)
-    memory.store("a", b"A" * 48)
-    memory.store("b", b"B" * 48)  # evicts "a" (written back dirty)
-    assert memory.load_range("a", 0, 8) == b"A" * 8
-    assert memory.load("a") == b"A" * 48
+    payload = bytes(range(40))
+    memory.store("k", memoryview(bytearray(payload)))  # any byte buffer stores
+    frame = bytearray(48)
+    assert memory.load("k", frame) == 40
+    assert bytes(frame) == payload + b"\0" * 8
+    tail = bytearray(12)
+    assert memory.load_range("k", 30, 100, tail) == 10  # clipped to the payload
+    assert bytes(tail) == payload[30:] + b"\0\0" and memory.load_range("k", 40, 4, tail) == 0
+    # The one buffer the memory holds itself is charged to the budget,
+    # beside the reservations and never past the ceiling.
+    assert memory.cached_bytes == 32 and memory.reserve(64) == 32
+    assert memory.cached_bytes + memory.reserved_bytes == 64
 
 
 # ----------------------------------------------------------------------
@@ -444,23 +341,6 @@ def test_failed_fresh_write_does_not_leak_blocks():
     assert memory._next_block == 1
 
 
-def test_cache_eviction_keeps_payload_when_write_back_raises():
-    """A raising eviction callback must not lose the evicted payload."""
-    calls = []
-
-    def failing_write_back(key, payload):
-        calls.append(key)
-        raise OSError("device full")
-
-    cache = LRUCache(32, on_evict=failing_write_back)
-    cache.put("a", b"A" * 24)
-    with pytest.raises(OSError):
-        cache.put("b", b"B" * 24)
-    assert calls == ["a"]
-    # "a" was reinserted at the MRU end; nothing was lost.
-    assert "a" in cache and cache.get("a") == b"A" * 24
-
-
 # ----------------------------------------------------------------------
 # checksummed storage: corruption round-trips (integrity plane)
 # ----------------------------------------------------------------------
@@ -487,29 +367,35 @@ def test_spilled_block_bit_flip_raises_typed_error():
     assert not issubclass(CorruptionError, OSError)
 
 
-def test_cached_payload_boundary_block_corruption_detected():
-    """Flip a bit in the partial tail block of a spilled-but-cached payload."""
+def test_tail_block_corruption_detected_by_load_verify_and_scrub():
+    """Flip a bit in the partial tail block, past a block boundary."""
     from repro.exceptions import CorruptionError
 
     memory = HybridMemory(ram_bytes=256, block_size=16)
     payload = bytes(range(16 * 2 + 5))  # tail block holds 5 live bytes
     memory.store("k", payload)
-    memory.flush()  # device copy persisted; cache still holds "k"
     _rot_device_block(memory, "k", block_offset=2, bit=3)
-    # The cached copy is clean, so plain loads still serve good bytes...
-    assert memory.load("k") == payload
-    # ...but verification reads the device copy underneath and flags it.
-    with pytest.raises(CorruptionError):
-        memory.verify_key("k")
+    # Ranges inside the healthy blocks still serve good bytes...
+    assert memory.load_range("k", 0, 32) == payload[:32]
+    # ...every read that touches the tail block flags it.
+    frame = bytearray(48)
+    for read in (
+        lambda: memory.load("k"),
+        lambda: memory.load("k", frame),
+        lambda: memory.load_range("k", 30, 7),
+        lambda: memory.verify_key("k"),
+    ):
+        with pytest.raises(CorruptionError, match="block 2 failed"):
+            read()
     assert memory.scrub() == ["k"]
-    assert memory.stats.checksum_failures >= 1
+    assert memory.stats.checksum_failures == 5
 
 
 def test_load_range_straddling_corrupt_block_detected():
     from repro.exceptions import CorruptionError
 
     memory = HybridMemory(ram_bytes=0, block_size=16)
-    payload = bytes(range(64))  # blocks 0..3, never cached (zero budget)
+    payload = bytes(range(64))  # blocks 0..3
     memory.store("k", payload)
     _rot_device_block(memory, "k", block_offset=2, bit=11)
     # A range touching only healthy blocks must NOT false-positive...
@@ -537,49 +423,81 @@ def test_clean_store_load_soak_has_zero_false_positives():
             payload = bytes(rng.getrandbits(8) for _ in range(rng.randrange(1, 70)))
             payloads[key] = payload
             memory.store(key, payload)
-    memory.flush()
     assert memory.scrub() == []
     assert memory.stats.checksum_failures == 0
     assert memory.stats.blocks_scrubbed > 0
 
 
-def test_verify_key_skips_stale_spilled_payload_of_dirty_key():
-    """A dirty cached payload makes the spilled copy stale but consistent:
-    block digests still verify, the (old) payload digest must not be
-    compared against the (new) recorded one."""
-    memory = HybridMemory(ram_bytes=256, block_size=16)
-    memory.store("k", b"old-payload-old-payload!")
-    memory.flush()
-    memory.store("k", b"NEW-payload-NEW-payload!")  # dirty over stale spill
-    assert memory.verify_key("k") > 0  # no CorruptionError
-    assert memory.stats.checksum_failures == 0
-
-
 def test_load_after_oversize_restore_returns_the_new_bytes():
-    """Regression: re-storing a key with a payload larger than the RAM
-    tier used to leave the old cached copy answering every load."""
+    """Re-storing a key past its allocation moves it; loads, range reads
+    and the scrub follow, and shrinking back stays in the new place."""
     memory = HybridMemory(ram_bytes=100, block_size=16)
     memory.store("k", b"a" * 50)
     memory.store("k", b"b" * 200)
     assert memory.load("k") == b"b" * 200
     assert memory.load_range("k", 190, 20) == b"b" * 10
-    # The oversize payload went straight to the device: nothing cached,
-    # nothing dirty, one allocation of exactly its size on record.
-    assert memory.cached_bytes == 0 and "k" not in memory._dirty
-    assert memory._allocations["k"][2] == 200
+    assert memory._allocations["k"] == (4, 13, 200)
     assert memory.scrub() == [] and memory.stats.checksum_failures == 0
-    memory.store("k", b"c" * 30)  # and back to a cacheable size
-    assert memory.load("k") == b"c" * 30 and memory.cached_bytes == 30
+    memory.store("k", b"c" * 30)
+    assert memory.load("k") == b"c" * 30 and memory._allocations["k"] == (4, 13, 30)
 
 
-def test_scrub_does_not_touch_cache_counters_or_lru_order():
+def test_outgrown_allocation_is_trimmed_once_the_regrow_succeeded():
+    """Regression: a payload that no longer fits moved to fresh blocks
+    and the old extent leaked (5 blocks / 80 B for 64 live bytes)."""
+    from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
+
+    memory = HybridMemory(ram_bytes=0, block_size=16)
+    memory.store("k", b"s" * 16)
+    # A failed regrow must leave the old bytes readable: TRIM comes last.
+    memory.fault_plan = FaultPlan([FaultSpec(site="device.write", at=1)])
+    with pytest.raises(InjectedFault):
+        memory.store("k", b"L" * 64)
+    assert memory.load("k") == b"s" * 16 and memory.scrub() == []
+    assert (memory.device.blocks_in_use, memory.device_bytes) == (1, 16)
+    memory.fault_plan = None
+    memory.store("k", b"L" * 64)
+    assert memory.load("k") == b"L" * 64
+    assert (memory.device.blocks_in_use, memory.device_bytes) == (4, 64)
+    assert not memory.device.has_block(0) and memory.scrub() == []
+
+
+def test_a_write_ruled_too_slow_is_still_described_by_the_records():
+    """The deadline verdict comes after the blocks were written: the
+    allocation and payload record must follow the bytes, not the verdict."""
+    from repro.exceptions import DeadlineExceededError
+    from repro.resilience.faults import FaultPlan, FaultSpec
+
+    plan = FaultPlan([FaultSpec(site="device.write", at=2, mode="slow", delay_seconds=0.05)])
+    memory = HybridMemory(ram_bytes=0, block_size=16, fault_plan=plan, deadline_seconds=0.02)
+    memory.store("k", b"old" * 10)
+    with pytest.raises(DeadlineExceededError):
+        memory.store("k", b"new" * 20)
+    assert memory.stats.deadline_misses == 1
+    assert memory.load("k") == b"new" * 20 and memory.scrub() == []
+    assert memory.device.blocks_in_use == 4
+
+
+def test_scrub_mutates_nothing():
     memory = HybridMemory(ram_bytes=64, block_size=16)
     for key in ("a", "b", "c"):
         memory.store(key, key.encode() * 30)
-    memory.load("a")  # cached: "c" (LRU) then "a"; "b" is spilled
-    order = [key for key, _ in memory._cache.items()]
-    assert order == ["c", "a"]
+    memory.load_range("a", 3, 20)
+    state = (
+        dict(memory._allocations),
+        {key: list(digests) for key, digests in memory._payload_digests.items()},
+        dict(memory.device._blocks),
+        memory.cached_bytes,
+        memory.reserved_bytes,
+    )
     hits, misses = memory.stats.cache_hits, memory.stats.cache_misses
     assert memory.scrub() == []
     assert (memory.stats.cache_hits, memory.stats.cache_misses) == (hits, misses)
-    assert [key for key, _ in memory._cache.items()] == order
+    assert state == (
+        memory._allocations,
+        memory._payload_digests,
+        memory.device._blocks,
+        memory.cached_bytes,
+        memory.reserved_bytes,
+    )
+    assert memory.stats.blocks_scrubbed == 6

@@ -176,7 +176,7 @@ def test_page_payload_is_whole_blocks_and_spills():
     # written dirty pages through to the device.
     assert pool.page_writebacks > 0
     assert memory.stats.block_writes > 0
-    assert pool.resident_page_count() <= 1
+    assert pool.page_stats()["resident_pages"] <= 1
     # ...and a whole-round query reads partial ranges, not whole pages.
     reads_before = memory.stats.block_reads
     pool.query_components(np.zeros(32, dtype=np.int64), 0)
@@ -300,14 +300,17 @@ def test_pin_never_evicts_the_just_pinned_page():
 
 
 def test_working_set_is_reserved_from_the_ram_budget():
-    """Pinned pages plus the byte cache never exceed the configured budget."""
+    """The frames (working set + one spare) come out of the configured budget."""
     encoder = EdgeEncoder(32)
     memory = HybridMemory(ram_bytes=1 << 20, block_size=1024)
-    before = memory._cache.capacity_bytes
     pool = PagedTensorPool(32, encoder, memory=memory, graph_seed=1, nodes_per_page=4)
-    reserved = pool.resident_pages * pool.page_payload_bytes(0)
-    assert memory._cache.capacity_bytes == before - reserved
-    assert reserved + memory._cache.capacity_bytes <= (1 << 20)
+    reserved = (pool.resident_pages + 1) * pool.page_payload_bytes(0)
+    assert memory.reserved_bytes == reserved <= (1 << 20)
+    assert len(pool._free_frames) == pool.resident_pages + 1
+    assert sum(frame.nbytes for frame in pool._free_frames) == reserved
+    # What is left is what the next reservation can have, not a byte more.
+    assert memory.reserve(1 << 20) == (1 << 20) - reserved
+    assert memory.reserve(1) == 0 and memory.cached_bytes + memory.reserved_bytes == 1 << 20
 
 
 # ----------------------------------------------------------------------
