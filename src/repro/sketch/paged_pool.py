@@ -592,7 +592,9 @@ class PagedTensorPool(NodeTensorPool):
             with self._pinned(page) as entry:
                 xor_scatter(entry, page_targets - page * page_elems, page_values)
 
-    def _fold_native(self, indices: np.ndarray, dst_columns: Sequence[np.ndarray]) -> None:
+    def _fold_native(
+        self, indices: np.ndarray, dst_columns: Sequence[np.ndarray], split: bool
+    ) -> None:
         """Provider fold, one pinned page at a time.
 
         The native fold hashes + scatters per update straight into a
@@ -601,7 +603,8 @@ class PagedTensorPool(NodeTensorPool):
         per-page fixed cost worth amortising.  A single column whose
         destinations all lie in one page -- what ``fold_page_batch`` is
         handed -- goes to that page as it is; anything else is grouped
-        by page first.
+        by page first.  ``split`` is ignored: a page fold runs under the
+        pool lock on batches of about a hundred updates.
         """
         if len(dst_columns) == 1:
             dsts = dst_columns[0]

@@ -33,9 +33,10 @@ Every fold entry point (:meth:`~NodeTensorPool.apply_updates`,
 ``apply_edges``, ``apply_node_batch``, ``fold_shard``,
 ``fold_shard_hashed``, ``fold_page_batch``) validates its arguments and
 hands them to one private path, :meth:`NodeTensorPool._fold`: a native
-provider call when the pool has one, otherwise hash + kernel + scatter
-per chunk.  The paged pool overrides only where offsets point and how
-they are scattered.
+provider call when the pool has one (which a serial entry point lets
+split a large batch by Boruvka round across the usable cores),
+otherwise hash + kernel + scatter per chunk.  The paged pool overrides
+only where offsets point and how they are scattered.
 
 This is what turns ``GraphZeppelin.ingest_batch`` into a columnar
 pipeline: canonicalise the edge array, encode the edge slots, and hand
@@ -279,17 +280,21 @@ class NodeTensorPool:
         tensors = (self._buckets,) if self._packed else (self._alpha, self._gamma)
         xor_scatter(tensors, targets, values)
 
-    def _fold_native(self, indices: np.ndarray, dst_columns: Sequence[np.ndarray]) -> None:
+    def _fold_native(
+        self, indices: np.ndarray, dst_columns: Sequence[np.ndarray], split: bool
+    ) -> None:
         """Provider fold of ``indices`` into every destination column.
 
         The native fold fuses hash + depth + XOR scatter with no
         temporaries, so the whole batch goes in one call; the mirrored
         form hashes each edge slot once and scatters to both endpoints.
+        With ``split`` a large batch spreads its rounds over the usable
+        cores (see :mod:`repro.kernels.native_cc`).
         """
         if len(dst_columns) == 2:
-            self._kernels.fold_pool_edges(self, indices, *dst_columns)
+            self._kernels.fold_pool_edges(self, indices, *dst_columns, split=split)
         else:
-            self._kernels.fold_pool(self, indices, dst_columns[0])
+            self._kernels.fold_pool(self, indices, dst_columns[0], split=split)
 
     def _fold_chunk(
         self,
@@ -332,6 +337,7 @@ class NodeTensorPool:
         indices: np.ndarray,
         dst_columns: Sequence[np.ndarray],
         chunk_size: Optional[int] = None,
+        split: bool = False,
     ) -> int:
         """Fold validated edge slots into the nodes of every destination column.
 
@@ -340,14 +346,16 @@ class NodeTensorPool:
         plain update batch, two for the mirrored halves of an edge
         batch), hashed **once** per index whatever the column count.
         The numpy path runs :meth:`_pass_rows` indices per kernel pass.
-        Bumps neither the version nor the update counter; returns the
-        updates folded.
+        ``split`` is set by the serial entry points only: a native fold
+        may then spread its rounds over the usable cores, which the
+        sharded workers already occupy.  Bumps neither the version nor
+        the update counter; returns the updates folded.
         """
         width = len(dst_columns)
         count = width * int(indices.size)
         if self._kernels is not None:
             with span("ingest.fold"):
-                self._fold_native(indices, dst_columns)
+                self._fold_native(indices, dst_columns, split)
             return count
         chunk = self._pass_rows(indices.size, width, chunk_size)
         for start in range(0, indices.size, chunk):
@@ -383,7 +391,7 @@ class NodeTensorPool:
             return
         self._check_destinations(dsts)
         self._version += 1
-        self._updates_applied += self._fold(idx, (dsts,), chunk_size)
+        self._updates_applied += self._fold(idx, (dsts,), chunk_size, split=True)
 
     def apply_edges(
         self,
@@ -411,7 +419,7 @@ class NodeTensorPool:
         self._check_destinations(lo)
         self._check_destinations(hi)
         self._version += 1
-        self._updates_applied += self._fold(idx, (lo, hi), chunk_size)
+        self._updates_applied += self._fold(idx, (lo, hi), chunk_size, split=True)
 
     def apply_node_batch(self, node: int, neighbors) -> None:
         """Fold a batch of edges ``{node, w}`` into one node's bundle.
@@ -424,7 +432,7 @@ class NodeTensorPool:
             return
         self._version += 1
         self._updates_applied += self._fold(
-            indices, (np.full(indices.size, int(node), dtype=np.int64),)
+            indices, (np.full(indices.size, int(node), dtype=np.int64),), split=True
         )
 
     def _check_shard(self, dsts: np.ndarray, node_lo: int, node_hi: int) -> None:
@@ -450,6 +458,8 @@ class NodeTensorPool:
         node_lo: int,
         node_hi: int,
         chunk_size: Optional[int] = None,
+        *,
+        split: bool = False,
     ) -> int:
         """Fold one shard's mixed-node update group into its pool slab.
 
@@ -458,7 +468,10 @@ class NodeTensorPool:
         other shard touches, so concurrent ``fold_shard`` calls for
         *different* shards need no locks -- their scatter targets are
         disjoint by construction (and the native kernels release the
-        GIL, so thread-backend shards overlap fully).
+        GIL, so thread-backend shards overlap fully).  A worker's fold
+        never splits its rounds across cores: the workers already
+        occupy them.  Only the serial :meth:`fold_page_batch` passes
+        ``split=True``.
 
         Deliberately does **not** bump the pool version or the update
         counter -- shared counters would race across workers, and worker
@@ -473,7 +486,7 @@ class NodeTensorPool:
         if idx is None:
             return 0
         self._check_shard(dsts, node_lo, node_hi)
-        return self._fold(idx, (dsts,), chunk_size)
+        return self._fold(idx, (dsts,), chunk_size, split=split)
 
     def fold_shard_hashed(
         self,
@@ -538,9 +551,12 @@ class NodeTensorPool:
         bounds satisfy) and then publishes the effects -- version bump
         and update counter -- exactly like a direct fold would.  The
         sharded parallel path keeps calling :meth:`fold_shard` raw and
-        publishing once per batch barrier instead.
+        publishing once per batch barrier instead.  Being serial, it may
+        split a large native fold across the cores.
         """
-        count = self.fold_shard(dsts, indices, node_lo, node_hi, chunk_size=chunk_size)
+        count = self.fold_shard(
+            dsts, indices, node_lo, node_hi, chunk_size=chunk_size, split=True
+        )
         self.mark_external_updates(count)
         return count
 
@@ -1110,9 +1126,14 @@ class NodeTensorPool:
                 segment.unlink()
 
     def __del__(self) -> None:
+        # A constructor that raised before the shared-memory bookkeeping
+        # existed leaves nothing to release.
+        if not self.__dict__.get("_shm"):
+            return
         try:
             self.release_shared(copy_back=False)
-        except Exception:
+        except OSError:
+            # A segment someone else already unlinked.
             pass
 
     # ------------------------------------------------------------------

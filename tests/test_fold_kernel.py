@@ -6,7 +6,9 @@ bucket-depth extremes and the packed/wide value widths are hit on
 purpose rather than by luck.  The pool-level tests then pin the emitted
 offsets to the flat and the paged layouts, the pool bytes to digests
 recorded before the kernel was swapped in, and the scratch arena to a
-bound.
+bound.  The last section holds the native fold's round split to the
+one-range bytes, to serial callers only, and to a clean error, fork
+and one-core story.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.edge_encoding import EdgeEncoder
 from repro.integrity.digest import payload_digest
 from repro.memory.hybrid import HybridMemory
+from repro.parallel.cost_model import usable_cores
 from repro.sketch.flat_node_sketch import (
     columnar_fold,
     fold_hashed,
@@ -550,3 +553,294 @@ def test_c_fold_entry_points_stay_inside_their_columns(native_provider, entry, n
     assert got == expected
     if count >= 256:
         assert (depths == num_rows).any() and (depths == 1).any()
+
+
+# ----------------------------------------------------------------------
+# the round split: a serial native fold cut into round ranges on helper
+# threads writes the one-range bytes, and only serial callers split
+# ----------------------------------------------------------------------
+@pytest.fixture
+def split(native_provider, monkeypatch):
+    """``(force, handed)`` for the round split on any host.
+
+    ``force(cores, floor=None)`` fixes what the split degree is computed
+    from; ``handed`` collects every job handed to a helper thread.
+    Helpers a forced degree started are shut down after.
+    """
+    from repro.kernels import native_cc
+    from repro.parallel import cost_model
+
+    handed = []
+    real = native_cc._helper_pool
+
+    class Counting:
+        def submit(self, job, *args):
+            handed.append(job)
+            return real().submit(job, *args)
+
+    monkeypatch.setattr(native_cc, "_helper_pool", Counting)
+
+    def force(cores, floor=None):
+        monkeypatch.setattr(cost_model, "usable_cores", lambda: cores)
+        if floor is not None:
+            monkeypatch.setattr(native_cc, "SPLIT_FLOOR", floor)
+
+    yield force, handed
+    if native_cc._helpers is not None:
+        native_cc._helpers.shutdown()
+        native_cc._helpers = None
+
+
+def _split_case(provider, num_nodes, count, force_wide=False, num_rounds=None, seed=3):
+    """``(pools, lo, hi, indices)``: two native pools and a numpy one, one edge batch."""
+    encoder = EdgeEncoder(num_nodes)
+    lo, hi = _random_pairs(num_nodes, count, np.random.default_rng(seed))
+    pools = [
+        NodeTensorPool(
+            num_nodes, encoder, graph_seed=9, force_wide=force_wide,
+            num_rounds=num_rounds, kernels=kernels,
+        )
+        for kernels in (provider, provider, None)
+    ]
+    return pools, lo, hi, encoder.encode_canonical_pairs(lo, hi)
+
+
+def _provider_fold(provider, entry, pool, lo, hi, indices, split):
+    """Both halves of the edge batch through ``fold_pool_edges`` or ``fold_pool``."""
+    if entry == "fold_pool_edges":
+        provider.fold_pool_edges(pool, indices, lo, hi, split=split)
+    else:
+        provider.fold_pool(
+            pool, np.concatenate([indices, indices]), np.concatenate([lo, hi]), split=split
+        )
+
+
+def _tensor_bytes(pool):
+    return [np.asarray(t, dtype=np.uint64).tobytes() for t in pool.raw_tensors()]
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3, "rounds", "rounds + 2"])
+@pytest.mark.parametrize("entry", ["fold_pool", "fold_pool_edges"])
+@pytest.mark.parametrize("force_wide", [False, True])
+def test_round_split_is_bit_identical(native_provider, split, force_wide, entry, ranges):
+    from repro.kernels.native_cc import split_ranges
+
+    force, handed = split
+    (split_pool, serial_pool, numpy_pool), lo, hi, indices = _split_case(
+        native_provider, 100, 600, force_wide
+    )
+    rounds, cols = split_pool.num_rounds, split_pool.num_columns
+    ranges = {"rounds": rounds, "rounds + 2": rounds + 2}.get(ranges, ranges)
+    # fold_pool is handed both halves as one column of twice the updates.
+    work = (2 if entry == "fold_pool" else 1) * indices.size * split_pool.num_slots
+    force(3, floor=work // ranges)
+    expected = min(ranges, rounds)
+    assert split_ranges(work, rounds) == expected
+    _provider_fold(native_provider, entry, split_pool, lo, hi, indices, split=True)
+    assert len(handed) == min(3, expected) - 1
+    # Whole rounds each, balanced, covering every slot once.
+    tails = native_provider._fold_tail(split_pool, split_pool._slot_offsets, expected)
+    slots = [tail[2] for tail in tails]
+    assert all(count % cols == 0 for count in slots) and sum(slots) == split_pool.num_slots
+    assert max(slots) - min(slots) <= cols
+    _provider_fold(native_provider, entry, serial_pool, lo, hi, indices, split=False)
+    assert len(handed) == min(3, expected) - 1
+    numpy_pool.apply_edges(lo, hi, indices)
+    assert split_pool.raw_tensors()[0].any()
+    assert _tensor_bytes(split_pool) == _tensor_bytes(serial_pool) == _tensor_bytes(numpy_pool)
+
+
+def test_caller_folds_every_range_when_no_helper_turns_up(native_provider, monkeypatch):
+    """Ranges are claimed, not assigned: a helper whose core is busy
+    elsewhere does not hold the caller up, and when it does start it
+    finds nothing left to fold."""
+    from repro.kernels import native_cc
+    from repro.parallel import cost_model
+
+    late = []
+
+    class Stalled:
+        def submit(self, job, *args):
+            late.append(lambda: job(*args))
+
+    monkeypatch.setattr(cost_model, "usable_cores", lambda: 2)
+    monkeypatch.setattr(native_cc, "SPLIT_FLOOR", 1)
+    monkeypatch.setattr(native_cc, "_helper_pool", Stalled)
+    (split_pool, _, numpy_pool), lo, hi, indices = _split_case(native_provider, 100, 600)
+    split_pool.apply_edges(lo, hi, indices)
+    numpy_pool.apply_edges(lo, hi, indices)
+    assert len(late) == 1
+    assert _tensor_bytes(split_pool) == _tensor_bytes(numpy_pool)
+    late[0]()
+    assert _tensor_bytes(split_pool) == _tensor_bytes(numpy_pool)
+
+
+def test_one_round_pool_never_splits(native_provider, split):
+    force, handed = split
+    force(4, floor=1)
+    (split_pool, _, numpy_pool), lo, hi, indices = _split_case(
+        native_provider, 100, 600, num_rounds=1
+    )
+    split_pool.apply_edges(lo, hi, indices)
+    numpy_pool.apply_edges(lo, hi, indices)
+    assert handed == []
+    assert _tensor_bytes(split_pool) == _tensor_bytes(numpy_pool)
+
+
+@pytest.mark.parametrize("work", ["floor - 1", "floor", "2 * floor"])
+def test_split_starts_at_two_floors_of_work(native_provider, split, work):
+    force, handed = split
+    (split_pool, _, numpy_pool), lo, hi, indices = _split_case(native_provider, 100, 600)
+    total = indices.size * split_pool.num_slots  # even: 600 edges
+    floor = {"floor - 1": total + 1, "floor": total, "2 * floor": total // 2}[work]
+    force(2, floor=floor)
+    split_pool.apply_edges(lo, hi, indices)
+    numpy_pool.apply_edges(lo, hi, indices)
+    assert len(handed) == (1 if work == "2 * floor" else 0)
+    assert _tensor_bytes(split_pool) == _tensor_bytes(numpy_pool)
+
+
+def test_split_degree(split):
+    from repro.kernels.native_cc import SPLIT_FLOOR, split_ranges
+
+    force, _ = split
+    force(2)
+    works = (SPLIT_FLOOR - 1, SPLIT_FLOOR, 2 * SPLIT_FLOOR - 1, 2 * SPLIT_FLOOR, 100 * SPLIT_FLOOR)
+    assert [split_ranges(work, 10) for work in works] == [1, 1, 1, 2, 10]
+    force(8)  # the range count does not follow the core count
+    assert split_ranges(5 * SPLIT_FLOOR, 10) == 5
+    assert split_ranges(100 * SPLIT_FLOOR, 10) == 10
+    assert split_ranges(100 * SPLIT_FLOOR, 3) == 3
+    assert split_ranges(100 * SPLIT_FLOOR, 1) == 1
+    force(1)
+    assert split_ranges(100 * SPLIT_FLOOR, 10) == 1
+
+
+def _engines(num_nodes, **native):
+    from repro.core.config import GraphZeppelinConfig
+    from repro.core.graph_zeppelin import GraphZeppelin
+
+    return (
+        GraphZeppelin(num_nodes, GraphZeppelinConfig(seed=4, kernel_backend="native", **native)),
+        GraphZeppelin(num_nodes, GraphZeppelinConfig(seed=4)),
+    )
+
+
+def _assert_same_answer(engine, reference):
+    assert _tensor_bytes(engine.tensor_pool) == _tensor_bytes(reference.tensor_pool)
+    assert engine.list_spanning_forest().edges == reference.list_spanning_forest().edges
+
+
+def test_engine_ingest_batch_splits_and_matches_numpy(split):
+    force, handed = split
+    force(2)  # the real floor
+    edges = np.stack(_random_pairs(512, 65_536, np.random.default_rng(8)), axis=1)
+    native, reference = _engines(512)
+    native.ingest_batch(edges)
+    reference.ingest_batch(edges)
+    assert handed
+    _assert_same_answer(native, reference)
+
+
+def test_sharded_workers_hand_no_range_to_the_helpers(split):
+    from repro.parallel.graph_workers import ShardedIngestor
+
+    force, handed = split
+    force(2, floor=1)  # any fold allowed to split would
+    edges = np.stack(_random_pairs(300, 20_000, np.random.default_rng(6)), axis=1)
+    sharded, reference = _engines(300, num_workers=2)
+    with ShardedIngestor(sharded, backend="threads", num_workers=2) as ingestor:
+        ingestor.ingest_stream([edges[:8_000], edges[8_000:]])
+    assert handed == []
+    reference.ingest_batch(edges)
+    _assert_same_answer(sharded, reference)
+    serial, _ = _engines(300)
+    serial.ingest_batch(edges)  # ... and the serial path does split
+    assert handed
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_failed_range_propagates_after_every_range_finished(
+    native_provider, split, monkeypatch, failing
+):
+    import time
+
+    force, _ = split
+    force(3, floor=1)
+    (pool, _, _), lo, hi, indices = _split_case(native_provider, 100, 600, num_rounds=4)
+    lib = native_provider._lib
+    real = lib.repro_fold_edges_packed
+    caller = threading.current_thread()
+    lock = threading.Lock()
+    calls, failed, finished = [], [], []
+
+    def flaky(*args):
+        on_caller = threading.current_thread() is caller
+        with lock:
+            calls.append(on_caller)
+            fail = on_caller == (failing == "caller") and not failed
+            if fail:
+                failed.append(on_caller)
+        if fail:
+            raise RuntimeError("injected")
+        time.sleep(0.2)
+        real(*args)
+        finished.append(on_caller)
+
+    monkeypatch.setattr(lib, "repro_fold_edges_packed", flaky)
+    with pytest.raises(RuntimeError, match="injected"):
+        native_provider.fold_pool_edges(pool, indices, lo, hi, split=True)
+    assert failed == [failing == "caller"]
+    assert len(calls) == 4  # the failing thread went on to claim more
+    assert len(finished) == 3  # no range still writing when the error surfaced
+
+
+def _child_split_digest(conn, num_nodes, count):
+    from repro.kernels import native_kernels
+
+    (pool, _, _), lo, hi, indices = _split_case(native_kernels(), num_nodes, count)
+    pool.apply_edges(lo, hi, indices)
+    conn.send(payload_digest(pool._buckets.tobytes()))
+    conn.close()
+
+
+def test_split_fold_in_a_forked_child(native_provider, split):
+    """The parent's helper threads do not exist after a fork: the child
+    starts its own instead of waiting on them forever."""
+    from repro.parallel.graph_workers import process_context
+
+    force, handed = split
+    force(2)
+    (parent, serial, _), lo, hi, indices = _split_case(native_provider, 1024, 65_536)
+    parent.apply_edges(lo, hi, indices)
+    assert handed  # the helpers exist in the parent now
+    native_provider.fold_pool_edges(serial, indices, lo, hi, split=False)
+    expected = payload_digest(serial._buckets.tobytes())
+    assert payload_digest(parent._buckets.tobytes()) == expected
+
+    context = process_context()
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_child_split_digest, args=(send, 1024, 65_536))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the child's split fold never returned"
+        assert receive.recv() == expected
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+@pytest.mark.skipif(
+    usable_cores() != 1, reason="one-core hosts only (CI: taskset -c 0)"
+)
+def test_one_core_host_never_starts_a_helper(native_provider):
+    from repro.kernels import native_cc
+
+    (pool, _, _), lo, hi, indices = _split_case(native_provider, 1024, 65_536)
+    pool.apply_edges(lo, hi, indices)
+    pool.apply_updates(hi, indices)
+    assert native_cc._helpers is None
+    assert not [t for t in threading.enumerate() if t.name.startswith("repro-fold")]

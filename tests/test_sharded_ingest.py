@@ -352,6 +352,52 @@ def test_shared_memory_attach_round_trip(force_wide):
     assert not np.array_equal(pool.raw_tensors()[0], before[0])
 
 
+def test_pool_finaliser_is_quiet_only_where_nothing_is_wrong(monkeypatch):
+    """``__del__`` ignores a half-built pool and an already-unlinked
+    segment, and nothing else: any other error reaches the unraisable hook."""
+    import gc
+    import sys
+    from multiprocessing import shared_memory
+
+    seen = []
+    monkeypatch.setattr(sys, "unraisablehook", seen.append)
+
+    def from_finaliser():
+        return [
+            type(report.exc_value) for report in seen
+            if getattr(report.object, "__qualname__", "") == "NodeTensorPool.__del__"
+        ]
+
+    with pytest.raises(ConfigurationError):
+        NodeTensorPool(2, EdgeEncoder(2), delta=2.0)  # raises before _shm exists
+    gc.collect()
+    pool = NodeTensorPool(8, EdgeEncoder(8), graph_seed=1)
+    pool.to_shared_memory()
+    outside = shared_memory.SharedMemory(name=pool.shared_meta()["shm_names"][0])
+    outside.close()
+    outside.unlink()
+    del pool
+    gc.collect()
+    assert from_finaliser() == []
+
+    pool = NodeTensorPool(8, EdgeEncoder(8), graph_seed=1)
+    pool.to_shared_memory()
+    segments = list(pool._shm)
+
+    def broken(self, copy_back=True):
+        raise ValueError("a real bug")
+
+    monkeypatch.setattr(NodeTensorPool, "release_shared", broken)
+    del pool
+    gc.collect()
+    assert from_finaliser() == [ValueError]
+    seen.clear()  # the report's traceback holds the pool's views
+    gc.collect()
+    for segment in segments:
+        segment.close()
+        segment.unlink()
+
+
 def test_shared_meta_requires_shared_pool():
     pool = NodeTensorPool(8, EdgeEncoder(8), graph_seed=1)
     with pytest.raises(ValueError):
