@@ -50,24 +50,14 @@ Why compiling beats the numpy kernels:
 The calls release the GIL (ctypes ``CDLL`` semantics), which is what
 finally lets the sharded thread ingest scale past the numpy kernels'
 serialised sections -- and what lets one serial fold use every core.
-A CubeSketch's rounds are independent sketches and the pool is
-round-major, so a contiguous range of rounds is a disjoint slab of the
-pool, and a slot range is just an offset into the seed and slot-offset
-vectors the C loop already walks.  A serial in-RAM fold with at least
-two :data:`SPLIT_FLOOR` of (update, slot) work, in a process that may
-use more than one core, is cut into balanced round ranges of at least
-that much work each (one round apiece once the batch is large).  The
-caller and ``usable_cores() - 1`` threads of a process-wide helper pool
-claim the ranges one at a time until none is left, and the call returns
-once every range has finished.  Claiming, not a fixed share per
-thread, is what keeps the call steady on a shared host: a helper whose
-core is busy elsewhere folds fewer ranges instead of holding the
-caller up, so a split fold costs at most about what the serial fold
-does.  No partition step, no second hash, no lock on the pool; XOR
-into disjoint buckets is order-free, so the pool stays bit-identical
-whichever thread folds which range.  The sharded workers'
-``fold_shard`` (they already occupy the cores), the paged pool's page
-folds and the per-node bundle fold never split.
+A slot range of the pool is just an offset into the seed and
+slot-offset vectors the C loop already walks, so a serial in-RAM fold
+with at least two :data:`SPLIT_FLOOR` of (update, slot) work is cut
+into round ranges that the caller and the helper threads claim, as
+:mod:`repro.sketch.round_split` describes (the numpy fold splits the
+same way, with its own floor).  The sharded workers' ``fold_shard``
+(they already occupy the cores), the paged pool's page folds and the
+per-node bundle fold never split.
 
 The shared library is cached under ``$REPRO_KERNEL_CACHE`` (default: a
 ``repro-ckernels`` directory in the system temp dir) under a name made
@@ -80,7 +70,6 @@ concurrent builds race benignly through an atomic rename.
 
 from __future__ import annotations
 
-import collections
 import ctypes
 import hashlib
 import os
@@ -88,11 +77,12 @@ import platform
 import shutil
 import subprocess
 import tempfile
-import threading
 import weakref
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.sketch.round_split import fold_ranges, round_ranges, split_ranges
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -630,104 +620,6 @@ def _as_u64(values: np.ndarray) -> np.ndarray:
 #: 18k pairs of edge-fold work and won 1.5-1.9x from 36k.
 SPLIT_FLOOR = 1 << 14
 
-#: The fold helpers' ``ThreadPoolExecutor`` once a fold has split.
-_helpers = None
-_helpers_lock = threading.Lock()
-
-
-def _helper_pool():
-    """The process-wide fold helpers: ``usable_cores() - 1`` threads, made on first use."""
-    global _helpers
-    with _helpers_lock:
-        if _helpers is None:
-            # Lazy: repro.parallel imports the engine, which imports this
-            # module, and a process that never splits skips the import.
-            from concurrent.futures import ThreadPoolExecutor
-
-            from repro.parallel.cost_model import usable_cores
-
-            _helpers = ThreadPoolExecutor(
-                max(usable_cores() - 1, 1), thread_name_prefix="repro-fold"
-            )
-        return _helpers
-
-
-def _forget_helpers() -> None:
-    """A forked child has none of its parent's threads: start from no pool."""
-    global _helpers, _helpers_lock
-    _helpers = None
-    _helpers_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def split_ranges(work: int, num_rounds: int) -> int:
-    """Round ranges a serial fold of ``work`` (update, slot) pairs is cut into.
-
-    ``min(num_rounds, work // SPLIT_FLOOR)`` when the process may use
-    more than one core, else one: every range gets a whole number of
-    rounds and at least :data:`SPLIT_FLOOR` of work, so a batch splits
-    once it holds two floors' worth.  The count comes from the batch
-    size and the affinity mask only, and does not follow the core count:
-    more ranges than threads is what lets a fast thread take over a slow
-    one's share.  A one-core process never starts a helper.
-    """
-    if work < 2 * SPLIT_FLOOR or num_rounds < 2:
-        return 1
-    from repro.parallel.cost_model import usable_cores
-
-    if usable_cores() < 2:
-        return 1
-    return min(num_rounds, work // SPLIT_FLOOR)
-
-
-class _RoundSplit:
-    """One split fold: its round ranges, claimed one at a time by the
-    caller (from the first round up) and the helper threads (from the
-    last round down) until none is left."""
-
-    def __init__(self, fold, head: tuple, tails: tuple) -> None:
-        self._fold = fold
-        self._head = head
-        self._unclaimed = collections.deque(tails)
-        self._left = len(tails)
-        self._lock = threading.Lock()
-        self._finished = threading.Event()
-        self._errors: list = []
-
-    def _claim(self, from_last: bool):
-        with self._lock:
-            if not self._unclaimed:
-                return None
-            return self._unclaimed.pop() if from_last else self._unclaimed.popleft()
-
-    def drain(self, from_last: bool = False) -> None:
-        """Fold unclaimed ranges until none is left.
-
-        The caller takes the low rounds, which the query reads first, and
-        the helpers the high ones, so each thread keeps writing the same
-        slabs from one fold to the next.  A range that raises is recorded
-        and the thread moves on, so the caller's :meth:`wait` still sees
-        every range finish.
-        """
-        while (tail := self._claim(from_last)) is not None:
-            try:
-                self._fold(*self._head, *tail)
-            except BaseException as error:  # re-raised by wait()
-                self._errors.append(error)
-            with self._lock:
-                self._left -= 1
-                if not self._left:
-                    self._finished.set()
-
-    def wait(self) -> None:
-        """Block until every range has finished; raise the first error."""
-        self._finished.wait()
-        if self._errors:
-            raise self._errors[0]
-
 
 class CcKernels:
     """Native kernel provider backed by the runtime-compiled C library.
@@ -781,7 +673,6 @@ class CcKernels:
         tails = bound[1].get(ranges)
         if tails is None:
             cols = pool.num_columns
-            bounds = [r * pool.num_rounds // ranges for r in range(ranges + 1)]
             tails = bound[1][ranges] = tuple(
                 (
                     _u64(pool._mixed_membership[lo * cols : hi * cols]),
@@ -789,7 +680,7 @@ class CcKernels:
                     (hi - lo) * cols, pool.num_rows, cols,
                     _i64(offsets[lo * cols : hi * cols]),
                 )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
+                for lo, hi in round_ranges(pool.num_rounds, ranges)
             )
         return tails
 
@@ -810,26 +701,15 @@ class CcKernels:
         """Run one in-RAM pool fold, over round ranges when ``split`` allows.
 
         ``head`` is the entry point's arguments up to the update count
-        ``k`` (its last element); the work is ``k * num_slots``.  The
-        caller and up to ``usable_cores() - 1`` helpers claim the ranges
-        one at a time, and the call returns only after every range has
-        finished -- also when one raised, whose error then propagates:
-        no helper is left writing into the pool.  A helper that starts
-        after the caller has claimed the last range finds nothing to do.
+        ``k`` (its last element); the work is ``k * num_slots``, cut by
+        :data:`SPLIT_FLOOR` and run by
+        :func:`~repro.sketch.round_split.fold_ranges`.
         """
-        ranges = split_ranges(head[-1] * pool.num_slots, pool.num_rounds) if split else 1
-        tails = self._fold_tail(pool, pool._slot_offsets, ranges)
-        if ranges == 1:
-            fold(*head, *tails[0])
-            return
-        from repro.parallel.cost_model import usable_cores
-
-        run = _RoundSplit(fold, head, tails)
-        helpers = _helper_pool()
-        for _ in range(min(usable_cores(), ranges) - 1):
-            helpers.submit(run.drain, True)
-        run.drain()
-        run.wait()
+        ranges = (
+            split_ranges(head[-1] * pool.num_slots, pool.num_rounds, SPLIT_FLOOR)
+            if split else 1
+        )
+        fold_ranges(fold, head, self._fold_tail(pool, pool._slot_offsets, ranges))
 
     def fold_pool(
         self, pool, indices: np.ndarray, dsts: np.ndarray, split: bool = False

@@ -53,6 +53,29 @@ _MEMBERSHIP_LABEL = 1
 _CHECKSUM_LABEL = 2
 
 
+def validate_indices(indices, vector_length: int) -> Optional[np.ndarray]:
+    """Validate a raw batch of coordinates (edge slots) before hashing.
+
+    A negative, fractional, NaN, infinite or out-of-range index raises
+    ``ValueError`` instead of going through the uint64 cast, which
+    would wrap or truncate it into another coordinate and silently fold
+    it there.  Integral floats and every integer dtype are accepted.
+    Returns the batch as a uint64 array, or ``None`` for an empty batch.
+    """
+    idx = np.asarray(indices)
+    if idx.size == 0:
+        return None
+    if idx.ndim != 1:
+        raise ValueError("expected a one-dimensional index array")
+    if idx.dtype.kind == "f" and not (np.isfinite(idx) & (idx == np.trunc(idx))).all():
+        raise ValueError("batch contains a non-integral index")
+    if idx.dtype.kind in "if" and (idx < 0).any():
+        raise ValueError("batch contains a negative index")
+    if int(idx.max()) >= vector_length:
+        raise ValueError("batch contains an index outside the sketched vector")
+    return idx.astype(np.uint64, copy=False)
+
+
 class CubeSketch(L0Sampler):
     """An l0-sampler over Z_2^n built from XOR buckets.
 
@@ -151,15 +174,9 @@ class CubeSketch(L0Sampler):
             # instead of the old list() round-trip that copied sequence
             # inputs twice.
             idx = np.fromiter(indices, dtype=np.int64)
-        if idx.size == 0:
+        idx = validate_indices(idx, self.vector_length)
+        if idx is None:
             return
-        if idx.ndim != 1:
-            raise ValueError("update_batch expects a one-dimensional index sequence")
-        if idx.dtype.kind in "if" and (idx < 0).any():
-            raise ValueError("batch contains a negative index")
-        idx = idx.astype(np.uint64, copy=False)
-        if int(idx.max()) >= self.vector_length:
-            raise ValueError("batch contains an index outside the sketched vector")
 
         for col in range(self.num_columns):
             membership = seeded_hash64_array(idx, self._membership_seeds[col])

@@ -58,7 +58,12 @@ from repro.hashing.mixers import (
     seeded_hash64_matrix,
 )
 from repro.hashing.prng import derive_seed
-from repro.sketch.cubesketch import CubeSketch, _CHECKSUM_LABEL, _MEMBERSHIP_LABEL
+from repro.sketch.cubesketch import (
+    _CHECKSUM_LABEL,
+    _MEMBERSHIP_LABEL,
+    CubeSketch,
+    validate_indices,
+)
 from repro.sketch.sizes import (
     BYTES_PER_CUBE_BUCKET,
     cubesketch_num_columns,
@@ -140,27 +145,6 @@ def flat_seed_matrices(
     for array in (membership, checksum, mixed_membership, mixed_checksum):
         array.flags.writeable = False
     return membership, checksum, mixed_membership, mixed_checksum
-
-
-def validate_indices(indices, vector_length: int) -> Optional[np.ndarray]:
-    """Validate a raw edge-slot index batch, mirroring the legacy guard.
-
-    Matches :meth:`CubeSketch.update_batch`'s input handling: a negative
-    or out-of-range index raises ``ValueError`` instead of wrapping
-    through the uint64 cast and silently corrupting buckets.  Returns
-    the batch as a uint64 array, or ``None`` for an empty batch.
-    """
-    idx = np.asarray(indices)
-    if idx.size == 0:
-        return None
-    if idx.ndim != 1:
-        raise ValueError("expected a one-dimensional index array")
-    if idx.dtype.kind in "if" and (idx < 0).any():
-        raise ValueError("batch contains a negative index")
-    idx = idx.astype(np.uint64, copy=False)
-    if int(idx.max()) >= vector_length:
-        raise ValueError("batch contains an index outside the sketched vector")
-    return idx
 
 
 def hash_depths_checksums(

@@ -592,6 +592,18 @@ class PagedTensorPool(NodeTensorPool):
             with self._pinned(page) as entry:
                 xor_scatter(entry, page_targets - page * page_elems, page_values)
 
+    def _fold(
+        self,
+        indices: np.ndarray,
+        dst_columns: Sequence[np.ndarray],
+        chunk_size: Optional[int] = None,
+        split: bool = False,
+    ) -> int:
+        """The in-RAM pool's fold, never split by round: a page fold pins
+        pages, and the LRU and the order of device operations must not
+        depend on which thread folds which round range."""
+        return super()._fold(indices, dst_columns, chunk_size)
+
     def _fold_native(
         self, indices: np.ndarray, dst_columns: Sequence[np.ndarray], split: bool
     ) -> None:
@@ -603,8 +615,7 @@ class PagedTensorPool(NodeTensorPool):
         per-page fixed cost worth amortising.  A single column whose
         destinations all lie in one page -- what ``fold_page_batch`` is
         handed -- goes to that page as it is; anything else is grouped
-        by page first.  ``split`` is ignored: a page fold runs under the
-        pool lock on batches of about a hundred updates.
+        by page first.  ``split`` is always off (see :meth:`_fold`).
         """
         if len(dst_columns) == 1:
             dsts = dst_columns[0]

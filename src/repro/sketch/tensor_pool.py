@@ -72,6 +72,7 @@ from repro.sketch.flat_node_sketch import (
     segmented_xor,
     validate_indices,
 )
+from repro.sketch.round_split import fold_ranges, round_ranges, split_ranges
 from repro.sketch.sizes import (
     BYTES_PER_CUBE_BUCKET,
     cubesketch_num_columns,
@@ -91,6 +92,16 @@ from repro.sketch.sketch_base import (
 #: at 20 000 nodes: 312 edges per pass folds ~45% more edges per second
 #: than 8 192 per pass, and no slower at 200 or 1 000 nodes.
 _FOLD_PASS_ELEMENTS = 1 << 16
+
+#: Least (update, slot) work one round range of a split numpy fold is
+#: given (see :mod:`repro.sketch.round_split`).  A range pays its own
+#: Python pass loop and destination sort, so this is not the native
+#: floor scaled by the ~11x costlier numpy pair.  Split over serial,
+#: minimum of 5, 2-core x86 VM, at 1 024 and 20 000 nodes: 1 << 14
+#: lost 15-27 % on 256-768-edge batches, 1 << 15 won 1.2-2.1x from
+#: 512 edges and never lost beyond noise, 1 << 16 and 1 << 17 left
+#: 512-1 024-edge batches serial.  8 192 edges: 1.4-1.9x.
+SPLIT_FLOOR = 1 << 15
 
 #: Shards per worker of the automatic shard planner: enough that a
 #: worker which drew a light node range picks up another, few enough
@@ -303,8 +314,13 @@ class NodeTensorPool:
         indices: np.ndarray,
         depths: np.ndarray,
         checksums: np.ndarray,
+        slots: slice = slice(None),
     ) -> None:
-        """Reduce one hashed chunk with the level-peeling kernel and scatter it."""
+        """Reduce one hashed chunk with the level-peeling kernel and scatter it.
+
+        ``depths`` and ``checksums`` hold the columns of the pool slots
+        ``slots`` (all of them unless a round range is folding).
+        """
         with span("ingest.fold"):
             kernel_dsts, slot_offsets = self._fold_layout(dsts)
             targets, *values = fold_hashed(
@@ -315,21 +331,25 @@ class NodeTensorPool:
                 kernel_dsts,
                 edge_rows=edge_rows,
                 dst_stride=self.num_columns,
-                slot_offsets=slot_offsets,
+                slot_offsets=slot_offsets[slots],
                 packed=self._packed,
             )
             self._scatter(targets, values)
 
-    def _pass_rows(self, rows: int, width: int, chunk_size: Optional[int]) -> int:
+    def _pass_rows(
+        self, rows: int, width: int, chunk_size: Optional[int], slots: Optional[int] = None
+    ) -> int:
         """Rows per numpy fold pass, each row carrying ``width`` updates.
 
         ``chunk_size`` when the caller gave one, otherwise as many as
-        keep the kernel's ``(updates, num_slots)`` matrices inside this
-        pool's element budget (never more than the batch itself).
+        keep the kernel's ``(updates, slots)`` matrices inside this
+        pool's element budget (never more than the batch itself);
+        ``slots`` defaults to every slot of the pool.
         """
         if chunk_size:
             return max(int(chunk_size), 1)
-        updates = min(self._fold_pass_elements // self.num_slots, width * rows)
+        slots = self.num_slots if slots is None else slots
+        updates = min(self._fold_pass_elements // slots, width * rows)
         return max(updates // width, 1)
 
     def _fold(
@@ -345,30 +365,56 @@ class NodeTensorPool:
         goes to node ``column[i]`` of each column (one column for a
         plain update batch, two for the mirrored halves of an edge
         batch), hashed **once** per index whatever the column count.
-        The numpy path runs :meth:`_pass_rows` indices per kernel pass.
-        ``split`` is set by the serial entry points only: a native fold
-        may then spread its rounds over the usable cores, which the
-        sharded workers already occupy.  Bumps neither the version nor
+        ``split`` is set by the serial entry points only, which the
+        sharded workers are not: a fold of at least two floors of
+        (update, slot) work -- :data:`repro.kernels.native_cc.SPLIT_FLOOR`
+        native, :data:`SPLIT_FLOOR` numpy -- is then cut into round
+        ranges folded on every usable core
+        (:mod:`repro.sketch.round_split`).  The numpy path runs
+        :meth:`_fold_rounds` per range.  Bumps neither the version nor
         the update counter; returns the updates folded.
         """
-        width = len(dst_columns)
-        count = width * int(indices.size)
+        count = len(dst_columns) * int(indices.size)
         if self._kernels is not None:
             with span("ingest.fold"):
                 self._fold_native(indices, dst_columns, split)
             return count
-        chunk = self._pass_rows(indices.size, width, chunk_size)
+        ranges = (
+            split_ranges(count * self.num_slots, self.num_rounds, SPLIT_FLOOR)
+            if split else 1
+        )
+        fold_ranges(
+            self._fold_rounds,
+            (indices, dst_columns, chunk_size),
+            round_ranges(self.num_rounds, ranges),
+        )
+        return count
+
+    def _fold_rounds(
+        self,
+        indices: np.ndarray,
+        dst_columns: Sequence[np.ndarray],
+        chunk_size: Optional[int],
+        lo: int,
+        hi: int,
+    ) -> None:
+        """numpy fold of the batch into rounds ``[lo, hi)``: hash + kernel +
+        scatter per pass of :meth:`_pass_rows` indices, against the
+        seeds and slot offsets of those rounds only."""
+        width = len(dst_columns)
+        slots = slice(lo * self.num_columns, hi * self.num_columns)
+        membership = self._mixed_membership[slots]
+        checksum = self._mixed_checksum[slots]
+        chunk = self._pass_rows(indices.size, width, chunk_size, membership.size)
         for start in range(0, indices.size, chunk):
             block = indices[start : start + chunk]
             with span("ingest.hash"):
                 depths, checksums = hash_depths_checksums(
-                    block, self._mixed_membership, self._mixed_checksum, self.num_rows,
-                    reuse_scratch=True,
+                    block, membership, checksum, self.num_rows, reuse_scratch=True
                 )
             dsts = np.concatenate([column[start : start + chunk] for column in dst_columns])
             edge_rows = np.tile(np.arange(block.size), width)
-            self._fold_chunk(dsts, edge_rows, block, depths, checksums)
-        return count
+            self._fold_chunk(dsts, edge_rows, block, depths, checksums, slots)
 
     def apply_updates(
         self,

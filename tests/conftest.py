@@ -36,6 +36,35 @@ def native_provider():
 
 
 @pytest.fixture
+def fold_helpers(monkeypatch):
+    """Every job a round-split fold hands to a helper thread, as a list.
+
+    The helpers still run the jobs.  The test starts from no helper pool
+    (so a forced core count sizes it) and its helpers are shut down
+    after it.
+    """
+    from repro.sketch import round_split
+
+    def shut_down():
+        if round_split._helpers is not None:
+            round_split._helpers.shutdown()
+            round_split._helpers = None
+
+    shut_down()
+    handed = []
+    real = round_split._helper_pool
+
+    class Counting:
+        def submit(self, job, *args):
+            handed.append(job)
+            return real().submit(job, *args)
+
+    monkeypatch.setattr(round_split, "_helper_pool", Counting)
+    yield handed
+    shut_down()
+
+
+@pytest.fixture
 def small_graph():
     """A fixed 8-node graph with two non-trivial components and two isolates.
 

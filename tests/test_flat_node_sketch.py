@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.node_sketch import NodeSketch, merged_round_sketch
 from repro.exceptions import IncompatibleSketchError
+from repro.sketch.cubesketch import CubeSketch
 from repro.sketch.flat_node_sketch import (
     _XOR_BLOCK_ROWS,
     FlatNodeSketch,
@@ -118,6 +119,43 @@ def test_flat_apply_rejects_out_of_range_indices_like_legacy():
         )
     assert flat.is_empty()
     assert pool.node_is_empty(0)
+
+
+def _index_targets():
+    """``{entry point: (fold(indices), state())}`` over fresh sketches."""
+    encoder = EdgeEncoder(NUM_NODES)
+    pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=1)
+    cube = CubeSketch(encoder.vector_length, seed=1)
+    return {
+        "pool.apply_updates": (
+            lambda idx: pool.apply_updates(np.asarray([1, 2]), idx),
+            lambda: [t.tobytes() for t in pool.raw_tensors()] + [pool.updates_applied],
+        ),
+        "CubeSketch.update_batch": (
+            cube.update_batch,
+            lambda: [a.tobytes() for a in cube.raw_arrays()],
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", ["pool.apply_updates", "CubeSketch.update_batch"])
+@pytest.mark.parametrize("bad", [3.7, np.nan, np.inf])
+def test_fractional_and_non_finite_indices_are_rejected(entry, bad):
+    fold, state = _index_targets()[entry]
+    empty = state()
+    with pytest.raises(ValueError, match="non-integral"):
+        fold(np.array([1.0, bad]))
+    assert state() == empty
+
+
+@pytest.mark.parametrize("entry", ["pool.apply_updates", "CubeSketch.update_batch"])
+@pytest.mark.parametrize("dtype", [np.float64, np.int32, np.uint64])
+def test_integral_indices_of_any_dtype_fold_like_int64(entry, dtype):
+    fold, state = _index_targets()[entry]
+    fold(np.array([3, 5], dtype=dtype))
+    reference, reference_state = _index_targets()[entry]
+    reference(np.array([3, 5], dtype=np.int64))
+    assert state() == reference_state()
 
 
 def test_pool_accessors_reject_wrapping_node_ids():

@@ -560,35 +560,21 @@ def test_c_fold_entry_points_stay_inside_their_columns(native_provider, entry, n
 # threads writes the one-range bytes, and only serial callers split
 # ----------------------------------------------------------------------
 @pytest.fixture
-def split(native_provider, monkeypatch):
-    """``(force, handed)`` for the round split on any host.
+def split(native_provider, fold_helpers, monkeypatch):
+    """``(force, handed)`` for the native round split on any host.
 
     ``force(cores, floor=None)`` fixes what the split degree is computed
     from; ``handed`` collects every job handed to a helper thread.
-    Helpers a forced degree started are shut down after.
     """
     from repro.kernels import native_cc
     from repro.parallel import cost_model
-
-    handed = []
-    real = native_cc._helper_pool
-
-    class Counting:
-        def submit(self, job, *args):
-            handed.append(job)
-            return real().submit(job, *args)
-
-    monkeypatch.setattr(native_cc, "_helper_pool", Counting)
 
     def force(cores, floor=None):
         monkeypatch.setattr(cost_model, "usable_cores", lambda: cores)
         if floor is not None:
             monkeypatch.setattr(native_cc, "SPLIT_FLOOR", floor)
 
-    yield force, handed
-    if native_cc._helpers is not None:
-        native_cc._helpers.shutdown()
-        native_cc._helpers = None
+    return force, fold_helpers
 
 
 def _split_case(provider, num_nodes, count, force_wide=False, num_rounds=None, seed=3):
@@ -623,7 +609,7 @@ def _tensor_bytes(pool):
 @pytest.mark.parametrize("entry", ["fold_pool", "fold_pool_edges"])
 @pytest.mark.parametrize("force_wide", [False, True])
 def test_round_split_is_bit_identical(native_provider, split, force_wide, entry, ranges):
-    from repro.kernels.native_cc import split_ranges
+    from repro.sketch.round_split import split_ranges
 
     force, handed = split
     (split_pool, serial_pool, numpy_pool), lo, hi, indices = _split_case(
@@ -635,7 +621,7 @@ def test_round_split_is_bit_identical(native_provider, split, force_wide, entry,
     work = (2 if entry == "fold_pool" else 1) * indices.size * split_pool.num_slots
     force(3, floor=work // ranges)
     expected = min(ranges, rounds)
-    assert split_ranges(work, rounds) == expected
+    assert split_ranges(work, rounds, work // ranges) == expected
     _provider_fold(native_provider, entry, split_pool, lo, hi, indices, split=True)
     assert len(handed) == min(3, expected) - 1
     # Whole rounds each, balanced, covering every slot once.
@@ -656,6 +642,7 @@ def test_caller_folds_every_range_when_no_helper_turns_up(native_provider, monke
     finds nothing left to fold."""
     from repro.kernels import native_cc
     from repro.parallel import cost_model
+    from repro.sketch import round_split
 
     late = []
 
@@ -665,7 +652,7 @@ def test_caller_folds_every_range_when_no_helper_turns_up(native_provider, monke
 
     monkeypatch.setattr(cost_model, "usable_cores", lambda: 2)
     monkeypatch.setattr(native_cc, "SPLIT_FLOOR", 1)
-    monkeypatch.setattr(native_cc, "_helper_pool", Stalled)
+    monkeypatch.setattr(round_split, "_helper_pool", Stalled)
     (split_pool, _, numpy_pool), lo, hi, indices = _split_case(native_provider, 100, 600)
     split_pool.apply_edges(lo, hi, indices)
     numpy_pool.apply_edges(lo, hi, indices)
@@ -701,19 +688,23 @@ def test_split_starts_at_two_floors_of_work(native_provider, split, work):
 
 
 def test_split_degree(split):
-    from repro.kernels.native_cc import SPLIT_FLOOR, split_ranges
+    from repro.kernels.native_cc import SPLIT_FLOOR
+    from repro.sketch.round_split import split_ranges
+
+    def degree(work, rounds):
+        return split_ranges(work, rounds, SPLIT_FLOOR)
 
     force, _ = split
     force(2)
     works = (SPLIT_FLOOR - 1, SPLIT_FLOOR, 2 * SPLIT_FLOOR - 1, 2 * SPLIT_FLOOR, 100 * SPLIT_FLOOR)
-    assert [split_ranges(work, 10) for work in works] == [1, 1, 1, 2, 10]
+    assert [degree(work, 10) for work in works] == [1, 1, 1, 2, 10]
     force(8)  # the range count does not follow the core count
-    assert split_ranges(5 * SPLIT_FLOOR, 10) == 5
-    assert split_ranges(100 * SPLIT_FLOOR, 10) == 10
-    assert split_ranges(100 * SPLIT_FLOOR, 3) == 3
-    assert split_ranges(100 * SPLIT_FLOOR, 1) == 1
+    assert degree(5 * SPLIT_FLOOR, 10) == 5
+    assert degree(100 * SPLIT_FLOOR, 10) == 10
+    assert degree(100 * SPLIT_FLOOR, 3) == 3
+    assert degree(100 * SPLIT_FLOOR, 1) == 1
     force(1)
-    assert split_ranges(100 * SPLIT_FLOOR, 10) == 1
+    assert degree(100 * SPLIT_FLOOR, 10) == 1
 
 
 def _engines(num_nodes, **native):
@@ -737,8 +728,8 @@ def test_engine_ingest_batch_splits_and_matches_numpy(split):
     edges = np.stack(_random_pairs(512, 65_536, np.random.default_rng(8)), axis=1)
     native, reference = _engines(512)
     native.ingest_batch(edges)
-    reference.ingest_batch(edges)
     assert handed
+    reference.ingest_batch(edges)
     _assert_same_answer(native, reference)
 
 
@@ -795,12 +786,15 @@ def test_a_failed_range_propagates_after_every_range_finished(
     assert len(finished) == 3  # no range still writing when the error surfaced
 
 
-def _child_split_digest(conn, num_nodes, count):
+def _child_split_digest(conn, num_nodes, count, numpy_count):
+    """Send the digests of a native and a numpy split fold made in a child."""
     from repro.kernels import native_kernels
 
     (pool, _, _), lo, hi, indices = _split_case(native_kernels(), num_nodes, count)
     pool.apply_edges(lo, hi, indices)
-    conn.send(payload_digest(pool._buckets.tobytes()))
+    (_, _, numpy_pool), lo, hi, indices = _split_case(None, num_nodes, numpy_count)
+    numpy_pool.apply_edges(lo, hi, indices)
+    conn.send((payload_digest(pool._buckets.tobytes()), _tensor_bytes(numpy_pool)))
     conn.close()
 
 
@@ -817,15 +811,28 @@ def test_split_fold_in_a_forked_child(native_provider, split):
     native_provider.fold_pool_edges(serial, indices, lo, hi, split=False)
     expected = payload_digest(serial._buckets.tobytes())
     assert payload_digest(parent._buckets.tobytes()) == expected
+    # The numpy fold splits over the same helpers (a smaller batch: the
+    # numpy pair costs about ten native ones).
+    (numpy_native, _, numpy_split), lo, hi, indices = _split_case(native_provider, 1024, 4_096)
+    handed.clear()
+    numpy_split.apply_edges(lo, hi, indices)
+    assert handed
+    numpy_native.apply_edges(lo, hi, indices)
+    numpy_expected = _tensor_bytes(numpy_native)
+    assert _tensor_bytes(numpy_split) == numpy_expected
 
     context = process_context()
     receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=_child_split_digest, args=(send, 1024, 65_536))
+    child = context.Process(
+        target=_child_split_digest, args=(send, 1024, 65_536, 4_096)
+    )
     child.start()
     send.close()
     try:
         assert receive.poll(60), "the child's split fold never returned"
-        assert receive.recv() == expected
+        digest, numpy_bytes = receive.recv()
+        assert digest == expected
+        assert numpy_bytes == numpy_expected
     finally:
         child.join(10)
         if child.is_alive():
@@ -837,10 +844,14 @@ def test_split_fold_in_a_forked_child(native_provider, split):
     usable_cores() != 1, reason="one-core hosts only (CI: taskset -c 0)"
 )
 def test_one_core_host_never_starts_a_helper(native_provider):
-    from repro.kernels import native_cc
+    from repro.sketch import round_split
 
-    (pool, _, _), lo, hi, indices = _split_case(native_provider, 1024, 65_536)
+    (pool, _, numpy_pool), lo, hi, indices = _split_case(native_provider, 1024, 65_536)
     pool.apply_edges(lo, hi, indices)
     pool.apply_updates(hi, indices)
-    assert native_cc._helpers is None
+    # Far above both providers' floors.
+    numpy_pool.apply_edges(lo, hi, indices)
+    numpy_pool.apply_updates(hi, indices)
+    assert round_split._helpers is None
+    assert _tensor_bytes(numpy_pool) == _tensor_bytes(pool)
     assert not [t for t in threading.enumerate() if t.name.startswith("repro-fold")]
