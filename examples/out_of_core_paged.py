@@ -13,8 +13,7 @@ This example ingests one stream two ways -- in RAM and paged
 out-of-core -- then shows:
 
 * bit-identical spanning forests across both,
-* the paged pool's page geometry and working-set telemetry,
-* page-affine sharded parallel ingest over the paged pool.
+* the paged pool's page geometry and working-set telemetry.
 
 Run with:  python examples/out_of_core_paged.py
 """
@@ -96,23 +95,8 @@ def main() -> None:
         f"their page resident (hit rate {io.cache_hit_rate:.2f})."
     )
 
-    # Page-affine sharded parallel ingest: shard boundaries snap to the
-    # pool's page boundaries, so each page is folded by one worker.
-    sharded = GraphZeppelin(
-        NUM_NODES, config=GraphZeppelinConfig(seed=SEED, ram_budget_bytes=budget)
-    )
-    start = time.perf_counter()
-    with sharded.parallel_ingestor(num_workers=4, backend="threads") as ingestor:
-        ingestor.ingest_batch(edges)
-    sharded_s = time.perf_counter() - start
-    assert (
-        sharded.list_spanning_forest().partition_signature()
-        == in_ram_forest.partition_signature()
-    )
-    print(
-        f"\nPage-affine sharded ingest (threads x{ingestor.effective_workers}): "
-        f"{format_rate(edges.shape[0] / sharded_s)} -- same forest."
-    )
+    print("\nParallel ingest: ShardedIngestor needs the in-RAM pool; "
+          "this engine ingests serially (engine.ingest_batch).")
 
 
 if __name__ == "__main__":

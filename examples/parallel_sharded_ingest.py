@@ -32,9 +32,8 @@ def main() -> None:
           f"({edges.shape[0] / serial_seconds:,.0f} updates/s)")
 
     # --- sharded parallel ingest ---------------------------------------
-    # The ingestor partitions chunk k+1 while its workers fold chunk k.
-    # parallel_backend="processes" would instead place the pool tensors
-    # in shared memory and fold from worker processes.
+    # The ingestor partitions chunk k+1 while its worker threads fold
+    # chunk k.
     engine = GraphZeppelin(num_nodes, config=GraphZeppelinConfig(seed=1))
     start = time.perf_counter()
     with ShardedIngestor(engine, num_workers=4, backend="threads") as ingestor:

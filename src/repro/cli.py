@@ -138,13 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     components_parser.add_argument(
         "--workers", type=int, default=1,
-        help="parallel ingest workers; above 1 the stream is ingested through "
-             "the sharded columnar pipeline",
-    )
-    components_parser.add_argument(
-        "--parallel-backend", choices=["threads", "processes"],
-        default="threads",
-        help="execution backend of the parallel ingest layer (default threads)",
+        help="parallel ingest worker threads; above 1 an in-RAM engine "
+             "ingests through the sharded columnar pipeline (a RAM-budgeted "
+             "one ingests serially)",
     )
     components_parser.add_argument(
         "--distributed", type=int, default=None, metavar="K",
@@ -211,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     # components subcommand's defaults; set once so they cannot drift.
     snapshot_parser.set_defaults(
         buffering=BufferingMode.LEAF_GUTTERS.value, workers=1,
-        parallel_backend="threads", kernel_backend="numpy",
+        kernel_backend="numpy",
     )
 
     resume_parser = subparsers.add_parser(
@@ -267,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats_parser.set_defaults(
         buffering=BufferingMode.LEAF_GUTTERS.value, workers=1,
-        parallel_backend="threads", kernel_backend="numpy",
+        kernel_backend="numpy",
     )
 
     scrub_parser = subparsers.add_parser(
@@ -410,7 +406,6 @@ def _engine_config(args, **overrides) -> GraphZeppelinConfig:
         seed=args.seed,
         kernel_backend=getattr(args, "kernel_backend", "numpy"),
         num_workers=max(args.workers, 1),
-        parallel_backend=args.parallel_backend,
     )
     settings.update(overrides)
     return GraphZeppelinConfig(**settings)
@@ -570,20 +565,17 @@ def _cmd_components(args) -> int:
         return _verify_components(args, stream, engine)
     engine = GraphZeppelin(stream.num_nodes, config=config)
     checkpointer = _attach_cli_checkpointer(args, engine)
-    if args.workers > 1:
-        backend = args.parallel_backend
-        if backend == "processes" and engine.tensor_pool.is_paged:
-            # Page-affine sharded ingest folds pages in place; pages
-            # cannot migrate to shared memory, so workers are threads.
-            print("note: paged out-of-core pool folds in place; "
-                  "using the threads backend")
-            backend = "threads"
-        with engine.parallel_ingestor(backend=backend) as ingestor:
+    sharded = args.workers > 1 and not engine.tensor_pool.is_paged
+    if args.workers > 1 and not sharded:
+        print("note: a RAM-budgeted engine ingests serially "
+              "(--workers shards the in-RAM pool only)")
+    if sharded:
+        with engine.parallel_ingestor() as ingestor:
             ingestor.ingest_stream(stream.edge_array_chunks())
         # Report what actually ran: the worker count is clamped to the
         # usable cores.
         effective = ingestor.effective_workers
-        ingest_mode = f"{backend} x{effective}"
+        ingest_mode = f"threads x{effective}"
         if effective != args.workers:
             ingest_mode += f" (clamped from {args.workers})"
     elif args.scrub_every is not None:

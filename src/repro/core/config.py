@@ -43,19 +43,10 @@ class GraphZeppelinConfig:
         number of device blocks targeting
         :data:`~repro.sketch.paged_pool.DEFAULT_PAGE_TARGET_BLOCKS`.
     num_workers:
-        Workers used by the parallel ingestion path (the
-        single-threaded engine ignores this).
-    parallel_backend:
-        Execution backend of the sharded parallel ingest layer:
-        ``"threads"`` (default; numpy releases the GIL inside the fold
-        kernels, so a thread pool over disjoint shard slabs scales) or
-        ``"processes"`` (pool tensors in shared memory, worker
-        processes attach by name and fold in place).
-    num_shards:
-        Node-range count of the sharded parallel ingest layer.  ``None``
-        (default) sizes shards for load balance:
-        :func:`~repro.sketch.tensor_pool.auto_num_shards`, four per
-        worker, capped by the node (or page) count.
+        Shard worker threads of the parallel ingestion path
+        (:meth:`~repro.core.graph_zeppelin.GraphZeppelin.parallel_ingestor`;
+        in-RAM pool only).  Serial ingest ignores this: a large serial
+        fold splits by Boruvka round across the usable cores on its own.
     validate_stream:
         When true, the engine tracks the exact current edge set and
         rejects illegal updates (inserting a present edge / deleting an
@@ -110,8 +101,6 @@ class GraphZeppelinConfig:
     ram_budget_bytes: Optional[int] = None
     nodes_per_page: Optional[int] = None
     num_workers: int = 1
-    parallel_backend: str = "threads"
-    num_shards: Optional[int] = None
     validate_stream: bool = False
     strict_queries: bool = False
     seed: int = 0
@@ -134,13 +123,6 @@ class GraphZeppelinConfig:
             raise ConfigurationError("gutter_fraction must be positive")
         if self.num_workers < 1:
             raise ConfigurationError("num_workers must be at least 1")
-        if self.parallel_backend not in ("threads", "processes"):
-            raise ConfigurationError(
-                f"unknown parallel_backend {self.parallel_backend!r} "
-                "(use 'threads' or 'processes')"
-            )
-        if self.num_shards is not None and self.num_shards < 1:
-            raise ConfigurationError("num_shards must be at least 1 or None")
         if self.ram_budget_bytes is not None and self.ram_budget_bytes < 0:
             raise ConfigurationError("ram_budget_bytes must be non-negative or None")
         if self.nodes_per_page is not None and self.nodes_per_page < 1:

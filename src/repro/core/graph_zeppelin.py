@@ -412,13 +412,15 @@ class GraphZeppelin:
         self,
         num_workers: Optional[int] = None,
         num_shards: Optional[int] = None,
-        backend: Optional[str] = None,
+        backend: str = "threads",
     ):
         """A :class:`~repro.parallel.graph_workers.ShardedIngestor` over this engine.
 
-        ``num_workers``, ``num_shards`` and ``backend`` (``"threads"`` or
-        ``"processes"``) default to the engine's config.  Use as a
-        context manager around the ingest loop.
+        ``num_workers`` defaults to the engine's config and
+        ``num_shards`` to a few per worker.  ``backend`` accepts only
+        ``"threads"``; anything else, or a RAM-budgeted engine, raises
+        :class:`~repro.exceptions.ConfigurationError`.  Use as a context
+        manager around the ingest loop.
         """
         # Local import: repro.parallel imports this module.
         from repro.parallel.graph_workers import ShardedIngestor
@@ -430,9 +432,9 @@ class GraphZeppelin:
     def _note_parallel_ingest(self, count: int) -> None:
         """Publish one parallel batch's effects after its fold barrier.
 
-        The shard workers write the pool tensors directly (possibly
-        from other processes), bypassing every user-facing entry point,
-        so the coordinator records the counters here -- and, crucially,
+        The shard workers write the pool tensors directly, bypassing
+        every user-facing entry point, so the coordinator records the
+        counters here -- and, crucially,
         invalidates the cached spanning forest and the pool's slab
         cache, exactly like a serial ingest would.  ``count=0`` signals
         a batch whose workers failed partway: the caches still have to

@@ -66,6 +66,27 @@ def partition_round_robin(edges: np.ndarray, num_parts: int) -> List[np.ndarray]
     return [np.ascontiguousarray(array[part::num_parts]) for part in range(num_parts)]
 
 
+def process_context():
+    """Fork on Linux (cheap startup); spawn everywhere else.
+
+    Workers are self-contained -- they receive their sub-stream by value
+    and hand results back through snapshot files -- so both start
+    methods behave identically.  macOS offers fork but CPython defaults
+    it to spawn there for a reason (forking after ObjC/Accelerate
+    initialisation can crash children), so fork is only taken where it
+    is the platform default anyway.
+    """
+    # Imported here: snapshot merging and the engine import this module
+    # without ever starting a worker process.
+    import multiprocessing
+
+    use_fork = (
+        sys.platform.startswith("linux")
+        and "fork" in multiprocessing.get_all_start_methods()
+    )
+    return multiprocessing.get_context("fork" if use_fork else "spawn")
+
+
 @dataclass
 class DistributedReport:
     """What a distributed run did, phase by phase."""
@@ -221,7 +242,6 @@ def distributed_ingest(
         read_snapshot_meta,
         verify_snapshot_payload,
     )
-    from repro.parallel.graph_workers import process_context
     from repro.resilience.supervisor import WorkerSupervisor
 
     config = config or GraphZeppelinConfig()

@@ -1,4 +1,4 @@
-"""Parallel stream ingestion: sharded columnar workers over the tensor pool.
+"""Parallel stream ingestion: sharded columnar worker threads over the tensor pool.
 
 **Shard-ownership model.**  The node space ``[0, V)`` is partitioned
 into ``num_shards`` contiguous ranges; each shard owns the slab of
@@ -7,19 +7,18 @@ nodes' buckets, across every Boruvka round, and is the only writer that
 ever touches them.  A batch of edge updates is mirrored (one copy per
 endpoint), split into per-shard groups with one vectorised
 ``searchsorted`` + radix-argsort pass, and each group is folded through
-the shared columnar kernel straight into its shard's slab -- no
+the shared columnar kernel straight into its shard's slab by a thread
+of :class:`repro.parallel.graph_workers.ShardedIngestor` -- no
 per-node locks, no shared mutable state between shards.  XOR-folds
 commute, so the result is bit-identical to serial ingest under the same
 seed regardless of worker interleaving.
 
-Execution backends (``GraphZeppelinConfig.parallel_backend``):
-
-* ``"threads"`` (:class:`repro.parallel.graph_workers.ShardedIngestor`)
-  -- numpy releases the GIL inside the hash/sort kernels, so a thread
-  pool over disjoint slabs scales on real cores;
-* ``"processes"`` -- the pool tensors move to
-  ``multiprocessing.shared_memory``; worker processes attach by segment
-  name and fold in place.
+Sharded ingest runs on threads over the in-RAM pool only: numpy
+releases the GIL inside the hash/sort kernels and the native kernels
+release it for the whole fold.  A RAM-budgeted engine ingests serially.
+Serial in-RAM ingest reaches every core another way, by splitting one
+large fold by Boruvka round (:mod:`repro.sketch.round_split`); shard
+workers never split.
 
 Serial and sharded ingest run the same fold kernel, whose cost does not
 depend on a group's node range, so sharding buys concurrency only and

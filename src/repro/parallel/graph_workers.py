@@ -1,4 +1,4 @@
-"""Sharded columnar parallel ingest over the node tensor pool.
+"""Sharded columnar parallel ingest over the in-RAM node tensor pool.
 
 The parallel layer partitions the node space into ``num_shards``
 contiguous node ranges.  Each shard *owns* a disjoint slab of the
@@ -11,9 +11,12 @@ writer that ever touches those buckets.  Ingesting a batch is then:
    split the mixed-node update columns into per-shard groups with one
    vectorised ``searchsorted`` + stable argsort pass
    (:func:`partition_mirrored_updates`);
-2. **fold** (workers): each shard worker folds its group straight
+2. **fold** (worker threads): each shard worker folds its group straight
    through the shared columnar fold kernel into its own slab
-   (:meth:`~repro.sketch.tensor_pool.NodeTensorPool.fold_shard`).
+   (:meth:`~repro.sketch.tensor_pool.NodeTensorPool.fold_shard`).  numpy
+   releases the GIL inside the hash/sort/scatter kernels and the native
+   kernels release it for the whole fold, so disjoint-slab folds run on
+   real cores.
 
 There are no per-node locks and no shared mutable state between
 shards: scatter targets are disjoint by
@@ -23,16 +26,6 @@ to serial :meth:`~repro.core.graph_zeppelin.GraphZeppelin.ingest_batch`
 under the same seed.  The fold kernel's cost does not depend on how a
 group's destinations spread, so shards are sized for load balance alone
 (:func:`~repro.sketch.tensor_pool.auto_num_shards`: a few per worker).
-
-Two execution backends implement the fold step
-(``GraphZeppelinConfig.parallel_backend``):
-
-* ``"threads"`` -- a thread pool; numpy releases the GIL inside the
-  hash/sort/scatter kernels, so disjoint-slab folds scale on real
-  cores;
-* ``"processes"`` -- the pool tensors are migrated into
-  ``multiprocessing.shared_memory`` and worker processes attach by
-  segment name and fold in place.
 
 :meth:`ShardedIngestor.ingest_stream` adds a pipeline mode: the
 producer partitions batch ``k + 1`` while the workers are still
@@ -44,21 +37,17 @@ unbounded prepared backlog -- backpressure, so a fast source cannot
 balloon RAM ahead of slow folds.  ``peak_queued_bytes`` records the
 high-water mark, which ``tests/test_overload.py`` holds under the bound.
 
-Out-of-core engines participate through a **page-affine** mode: when
-the engine holds a :class:`~repro.sketch.paged_pool.PagedTensorPool`,
-shard boundaries snap to the pool's node-group page boundaries, so one
-worker owns each page's fold (the pool's pin/evict bookkeeping
-serialises under its own lock while the fold kernels run concurrently
-on disjoint pages).  Page-affine mode runs on the threads backend --
-pages cannot migrate to shared memory.
+Only the in-RAM pool shards.  A RAM-budgeted engine ingests serially
+(``engine.ingest`` / ``ingest_batch``): its gutters already emit one
+batch per page, and the serial round split
+(:mod:`repro.sketch.round_split`) is the in-RAM engine's other way onto
+every core.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,48 +108,10 @@ def partition_mirrored_updates(
 
 
 # ----------------------------------------------------------------------
-# process-backend worker plumbing
-# ----------------------------------------------------------------------
-#: The worker process's attached pool, set once by the pool initializer.
-_WORKER_POOL: Optional[NodeTensorPool] = None
-
-
-def _init_shard_worker(meta: Dict) -> None:
-    """Process-pool initializer: attach to the shared-memory pool by name."""
-    global _WORKER_POOL
-    _WORKER_POOL = NodeTensorPool.attach_shared(meta)
-
-
-def _fold_shard_task(task: Tuple[int, int, np.ndarray, np.ndarray]) -> int:
-    """Fold one shard group inside a worker process (fold step of step 2)."""
-    node_lo, node_hi, dsts, indices = task
-    return _WORKER_POOL.fold_shard(dsts, indices, node_lo, node_hi)
-
-
-def process_context():
-    """Fork on Linux (cheap startup); spawn everywhere else.
-
-    Workers attach to the pool by segment name rather than relying on
-    inherited memory, so both start methods behave identically.  macOS
-    offers fork but CPython defaults it to spawn there for a reason
-    (forking after ObjC/Accelerate initialisation can crash children),
-    so fork is only taken where it is the platform default anyway.
-    Shared with the distributed multi-ingestor, whose workers are
-    likewise self-contained (they receive their sub-stream by value and
-    hand results back through snapshot files).
-    """
-    use_fork = (
-        sys.platform.startswith("linux")
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    return multiprocessing.get_context("fork" if use_fork else "spawn")
-
-
-# ----------------------------------------------------------------------
-# the sharded ingestor (tentpole)
+# the sharded ingestor
 # ----------------------------------------------------------------------
 class ShardedIngestor:
-    """Columnar parallel ingest: shard workers over the tensor pool.
+    """Columnar parallel ingest: shard worker threads over the tensor pool.
 
     Use as a context manager around one or many batches::
 
@@ -170,27 +121,24 @@ class ShardedIngestor:
         forest = engine.list_spanning_forest()
 
     Results are bit-identical to serial ``engine.ingest_batch`` under
-    the same seed, for either backend and any shard count.
+    the same seed, for any shard count.
 
     Parameters
     ----------
     engine:
-        The GraphZeppelin instance to ingest into: over the in-RAM
-        :class:`NodeTensorPool` (the default) or the out-of-core
-        :class:`~repro.sketch.paged_pool.PagedTensorPool` (page-affine
-        mode, threads backend only).
+        The GraphZeppelin instance to ingest into.  Its pool must be the
+        in-RAM :class:`NodeTensorPool`; a RAM-budgeted (paged) engine
+        raises :class:`~repro.exceptions.ConfigurationError` -- ingest it
+        serially.
     num_workers:
         Concurrent shard workers (default ``engine.config.num_workers``).
     num_shards:
-        Node-range count (default ``engine.config.num_shards``, or a
-        few per worker -- see
+        Node-range count (default: a few per worker -- see
         :func:`~repro.sketch.tensor_pool.auto_num_shards`).  May exceed
         ``num_workers``; workers pick up shard groups as they free up.
-        Over a paged pool shard boundaries snap to page boundaries and
-        the count is capped at the page count.
     backend:
-        ``"threads"`` or ``"processes"`` (default
-        ``engine.config.parallel_backend``).
+        ``"threads"``, the only backend; any other value raises
+        :class:`~repro.exceptions.ConfigurationError`.
     max_queued_bytes:
         Backpressure bound for :meth:`ingest_stream`: the producer
         blocks once the prepared-but-unfolded batches it is holding
@@ -205,65 +153,47 @@ class ShardedIngestor:
         engine: GraphZeppelin,
         num_workers: Optional[int] = None,
         num_shards: Optional[int] = None,
-        backend: Optional[str] = None,
+        backend: str = "threads",
         max_queued_bytes: Optional[int] = None,
     ) -> None:
         pool = engine.tensor_pool
+        if backend != "threads":
+            raise ConfigurationError(
+                f"unknown parallel backend {backend!r} (sharded ingest runs on threads)"
+            )
+        if pool.is_paged:
+            raise ConfigurationError(
+                "sharded ingest needs the in-RAM pool; a RAM-budgeted engine "
+                "ingests serially (engine.ingest / engine.ingest_batch)"
+            )
         self.engine = engine
         self.pool: NodeTensorPool = pool
-        self.paged = pool.is_paged
-        self.backend = backend if backend is not None else engine.config.parallel_backend
-        if self.backend not in ("threads", "processes"):
-            raise ConfigurationError(
-                f"unknown parallel backend {self.backend!r} "
-                "(use 'threads' or 'processes')"
-            )
-        if self.paged and self.backend == "processes":
-            raise ConfigurationError(
-                "page-affine sharded ingest over a paged pool runs on the "
-                "threads backend (pages cannot migrate to shared memory)"
-            )
         self.num_workers = int(
             num_workers if num_workers is not None else engine.config.num_workers
         )
         if self.num_workers < 1:
             raise ConfigurationError("num_workers must be at least 1")
-        shards = num_shards if num_shards is not None else engine.config.num_shards
-        if shards is None:
-            # A few shards per worker keeps the load balanced without
-            # flooding the executor with tiny tasks.
-            shards = auto_num_shards(
-                pool.num_pages if self.paged else engine.num_nodes, self.num_workers
-            )
-        if self.paged:
-            # Page-affine mode: shard boundaries snap to the pool's page
-            # boundaries so each page is folded by exactly one worker
-            # (pages, not nodes, are the unit of slab ownership out of
-            # core).
-            num_pages = pool.num_pages
-            shards = max(1, min(int(shards), num_pages))
-            page_cuts = (
-                np.arange(shards + 1, dtype=np.int64) * np.int64(num_pages)
-            ) // np.int64(shards)
-            self.bounds = pool.page_bounds[page_cuts]
-            self.num_shards = int(shards)
-        else:
-            self.num_shards = int(shards)
-            if self.num_shards < 1:
-                raise ConfigurationError("num_shards must be at least 1")
-            self.bounds = shard_bounds(engine.num_nodes, self.num_shards)
+        # A few shards per worker keeps the load balanced without
+        # flooding the executor with tiny tasks.
+        self.num_shards = int(
+            num_shards
+            if num_shards is not None
+            else auto_num_shards(engine.num_nodes, self.num_workers)
+        )
+        if self.num_shards < 1:
+            raise ConfigurationError("num_shards must be at least 1")
+        self.bounds = shard_bounds(engine.num_nodes, self.num_shards)
         if max_queued_bytes is None:
             max_queued_bytes = DEFAULT_MAX_QUEUED_BYTES
         if max_queued_bytes < 1:
             raise ConfigurationError("max_queued_bytes must be at least 1")
         self.max_queued_bytes = int(max_queued_bytes)
-        # Hash-hoist only pays on the numpy thread path: native kernels
-        # fuse hashing into the fold (and release the GIL there), so a
+        # Hash-hoist only pays on the numpy path: native kernels fuse
+        # hashing into the fold (and release the GIL there), so a
         # producer-side hash pass would serialise work the workers can
         # do concurrently in compiled code.
-        self._hoist_hash = self.backend == "threads" and pool._kernels is None
+        self._hoist_hash = pool._kernels is None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._proc_pool = None
         self._batches_ingested = 0
         self._updates_ingested = 0
         self._queued_bytes = 0
@@ -282,39 +212,22 @@ class ShardedIngestor:
         """Spin up the shard workers (idempotent).
 
         The actual worker count is ``min(num_workers, usable cores)``
-        (affinity-aware): the folds are CPU-bound numpy kernels, so
-        workers beyond the cores this process may run on only add
-        scheduler contention (the cost model's ``effective_workers``
-        encodes the same clamp).
+        (affinity-aware): the folds are CPU-bound kernels, so workers
+        beyond the cores this process may run on only add scheduler
+        contention (the cost model's ``effective_workers`` encodes the
+        same clamp).
         """
-        workers = self.effective_workers
-        if self.backend == "threads":
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="shard-worker"
-                )
-        else:
-            if self._proc_pool is None:
-                # Workers attach to the pool tensors by shared-memory
-                # segment name and fold in place.
-                self.pool.to_shared_memory()
-                self._proc_pool = process_context().Pool(
-                    processes=workers,
-                    initializer=_init_shard_worker,
-                    initargs=(self.pool.shared_meta(),),
-                )
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.effective_workers, thread_name_prefix="shard-worker"
+            )
 
     def finish(self) -> None:
-        """Stop the workers.  The pool (and any shared memory backing it)
-        stays with the engine, which keeps serving queries and further
-        ingest."""
+        """Stop the workers.  The pool stays with the engine, which keeps
+        serving queries and further ingest."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._proc_pool is not None:
-            self._proc_pool.close()
-            self._proc_pool.join()
-            self._proc_pool = None
 
     close = finish
 
@@ -431,9 +344,9 @@ class ShardedIngestor:
     def _batch_nbytes(self, groups: list) -> int:
         """Footprint of one prepared batch's update columns, in bytes.
 
-        The thread backend shares the per-edge hash matrices across
-        every shard group by reference, so arrays are counted once by
-        identity, not once per group.
+        The per-edge hash matrices are shared across every shard group
+        by reference, so arrays are counted once by identity, not once
+        per group.
         """
         seen = set()
         total = 0
@@ -448,16 +361,13 @@ class ShardedIngestor:
     def _prepare(self, edges) -> Optional[Tuple[int, list, np.ndarray, np.ndarray]]:
         """Producer half: canonicalise, hash, mirror, and partition a batch.
 
-        The hash matrices depend only on the edge slot, so for the
-        numpy thread backend they are computed **once per edge** here and
-        shared by reference with every worker (each gathers its group's
-        rows) -- half the hash cost of hashing per mirrored copy.  The
-        process backend hashes inside the workers instead: shipping the
-        ``(K, slots)`` matrices through the task pipe would cost far
-        more than the duplicate hash.  Native kernels likewise skip the
-        hoist: the fold re-hashes per update inside compiled, GIL-free
-        code, so the producer stays a pure partitioner and the workers
-        scale past the hash-bound ceiling.
+        The hash matrices depend only on the edge slot, so on the numpy
+        path they are computed **once per edge** here and shared by
+        reference with every worker (each gathers its group's rows) --
+        half the hash cost of hashing per mirrored copy.  Native kernels
+        skip the hoist: the fold re-hashes per update inside compiled,
+        GIL-free code, so the producer stays a pure partitioner and the
+        workers scale past the hash-bound ceiling.
         """
         lo, hi = self.engine._canonical_edge_columns(edges)
         if lo is None:
@@ -499,29 +409,25 @@ class ShardedIngestor:
         return int(lo.size), groups, lo, hi
 
     def _dispatch(self, groups: list) -> list:
-        """Hand the per-shard groups to the workers; returns wait handles."""
-        if self.backend == "threads":
-            if self._hoist_hash:
-                return [
-                    self._executor.submit(
-                        self.pool.fold_shard_hashed,
-                        dsts,
-                        rows,
-                        indices,
-                        depths,
-                        checksums,
-                        node_lo,
-                        node_hi,
-                    )
-                    for node_lo, node_hi, dsts, rows, indices, depths, checksums in groups
-                ]
+        """Hand the per-shard groups to the workers; returns their futures."""
+        if self._hoist_hash:
             return [
                 self._executor.submit(
-                    self.pool.fold_shard, dsts, indices, node_lo, node_hi
+                    self.pool.fold_shard_hashed,
+                    dsts,
+                    rows,
+                    indices,
+                    depths,
+                    checksums,
+                    node_lo,
+                    node_hi,
                 )
-                for node_lo, node_hi, dsts, indices in groups
+                for node_lo, node_hi, dsts, rows, indices, depths, checksums in groups
             ]
-        return [self._proc_pool.map_async(_fold_shard_task, groups, chunksize=1)]
+        return [
+            self._executor.submit(self.pool.fold_shard, dsts, indices, node_lo, node_hi)
+            for node_lo, node_hi, dsts, indices in groups
+        ]
 
     def _await(
         self, handles: list, count: int, lo: np.ndarray, hi: np.ndarray
@@ -537,13 +443,9 @@ class ShardedIngestor:
         (a caller retrying the failed batch must not double-toggle).
         """
         try:
-            if self.backend == "threads":
-                wait(handles)
-                for handle in handles:
-                    handle.result()  # surface worker exceptions
-            else:
-                for handle in handles:
-                    handle.get()
+            wait(handles)
+            for handle in handles:
+                handle.result()  # surface worker exceptions
         except BaseException:
             self.engine._note_parallel_ingest(0)
             raise

@@ -58,11 +58,13 @@ slab (or two frames) still allocates them and reserves what there was.
 Concurrency: page pin/unpin/evict bookkeeping -- and with it all
 hybrid-memory traffic, the query side's range reads included (they
 share the memory's one scratch) -- serialises under one lock, while the
-folds themselves (the expensive kernels) run outside it on disjoint
-pages.  A pinned page is never evicted and its frame never reused,
-which is what lets the page-affine sharded ingest fold different pages
-from different worker threads; nothing may keep a view of a page's
-tensors past its unpin, because the frame goes on to hold another page.
+folds themselves (the expensive kernels) run outside it.  A pinned page
+is never evicted and its frame never reused, so a fold into a pinned
+page cannot land in a frame that meanwhile holds another page, even
+when every resident page is pinned; nothing may keep a view of a
+page's tensors past its unpin, because the frame goes on to hold
+another page.  Ingest into a paged pool is serial (sharded ingest needs
+the in-RAM pool), but nothing here assumes one folding thread.
 Queries concurrent with folds are **not** supported, matching the
 parent pool's contract: fold, publish, then query.
 """
@@ -357,10 +359,10 @@ class PagedTensorPool(NodeTensorPool):
             self.memory.stats.cache_misses += 1
             entry = self._page_in(page)
             # Pin BEFORE evicting: when every other resident page is
-            # pinned (concurrent page-affine folds on a tiny working
-            # set), the eviction sweep must not pick the page we just
-            # brought in -- its upcoming fold would land in a frame
-            # that now belongs to another page and silently vanish.
+            # pinned (a one-page working set, or concurrent pins), the
+            # eviction sweep must not pick the page we just brought in
+            # -- its upcoming fold would land in a frame that now
+            # belongs to another page and silently vanish.
             self._pins[page] = self._pins.get(page, 0) + 1
             try:
                 self._evict_to_budget()
@@ -795,12 +797,6 @@ class PagedTensorPool(NodeTensorPool):
         alpha.flags.writeable = False
         gamma.flags.writeable = False
         return alpha, gamma
-
-    def to_shared_memory(self) -> None:
-        raise ConfigurationError(
-            "a paged pool cannot migrate to shared memory; page-affine "
-            "sharded ingest runs on the threads backend"
-        )
 
     def merge_from(self, other) -> None:
         """XOR another pool into this one, one page at a time.

@@ -53,7 +53,7 @@ and merging per-node sketch objects.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,8 +133,8 @@ def shard_bounds(num_nodes: int, num_shards: int) -> np.ndarray:
 def auto_num_shards(num_units: int, num_workers: int = 1) -> int:
     """Shard count for load balance: :data:`SHARDS_PER_WORKER` per worker.
 
-    ``num_units`` is what shard boundaries can fall between (nodes for
-    the in-RAM pool, pages for the paged one) and caps the count.
+    ``num_units`` is what shard boundaries can fall between (the pool's
+    nodes) and caps the count.
     """
     return max(1, min(int(num_units), SHARDS_PER_WORKER * max(int(num_workers), 1)))
 
@@ -151,26 +151,6 @@ def xor_scatter(
     """
     for tensor, vals in zip(tensors, values):
         tensor.reshape(-1)[targets] ^= vals.astype(tensor.dtype, copy=False)
-
-
-def _shm_view(segment, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """A numpy view over a shared-memory segment's leading bytes.
-
-    Segments round up to page size, so the view is built with an
-    explicit element count rather than over the whole buffer.
-    """
-    count = int(np.prod(shape))
-    return np.frombuffer(segment.buf, dtype=dtype, count=count).reshape(shape)
-
-
-def _move_to_shm(tensor: np.ndarray):
-    """Copy a tensor into a fresh shared-memory segment; returns (view, shm)."""
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(create=True, size=max(tensor.nbytes, 1))
-    view = _shm_view(segment, tensor.shape, tensor.dtype)
-    view[...] = tensor
-    return view, segment
 
 
 class NodeTensorPool:
@@ -235,17 +215,10 @@ class NodeTensorPool:
         self.num_columns = cubesketch_num_columns(delta)
         self.num_slots = self.num_rounds * self.num_columns
 
-        # Shared-memory bookkeeping: populated by to_shared_memory() /
-        # attach_shared().  _shm holds the open segments, _owns_shm says
-        # whether this process created (and therefore unlinks) them.
-        self._shm: List = []
-        self._owns_shm = False
-
         # Round-major: tensor[round] is one contiguous slab holding every
         # node's buckets for that round (see the module docstring).
-        # ``_allocate=False`` (attach_shared) skips the zero tensors --
-        # the caller installs shared-memory views instead, so a worker
-        # process never commits a throwaway pool-sized allocation.
+        # ``_allocate=False`` (the paged pool) skips the whole-graph zero
+        # tensors -- its pages live in frames and on the device instead.
         shape = (self.num_rounds, self.num_nodes, self.num_columns, self.num_rows)
         self._packed = encoder.vector_length <= 1 << 32 and not force_wide
         self._buckets = self._alpha = self._gamma = None
@@ -514,16 +487,16 @@ class NodeTensorPool:
         other shard touches, so concurrent ``fold_shard`` calls for
         *different* shards need no locks -- their scatter targets are
         disjoint by construction (and the native kernels release the
-        GIL, so thread-backend shards overlap fully).  A worker's fold
-        never splits its rounds across cores: the workers already
-        occupy them.  Only the serial :meth:`fold_page_batch` passes
+        GIL, so shard threads overlap fully).  A worker's fold never
+        splits its rounds across cores: the workers already occupy
+        them.  Only the serial :meth:`fold_page_batch` passes
         ``split=True``.
 
         Deliberately does **not** bump the pool version or the update
-        counter -- shared counters would race across workers, and worker
-        processes mutate their own copies anyway.  The ingest
-        coordinator calls :meth:`mark_external_updates` once per batch
-        after the barrier.  Returns the number of updates folded.
+        counter -- shared counters would race across worker threads.
+        The ingest coordinator calls :meth:`mark_external_updates` once
+        per batch after the barrier.  Returns the number of updates
+        folded.
         """
         dsts = np.asarray(dsts)
         if dsts.shape != np.shape(indices) or dsts.ndim != 1:
@@ -553,8 +526,8 @@ class NodeTensorPool:
         coordinator hashes the *unique* ``indices`` once and shard
         workers read their rows through ``edge_rows[i]`` (the position
         of update ``i``'s edge in ``indices``) -- half the hash cost of
-        :meth:`fold_shard`, which is what the thread backend uses where
-        the matrices can be shared by reference.  Same shard-ownership
+        :meth:`fold_shard`, which is what the numpy shard workers use:
+        threads share the matrices by reference.  Same shard-ownership
         contract and (deliberate) lack of version/counter updates as
         :meth:`fold_shard`; ``indices`` must already be validated.
         """
@@ -610,9 +583,9 @@ class NodeTensorPool:
         """Record updates folded outside :meth:`apply_updates`'s accounting.
 
         Invalidate the slab cache (version bump) and advance the update
-        counter after a sharded parallel ingest, whose workers write the
-        tensors directly (possibly from other processes) without
-        touching this object's Python state.
+        counter after a sharded parallel ingest, whose worker threads
+        write the tensors directly without touching this object's
+        Python state.
         """
         self._version += 1
         self._updates_applied += int(count)
@@ -1042,147 +1015,6 @@ class NodeTensorPool:
         return merged
 
     # ------------------------------------------------------------------
-    # shared-memory backing (the "processes" parallel backend)
-    # ------------------------------------------------------------------
-    @property
-    def is_shared(self) -> bool:
-        """Whether the bucket tensors live in shared-memory segments."""
-        return bool(self._shm)
-
-    def to_shared_memory(self) -> None:
-        """Migrate the bucket tensors into ``multiprocessing.shared_memory``.
-
-        Allocates one named segment per backing tensor, copies the
-        current state in, and swaps the pool's arrays for views of the
-        segments -- every other pool operation (folds, queries, per-node
-        views) keeps working unchanged.  Worker processes then
-        :meth:`attach_shared` by name and fold their shards in place; a
-        fold by an attached worker is immediately visible here because
-        both processes map the same pages.  Idempotent.  The creating
-        pool owns the segments and unlinks them in
-        :meth:`release_shared`.
-        """
-        if self.is_shared:
-            return
-        if self._packed:
-            self._buckets, shm = _move_to_shm(self._buckets)
-            self._shm = [shm]
-        else:
-            self._alpha, alpha_shm = _move_to_shm(self._alpha)
-            self._gamma, gamma_shm = _move_to_shm(self._gamma)
-            self._shm = [alpha_shm, gamma_shm]
-        self._owns_shm = True
-
-    def shared_meta(self) -> Dict:
-        """Everything a worker process needs to attach to this pool.
-
-        Geometry and seed parameters travel by value (seed matrices are
-        re-derived, which is cheap and cached); tensor state travels by
-        shared-memory segment name.
-        """
-        if not self.is_shared:
-            raise ValueError("pool is not shared-memory backed; call to_shared_memory()")
-        return {
-            "num_nodes": self.num_nodes,
-            "graph_seed": self.graph_seed,
-            "delta": self.delta,
-            "num_rounds": self.num_rounds,
-            "packed": self._packed,
-            "shm_names": [segment.name for segment in self._shm],
-            # Workers fold with the same kernel family when they can;
-            # bit-identity means a worker that cannot load a native
-            # provider still produces the exact same buckets via numpy.
-            "kernel_backend": "auto" if self._kernels is not None else "numpy",
-        }
-
-    @classmethod
-    def attach_shared(cls, meta: Dict) -> "NodeTensorPool":
-        """Build a pool over another process's shared-memory tensors.
-
-        The attached pool is a full :class:`NodeTensorPool` (folds and
-        queries both work); only the tensor storage is borrowed.  Update
-        accounting and the slab cache are process-local, so attached
-        workers are fold-only in practice and the owning process runs
-        the queries.
-        """
-        from multiprocessing import shared_memory
-
-        from repro.kernels import resolve_kernels
-
-        pool = cls(
-            meta["num_nodes"],
-            EdgeEncoder(meta["num_nodes"]),
-            graph_seed=meta["graph_seed"],
-            delta=meta["delta"],
-            num_rounds=meta["num_rounds"],
-            force_wide=not meta["packed"],
-            kernels=resolve_kernels(meta.get("kernel_backend", "numpy")),
-            _allocate=False,
-        )
-        shape = (pool.num_rounds, pool.num_nodes, pool.num_columns, pool.num_rows)
-        # Attaching also registers with the resource tracker on
-        # Python < 3.13, but worker processes share the owner's tracker
-        # (its cache is a set, so repeat registrations collapse) and the
-        # owner's unlink unregisters the name once -- no extra
-        # bookkeeping needed, and the tracker stays a backstop that
-        # unlinks the segments if the owner dies without cleanup.
-        segments = [
-            shared_memory.SharedMemory(name=name) for name in meta["shm_names"]
-        ]
-        if pool._packed:
-            pool._buckets = _shm_view(segments[0], shape, np.uint64)
-        else:
-            pool._alpha = _shm_view(segments[0], shape, np.uint64)
-            pool._gamma = _shm_view(segments[1], shape, np.uint32)
-        pool._shm = segments
-        pool._owns_shm = False
-        return pool
-
-    def release_shared(self, copy_back: bool = True) -> None:
-        """Detach from shared memory (unlinking it when this pool owns it).
-
-        The owning pool copies the tensor state back to private arrays
-        first, so the engine keeps working after release; an attached
-        worker pool just drops its views.  Idempotent.
-        ``copy_back=False`` skips the copy -- destruction uses it, where
-        a full-pool allocation for an object about to die would only
-        spike memory.
-        """
-        if not self.is_shared:
-            return
-        if self._owns_shm and copy_back:
-            if self._packed:
-                self._buckets = self._buckets.copy()
-            else:
-                self._alpha = self._alpha.copy()
-                self._gamma = self._gamma.copy()
-        else:
-            self._buckets = self._alpha = self._gamma = None
-        segments, owns = self._shm, self._owns_shm
-        self._shm, self._owns_shm = [], False
-        for segment in segments:
-            try:
-                segment.close()
-            except BufferError:
-                # A caller still holds a view (raw_tensors() etc.); the
-                # mapping lives until that view dies, but the segment
-                # can and must still be unlinked below.
-                pass
-            if owns:
-                segment.unlink()
-
-    def __del__(self) -> None:
-        # A constructor that raised before the shared-memory bookkeeping
-        # existed leaves nothing to release.
-        if not self.__dict__.get("_shm"):
-            return
-        try:
-            self.release_shared(copy_back=False)
-        except OSError:
-            # A segment someone else already unlinked.
-            pass
-
-    # ------------------------------------------------------------------
     # per-node views
     # ------------------------------------------------------------------
     def _node_bundle_arrays(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -1262,16 +1094,11 @@ class NodeTensorPool:
         Shape ``(rounds, nodes, cols, rows)`` each.  In packed mode both
         are unpacked copies of the single bucket tensor; in wide mode
         they are views of the backing tensors (alpha uint64, gamma
-        uint32) -- except when those live in shared memory, where copies
-        are returned so a caller-held array can never pin the segment
-        mapping open past :meth:`release_shared`.
+        uint32).
         """
         if self._packed:
             alpha = self._buckets >> _SHIFT32
             gamma = self._buckets & _LOW32
-        elif self.is_shared:
-            alpha = self._alpha.copy()
-            gamma = self._gamma.copy()
         else:
             alpha = self._alpha.view()
             gamma = self._gamma.view()

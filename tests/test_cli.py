@@ -91,16 +91,13 @@ def test_unknown_dataset_rejected_by_parser():
         main(["generate", "not-a-dataset", "out.stream"])
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads"])
 def test_components_parallel_backends_match_reference(tmp_path, capsys, backend):
     stream_path = tmp_path / "kron13.stream"
     main(["generate", "kron13", str(stream_path), "--scale-reduction", "8", "--seed", "3"])
     capsys.readouterr()
     assert main(
-        [
-            "components", str(stream_path), "--verify", "--seed", "5",
-            "--workers", "2", "--parallel-backend", backend,
-        ]
+        ["components", str(stream_path), "--verify", "--seed", "5", "--workers", "2"]
     ) == 0
     output = capsys.readouterr().out
     from repro.parallel.cost_model import usable_cores
@@ -111,8 +108,9 @@ def test_components_parallel_backends_match_reference(tmp_path, capsys, backend)
     assert "matches exact reference: True" in output
 
 
-def test_components_workers_with_ram_budget_runs_page_affine_sharded(tmp_path, capsys):
-    """Out-of-core engines ingest page-affine through the sharded pipeline."""
+def test_components_workers_with_ram_budget_ingests_serially(tmp_path, capsys):
+    """Sharded ingest needs the in-RAM pool: a RAM-budgeted run says so
+    in one line and ingests serially."""
     stream_path = tmp_path / "small.stream"
     main(["generate", "kron13", str(stream_path), "--scale-reduction", "8"])
     capsys.readouterr()
@@ -123,26 +121,14 @@ def test_components_workers_with_ram_budget_runs_page_affine_sharded(tmp_path, c
         ]
     ) == 0
     output = capsys.readouterr().out
-    assert "(threads x" in output
+    notes = [line for line in output.splitlines() if line.startswith("note:")]
+    assert notes == [
+        "note: a RAM-budgeted engine ingests serially "
+        "(--workers shards the in-RAM pool only)"
+    ]
+    assert "updates ingested :" in output and "(serial)" in output
     assert "page size        :" in output
-    assert "RAM-tier hit rate:" in output
     assert "matches exact reference: True" in output
-
-
-def test_components_ram_budget_with_processes_coerces_to_threads(tmp_path, capsys):
-    stream_path = tmp_path / "small.stream"
-    main(["generate", "kron13", str(stream_path), "--scale-reduction", "8"])
-    capsys.readouterr()
-    assert main(
-        [
-            "components", str(stream_path),
-            "--workers", "2", "--ram-budget-mib", "0.25",
-            "--parallel-backend", "processes",
-        ]
-    ) == 0
-    output = capsys.readouterr().out
-    assert "using the threads backend" in output
-    assert "(threads x" in output
 
 
 def test_snapshot_resume_roundtrip(tmp_path, capsys):

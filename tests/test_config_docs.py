@@ -14,6 +14,7 @@ from repro.cli import main
 from repro.core.config import GraphZeppelinConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 FIELDS = [field.name for field in dataclasses.fields(GraphZeppelinConfig)]
 
 
@@ -39,10 +40,32 @@ def test_readme_backend_matrix_flags_are_config_fields():
 
 def test_retired_switches_are_plain_errors():
     """No alias or shim: the dataclass and argparse reject them themselves."""
-    for name in ("sketch_backend", "out_of_core_pool", "query_backend"):
+    for name, value in (
+        ("sketch_backend", "flat"),
+        ("out_of_core_pool", "flat"),
+        ("query_backend", "flat"),
+        ("parallel_backend", "threads"),
+        ("num_shards", 4),
+    ):
         with pytest.raises(TypeError):
-            GraphZeppelinConfig(**{name: "flat"})
-    for flags in (["--query-backend", "scalar"], ["--parallel-backend", "legacy"]):
+            GraphZeppelinConfig(**{name: value})
+    for flags in (
+        ["--query-backend", "scalar"],
+        ["--parallel-backend", "legacy"],
+        ["--parallel-backend", "threads"],
+    ):
         with pytest.raises(SystemExit) as exit_info:
             main(["components", "unused.stream", *flags])
         assert exit_info.value.code == 2
+
+
+def test_retired_shared_memory_pool_stays_gone():
+    """The processes backend and its shared-memory pool left no name behind."""
+    retired = re.compile(r"shared_memory|attach_shared|release_shared|parallel_backend")
+    hits = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if retired.search(line)
+    ]
+    assert hits == []

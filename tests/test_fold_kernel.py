@@ -801,7 +801,7 @@ def _child_split_digest(conn, num_nodes, count, numpy_count):
 def test_split_fold_in_a_forked_child(native_provider, split):
     """The parent's helper threads do not exist after a fork: the child
     starts its own instead of waiting on them forever."""
-    from repro.parallel.graph_workers import process_context
+    from repro.distributed.multi_ingestor import process_context
 
     force, handed = split
     force(2)

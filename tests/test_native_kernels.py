@@ -275,7 +275,7 @@ def test_per_node_store_engine_bit_identical():
         assert native.last_query_stats == stats
 
 
-@pytest.mark.parametrize("ram_budget", [None, 1 << 20])
+@pytest.mark.parametrize("ram_budget", [None])
 def test_sharded_ingest_bit_identical(ram_budget):
     from repro.parallel.graph_workers import ShardedIngestor
 

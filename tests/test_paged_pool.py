@@ -1,12 +1,11 @@
 """The paged out-of-core tensor pool must be bit-identical to in-RAM.
 
 The PR 4 acceptance property: a `PagedTensorPool` engine -- any RAM
-budget, any page size, any buffering mode, serial or page-affine
-sharded ingest -- holds exactly the same bucket tensors as the in-RAM
+budget, any page size, any buffering mode, batched or per-update
+ingest -- holds exactly the same bucket tensors as the in-RAM
 `NodeTensorPool` under the same seed, and therefore returns the same
 spanning forest.  Plus unit coverage for the page machinery itself:
-LRU pinning, dirty write-back, partial-range round reads, and the
-shared-memory guard.
+LRU pinning, dirty write-back and partial-range round reads.
 """
 
 from __future__ import annotations
@@ -110,30 +109,6 @@ def test_paged_scalar_and_batched_ingest_agree(edges, seed):
     assert batched.last_query_stats == ref_stats
 
 
-@given(edges=edge_lists, seed=seeds, num_workers=st.sampled_from([1, 2, 3]))
-@settings(max_examples=10, deadline=None)
-def test_page_affine_sharded_ingest_bit_identical(edges, seed, num_workers):
-    serial = GraphZeppelin(
-        NUM_NODES,
-        config=GraphZeppelinConfig(seed=seed, ram_budget_bytes=3_000, nodes_per_page=6),
-    )
-    sharded = GraphZeppelin(
-        NUM_NODES,
-        config=GraphZeppelinConfig(seed=seed, ram_budget_bytes=3_000, nodes_per_page=6),
-    )
-    array = _edge_array(edges)
-    serial.tensor_pool.apply_edges(
-        np.minimum(array[:, 0], array[:, 1]),
-        np.maximum(array[:, 0], array[:, 1]),
-        serial.encoder.encode_canonical_pairs(
-            np.minimum(array[:, 0], array[:, 1]), np.maximum(array[:, 0], array[:, 1])
-        ),
-    )
-    with sharded.parallel_ingestor(num_workers=num_workers, backend="threads") as ing:
-        ing.ingest_batch(array)
-    _assert_pools_identical(serial.tensor_pool, sharded.tensor_pool)
-
-
 # ----------------------------------------------------------------------
 # page machinery
 # ----------------------------------------------------------------------
@@ -151,13 +126,6 @@ def test_paged_pool_rejects_unbounded_memory():
     encoder = EdgeEncoder(8)
     with pytest.raises(ConfigurationError):
         PagedTensorPool(8, encoder, memory=HybridMemory(ram_bytes=None))
-
-
-def test_paged_pool_rejects_shared_memory():
-    encoder = EdgeEncoder(8)
-    pool = PagedTensorPool(8, encoder, memory=HybridMemory(ram_bytes=0))
-    with pytest.raises(ConfigurationError):
-        pool.to_shared_memory()
 
 
 def test_page_payload_is_whole_blocks_and_spills():
@@ -277,8 +245,8 @@ def test_pin_never_evicts_the_just_pinned_page():
     """Eviction must skip the page being pinned, even on a full working set.
 
     Regression: _pin used to insert the page and sweep evictions before
-    recording the pin -- with every other resident page pinned (the
-    page-affine concurrent-fold situation) the sweep picked the brand
+    recording the pin -- with every other resident page pinned (one
+    pin held while another is taken) the sweep picked the brand
     new page itself, orphaning the tensor the caller was about to fold
     into and silently dropping its updates.
     """

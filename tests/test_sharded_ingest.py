@@ -1,9 +1,10 @@
 """Tests for the sharded columnar parallel ingest layer.
 
-The load-bearing property: sharded parallel ingest -- either backend,
-any shard count -- produces **bit-identical** pool tensors, spanning
-forests, and query stats to serial ``ingest_batch`` under the same
-seed, and every parallel path invalidates the cached forest.
+The load-bearing property: sharded parallel ingest -- worker threads
+over the in-RAM pool, any shard count -- produces **bit-identical**
+pool tensors, spanning forests, and query stats to serial
+``ingest_batch`` under the same seed, and every parallel path
+invalidates the cached forest.
 """
 
 from contextlib import contextmanager
@@ -58,7 +59,7 @@ def test_shard_bounds_degenerate_cases():
 def test_auto_num_shards_balances_load_per_worker():
     assert auto_num_shards(20_000, num_workers=4) == 4 * SHARDS_PER_WORKER
     assert auto_num_shards(20_000) == SHARDS_PER_WORKER
-    # Never more shards than units (nodes, or pages out of core).
+    # Never more shards than nodes.
     assert auto_num_shards(3, num_workers=4) == 3
 
 
@@ -137,33 +138,6 @@ def test_threads_backend_bit_identical_across_shard_counts(num_shards):
     assert parallel.tensor_pool.updates_applied == serial.tensor_pool.updates_applied
 
 
-def test_processes_backend_bit_identical():
-    num_nodes = 64
-    edges = random_multigraph_edges(num_nodes, 400, seed=23)
-
-    serial = _engine(num_nodes)
-    serial.ingest_batch(edges)
-
-    parallel = _engine(num_nodes, parallel_backend="processes")
-    with ShardedIngestor(parallel, num_workers=2, num_shards=4) as ingestor:
-        ingestor.ingest_batch(edges)
-    assert parallel.tensor_pool.is_shared
-    for a, b in zip(_pool_state(serial), _pool_state(parallel)):
-        assert np.array_equal(a, b)
-    assert (
-        parallel.list_spanning_forest().partition_signature()
-        == serial.list_spanning_forest().partition_signature()
-    )
-    assert parallel.last_query_stats == serial.last_query_stats
-    parallel.tensor_pool.release_shared()
-    # Releasing shared memory copies state back: still fully queryable.
-    assert not parallel.tensor_pool.is_shared
-    assert (
-        parallel.list_spanning_forest().partition_signature()
-        == serial.list_spanning_forest().partition_signature()
-    )
-
-
 def test_pipelined_stream_matches_single_batch():
     num_nodes = 80
     edges = random_multigraph_edges(num_nodes, 900, seed=31)
@@ -206,7 +180,7 @@ def test_sharded_ingest_with_stream_validation_tracks_edges():
 # ----------------------------------------------------------------------
 # cache invalidation
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads"])
 def test_parallel_ingest_invalidates_cached_forest(backend):
     num_nodes = 40
     first = random_multigraph_edges(num_nodes, 150, seed=41)
@@ -228,8 +202,6 @@ def test_parallel_ingest_invalidates_cached_forest(backend):
             engine.list_spanning_forest().partition_signature()
             == reference.list_spanning_forest().partition_signature()
         )
-    if engine.tensor_pool.is_shared:
-        engine.tensor_pool.release_shared()
 
 
 def test_worker_failure_invalidates_caches_without_counting():
@@ -319,91 +291,6 @@ def test_failed_stream_chunk_still_publishes_dispatched_batch():
     )
 
 
-# ----------------------------------------------------------------------
-# shared-memory pool mechanics
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("force_wide", [False, True])
-def test_shared_memory_attach_round_trip(force_wide):
-    num_nodes = 32
-    encoder = EdgeEncoder(num_nodes)
-    pool = NodeTensorPool(num_nodes, encoder, graph_seed=3, force_wide=force_wide)
-    edges = random_multigraph_edges(num_nodes, 100, seed=47)
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    pool.apply_edges(lo, hi, encoder.encode_canonical_pairs(lo, hi))
-    before = [t.copy() for t in pool.raw_tensors()]
-
-    pool.to_shared_memory()
-    pool.to_shared_memory()  # idempotent
-    attached = NodeTensorPool.attach_shared(pool.shared_meta())
-    for a, b in zip(attached.raw_tensors(), before):
-        assert np.array_equal(a, b)
-
-    # A fold through the attached pool is visible to the owner.
-    extra = encoder.encode_canonical_pairs(np.asarray([0]), np.asarray([1]))
-    attached.fold_shard(np.asarray([0]), extra, 0, num_nodes)
-    assert not np.array_equal(pool.raw_tensors()[0], before[0])
-
-    attached.release_shared()
-    pool.release_shared()
-    pool.release_shared()  # idempotent
-    assert not pool.is_shared
-    # Owner keeps its state after release.
-    assert not np.array_equal(pool.raw_tensors()[0], before[0])
-
-
-def test_pool_finaliser_is_quiet_only_where_nothing_is_wrong(monkeypatch):
-    """``__del__`` ignores a half-built pool and an already-unlinked
-    segment, and nothing else: any other error reaches the unraisable hook."""
-    import gc
-    import sys
-    from multiprocessing import shared_memory
-
-    seen = []
-    monkeypatch.setattr(sys, "unraisablehook", seen.append)
-
-    def from_finaliser():
-        return [
-            type(report.exc_value) for report in seen
-            if getattr(report.object, "__qualname__", "") == "NodeTensorPool.__del__"
-        ]
-
-    with pytest.raises(ConfigurationError):
-        NodeTensorPool(2, EdgeEncoder(2), delta=2.0)  # raises before _shm exists
-    gc.collect()
-    pool = NodeTensorPool(8, EdgeEncoder(8), graph_seed=1)
-    pool.to_shared_memory()
-    outside = shared_memory.SharedMemory(name=pool.shared_meta()["shm_names"][0])
-    outside.close()
-    outside.unlink()
-    del pool
-    gc.collect()
-    assert from_finaliser() == []
-
-    pool = NodeTensorPool(8, EdgeEncoder(8), graph_seed=1)
-    pool.to_shared_memory()
-    segments = list(pool._shm)
-
-    def broken(self, copy_back=True):
-        raise ValueError("a real bug")
-
-    monkeypatch.setattr(NodeTensorPool, "release_shared", broken)
-    del pool
-    gc.collect()
-    assert from_finaliser() == [ValueError]
-    seen.clear()  # the report's traceback holds the pool's views
-    gc.collect()
-    for segment in segments:
-        segment.close()
-        segment.unlink()
-
-
-def test_shared_meta_requires_shared_pool():
-    pool = NodeTensorPool(8, EdgeEncoder(8), graph_seed=1)
-    with pytest.raises(ValueError):
-        pool.shared_meta()
-
-
 def test_fold_shard_rejects_out_of_range_destinations():
     num_nodes = 16
     encoder = EdgeEncoder(num_nodes)
@@ -417,27 +304,25 @@ def test_fold_shard_rejects_out_of_range_destinations():
 # configuration and wiring
 # ----------------------------------------------------------------------
 def test_engine_factory_resolves_backends():
-    engine = _engine(16, parallel_backend="processes", num_workers=3)
+    engine = _engine(16, num_workers=3)
     configured = engine.parallel_ingestor()
     assert isinstance(configured, ShardedIngestor)
-    assert (configured.backend, configured.num_workers) == ("processes", 3)
+    assert configured.num_workers == 3
     sharded = engine.parallel_ingestor(backend="threads", num_workers=2)
-    assert (sharded.backend, sharded.num_workers) == ("threads", 2)
+    assert sharded.num_workers == 2
 
 
-def test_sharded_ingestor_paged_pool_snaps_to_pages_and_rejects_processes():
+def test_sharded_ingestor_rejects_paged_pool():
+    """A RAM-budgeted engine ingests serially; the error says so."""
     engine = GraphZeppelin(
         64,
         config=GraphZeppelinConfig(seed=1, ram_budget_bytes=1024, nodes_per_page=8),
     )
-    pool = engine.tensor_pool
-    assert pool.is_paged
-    with pytest.raises(ConfigurationError):
-        ShardedIngestor(engine, backend="processes")
-    ingestor = ShardedIngestor(engine, backend="threads", num_workers=2)
-    # Every shard boundary is a page boundary.
-    assert set(ingestor.bounds.tolist()) <= set(pool.page_bounds.tolist())
-    assert ingestor.num_shards <= pool.num_pages
+    assert engine.tensor_pool.is_paged
+    with pytest.raises(ConfigurationError, match="serially"):
+        ShardedIngestor(engine, num_workers=2)
+    with pytest.raises(ConfigurationError, match="serially"):
+        engine.parallel_ingestor(num_workers=2)
 
 
 def test_sharded_ingestor_rejects_bad_backend():
@@ -446,12 +331,11 @@ def test_sharded_ingestor_rejects_bad_backend():
         ShardedIngestor(engine, backend="legacy")
     with pytest.raises(ConfigurationError):
         ShardedIngestor(engine, backend="gpu")
+    with pytest.raises(ConfigurationError):
+        engine.parallel_ingestor(backend="processes")
 
 
 def test_config_validates_parallel_fields():
     with pytest.raises(ConfigurationError):
-        GraphZeppelinConfig(parallel_backend="fibers")
-    with pytest.raises(ConfigurationError):
-        GraphZeppelinConfig(num_shards=0)
-    config = GraphZeppelinConfig(parallel_backend="processes", num_shards=8)
-    assert config.num_shards == 8
+        GraphZeppelinConfig(num_workers=0)
+    assert GraphZeppelinConfig(num_workers=3).num_workers == 3
