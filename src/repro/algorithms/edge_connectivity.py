@@ -26,6 +26,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.config import GraphZeppelinConfig
 from repro.core.dsu import DisjointSetUnion
 from repro.core.graph_zeppelin import GraphZeppelin
@@ -194,33 +196,39 @@ class EdgeConnectivitySketch:
         stream afterwards should re-apply the forests, which
         :meth:`certificate_and_restore` does automatically.
         """
-        forests: List[Tuple[Edge, ...]] = []
-        removed: List[Edge] = []
-        for copy_index, engine in enumerate(self._engines):
-            # Remove everything peeled so far from this copy.
-            for edge in removed:
-                engine.edge_update(*edge)
-            forest = engine.list_spanning_forest()
-            forests.append(tuple(forest.edges))
-            removed.extend(forest.edges)
-        return ConnectivityCertificate(
-            num_nodes=self.num_nodes, k=self.k, forests=tuple(forests)
-        )
+        return self._peel()[0]
 
     def certificate_and_restore(self) -> ConnectivityCertificate:
         """Like :meth:`certificate`, but leaves the sketches unchanged.
 
-        The peeling toggles are undone afterwards (again by linearity),
-        so the stream can continue and later queries see the full graph.
+        The peeling toggles are undone afterwards (again by linearity:
+        each copy takes the batch it was peeled with once more), so the
+        stream can continue and later queries see the full graph.
         """
-        certificate = self.certificate()
-        # Undo: copy i had forests F_1 .. F_i removed.
-        cumulative: List[Edge] = []
-        for copy_index, engine in enumerate(self._engines):
-            for edge in cumulative:
-                engine.edge_update(*edge)
-            cumulative.extend(certificate.forests[copy_index])
+        certificate, batches = self._peel()
+        for engine, batch in zip(self._engines, batches):
+            engine.ingest_batch(batch)
         return certificate
+
+    def _peel(self) -> Tuple[ConnectivityCertificate, List[np.ndarray]]:
+        """The certificate, and the ``(E, 2)`` toggle batch each copy took.
+
+        Copy ``i`` takes the edge arrays of the forests peeled before it
+        as one ``ingest_batch``.
+        """
+        forests: List[Tuple[Edge, ...]] = []
+        batches: List[np.ndarray] = []
+        removed = np.empty((0, 2), dtype=np.int64)
+        for engine in self._engines:
+            engine.ingest_batch(removed)
+            batches.append(removed)
+            forest = engine.list_spanning_forest()
+            forests.append(forest.edges)
+            removed = np.concatenate([removed, forest.edge_array])
+        certificate = ConnectivityCertificate(
+            num_nodes=self.num_nodes, k=self.k, forests=tuple(forests)
+        )
+        return certificate, batches
 
     # ------------------------------------------------------------------
     def is_k_edge_connected(self) -> bool:

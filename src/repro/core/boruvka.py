@@ -71,6 +71,13 @@ class BoruvkaStats:
     per_round_merges: List[int] = field(default_factory=list)
 
 
+def _count(name: str, amount: int = 1) -> None:
+    """Add ``amount`` to the registry counter ``name`` (skipped when disabled)."""
+    registry = default_registry()
+    if registry.enabled and amount:
+        registry.counter(name).inc(amount)
+
+
 def sketch_spanning_forest(
     num_nodes: int,
     num_rounds: int,
@@ -96,7 +103,10 @@ def sketch_spanning_forest(
     strict:
         When true, exhausting the rounds while merges were still
         happening raises :class:`ConnectivityError`; otherwise the
-        partial forest is returned with ``complete=False``.
+        partial forest is returned with ``complete=False``.  Either way
+        the exhaustion is counted first (registry counter
+        ``query.incomplete``), as are failed samples
+        (``query.failed_samples``).
     """
     dsu = DisjointSetUnion(num_nodes)
     members: Dict[int, List[int]] = {node: [node] for node in range(num_nodes)}
@@ -110,6 +120,7 @@ def sketch_spanning_forest(
     round_index = 0
     while found_edge and dsu.num_components > 1:
         if round_index >= num_rounds:
+            _count("query.incomplete")
             if strict:
                 raise ConnectivityError(
                     f"Boruvka did not converge within {num_rounds} rounds "
@@ -143,6 +154,7 @@ def sketch_spanning_forest(
                 stats.invalid_samples += 1
                 continue
             sampled_edges.append(encoder.decode(result.index))
+        _count("query.failed_samples", failures_this_round)
 
         merges_this_round = 0
         for u, v in sampled_edges:
@@ -220,7 +232,7 @@ def round_tail(
     labels: np.ndarray,
     sampled_u: np.ndarray,
     sampled_v: np.ndarray,
-) -> Tuple[np.ndarray, List[Edge]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Union one round's sampled edges and relabel the nodes (numpy path).
 
     ``parent`` / ``size`` (plain lists: half the cost of DSU method
@@ -228,9 +240,10 @@ def round_tail(
     place.  Unions are by size, ties keeping ``u``'s root, **without**
     path compression: decisions depend only on roots and sizes, so that
     is transparent, and the trees stay logarithmically shallow.  Returns
-    the new labels and the edges (validated samples, ``u < v``) that
-    merged two components, in merge order; a native provider's
-    ``round_tail`` is the compiled twin over int64 arrays.
+    the new labels and, as one ``(2, m)`` int64 array, the edges
+    (validated samples, ``u < v``) that merged two components, in merge
+    order; a native provider's ``round_tail`` is the compiled twin over
+    int64 arrays.
     """
     num_nodes = labels.size
     # Samples the merge loop would skip untouched are dropped vectorised
@@ -242,9 +255,11 @@ def round_tail(
     sampled_v = sampled_v[crossing]
     pair_keys = sampled_u * num_nodes + sampled_v  # any injective key would do
     keep = np.sort(np.unique(pair_keys, return_index=True)[1])
-    merged_edges: List[Edge] = []
+    sampled_u = sampled_u[keep]
+    sampled_v = sampled_v[keep]
+    merged_at: List[int] = []  # positions of the samples that merged
     changed_roots: List[int] = []
-    for u, v in zip(sampled_u[keep].tolist(), sampled_v[keep].tolist()):
+    for position, (u, v) in enumerate(zip(sampled_u.tolist(), sampled_v.tolist())):
         root_u = u
         while parent[root_u] != root_u:
             root_u = parent[root_u]
@@ -261,9 +276,9 @@ def round_tail(
         settled[root_v] = False
         changed_roots.append(root_u)
         changed_roots.append(root_v)
-        merged_edges.append((u, v))  # canonical u < v: forest orientation
+        merged_at.append(position)
 
-    if len(merged_edges) > num_nodes // 64:
+    if len(merged_at) > num_nodes // 64:
         # Mass-merge round: re-derive every node's root in a few
         # whole-array gathers by chasing the parent array to its fixed
         # point (union by size keeps the trees a handful of levels deep).
@@ -273,7 +288,7 @@ def round_tail(
         while not np.array_equal(chased, labels):
             labels = chased
             chased = parent_array[labels]
-    elif merged_edges:
+    elif merged_at:
         # Few merges: patch only the roots that took part in a union
         # instead of converting the whole parent list.
         relabel = np.arange(num_nodes, dtype=np.int64)
@@ -283,7 +298,7 @@ def round_tail(
                 new_root = parent[new_root]
             relabel[old_root] = new_root
         labels = relabel[labels]
-    return labels, merged_edges
+    return labels, np.stack((sampled_u, sampled_v))[:, merged_at]
 
 
 def vectorized_spanning_forest(
@@ -304,7 +319,10 @@ def vectorized_spanning_forest(
     :class:`EdgeEncoder` expressions, and the union-find is touched only
     for the at-most ``n - 1`` actual merges, by :func:`round_tail` or
     the compiled ``round_tail`` of ``kernels`` (a native provider) when
-    it has one.  Output -- forest, stats, and the per-component samples
+    it has one.  The forest keeps the concatenated merge edges and the
+    final labels as arrays: no union-find object and no per-edge tuple
+    is built unless a caller reads ``forest.edges``.  Output -- forest,
+    stats, and the per-component samples
     behind them -- is bit-identical to the scalar driver under the same
     sketches, whichever tail runs: the scalar loop visits surviving
     components in ascending root order (dict insertion order), which is
@@ -323,7 +341,8 @@ def vectorized_spanning_forest(
     # observed empty, so it is skipped until (and unless) another
     # component's sampled edge merges into it.
     settled = np.zeros(num_nodes, dtype=bool)
-    forest_edges: List[Edge] = []
+    # Each round's merging edges as a (2, m) array, joined once at the end.
+    merged_rounds: List[np.ndarray] = [np.empty((2, 0), dtype=np.int64)]
     stats = BoruvkaStats()
 
     complete = True
@@ -331,6 +350,7 @@ def vectorized_spanning_forest(
     round_index = 0
     while found_edge and num_components > 1:
         if round_index >= num_rounds:
+            _count("query.incomplete")
             if strict:
                 raise ConnectivityError(
                     f"Boruvka did not converge within {num_rounds} rounds "
@@ -340,9 +360,7 @@ def vectorized_spanning_forest(
             break
 
         stats.rounds_used = round_index + 1
-        registry = default_registry()
-        if registry.enabled:
-            registry.counter("query.rounds").inc()
+        _count("query.rounds")
         with span("query.round"):
             active = ~settled[labels]
             roots, statuses, indices = batch_cut_sampler(round_index, labels, active)
@@ -362,10 +380,11 @@ def vectorized_spanning_forest(
             stats.invalid_samples += int(good_indices.size - np.count_nonzero(valid))
             sampled_u, sampled_v = encoder.decode_endpoints(good_indices[valid])
             with span("query.unionfind"):
-                labels, merged_edges = tail(parent, size, settled, labels, sampled_u, sampled_v)
+                labels, merged = tail(parent, size, settled, labels, sampled_u, sampled_v)
 
-        merges_this_round = len(merged_edges)
-        forest_edges.extend(merged_edges)
+        _count("query.failed_samples", failures_this_round)
+        merged_rounds.append(merged)
+        merges_this_round = merged.shape[1]
         num_components -= merges_this_round
         stats.merges += merges_this_round
         stats.per_round_merges.append(merges_this_round)
@@ -375,10 +394,6 @@ def vectorized_spanning_forest(
         found_edge = merges_this_round > 0 or failures_this_round > 0
         round_index += 1
 
-    forest = SpanningForest.from_prevalidated(
-        num_nodes,
-        forest_edges,
-        DisjointSetUnion.from_arrays(parent, size, num_components),
-        complete=complete,
-    )
+    edge_array = np.concatenate(merged_rounds, axis=1).T.copy()
+    forest = SpanningForest.from_prevalidated(num_nodes, edge_array, labels, complete=complete)
     return forest, stats

@@ -23,25 +23,6 @@ class DisjointSetUnion:
         self._size = [1] * num_nodes
         self._num_components = num_nodes
 
-    @classmethod
-    def from_arrays(
-        cls, parent: List[int], size: List[int], num_components: int
-    ) -> "DisjointSetUnion":
-        """Adopt parent/size state built elsewhere (no checks).
-
-        The vectorized Boruvka driver runs its union-find on plain
-        lists (adopted as they are) or, under a native round tail, on
-        int64 arrays (converted with ``tolist()``: every public view
-        keeps handing out plain ``int`` s); the caller guarantees a valid
-        union-by-size forest with ``num_components`` roots.
-        """
-        dsu = cls(0)
-        dsu.num_nodes = len(parent)
-        dsu._parent = parent if isinstance(parent, list) else parent.tolist()
-        dsu._size = size if isinstance(size, list) else size.tolist()
-        dsu._num_components = int(num_components)
-        return dsu
-
     # ------------------------------------------------------------------
     def find(self, node: int) -> int:
         """Representative of ``node``'s component (with path compression)."""

@@ -863,9 +863,11 @@ class CcKernels:
     def round_tail(
         self, parent: np.ndarray, size: np.ndarray, settled: np.ndarray,
         labels: np.ndarray, sampled_u: np.ndarray, sampled_v: np.ndarray,
-    ) -> Tuple[np.ndarray, list]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Compiled twin of :func:`repro.core.boruvka.round_tail`; the
-        int64 (``settled``: bool) per-node arrays are updated **in place**."""
+        int64 (``settled``: bool) per-node arrays are updated **in place**
+        and the merging edges come back as a ``(2, m)`` view of the
+        output buffer."""
         for array in (parent, size, labels, settled):
             dtype = np.bool_ if array is settled else np.int64
             if array.dtype != dtype or array.shape != labels.shape or not array.flags.c_contiguous:
@@ -878,7 +880,7 @@ class CcKernels:
             _i64(labels), labels.size, _i64(us), _i64(vs), us.size,
             _i64(merged[0]), _i64(merged[1]),
         )
-        return labels, list(zip(*merged[:, :merges].tolist()))
+        return labels, merged[:, :merges]
 
     # ------------------------------------------------------------------
     # storage integrity

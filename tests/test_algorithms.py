@@ -1,6 +1,7 @@
 """Tests for the extension algorithms: bipartiteness and edge connectivity."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.algorithms.bipartiteness import BipartitenessSketch, is_bipartite
@@ -145,11 +146,50 @@ def test_certificate_respects_deletions():
     assert len(certificate.bridges()) == 4
 
 
+def _pool_tensors(sketch):
+    """Copies of every sketch copy's flushed tensors."""
+    tensors = []
+    for engine in sketch._engines:
+        engine.flush()
+        tensors.extend(np.array(t) for t in engine.tensor_pool.raw_tensors())
+    return tensors
+
+
+def _same_tensors(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _scalar_peel(sketch):
+    """The peel replaying every forest edge as one ``edge_update`` (the reference)."""
+    forests, removed = [], []
+    for engine in sketch._engines:
+        for edge in removed:
+            engine.edge_update(*edge)
+        forest = engine.list_spanning_forest()
+        forests.append(forest.edges)
+        removed.extend(forest.edges)
+    return tuple(forests)
+
+
+def test_batched_peel_is_bit_identical_to_the_scalar_replay():
+    num_nodes, edges = erdos_renyi_gnm(16, 40, seed=31)
+    batched, scalar = (
+        EdgeConnectivitySketch(num_nodes, k=3, config=GraphZeppelinConfig(seed=31))
+        for _ in range(2)
+    )
+    for sketch in (batched, scalar):
+        stream_into(sketch, edges)
+    assert batched.certificate().forests == _scalar_peel(scalar)
+    assert _same_tensors(_pool_tensors(batched), _pool_tensors(scalar))
+
+
 def test_certificate_queries_do_not_consume_the_sketches():
     edges = [(i, (i + 1) % 6) for i in range(6)]
     sketch = EdgeConnectivitySketch(6, k=2, config=GraphZeppelinConfig(seed=11))
     stream_into(sketch, edges)
+    unpeeled = _pool_tensors(sketch)
     first = sketch.certificate_and_restore()
+    assert _same_tensors(_pool_tensors(sketch), unpeeled)
     second = sketch.certificate_and_restore()
     assert first.edges == second.edges
     # The stream can also continue after a query.

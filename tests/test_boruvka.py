@@ -21,6 +21,7 @@ from repro.core.boruvka import (
 )
 from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConnectivityError
+from repro.observability import default_registry
 from repro.sketch.sketch_base import SampleResult
 
 
@@ -106,30 +107,40 @@ def test_boruvka_uses_logarithmically_many_rounds():
     assert stats.rounds_used <= 8
 
 
+def _counter(name):
+    return default_registry().snapshot().counters.get(name, 0)
+
+
 def test_transient_failures_are_tolerated(run_driver):
     edges = [(0, 1), (1, 2)]
     encoder, sampler = failing_then_exact_sampler(4, edges, fail_rounds=2)
+    failed = _counter("query.failed_samples")
     forest, stats = run_driver(4, 6, encoder, sampler)
     assert forest.complete
     assert forest.connected(0, 2)
     assert stats.failed_samples == 8  # four singletons, two failing rounds
+    assert _counter("query.failed_samples") == failed + 8
     assert stats.per_round_merges[:2] == [0, 0]
 
 
 def test_round_exhaustion_returns_incomplete_forest(run_driver):
     edges = [(0, 1), (1, 2)]
     encoder, sampler = failing_then_exact_sampler(4, edges, fail_rounds=100)
+    incomplete = _counter("query.incomplete")
     forest, stats = run_driver(4, 3, encoder, sampler, strict=False)
     assert not forest.complete
     assert forest.num_edges == 0
     assert stats.rounds_used == 3
+    assert _counter("query.incomplete") == incomplete + 1
 
 
 def test_round_exhaustion_raises_in_strict_mode(run_driver):
     edges = [(0, 1), (1, 2)]
     encoder, sampler = failing_then_exact_sampler(4, edges, fail_rounds=100)
+    incomplete = _counter("query.incomplete")
     with pytest.raises(ConnectivityError):
         run_driver(4, 3, encoder, sampler, strict=True)
+    assert _counter("query.incomplete") == incomplete + 1
 
 
 def test_round_exhaustion_mid_merge_keeps_the_partial_forest(run_driver):

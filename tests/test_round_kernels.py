@@ -4,7 +4,7 @@ A native provider with ``sample_components`` and ``round_tail`` replaces
 the composed group -> reduce -> decode sampling and the Python
 union-find/relabel tail of :func:`vectorized_spanning_forest`.  Both are
 pure optimisations: forest edges *in merge order*, every
-:class:`BoruvkaStats` field and the final DSU ``parent``/``size`` must
+:class:`BoruvkaStats` field and the final per-node component labels must
 equal the numpy driver's, on packed and wide pools either side of the
 65 536-node boundary, flat and paged.  The kernel is also driven directly
 over hand-built slabs for the decode branches random streams rarely hit.
@@ -71,10 +71,9 @@ def _round_trace(pool, kernels):
         ),
         kernels=kernels,
     )
-    dsu = forest._dsu
     return (
         forest.edges, forest.complete, dataclasses.asdict(stats),
-        dsu._parent, dsu._size, dsu.num_components,
+        forest.component_labels(), forest.num_components,
     )
 
 
@@ -152,7 +151,7 @@ SETTLED = [(node, node + 1) for node in range(40)] + [(42, 43)]
 def test_shaped_graphs_round_bit_identical(num_nodes, edges, components, paged):
     for seed in range(4):
         trace = _assert_native_round_matches_numpy(num_nodes, seed, edges, paged)
-        edges_out, complete, stats, _, _, num_components = trace
+        edges_out, complete, stats, _, num_components = trace
         assert complete and num_components == components
         assert len(edges_out) == num_nodes - components == stats["merges"]
 
@@ -166,8 +165,8 @@ def test_single_node_needs_no_round():
         forest, stats = vectorized_spanning_forest(
             1, 3, EdgeEncoder(2), sampler, kernels=kernels
         )
-        traces.append((forest.edges, stats, forest._dsu._parent, forest._dsu._size))
-    assert traces[0] == traces[1] == ((), traces[0][1], [0], [1])
+        traces.append((forest.edges, stats, forest.component_labels()))
+    assert traces[0] == traces[1] == ((), traces[0][1], [0])
     assert traces[0][1].rounds_used == 0
 
 
@@ -258,7 +257,7 @@ def test_backwards_slot_is_counted_invalid_and_ignored():
         for pool, kernels in ((numpy_pool, None), (native_pool, NATIVE))
     ]
     assert traces[0] == traces[1]
-    forest_edges, _, stats, _, _, _ = traces[1]
+    forest_edges, _, stats, _, _ = traces[1]
     assert stats["invalid_samples"] >= 1
     assert forest_edges == ((6, 7),)
     assert numpy_pool.encoder.decode(edge) == (6, 7)
