@@ -897,9 +897,13 @@ class CcKernels:
             raise ValueError("block_size must be positive")
         raw = np.frombuffer(data, dtype=np.uint8)
         out = np.empty(max(1, -(-raw.size // block_size)), dtype=np.uint64)
+        # Pointers cast from plain addresses: ``ndarray.ctypes.data_as``
+        # builds a reference cycle per pointer, and a digest runs on
+        # every device read, so those cycles would pile up as garbage
+        # between collections.  ``raw`` and ``out`` outlive the call.
         self._lib.repro_block_digests(
-            raw.ctypes.data_as(_U8P), raw.size, block_size,
-            seed & 0xFFFFFFFFFFFFFFFF, _u64(out),
+            ctypes.cast(raw.ctypes.data, _U8P), raw.size, block_size,
+            seed & 0xFFFFFFFFFFFFFFFF, ctypes.cast(out.ctypes.data, _U64P),
         )
         return out
 

@@ -15,7 +15,9 @@ latency per 16 KB block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CorruptionError, StorageError
 from repro.integrity.digest import Buffer, block_digests, byte_view
@@ -195,9 +197,63 @@ class BlockDevice:
         again.
         """
         view = byte_view(out)
-        blocks, block_size = self._blocks, self.block_size
-        sizes = []
+        sizes = self._gather(start_block, num_blocks, view, 0)
+        total = sum(sizes)
+        if not self.verify_checksums:
+            return total, None
+        block_ids = range(start_block, start_block + num_blocks)
+        return total, self._verify(block_ids, view, sizes)
+
+    def read_ranges(
+        self,
+        runs: Sequence[Tuple[int, int]],
+        out: Buffer,
+        attempt: Callable[[Callable[[], List[int]]], List[int]],
+    ) -> List[int]:
+        """Read several runs of consecutive blocks back to back, verified once.
+
+        ``runs`` is a sequence of ``(start_block, num_blocks)``; their
+        blocks are fetched into the front of ``out`` one run after
+        another and each run is charged as :meth:`read_into` would
+        charge it, in order, so the random/sequential split and
+        ``modelled_seconds`` are those of one :meth:`read_into` per run.
+        ``attempt`` (the hybrid memory's fault/deadline/retry loop) is
+        called with every run's fetch and returns its result, so a
+        failed run is retried alone and the batch resumes at it.  Then
+        **one** :func:`block_digests` call hashes everything that
+        landed (as in :meth:`read_into`), and every block is compared
+        against its write-time record before this returns: the first
+        mismatch, in run order, raises
+        :class:`~repro.exceptions.CorruptionError`, leaving unverified
+        bytes in ``out`` for the caller to drop.  A run whose fetch
+        fails for good verifies what was fetched before it first, so
+        corruption there still surfaces ahead of the device error.
+        Returns the byte count of each run.
+        """
+        view = byte_view(out)
+        sizes: List[int] = []
+        lengths: List[int] = []
         total = 0
+        try:
+            for start_block, num_blocks in runs:
+                run_sizes = attempt(partial(self._gather, start_block, num_blocks, view, total))
+                sizes += run_sizes
+                lengths.append(sum(run_sizes))
+                total += lengths[-1]
+        except OSError:
+            self._verify_runs(runs[: len(lengths)], view, sizes)
+            raise
+        self._verify_runs(runs, view, sizes)
+        return lengths
+
+    def _gather(self, start_block: int, num_blocks: int, view: memoryview, at: int) -> List[int]:
+        """Copy a run of blocks to ``view[at:]`` back to back and charge it.
+
+        Returns the sizes of the blocks copied.
+        """
+        blocks = self._blocks
+        sizes = []
+        total = at
         for block_id in range(start_block, start_block + num_blocks):
             payload = blocks.get(block_id)
             if payload is None:
@@ -206,21 +262,39 @@ class BlockDevice:
             view[total:stop] = payload
             sizes.append(stop - total)
             total = stop
-        self._charge(start_block, num_blocks, is_write=False, nbytes=total)
-        if not self.verify_checksums:
-            return total, None
-        on_grid = sizes and total == (num_blocks - 1) * block_size + sizes[-1]
-        if on_grid and (sizes[-1] or num_blocks == 1):
+        self._charge(start_block, num_blocks, is_write=False, nbytes=total - at)
+        return sizes
+
+    def _verify_runs(
+        self, runs: Sequence[Tuple[int, int]], view: memoryview, sizes: List[int]
+    ) -> None:
+        if self.verify_checksums:
+            block_ids = chain.from_iterable(range(s, s + n) for s, n in runs)
+            self._verify(block_ids, view, sizes)
+
+    def _verify(self, block_ids: Iterable[int], view: memoryview, sizes: List[int]) -> List[int]:
+        """Hash the blocks joined at the front of ``view`` and check each one.
+
+        ``sizes`` are the joined blocks' sizes, ``block_ids`` their ids
+        in the same order.  One :func:`block_digests` call covers them
+        all while they sit on the ``block_size`` grid; a short block
+        before the last one (or an empty last one) puts them off it, and
+        then each block is hashed alone.  Returns the digests.
+        """
+        if not sizes:
+            return []
+        total = sum(sizes)
+        on_grid = total == (len(sizes) - 1) * self.block_size + sizes[-1]
+        if on_grid and (sizes[-1] or len(sizes) == 1):
             digests = self.block_digests(view[:total])
         else:
-            # A short block before the last one (or an empty last one)
-            # puts the blocks off the block_size grid of the joined bytes.
             digests, stop = [], 0
             for size in sizes:
                 digests.append(self.block_digests(view[stop : stop + size])[0])
                 stop += size
-        for block_id, digest in zip(range(start_block, start_block + num_blocks), digests):
-            expected = self._digests.get(block_id)
+        recorded = self._digests
+        for block_id, digest in zip(block_ids, digests):
+            expected = recorded.get(block_id)
             if expected is not None and digest != expected:
                 self.stats.checksum_failures += 1
                 raise CorruptionError(
@@ -228,7 +302,7 @@ class BlockDevice:
                     f"({len(self._blocks[block_id])} bytes): stored content no "
                     f"longer matches its write-time digest"
                 )
-        return total, digests
+        return digests
 
     def block_digests(self, payload: Buffer) -> List[int]:
         """Digests of ``payload`` cut on this device's block grid."""

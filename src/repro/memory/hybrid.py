@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -26,6 +27,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     TypeVar,
     Union,
@@ -43,6 +45,11 @@ from repro.memory.metrics import IOStats
 from repro.observability.tracing import span
 
 T = TypeVar("T")
+
+#: Cap of the range-read scratch, in device blocks (1 MiB of 16 KB
+#: blocks): a round's batch of stripe reads is hashed and verified one
+#: scratchful at a time.
+RANGE_SCRATCH_BLOCKS = 64
 
 
 @dataclass(frozen=True)
@@ -160,10 +167,10 @@ class HybridMemory:
         self._payload_digests: Dict[Hashable, List[int]] = {}
         self._next_block = 0
         self._reserved_bytes = 0
-        #: The one buffer the memory itself holds: :meth:`load_range`
-        #: reads the blocks a range straddles into it, grown to the
-        #: largest range seen and charged to the budget as
-        #: :attr:`cached_bytes`.
+        #: The one buffer the memory itself holds: :meth:`load_ranges`
+        #: reads the blocks a batch of ranges straddles into it (at most
+        #: :data:`RANGE_SCRATCH_BLOCKS` at a time, at least the largest
+        #: range), charged to the budget as :attr:`cached_bytes`.
         self._range_scratch = bytearray()
         self._scratch_charged = 0
         #: Callbacks fired on every memory-pressure event (refused
@@ -299,41 +306,103 @@ class HybridMemory:
     ) -> Union[bytes, int]:
         """Read ``length`` bytes at ``offset`` of ``key``'s payload into ``out``.
 
-        The paged tensor pool's query path: one Boruvka round occupies a
-        contiguous byte range of a node-group page, so a page only pays
-        the block reads covering that range instead of the whole slab.
-        Exactly the blocks ``[offset, offset + length)`` straddles are
-        read into the reusable scratch and charged, each is verified
-        against its write-time digest, and the range is copied once to
-        the front of ``out`` (the pool passes its slice of the query
-        slab).  Returns the bytes copied -- the range is clipped to the
-        payload -- or, without ``out``, the range itself as ``bytes``.
-        Not re-entrant (one scratch): callers serialise range reads.
+        One request of :meth:`load_ranges`.  Returns the bytes copied --
+        the range is clipped to the payload -- or, without ``out``, the
+        range itself as ``bytes``.
         """
         if offset < 0 or length < 0:
             raise StorageError("offset and length must be non-negative")
-        start, _, stored_length = self._allocations[key]
-        stop = min(offset + length, stored_length)
-        if stop <= offset:
-            return b"" if out is None else 0
-        first = offset // self.block_size
-        num_blocks = -(-stop // self.block_size) - first
-        scratch = self._scratch(num_blocks * self.block_size)
-        self._device_call(
-            lambda: self.device.read_into(start + first, num_blocks, scratch),
-            is_write=False,
-        )
-        base = first * self.block_size
-        piece = memoryview(scratch)[offset - base : stop - base]
         if out is None:
-            return bytes(piece)
-        byte_view(out)[: len(piece)] = piece
-        return len(piece)
+            _, _, stored_length = self._allocations[key]
+            buffer = bytearray(max(min(length, stored_length - offset), 0))
+            self.load_ranges([(key, offset, buffer)])
+            return bytes(buffer)
+        return self.load_ranges([(key, offset, byte_view(out)[:length])])[0]
 
-    def _scratch(self, nbytes: int) -> bytearray:
-        """The range-read buffer, grown to ``nbytes`` and charged to the
-        budget (a floor like the pool's one page: with less room left
-        than a range needs, the charge is what remained)."""
+    def load_ranges(self, requests: Sequence[Tuple[Hashable, int, Buffer]]) -> List[int]:
+        """Fill each ``out`` with the bytes at ``offset`` of ``key``'s payload.
+
+        The paged tensor pool's query path: one Boruvka round occupies a
+        contiguous byte range of every node-group page, so a page only
+        pays the block reads covering that range, and a round's pages
+        are read as **one** batch of ``(key, offset, out)`` requests
+        (``out`` is the page's slice of the query slab; its length is
+        the range's, clipped to the payload).  Exactly the blocks each
+        range straddles are read and charged, in request order; they
+        land back to back in the reusable scratch, which is hashed with
+        one digest call per scratchful, and every block is verified
+        against its write-time digest before any byte of that
+        scratchful is copied out.  The whole batch is one device
+        operation to the circuit breaker and one ``device.read`` span,
+        while the fault plan, the deadline and the retry policy apply to
+        each range as they would to a read of its own.  Returns the
+        bytes copied per request.  Not re-entrant (one scratch): callers
+        serialise range reads.
+        """
+        block_size = self.block_size
+        copied = [0] * len(requests)
+        # Plain ints per range -- a query round holds one entry per
+        # spilled page, so no view is kept alive before its copy-out.
+        reads = []  # (request index, first block, blocks, skip, length)
+        for index, (key, offset, out) in enumerate(requests):
+            if offset < 0:
+                raise StorageError("offset must be non-negative")
+            start, _, stored_length = self._allocations[key]
+            stop = min(offset + len(byte_view(out)), stored_length)
+            if stop > offset:
+                first = offset // block_size
+                num_blocks = -(-stop // block_size) - first
+                skip = offset - first * block_size
+                reads.append((index, start + first, num_blocks, skip, stop - offset))
+        if not reads:
+            return copied
+        scratch = self._scratch(
+            sum(read[2] for read in reads), max(read[2] for read in reads)
+        )
+        capacity = len(scratch) // block_size
+
+        def read_scratchfuls() -> None:
+            first, used = 0, 0
+            for last, read in enumerate(reads):
+                if used + read[2] > capacity:
+                    self._read_scratchful(requests, reads[first:last], scratch, copied)
+                    first, used = last, 0
+                used += read[2]
+            self._read_scratchful(requests, reads[first:], scratch, copied)
+
+        self._admitted(read_scratchfuls, is_write=False)
+        return copied
+
+    def _read_scratchful(
+        self, requests: Sequence, reads: list, scratch: bytearray, copied: List[int]
+    ) -> None:
+        """Read, verify and copy out the ``reads`` that fit one scratch."""
+        run_bytes = self.device.read_ranges(
+            [(first, num_blocks) for _, first, num_blocks, _, _ in reads],
+            scratch,
+            partial(self._retried_call, is_write=False),
+        )
+        source = memoryview(scratch)
+        at = 0
+        for (index, _, _, skip, length), nbytes in zip(reads, run_bytes):
+            byte_view(requests[index][2])[:length] = source[at + skip : at + skip + length]
+            copied[index] = length
+            at += nbytes
+
+    def _scratch(self, total_blocks: int, largest_blocks: int) -> bytearray:
+        """The range-read buffer for a batch of ``total_blocks`` blocks.
+
+        Sized to the batch, capped at :data:`RANGE_SCRATCH_BLOCKS` and at
+        what the budget has left, with a floor of the batch's largest
+        range; only ever grown, and charged to the budget as
+        :attr:`cached_bytes` (a floor like the pool's one page: with
+        less room left than that, the charge is what remained).
+        """
+        block_size = self.block_size
+        blocks = min(total_blocks, RANGE_SCRATCH_BLOCKS)
+        if not self.is_unbounded:
+            blocks = min(blocks, (self.ram_bytes - self._reserved_bytes) // block_size)
+        nbytes = max(blocks, largest_blocks) * block_size
         if len(self._range_scratch) < nbytes:
             self._range_scratch = bytearray(nbytes)
             if not self.is_unbounded:
@@ -493,6 +562,14 @@ class HybridMemory:
         :class:`~repro.exceptions.CorruptionError` (deterministic data
         damage, not device unavailability) bypasses it entirely.
         """
+        return self._admitted(lambda: self._retried_call(call, is_write), is_write)
+
+    def _admitted(self, call: Callable[[], T], is_write: bool) -> T:
+        """Run ``call`` as one device operation: breaker admission and span.
+
+        :meth:`load_ranges` runs a whole batch of range reads as one such
+        operation, each read going through :meth:`_retried_call` inside.
+        """
         if self.breaker is not None:
             try:
                 self.breaker.allow()
@@ -504,7 +581,7 @@ class HybridMemory:
         # caller actually experienced.
         with span("device.write" if is_write else "device.read"):
             try:
-                result = self._retried_call(call, is_write)
+                result = call()
             except CorruptionError:
                 raise
             except OSError:
@@ -516,7 +593,8 @@ class HybridMemory:
         return result
 
     def _retried_call(self, call: Callable[[], T], is_write: bool) -> T:
-        """The retry loop of :meth:`_device_call` (fault plan + deadline)."""
+        """The retry loop (fault plan + deadline) of :meth:`_device_call`
+        and of each range of a :meth:`load_ranges` batch."""
         attempts = self.retry.attempts if self.retry is not None else 1
         failed = 0
         while True:

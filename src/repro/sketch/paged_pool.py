@@ -25,12 +25,13 @@ shape ``(num_rounds, hi - lo, cols, rows)`` (packed mode; wide mode
 keeps an alpha uint64 and gamma uint32 pair back to back).  Round-major
 *within the page* means one Boruvka round of the page is a contiguous
 byte range of the payload, so the query side rebuilds a whole round
-slab with **partial-range reads**
-(:meth:`~repro.memory.hybrid.HybridMemory.load_range`): a page that is
+slab with **one batched range read**
+(:meth:`~repro.memory.hybrid.HybridMemory.load_ranges`): a page that is
 not resident contributes only the blocks its round stripe straddles, roughly
 ``1 / num_rounds`` of the page, instead of a whole-page (or per-node
-blob) round trip.  The assembled slab feeds the *unchanged*
-whole-round query machinery of the parent class -- the pool only
+blob) round trip, and the round's stripes share one device operation
+and are verified a scratchful at a time.  The assembled slab feeds the
+*unchanged* whole-round query machinery of the parent class -- the pool only
 overrides the slab/bundle accessors -- so
 :func:`~repro.core.boruvka.vectorized_spanning_forest` is the single
 query driver for in-RAM and out-of-core engines alike.
@@ -56,8 +57,9 @@ queries too.  The remaining floors: a budget smaller than one round
 slab (or two frames) still allocates them and reserves what there was.
 
 Concurrency: page pin/unpin/evict bookkeeping -- and with it all
-hybrid-memory traffic, the query side's range reads included (they
-share the memory's one scratch) -- serialises under one lock, while the
+hybrid-memory traffic, the query side's round batches included (they
+share the memory's one range scratch, so range reads are not
+re-entrant) -- serialises under one lock, while the
 folds themselves (the expensive kernels) run outside it.  A pinned page
 is never evicted and its frame never reused, so a fold into a pinned
 page cannot land in a frame that meanwhile holds another page, even
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -462,8 +464,9 @@ class PagedTensorPool(NodeTensorPool):
         Re-reserves bytes from the hybrid memory's budget for up to
         ``resident_pages`` pages (the original construction-time budget
         when ``None``), raises the working-set budget by however many
-        whole pages the reservation actually covered, and allocates
-        their frames.  Returns the new budget.
+        whole pages the reservation actually covered, allocates their
+        frames and hands the sub-page remainder straight back.  Returns
+        the new budget.
         """
         with self._lock:
             if resident_pages is None:
@@ -474,8 +477,9 @@ class PagedTensorPool(NodeTensorPool):
                 return self.resident_pages
             wanted = (target - self.resident_pages) * self._page_bytes
             taken = self.memory.reserve(wanted)
-            self._working_set_reserved += taken
             regained = taken // self._page_bytes
+            self.memory.release(taken - regained * self._page_bytes)
+            self._working_set_reserved += regained * self._page_bytes
             self.resident_pages += regained
             self._free_frames.extend(self._new_frame() for _ in range(regained))
             return self.resident_pages
@@ -648,34 +652,40 @@ class PagedTensorPool(NodeTensorPool):
     # ------------------------------------------------------------------
     # query-side slab assembly
     # ------------------------------------------------------------------
-    def _read_round_stripe(
-        self, page: int, key: str, round_index: int, out: np.ndarray
+    def _read_round_stripes(
+        self, key: str, round_index: int, stripes: Iterable[Tuple[int, np.ndarray]]
     ) -> None:
-        """Copy one page's stripe of a round into ``out``.
+        """Copy each ``(page, out)`` page's stripe of a round into its ``out``.
 
         ``out`` is a C-contiguous ``(page_nodes, cols, rows)`` array
         (the page's slice of the query slab), so tail pages hand over
         only the node rows they own.  A resident page copies out of its
-        frame; any other pays a partial-range read covering only this
-        round's bytes, verified and copied straight into ``out``.
+        frame and a never-written one is zeros; every other page pays a
+        partial-range read covering only this round's bytes, all of
+        them in **one** batched
+        :meth:`~repro.memory.hybrid.HybridMemory.load_ranges` that
+        verifies the blocks before copying them straight into ``out``.
         Queries deliberately do not promote pages into the working set
         -- a round scan touching every page would evict the fold path's
         hot pages for read-only data.
         """
+        offset = self._round_stripe_offset(key, round_index)
+        plane = 0 if key in ("packed", "alpha") else 1
         with self._lock:
-            entry = self._resident.get(page)
-            if entry is not None:
-                tensor = entry[0] if key in ("packed", "alpha") else entry[1]
-                out[...] = tensor[round_index, : out.shape[0]]
-                return
-            memory_key = self._page_key(page)
-            if memory_key not in self.memory:
-                out.fill(0)
-                return
-            self.memory.load_range(
-                memory_key, self._round_stripe_offset(key, round_index), out.nbytes, out
-            )
-            self.partial_reads += 1
+            requests = []
+            for page, out in stripes:
+                entry = self._resident.get(page)
+                if entry is not None:
+                    out[...] = entry[plane][round_index, : out.shape[0]]
+                    continue
+                memory_key = self._page_key(page)
+                if memory_key not in self.memory:
+                    out.fill(0)
+                    continue
+                requests.append((memory_key, offset, out))
+            if requests:
+                self.memory.load_ranges(requests)
+                self.partial_reads += len(requests)
 
     def _page_round_array(self, page: int, key: str, round_index: int) -> np.ndarray:
         """One page's ``(page_nodes, cols, rows)`` stripe of a round, as a copy."""
@@ -683,7 +693,7 @@ class PagedTensorPool(NodeTensorPool):
             (self._page_nodes(page), self.num_columns, self.num_rows),
             dtype=np.uint32 if key == "gamma" else np.uint64,
         )
-        self._read_round_stripe(page, key, round_index, out)
+        self._read_round_stripes(key, round_index, [(page, out)])
         return out
 
     def _slab_buffer(self, key: str) -> np.ndarray:
@@ -728,10 +738,11 @@ class PagedTensorPool(NodeTensorPool):
                 return buf
             version = self._version
         bounds = self.page_bounds.tolist()
-        for page in range(self.num_pages):
-            self._read_round_stripe(
-                page, key, round_index, buf[bounds[page] : bounds[page + 1]]
-            )
+        self._read_round_stripes(
+            key,
+            round_index,
+            ((page, buf[bounds[page] : bounds[page + 1]]) for page in range(self.num_pages)),
+        )
         with self._lock:
             self._assembled[key] = (round_index, version)
         return buf

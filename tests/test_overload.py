@@ -449,6 +449,28 @@ def test_restore_working_set_regrows_after_pressure_clears():
     engine.ingest_batch(_random_edges(100, seed=45))  # still functional
 
 
+def test_restore_working_set_hands_back_the_sub_page_remainder():
+    """With 1.5 pages of budget free, a restore regains one frame and
+    keeps exactly one page reserved for it, not the half page beside."""
+    config = GraphZeppelinConfig(seed=9, ram_budget_bytes=150_000, nodes_per_page=8)
+    engine = GraphZeppelin(NUM_NODES, config=config)
+    pool, memory = engine.tensor_pool, engine.memory
+    engine.memory.fault_plan = FaultPlan([FaultSpec(site="memory", at=1, mode="pressure")])
+    engine.ingest_batch(_random_edges(200, seed=44))
+    engine.flush()
+    engine.memory.fault_plan = None
+    assert pool.resident_pages == 1
+    page = pool.page_payload_bytes(0)
+    free = memory.ram_bytes - memory.reserved_bytes - memory.cached_bytes
+    assert free > 2 * page
+    memory.reserve(free - page * 3 // 2)
+    reserved, frames = memory.reserved_bytes, pool._working_set_reserved
+    assert pool.restore_working_set(resident_pages=4) == 2
+    assert memory.reserved_bytes - reserved == page
+    assert pool._working_set_reserved - frames == page
+    assert len(pool._free_frames) + len(pool._resident) == 3
+
+
 def test_health_reports_degradation_states():
     config = GraphZeppelinConfig(seed=9, ram_budget_bytes=64_000,
                                  io_breaker_threshold=3)

@@ -228,17 +228,23 @@ def _recorded_paged_run(num_nodes: int, budget_divisor: int):
     )
     flat = GraphZeppelin(num_nodes, GraphZeppelinConfig(seed=3, validate_stream=False))
     device, ops = engine.memory.device, []
-    read_into, write_blob = device.read_into, device.write_blob
+    read_into, read_ranges, write_blob = device.read_into, device.read_ranges, device.write_blob
 
     def recording_read(start, blocks, out):
         ops.append(("read", start, blocks))
         return read_into(start, blocks, out)
 
+    def recording_batch(runs, out, attempt):
+        # A batch of stripe reads is one read per stripe, in order.
+        ops.extend(("read", start, blocks) for start, blocks in runs)
+        return read_ranges(runs, out, attempt)
+
     def recording_write(start, payload, _digests=None):
         ops.append(("write", start, -(-len(payload) // device.block_size)))
         return write_blob(start, payload, _digests=_digests)
 
-    device.read_into, device.write_blob = recording_read, recording_write
+    device.read_into, device.read_ranges = recording_read, recording_batch
+    device.write_blob = recording_write
     rng = np.random.default_rng(2024)
     for _ in range(5):
         u = rng.integers(0, num_nodes, 512)
