@@ -644,7 +644,7 @@ def _cmd_snapshot(args) -> int:
     limit = len(stream) if args.up_to is None else min(max(args.up_to, 0), len(stream))
     engine.ingest_batch(stream.edge_array()[:limit])
     meta = engine.save_snapshot(args.output, stream_offset=limit)
-    print(f"wrote {args.output}: {meta.num_nodes} nodes, "
+    print(f"wrote {args.output}: {meta.geometry.num_nodes} nodes, "
           f"{meta.pool_updates} folded updates, stream offset {meta.stream_offset}, "
           f"{format_bytes(args.output.stat().st_size)}")
     return 0
@@ -691,7 +691,7 @@ def _cmd_resume(args) -> int:
         config = None
         if ram_budget is not None:
             config = GraphZeppelinConfig(
-                seed=meta.graph_seed, delta=meta.delta, ram_budget_bytes=ram_budget
+                seed=meta.graph_seed, delta=meta.geometry.delta, ram_budget_bytes=ram_budget
             )
         engine = GraphZeppelin.load_snapshot(snapshot_path, config=config)
 
@@ -795,7 +795,7 @@ def _cmd_merge(args) -> int:
         merged=True,
     )
     print(f"merged {len(args.inputs)} snapshots -> {args.output}: "
-          f"{meta.num_nodes} nodes, {meta.pool_updates} folded updates, "
+          f"{meta.geometry.num_nodes} nodes, {meta.pool_updates} folded updates, "
           f"{format_bytes(args.output.stat().st_size)}")
     return 0
 

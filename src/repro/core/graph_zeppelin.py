@@ -49,7 +49,6 @@ from repro.buffering.leaf_gutters import LeafGutters
 from repro.core.boruvka import BoruvkaStats, vectorized_spanning_forest
 from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
-from repro.core.node_sketch import num_boruvka_rounds
 from repro.core.spanning_forest import SpanningForest
 from repro.exceptions import (
     ConfigurationError,
@@ -61,8 +60,8 @@ from repro.memory.metrics import IOStats
 from repro.observability.metrics import default_registry
 from repro.observability.tracing import span
 from repro.sketch.flat_node_sketch import FlatNodeSketch
+from repro.sketch.geometry import SketchGeometry
 from repro.sketch.paged_pool import PagedTensorPool
-from repro.sketch.sizes import node_sketch_size_bytes
 from repro.sketch.tensor_pool import MAX_PAGE_NODES, NodeTensorPool, shard_bounds
 from repro.streaming.stream import GraphStream, StreamUpdates, update_rows
 from repro.types import Edge, EdgeUpdate, UpdateType, canonical_edge
@@ -102,12 +101,13 @@ class GraphZeppelin:
         config: Optional[GraphZeppelinConfig] = None,
         memory: Optional[HybridMemory] = None,
     ) -> None:
-        if num_nodes < 2:
-            raise ConfigurationError("GraphZeppelin needs at least two nodes")
         self.num_nodes = int(num_nodes)
         self.config = config or GraphZeppelinConfig()
         self.encoder = EdgeEncoder(self.num_nodes)
-        self.num_rounds = num_boruvka_rounds(self.num_nodes)
+        #: Rounds, columns, rows and bucket mode: the pool's shape, the
+        #: query's round count and the byte accounting all read this.
+        self.geometry = SketchGeometry.for_graph(self.num_nodes, self.config.delta)
+        self.num_rounds = self.geometry.rounds
 
         # Resolve the hot-kernel provider once; the pool, its node
         # views and the hybrid memory's block digests share the same
@@ -154,8 +154,7 @@ class GraphZeppelin:
                 self.num_nodes,
                 self.encoder,
                 graph_seed=self.config.seed,
-                delta=self.config.delta,
-                num_rounds=self.num_rounds,
+                geometry=self.geometry,
                 kernels=self._kernels,
             )
         else:
@@ -166,15 +165,11 @@ class GraphZeppelin:
                 self.encoder,
                 memory=self.memory,
                 graph_seed=self.config.seed,
-                delta=self.config.delta,
-                num_rounds=self.num_rounds,
+                geometry=self.geometry,
                 nodes_per_page=self.config.nodes_per_page,
                 kernels=self._kernels,
             )
 
-        self._node_sketch_bytes = node_sketch_size_bytes(
-            self.num_nodes, self.config.delta
-        )
         self._buffering = self._build_buffering()
         self._updates_processed = 0
         self._batches_applied = 0
@@ -550,7 +545,7 @@ class GraphZeppelin:
 
         meta = read_snapshot_meta(path)
         if config is None:
-            config = GraphZeppelinConfig(seed=meta.graph_seed, delta=meta.delta)
+            config = GraphZeppelinConfig(seed=meta.graph_seed, delta=meta.geometry.delta)
         if config.validate_stream:
             raise ConfigurationError(
                 "cannot resume with validate_stream: the tracked edge set is "
@@ -562,7 +557,7 @@ class GraphZeppelin:
                 f"{meta.fingerprint:#x}, supplied config has "
                 f"{config.sketch_fingerprint():#x}"
             )
-        engine = cls(meta.num_nodes, config=config, memory=memory)
+        engine = cls(meta.geometry.num_nodes, config=config, memory=memory)
         load_snapshot_into(path, engine._pool)
         engine._updates_processed = meta.engine_updates
         engine._resume_offset = meta.stream_offset
@@ -717,12 +712,12 @@ class GraphZeppelin:
 
     @property
     def node_sketch_bytes(self) -> int:
-        """Bytes of a single node sketch."""
-        return self._node_sketch_bytes
+        """Bytes of a single node sketch (the paper's 12 B per bucket)."""
+        return self.geometry.accounted_bytes_per_node
 
     def sketch_bytes(self) -> int:
         """Bytes of all node sketches (the dominant term of Figure 11)."""
-        return self._node_sketch_bytes * self.num_nodes
+        return self.node_sketch_bytes * self.num_nodes
 
     def buffer_bytes(self) -> int:
         """Bytes currently pinned by the buffering structure."""
@@ -915,7 +910,7 @@ class GraphZeppelin:
         if mode is BufferingMode.LEAF_GUTTERS:
             return LeafGutters(
                 num_nodes=self.num_nodes,
-                node_sketch_bytes=self._node_sketch_bytes,
+                node_sketch_bytes=self.node_sketch_bytes,
                 fraction=self.config.gutter_fraction,
                 memory=self.memory,
                 page_bounds=self._buffering_page_bounds(),
@@ -923,7 +918,7 @@ class GraphZeppelin:
         if mode is BufferingMode.GUTTER_TREE:
             return GutterTree(
                 num_nodes=self.num_nodes,
-                node_sketch_bytes=self._node_sketch_bytes,
+                node_sketch_bytes=self.node_sketch_bytes,
                 memory=self.memory,
                 page_bounds=self._buffering_page_bounds(),
             )

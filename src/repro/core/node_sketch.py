@@ -13,31 +13,15 @@ of the graph.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.edge_encoding import EdgeEncoder
-from repro.exceptions import ConfigurationError, IncompatibleSketchError
-from repro.hashing.prng import derive_seed
+from repro.exceptions import IncompatibleSketchError
 from repro.sketch.cubesketch import CubeSketch
+from repro.sketch.geometry import SketchGeometry, round_seed
 from repro.sketch.sketch_base import SampleResult
-
-#: Label used when deriving the per-round sketch seeds from the graph seed.
-_ROUND_SEED_LABEL = 0x524F554E  # "ROUN"
-
-
-def num_boruvka_rounds(num_nodes: int) -> int:
-    """Number of sketch rounds a graph on ``num_nodes`` nodes needs."""
-    if num_nodes < 2:
-        raise ConfigurationError("a graph needs at least two nodes")
-    return max(1, math.ceil(math.log2(num_nodes)))
-
-
-def round_seed(graph_seed: int, round_index: int) -> int:
-    """The shared hash seed of every node's round-``round_index`` sketch."""
-    return derive_seed(graph_seed, _ROUND_SEED_LABEL, round_index)
 
 
 class NodeSketch:
@@ -52,11 +36,9 @@ class NodeSketch:
         The shared edge-slot encoder of the graph.
     graph_seed:
         Root seed of the owning GraphZeppelin instance.
-    delta:
-        Per-round sketch failure probability.
-    num_rounds:
-        Number of Boruvka rounds to provision (defaults to
-        ``ceil(log2 V)``).
+    geometry:
+        Rounds, columns and rows of the bundle; defaults to
+        :meth:`SketchGeometry.for_graph` of the encoder's graph.
     """
 
     def __init__(
@@ -64,21 +46,20 @@ class NodeSketch:
         node: int,
         encoder: EdgeEncoder,
         graph_seed: int = 0,
-        delta: float = 0.01,
-        num_rounds: int | None = None,
+        geometry: Optional[SketchGeometry] = None,
     ) -> None:
         self.node = int(node)
         self.encoder = encoder
         self.graph_seed = int(graph_seed)
-        self.delta = float(delta)
-        self.num_rounds = (
-            int(num_rounds) if num_rounds is not None else num_boruvka_rounds(encoder.num_nodes)
-        )
+        self.geometry = geometry or SketchGeometry.for_graph(encoder.num_nodes)
+        self.num_rounds = self.geometry.rounds
         self.sketches: List[CubeSketch] = [
             CubeSketch(
                 encoder.vector_length,
-                delta=delta,
+                delta=self.geometry.delta,
                 seed=round_seed(self.graph_seed, round_index),
+                num_columns=self.geometry.columns,
+                num_rows=self.geometry.rows,
             )
             for round_index in range(self.num_rounds)
         ]
@@ -127,8 +108,7 @@ class NodeSketch:
     def is_compatible(self, other: "NodeSketch") -> bool:
         return (
             isinstance(other, NodeSketch)
-            and other.encoder.num_nodes == self.encoder.num_nodes
-            and other.num_rounds == self.num_rounds
+            and other.geometry == self.geometry
             and other.graph_seed == self.graph_seed
         )
 
@@ -137,7 +117,7 @@ class NodeSketch:
         clone.node = self.node
         clone.encoder = self.encoder
         clone.graph_seed = self.graph_seed
-        clone.delta = self.delta
+        clone.geometry = self.geometry
         clone.num_rounds = self.num_rounds
         clone.sketches = [sketch.copy() for sketch in self.sketches]
         return clone

@@ -24,10 +24,9 @@ from repro.core.boruvka import (
     vectorized_spanning_forest,
 )
 from repro.core.edge_encoding import EdgeEncoder
-from repro.core.node_sketch import num_boruvka_rounds
 from repro.core.spanning_forest import SpanningForest
-from repro.exceptions import ConfigurationError
 from repro.hashing.prng import derive_seed
+from repro.sketch.geometry import SketchGeometry
 from repro.sketch.sketch_base import SampleResult
 from repro.sketch.standard_l0 import StandardL0Sketch
 from repro.types import Edge, EdgeUpdate, UpdateType, canonical_edge
@@ -48,17 +47,13 @@ class StreamingCC:
         num_nodes: int,
         delta: float = 0.01,
         seed: int = 0,
-        num_rounds: Optional[int] = None,
     ) -> None:
-        if num_nodes < 2:
-            raise ConfigurationError("StreamingCC needs at least two nodes")
         self.num_nodes = int(num_nodes)
         self.delta = float(delta)
         self.seed = int(seed)
         self.encoder = EdgeEncoder(self.num_nodes)
-        self.num_rounds = (
-            int(num_rounds) if num_rounds is not None else num_boruvka_rounds(self.num_nodes)
-        )
+        geometry = SketchGeometry.for_graph(self.num_nodes, delta)
+        self.num_rounds = geometry.rounds
         # sketches[node][round]
         self._sketches: List[List[StandardL0Sketch]] = [
             [
@@ -66,6 +61,8 @@ class StreamingCC:
                     self.encoder.vector_length,
                     delta=delta,
                     seed=derive_seed(self.seed, _ROUND_SEED_LABEL, round_index),
+                    num_columns=geometry.columns,
+                    num_rows=geometry.rows,
                 )
                 for round_index in range(self.num_rounds)
             ]

@@ -294,8 +294,8 @@ def distributed_ingest(
             meta = read_snapshot_meta(paths[worker])
         except (OSError, StreamFormatError) as exc:
             return f"snapshot unreadable: {exc}"
-        if meta.num_nodes != num_nodes:
-            return f"snapshot has {meta.num_nodes} nodes, expected {num_nodes}"
+        if meta.geometry.num_nodes != num_nodes:
+            return f"snapshot has {meta.geometry.num_nodes} nodes, expected {num_nodes}"
         if meta.fingerprint != fingerprint:
             return (
                 f"snapshot fingerprint {meta.fingerprint:#x} does not match "

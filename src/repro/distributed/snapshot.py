@@ -58,10 +58,11 @@ from typing import BinaryIO, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.edge_encoding import EdgeEncoder
-from repro.exceptions import CorruptionError, StreamFormatError
+from repro.exceptions import ConfigurationError, CorruptionError, StreamFormatError
 from repro.integrity.digest import StreamingDigest, payload_digest
 from repro.memory.hybrid import HybridMemory
 from repro.observability.tracing import span
+from repro.sketch.geometry import SketchGeometry
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.serialization import check_magic, check_payload_length
 from repro.sketch.tensor_pool import NodeTensorPool
@@ -93,13 +94,8 @@ _CHUNK_ELEMS = 1 << 20
 class SnapshotMeta:
     """Everything a snapshot header records about the pool it holds."""
 
-    num_nodes: int
+    geometry: SketchGeometry
     graph_seed: int
-    delta: float
-    num_rounds: int
-    num_rows: int
-    num_columns: int
-    packed: bool
     paged_origin: bool
     pool_updates: int
     stream_offset: int
@@ -115,22 +111,16 @@ class SnapshotMeta:
     stripe_digests: Optional[Tuple[int, ...]] = None
 
     @property
-    def tensor_elems(self) -> int:
-        return self.num_rounds * self.num_nodes * self.num_columns * self.num_rows
-
-    @property
     def payload_bytes(self) -> int:
         """Exact payload length implied by the geometry."""
-        if self.packed:
-            return self.tensor_elems * 8
-        return self.tensor_elems * 12  # uint64 alpha + uint32 gamma
+        return self.geometry.num_nodes * self.geometry.allocated_bytes_per_node
 
     @property
     def digest_section_bytes(self) -> int:
         """Length of the digest trailer (zero for version-1 files)."""
         if self.version < 2:
             return 0
-        return len(_section_keys(self.packed)) * self.num_rounds * 8
+        return len(_section_keys(self.geometry.packed)) * self.geometry.rounds * 8
 
     @property
     def verified(self) -> bool:
@@ -141,7 +131,7 @@ class SnapshotMeta:
         """Byte offset of a tensor section inside the snapshot file."""
         if key in ("packed", "alpha"):
             return _HEADER.size
-        return _HEADER.size + self.tensor_elems * 8
+        return _HEADER.size + self.geometry.num_nodes * self.geometry.buckets_per_node * 8
 
 
 def _pool_meta(
@@ -151,13 +141,8 @@ def _pool_meta(
     fingerprint: int,
 ) -> SnapshotMeta:
     return SnapshotMeta(
-        num_nodes=pool.num_nodes,
+        geometry=pool.geometry,
         graph_seed=pool.graph_seed & _MASK64,
-        delta=pool.delta,
-        num_rounds=pool.num_rounds,
-        num_rows=pool.num_rows,
-        num_columns=pool.num_columns,
-        packed=pool._packed,
         paged_origin=pool.is_paged,
         pool_updates=pool.updates_applied,
         stream_offset=int(stream_offset),
@@ -167,20 +152,21 @@ def _pool_meta(
 
 
 def _pack_header(meta: SnapshotMeta) -> bytes:
+    geometry = meta.geometry
     flags = (
-        (_FLAG_PACKED if meta.packed else 0)
+        (_FLAG_PACKED if geometry.packed else 0)
         | (_FLAG_PAGED_ORIGIN if meta.paged_origin else 0)
         | (_FLAG_MERGED if meta.merged else 0)
     )
     return _HEADER.pack(
         SNAPSHOT_MAGIC,
         flags,
-        meta.num_nodes,
+        geometry.num_nodes,
         meta.graph_seed,
-        meta.num_rounds,
-        meta.num_rows,
-        meta.num_columns,
-        meta.delta,
+        geometry.rounds,
+        geometry.rows,
+        geometry.columns,
+        geometry.delta,
         meta.pool_updates,
         meta.stream_offset,
         meta.engine_updates,
@@ -232,8 +218,8 @@ def save_pool_snapshot(
             with tmp_path.open("wb") as handle:
                 handle.write(_pack_header(meta))
                 if pool.is_paged:
-                    for key in _section_keys(meta.packed):
-                        for round_index in range(meta.num_rounds):
+                    for key in _section_keys(pool._packed):
+                        for round_index in range(pool.num_rounds):
                             digest = StreamingDigest()
                             for page in range(pool.num_pages):
                                 stripe = pool._page_round_array(page, key, round_index)
@@ -243,7 +229,7 @@ def save_pool_snapshot(
                             digests.append(digest.digest())
                 else:
                     for tensor in _flat_tensors(pool):
-                        for round_index in range(meta.num_rounds):
+                        for round_index in range(pool.num_rounds):
                             data = np.ascontiguousarray(tensor[round_index]).tobytes(
                                 order="C"
                             )
@@ -266,8 +252,9 @@ def save_pool_snapshot(
 def read_snapshot_meta(path: PathLike) -> SnapshotMeta:
     """Read and fully validate a snapshot's header (not its payload).
 
-    Checks the magic (which embeds the format version), and that the
-    file holds *exactly* the payload + digest trailer the geometry
+    Checks the magic (which embeds the format version), that the
+    recorded geometry is one :class:`SketchGeometry` accepts, and that
+    the file holds *exactly* the payload + digest trailer the geometry
     implies -- truncated or padded files fail here, before any loader
     mutates a pool.  Version-2 files come back with their stripe
     digests parsed; version-1 files load with ``stripe_digests=None``
@@ -299,14 +286,20 @@ def read_snapshot_meta(path: PathLike) -> SnapshotMeta:
             version = 1
         else:
             check_magic(magic, SNAPSHOT_MAGIC, "snapshot")
+        try:
+            geometry = SketchGeometry(
+                num_nodes=int(num_nodes),
+                rounds=int(num_rounds),
+                columns=int(num_columns),
+                rows=int(num_rows),
+                packed=bool(flags & _FLAG_PACKED),
+                delta=float(delta),
+            )
+        except ConfigurationError as exc:
+            raise StreamFormatError(f"{path}: snapshot header geometry: {exc}") from exc
         meta = SnapshotMeta(
-            num_nodes=int(num_nodes),
+            geometry=geometry,
             graph_seed=int(graph_seed),
-            delta=float(delta),
-            num_rounds=int(num_rounds),
-            num_rows=int(num_rows),
-            num_columns=int(num_columns),
-            packed=bool(flags & _FLAG_PACKED),
             paged_origin=bool(flags & _FLAG_PAGED_ORIGIN),
             merged=bool(flags & _FLAG_MERGED),
             pool_updates=int(pool_updates),
@@ -345,14 +338,15 @@ def verify_snapshot_payload(
         meta = read_snapshot_meta(path)
     if meta.stripe_digests is None:
         return meta
-    row_elems = meta.num_columns * meta.num_rows
+    geometry = meta.geometry
+    row_elems = geometry.columns * geometry.rows
     index = 0
     with path.open("rb") as handle:
         handle.seek(_HEADER.size)
-        for key in _section_keys(meta.packed):
+        for key in _section_keys(geometry.packed):
             itemsize = 8 if key in ("packed", "alpha") else 4
-            stripe_bytes = meta.num_nodes * row_elems * itemsize
-            for round_index in range(meta.num_rounds):
+            stripe_bytes = geometry.num_nodes * row_elems * itemsize
+            for round_index in range(geometry.rounds):
                 digest = StreamingDigest()
                 remaining = stripe_bytes
                 while remaining:
@@ -374,27 +368,14 @@ def verify_snapshot_payload(
 
 def _check_pool_matches(meta: SnapshotMeta, pool: NodeTensorPool, what: str) -> None:
     """Reject a snapshot/pool pairing before any bucket is touched."""
-    mismatches = []
-    for field, pool_value in (
-        ("num_nodes", pool.num_nodes),
-        ("num_rounds", pool.num_rounds),
-        ("num_rows", pool.num_rows),
-        ("num_columns", pool.num_columns),
-    ):
-        if getattr(meta, field) != pool_value:
-            mismatches.append(f"{field} {getattr(meta, field)} vs {pool_value}")
-    if mismatches:
-        raise StreamFormatError(f"{what}: geometry mismatch ({'; '.join(mismatches)})")
+    if meta.geometry != pool.geometry:
+        raise StreamFormatError(
+            f"{what}: geometry mismatch (snapshot {meta.geometry}, pool {pool.geometry})"
+        )
     if meta.graph_seed != pool.graph_seed & _MASK64:
         raise StreamFormatError(
             f"{what}: written under graph seed {meta.graph_seed}, "
             f"pool uses {pool.graph_seed & _MASK64}"
-        )
-    if meta.packed != pool._packed:
-        raise StreamFormatError(
-            f"{what}: bucket mode mismatch "
-            f"({'packed' if meta.packed else 'wide'} snapshot, "
-            f"{'packed' if pool._packed else 'wide'} pool)"
         )
 
 
@@ -428,24 +409,24 @@ def _read_page_tensors(
     """
     lo, hi = pool.page_span(page)
     nodes = hi - lo
-    row_elems = meta.num_columns * meta.num_rows
+    row_elems = pool.num_columns * pool.num_rows
     tensors = []
     for key, dtype in (
-        (("packed", np.uint64),) if meta.packed else (("alpha", np.uint64), ("gamma", np.uint32))
+        (("packed", np.uint64),) if pool._packed else (("alpha", np.uint64), ("gamma", np.uint32))
     ):
         itemsize = np.dtype(dtype).itemsize
         tensor = np.zeros(pool._page_shape(), dtype=dtype)
         base = meta.section_offset(key)
-        for round_index in range(meta.num_rounds):
+        for round_index in range(pool.num_rounds):
             offset = base + (
-                (round_index * meta.num_nodes + lo) * row_elems
+                (round_index * pool.num_nodes + lo) * row_elems
             ) * itemsize
             handle.seek(offset)
             data = handle.read(nodes * row_elems * itemsize)
             if len(data) != nodes * row_elems * itemsize:
                 raise StreamFormatError("snapshot payload truncated mid-read")
             tensor[round_index, :nodes] = np.frombuffer(data, dtype=dtype).reshape(
-                nodes, meta.num_columns, meta.num_rows
+                nodes, pool.num_columns, pool.num_rows
             )
         tensors.append(tensor)
     return tuple(tensors)
@@ -507,33 +488,29 @@ def _build_pool(
     memory: Optional[HybridMemory],
     nodes_per_page: Optional[int],
 ) -> NodeTensorPool:
-    """Construct an empty pool matching a snapshot's geometry."""
-    encoder = EdgeEncoder(meta.num_nodes)
+    """Construct an empty pool with a snapshot's geometry.
+
+    The columns this build derives from the recorded delta must be the
+    recorded ones, or the snapshot was written by an incompatible build.
+    """
+    geometry = meta.geometry
+    if SketchGeometry.for_graph(geometry.num_nodes, geometry.delta).columns != geometry.columns:
+        raise StreamFormatError(
+            f"snapshot geometry mismatch: {geometry} was not derived from its delta"
+        )
+    encoder = EdgeEncoder(geometry.num_nodes)
     if memory is not None:
-        pool: NodeTensorPool = PagedTensorPool(
-            meta.num_nodes,
+        return PagedTensorPool(
+            geometry.num_nodes,
             encoder,
             memory=memory,
             graph_seed=meta.graph_seed,
-            delta=meta.delta,
-            num_rounds=meta.num_rounds,
-            force_wide=not meta.packed,
+            geometry=geometry,
             nodes_per_page=nodes_per_page,
         )
-    else:
-        pool = NodeTensorPool(
-            meta.num_nodes,
-            encoder,
-            graph_seed=meta.graph_seed,
-            delta=meta.delta,
-            num_rounds=meta.num_rounds,
-            force_wide=not meta.packed,
-        )
-    # The derived geometry (rows from the node count, columns from
-    # delta) must reproduce the recorded one, or the snapshot was
-    # written by an incompatible build.
-    _check_pool_matches(meta, pool, "snapshot geometry")
-    return pool
+    return NodeTensorPool(
+        geometry.num_nodes, encoder, graph_seed=meta.graph_seed, geometry=geometry
+    )
 
 
 def load_pool_snapshot(
@@ -565,12 +542,11 @@ def _check_snapshots_compatible(paths: Sequence[Path], metas: Sequence[SnapshotM
     """All-pairs compatibility, checked before any payload is read."""
     first_path, first = paths[0], metas[0]
     for path, meta in zip(paths[1:], metas[1:]):
-        for field in ("num_nodes", "num_rounds", "num_rows", "num_columns", "packed"):
-            if getattr(meta, field) != getattr(first, field):
-                raise StreamFormatError(
-                    f"{path}: {field} {getattr(meta, field)} does not match "
-                    f"{first_path}'s {getattr(first, field)}"
-                )
+        if meta.geometry != first.geometry:
+            raise StreamFormatError(
+                f"{path}: geometry {meta.geometry} does not match "
+                f"{first_path}'s {first.geometry}"
+            )
         if meta.graph_seed != first.graph_seed:
             raise StreamFormatError(
                 f"{path}: graph seed {meta.graph_seed} does not match "

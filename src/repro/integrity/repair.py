@@ -95,9 +95,9 @@ def find_valid_checkpoint(
             if meta.merged:
                 skipped.append((str(path), "merged snapshot (not a stream prefix)"))
                 continue
-            if meta.num_nodes != engine.num_nodes:
+            if meta.geometry.num_nodes != engine.num_nodes:
                 skipped.append(
-                    (str(path), f"{meta.num_nodes} nodes, engine has {engine.num_nodes}")
+                    (str(path), f"{meta.geometry.num_nodes} nodes, engine has {engine.num_nodes}")
                 )
                 continue
             if meta.fingerprint != fingerprint:

@@ -16,7 +16,9 @@ Both implement the :class:`repro.sketch.sketch_base.L0Sampler` interface
 (update / merge / query / size accounting) so the connectivity layer and
 the benchmark harness can swap between them.
 
-On top of the samplers sits the columnar sketch engine:
+On top of the samplers sits the columnar sketch engine, every part of
+which reads one :class:`repro.sketch.geometry.SketchGeometry` (rounds,
+columns, rows and bucket mode, derived once per graph):
 
 * :class:`repro.sketch.flat_node_sketch.FlatNodeSketch` -- one node's
   entire bundle of per-round CubeSketches flattened into two contiguous
@@ -36,6 +38,7 @@ On top of the samplers sits the columnar sketch engine:
 
 from repro.sketch.bucket import CubeBucket, StandardBucket
 from repro.sketch.cubesketch import CubeSketch
+from repro.sketch.geometry import SketchGeometry
 from repro.sketch.flat_node_sketch import FlatNodeSketch, query_bucket_arrays_batch
 from repro.sketch.sketch_base import (
     SAMPLE_FAIL,
@@ -68,6 +71,7 @@ __all__ = [
     "SAMPLE_ZERO",
     "SampleOutcome",
     "SampleResult",
+    "SketchGeometry",
     "StandardBucket",
     "StandardL0Sketch",
     "cubesketch_num_buckets",

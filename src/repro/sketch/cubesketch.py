@@ -25,7 +25,6 @@ from (Figure 4).
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -40,11 +39,7 @@ from repro.hashing.mixers import (
 from repro.hashing.prng import derive_seed
 from repro.sketch.bucket import CubeBucket
 from repro.sketch.sketch_base import L0Sampler, SampleResult
-from repro.sketch.sizes import (
-    BYTES_PER_CUBE_BUCKET,
-    cubesketch_num_columns,
-    cubesketch_num_rows,
-)
+from repro.sketch.geometry import BYTES_PER_CUBE_BUCKET, cube_shape
 
 _GAMMA_MASK = np.uint64(0xFFFFFFFF)
 
@@ -116,12 +111,9 @@ class CubeSketch(L0Sampler):
         self.vector_length = int(vector_length)
         self.delta = float(delta)
         self.seed = int(seed)
-        self.num_columns = int(
-            num_columns if num_columns is not None else cubesketch_num_columns(delta)
-        )
-        self.num_rows = int(
-            num_rows if num_rows is not None else cubesketch_num_rows(vector_length)
-        )
+        columns, rows = cube_shape(vector_length, delta)
+        self.num_columns = int(num_columns if num_columns is not None else columns)
+        self.num_rows = int(num_rows if num_rows is not None else rows)
         if self.num_columns < 1 or self.num_rows < 1:
             raise ConfigurationError("sketch must have at least one row and column")
 

@@ -43,13 +43,14 @@ disk layout sequential.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.edge_encoding import EdgeEncoder
-from repro.exceptions import ConfigurationError, IncompatibleSketchError
+from repro.exceptions import IncompatibleSketchError
 from repro.hashing.mixers import (
     finalise_hash64_inplace,
     hash_to_depth,
@@ -64,11 +65,7 @@ from repro.sketch.cubesketch import (
     CubeSketch,
     validate_indices,
 )
-from repro.sketch.sizes import (
-    BYTES_PER_CUBE_BUCKET,
-    cubesketch_num_columns,
-    cubesketch_num_rows,
-)
+from repro.sketch.geometry import SketchGeometry, round_seed
 from repro.sketch.sketch_base import SAMPLE_FAIL, SAMPLE_GOOD, SAMPLE_ZERO, SampleResult
 
 _GAMMA_MASK = np.uint64(0xFFFFFFFF)
@@ -116,22 +113,19 @@ def fold_scratch_bytes() -> int:
 
 @lru_cache(maxsize=64)
 def flat_seed_matrices(
-    graph_seed: int, num_rounds: int, num_columns: int
+    graph_seed: int, geometry: SketchGeometry
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-(round, column) hash seeds, flattened round-major.
 
     Returns ``(membership, checksum, mixed_membership, mixed_checksum)``
-    where each array has ``num_rounds * num_columns`` entries and slot
-    ``s = round * num_columns + column``.  The raw seeds match the ones
+    where each array has ``rounds * columns`` entries and slot
+    ``s = round * columns + column``.  The raw seeds match the ones
     the legacy per-round CubeSketches derive; the mixed variants are
     pre-diffused for :func:`~repro.hashing.mixers.seeded_hash64_matrix`.
     Seeds depend only on the graph seed and the geometry, so they are
     cached and shared across every node of an engine.
     """
-    # Local import: the legacy NodeSketch module imports CubeSketch from
-    # this package, so round_seed cannot be imported at module top.
-    from repro.core.node_sketch import round_seed
-
+    num_rounds, num_columns = geometry.rounds, geometry.columns
     membership = np.empty(num_rounds * num_columns, dtype=np.uint64)
     checksum = np.empty(num_rounds * num_columns, dtype=np.uint64)
     for round_index in range(num_rounds):
@@ -593,7 +587,7 @@ class FlatNodeSketch:
         "node",
         "encoder",
         "graph_seed",
-        "delta",
+        "geometry",
         "num_rounds",
         "num_rows",
         "num_columns",
@@ -611,25 +605,16 @@ class FlatNodeSketch:
         node: int,
         encoder: EdgeEncoder,
         graph_seed: int = 0,
-        delta: float = 0.01,
-        num_rounds: int | None = None,
+        geometry: Optional[SketchGeometry] = None,
         kernels=None,
     ) -> None:
-        from repro.core.node_sketch import num_boruvka_rounds
-
-        if not 0 < delta < 1:
-            raise ConfigurationError("delta must be in (0, 1)")
         self.node = int(node)
         self.encoder = encoder
         self.graph_seed = int(graph_seed)
-        self.delta = float(delta)
-        self.num_rounds = (
-            int(num_rounds) if num_rounds is not None else num_boruvka_rounds(encoder.num_nodes)
-        )
-        if self.num_rounds < 1:
-            raise ConfigurationError("a node sketch needs at least one round")
-        self.num_rows = cubesketch_num_rows(encoder.vector_length)
-        self.num_columns = cubesketch_num_columns(delta)
+        self.geometry = geometry or SketchGeometry.for_graph(encoder.num_nodes)
+        self.num_rounds = self.geometry.rounds
+        self.num_rows = self.geometry.rows
+        self.num_columns = self.geometry.columns
         # Slot-major, rows innermost: bucket (round, row, col) lives at
         # flat offset (round * num_columns + col) * num_rows + row.
         shape = (self.num_rounds, self.num_columns, self.num_rows)
@@ -640,7 +625,7 @@ class FlatNodeSketch:
             self._checksum_seeds,
             self._mixed_membership,
             self._mixed_checksum,
-        ) = flat_seed_matrices(self.graph_seed, self.num_rounds, self.num_columns)
+        ) = flat_seed_matrices(self.graph_seed, self.geometry)
         #: Optional native kernel provider (see :mod:`repro.kernels`);
         #: ``None`` keeps the numpy fold.  Bit-identical either way.
         self._kernels = kernels
@@ -716,11 +701,9 @@ class FlatNodeSketch:
 
     def round_sketch(self, round_index: int) -> CubeSketch:
         """A legacy CubeSketch materialised from one round (compat/tests)."""
-        from repro.core.node_sketch import round_seed
-
         sketch = CubeSketch(
             self.encoder.vector_length,
-            delta=self.delta,
+            delta=self.geometry.delta,
             seed=round_seed(self.graph_seed, round_index),
             num_columns=self.num_columns,
             num_rows=self.num_rows,
@@ -741,13 +724,12 @@ class FlatNodeSketch:
         self._gamma ^= other._gamma
 
     def is_compatible(self, other: object) -> bool:
+        # Bucket mode is how a pool stores buckets; a view holds uint64
+        # tensors either way, so views of packed and wide pools compare.
         return (
             isinstance(other, FlatNodeSketch)
-            and other.encoder.num_nodes == self.encoder.num_nodes
-            and other.num_rounds == self.num_rounds
+            and replace(other.geometry, packed=False) == replace(self.geometry, packed=False)
             and other.graph_seed == self.graph_seed
-            and other.num_rows == self.num_rows
-            and other.num_columns == self.num_columns
         )
 
     def copy(self) -> "FlatNodeSketch":
@@ -755,7 +737,7 @@ class FlatNodeSketch:
         clone.node = self.node
         clone.encoder = self.encoder
         clone.graph_seed = self.graph_seed
-        clone.delta = self.delta
+        clone.geometry = self.geometry
         clone.num_rounds = self.num_rounds
         clone.num_rows = self.num_rows
         clone.num_columns = self.num_columns
@@ -773,7 +755,7 @@ class FlatNodeSketch:
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
         """Total payload bytes across all rounds (paper's accounting)."""
-        return self.num_rounds * self.num_rows * self.num_columns * BYTES_PER_CUBE_BUCKET
+        return self.geometry.accounted_bytes_per_node
 
     def is_empty(self) -> bool:
         return not self._alpha.any() and not self._gamma.any()

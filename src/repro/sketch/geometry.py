@@ -1,0 +1,133 @@
+"""The shape of a GraphZeppelin node sketch, derived in one place.
+
+A node sketch is one CubeSketch per Boruvka round, each a matrix of
+``columns x rows`` buckets:
+
+* ``rounds  = ceil(log2 V)`` -- Boruvka halves the component count
+  each round, and every round needs independent hash functions;
+* ``columns = ceil(log2 1/delta)`` -- per-column failures are
+  independent, so ``delta`` bounds a round sketch's failure;
+* ``rows    = ceil(log2 V^2) + 1`` -- one per hash depth of the
+  ``V^2`` edge-slot universe; row 0 receives every index.
+
+Buckets are **packed** (32-bit alpha and 32-bit gamma in one uint64, 8
+bytes) while the edge-slot universe fits in 32 bits, i.e. up to 65 536
+nodes, and **wide** (uint64 alpha + uint32 gamma, 12 bytes) above.  The
+paper accounts every bucket at 12 bytes either way.
+
+:meth:`SketchGeometry.for_graph` is the only derivation.  Pools, node
+views, snapshot readers and the engine's byte counts read its result.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Tuple
+
+from repro.exceptions import ConfigurationError
+from repro.hashing.prng import derive_seed
+
+#: Paper accounting of a CubeSketch bucket: 64-bit ``alpha`` + 32-bit ``gamma``.
+BYTES_PER_CUBE_BUCKET = 12
+
+#: Largest edge-slot universe whose alpha fits the packed 32-bit half.
+PACKED_MAX_VECTOR = 1 << 32
+
+#: Label used when deriving the per-round sketch seeds from the graph seed.
+_ROUND_SEED_LABEL = 0x524F554E  # "ROUN"
+
+
+def num_boruvka_rounds(num_nodes: int) -> int:
+    """Number of sketch rounds a graph on ``num_nodes`` nodes needs."""
+    if num_nodes < 2:
+        raise ConfigurationError("a graph needs at least two nodes")
+    return max(1, math.ceil(math.log2(num_nodes)))
+
+
+def cubesketch_num_columns(delta: float) -> int:
+    """Columns for failure probability ``delta``: 7 at the paper's 1/100."""
+    if not 0 < delta < 1:
+        raise ConfigurationError("delta must be in (0, 1)")
+    return max(1, math.ceil(math.log2(1.0 / delta)))
+
+
+def cubesketch_num_rows(vector_length: int) -> int:
+    """Number of bucket rows: ``ceil(log2(n)) + 1`` (row 0 catches all)."""
+    if vector_length < 1:
+        raise ConfigurationError("vector_length must be at least 1")
+    return max(1, math.ceil(math.log2(max(vector_length, 2)))) + 1
+
+
+def cube_shape(vector_length: int, delta: float) -> Tuple[int, int]:
+    """``(columns, rows)`` of a CubeSketch over ``vector_length`` coordinates."""
+    return cubesketch_num_columns(delta), cubesketch_num_rows(vector_length)
+
+
+def round_seed(graph_seed: int, round_index: int) -> int:
+    """The shared hash seed of every node's round-``round_index`` sketch."""
+    return derive_seed(graph_seed, _ROUND_SEED_LABEL, round_index)
+
+
+@dataclass(frozen=True)
+class SketchGeometry:
+    """Rounds, columns, rows and bucket mode of every node sketch of a graph.
+
+    Construction validates; :meth:`for_graph` derives.  ``delta`` is the
+    failure bound the columns were derived from: recorded (snapshot
+    headers store it), not compared -- two bounds with the same column
+    count build the same sketch.
+    """
+
+    num_nodes: int
+    rounds: int
+    columns: int
+    rows: int
+    packed: bool
+    delta: float = field(compare=False)
+
+    def __post_init__(self) -> None:
+        if self.num_nodes < 2:
+            raise ConfigurationError("a graph needs at least two nodes")
+        if self.rounds < 1 or self.columns < 1:
+            raise ConfigurationError(
+                f"a node sketch needs at least one round and column, not {self}"
+            )
+        if self.rows != cubesketch_num_rows(self.vector_length):
+            raise ConfigurationError(
+                f"{self.num_nodes} nodes need {cubesketch_num_rows(self.vector_length)} "
+                f"bucket rows, not {self.rows}"
+            )
+        if self.packed and self.vector_length > PACKED_MAX_VECTOR:
+            raise ConfigurationError(
+                f"{self.num_nodes} nodes overflow packed 32-bit buckets"
+            )
+
+    @classmethod
+    def for_graph(cls, num_nodes: int, delta: float = 0.01) -> "SketchGeometry":
+        """The geometry of a ``num_nodes``-node graph at failure bound ``delta``."""
+        rounds = num_boruvka_rounds(num_nodes)
+        vector_length = num_nodes * num_nodes
+        columns, rows = cube_shape(vector_length, delta)
+        return cls(
+            num_nodes, rounds, columns, rows, vector_length <= PACKED_MAX_VECTOR, delta
+        )
+
+    @property
+    def vector_length(self) -> int:
+        """Length of a node's characteristic vector (the edge-slot universe)."""
+        return self.num_nodes * self.num_nodes
+
+    @property
+    def buckets_per_node(self) -> int:
+        return self.rounds * self.columns * self.rows
+
+    @property
+    def allocated_bytes_per_node(self) -> int:
+        """Bytes one node's buckets occupy in a pool: 8 packed, 12 wide."""
+        return self.buckets_per_node * (8 if self.packed else 12)
+
+    @property
+    def accounted_bytes_per_node(self) -> int:
+        """The paper's accounting: :data:`BYTES_PER_CUBE_BUCKET` per bucket."""
+        return self.buckets_per_node * BYTES_PER_CUBE_BUCKET

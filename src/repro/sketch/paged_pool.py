@@ -83,6 +83,7 @@ from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConfigurationError
 from repro.memory.hybrid import HybridMemory
 from repro.observability.tracing import span
+from repro.sketch.geometry import SketchGeometry
 from repro.sketch.tensor_pool import MAX_PAGE_NODES, NodeTensorPool, xor_scatter
 
 #: Default target payload size of one page, in device blocks (16 KB
@@ -152,9 +153,7 @@ class PagedTensorPool(NodeTensorPool):
         encoder: EdgeEncoder,
         memory: HybridMemory,
         graph_seed: int = 0,
-        delta: float = 0.01,
-        num_rounds: Optional[int] = None,
-        force_wide: bool = False,
+        geometry: Optional[SketchGeometry] = None,
         nodes_per_page: Optional[int] = None,
         resident_pages: Optional[int] = None,
         kernels=None,
@@ -168,20 +167,15 @@ class PagedTensorPool(NodeTensorPool):
             num_nodes,
             encoder,
             graph_seed=graph_seed,
-            delta=delta,
-            num_rounds=num_rounds,
-            force_wide=force_wide,
+            geometry=geometry,
             kernels=kernels,
             _allocate=False,
         )
         self.memory = memory
-        bucket_bytes = 8 if self._packed else 12
-        self._node_payload_bytes = (
-            self.num_rounds * self.num_columns * self.num_rows * bucket_bytes
-        )
+        node_bytes = self.geometry.allocated_bytes_per_node
         self.page_bounds = plan_page_bounds(
             self.num_nodes,
-            self._node_payload_bytes,
+            node_bytes,
             memory.block_size,
             nodes_per_page=nodes_per_page,
         )
@@ -191,7 +185,7 @@ class PagedTensorPool(NodeTensorPool):
         # full node count (unused node rows stay zero).  Uniform shapes
         # keep the combined fold's affine target mapping exact and make
         # every payload the same whole number of device blocks.
-        raw_bytes = self.nodes_per_page * self._node_payload_bytes
+        raw_bytes = self.nodes_per_page * node_bytes
         block = memory.block_size
         self._page_bytes = -(-raw_bytes // block) * block
         if resident_pages is None:
@@ -874,8 +868,8 @@ class PagedTensorPool(NodeTensorPool):
 
     def __repr__(self) -> str:
         return (
-            f"PagedTensorPool(num_nodes={self.num_nodes}, rounds={self.num_rounds}, "
+            f"PagedTensorPool({self.geometry}, graph_seed={self.graph_seed}, "
             f"pages={self.num_pages}x{self.nodes_per_page}, "
             f"page_bytes={self.page_payload_bytes(0)}, "
-            f"resident={self.resident_pages}, packed={self._packed})"
+            f"resident={self.resident_pages})"
         )

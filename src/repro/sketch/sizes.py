@@ -1,20 +1,24 @@
-"""Closed-form size and shape accounting for both l0-samplers.
+"""The paper's closed-form sketch sizes (Figures 5 and 11).
 
 Figure 5 of the paper compares the byte size of CubeSketch and the
-general-purpose sampler across vector lengths from 10^3 to 10^12.  The
-largest of those sketches are never instantiated in this reproduction
-(nor do they need to be -- size is a deterministic function of the
-parameters), so the benchmark uses these closed forms, and the concrete
-sketch classes use the same constants for their ``size_bytes`` methods
-to keep the two views consistent.
+general-purpose sampler across vector lengths from 10^3 to 10^12, and
+Figure 11 the space of whole graph sketches.  The largest of those
+sketches are never instantiated in this reproduction (nor do they need
+to be -- size is a deterministic function of the parameters), so the
+benchmarks use these closed forms.  This module keeps only those
+forms: the rounds, columns and rows formulas they evaluate live in
+:mod:`repro.sketch.geometry`, which also derives the geometry the
+engine allocates.
 """
 
 from __future__ import annotations
 
-import math
-
-#: A CubeSketch bucket is a 64-bit ``alpha`` plus a 32-bit ``gamma``.
-BYTES_PER_CUBE_BUCKET = 12
+from repro.sketch.geometry import (
+    BYTES_PER_CUBE_BUCKET,
+    cubesketch_num_columns,
+    cubesketch_num_rows,
+    num_boruvka_rounds,
+)
 
 #: Machine word used by the general sampler for vectors shorter than
 #: :data:`WIDE_ARITHMETIC_THRESHOLD` (64-bit integers).
@@ -27,27 +31,6 @@ STANDARD_WIDE_WORD_BYTES = 16
 #: arithmetic (the paper places this at 10^10 coordinates, i.e. graphs
 #: with >= 10^5 nodes).
 WIDE_ARITHMETIC_THRESHOLD = 10**10
-
-#: Vector length at which CubeSketch would need more than 64-bit alphas
-#: (graphs with tens of billions of nodes); included for completeness.
-CUBESKETCH_WIDE_THRESHOLD = 2**62
-
-
-def cubesketch_num_columns(delta: float) -> int:
-    """Number of columns needed for failure probability ``delta``.
-
-    ``ceil(log2(1/delta))`` -- 7 columns for the paper's delta = 1/100.
-    """
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    return max(1, math.ceil(math.log2(1.0 / delta)))
-
-
-def cubesketch_num_rows(vector_length: int) -> int:
-    """Number of bucket rows: ``ceil(log2(n)) + 1`` (row 0 catches all)."""
-    if vector_length < 1:
-        raise ValueError("vector_length must be at least 1")
-    return max(1, math.ceil(math.log2(max(vector_length, 2)))) + 1
 
 
 def cubesketch_num_buckets(vector_length: int, delta: float = 0.01) -> int:
@@ -62,7 +45,7 @@ def cubesketch_size_bytes(vector_length: int, delta: float = 0.01) -> int:
 
 def standard_l0_num_buckets(vector_length: int, delta: float = 0.01) -> int:
     """Total bucket count of the general sampler (same geometry)."""
-    return cubesketch_num_rows(vector_length) * cubesketch_num_columns(delta)
+    return cubesketch_num_buckets(vector_length, delta)
 
 
 def standard_l0_word_bytes(vector_length: int) -> int:
@@ -84,10 +67,7 @@ def node_sketch_size_bytes(num_nodes: int, delta: float = 0.01) -> int:
     A node sketch is ``ceil(log2(V))`` CubeSketches over vectors of
     length ``V^2`` (the edge-slot universe), one per Boruvka round.
     """
-    if num_nodes < 2:
-        raise ValueError("a graph needs at least two nodes")
-    rounds = max(1, math.ceil(math.log2(num_nodes)))
-    return rounds * cubesketch_size_bytes(num_nodes * num_nodes, delta)
+    return num_boruvka_rounds(num_nodes) * cubesketch_size_bytes(num_nodes * num_nodes, delta)
 
 
 def graph_sketch_size_bytes(num_nodes: int, delta: float = 0.01) -> int:

@@ -30,12 +30,8 @@ from repro.hashing.mixers import seeded_hash64, trailing_zeros64
 from repro.hashing.prng import derive_seed
 from repro.sketch.bucket import StandardBucket
 from repro.sketch.sketch_base import L0Sampler, SampleResult
-from repro.sketch.sizes import (
-    WIDE_ARITHMETIC_THRESHOLD,
-    cubesketch_num_columns,
-    cubesketch_num_rows,
-    standard_l0_size_bytes,
-)
+from repro.sketch.geometry import cube_shape
+from repro.sketch.sizes import WIDE_ARITHMETIC_THRESHOLD, standard_l0_size_bytes
 
 #: Mersenne prime 2^61 - 1: the checksum modulus while 64-bit arithmetic suffices.
 MERSENNE_PRIME_61 = (1 << 61) - 1
@@ -71,12 +67,9 @@ class StandardL0Sketch(L0Sampler):
         self.vector_length = int(vector_length)
         self.delta = float(delta)
         self.seed = int(seed)
-        self.num_columns = int(
-            num_columns if num_columns is not None else cubesketch_num_columns(delta)
-        )
-        self.num_rows = int(
-            num_rows if num_rows is not None else cubesketch_num_rows(vector_length)
-        )
+        columns, rows = cube_shape(vector_length, delta)
+        self.num_columns = int(num_columns if num_columns is not None else columns)
+        self.num_rows = int(num_rows if num_rows is not None else rows)
         if self.num_columns < 1 or self.num_rows < 1:
             raise ConfigurationError("sketch must have at least one row and column")
 

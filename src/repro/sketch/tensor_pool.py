@@ -53,6 +53,7 @@ and merging per-node sketch objects.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,12 +73,8 @@ from repro.sketch.flat_node_sketch import (
     segmented_xor,
     validate_indices,
 )
+from repro.sketch.geometry import SketchGeometry
 from repro.sketch.round_split import fold_ranges, round_ranges, split_ranges
-from repro.sketch.sizes import (
-    BYTES_PER_CUBE_BUCKET,
-    cubesketch_num_columns,
-    cubesketch_num_rows,
-)
 from repro.sketch.sketch_base import (
     SAMPLE_FAIL,
     SAMPLE_GOOD,
@@ -167,15 +164,12 @@ class NodeTensorPool:
         sketches derive them, so pool state is bit-identical to a
         collection of :class:`FlatNodeSketch` (or legacy ``NodeSketch``)
         objects fed the same updates.
-    delta:
-        Per-round sketch failure probability.
-    num_rounds:
-        Boruvka rounds to provision (defaults to ``ceil(log2 V)``).
-    force_wide:
-        Use the wide (separate alpha/gamma tensors) storage even when
-        the edge-slot universe would fit packed buckets.  Wide mode
-        only self-selects above 65536 nodes, so this exists to let the
-        equivalence tests exercise it at test-sized graphs.
+    geometry:
+        Rounds, columns, rows and bucket mode of every node's bundle;
+        defaults to :meth:`SketchGeometry.for_graph` at ``num_nodes``.
+        Wide mode only self-selects above 65536 nodes, so the
+        equivalence tests pass a wide geometry to exercise it at
+        test-sized graphs.
     kernels:
         Optional native kernel provider (see :mod:`repro.kernels`).
         When given, the fold, segmented-XOR, and decode hot paths run
@@ -192,27 +186,19 @@ class NodeTensorPool:
         num_nodes: int,
         encoder: EdgeEncoder,
         graph_seed: int = 0,
-        delta: float = 0.01,
-        num_rounds: Optional[int] = None,
-        force_wide: bool = False,
+        geometry: Optional[SketchGeometry] = None,
         kernels=None,
         _allocate: bool = True,
     ) -> None:
-        from repro.core.node_sketch import num_boruvka_rounds
-
-        if num_nodes < 2:
-            raise ConfigurationError("a graph needs at least two nodes")
-        if not 0 < delta < 1:
-            raise ConfigurationError("delta must be in (0, 1)")
-        self.num_nodes = int(num_nodes)
+        self.geometry = geometry or SketchGeometry.for_graph(num_nodes)
+        if self.geometry.num_nodes != num_nodes:
+            raise ConfigurationError(f"{num_nodes}-node pool given {self.geometry}")
+        self.num_nodes = self.geometry.num_nodes
         self.encoder = encoder
         self.graph_seed = int(graph_seed)
-        self.delta = float(delta)
-        self.num_rounds = (
-            int(num_rounds) if num_rounds is not None else num_boruvka_rounds(num_nodes)
-        )
-        self.num_rows = cubesketch_num_rows(encoder.vector_length)
-        self.num_columns = cubesketch_num_columns(delta)
+        self.num_rounds = self.geometry.rounds
+        self.num_rows = self.geometry.rows
+        self.num_columns = self.geometry.columns
         self.num_slots = self.num_rounds * self.num_columns
 
         # Round-major: tensor[round] is one contiguous slab holding every
@@ -220,7 +206,7 @@ class NodeTensorPool:
         # ``_allocate=False`` (the paged pool) skips the whole-graph zero
         # tensors -- its pages live in frames and on the device instead.
         shape = (self.num_rounds, self.num_nodes, self.num_columns, self.num_rows)
-        self._packed = encoder.vector_length <= 1 << 32 and not force_wide
+        self._packed = self.geometry.packed
         self._buckets = self._alpha = self._gamma = None
         if _allocate:
             if self._packed:
@@ -240,7 +226,7 @@ class NodeTensorPool:
             self._checksum_seeds,
             self._mixed_membership,
             self._mixed_checksum,
-        ) = flat_seed_matrices(self.graph_seed, self.num_rounds, self.num_columns)
+        ) = flat_seed_matrices(self.graph_seed, self.geometry)
         self._updates_applied = 0
         self._kernels = kernels
         # Whole-slab XOR totals per (round, tensor) for the query
@@ -598,20 +584,15 @@ class NodeTensorPool:
 
         Linearity only holds for sketches built under identical hash
         functions and geometry, and the packed/wide layouts are not
-        byte-compatible, so every one of those parameters must match.
-        Raised *before* any bucket is touched -- a failed merge leaves
-        both pools exactly as they were.
+        byte-compatible, so the geometry (bucket mode included) and the
+        seed must match.  Raised *before* any bucket is touched -- a
+        failed merge leaves both pools exactly as they were.
         """
         if other is self:
             raise IncompatibleSketchError(
                 "merging a pool into itself would zero it (XOR is self-inverse)"
             )
-        if (
-            self.num_nodes != other.num_nodes
-            or self.num_rounds != other.num_rounds
-            or self.num_rows != other.num_rows
-            or self.num_columns != other.num_columns
-        ):
+        if self.geometry != other.geometry:
             raise IncompatibleSketchError(
                 f"pool geometry mismatch: {self!r} cannot merge {other!r}"
             )
@@ -619,10 +600,6 @@ class NodeTensorPool:
             raise IncompatibleSketchError(
                 f"pool seeds differ ({self.graph_seed} vs {other.graph_seed}); "
                 "XOR of sketches under different hash functions is meaningless"
-            )
-        if self._packed != other._packed:
-            raise IncompatibleSketchError(
-                "packed and wide pools are not byte-compatible; merge like with like"
             )
 
     def merge_from(self, other: "NodeTensorPool") -> None:
@@ -1041,8 +1018,7 @@ class NodeTensorPool:
             node,
             self.encoder,
             graph_seed=self.graph_seed,
-            delta=self.delta,
-            num_rounds=self.num_rounds,
+            geometry=self.geometry,
             kernels=self._kernels,
         )
         sketch._alpha, sketch._gamma = self._node_bundle_arrays(node)
@@ -1050,11 +1026,10 @@ class NodeTensorPool:
 
     def load_node_sketch(self, sketch: FlatNodeSketch) -> None:
         """Replace one node's pool buckets with a standalone sketch's state."""
+        # A view holds uint64 tensors whatever this pool's bucket mode.
         if (
-            sketch.num_rounds != self.num_rounds
+            replace(sketch.geometry, packed=False) != replace(self.geometry, packed=False)
             or sketch.graph_seed != self.graph_seed
-            or sketch.num_rows != self.num_rows
-            or sketch.num_columns != self.num_columns
         ):
             raise ValueError("sketch geometry/seed does not match the pool")
         if not 0 <= sketch.node < self.num_nodes:
@@ -1080,14 +1055,6 @@ class NodeTensorPool:
         """Coordinate updates folded into the pool so far."""
         return self._updates_applied
 
-    def node_sketch_bytes(self) -> int:
-        """Payload bytes of a single node's bundle (paper accounting)."""
-        return self.num_rounds * self.num_rows * self.num_columns * BYTES_PER_CUBE_BUCKET
-
-    def size_bytes(self) -> int:
-        """Payload bytes of the whole pool."""
-        return self.num_nodes * self.node_sketch_bytes()
-
     def raw_tensors(self) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only ``(alpha, gamma)`` round-major tensors.
 
@@ -1107,8 +1074,4 @@ class NodeTensorPool:
         return alpha, gamma
 
     def __repr__(self) -> str:
-        return (
-            f"NodeTensorPool(num_nodes={self.num_nodes}, rounds={self.num_rounds}, "
-            f"rows={self.num_rows}, cols={self.num_columns}, "
-            f"packed={self._packed}, bytes={self.size_bytes()})"
-        )
+        return f"NodeTensorPool({self.geometry}, graph_seed={self.graph_seed})"

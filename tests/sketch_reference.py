@@ -3,12 +3,25 @@
 What ``sketch_backend`` / ``query_backend`` used to select inside the
 engine, reached by calling it: the per-component Boruvka driver over
 ``NodeTensorPool.query_merged``, and one ``NodeSketch`` bundle of
-per-round CubeSketches per node, folded edge by edge.
+per-round CubeSketches per node, folded edge by edge.  Also the
+geometry the pool tests build with.
 """
+
+from dataclasses import replace
 
 from repro.core.boruvka import sketch_spanning_forest
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.node_sketch import NodeSketch
+from repro.sketch.geometry import SketchGeometry
+
+
+def pool_geometry(num_nodes, wide=False, rounds=None, delta=0.01):
+    """The default geometry of a ``num_nodes``-node pool, optionally
+    stored wide (at any size) or cut to ``rounds`` Boruvka rounds."""
+    geometry = SketchGeometry.for_graph(num_nodes, delta)
+    return replace(
+        geometry, packed=geometry.packed and not wide, rounds=rounds or geometry.rounds
+    )
 
 
 def reference_forest(engine):
@@ -27,8 +40,9 @@ def reference_forest(engine):
 def reference_node_sketches(num_nodes, updates, seed, delta=0.01):
     """``{node: NodeSketch}`` after toggling every ``(u, v)`` of ``updates``."""
     encoder = EdgeEncoder(num_nodes)
+    geometry = SketchGeometry.for_graph(num_nodes, delta)
     sketches = {
-        node: NodeSketch(node, encoder, graph_seed=seed, delta=delta)
+        node: NodeSketch(node, encoder, graph_seed=seed, geometry=geometry)
         for node in range(num_nodes)
     }
     for u, v in updates:

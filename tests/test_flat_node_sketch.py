@@ -198,9 +198,7 @@ def test_merge_and_copy_semantics():
 def test_seed_matrices_match_legacy_cubesketch_seeds():
     encoder = EdgeEncoder(NUM_NODES)
     legacy = NodeSketch(0, encoder, graph_seed=77)
-    membership, checksum, _, _ = flat_seed_matrices(
-        77, legacy.num_rounds, legacy.sketches[0].num_columns
-    )
+    membership, checksum, _, _ = flat_seed_matrices(77, legacy.geometry)
     for round_index, cube in enumerate(legacy.sketches):
         base = round_index * cube.num_columns
         for col in range(cube.num_columns):

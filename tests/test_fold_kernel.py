@@ -32,6 +32,7 @@ from repro.sketch.flat_node_sketch import (
 )
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.tensor_pool import NodeTensorPool
+from sketch_reference import pool_geometry
 
 _SHIFT32 = np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -211,7 +212,9 @@ def _fold_with_pool_layout(pool, indices, depths, checksums, dsts, edge_rows):
 
 @pytest.mark.parametrize("force_wide", [False, True])
 def test_flat_pool_layout_relocation(force_wide):
-    pool = NodeTensorPool(37, EdgeEncoder(37), graph_seed=4, force_wide=force_wide)
+    pool = NodeTensorPool(
+        37, EdgeEncoder(37), graph_seed=4, geometry=pool_geometry(37, wide=force_wide)
+    )
     indices, depths, checksums, dsts, edge_rows = _pool_case(pool, seed=8)
 
     def locate(dst, slot):
@@ -228,7 +231,7 @@ def test_flat_pool_layout_relocation(force_wide):
 def test_paged_pool_layout_relocation(force_wide):
     pool = PagedTensorPool(
         37, EdgeEncoder(37), memory=HybridMemory(ram_bytes=1 << 20), graph_seed=4,
-        force_wide=force_wide, nodes_per_page=5,
+        geometry=pool_geometry(37, wide=force_wide), nodes_per_page=5,
     )
     indices, depths, checksums, dsts, edge_rows = _pool_case(pool, seed=9)
     npp = pool.nodes_per_page
@@ -279,7 +282,7 @@ def test_golden_pool_digest_packed():
 
 
 def test_golden_pool_digest_wide():
-    pool = _golden_pool(force_wide=True)
+    pool = _golden_pool(geometry=pool_geometry(211, wide=True))
     digests = (payload_digest(pool._alpha.tobytes()), payload_digest(pool._gamma.tobytes()))
     assert digests == GOLDEN_WIDE
 
@@ -361,14 +364,15 @@ def _random_pairs(num_nodes, count, rng):
 
 def _make_pool(paged, num_nodes, kernels, force_wide):
     encoder = EdgeEncoder(num_nodes)
+    geometry = pool_geometry(num_nodes, wide=force_wide)
     if not paged:
         return NodeTensorPool(
-            num_nodes, encoder, graph_seed=77, force_wide=force_wide, kernels=kernels
+            num_nodes, encoder, graph_seed=77, geometry=geometry, kernels=kernels
         )
     # Five-node pages over 21 nodes: the tail page owns one node.
     return PagedTensorPool(
         num_nodes, encoder, memory=HybridMemory(ram_bytes=1 << 20), graph_seed=77,
-        force_wide=force_wide, nodes_per_page=5, kernels=kernels,
+        geometry=geometry, nodes_per_page=5, kernels=kernels,
     )
 
 
@@ -583,8 +587,9 @@ def _split_case(provider, num_nodes, count, force_wide=False, num_rounds=None, s
     lo, hi = _random_pairs(num_nodes, count, np.random.default_rng(seed))
     pools = [
         NodeTensorPool(
-            num_nodes, encoder, graph_seed=9, force_wide=force_wide,
-            num_rounds=num_rounds, kernels=kernels,
+            num_nodes, encoder, graph_seed=9,
+            geometry=pool_geometry(num_nodes, wide=force_wide, rounds=num_rounds),
+            kernels=kernels,
         )
         for kernels in (provider, provider, None)
     ]

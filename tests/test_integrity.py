@@ -434,7 +434,7 @@ def test_snapshot_v2_records_and_verifies_stripe_digests(tmp_path, flat_engine):
     assert written.version == 2 and written.verified
     meta = read_snapshot_meta(path)
     assert meta.stripe_digests == written.stripe_digests
-    assert len(meta.stripe_digests) == meta.num_rounds * (1 if meta.packed else 2)
+    assert len(meta.stripe_digests) == meta.geometry.rounds * (1 if meta.geometry.packed else 2)
     assert verify_snapshot_payload(path).verified
 
 

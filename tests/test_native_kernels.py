@@ -36,6 +36,7 @@ from repro.sketch.flat_node_sketch import (
 from repro.sketch.tensor_pool import NodeTensorPool
 from sketch_reference import (
     assert_node_state_matches,
+    pool_geometry,
     reference_forest,
     reference_node_sketches,
 )
@@ -88,12 +89,10 @@ def _assert_same_engine_state(native: GraphZeppelin, reference: GraphZeppelin) -
 def test_fold_pool_bit_identical(seed, force_wide):
     num_nodes = 257
     reference = GraphZeppelin(num_nodes, GraphZeppelinConfig(seed=seed))
-    pool_np = NodeTensorPool(
-        num_nodes, reference.encoder, graph_seed=seed, force_wide=force_wide
-    )
+    geometry = pool_geometry(num_nodes, wide=force_wide)
+    pool_np = NodeTensorPool(num_nodes, reference.encoder, graph_seed=seed, geometry=geometry)
     pool_native = NodeTensorPool(
-        num_nodes, reference.encoder, graph_seed=seed, force_wide=force_wide,
-        kernels=NATIVE,
+        num_nodes, reference.encoder, graph_seed=seed, geometry=geometry, kernels=NATIVE
     )
     rng = np.random.default_rng(seed + 1)
     count = 4000
@@ -116,11 +115,10 @@ def test_fold_pool_bit_identical(seed, force_wide):
 def test_fold_edges_bit_identical(force_wide):
     num_nodes = 128
     engine = GraphZeppelin(num_nodes, GraphZeppelinConfig(seed=5))
-    pool_np = NodeTensorPool(
-        num_nodes, engine.encoder, graph_seed=5, force_wide=force_wide
-    )
+    geometry = pool_geometry(num_nodes, wide=force_wide)
+    pool_np = NodeTensorPool(num_nodes, engine.encoder, graph_seed=5, geometry=geometry)
     pool_native = NodeTensorPool(
-        num_nodes, engine.encoder, graph_seed=5, force_wide=force_wide, kernels=NATIVE
+        num_nodes, engine.encoder, graph_seed=5, geometry=geometry, kernels=NATIVE
     )
     edges = _random_edges(num_nodes, 3000, seed=9)
     lo = np.minimum(edges[:, 0], edges[:, 1])
@@ -142,7 +140,8 @@ def test_segment_xor_bit_identical(seed, force_wide):
     num_nodes = 300
     engine = GraphZeppelin(num_nodes, GraphZeppelinConfig(seed=seed))
     pool = NodeTensorPool(
-        num_nodes, engine.encoder, graph_seed=seed, force_wide=force_wide
+        num_nodes, engine.encoder, graph_seed=seed,
+        geometry=pool_geometry(num_nodes, wide=force_wide),
     )
     rng = np.random.default_rng(seed)
     count = 5000
@@ -506,7 +505,8 @@ def test_portable_build_kernels_bit_identical(portable_build, force_wide):
     results = []
     for kernels in (None, provider):
         pool = NodeTensorPool(
-            num_nodes, engine.encoder, graph_seed=5, force_wide=force_wide, kernels=kernels
+            num_nodes, engine.encoder, graph_seed=5,
+            geometry=pool_geometry(num_nodes, wide=force_wide), kernels=kernels,
         )
         pool.apply_edges(lo, hi, indices)
         pool.apply_updates(hi[::4], indices[::4])

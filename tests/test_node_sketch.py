@@ -3,13 +3,9 @@
 import pytest
 
 from repro.core.edge_encoding import EdgeEncoder
-from repro.core.node_sketch import (
-    NodeSketch,
-    merged_round_sketch,
-    num_boruvka_rounds,
-    round_seed,
-)
+from repro.core.node_sketch import NodeSketch, merged_round_sketch
 from repro.exceptions import ConfigurationError, IncompatibleSketchError
+from repro.sketch.geometry import num_boruvka_rounds, round_seed
 
 
 @pytest.fixture

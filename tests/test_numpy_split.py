@@ -23,6 +23,7 @@ from repro.sketch.flat_node_sketch import fold_scratch_bytes
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.round_split import round_ranges, split_ranges
 from repro.sketch.tensor_pool import _FOLD_PASS_ELEMENTS, NodeTensorPool
+from sketch_reference import pool_geometry
 
 
 @pytest.fixture
@@ -54,8 +55,9 @@ def _case(num_nodes, count, force_wide=False, num_rounds=None, kernels=(None, No
     lo, hi = _random_pairs(num_nodes, count, np.random.default_rng(3))
     pools = [
         NodeTensorPool(
-            num_nodes, encoder, graph_seed=9, force_wide=force_wide,
-            num_rounds=num_rounds, kernels=provider,
+            num_nodes, encoder, graph_seed=9,
+            geometry=pool_geometry(num_nodes, wide=force_wide, rounds=num_rounds),
+            kernels=provider,
         )
         for provider in kernels
     ]

@@ -26,6 +26,7 @@ from repro.exceptions import CorruptionError
 from repro.memory.hybrid import HybridMemory
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.sketch.paged_pool import PagedTensorPool
+from sketch_reference import pool_geometry
 
 
 def _pool(num_nodes=48, resident_pages=3, **settings) -> PagedTensorPool:
@@ -187,7 +188,7 @@ def test_device_keeps_a_copy_of_a_written_back_frame():
 def test_no_accessor_returns_a_view_of_a_frame(force_wide, num_rounds):
     """With one round a node's bundle slice is already contiguous, so
     ``ascontiguousarray`` would hand out the frame itself."""
-    pool = _pool(num_nodes=24, force_wide=force_wide, num_rounds=num_rounds)
+    pool = _pool(num_nodes=24, geometry=pool_geometry(24, wide=force_wide, rounds=num_rounds))
     _random_fold(pool, np.random.default_rng(13), count=80)
     node = next(iter(pool._resident)) * pool.nodes_per_page + 1
     sketch = pool.node_sketch(node)

@@ -21,7 +21,7 @@ from repro.exceptions import ConfigurationError
 from repro.memory.hybrid import HybridMemory
 from repro.sketch.paged_pool import PagedTensorPool, plan_page_bounds
 from repro.sketch.tensor_pool import NodeTensorPool
-from sketch_reference import reference_forest
+from sketch_reference import pool_geometry, reference_forest
 
 NUM_NODES = 48
 
@@ -221,10 +221,11 @@ def test_paged_engine_charges_io_and_reports_page_stats():
 def test_wide_mode_paged_pool_matches_in_ram():
     encoder = EdgeEncoder(20)
     memory = HybridMemory(ram_bytes=1_000, block_size=512)
+    wide = pool_geometry(20, wide=True)
     paged = PagedTensorPool(
-        20, encoder, memory=memory, graph_seed=9, force_wide=True, nodes_per_page=3
+        20, encoder, memory=memory, graph_seed=9, geometry=wide, nodes_per_page=3
     )
-    reference = NodeTensorPool(20, encoder, graph_seed=9, force_wide=True)
+    reference = NodeTensorPool(20, encoder, graph_seed=9, geometry=wide)
     rng = np.random.default_rng(9)
     u = rng.integers(0, 20, 200)
     v = (u + 1 + rng.integers(0, 18, 200)) % 20

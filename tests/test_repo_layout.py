@@ -4,7 +4,7 @@
 paper-figure scripts only, each indexed in README.  A root-level
 ``BENCH_*.json`` ledger, an unindexed ``benchmarks/bench_*.py`` or a
 README path that went away fails here, so the two-system fork cannot
-regrow unnoticed.
+regrow unnoticed.  Likewise a second derivation of the sketch geometry.
 """
 
 import re
@@ -32,3 +32,22 @@ def test_one_benchmark_system_and_readme_paths_exist():
     mentioned = set(re.findall(r"(?<![\w/.])((?:benchmarks|bench|tests)/[\w./*-]*)", readme))
     missing = sorted(path for path in mentioned if not list(ROOT.glob(path.rstrip("/."))))
     assert mentioned and not missing
+
+
+def test_each_geometry_formula_is_written_once():
+    """Rounds, columns and rows are derived in ``sketch/geometry.py`` only.
+
+    No other engine module takes a ``math.log2``, and the formula
+    functions are called only there and by the paper's closed forms in
+    ``sketch/sizes.py`` -- everything else reads a ``SketchGeometry``.
+    """
+    src = ROOT / "src" / "repro"
+    geometry = src / "sketch" / "geometry.py"
+    for package in ("sketch", "core", "distributed"):
+        for path in sorted((src / package).rglob("*.py")):
+            if path != geometry:
+                assert "math.log2(" not in path.read_text(), path
+    formulas = re.compile(r"\b(?:num_boruvka_rounds|cubesketch_num_columns|cubesketch_num_rows)\(")
+    for path in sorted(src.rglob("*.py")):
+        if path not in (geometry, src / "sketch" / "sizes.py"):
+            assert not formulas.findall(path.read_text()), path

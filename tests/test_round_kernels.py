@@ -28,6 +28,7 @@ from repro.memory.hybrid import HybridMemory
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.sketch_base import SAMPLE_FAIL, SAMPLE_GOOD, SAMPLE_ZERO
 from repro.sketch.tensor_pool import NodeTensorPool
+from sketch_reference import pool_geometry
 
 NATIVE = native_kernels()
 
@@ -39,16 +40,17 @@ pytestmark = pytest.mark.skipif(
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _pool(num_nodes, seed, kernels, paged, **geometry):
+def _pool(num_nodes, seed, kernels, paged, **shape):
     encoder = EdgeEncoder(num_nodes)
+    geometry = pool_geometry(num_nodes, **shape)
     if not paged:
         return NodeTensorPool(
-            num_nodes, encoder, graph_seed=seed, kernels=kernels, **geometry
+            num_nodes, encoder, graph_seed=seed, kernels=kernels, geometry=geometry
         )
     # A RAM budget of one page: every other page is read off the device.
     return PagedTensorPool(
         num_nodes, encoder, memory=HybridMemory(ram_bytes=1), graph_seed=seed,
-        resident_pages=1, kernels=kernels, **geometry,
+        resident_pages=1, kernels=kernels, geometry=geometry,
     )
 
 
@@ -77,10 +79,10 @@ def _round_trace(pool, kernels):
     )
 
 
-def _assert_native_round_matches_numpy(num_nodes, seed, edges, paged, **geometry):
+def _assert_native_round_matches_numpy(num_nodes, seed, edges, paged, **shape):
     traces = []
     for kernels in (None, NATIVE):
-        pool = _pool(num_nodes, seed, kernels, paged, **geometry)
+        pool = _pool(num_nodes, seed, kernels, paged, **shape)
         _fold(pool, edges)
         traces.append(_round_trace(pool, kernels))
     assert traces[1] == traces[0]
@@ -105,7 +107,7 @@ def small_graphs(draw):
 def test_small_pool_round_bit_identical(graph, seed, paged, force_wide, delta):
     num_nodes, edges = graph
     _assert_native_round_matches_numpy(
-        num_nodes, seed, edges, paged, force_wide=force_wide, delta=delta
+        num_nodes, seed, edges, paged, wide=force_wide, delta=delta
     )
 
 
@@ -124,7 +126,7 @@ def test_packed_wide_boundary_round_bit_identical(num_nodes, data, seed, paged):
         st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=60)
     )
     _assert_native_round_matches_numpy(
-        num_nodes, seed, edges, paged, num_rounds=3, delta=0.3
+        num_nodes, seed, edges, paged, rounds=3, delta=0.3
     )
 
 
@@ -191,8 +193,8 @@ def _hand_built_pools(force_wide):
     num_nodes = 8
     pools = [
         NodeTensorPool(
-            num_nodes, EdgeEncoder(num_nodes), graph_seed=5, force_wide=force_wide,
-            kernels=kernels,
+            num_nodes, EdgeEncoder(num_nodes), graph_seed=5,
+            geometry=pool_geometry(num_nodes, wide=force_wide), kernels=kernels,
         )
         for kernels in (None, NATIVE)
     ]

@@ -36,6 +36,7 @@ from repro.exceptions import (
 from repro.memory.hybrid import HybridMemory
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.tensor_pool import NodeTensorPool
+from sketch_reference import pool_geometry
 
 NUM_NODES = 48
 
@@ -83,10 +84,12 @@ def _wide_pool(seed: int, memory=None) -> NodeTensorPool:
     encoder = EdgeEncoder(NUM_NODES)
     if memory is not None:
         return PagedTensorPool(
-            NUM_NODES, encoder, memory=memory, graph_seed=seed, force_wide=True,
-            nodes_per_page=7,
+            NUM_NODES, encoder, memory=memory, graph_seed=seed,
+            geometry=pool_geometry(NUM_NODES, wide=True), nodes_per_page=7,
         )
-    return NodeTensorPool(NUM_NODES, encoder, graph_seed=seed, force_wide=True)
+    return NodeTensorPool(
+        NUM_NODES, encoder, graph_seed=seed, geometry=pool_geometry(NUM_NODES, wide=True)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -283,6 +286,21 @@ def test_geometry_mismatch_rejected_without_mutation(snapshot_file):
     _assert_pool_untouched(other.tensor_pool)
 
 
+def test_zero_round_header_rejected(tmp_path, snapshot_file):
+    """A header rewritten to 0 rounds implies an empty payload and no
+    digests, so only geometry validation stands between it and a
+    0-round pool."""
+    from repro.distributed.snapshot import _HEADER
+
+    path, _ = snapshot_file
+    fields = list(_HEADER.unpack(path.read_bytes()[: _HEADER.size]))
+    fields[4] = 0  # num_rounds
+    zero = tmp_path / "zero-rounds.snap"
+    zero.write_bytes(_HEADER.pack(*fields))
+    with pytest.raises(StreamFormatError, match="round"):
+        load_pool_snapshot(zero)
+
+
 def test_seed_mismatch_on_merge_without_mutation(tmp_path, snapshot_file):
     path, _ = snapshot_file
     other = GraphZeppelin(NUM_NODES, config=GraphZeppelinConfig(seed=12))
@@ -356,9 +374,10 @@ def test_meta_roundtrip(snapshot_file):
     path, engine = snapshot_file
     meta = read_snapshot_meta(path)
     assert isinstance(meta, SnapshotMeta)
-    assert meta.num_nodes == NUM_NODES
+    assert meta.geometry == engine.geometry
+    assert meta.geometry.num_nodes == NUM_NODES
     assert meta.graph_seed == 11
-    assert meta.packed
+    assert meta.geometry.packed
     assert not meta.paged_origin
     assert meta.engine_updates == engine.updates_processed
     assert meta.stream_offset == engine.updates_processed

@@ -29,7 +29,7 @@ from repro.core.streaming_cc import StreamingCC
 from repro.sketch.flat_node_sketch import query_bucket_arrays, query_bucket_arrays_batch
 from repro.sketch.sketch_base import OUTCOME_BY_CODE, SAMPLE_GOOD, SampleResult
 from repro.sketch.tensor_pool import NodeTensorPool
-from sketch_reference import reference_forest
+from sketch_reference import pool_geometry, reference_forest
 
 NUM_NODES = 24
 
@@ -186,7 +186,9 @@ def test_vectorized_driver_via_scalar_adapter_matches_reference():
     lo = np.asarray([0, 1, 4, 6, 2])
     hi = np.asarray([1, 2, 5, 7, 3])
     for force_wide in (False, True):
-        pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=21, force_wide=force_wide)
+        pool = NodeTensorPool(
+            NUM_NODES, encoder, graph_seed=21, geometry=pool_geometry(NUM_NODES, wide=force_wide)
+        )
         pool.apply_edges(lo, hi, encoder.encode_canonical_pairs(lo, hi))
 
         def scalar_sampler(round_index, members):
@@ -269,7 +271,9 @@ def test_wide_bucket_storage_matches_packed(edges, seed):
     """The >65536-node storage fallback is bit-identical to packed mode."""
     encoder = EdgeEncoder(NUM_NODES)
     packed = NodeTensorPool(NUM_NODES, encoder, graph_seed=seed)
-    wide = NodeTensorPool(NUM_NODES, encoder, graph_seed=seed, force_wide=True)
+    wide = NodeTensorPool(
+        NUM_NODES, encoder, graph_seed=seed, geometry=pool_geometry(NUM_NODES, wide=True)
+    )
     assert packed._packed and not wide._packed
     if edges:
         endpoint_u = np.asarray([e[0] for e in edges], dtype=np.int64)
