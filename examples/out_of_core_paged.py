@@ -25,7 +25,6 @@ import numpy as np
 from repro import GraphZeppelin, GraphZeppelinConfig
 from repro.analysis.tables import format_bytes, format_rate, render_table
 from repro.generators.random_graphs import random_multigraph_edges
-from repro.sketch.sizes import node_sketch_size_bytes
 
 NUM_NODES = 6_000
 NUM_EDGES = 12_000
@@ -45,11 +44,12 @@ def ingest(config: GraphZeppelinConfig, edges: np.ndarray) -> tuple:
 
 def main() -> None:
     edges = random_multigraph_edges(NUM_NODES, NUM_EDGES, seed=3)
-    budget = node_sketch_size_bytes(NUM_NODES) * NUM_NODES // 4
+    # An unbounded engine is never touched, so sizing from it costs no memory.
+    state = GraphZeppelin(NUM_NODES, GraphZeppelinConfig(seed=SEED)).sketch_bytes()
+    budget = state // 4
     print(
         f"{NUM_NODES} nodes, {edges.shape[0]} edge updates, "
-        f"RAM budget {format_bytes(budget)} "
-        f"(sketch state {format_bytes(node_sketch_size_bytes(NUM_NODES) * NUM_NODES)})\n"
+        f"RAM budget {format_bytes(budget)} (sketch state {format_bytes(state)})\n"
     )
 
     in_ram, in_ram_s, in_ram_forest = ingest(GraphZeppelinConfig(seed=SEED), edges)

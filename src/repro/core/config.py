@@ -27,7 +27,15 @@ class GraphZeppelinConfig:
     Attributes
     ----------
     delta:
-        Per-CubeSketch failure probability (paper default 1/100).
+        Bound on the per-query incomplete rate (paper default 1/100):
+        the chance a connectivity query runs out of Boruvka rounds and
+        returns a forest flagged ``complete=False``.  It sets the node
+        sketch's columns (:func:`repro.sketch.geometry.node_sketch_columns`):
+        3 for ``delta >= 0.01`` and the paper's ``ceil(log2 1/delta)``
+        below, so ``1/128`` reproduces the paper's 7-column sketch.  The
+        Section 6.3 harness certifies the 3-column bound at 2 048 nodes
+        over its eight graph families; at other sizes (and in wide mode,
+        past 65 536 nodes) it is measured evidence, not a certified bound.
     buffering:
         Buffering structure used during ingestion.
     gutter_fraction:

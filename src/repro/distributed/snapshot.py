@@ -484,6 +484,7 @@ def load_snapshot_into(path: PathLike, pool: NodeTensorPool) -> SnapshotMeta:
 
 
 def _build_pool(
+    path: PathLike,
     meta: SnapshotMeta,
     memory: Optional[HybridMemory],
     nodes_per_page: Optional[int],
@@ -494,9 +495,12 @@ def _build_pool(
     recorded ones, or the snapshot was written by an incompatible build.
     """
     geometry = meta.geometry
-    if SketchGeometry.for_graph(geometry.num_nodes, geometry.delta).columns != geometry.columns:
+    derived = SketchGeometry.for_graph(geometry.num_nodes, geometry.delta).columns
+    if derived != geometry.columns:
         raise StreamFormatError(
-            f"snapshot geometry mismatch: {geometry} was not derived from its delta"
+            f"{path}: snapshot geometry mismatch: it holds {geometry.columns} "
+            f"columns per round sketch at delta={geometry.delta!r}, where this "
+            f"build derives {derived}"
         )
     encoder = EdgeEncoder(geometry.num_nodes)
     if memory is not None:
@@ -530,7 +534,7 @@ def load_pool_snapshot(
     and vice versa.
     """
     meta = read_snapshot_meta(path)
-    pool = _build_pool(meta, memory, nodes_per_page)
+    pool = _build_pool(path, meta, memory, nodes_per_page)
     load_snapshot_into(path, pool)
     return pool, meta
 
@@ -616,6 +620,6 @@ def merge_snapshots(
     """
     if not paths:
         raise ValueError("merge_snapshots needs at least one snapshot path")
-    pool = _build_pool(read_snapshot_meta(paths[0]), memory, nodes_per_page)
+    pool = _build_pool(paths[0], read_snapshot_meta(paths[0]), memory, nodes_per_page)
     meta = merge_snapshots_into(paths, pool)
     return pool, meta

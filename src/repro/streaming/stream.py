@@ -153,8 +153,8 @@ class GraphStream:
     :attr:`updates`, and :meth:`from_rows` takes the array itself;
     iterating or indexing builds ``EdgeUpdate`` objects on demand.
     ``final_edges()`` replays the stream to recover the edge set it
-    defines (the set E_i after the last update), which tests and the
-    reliability experiment use as ground truth.
+    defines (the set E_i after the last update), which tests use as
+    ground truth.
     """
 
     def __init__(

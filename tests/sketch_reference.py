@@ -14,6 +14,11 @@ from repro.core.edge_encoding import EdgeEncoder
 from repro.core.node_sketch import NodeSketch
 from repro.sketch.geometry import SketchGeometry
 
+#: The bound that builds the paper's 7-column node sketch -- the default
+#: geometry before node sketches were capped at 3 columns.  Recorded
+#: digests, op hashes and column-count assumptions are pinned to it.
+SEVEN_COLUMN_DELTA = 1 / 128
+
 
 def pool_geometry(num_nodes, wide=False, rounds=None, delta=0.01):
     """The default geometry of a ``num_nodes``-node pool, optionally

@@ -32,7 +32,7 @@ from repro.sketch.flat_node_sketch import (
 )
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.tensor_pool import NodeTensorPool
-from sketch_reference import pool_geometry
+from sketch_reference import SEVEN_COLUMN_DELTA, pool_geometry
 
 _SHIFT32 = np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -253,7 +253,8 @@ def test_paged_pool_layout_relocation(force_wide):
 # snapshot interchange: pool bytes pinned to the pre-swap kernel's
 # ----------------------------------------------------------------------
 #: ``payload_digest`` of the backing tensors after ``_golden_pool``'s
-#: stream, recorded at the parent commit (argsort + prefix-scan kernel).
+#: stream, recorded at the parent commit (argsort + prefix-scan kernel)
+#: on the 7-column geometry, which :data:`SEVEN_COLUMN_DELTA` builds.
 GOLDEN_PACKED = 0x1D0522944BB75E65
 GOLDEN_WIDE = (0x02807065FD40EF0D, 0x876A9EB413A541FE)
 
@@ -262,6 +263,7 @@ def _golden_pool(pool_cls=NodeTensorPool, **kwargs):
     """A fixed arithmetic stream (no RNG) through three fold entry points."""
     num_nodes = 211
     encoder = EdgeEncoder(num_nodes)
+    kwargs.setdefault("geometry", pool_geometry(num_nodes, delta=SEVEN_COLUMN_DELTA))
     pool = pool_cls(num_nodes, encoder, graph_seed=20220612, **kwargs)
     i = np.arange(3000, dtype=np.int64)
     u = (i * 7919 + 13) % num_nodes
@@ -282,7 +284,7 @@ def test_golden_pool_digest_packed():
 
 
 def test_golden_pool_digest_wide():
-    pool = _golden_pool(geometry=pool_geometry(211, wide=True))
+    pool = _golden_pool(geometry=pool_geometry(211, wide=True, delta=SEVEN_COLUMN_DELTA))
     digests = (payload_digest(pool._alpha.tobytes()), payload_digest(pool._gamma.tobytes()))
     assert digests == GOLDEN_WIDE
 
@@ -362,9 +364,9 @@ def _random_pairs(num_nodes, count, rng):
     return lo, lo + 1 + rng.integers(0, num_nodes - 1 - lo)
 
 
-def _make_pool(paged, num_nodes, kernels, force_wide):
+def _make_pool(paged, num_nodes, kernels, force_wide, delta=0.01):
     encoder = EdgeEncoder(num_nodes)
-    geometry = pool_geometry(num_nodes, wide=force_wide)
+    geometry = pool_geometry(num_nodes, wide=force_wide, delta=delta)
     if not paged:
         return NodeTensorPool(
             num_nodes, encoder, graph_seed=77, geometry=geometry, kernels=kernels
@@ -434,8 +436,9 @@ def test_native_fold_narrow_geometry(native_provider, num_nodes, num_rows, force
     """Fewer rows than the unrolled head, and the depth clamp at ``num_rows``."""
     rng = np.random.default_rng(num_nodes)
     lo, hi = _random_pairs(num_nodes, 301, rng)
-    native = _make_pool(False, num_nodes, native_provider, force_wide)
-    numpy_pool = _make_pool(False, num_nodes, None, force_wide)
+    # Seven columns: enough hashes that one reaches the last row.
+    native = _make_pool(False, num_nodes, native_provider, force_wide, SEVEN_COLUMN_DELTA)
+    numpy_pool = _make_pool(False, num_nodes, None, force_wide, SEVEN_COLUMN_DELTA)
     assert native.num_rows == num_rows
     indices = native.encoder.encode_canonical_pairs(lo, hi)
     for pool in (native, numpy_pool):

@@ -21,21 +21,43 @@ from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.distributed.snapshot import load_pool_snapshot, read_snapshot_meta
 from repro.exceptions import ConfigurationError, IncompatibleSketchError, StreamFormatError
-from repro.sketch.geometry import SketchGeometry
+from repro.sketch.geometry import SketchGeometry, cubesketch_num_columns, node_sketch_columns
 from repro.sketch.tensor_pool import NodeTensorPool
 from repro.types import EdgeUpdate, UpdateType
+from sketch_reference import SEVEN_COLUMN_DELTA
 from stream_oracle import ListStream
 
 NUM_NODES = 256
 
 
 def test_default_geometry_formulas():
-    geometry = SketchGeometry.for_graph(20_000)
+    geometry = SketchGeometry.for_graph(20_000, SEVEN_COLUMN_DELTA)
     assert (geometry.rounds, geometry.columns, geometry.rows) == (15, 7, 30)
     # The paper's 12 B per bucket; the packed pool allocates 8.
     assert geometry.accounted_bytes_per_node == 37_800
     assert geometry.allocated_bytes_per_node == 25_200
     assert SketchGeometry.for_graph(1024, delta=0.125).columns == 3
+
+
+def test_default_delta_builds_three_columns():
+    geometry = SketchGeometry.for_graph(20_000)
+    assert (geometry.rounds, geometry.columns, geometry.rows) == (15, 3, 30)
+    assert geometry.accounted_bytes_per_node == 16_200
+    assert geometry.allocated_bytes_per_node == 10_800
+    assert geometry == replace(SketchGeometry.for_graph(20_000, SEVEN_COLUMN_DELTA), columns=3)
+
+
+@pytest.mark.parametrize(
+    "delta, columns",
+    [(0.5, 1), (0.25, 2), (0.125, 3), (0.05, 3), (0.01, 3), (0.0099, 7), (1 / 128, 7), (1e-3, 10)],
+)
+def test_node_sketch_columns(delta, columns):
+    """Capped at 3 where the reliability harness certifies it, the paper's
+    ``ceil(log2 1/delta)`` below 1/100; the standalone CubeSketch keeps
+    the paper's count everywhere."""
+    assert node_sketch_columns(delta) == columns
+    assert cubesketch_num_columns(delta) >= columns
+    assert cubesketch_num_columns(0.01) == 7
 
 
 @pytest.mark.parametrize("num_nodes, packed", [(65_536, True), (65_537, False)])
@@ -68,7 +90,9 @@ def test_geometry_validation():
     with pytest.raises(ConfigurationError):
         NodeTensorPool(32, EdgeEncoder(32), geometry=geometry)
     # delta is recorded, not compared: the same columns are the same sketch.
-    assert SketchGeometry.for_graph(64, 0.01) == SketchGeometry.for_graph(64, 0.009)
+    assert SketchGeometry.for_graph(64, 0.01) == SketchGeometry.for_graph(64, 0.1)
+    assert SketchGeometry.for_graph(64, SEVEN_COLUMN_DELTA) == SketchGeometry.for_graph(64, 0.009)
+    assert SketchGeometry.for_graph(64, 0.01) != SketchGeometry.for_graph(64, 0.009)
 
 
 def _stream(seed):
@@ -108,13 +132,13 @@ def test_every_site_reads_the_one_builder(request, monkeypatch, tmp_path, paged,
         request.getfixturevalue("native_provider")  # skips when none is usable
     real = SketchGeometry.for_graph
 
-    def three_columns(cls, num_nodes, delta=0.01):
+    def two_columns(cls, num_nodes, delta=0.01):
         default = real(num_nodes, delta)
-        return replace(default, columns=3, rounds=default.rounds - 2)
+        return replace(default, columns=2, rounds=default.rounds - 2)
 
-    monkeypatch.setattr(SketchGeometry, "for_graph", classmethod(three_columns))
+    monkeypatch.setattr(SketchGeometry, "for_graph", classmethod(two_columns))
     geometry = SketchGeometry.for_graph(NUM_NODES)
-    assert (geometry.rounds, geometry.columns) == (6, 3)
+    assert (geometry.rounds, geometry.columns) == (6, 2)
 
     config = GraphZeppelinConfig(
         seed=41,
@@ -137,7 +161,7 @@ def test_every_site_reads_the_one_builder(request, monkeypatch, tmp_path, paged,
     assert forest.partition_signature() == _exact_partition(stream.final_edges())
     assert engine.total_bytes() == NUM_NODES * geometry.accounted_bytes_per_node
 
-    path = tmp_path / "three-columns.snap"
+    path = tmp_path / "two-columns.snap"
     engine.save_snapshot(path)
     assert read_snapshot_meta(path).geometry == geometry
     loaded = GraphZeppelin.load_snapshot(path, config=config)

@@ -291,10 +291,9 @@ def test_health_degraded_on_checkpoint_failures_and_persists_after_detach(
 def test_health_circuit_open_wins_over_degraded():
     from repro.memory.hybrid import HybridMemory
     from repro.resilience.overload import CircuitBreaker
-    from repro.sketch.sizes import node_sketch_size_bytes
 
     breaker = CircuitBreaker(failure_threshold=1, reset_seconds=3600.0)
-    budget = node_sketch_size_bytes(NUM_NODES) * NUM_NODES // 4
+    budget = GraphZeppelin(NUM_NODES).sketch_bytes() // 4
     memory = HybridMemory(ram_bytes=budget, breaker=breaker)
     engine = GraphZeppelin(
         NUM_NODES,

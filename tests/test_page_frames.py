@@ -26,7 +26,7 @@ from repro.exceptions import CorruptionError
 from repro.memory.hybrid import HybridMemory
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.sketch.paged_pool import PagedTensorPool
-from sketch_reference import pool_geometry
+from sketch_reference import SEVEN_COLUMN_DELTA, pool_geometry
 
 
 def _pool(num_nodes=48, resident_pages=3, **settings) -> PagedTensorPool:
@@ -219,15 +219,22 @@ def _recorded_paged_run(num_nodes: int, budget_divisor: int):
     """Five seeded epochs (ingest, flush, query) on a paged engine and its
     flat twin.  Returns the pool's page statistics, ``(block_reads,
     block_writes)`` and every device op as ``(kind, start_block,
-    blocks)``, all taken before the closing bit-identity check."""
-    state = GraphZeppelin(num_nodes).sketch_bytes()
+    blocks)``, all taken before the closing bit-identity check.  The
+    counts were recorded on the 7-column sketch, so both engines run at
+    :data:`SEVEN_COLUMN_DELTA`."""
+    config = GraphZeppelinConfig(delta=SEVEN_COLUMN_DELTA, seed=3, validate_stream=False)
+    state = GraphZeppelin(num_nodes, config).sketch_bytes()
     engine = GraphZeppelin(
         num_nodes,
         GraphZeppelinConfig.out_of_core(
-            state // budget_divisor, validate_stream=False, seed=3, nodes_per_page=4
+            state // budget_divisor,
+            delta=SEVEN_COLUMN_DELTA,
+            validate_stream=False,
+            seed=3,
+            nodes_per_page=4,
         ),
     )
-    flat = GraphZeppelin(num_nodes, GraphZeppelinConfig(seed=3, validate_stream=False))
+    flat = GraphZeppelin(num_nodes, config)
     device, ops = engine.memory.device, []
     read_into, read_ranges, write_blob = device.read_into, device.read_ranges, device.write_blob
 

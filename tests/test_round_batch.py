@@ -25,6 +25,7 @@ from repro.observability.metrics import default_registry
 from repro.resilience.checkpoint import CheckpointPolicy
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.resilience.overload import CircuitBreaker
+from sketch_reference import SEVEN_COLUMN_DELTA
 
 NATIVE = native_kernels()
 BACKENDS = [
@@ -212,10 +213,11 @@ def test_corruption_gathered_before_a_failed_range_surfaces_first():
 NUM_NODES = 128
 
 
-def _paged(backend: str, **settings) -> GraphZeppelin:
-    state = GraphZeppelin(NUM_NODES).sketch_bytes()
+def _paged(backend: str, delta: float = 0.01, **settings) -> GraphZeppelin:
+    state = GraphZeppelin(NUM_NODES, GraphZeppelinConfig(delta=delta)).sketch_bytes()
     config = GraphZeppelinConfig.out_of_core(
         state // 8,
+        delta=delta,
         validate_stream=False,
         seed=5,
         nodes_per_page=4,
@@ -233,15 +235,18 @@ def _edges(seed: int = 77, count: int = 600) -> np.ndarray:
     return np.stack([u, v], axis=1)
 
 
-def _flat_forest():
-    flat = GraphZeppelin(NUM_NODES, GraphZeppelinConfig(seed=5, validate_stream=False))
+def _flat_forest(delta: float = 0.01):
+    flat = GraphZeppelin(
+        NUM_NODES, GraphZeppelinConfig(delta=delta, seed=5, validate_stream=False)
+    )
     flat.ingest_batch(_edges())
     return flat.list_spanning_forest()
 
 
 # read_failures, io_retries, deadline_misses and the extra block reads
 # over a clean query -- recorded at the commit that read one stripe per
-# device operation, and the same under both providers.
+# device operation, on the 7-column sketch, and the same under both
+# providers.
 SEEDED_READ_FAULTS = [
     pytest.param([FaultSpec(site="device.read", at=3)], {}, (1, 1, 0, 0), id="raise"),
     pytest.param(
@@ -265,7 +270,7 @@ def test_seeded_read_faults_inside_a_round_keep_their_numbering(
     backend, faults, settings, expected
 ):
     def query(plan):
-        engine = _paged(backend, io_retry_attempts=2, **settings)
+        engine = _paged(backend, SEVEN_COLUMN_DELTA, io_retry_attempts=2, **settings)
         engine.ingest_batch(_edges())
         engine.flush()
         before = engine.io_stats.snapshot()
@@ -275,7 +280,7 @@ def test_seeded_read_faults_inside_a_round_keep_their_numbering(
 
     clean_forest, clean = query(None)
     forest, stats = query(FaultPlan(faults))
-    assert forest.edges == clean_forest.edges == _flat_forest().edges
+    assert forest.edges == clean_forest.edges == _flat_forest(SEVEN_COLUMN_DELTA).edges
     assert (
         stats["read_failures"],
         stats["io_retries"],

@@ -28,7 +28,7 @@ from repro.memory.hybrid import HybridMemory
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.sketch_base import SAMPLE_FAIL, SAMPLE_GOOD, SAMPLE_ZERO
 from repro.sketch.tensor_pool import NodeTensorPool
-from sketch_reference import pool_geometry
+from sketch_reference import SEVEN_COLUMN_DELTA, pool_geometry
 
 NATIVE = native_kernels()
 
@@ -188,13 +188,16 @@ def _hand_built_pools(force_wide):
     column 3; {2} a checksum-valid bucket whose alpha is past the slot
     universe; {3} a checksum-valid bucket decoding to ``u >= v``; {4, 5}
     two copies of one valid bucket (they cancel); {6} a valid bucket in
-    a deep row under garbage in row 0; {7} untouched.
+    a deep row under garbage in row 0; {7} untouched.  Column 3 exists
+    on the 7-column geometry only, so the pools are built at
+    :data:`SEVEN_COLUMN_DELTA`.
     """
     num_nodes = 8
+    geometry = pool_geometry(num_nodes, wide=force_wide, delta=SEVEN_COLUMN_DELTA)
     pools = [
         NodeTensorPool(
             num_nodes, EdgeEncoder(num_nodes), graph_seed=5,
-            geometry=pool_geometry(num_nodes, wide=force_wide), kernels=kernels,
+            geometry=geometry, kernels=kernels,
         )
         for kernels in (None, NATIVE)
     ]
