@@ -22,6 +22,11 @@ exits non-zero on any wrong answer, or when a family's upper bound on
 the incomplete rate exceeds its ``delta`` (300 clean queries bound it
 below 1/100).  ``--delta`` (repeatable) picks the geometries, default
 0.01; ``--delta 0.01 --delta 0.0078125 --seeds 400`` is README's table.
+``--family`` (repeatable) restricts the run to the named families, as
+the n = 16 384 gate does for the two that use the most rounds::
+
+    PYTHONPATH=src python benchmarks/bench_sec63_reliability.py \
+        --nodes 16384 --seeds 300 --family path --family communities_20
 """
 
 import argparse
@@ -30,7 +35,7 @@ import time
 
 from conftest import BENCH_SCALE_REDUCTION, print_table
 
-from repro.analysis.reliability import run_reliability, run_reliability_trials
+from repro.analysis.reliability import FAMILIES, run_reliability, run_reliability_trials
 from repro.analysis.tables import render_table
 from repro.generators.datasets import load_dataset
 
@@ -82,12 +87,17 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--delta", type=float, action="append", help="repeatable; default 0.01"
     )
+    parser.add_argument(
+        "--family", action="append", choices=list(FAMILIES),
+        help="repeatable; default every family",
+    )
     args = parser.parse_args(argv)
     start = time.perf_counter()
     cells = run_reliability(
         num_nodes=args.nodes,
         seeds=range(args.seeds),
         deltas=args.delta or (0.01,),
+        families=args.family and {name: FAMILIES[name] for name in args.family},
     )
     print(family_table(cells, args.nodes))
     print(f"\n{sum(c.queries for c in cells)} queries in {time.perf_counter() - start:.1f} s")

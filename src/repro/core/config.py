@@ -34,8 +34,9 @@ class GraphZeppelinConfig:
         3 for ``delta >= 0.01`` and the paper's ``ceil(log2 1/delta)``
         below, so ``1/128`` reproduces the paper's 7-column sketch.  The
         Section 6.3 harness certifies the 3-column bound at 2 048 nodes
-        over its eight graph families; at other sizes (and in wide mode,
-        past 65 536 nodes) it is measured evidence, not a certified bound.
+        over its eight graph families, and at 16 384 nodes over the path
+        and communities families; at other sizes (and in wide mode, past
+        65 536 nodes) it is measured evidence, not a certified bound.
     buffering:
         Buffering structure used during ingestion.
     gutter_fraction:

@@ -380,7 +380,11 @@ def _check_pool_matches(meta: SnapshotMeta, pool: NodeTensorPool, what: str) -> 
 
 
 def _apply_flat(handle: BinaryIO, pool: NodeTensorPool, xor: bool) -> None:
-    """Stream a snapshot payload into a flat pool's tensors, chunked."""
+    """Stream a snapshot payload into a flat pool's tensors, chunked.
+
+    Stamps every node first; the caller bumps the version after.
+    """
+    pool._stamp()
     for tensor in _flat_tensors(pool):
         flat = tensor.reshape(-1)
         position = 0
@@ -479,7 +483,7 @@ def load_snapshot_into(path: PathLike, pool: NodeTensorPool) -> SnapshotMeta:
                 handle.seek(_HEADER.size)
                 _apply_flat(handle, pool, xor=False)
         pool._updates_applied = meta.pool_updates
-        pool._version += 1
+        pool._bump_version()
     return meta
 
 

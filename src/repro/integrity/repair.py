@@ -196,7 +196,7 @@ def repair_pages(
                 replayed = int(dsts.size)
     # Publish: bump the pool version (fold caches must not serve
     # pre-repair assemblies) but *not* the update counters -- see above.
-    pool._version += 1
+    pool._bump_version()
     pool.sync()
     pool.memory.stats.pages_repaired += len(pages)
     engine._cached_forest = None

@@ -43,7 +43,9 @@ Why compiling beats the numpy kernels:
   pays an argsort and ``>> 32`` / ``& LOW32`` over fresh ``(segments,
   rows)`` temporaries.  ``sample_components`` counting-sorts the active
   nodes by label, XORs column 0 of each component into a scratch row,
-  decodes it, and reads columns 1..C-1 only while unresolved.
+  decodes it, and reads columns 1..C-1 only while unresolved.  Given an
+  in-RAM pool's round memo, it re-samples only the components whose
+  members or member sketches changed since that round's last read.
 * **round tail**: ``round_tail`` runs the per-edge Python union-by-size
   loop (no path compression, so the same trees) and the relabel in C.
 
@@ -325,8 +327,18 @@ void repro_decode_column(const uint64_t *alpha, const uint64_t *gamma,
 /* ascending label order.  Per component: XOR column 0 of the members, */
 /* decode, and only if that fails pull columns 1..C-1 in one pass.     */
 /* status 0 ZERO (every column empty), 1 GOOD, 2 FAIL as SAMPLE_*;     */
-/* `gamma` NULL = packed slab; scratch `work` 2*num_nodes, `acc`       */
-/* 2*num_cols*num_rows; outputs num_nodes.  Returns the count.         */
+/* `gamma` NULL = packed slab; scratch `work` 2*num_nodes + 1 int64,   */
+/* `acc` 2*num_cols*num_rows, `changed` num_nodes bytes; outputs       */
+/* num_nodes.  Returns the count; work[2*num_nodes] = reused count.    */
+/*                                                                    */
+/* Memo (memo_labels NULL = none): this round's previous read -- each  */
+/* node's label then (-1 inactive) and, by root, the status and index  */
+/* it sampled.  A sample is a function of the member set and the       */
+/* members' sketches only, so a component is re-sampled only when a    */
+/* node joined or left it (label or active flag differs, which marks   */
+/* both its new and its old root) or a member's stamp is newer than    */
+/* `read_version`; every other component copies its memoised answer.   */
+/* The memo is refreshed in place.                                     */
 /* ------------------------------------------------------------------ */
 
 #define REPRO_PREFETCH_AHEAD 8
@@ -357,16 +369,29 @@ int64_t repro_sample_components(
         const uint64_t *slab, const uint32_t *gamma, int64_t num_nodes,
         int64_t num_cols, int64_t num_rows, const int64_t *labels,
         const uint8_t *mask, uint64_t veclen, const uint64_t *mixed_seeds,
-        int64_t *work, uint64_t *acc, int64_t *roots, uint8_t *statuses,
-        int64_t *indices) {
+        int64_t *work, uint64_t *acc, uint8_t *changed, int64_t *roots,
+        uint8_t *statuses, int64_t *indices, int64_t *memo_labels,
+        uint8_t *memo_statuses, int64_t *memo_indices, const int64_t *stamps,
+        int64_t read_version) {
     const int64_t stride = num_cols * num_rows;
     int64_t *cursor = work, *sorted = work + num_nodes;
     uint64_t *xa = acc, *xg = gamma ? acc + stride : NULL;
-    int64_t i, c, col, count = 0, total = 0, start = 0;
+    int64_t i, c, col, count = 0, total = 0, start = 0, reused = 0;
 
     memset(cursor, 0, (size_t)num_nodes * sizeof(int64_t));
-    for (i = 0; i < num_nodes; i++)
-        if (!mask || mask[i]) cursor[labels[i]]++;
+    if (memo_labels) memset(changed, 0, (size_t)num_nodes);
+    for (i = 0; i < num_nodes; i++) {
+        const int64_t label = (!mask || mask[i]) ? labels[i] : -1;
+        if (memo_labels) {
+            const int64_t last = memo_labels[i];
+            if (label != last || (label >= 0 && stamps[i] > read_version)) {
+                if (label >= 0) changed[label] = 1;
+                if (last >= 0) changed[last] = 1;
+                memo_labels[i] = label;
+            }
+        }
+        if (label >= 0) cursor[label]++;
+    }
     for (i = 0; i < num_nodes; i++) {
         const int64_t size = cursor[i];
         if (!size) continue;
@@ -378,9 +403,16 @@ int64_t repro_sample_components(
         if (!mask || mask[i]) sorted[cursor[labels[i]]++] = i;
 
     for (c = 0; c < count; c++) {
-        const int64_t end = cursor[roots[c]];
+        const int64_t root = roots[c], end = cursor[root];
         int any = 0;
         int64_t best;
+        if (memo_labels && !changed[root]) {
+            statuses[c] = memo_statuses[root];
+            indices[c] = memo_indices[root];
+            reused++;
+            start = end;
+            continue;
+        }
         repro_xor_members(slab, gamma, stride, 0, num_rows, sorted + start,
                           end - start, total - start, xa, xg);
         best = repro_decode_one(xa, xg, num_rows, veclen, mixed_seeds[0], &any);
@@ -396,8 +428,13 @@ int64_t repro_sample_components(
         }
         statuses[c] = (uint8_t)(best >= 0 ? 1 : (any ? 2 : 0));
         indices[c] = best;
+        if (memo_labels) {
+            memo_statuses[root] = statuses[c];
+            memo_indices[root] = best;
+        }
         start = end;
     }
+    work[2 * num_nodes] = reused;
     return count;
 }
 
@@ -478,25 +515,26 @@ void repro_block_digests(const uint8_t *data, int64_t nbytes,
 }
 """
 
-_U64P = ctypes.POINTER(ctypes.c_uint64)
-_U32P = ctypes.POINTER(ctypes.c_uint32)
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
+_P = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _U64 = ctypes.c_uint64
 
+# Every pointer argument is a plain ``void *`` address (see :func:`_addr`).
 _SIGNATURES = {
-    "repro_fold_packed": [_U64P, _U64P, _I64P, _I64, _U64P, _U64P, _I64, _I64, _I64, _I64P],
-    "repro_fold_wide": [_U64P, _U32P, _U64P, _I64P, _I64, _U64P, _U64P, _I64, _I64, _I64, _I64P],
-    "repro_fold_sep64": [_U64P, _U64P, _U64P, _I64P, _I64, _U64P, _U64P, _I64, _I64, _I64, _I64P],
-    "repro_fold_edges_packed": [_U64P, _U64P, _I64P, _I64P, _I64, _U64P, _U64P, _I64, _I64, _I64, _I64P],
-    "repro_fold_edges_wide": [_U64P, _U32P, _U64P, _I64P, _I64P, _I64, _U64P, _U64P, _I64, _I64, _I64, _I64P],
-    "repro_seg_xor_u64": [_U64P, _I64, _I64, _I64, _I64P, _I64, _I64P, _I64, _U64P],
-    "repro_seg_xor_u32": [_U32P, _I64, _I64, _I64, _I64P, _I64, _I64P, _I64, _U32P],
-    "repro_decode_column": [_U64P, _U64P, _I64, _I64, _U64, _U64, _U8P, _U8P, _I64P],
-    "repro_block_digests": [_U8P, _I64, _I64, _U64, _U64P],
-    "repro_sample_components": [_U64P, _U32P, _I64, _I64, _I64, _I64P, _U8P, _U64, _U64P, _I64P, _U64P, _I64P, _U8P, _I64P],
-    "repro_round_tail": [_I64P, _I64P, _U8P, _I64P, _I64, _I64P, _I64P, _I64, _I64P, _I64P],
+    "repro_fold_packed": [_P, _P, _P, _I64, _P, _P, _I64, _I64, _I64, _P],
+    "repro_fold_wide": [_P, _P, _P, _P, _I64, _P, _P, _I64, _I64, _I64, _P],
+    "repro_fold_sep64": [_P, _P, _P, _P, _I64, _P, _P, _I64, _I64, _I64, _P],
+    "repro_fold_edges_packed": [_P, _P, _P, _P, _I64, _P, _P, _I64, _I64, _I64, _P],
+    "repro_fold_edges_wide": [_P, _P, _P, _P, _P, _I64, _P, _P, _I64, _I64, _I64, _P],
+    "repro_seg_xor_u64": [_P, _I64, _I64, _I64, _P, _I64, _P, _I64, _P],
+    "repro_seg_xor_u32": [_P, _I64, _I64, _I64, _P, _I64, _P, _I64, _P],
+    "repro_decode_column": [_P, _P, _I64, _I64, _U64, _U64, _P, _P, _P],
+    "repro_block_digests": [_P, _I64, _I64, _U64, _P],
+    "repro_sample_components": [
+        _P, _P, _I64, _I64, _I64, _P, _P, _U64, _P, _P, _P, _P, _P, _P, _P,
+        _P, _P, _P, _P, _I64,
+    ],
+    "repro_round_tail": [_P, _P, _P, _P, _I64, _P, _P, _I64, _P, _P],
 }
 
 
@@ -593,16 +631,18 @@ def _build_library() -> ctypes.CDLL:
     return lib
 
 
-def _u64(array: np.ndarray):
-    return array.ctypes.data_as(_U64P)
+def _addr(array: Optional[np.ndarray]) -> Optional[int]:
+    """``array``'s data address for a ``void *`` argument (``None``: NULL).
 
-
-def _u32(array: np.ndarray):
-    return array.ctypes.data_as(_U32P)
-
-
-def _i64(array: np.ndarray):
-    return array.ctypes.data_as(_I64P)
+    ``ndarray.ctypes.data_as`` builds a reference cycle per pointer, and
+    the fold and the round kernels run on every delta and every query
+    round, so those cycles would pile up as garbage between collections.
+    A plain address builds none -- but neither does it keep the array
+    alive: every array passed must be referenced by the caller until the
+    call returns (a converted temporary bound to a local, not an inline
+    ``_addr(np.ascontiguousarray(...))``).
+    """
+    return None if array is None else array.ctypes.data
 
 
 def _as_i64(values: np.ndarray) -> np.ndarray:
@@ -661,40 +701,42 @@ class CcKernels:
         One ``(mm, mc, num_slots, num_rows, dst_stride, slot_offsets)``
         per range, each covering the slots of a contiguous run of rounds
         (run lengths differ by at most one): the seed and offset vectors
-        are slot-indexed and round-major, so a range is three pointers
+        are slot-indexed and round-major, so a range is three addresses
         into them.  The vectors never change for the life of a pool, so
-        the pointers (which keep the arrays alive) are built on the
-        first fold with that range count instead of on every 64-edge
-        delta.  The cache holds no reference to the pool itself.
+        the addresses are computed on the first fold with that range
+        count instead of on every 64-edge delta; the cache entry holds
+        the three vectors, which keeps them valid, and no reference to
+        the pool itself.
         """
+        vectors = (offsets, pool._mixed_membership, pool._mixed_checksum)
         bound = self._fold_tails.get(pool)
-        if bound is None or bound[0] is not offsets:
-            bound = self._fold_tails[pool] = (offsets, {})
+        if bound is None or any(x is not y for x, y in zip(bound[0], vectors)):
+            bound = self._fold_tails[pool] = (vectors, {})
         tails = bound[1].get(ranges)
         if tails is None:
             cols = pool.num_columns
             tails = bound[1][ranges] = tuple(
                 (
-                    _u64(pool._mixed_membership[lo * cols : hi * cols]),
-                    _u64(pool._mixed_checksum[lo * cols : hi * cols]),
+                    _addr(pool._mixed_membership[lo * cols :]),
+                    _addr(pool._mixed_checksum[lo * cols :]),
                     (hi - lo) * cols, pool.num_rows, cols,
-                    _i64(offsets[lo * cols : hi * cols]),
+                    _addr(offsets[lo * cols :]),
                 )
                 for lo, hi in round_ranges(pool.num_rounds, ranges)
             )
         return tails
 
-    def _fold_nodes(self, tensors, indices, dsts) -> tuple:
-        """``(entry point, leading arguments)`` of a one-column fold into
-        packed ``(buckets,)`` or wide planes; the tail follows."""
-        idx = _as_u64(indices)
-        dst = _as_i64(dsts)
+    def _fold_nodes(self, tensors, idx: np.ndarray, dst: np.ndarray) -> tuple:
+        """``(entry point, leading arguments)`` of a one-column fold of the
+        uint64 ``idx`` into the int64 ``dst`` nodes of packed
+        ``(buckets,)`` or wide planes; the tail follows.  The caller
+        keeps ``idx`` and ``dst`` alive through the call."""
         if len(tensors) == 1:
             return self._lib.repro_fold_packed, (
-                _u64(tensors[0]), _u64(idx), _i64(dst), idx.size,
+                _addr(tensors[0]), _addr(idx), _addr(dst), idx.size,
             )
         return self._lib.repro_fold_wide, (
-            _u64(tensors[0]), _u32(tensors[1]), _u64(idx), _i64(dst), idx.size,
+            _addr(tensors[0]), _addr(tensors[1]), _addr(idx), _addr(dst), idx.size,
         )
 
     def _fold_split(self, pool, fold, head: tuple, split: bool) -> None:
@@ -720,7 +762,8 @@ class CcKernels:
         may spread its rounds over the helper threads.
         """
         tensors = (pool._buckets,) if pool._packed else (pool._alpha, pool._gamma)
-        self._fold_split(pool, *self._fold_nodes(tensors, indices, dsts), split)
+        idx, dst = _as_u64(indices), _as_i64(dsts)
+        self._fold_split(pool, *self._fold_nodes(tensors, idx, dst), split)
 
     def fold_pool_edges(
         self, pool, indices: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -733,12 +776,12 @@ class CcKernels:
         hi64 = _as_i64(hi)
         if pool._packed:
             fold = self._lib.repro_fold_edges_packed
-            head = (_u64(pool._buckets), _u64(idx), _i64(lo64), _i64(hi64), idx.size)
+            head = (_addr(pool._buckets), _addr(idx), _addr(lo64), _addr(hi64), idx.size)
         else:
             fold = self._lib.repro_fold_edges_wide
             head = (
-                _u64(pool._alpha), _u32(pool._gamma), _u64(idx), _i64(lo64),
-                _i64(hi64), idx.size,
+                _addr(pool._alpha), _addr(pool._gamma), _addr(idx), _addr(lo64),
+                _addr(hi64), idx.size,
             )
         self._fold_split(pool, fold, head, split)
 
@@ -751,7 +794,8 @@ class CcKernels:
         Never split: it runs under the pool lock on batches of about a
         hundred updates.
         """
-        fold, head = self._fold_nodes(entry, indices, local_dsts)
+        idx, dst = _as_u64(indices), _as_i64(local_dsts)
+        fold, head = self._fold_nodes(entry, idx, dst)
         fold(*head, *self._fold_tail(pool, pool._combined_offsets)[0])
 
     def fold_bundle(self, sketch, indices: np.ndarray) -> None:
@@ -759,10 +803,10 @@ class CcKernels:
         idx = _as_u64(indices)
         offsets = _bundle_offsets(sketch.num_slots)
         self._lib.repro_fold_sep64(
-            _u64(sketch._alpha), _u64(sketch._gamma), _u64(idx), None,
-            idx.size, _u64(sketch._mixed_membership),
-            _u64(sketch._mixed_checksum), sketch.num_slots, sketch.num_rows,
-            0, _i64(offsets),
+            _addr(sketch._alpha), _addr(sketch._gamma), _addr(idx), None,
+            idx.size, _addr(sketch._mixed_membership),
+            _addr(sketch._mixed_checksum), sketch.num_slots, sketch.num_rows,
+            0, _addr(offsets),
         )
 
     # ------------------------------------------------------------------
@@ -793,16 +837,14 @@ class CcKernels:
         node_stride = slab.shape[1] * slab.shape[2]
         base_off = col_start * num_rows
         out = np.empty((starts.size, width), dtype=slab.dtype)
-        if slab.dtype == np.uint64:
-            self._lib.repro_seg_xor_u64(
-                _u64(slab), node_stride, base_off, width, _i64(nodes),
-                nodes.size, _i64(starts), starts.size, _u64(out),
-            )
-        else:
-            self._lib.repro_seg_xor_u32(
-                _u32(slab), node_stride, base_off, width, _i64(nodes),
-                nodes.size, _i64(starts), starts.size, _u32(out),
-            )
+        kernel = (
+            self._lib.repro_seg_xor_u64 if slab.dtype == np.uint64
+            else self._lib.repro_seg_xor_u32
+        )
+        kernel(
+            _addr(slab), node_stride, base_off, width, _addr(nodes),
+            nodes.size, _addr(starts), starts.size, _addr(out),
+        )
         return out
 
     def decode_column(
@@ -824,41 +866,54 @@ class CcKernels:
         zero = np.empty(count, dtype=np.uint8)
         index = np.empty(count, dtype=np.int64)
         self._lib.repro_decode_column(
-            _u64(alpha), _u64(gamma), count, num_rows,
+            _addr(alpha), _addr(gamma), count, num_rows,
             np.uint64(vector_length), np.uint64(mixed_seed),
-            good.ctypes.data_as(_U8P), zero.ctypes.data_as(_U8P), _i64(index),
+            _addr(good), _addr(zero), _addr(index),
         )
         return good.view(np.bool_), zero.view(np.bool_), index
 
     def sample_components(
         self, slabs: Tuple[np.ndarray, ...], labels: np.ndarray,
         node_mask: Optional[np.ndarray], vector_length: int,
-        mixed_seeds: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        mixed_seeds: np.ndarray, memo=None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Cut-sample every component of one round in a single fused pass.
 
         ``slabs`` is the round's ``(packed,)`` or ``(alpha, gamma)``
         view(s), ``mixed_seeds`` its per-column checksum seeds.  The
         caller has checked ``labels`` to lie in ``[0, num_nodes)`` and
-        ``node_mask`` to be contiguous bools; results as the composed path.
+        ``node_mask`` to be contiguous bools; results as the composed
+        path, plus how many components were served from ``memo``.
+
+        ``memo`` (a :class:`~repro.sketch.tensor_pool.RoundMemo` of this
+        round, or ``None``) re-serves every component whose members and
+        their sketches are unchanged since its ``read_version`` and is
+        refreshed in place; the caller then advances its
+        ``read_version``.
         """
         slab = np.ascontiguousarray(slabs[0])
         gamma = np.ascontiguousarray(slabs[1]) if len(slabs) == 2 else None
         num_nodes, num_cols, num_rows = slab.shape
         labels = _as_i64(labels)
         seeds = _as_u64(mixed_seeds)
-        work = np.empty(2 * num_nodes, dtype=np.int64)
+        work = np.empty(2 * num_nodes + 1, dtype=np.int64)
         acc = np.empty(2 * num_cols * num_rows, dtype=np.uint64)
         roots, indices = np.empty((2, num_nodes), dtype=np.int64)
-        statuses = np.empty(num_nodes, dtype=np.uint8)
+        statuses, changed = np.empty((2, num_nodes), dtype=np.uint8)
+        if memo is None:
+            memo_args = (None, None, None, None, 0)
+        else:
+            memo_args = (
+                _addr(memo.labels), _addr(memo.statuses), _addr(memo.indices),
+                _addr(memo.stamps), memo.read_version,
+            )
         count = self._lib.repro_sample_components(
-            _u64(slab), None if gamma is None else _u32(gamma), num_nodes,
-            num_cols, num_rows, _i64(labels),
-            None if node_mask is None else node_mask.ctypes.data_as(_U8P),
-            np.uint64(vector_length), _u64(seeds), _i64(work), _u64(acc),
-            _i64(roots), statuses.ctypes.data_as(_U8P), _i64(indices),
+            _addr(slab), _addr(gamma), num_nodes, num_cols, num_rows,
+            _addr(labels), _addr(node_mask), np.uint64(vector_length),
+            _addr(seeds), _addr(work), _addr(acc), _addr(changed), _addr(roots),
+            _addr(statuses), _addr(indices), *memo_args,
         )
-        return roots[:count], statuses[:count], indices[:count]
+        return roots[:count], statuses[:count], indices[:count], int(work[-1])
 
     def round_tail(
         self, parent: np.ndarray, size: np.ndarray, settled: np.ndarray,
@@ -876,9 +931,9 @@ class CcKernels:
         vs = _as_i64(sampled_v)
         merged = np.empty((2, us.size), dtype=np.int64)
         merges = self._lib.repro_round_tail(
-            _i64(parent), _i64(size), settled.ctypes.data_as(_U8P),
-            _i64(labels), labels.size, _i64(us), _i64(vs), us.size,
-            _i64(merged[0]), _i64(merged[1]),
+            _addr(parent), _addr(size), _addr(settled), _addr(labels),
+            labels.size, _addr(us), _addr(vs), us.size,
+            _addr(merged[0]), _addr(merged[1]),
         )
         return labels, merged[:, :merges]
 
@@ -897,13 +952,8 @@ class CcKernels:
             raise ValueError("block_size must be positive")
         raw = np.frombuffer(data, dtype=np.uint8)
         out = np.empty(max(1, -(-raw.size // block_size)), dtype=np.uint64)
-        # Pointers cast from plain addresses: ``ndarray.ctypes.data_as``
-        # builds a reference cycle per pointer, and a digest runs on
-        # every device read, so those cycles would pile up as garbage
-        # between collections.  ``raw`` and ``out`` outlive the call.
         self._lib.repro_block_digests(
-            ctypes.cast(raw.ctypes.data, _U8P), raw.size, block_size,
-            seed & 0xFFFFFFFFFFFFFFFF, ctypes.cast(out.ctypes.data, _U64P),
+            _addr(raw), raw.size, block_size, seed & 0xFFFFFFFFFFFFFFFF, _addr(out),
         )
         return out
 

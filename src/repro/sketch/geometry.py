@@ -71,9 +71,10 @@ def node_sketch_columns(delta: float) -> int:
     upper bound on the per-query incomplete rate below 1/100, so
     ``delta >= CERTIFIED_DELTA`` is capped at :data:`CERTIFIED_COLUMNS`.
     That bound is certified at 2 048 nodes over the harness's eight
-    graph families only; 45 queries per family at 16 384 nodes were all
-    complete and right, which is evidence, not a bound, and wide mode
-    (past 65 536 nodes) is unmeasured.
+    graph families and at 16 384 nodes over the two that use the most
+    rounds (path, communities); the other families' 45 queries each at
+    16 384 nodes were all complete and right, which is evidence, not a
+    bound, and wide mode (past 65 536 nodes) is unmeasured.
     Smaller bounds keep the paper's count: ``delta = 1/128`` builds the
     7-column sketch, bit for bit.
     """

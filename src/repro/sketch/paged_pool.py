@@ -845,7 +845,7 @@ class PagedTensorPool(NodeTensorPool):
                                 tensor[round_index, : hi - lo] ^= other._round_view(
                                     key, round_index
                                 )[lo:hi]
-        self._version += 1
+        self._bump_version()
         self._updates_applied += other._updates_applied
 
     def page_stats(self) -> Dict[str, int]:

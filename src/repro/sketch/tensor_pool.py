@@ -60,6 +60,7 @@ import numpy as np
 
 from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConfigurationError, IncompatibleSketchError
+from repro.observability.metrics import default_registry
 from repro.observability.tracing import span
 from repro.sketch.flat_node_sketch import (
     FlatNodeSketch,
@@ -150,6 +151,28 @@ def xor_scatter(
         tensor.reshape(-1)[targets] ^= vals.astype(tensor.dtype, copy=False)
 
 
+class RoundMemo:
+    """One round's last fused sample on an in-RAM pool, kept for the next query.
+
+    A component's round sample is a function of its member set and those
+    members' round sketches only, so a later query re-samples just the
+    components a write or a merge changed and copies the rest from here
+    (see the native ``sample_components``).  ``labels[node]`` is the
+    label the node was read under (-1: inactive), ``statuses[root]`` /
+    ``indices[root]`` the sample of the component rooted there, and
+    ``read_version`` the pool version of that read; ``stamps`` is the
+    pool's per-node modification stamps, shared by every round's memo.
+    17 bytes per node per round.
+    """
+
+    def __init__(self, stamps: np.ndarray) -> None:
+        self.labels = np.full(stamps.size, -1, dtype=np.int64)
+        self.statuses = np.zeros(stamps.size, dtype=np.uint8)
+        self.indices = np.full(stamps.size, -1, dtype=np.int64)
+        self.stamps = stamps
+        self.read_version = 0
+
+
 class NodeTensorPool:
     """Contiguous sketch tensors for every node of a graph.
 
@@ -233,6 +256,39 @@ class NodeTensorPool:
         # engine's complement trick; invalidated by any fold.
         self._version = 0
         self._slab_cache: Dict[Tuple[int, str], Tuple[int, np.ndarray]] = {}
+        # Per-node version of the last write (see _stamp) and each
+        # round's last fused sample, kept where a provider's fused
+        # sample reads them: never on the paged pool or under numpy.
+        memoised = _allocate and hasattr(kernels, "sample_components")
+        self._stamps = np.zeros(self.num_nodes, dtype=np.int64) if memoised else None
+        self._round_memos: Dict[int, RoundMemo] = {}
+
+    # ------------------------------------------------------------------
+    # versions and stamps
+    # ------------------------------------------------------------------
+    def _stamp(self, nodes=None) -> None:
+        """Mark ``nodes`` (``None``: every node) as written by the next
+        :meth:`_bump_version`.
+
+        Called before the write, so a write that raises part way still
+        leaves its nodes stamped.  A round memo re-samples a component
+        whose member carries a stamp newer than the memo's read; a pool
+        without memos keeps no stamps.
+        """
+        if self._stamps is None:
+            return
+        if nodes is None:
+            self._stamps.fill(self._version + 1)
+        else:
+            self._stamps[nodes] = self._version + 1
+
+    def _bump_version(self) -> None:
+        """Publish the writes stamped since the last bump.
+
+        The one place the version moves: the slab cache, the paged
+        pool's slab assembly and the round memos all key on it.
+        """
+        self._version += 1
 
     # ------------------------------------------------------------------
     # updates
@@ -330,9 +386,12 @@ class NodeTensorPool:
         native, :data:`SPLIT_FLOOR` numpy -- is then cut into round
         ranges folded on every usable core
         (:mod:`repro.sketch.round_split`).  The numpy path runs
-        :meth:`_fold_rounds` per range.  Bumps neither the version nor
-        the update counter; returns the updates folded.
+        :meth:`_fold_rounds` per range.  Stamps the destinations but
+        bumps neither the version nor the update counter; returns the
+        updates folded.
         """
+        for column in dst_columns:
+            self._stamp(column)
         count = len(dst_columns) * int(indices.size)
         if self._kernels is not None:
             with span("ingest.fold"):
@@ -375,6 +434,19 @@ class NodeTensorPool:
             edge_rows = np.tile(np.arange(block.size), width)
             self._fold_chunk(dsts, edge_rows, block, depths, checksums, slots)
 
+    def _fold_serial(
+        self,
+        indices: np.ndarray,
+        dst_columns: Sequence[np.ndarray],
+        chunk_size: Optional[int] = None,
+    ) -> None:
+        """A serial entry point's fold, counted and published: the version
+        moves even when the fold raises part way, like its stamps."""
+        try:
+            self._updates_applied += self._fold(indices, dst_columns, chunk_size, split=True)
+        finally:
+            self._bump_version()
+
     def apply_updates(
         self,
         dsts: np.ndarray,
@@ -395,8 +467,7 @@ class NodeTensorPool:
         if idx is None:
             return
         self._check_destinations(dsts)
-        self._version += 1
-        self._updates_applied += self._fold(idx, (dsts,), chunk_size, split=True)
+        self._fold_serial(idx, (dsts,), chunk_size)
 
     def apply_edges(
         self,
@@ -423,8 +494,7 @@ class NodeTensorPool:
         lo, hi = np.asarray(lo), np.asarray(hi)
         self._check_destinations(lo)
         self._check_destinations(hi)
-        self._version += 1
-        self._updates_applied += self._fold(idx, (lo, hi), chunk_size, split=True)
+        self._fold_serial(idx, (lo, hi), chunk_size)
 
     def apply_node_batch(self, node: int, neighbors) -> None:
         """Fold a batch of edges ``{node, w}`` into one node's bundle.
@@ -435,10 +505,7 @@ class NodeTensorPool:
         indices = self.encoder.encode_batch(node, neighbors)
         if indices.size == 0:
             return
-        self._version += 1
-        self._updates_applied += self._fold(
-            indices, (np.full(indices.size, int(node), dtype=np.int64),), split=True
-        )
+        self._fold_serial(indices, (np.full(indices.size, int(node), dtype=np.int64),))
 
     def _check_shard(self, dsts: np.ndarray, node_lo: int, node_hi: int) -> None:
         """Reject a shard range outside the pool or a destination outside it.
@@ -479,7 +546,8 @@ class NodeTensorPool:
         ``split=True``.
 
         Deliberately does **not** bump the pool version or the update
-        counter -- shared counters would race across worker threads.
+        counter -- shared counters would race across worker threads
+        (the destinations are stamped; shards never share a node).
         The ingest coordinator calls :meth:`mark_external_updates` once
         per batch after the barrier.  Returns the number of updates
         folded.
@@ -571,9 +639,9 @@ class NodeTensorPool:
         Invalidate the slab cache (version bump) and advance the update
         counter after a sharded parallel ingest, whose worker threads
         write the tensors directly without touching this object's
-        Python state.
+        Python state (beyond the stamps of the nodes they fold into).
         """
-        self._version += 1
+        self._bump_version()
         self._updates_applied += int(count)
 
     # ------------------------------------------------------------------
@@ -616,13 +684,14 @@ class NodeTensorPool:
         folded here.
         """
         self._check_mergeable(other)
+        self._stamp()
         for round_index in range(self.num_rounds):
             if self._packed:
                 self._buckets[round_index] ^= other._round_view("packed", round_index)
             else:
                 self._alpha[round_index] ^= other._round_view("alpha", round_index)
                 self._gamma[round_index] ^= other._round_view("gamma", round_index)
-        self._version += 1
+        self._bump_version()
         self._updates_applied += other._updates_applied
 
     def _check_destinations(self, dsts: np.ndarray) -> None:
@@ -742,7 +811,9 @@ class NodeTensorPool:
         slot (-1 unless GOOD).  Results are bit-identical to calling
         :meth:`query_merged` per component -- also when a native
         provider's ``sample_components`` fuses the three steps above
-        into one call (``query.sample``).
+        into one call (``query.sample``), and when that call copies the
+        components nothing changed from the round's :class:`RoundMemo`
+        (registry counter ``query.reused_components``).
         """
         labels = np.asarray(labels)
         if labels.shape != (self.num_nodes,):
@@ -763,8 +834,17 @@ class NodeTensorPool:
             keys = ("packed",) if self._packed else ("alpha", "gamma")
             slabs = tuple(self._round_view(key, round_index) for key in keys)
             seeds = self._mixed_checksum[base : base + self.num_columns]
+            memo = self._round_memo(round_index)
             with span("query.sample"):
-                return sample(slabs, labels, mask, self.encoder.vector_length, seeds)
+                roots, statuses, indices, reused = sample(
+                    slabs, labels, mask, self.encoder.vector_length, seeds, memo
+                )
+            if memo is not None:
+                memo.read_version = self._version
+            registry = default_registry()
+            if registry.enabled and reused:
+                registry.counter("query.reused_components").inc(reused)
+            return roots, statuses, indices
         excluded = np.empty(0, dtype=np.int64) if mask is None else np.flatnonzero(~mask)
         sorted_nodes, seg_starts, roots = group_nodes_by_label(labels, node_mask)
         if roots.size == 0:
@@ -839,6 +919,16 @@ class NodeTensorPool:
             positions[column0_zero[positions] & (rest_statuses == SAMPLE_ZERO)]
         ] = SAMPLE_ZERO
         return roots, statuses, indices
+
+    def _round_memo(self, round_index: int) -> Optional[RoundMemo]:
+        """Round ``round_index``'s memo, made at its first fused sample
+        (``None`` on a pool without stamps)."""
+        if self._stamps is None:
+            return None
+        memo = self._round_memos.get(round_index)
+        if memo is None:
+            memo = self._round_memos[round_index] = RoundMemo(self._stamps)
+        return memo
 
     def _merged_round_cols(
         self,
@@ -1005,6 +1095,7 @@ class NodeTensorPool:
 
     def _write_node_bundle(self, node: int, alpha: np.ndarray, gamma: np.ndarray) -> None:
         """Overwrite one node's buckets with uint64 alpha/gamma tensors."""
+        self._stamp(node)
         if self._packed:
             self._buckets[:, node] = (alpha << _SHIFT32) | gamma
         else:
@@ -1035,7 +1126,7 @@ class NodeTensorPool:
         if not 0 <= sketch.node < self.num_nodes:
             raise ValueError(f"sketch node {sketch.node} outside [0, {self.num_nodes})")
         self._write_node_bundle(sketch.node, sketch._alpha, sketch._gamma)
-        self._version += 1
+        self._bump_version()
 
     def node_is_empty(self, node: int) -> bool:
         self._check_node(node)

@@ -508,7 +508,7 @@ C_ENTRY_POINTS = ("packed", "wide", "sep64", "bundle", "edges_packed", "edges_wi
 def test_c_fold_entry_points_stay_inside_their_columns(native_provider, entry, num_rows, count):
     if native_provider.name != "cc":
         pytest.skip("drives the C library's entry points")
-    from repro.kernels.native_cc import _i64, _u32, _u64
+    from repro.kernels.native_cc import _addr
 
     lib = native_provider._lib
     num_slots, num_dsts = 3, 1 if entry == "bundle" else 4
@@ -523,23 +523,23 @@ def test_c_fold_entry_points_stay_inside_their_columns(native_provider, entry, n
     indices = rng.integers(0, 1 << index_bits, count).astype(np.uint64)
     lo = rng.integers(0, num_dsts, count).astype(np.int64)
     hi = rng.integers(0, num_dsts, count).astype(np.int64)
-    tail = (count, _u64(mm), _u64(mc), num_slots, num_rows, stride, _i64(offsets))
+    tail = (count, _addr(mm), _addr(mc), num_slots, num_rows, stride, _addr(offsets))
     alpha = np.zeros(words, dtype=np.uint64)
     gamma = np.zeros(words, dtype=np.uint32 if "wide" in entry else np.uint64)
-    gamma_ptr = _u32(gamma) if "wide" in entry else _u64(gamma)
+    gamma_ptr = _addr(gamma)
     if entry == "packed":
-        lib.repro_fold_packed(_u64(alpha), _u64(indices), _i64(lo), *tail)
+        lib.repro_fold_packed(_addr(alpha), _addr(indices), _addr(lo), *tail)
     elif entry == "edges_packed":
-        lib.repro_fold_edges_packed(_u64(alpha), _u64(indices), _i64(lo), _i64(hi), *tail)
+        lib.repro_fold_edges_packed(_addr(alpha), _addr(indices), _addr(lo), _addr(hi), *tail)
     elif entry == "wide":
-        lib.repro_fold_wide(_u64(alpha), gamma_ptr, _u64(indices), _i64(lo), *tail)
+        lib.repro_fold_wide(_addr(alpha), gamma_ptr, _addr(indices), _addr(lo), *tail)
     elif entry == "edges_wide":
         lib.repro_fold_edges_wide(
-            _u64(alpha), gamma_ptr, _u64(indices), _i64(lo), _i64(hi), *tail
+            _addr(alpha), gamma_ptr, _addr(indices), _addr(lo), _addr(hi), *tail
         )
     else:
-        dsts = None if entry == "bundle" else _i64(lo)
-        lib.repro_fold_sep64(_u64(alpha), gamma_ptr, _u64(indices), dsts, *tail)
+        dsts = None if entry == "bundle" else _addr(lo)
+        lib.repro_fold_sep64(_addr(alpha), gamma_ptr, _addr(indices), dsts, *tail)
 
     if "packed" in entry:
         alpha, gamma = alpha >> _SHIFT32, alpha & _LOW32
