@@ -63,7 +63,10 @@ def main() -> None:
         paths.append(workdir / f"part{part}.snap")
         worker.save_snapshot(paths[-1])
     pool, meta = merge_snapshots(paths)
-    identical = np.array_equal(pool._buckets, reference.tensor_pool._buckets)
+    identical = all(
+        np.array_equal(got, want)
+        for got, want in zip(pool.raw_tensors(), reference.tensor_pool.raw_tensors())
+    )
     print(f"merged {len(paths)} snapshots: {meta.pool_updates} folded updates, "
           f"tensors bit-identical = {identical}")
 

@@ -333,6 +333,11 @@ class GraphZeppelin:
         set is toggled to match, so later validated ``insert`` /
         ``delete`` calls stay consistent.  Returns the number of edge
         updates ingested.
+
+        When a storage error propagates out of an out-of-core engine,
+        the batch was still accepted (``updates_processed`` counts it):
+        what the buffers emitted but could not fold is back in the
+        buffers, and a later :meth:`flush` applies it.
         """
         lo, hi = self._canonical_edge_columns(edges)
         if lo is None:
@@ -655,27 +660,15 @@ class GraphZeppelin:
         a time -- each batch's fold only mutates state after its page is
         resident, so a batch that raises (rotten page read, failed
         writeback) has not been applied, and it plus the unapplied tail
-        are restored to the gutters before the error propagates.
+        are restored to the gutters before the error propagates
+        (:meth:`_apply_emitted`, which every buffered path shares).
         Without this, an absorbed mid-flush error (a checkpointer
         swallowing a failed checkpoint) would silently drop the popped
         updates and quietly diverge from the fault-free stream.
         """
         if self._buffering is None:
             return
-        batches = self._buffering.flush_all()
-        if self.memory is None or self.memory.is_unbounded:
-            # In-RAM pools cannot fail mid-fold: keep the coalesced
-            # fast path.
-            self._apply_emitted(batches)
-            return
-        applied = 0
-        try:
-            for batch in batches:
-                self._apply_batch(batch)
-                applied += 1
-        except BaseException:
-            self._buffering.restore(batches[applied:])
-            raise
+        self._apply_emitted(self._buffering.flush_all())
 
     def node_sketch(self, node: int) -> FlatNodeSketch:
         """The current sketch of one node (a detached copy)."""
@@ -936,20 +929,34 @@ class GraphZeppelin:
             self._pool.apply_node_batch(v, [u])
             self._batches_applied += 2
         else:
-            for batch in self._buffering.insert_edge(u, v):
-                self._apply_batch(batch)
+            self._apply_emitted(self._buffering.insert_edge(u, v))
         self._note_checkpoint_progress(1)
 
     def _apply_emitted(self, batches: Sequence[PageBatch]) -> None:
-        """Apply a list of emitted buffer batches, coalescing page columns.
+        """Apply the page batches the buffering layer emitted.
 
-        A flush can emit hundreds of page batches at once (one per
-        gutter); folding them one by one would pay the kernel's fixed
-        cost per page.  The page columns are concatenated and handed to
-        the pool as **one** mixed column, which the fold kernel takes in
-        a single pass whatever pages it spans.
+        In RAM, where a fold cannot fail part way, the page columns are
+        concatenated and handed to the pool as **one** mixed column: a
+        flush can emit hundreds of batches (one per gutter), and the
+        fold kernel takes them in a single pass whatever pages they
+        span.  Out of core each batch folds on its own, and a batch's
+        fold mutates nothing before its page is resident, so when a
+        storage error (a rotten page read, a failed write-back)
+        propagates, the failing batch and every one after it are
+        restored to the buffers first: the updates stay accepted and
+        the next flush applies them.
         """
         page_batches = [b for b in batches if len(b) > 0]
+        if self._pool.is_paged:
+            applied = 0
+            try:
+                for batch in page_batches:
+                    self._apply_batch(batch)
+                    applied += 1
+            except BaseException:
+                self._buffering.restore(page_batches[applied:])
+                raise
+            return
         if len(page_batches) <= 1:
             for batch in page_batches:
                 self._apply_batch(batch)

@@ -17,9 +17,10 @@ The on-disk format (version 2, all integers little-endian)::
         engine_updates uint64 the engine's updates_processed counter
         fingerprint  uint64  GraphZeppelinConfig.sketch_fingerprint()
     payload:
-        the round-major ``(rounds, nodes, cols, rows)`` bucket tensor in
-        C order -- the packed uint64 tensor, or the uint64 alpha tensor
-        followed by the uint32 gamma tensor in wide mode.
+        one section per bucket plane of the geometry
+        (:attr:`~repro.sketch.geometry.SketchGeometry.planes`), in plane
+        order: that plane's round-major ``(rounds, nodes, cols, rows)``
+        tensor in C order.
     digest trailer (version >= 2):
         one ``uint64`` :func:`~repro.integrity.digest.payload_digest`
         per (section, round) stripe, section-major (``sections x
@@ -29,13 +30,14 @@ The on-disk format (version 2, all integers little-endian)::
         (``SnapshotMeta.verified`` false).
 
 Round-major payload order is what makes snapshots cheap for *both* pool
-flavours: a flat :class:`~repro.sketch.tensor_pool.NodeTensorPool`
-writes its tensors as a straight memory dump, while a
-:class:`~repro.sketch.paged_pool.PagedTensorPool` streams one page's
-round stripe at a time through :class:`~repro.memory.hybrid.HybridMemory`
-(resident pages copy out of their frames, the others pay partial-range
-reads) -- the whole pool is never materialised in RAM, going in either
-direction.
+flavours: the writer streams one round slab per plane and round, read
+through the pool's ``_round_view`` -- a slice of a flat
+:class:`~repro.sketch.tensor_pool.NodeTensorPool`'s tensors, or one
+batched range read of a
+:class:`~repro.sketch.paged_pool.PagedTensorPool`'s page stripes into
+its budget-reserved slab -- and the loaders stream the file back one
+page (or one chunk) at a time, so a paged pool is never materialised in
+RAM, going in either direction.
 
 Because sketches are linear, snapshots are also the unit of
 *distribution*: :func:`merge_snapshots` XOR-combines the pools of K
@@ -120,18 +122,19 @@ class SnapshotMeta:
         """Length of the digest trailer (zero for version-1 files)."""
         if self.version < 2:
             return 0
-        return len(_section_keys(self.geometry.packed)) * self.geometry.rounds * 8
+        return len(self.geometry.planes) * self.geometry.rounds * 8
 
     @property
     def verified(self) -> bool:
         """Whether this snapshot's payload can be checksum-verified."""
         return self.stripe_digests is not None
 
-    def section_offset(self, key: str) -> int:
-        """Byte offset of a tensor section inside the snapshot file."""
-        if key in ("packed", "alpha"):
-            return _HEADER.size
-        return _HEADER.size + self.geometry.num_nodes * self.geometry.buckets_per_node * 8
+    def section_offset(self, plane: int) -> int:
+        """Byte offset of a bucket plane's section inside the snapshot file."""
+        plane_buckets = self.geometry.num_nodes * self.geometry.buckets_per_node
+        return _HEADER.size + plane_buckets * sum(
+            dtype.itemsize for _, dtype in self.geometry.planes[:plane]
+        )
 
 
 def _pool_meta(
@@ -154,9 +157,9 @@ def _pool_meta(
 def _pack_header(meta: SnapshotMeta) -> bytes:
     geometry = meta.geometry
     flags = (
-        (_FLAG_PACKED if geometry.packed else 0)
-        | (_FLAG_PAGED_ORIGIN if meta.paged_origin else 0)
-        | (_FLAG_MERGED if meta.merged else 0)
+        _FLAG_PACKED * geometry.packed
+        | _FLAG_PAGED_ORIGIN * meta.paged_origin
+        | _FLAG_MERGED * meta.merged
     )
     return _HEADER.pack(
         SNAPSHOT_MAGIC,
@@ -174,16 +177,6 @@ def _pack_header(meta: SnapshotMeta) -> bytes:
     )
 
 
-def _section_keys(packed: bool) -> Tuple[str, ...]:
-    return ("packed",) if packed else ("alpha", "gamma")
-
-
-def _flat_tensors(pool: NodeTensorPool) -> List[np.ndarray]:
-    if pool._packed:
-        return [pool._buckets]
-    return [pool._alpha, pool._gamma]
-
-
 # ----------------------------------------------------------------------
 # writing
 # ----------------------------------------------------------------------
@@ -199,10 +192,11 @@ def save_pool_snapshot(
 
     The file is written to a temporary sibling and atomically renamed
     into place, so a crash mid-snapshot never leaves a half-written
-    checkpoint where a resumable one is expected.  A paged pool is
-    streamed one page round stripe at a time (never materialised);
-    ``stream_offset`` / ``engine_updates`` / ``fingerprint`` are the
-    engine-level metadata stamped into the header.  Every round
+    checkpoint where a resumable one is expected.  Every pool is written
+    one round slab of one plane at a time, read through ``_round_view``
+    (on a paged pool one batched range read; the pool is never
+    materialised).  ``stream_offset`` / ``engine_updates`` /
+    ``fingerprint`` are the engine-level metadata stamped into the header.  Every round
     stripe's digest is accumulated as its bytes stream out and appended
     as the trailer, so checksumming never costs a second pass over the
     payload.  Returns the metadata written (digests included).
@@ -217,24 +211,11 @@ def save_pool_snapshot(
         with span("snapshot.save"):
             with tmp_path.open("wb") as handle:
                 handle.write(_pack_header(meta))
-                if pool.is_paged:
-                    for key in _section_keys(pool._packed):
-                        for round_index in range(pool.num_rounds):
-                            digest = StreamingDigest()
-                            for page in range(pool.num_pages):
-                                stripe = pool._page_round_array(page, key, round_index)
-                                data = np.ascontiguousarray(stripe).tobytes(order="C")
-                                digest.update(data)
-                                handle.write(data)
-                            digests.append(digest.digest())
-                else:
-                    for tensor in _flat_tensors(pool):
-                        for round_index in range(pool.num_rounds):
-                            data = np.ascontiguousarray(tensor[round_index]).tobytes(
-                                order="C"
-                            )
-                            digests.append(payload_digest(data))
-                            handle.write(data)
+                for plane in range(len(pool.geometry.planes)):
+                    for round_index in range(pool.num_rounds):
+                        data = pool._round_view(plane, round_index).tobytes(order="C")
+                        digests.append(payload_digest(data))
+                        handle.write(data)
                 handle.write(struct.pack(f"<{len(digests)}Q", *digests))
             with span("snapshot.promote"):
                 os.replace(tmp_path, path)
@@ -343,9 +324,8 @@ def verify_snapshot_payload(
     index = 0
     with path.open("rb") as handle:
         handle.seek(_HEADER.size)
-        for key in _section_keys(geometry.packed):
-            itemsize = 8 if key in ("packed", "alpha") else 4
-            stripe_bytes = geometry.num_nodes * row_elems * itemsize
+        for name, dtype in geometry.planes:
+            stripe_bytes = geometry.num_nodes * row_elems * dtype.itemsize
             for round_index in range(geometry.rounds):
                 digest = StreamingDigest()
                 remaining = stripe_bytes
@@ -360,7 +340,7 @@ def verify_snapshot_payload(
                 if digest.digest() != meta.stripe_digests[index]:
                     raise CorruptionError(
                         f"{path}: payload checksum mismatch "
-                        f"({key} section, round {round_index})"
+                        f"({name} section, round {round_index})"
                     )
                 index += 1
     return meta
@@ -385,7 +365,7 @@ def _apply_flat(handle: BinaryIO, pool: NodeTensorPool, xor: bool) -> None:
     Stamps every node first; the caller bumps the version after.
     """
     pool._stamp()
-    for tensor in _flat_tensors(pool):
+    for tensor in pool._planes:
         flat = tensor.reshape(-1)
         position = 0
         while position < flat.size:
@@ -415,12 +395,10 @@ def _read_page_tensors(
     nodes = hi - lo
     row_elems = pool.num_columns * pool.num_rows
     tensors = []
-    for key, dtype in (
-        (("packed", np.uint64),) if pool._packed else (("alpha", np.uint64), ("gamma", np.uint32))
-    ):
-        itemsize = np.dtype(dtype).itemsize
+    for plane, (_, dtype) in enumerate(pool.geometry.planes):
+        itemsize = dtype.itemsize
         tensor = np.zeros(pool._page_shape(), dtype=dtype)
-        base = meta.section_offset(key)
+        base = meta.section_offset(plane)
         for round_index in range(pool.num_rounds):
             offset = base + (
                 (round_index * pool.num_nodes + lo) * row_elems

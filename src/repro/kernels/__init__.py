@@ -14,7 +14,10 @@ decode ``sample_components`` behind
 :meth:`~repro.sketch.tensor_pool.NodeTensorPool.query_components` and
 the union-find/relabel ``round_tail``
 (:func:`~repro.core.boruvka.round_tail`) -- have compiled twins
-selected through ``config.kernel_backend``.
+selected through ``config.kernel_backend``.  The segmented-XOR and
+decode twins are on no engine path any more (the fused sample replaced
+them; the pool's composed query path is numpy): only tests and the
+benchmark tracer call them.
 
 ``"numpy"``
     The default: the pure-numpy kernels, no compiled code anywhere.

@@ -726,18 +726,16 @@ class CcKernels:
             )
         return tails
 
-    def _fold_nodes(self, tensors, idx: np.ndarray, dst: np.ndarray) -> tuple:
-        """``(entry point, leading arguments)`` of a one-column fold of the
-        uint64 ``idx`` into the int64 ``dst`` nodes of packed
-        ``(buckets,)`` or wide planes; the tail follows.  The caller
-        keeps ``idx`` and ``dst`` alive through the call."""
-        if len(tensors) == 1:
-            return self._lib.repro_fold_packed, (
-                _addr(tensors[0]), _addr(idx), _addr(dst), idx.size,
-            )
-        return self._lib.repro_fold_wide, (
-            _addr(tensors[0]), _addr(tensors[1]), _addr(idx), _addr(dst), idx.size,
-        )
+    def _fold_head(self, planes, idx: np.ndarray, dst_columns) -> tuple:
+        """``(entry point, leading arguments)`` of a fold of the uint64
+        ``idx`` into the int64 nodes of one destination column (or both
+        endpoint columns of an edge batch) of a pool's bucket ``planes``;
+        the tail follows.  The caller keeps every array alive through
+        the call."""
+        edges = "edges_" if len(dst_columns) == 2 else ""
+        layout = "packed" if len(planes) == 1 else "wide"
+        fold = getattr(self._lib, f"repro_fold_{edges}{layout}")
+        return fold, (*map(_addr, planes), _addr(idx), *map(_addr, dst_columns), idx.size)
 
     def _fold_split(self, pool, fold, head: tuple, split: bool) -> None:
         """Run one in-RAM pool fold, over round ranges when ``split`` allows.
@@ -761,9 +759,8 @@ class CcKernels:
         ``split``: the caller is a serial entry point, so a large batch
         may spread its rounds over the helper threads.
         """
-        tensors = (pool._buckets,) if pool._packed else (pool._alpha, pool._gamma)
         idx, dst = _as_u64(indices), _as_i64(dsts)
-        self._fold_split(pool, *self._fold_nodes(tensors, idx, dst), split)
+        self._fold_split(pool, *self._fold_head(pool._planes, idx, (dst,)), split)
 
     def fold_pool_edges(
         self, pool, indices: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -771,19 +768,8 @@ class CcKernels:
     ) -> None:
         """Fold both mirrored halves of a canonical edge batch (hash once);
         ``split`` as :meth:`fold_pool`."""
-        idx = _as_u64(indices)
-        lo64 = _as_i64(lo)
-        hi64 = _as_i64(hi)
-        if pool._packed:
-            fold = self._lib.repro_fold_edges_packed
-            head = (_addr(pool._buckets), _addr(idx), _addr(lo64), _addr(hi64), idx.size)
-        else:
-            fold = self._lib.repro_fold_edges_wide
-            head = (
-                _addr(pool._alpha), _addr(pool._gamma), _addr(idx), _addr(lo64),
-                _addr(hi64), idx.size,
-            )
-        self._fold_split(pool, fold, head, split)
+        idx, lo64, hi64 = _as_u64(indices), _as_i64(lo), _as_i64(hi)
+        self._fold_split(pool, *self._fold_head(pool._planes, idx, (lo64, hi64)), split)
 
     def fold_page(
         self, pool, entry: Tuple[np.ndarray, ...], indices: np.ndarray,
@@ -795,7 +781,7 @@ class CcKernels:
         hundred updates.
         """
         idx, dst = _as_u64(indices), _as_i64(local_dsts)
-        fold, head = self._fold_nodes(entry, idx, dst)
+        fold, head = self._fold_head(entry, idx, (dst,))
         fold(*head, *self._fold_tail(pool, pool._combined_offsets)[0])
 
     def fold_bundle(self, sketch, indices: np.ndarray) -> None:

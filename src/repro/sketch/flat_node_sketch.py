@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from dataclasses import replace
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +69,6 @@ from repro.sketch.geometry import SketchGeometry, round_seed
 from repro.sketch.sketch_base import SAMPLE_FAIL, SAMPLE_GOOD, SAMPLE_ZERO, SampleResult
 
 _GAMMA_MASK = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 _ZERO64 = np.uint64(0)
 
 #: Updates per internal chunk of :meth:`FlatNodeSketch.apply_indices`;
@@ -183,6 +182,11 @@ def _segment_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new_segment)
 
 
+def _separate_planes(alpha: np.ndarray, gamma: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """:func:`fold_hashed`'s default planes: uint64 alpha and gamma apart."""
+    return alpha, gamma
+
+
 def fold_hashed(
     indices: np.ndarray,
     depths: np.ndarray,
@@ -192,7 +196,7 @@ def fold_hashed(
     edge_rows: Optional[np.ndarray] = None,
     dst_stride: Optional[int] = None,
     slot_offsets: Optional[np.ndarray] = None,
-    packed: bool = False,
+    pack: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]] = _separate_planes,
 ) -> Tuple[np.ndarray, ...]:
     """Reduction phase of the fold kernel: peel the bucket rows level by level.
 
@@ -219,9 +223,11 @@ def fold_hashed(
     over ``(dst, slot)`` works, which is how the pools get round-major
     and page-local offsets straight from the kernel).
 
-    Returns ``(targets, alpha_values, gamma_values)``, or with ``packed``
-    ``(targets, values)`` where ``values = alpha << 32 | gamma`` came out
-    of a single reduction (``packed`` needs edge slots below ``2**32``).
+    Returns ``targets`` and one value array per bucket plane:
+    ``pack(alpha, gamma)`` (a :meth:`SketchGeometry.pack
+    <repro.sketch.geometry.SketchGeometry.pack>`) names the planes, each
+    reduced on its own -- one reduction for packed ``alpha << 32 |
+    gamma`` words -- and without it they are uint64 alpha and gamma.
     Targets are unique within one call -- at most one per
     ``(dst, slot, row)`` -- and ordered row-major, not ascending.
     """
@@ -236,12 +242,8 @@ def fold_hashed(
 
     alpha = indices.astype(np.uint64, copy=False)[rows]
     depth = np.ascontiguousarray(depths[rows].astype(np.int8).T)
-    gamma = checksums[rows]
-    if packed:
-        gamma |= (alpha << _SHIFT32)[:, None]
-        planes = [np.ascontiguousarray(gamma.T)]
-    else:
-        planes = [np.broadcast_to(alpha, (num_slots, count)), np.ascontiguousarray(gamma.T)]
+    gamma = np.ascontiguousarray(checksums[rows].T)
+    planes = [np.broadcast_to(plane, gamma.shape) for plane in pack(alpha, gamma)]
 
     # Flat offset of a column's row 0, split into its slot and
     # destination terms so it is only ever materialised for survivors.
@@ -521,7 +523,6 @@ def query_bucket_arrays_batch(
     gamma: np.ndarray,
     vector_length: int,
     checksum_seeds: Sequence[int],
-    kernels=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """CubeSketch's query over ``C`` components' bucket tensors at once.
 
@@ -539,10 +540,6 @@ def query_bucket_arrays_batch(
     components resolved by an early column drop out of later columns'
     work, which is what makes whole-round Boruvka queries cheap: most
     components sample successfully from column 0.
-
-    ``kernels``, when given, is a native kernel provider (see
-    :mod:`repro.kernels`) whose bit-identical compiled decoder replaces
-    :func:`decode_column_batch` for each column pass.
     """
     alpha = np.asarray(alpha)
     gamma = np.asarray(gamma)
@@ -553,14 +550,13 @@ def query_bucket_arrays_batch(
     if seeds.shape != (num_columns,):
         raise ValueError("need exactly one checksum seed per column")
     mixed = mix_seed_array(seeds)
-    decode = decode_column_batch if kernels is None else kernels.decode_column
 
     statuses = np.full(count, SAMPLE_FAIL, dtype=np.uint8)
     indices = np.full(count, -1, dtype=np.int64)
     seen_nonzero = np.zeros(count, dtype=bool)
     undecided = np.arange(count)
     for col in range(num_columns):
-        good, zero, index = decode(
+        good, zero, index = decode_column_batch(
             alpha[undecided, col], gamma[undecided, col], vector_length, mixed[col]
         )
         seen_nonzero[undecided] |= ~zero

@@ -14,7 +14,12 @@ A node sketch is one CubeSketch per Boruvka round, each a matrix of
 Buckets are **packed** (32-bit alpha and 32-bit gamma in one uint64, 8
 bytes) while the edge-slot universe fits in 32 bits, i.e. up to 65 536
 nodes, and **wide** (uint64 alpha + uint32 gamma, 12 bytes) above.  The
-paper accounts every bucket at 12 bytes either way.
+paper accounts every bucket at 12 bytes either way.  A pool stores one
+round-major tensor per **plane** (:attr:`SketchGeometry.planes`): the
+packed words alone, or an alpha plane then a gamma plane.  Every bucket
+operation a pool runs is an XOR per plane, so the planes are all a pool
+knows of the layout; :meth:`SketchGeometry.pack` and
+:meth:`SketchGeometry.unpack` convert between them and ``(alpha, gamma)``.
 
 :meth:`SketchGeometry.for_graph` is the only derivation.  Pools, node
 views, snapshot readers and the engine's byte counts read its result.
@@ -24,7 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.hashing.prng import derive_seed
@@ -42,6 +49,11 @@ CERTIFIED_COLUMNS = 3
 
 #: Label used when deriving the per-round sketch seeds from the graph seed.
 _ROUND_SEED_LABEL = 0x524F554E  # "ROUN"
+
+_SHIFT32 = np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_PACKED_PLANES = (("packed", np.dtype(np.uint64)),)
+_WIDE_PLANES = (("alpha", np.dtype(np.uint64)), ("gamma", np.dtype(np.uint32)))
 
 
 def num_boruvka_rounds(num_nodes: int) -> int:
@@ -158,9 +170,35 @@ class SketchGeometry:
         return self.rounds * self.columns * self.rows
 
     @property
+    def planes(self) -> Tuple[Tuple[str, np.dtype], ...]:
+        """``(name, dtype)`` of every bucket plane, in storage order.
+
+        Packed: one uint64 plane of ``alpha << 32 | gamma`` words.  Wide:
+        a uint64 alpha plane, then a uint32 gamma plane.
+        """
+        return _PACKED_PLANES if self.packed else _WIDE_PLANES
+
+    def pack(self, alpha: np.ndarray, gamma: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Bucket ``(alpha, gamma)`` values as one array per plane, in its dtype.
+
+        The arguments broadcast against each other like any numpy pair.
+        """
+        if self.packed:
+            return ((alpha << _SHIFT32) | gamma,)
+        return alpha.astype(np.uint64, copy=False), gamma.astype(np.uint32)
+
+    def unpack(self, values: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """Bucket ``(alpha, gamma)`` of one array per plane, as fresh uint64 arrays."""
+        if self.packed:
+            (words,) = values
+            return words >> _SHIFT32, words & _LOW32
+        alpha, gamma = values
+        return alpha.astype(np.uint64), gamma.astype(np.uint64)
+
+    @property
     def allocated_bytes_per_node(self) -> int:
         """Bytes one node's buckets occupy in a pool: 8 packed, 12 wide."""
-        return self.buckets_per_node * (8 if self.packed else 12)
+        return self.buckets_per_node * sum(dtype.itemsize for _, dtype in self.planes)
 
     @property
     def accounted_bytes_per_node(self) -> int:

@@ -20,9 +20,9 @@ kernel emits page-pool-flat offsets, which are grouped by page id and
 scattered one pinned page at a time.  The native provider instead folds
 straight into each pinned page's tensors.
 
-Layout.  A page covering nodes ``[lo, hi)`` is one C-order tensor of
-shape ``(num_rounds, hi - lo, cols, rows)`` (packed mode; wide mode
-keeps an alpha uint64 and gamma uint32 pair back to back).  Round-major
+Layout.  A page covering nodes ``[lo, hi)`` holds one C-order tensor of
+shape ``(num_rounds, hi - lo, cols, rows)`` per bucket plane of the
+geometry, back to back in plane order.  Round-major
 *within the page* means one Boruvka round of the page is a contiguous
 byte range of the payload, so the query side rebuilds a whole round
 slab with **one batched range read**
@@ -31,8 +31,9 @@ not resident contributes only the blocks its round stripe straddles, roughly
 ``1 / num_rounds`` of the page, instead of a whole-page (or per-node
 blob) round trip, and the round's stripes share one device operation
 and are verified a scratchful at a time.  The assembled slab feeds the
-*unchanged* whole-round query machinery of the parent class -- the pool only
-overrides the slab/bundle accessors -- so
+*unchanged* whole-round machinery of the parent class -- queries, merges,
+snapshots and per-node views all read :meth:`_round_view`, which is what
+this pool overrides, with the bundle accessor -- so
 :func:`~repro.core.boruvka.vectorized_spanning_forest` is the single
 query driver for in-RAM and out-of-core engines alike.
 
@@ -51,9 +52,9 @@ resident page is pinned or a write-back has failed.  Query-side slab
 assembly is charged the same way: each round's whole-graph slab
 (``1 / num_rounds`` of the pool -- exactly what the whole-round query
 engine scans, in RAM or out of core) is assembled into a persistent
-per-tensor buffer reserved at the first query, and the memory charges
-its range-read scratch beside it, making the budget a hard ceiling for
-queries too.  The remaining floors: a budget smaller than one round
+per-plane buffer reserved at the first round read (a query's, or a
+snapshot's), and the memory charges its range-read scratch beside it,
+making the budget a hard ceiling for queries and snapshots too.  The remaining floors: a budget smaller than one round
 slab (or two frames) still allocates them and reserves what there was.
 
 Concurrency: page pin/unpin/evict bookkeeping -- and with it all
@@ -91,9 +92,6 @@ from repro.sketch.tensor_pool import MAX_PAGE_NODES, NodeTensorPool, xor_scatter
 #: thousands of buffered updates, small enough that a handful of pages
 #: fit modest RAM budgets.
 DEFAULT_PAGE_TARGET_BLOCKS = 16
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 
 
 def plan_page_bounds(
@@ -209,25 +207,28 @@ class PagedTensorPool(NodeTensorPool):
         self._page_elems = (
             self.num_rounds * self.nodes_per_page * self.num_columns * self.num_rows
         )
+        #: Byte offset of each plane's tensor inside a page payload.
+        itemsizes = [dtype.itemsize for _, dtype in self.geometry.planes]
+        self._plane_offsets = np.cumsum([0, *itemsizes[:-1]]) * self._page_elems
 
         self._lock = threading.RLock()
-        #: page -> bucket tensor (packed) or (alpha, gamma) pair (wide);
-        #: insertion order doubles as LRU recency (moved on access).
+        #: page -> one bucket tensor per plane; insertion order doubles
+        #: as LRU recency (moved on access).
         self._resident: Dict[int, Tuple[np.ndarray, ...]] = {}
         #: page -> the frame those tensors are views of.
         self._frames: Dict[int, np.ndarray] = {}
         self._pins: Dict[int, int] = {}
         self._dirty: set = set()
-        #: Persistent query-slab scratch, one whole-graph round slab per
-        #: bucket tensor, allocated lazily at the first query and
+        #: Persistent round-slab scratch, one whole-graph round slab per
+        #: bucket plane, allocated lazily at the first round read and
         #: *reserved* from the hybrid memory's budget -- query scratch
         #: is charged against the RAM budget like the fold-side working
         #: set, not stacked on top of it.
-        self._slab_bufs: Optional[Dict[str, np.ndarray]] = None
+        self._slab_bufs: Optional[Tuple[np.ndarray, ...]] = None
         self._slab_reserved_bytes = 0
-        #: per-key ``(round, version)`` tag of the slab currently held
+        #: per-plane ``(round, version)`` tag of the slab currently held
         #: in the reusable buffer above.
-        self._assembled: Dict[str, Tuple[int, int]] = {}
+        self._assembled: Dict[int, Tuple[int, int]] = {}
         # Working-set telemetry (page_ins counts misses that had to read
         # the device; partial_reads counts query-side round stripes
         # served by byte-range loads; frame-table hits and misses at
@@ -260,20 +261,15 @@ class PagedTensorPool(NodeTensorPool):
             raise ValueError(f"page {page} outside [0, {self.num_pages})")
         return int(self.page_bounds[page]), int(self.page_bounds[page + 1])
 
-    def _page_nodes(self, page: int) -> int:
-        """Nodes actually owned by one page (tail pages own fewer)."""
-        return int(self.page_bounds[page + 1] - self.page_bounds[page])
-
     def page_payload_bytes(self, page: int) -> int:
         """Serialised page size: uniform, a whole number of device blocks."""
         return self._page_bytes
 
-    def _round_stripe_offset(self, key: str, round_index: int) -> int:
-        """Byte offset of one round's stripe inside a page payload."""
-        stripe64 = self.nodes_per_page * self.num_columns * self.num_rows * 8
-        if key in ("packed", "alpha"):
-            return round_index * stripe64
-        return self.num_rounds * stripe64 + round_index * (stripe64 // 2)
+    def _round_stripe_offset(self, plane: int, round_index: int) -> int:
+        """Byte offset of one plane's round stripe inside a page payload."""
+        itemsize = self.geometry.planes[plane][1].itemsize
+        stripe = self.nodes_per_page * self.num_columns * self.num_rows * itemsize
+        return int(self._plane_offsets[plane]) + round_index * stripe
 
     def _page_key(self, page: int) -> Tuple[str, int]:
         return ("sketch-page", page)
@@ -297,14 +293,13 @@ class PagedTensorPool(NodeTensorPool):
             self._free_frames.append(frame)
 
     def _frame_tensors(self, frame: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """The page's bucket tensors as views of ``frame`` (the payload layout)."""
-        shape = self._page_shape()
-        split = self._page_elems * 8
-        alpha = frame[:split].view(np.uint64).reshape(shape)
-        if self._packed:
-            return (alpha,)
-        gamma = frame[split : split + self._page_elems * 4].view(np.uint32).reshape(shape)
-        return alpha, gamma
+        """The page's plane tensors as views of ``frame`` (the payload layout)."""
+        return tuple(
+            frame[offset : offset + self._page_elems * dtype.itemsize]
+            .view(dtype)
+            .reshape(self._page_shape())
+            for offset, (_, dtype) in zip(self._plane_offsets, self.geometry.planes)
+        )
 
     def _page_in(self, page: int) -> Tuple[np.ndarray, ...]:
         """Fill a frame with ``page`` and publish it as resident (lock held).
@@ -593,16 +588,12 @@ class PagedTensorPool(NodeTensorPool):
                 xor_scatter(entry, page_targets - page * page_elems, page_values)
 
     def _fold(
-        self,
-        indices: np.ndarray,
-        dst_columns: Sequence[np.ndarray],
-        chunk_size: Optional[int] = None,
-        split: bool = False,
+        self, indices: np.ndarray, dst_columns: Sequence[np.ndarray], split: bool = False
     ) -> int:
         """The in-RAM pool's fold, never split by round: a page fold pins
         pages, and the LRU and the order of device operations must not
         depend on which thread folds which round range."""
-        return super()._fold(indices, dst_columns, chunk_size)
+        return super()._fold(indices, dst_columns)
 
     def _fold_native(
         self, indices: np.ndarray, dst_columns: Sequence[np.ndarray], split: bool
@@ -647,9 +638,9 @@ class PagedTensorPool(NodeTensorPool):
     # query-side slab assembly
     # ------------------------------------------------------------------
     def _read_round_stripes(
-        self, key: str, round_index: int, stripes: Iterable[Tuple[int, np.ndarray]]
+        self, plane: int, round_index: int, stripes: Iterable[Tuple[int, np.ndarray]]
     ) -> None:
-        """Copy each ``(page, out)`` page's stripe of a round into its ``out``.
+        """Copy each ``(page, out)`` page's plane stripe of a round into its ``out``.
 
         ``out`` is a C-contiguous ``(page_nodes, cols, rows)`` array
         (the page's slice of the query slab), so tail pages hand over
@@ -663,8 +654,7 @@ class PagedTensorPool(NodeTensorPool):
         -- a round scan touching every page would evict the fold path's
         hot pages for read-only data.
         """
-        offset = self._round_stripe_offset(key, round_index)
-        plane = 0 if key in ("packed", "alpha") else 1
+        offset = self._round_stripe_offset(plane, round_index)
         with self._lock:
             requests = []
             for page, out in stripes:
@@ -681,19 +671,10 @@ class PagedTensorPool(NodeTensorPool):
                 self.memory.load_ranges(requests)
                 self.partial_reads += len(requests)
 
-    def _page_round_array(self, page: int, key: str, round_index: int) -> np.ndarray:
-        """One page's ``(page_nodes, cols, rows)`` stripe of a round, as a copy."""
-        out = np.empty(
-            (self._page_nodes(page), self.num_columns, self.num_rows),
-            dtype=np.uint32 if key == "gamma" else np.uint64,
-        )
-        self._read_round_stripes(key, round_index, [(page, out)])
-        return out
+    def _slab_buffer(self, plane: int) -> np.ndarray:
+        """The persistent whole-graph round-slab buffer of one bucket plane.
 
-    def _slab_buffer(self, key: str) -> np.ndarray:
-        """The persistent whole-graph round-slab buffer for one tensor key.
-
-        Allocated once, at the first query, and its bytes are reserved
+        Allocated once, at the first round read, and its bytes are reserved
         from the hybrid memory's budget
         (:meth:`~repro.memory.hybrid.HybridMemory.reserve`) -- so the
         RAM budget is a hard ceiling for queries too, not just folds.
@@ -705,103 +686,54 @@ class PagedTensorPool(NodeTensorPool):
         with self._lock:
             if self._slab_bufs is None:
                 shape = (self.num_nodes, self.num_columns, self.num_rows)
-                planes = {"alpha": np.uint64, "gamma": np.uint32}
-                if self._packed:
-                    planes = {"packed": np.uint64}
-                bufs = {key: np.empty(shape, dtype=dtype) for key, dtype in planes.items()}
+                bufs = tuple(np.empty(shape, dtype=dtype) for _, dtype in self.geometry.planes)
                 self._slab_reserved_bytes = self.memory.reserve(
-                    sum(buf.nbytes for buf in bufs.values())
+                    sum(buf.nbytes for buf in bufs)
                 )
                 self._slab_bufs = bufs
-            return self._slab_bufs[key]
+            return self._slab_bufs[plane]
 
-    def _round_view(self, key: str, round_index: int) -> np.ndarray:
-        """Assemble one round's whole-graph slab from its page stripes.
+    def _round_view(self, plane: int, round_index: int) -> np.ndarray:
+        """Assemble one round's whole-graph slab of a plane from its page stripes.
 
-        The slab (``1 / num_rounds`` of the pool, exactly what the
+        The slab (``1 / num_rounds`` of the plane, exactly what the
         whole-round query engine scans) is assembled into the
-        budget-reserved reusable buffer and memoised per key until the
-        next fold, so a round's phase-1 / phase-2 decodes and the
-        complement trick's whole-slab total share one assembly.  The
-        returned array is *reused* by the next round's assembly --
-        callers that outlive the round (``raw_tensors``) must copy.
+        budget-reserved reusable buffer, with one batched range read,
+        and memoised per plane until the next fold, so a round's
+        phase-1 / phase-2 decodes and the complement trick's whole-slab
+        total share one assembly.  The returned array is *reused* by
+        the plane's next assembly -- callers that outlive the round
+        (``raw_tensors``, snapshots) copy or write it out first.
         """
-        buf = self._slab_buffer(key)
+        buf = self._slab_buffer(plane)
         with self._lock:
-            if self._assembled.get(key) == (round_index, self._version):
+            if self._assembled.get(plane) == (round_index, self._version):
                 return buf
             version = self._version
         bounds = self.page_bounds.tolist()
         self._read_round_stripes(
-            key,
+            plane,
             round_index,
             ((page, buf[bounds[page] : bounds[page + 1]]) for page in range(self.num_pages)),
         )
         with self._lock:
-            self._assembled[key] = (round_index, version)
+            self._assembled[plane] = (round_index, version)
         return buf
 
     # ------------------------------------------------------------------
-    # per-node views
+    # per-node views and merges
     # ------------------------------------------------------------------
-    def _node_round_arrays(self, node: int, round_index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """One node's round arrays from its page stripe alone."""
-        page = self.page_of(node)
-        local = node - int(self.page_bounds[page])
-        if self._packed:
-            packed = self._page_round_array(page, "packed", round_index)[local]
-            return packed >> _SHIFT32, packed & _LOW32
-        return (
-            self._page_round_array(page, "alpha", round_index)[local],
-            self._page_round_array(page, "gamma", round_index)[local].astype(np.uint64),
-        )
+    @contextmanager
+    def _bundle_planes(self, node: int, dirty: bool = True):
+        """``node``'s page tensors, pinned for the block, and its index in them.
 
-    def _node_bundle_arrays(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
-        page = self.page_of(node)
-        local = node - int(self.page_bounds[page])
-        with self._pinned(page, dirty=False) as entry:
-            if self._packed:
-                packed = entry[0][:, local]
-                return packed >> _SHIFT32, packed & _LOW32
-            # A copy, never a view: the frame outlives this pin as
-            # some other page (and with one round the slice is already
-            # contiguous, so ascontiguousarray would alias it).
-            return entry[0][:, local].copy(), entry[1][:, local].astype(np.uint64)
-
-    def _write_node_bundle(self, node: int, alpha: np.ndarray, gamma: np.ndarray) -> None:
-        page = self.page_of(node)
-        local = node - int(self.page_bounds[page])
-        with self._pinned(page) as entry:
-            if self._packed:
-                entry[0][:, local] = (alpha << _SHIFT32) | gamma
-            else:
-                entry[0][:, local] = alpha
-                entry[1][:, local] = gamma.astype(np.uint32)
-
-    # ------------------------------------------------------------------
-    # whole-pool views and unsupported parent features
-    # ------------------------------------------------------------------
-    def raw_tensors(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Materialise the full ``(rounds, nodes, cols, rows)`` tensors.
-
-        Assembles every round slab -- the whole pool in RAM -- so this
-        is for equivalence tests and small graphs, not the hot path.
-        Each round is copied out of the reusable slab buffer before the
-        next round's assembly overwrites it.
+        Nothing read from them may outlive the block: the frame goes on
+        to hold another page (:meth:`_node_bundle_arrays` unpacks into
+        fresh arrays).
         """
-        slabs = [
-            np.stack(
-                [self._round_view(key, r).copy() for r in range(self.num_rounds)]
-            )
-            for key in (("packed",) if self._packed else ("alpha", "gamma"))
-        ]
-        if self._packed:
-            alpha, gamma = slabs[0] >> _SHIFT32, slabs[0] & _LOW32
-        else:
-            alpha, gamma = slabs
-        alpha.flags.writeable = False
-        gamma.flags.writeable = False
-        return alpha, gamma
+        page = self.page_of(node)
+        with self._pinned(page, dirty) as entry:
+            yield entry, node - int(self.page_bounds[page])
 
     def merge_from(self, other) -> None:
         """XOR another pool into this one, one page at a time.
@@ -820,12 +752,11 @@ class PagedTensorPool(NodeTensorPool):
         mismatched_paged = other.is_paged and not np.array_equal(
             self.page_bounds, other.page_bounds
         )
-        keys = ("packed",) if self._packed else ("alpha", "gamma")
         if mismatched_paged:
             # Round-major outer loop: the source assembles one round
-            # slab per (key, round) instead of once per page.
+            # slab per (plane, round) instead of once per page.
             for round_index in range(self.num_rounds):
-                slabs = [other._round_view(key, round_index) for key in keys]
+                slabs = other._round_views(round_index)
                 for page in range(self.num_pages):
                     lo, hi = self.page_span(page)
                     with self._pinned(page) as entry:
@@ -840,10 +771,10 @@ class PagedTensorPool(NodeTensorPool):
                             for tensor, source in zip(entry, other_entry):
                                 tensor ^= source
                     else:
-                        for key, tensor in zip(keys, entry):
+                        for plane, tensor in enumerate(entry):
                             for round_index in range(self.num_rounds):
                                 tensor[round_index, : hi - lo] ^= other._round_view(
-                                    key, round_index
+                                    plane, round_index
                                 )[lo:hi]
         self._bump_version()
         self._updates_applied += other._updates_applied

@@ -8,17 +8,14 @@ one Boruvka round's entire graph state is a contiguous
 engine scans.  A whole-round cut query gathers and reduces inside one
 round slab instead of striding across every node's full bundle.
 
-Bucket storage comes in two modes:
-
-* **packed** (graphs up to 65536 nodes): the edge-slot universe fits in
-  32 bits, so a bucket's 32-bit ``alpha`` accumulator and 32-bit
-  ``gamma`` checksum pack into a single uint64 word (alpha in the high
-  half).  XOR distributes over the packed fields, so folds, merges, and
-  segmented reductions all run as **one** operation on **one** tensor --
-  half the kernel calls and half the memory traffic of separate
-  alpha/gamma tensors;
-* **wide** (larger graphs): a uint64 ``alpha`` tensor plus a uint32
-  ``gamma`` tensor (checksums are 32 bits either way).
+The pool holds one such tensor per bucket plane of its geometry
+(:attr:`~repro.sketch.geometry.SketchGeometry.planes`): up to 65 536
+nodes a single plane of packed ``alpha << 32 | gamma`` words, so folds,
+merges and reductions run as one XOR on one tensor, and above that a
+uint64 alpha plane plus a uint32 gamma plane.  Every pool operation is
+an XOR per plane; only :meth:`SketchGeometry.pack
+<repro.sketch.geometry.SketchGeometry.pack>` and ``unpack`` know what
+the planes hold.
 
 Bucket ``(round, node, row, col)`` sits at flat offset
 ``((round * num_nodes + node) * cols + col) * rows + row``; the shared
@@ -53,6 +50,7 @@ and merging per-node sketch objects.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -109,9 +107,6 @@ SHARDS_PER_WORKER = 4
 #: gutter group.  Bounds the update column a single emitted batch folds.
 MAX_PAGE_NODES = 1056
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-
 
 def shard_bounds(num_nodes: int, num_shards: int) -> np.ndarray:
     """Contiguous node-range boundaries for ``num_shards`` pool shards.
@@ -142,10 +137,9 @@ def xor_scatter(
 ) -> None:
     """XOR fold-kernel output into bucket tensors at flat offsets.
 
-    ``tensors`` and ``values`` pair up: the packed bucket tensor with
-    packed values, or the alpha and gamma tensors with theirs (gamma
-    narrows to the tensor's uint32).  Targets are unique within one
-    kernel call, which is what makes the fancy-indexed XOR exact.
+    ``tensors`` and ``values`` pair up plane by plane.  Targets are
+    unique within one kernel call, which is what makes the
+    fancy-indexed XOR exact.
     """
     for tensor, vals in zip(tensors, values):
         tensor.reshape(-1)[targets] ^= vals.astype(tensor.dtype, copy=False)
@@ -195,10 +189,10 @@ class NodeTensorPool:
         test-sized graphs.
     kernels:
         Optional native kernel provider (see :mod:`repro.kernels`).
-        When given, the fold, segmented-XOR, and decode hot paths run
-        the provider's compiled kernels instead of the numpy ones; all
-        providers are bit-identical to numpy under the same seed, so
-        pool state and query results do not depend on this choice.
+        When given, the fold and the round sample run the provider's
+        compiled kernels instead of the numpy ones; all providers are
+        bit-identical to numpy under the same seed, so pool state and
+        query results do not depend on this choice.
     """
 
     #: Element budget of one numpy fold pass (see :meth:`_pass_rows`).
@@ -224,19 +218,13 @@ class NodeTensorPool:
         self.num_columns = self.geometry.columns
         self.num_slots = self.num_rounds * self.num_columns
 
-        # Round-major: tensor[round] is one contiguous slab holding every
+        # Round-major: plane[round] is one contiguous slab holding every
         # node's buckets for that round (see the module docstring).
         # ``_allocate=False`` (the paged pool) skips the whole-graph zero
         # tensors -- its pages live in frames and on the device instead.
         shape = (self.num_rounds, self.num_nodes, self.num_columns, self.num_rows)
-        self._packed = self.geometry.packed
-        self._buckets = self._alpha = self._gamma = None
-        if _allocate:
-            if self._packed:
-                self._buckets = np.zeros(shape, dtype=np.uint64)
-            else:
-                self._alpha = np.zeros(shape, dtype=np.uint64)
-                self._gamma = np.zeros(shape, dtype=np.uint32)
+        planes = self.geometry.planes if _allocate else ()
+        self._planes = tuple(np.zeros(shape, dtype=dtype) for _, dtype in planes)
         # Fold-kernel segment mapping: bucket (dst, slot) of the
         # slot-major kernel lands at round-major segment
         # dst * num_columns + _slot_offsets[slot].
@@ -252,10 +240,10 @@ class NodeTensorPool:
         ) = flat_seed_matrices(self.graph_seed, self.geometry)
         self._updates_applied = 0
         self._kernels = kernels
-        # Whole-slab XOR totals per (round, tensor) for the query
+        # Whole-slab XOR totals per (round, plane) for the query
         # engine's complement trick; invalidated by any fold.
         self._version = 0
-        self._slab_cache: Dict[Tuple[int, str], Tuple[int, np.ndarray]] = {}
+        self._slab_cache: Dict[Tuple[int, int], Tuple[int, np.ndarray]] = {}
         # Per-node version of the last write (see _stamp) and each
         # round's last fused sample, kept where a provider's fused
         # sample reads them: never on the paged pool or under numpy.
@@ -303,8 +291,7 @@ class NodeTensorPool:
 
     def _scatter(self, targets: np.ndarray, values: Sequence[np.ndarray]) -> None:
         """XOR one fold's emitted values into the pool at flat offsets."""
-        tensors = (self._buckets,) if self._packed else (self._alpha, self._gamma)
-        xor_scatter(tensors, targets, values)
+        xor_scatter(self._planes, targets, values)
 
     def _fold_native(
         self, indices: np.ndarray, dst_columns: Sequence[np.ndarray], split: bool
@@ -347,22 +334,17 @@ class NodeTensorPool:
                 edge_rows=edge_rows,
                 dst_stride=self.num_columns,
                 slot_offsets=slot_offsets[slots],
-                packed=self._packed,
+                pack=self.geometry.pack,
             )
             self._scatter(targets, values)
 
-    def _pass_rows(
-        self, rows: int, width: int, chunk_size: Optional[int], slots: Optional[int] = None
-    ) -> int:
+    def _pass_rows(self, rows: int, width: int, slots: Optional[int] = None) -> int:
         """Rows per numpy fold pass, each row carrying ``width`` updates.
 
-        ``chunk_size`` when the caller gave one, otherwise as many as
-        keep the kernel's ``(updates, slots)`` matrices inside this
-        pool's element budget (never more than the batch itself);
+        As many as keep the kernel's ``(updates, slots)`` matrices inside
+        this pool's element budget (never more than the batch itself);
         ``slots`` defaults to every slot of the pool.
         """
-        if chunk_size:
-            return max(int(chunk_size), 1)
         slots = self.num_slots if slots is None else slots
         updates = min(self._fold_pass_elements // slots, width * rows)
         return max(updates // width, 1)
@@ -371,7 +353,6 @@ class NodeTensorPool:
         self,
         indices: np.ndarray,
         dst_columns: Sequence[np.ndarray],
-        chunk_size: Optional[int] = None,
         split: bool = False,
     ) -> int:
         """Fold validated edge slots into the nodes of every destination column.
@@ -403,7 +384,7 @@ class NodeTensorPool:
         )
         fold_ranges(
             self._fold_rounds,
-            (indices, dst_columns, chunk_size),
+            (indices, dst_columns),
             round_ranges(self.num_rounds, ranges),
         )
         return count
@@ -412,7 +393,6 @@ class NodeTensorPool:
         self,
         indices: np.ndarray,
         dst_columns: Sequence[np.ndarray],
-        chunk_size: Optional[int],
         lo: int,
         hi: int,
     ) -> None:
@@ -423,7 +403,7 @@ class NodeTensorPool:
         slots = slice(lo * self.num_columns, hi * self.num_columns)
         membership = self._mixed_membership[slots]
         checksum = self._mixed_checksum[slots]
-        chunk = self._pass_rows(indices.size, width, chunk_size, membership.size)
+        chunk = self._pass_rows(indices.size, width, membership.size)
         for start in range(0, indices.size, chunk):
             block = indices[start : start + chunk]
             with span("ingest.hash"):
@@ -434,25 +414,15 @@ class NodeTensorPool:
             edge_rows = np.tile(np.arange(block.size), width)
             self._fold_chunk(dsts, edge_rows, block, depths, checksums, slots)
 
-    def _fold_serial(
-        self,
-        indices: np.ndarray,
-        dst_columns: Sequence[np.ndarray],
-        chunk_size: Optional[int] = None,
-    ) -> None:
+    def _fold_serial(self, indices: np.ndarray, dst_columns: Sequence[np.ndarray]) -> None:
         """A serial entry point's fold, counted and published: the version
         moves even when the fold raises part way, like its stamps."""
         try:
-            self._updates_applied += self._fold(indices, dst_columns, chunk_size, split=True)
+            self._updates_applied += self._fold(indices, dst_columns, split=True)
         finally:
             self._bump_version()
 
-    def apply_updates(
-        self,
-        dsts: np.ndarray,
-        indices: np.ndarray,
-        chunk_size: Optional[int] = None,
-    ) -> None:
+    def apply_updates(self, dsts: np.ndarray, indices: np.ndarray) -> None:
         """Fold a mixed multi-node batch of edge-slot updates into the pool.
 
         ``dsts[i]`` is the node whose bundle receives edge-slot
@@ -467,15 +437,9 @@ class NodeTensorPool:
         if idx is None:
             return
         self._check_destinations(dsts)
-        self._fold_serial(idx, (dsts,), chunk_size)
+        self._fold_serial(idx, (dsts,))
 
-    def apply_edges(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        indices: np.ndarray,
-        chunk_size: Optional[int] = None,
-    ) -> None:
+    def apply_edges(self, lo: np.ndarray, hi: np.ndarray, indices: np.ndarray) -> None:
         """Fold both directions of a canonical edge batch into the pool.
 
         ``indices[i]`` is the edge slot of the canonical edge
@@ -483,8 +447,7 @@ class NodeTensorPool:
         hash matrices depend only on the index, not the destination, so
         each index is hashed **once** and the mirrored halves read the
         same rows -- half the hash cost of pushing the duplicated
-        column through :meth:`apply_updates`.  ``chunk_size`` counts
-        edges per kernel pass.
+        column through :meth:`apply_updates`.
         """
         if not (np.shape(indices) == np.shape(lo) == np.shape(hi)) or np.ndim(indices) != 1:
             raise ValueError("lo, hi and indices must be matching one-dimensional arrays")
@@ -494,7 +457,7 @@ class NodeTensorPool:
         lo, hi = np.asarray(lo), np.asarray(hi)
         self._check_destinations(lo)
         self._check_destinations(hi)
-        self._fold_serial(idx, (lo, hi), chunk_size)
+        self._fold_serial(idx, (lo, hi))
 
     def apply_node_batch(self, node: int, neighbors) -> None:
         """Fold a batch of edges ``{node, w}`` into one node's bundle.
@@ -529,7 +492,6 @@ class NodeTensorPool:
         indices: np.ndarray,
         node_lo: int,
         node_hi: int,
-        chunk_size: Optional[int] = None,
         *,
         split: bool = False,
     ) -> int:
@@ -559,7 +521,7 @@ class NodeTensorPool:
         if idx is None:
             return 0
         self._check_shard(dsts, node_lo, node_hi)
-        return self._fold(idx, (dsts,), chunk_size, split=split)
+        return self._fold(idx, (dsts,), split=split)
 
     def fold_shard_hashed(
         self,
@@ -570,7 +532,6 @@ class NodeTensorPool:
         checksums: np.ndarray,
         node_lo: int,
         node_hi: int,
-        chunk_size: Optional[int] = None,
     ) -> int:
         """:meth:`fold_shard` with the hash phase hoisted out.
 
@@ -597,7 +558,7 @@ class NodeTensorPool:
             # deterministic, so re-deriving depths/checksums from the
             # indices keeps the buckets bit-identical.
             return self._fold(np.asarray(indices)[edge_rows], (dsts,))
-        chunk = self._pass_rows(dsts.size, 1, chunk_size)
+        chunk = self._pass_rows(dsts.size, 1)
         for start in range(0, dsts.size, chunk):
             self._fold_chunk(
                 dsts[start : start + chunk],
@@ -609,12 +570,7 @@ class NodeTensorPool:
         return int(dsts.size)
 
     def fold_page_batch(
-        self,
-        node_lo: int,
-        node_hi: int,
-        dsts: np.ndarray,
-        indices: np.ndarray,
-        chunk_size: Optional[int] = None,
+        self, node_lo: int, node_hi: int, dsts: np.ndarray, indices: np.ndarray
     ) -> int:
         """Serial entry point for one page's mixed-node update column.
 
@@ -627,9 +583,7 @@ class NodeTensorPool:
         publishing once per batch barrier instead.  Being serial, it may
         split a large native fold across the cores.
         """
-        count = self.fold_shard(
-            dsts, indices, node_lo, node_hi, chunk_size=chunk_size, split=True
-        )
+        count = self.fold_shard(dsts, indices, node_lo, node_hi, split=True)
         self.mark_external_updates(count)
         return count
 
@@ -686,11 +640,8 @@ class NodeTensorPool:
         self._check_mergeable(other)
         self._stamp()
         for round_index in range(self.num_rounds):
-            if self._packed:
-                self._buckets[round_index] ^= other._round_view("packed", round_index)
-            else:
-                self._alpha[round_index] ^= other._round_view("alpha", round_index)
-                self._gamma[round_index] ^= other._round_view("gamma", round_index)
+            for tensor, slab in zip(self._planes, other._round_views(round_index)):
+                tensor[round_index] ^= slab
         self._bump_version()
         self._updates_applied += other._updates_applied
 
@@ -711,30 +662,25 @@ class NodeTensorPool:
         """Whether the pool's tensors live in out-of-core pages."""
         return False
 
-    def _round_view(self, key: str, round_index: int) -> np.ndarray:
-        """One round's ``(num_nodes, cols, rows)`` slab for a bucket tensor.
+    def _round_view(self, plane: int, round_index: int) -> np.ndarray:
+        """One round's ``(num_nodes, cols, rows)`` slab of bucket plane ``plane``.
 
-        ``key`` selects the backing tensor (``"packed"``, ``"alpha"``,
-        or ``"gamma"``).  Every query-side reduction reaches bucket
-        state through this accessor, which is what lets the paged pool
-        substitute slabs assembled from node-group pages without
-        touching the query algorithms.
+        Every whole-round read -- queries, merges, snapshots, the
+        per-node views -- reaches bucket state through this accessor,
+        which is what lets the paged pool substitute slabs assembled
+        from node-group pages without touching any of them.
         """
-        if key == "packed":
-            return self._buckets[round_index]
-        if key == "alpha":
-            return self._alpha[round_index]
-        return self._gamma[round_index]
+        return self._planes[plane][round_index]
+
+    def _round_views(self, round_index: int) -> Tuple[np.ndarray, ...]:
+        """Every plane's :meth:`_round_view` of one round."""
+        return tuple(
+            self._round_view(plane, round_index) for plane in range(len(self.geometry.planes))
+        )
 
     def _node_round_arrays(self, node: int, round_index: int) -> Tuple[np.ndarray, np.ndarray]:
         """One node's ``(cols, rows)`` alpha/gamma arrays for a round."""
-        if self._packed:
-            packed = self._round_view("packed", round_index)[node]
-            return packed >> _SHIFT32, packed & _LOW32
-        return (
-            self._round_view("alpha", round_index)[node],
-            self._round_view("gamma", round_index)[node].astype(np.uint64),
-        )
+        return self.geometry.unpack([slab[node] for slab in self._round_views(round_index)])
 
     def query_round(self, node: int, round_index: int) -> SampleResult:
         """Query one node's round-``round_index`` sketch."""
@@ -761,18 +707,10 @@ class NodeTensorPool:
         self._check_destinations(member_array)
         if member_array.size == 1:
             return self.query_round(int(member_array[0]), round_index)
-        if self._packed:
-            packed = np.bitwise_xor.reduce(
-                self._round_view("packed", round_index)[member_array], axis=0
-            )
-            alpha, gamma = packed >> _SHIFT32, packed & _LOW32
-        else:
-            alpha = np.bitwise_xor.reduce(
-                self._round_view("alpha", round_index)[member_array], axis=0
-            )
-            gamma = np.bitwise_xor.reduce(
-                self._round_view("gamma", round_index)[member_array], axis=0
-            )
+        alpha, gamma = self.geometry.unpack(
+            [np.bitwise_xor.reduce(slab[member_array], axis=0)
+             for slab in self._round_views(round_index)]
+        )
         base = round_index * self.num_columns
         return query_bucket_arrays(
             alpha.T,
@@ -829,10 +767,10 @@ class NodeTensorPool:
         sample = getattr(self._kernels, "sample_components", None)
         # The fused kernel counting-sorts into a node-sized table, and
         # labels are caller-supplied: any outside [0, num_nodes) take
-        # the composed path, whose comparison sort accepts all values.
+        # the composed numpy path, whose comparison sort accepts all
+        # values (the Boruvka driver's labels never do).
         if sample is not None and 0 <= int(labels.min()) and int(labels.max()) < self.num_nodes:
-            keys = ("packed",) if self._packed else ("alpha", "gamma")
-            slabs = tuple(self._round_view(key, round_index) for key in keys)
+            slabs = self._round_views(round_index)
             seeds = self._mixed_checksum[base : base + self.num_columns]
             memo = self._round_memo(round_index)
             with span("query.sample"):
@@ -861,11 +799,8 @@ class NodeTensorPool:
             alpha0, gamma0 = self._merged_round_cols(
                 sorted_nodes, seg_starts, excluded, round_index, 0, 1
             )
-        decode = (
-            decode_column_batch if self._kernels is None else self._kernels.decode_column
-        )
         with span("query.decode"):
-            good, column0_zero, index = decode(
+            good, column0_zero, index = decode_column_batch(
                 alpha0.reshape(count, self.num_rows),
                 gamma0.reshape(count, self.num_rows),
                 self.encoder.vector_length,
@@ -906,7 +841,6 @@ class NodeTensorPool:
                 rest_gamma.reshape(rest_shape),
                 self.encoder.vector_length,
                 self._checksum_seeds[base + 1 : base + self.num_columns],
-                kernels=self._kernels,
             )
 
         positions = np.flatnonzero(unresolved)
@@ -942,55 +876,35 @@ class NodeTensorPool:
         """Per-segment merged ``(alpha, gamma)`` for a span of columns.
 
         Returns two ``(num_segments, (col_stop - col_start) * num_rows)``
-        uint arrays.  In packed mode one segmented reduction over the
-        packed tensor produces both; in wide mode alpha and gamma are
-        reduced separately.
+        uint64 arrays, from one segmented reduction per bucket plane.
         """
-        if self._packed:
-            merged = self._segment_round_xor(
-                "packed", sorted_nodes, seg_starts,
-                excluded_nodes, round_index, col_start, col_stop,
-            )
-            return merged >> _SHIFT32, merged & _LOW32
-        alpha = self._segment_round_xor(
-            "alpha", sorted_nodes, seg_starts,
-            excluded_nodes, round_index, col_start, col_stop,
+        return self.geometry.unpack(
+            [
+                self._segment_round_xor(
+                    plane, sorted_nodes, seg_starts,
+                    excluded_nodes, round_index, col_start, col_stop,
+                )
+                for plane in range(len(self.geometry.planes))
+            ]
         )
-        gamma = self._segment_round_xor(
-            "gamma", sorted_nodes, seg_starts,
-            excluded_nodes, round_index, col_start, col_stop,
-        )
-        return alpha, gamma
 
-    def _round_slab_total(self, key: str, round_index: int) -> np.ndarray:
+    def _round_slab_total(self, plane: int, round_index: int) -> np.ndarray:
         """Cached XOR of *all* nodes' buckets for one round.
 
         One contiguous whole-slab reduction, memoised until the next
         fold touches the pool; the complement trick below uses it to
         price giant-component reductions at (amortised) zero reads.
         """
-        cached = self._slab_cache.get((round_index, key))
+        cached = self._slab_cache.get((round_index, plane))
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        slab = self._round_view(key, round_index)
-        if self._kernels is not None:
-            # One single-segment fused reduce over every node's row.
-            total = self._kernels.segment_xor(
-                slab,
-                np.arange(self.num_nodes, dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
-                0,
-                self.num_columns,
-                self.num_rows,
-            )[0].reshape(self.num_columns, self.num_rows)
-        else:
-            total = np.bitwise_xor.reduce(slab, axis=0)
-        self._slab_cache[(round_index, key)] = (self._version, total)
+        total = np.bitwise_xor.reduce(self._round_view(plane, round_index), axis=0)
+        self._slab_cache[(round_index, plane)] = (self._version, total)
         return total
 
     def _segment_round_xor(
         self,
-        key: str,
+        plane: int,
         sorted_nodes: np.ndarray,
         seg_starts: np.ndarray,
         excluded_nodes: np.ndarray,
@@ -998,7 +912,7 @@ class NodeTensorPool:
         col_start: int,
         col_stop: int,
     ) -> np.ndarray:
-        """Per-segment XOR of the ``key`` round slab's column span.
+        """Per-segment XOR of plane ``plane``'s round slab, over a column span.
 
         ``sorted_nodes`` is grouped into segments by ``seg_starts``;
         ``excluded_nodes`` are the slab rows outside the query entirely
@@ -1010,7 +924,7 @@ class NodeTensorPool:
         the excluded rows -- XOR's self-inverse turns one contiguous
         slab scan into the giant's sum without gathering its rows.
         """
-        slab = self._round_view(key, round_index)
+        slab = self._round_view(plane, round_index)
         total = sorted_nodes.size
         width = (col_stop - col_start) * self.num_rows
         seg_sizes = np.diff(np.append(seg_starts, total))
@@ -1021,22 +935,13 @@ class NodeTensorPool:
         # the complement pays one contiguous pass over the full-width
         # slab (unless already cached this version) plus 2 passes over
         # the excluded rows.
-        slab_cost = 0 if (round_index, key) in self._slab_cache and self._slab_cache[
-            (round_index, key)
+        slab_cost = 0 if (round_index, plane) in self._slab_cache and self._slab_cache[
+            (round_index, plane)
         ][0] == self._version else self.num_nodes * self.num_columns * self.num_rows // 2
         use_complement = largest_size > 1 and 2 * largest_size * width > (
             slab_cost + 2 * excluded_nodes.size * width
         )
-        # The native segmented XOR fuses the gather with the reduce (one
-        # cache-blocked pass per segment, no reordered copy of the slab
-        # rows); XOR associativity keeps it bit-identical to the
-        # gather + segmented_xor composition below.
-        kernels = self._kernels
         if not use_complement:
-            if kernels is not None:
-                return kernels.segment_xor(
-                    slab, sorted_nodes, seg_starts, col_start, col_stop, self.num_rows
-                )
             gathered = slab[sorted_nodes, col_start:col_stop]
             return segmented_xor(gathered.reshape(total, width), seg_starts)
 
@@ -1045,36 +950,22 @@ class NodeTensorPool:
         other_nodes = np.concatenate([sorted_nodes[:lo], sorted_nodes[hi:]])
         other_starts = np.delete(seg_starts, largest)
         other_starts[largest:] -= largest_size
-        if kernels is not None:
-            other_sums = kernels.segment_xor(
-                slab, other_nodes, other_starts, col_start, col_stop, self.num_rows
-            )
-        else:
-            other_sums = segmented_xor(
-                slab[other_nodes, col_start:col_stop].reshape(other_nodes.size, width),
-                other_starts,
-            )
+        other_sums = segmented_xor(
+            slab[other_nodes, col_start:col_stop].reshape(other_nodes.size, width),
+            other_starts,
+        )
         largest_sum = (
-            self._round_slab_total(key, round_index)[col_start:col_stop]
+            self._round_slab_total(plane, round_index)[col_start:col_stop]
             .reshape(width)
             .copy()
         )
         if other_sums.shape[0]:
             largest_sum ^= np.bitwise_xor.reduce(other_sums, axis=0)
         if excluded_nodes.size:
-            if kernels is not None:
-                # One single-segment fused reduce over the excluded rows.
-                largest_sum ^= kernels.segment_xor(
-                    slab, excluded_nodes, np.zeros(1, dtype=np.int64),
-                    col_start, col_stop, self.num_rows,
-                )[0]
-            else:
-                largest_sum ^= np.bitwise_xor.reduce(
-                    slab[excluded_nodes, col_start:col_stop].reshape(
-                        excluded_nodes.size, width
-                    ),
-                    axis=0,
-                )
+            largest_sum ^= np.bitwise_xor.reduce(
+                slab[excluded_nodes, col_start:col_stop].reshape(excluded_nodes.size, width),
+                axis=0,
+            )
         merged = np.empty((seg_starts.size, width), dtype=slab.dtype)
         merged[:largest] = other_sums[:largest]
         merged[largest] = largest_sum
@@ -1084,23 +975,23 @@ class NodeTensorPool:
     # ------------------------------------------------------------------
     # per-node views
     # ------------------------------------------------------------------
+    @contextmanager
+    def _bundle_planes(self, node: int, dirty: bool = True):
+        """The ``(rounds, nodes, cols, rows)`` planes holding ``node``'s
+        bundle, and the node's index in them, for the block."""
+        yield self._planes, node
+
     def _node_bundle_arrays(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
-        """One node's ``(rounds, cols, rows)`` uint64 alpha/gamma bundle."""
-        if self._packed:
-            packed = self._buckets[:, node]
-            return packed >> _SHIFT32, packed & _LOW32
-        return np.ascontiguousarray(self._alpha[:, node]), self._gamma[:, node].astype(
-            np.uint64
-        )
+        """One node's ``(rounds, cols, rows)`` uint64 alpha/gamma bundle (copies)."""
+        with self._bundle_planes(node, dirty=False) as (planes, index):
+            return self.geometry.unpack([plane[:, index] for plane in planes])
 
     def _write_node_bundle(self, node: int, alpha: np.ndarray, gamma: np.ndarray) -> None:
         """Overwrite one node's buckets with uint64 alpha/gamma tensors."""
         self._stamp(node)
-        if self._packed:
-            self._buckets[:, node] = (alpha << _SHIFT32) | gamma
-        else:
-            self._alpha[:, node] = alpha
-            self._gamma[:, node] = gamma.astype(np.uint32)
+        with self._bundle_planes(node) as (planes, index):
+            for plane, values in zip(planes, self.geometry.pack(alpha, gamma)):
+                plane[:, index] = values
 
     def node_sketch(self, node: int) -> FlatNodeSketch:
         """Materialise one node's bundle as a standalone FlatNodeSketch."""
@@ -1147,19 +1038,18 @@ class NodeTensorPool:
         return self._updates_applied
 
     def raw_tensors(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(alpha, gamma)`` round-major tensors.
+        """Read-only uint64 ``(alpha, gamma)`` round-major tensors, as copies.
 
-        Shape ``(rounds, nodes, cols, rows)`` each.  In packed mode both
-        are unpacked copies of the single bucket tensor; in wide mode
-        they are views of the backing tensors (alpha uint64, gamma
-        uint32).
+        Shape ``(rounds, nodes, cols, rows)`` each, read one round slab
+        at a time through :meth:`_round_view` -- on a paged pool that
+        is the whole pool in RAM, so this is for tests and small graphs.
         """
-        if self._packed:
-            alpha = self._buckets >> _SHIFT32
-            gamma = self._buckets & _LOW32
-        else:
-            alpha = self._alpha.view()
-            gamma = self._gamma.view()
+        shape = (self.num_rounds, self.num_nodes, self.num_columns, self.num_rows)
+        planes = [np.empty(shape, dtype=dtype) for _, dtype in self.geometry.planes]
+        for plane, tensor in enumerate(planes):
+            for round_index in range(self.num_rounds):
+                tensor[round_index] = self._round_view(plane, round_index)
+        alpha, gamma = self.geometry.unpack(planes)
         alpha.flags.writeable = False
         gamma.flags.writeable = False
         return alpha, gamma

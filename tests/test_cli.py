@@ -191,7 +191,7 @@ def test_cli_merge_snapshots_of_disjoint_substreams(tmp_path, capsys):
     serial = GraphZeppelin(stream.num_nodes, config=GraphZeppelinConfig(seed=5))
     serial.ingest_batch(stream.edge_array())
     pool, meta = load_pool_snapshot(merged_path)
-    assert np.array_equal(serial.tensor_pool._buckets, pool._buckets)
+    assert np.array_equal(serial.tensor_pool._planes, pool._planes)
     assert meta.engine_updates == serial.updates_processed
 
 

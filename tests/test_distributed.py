@@ -63,7 +63,7 @@ def test_distributed_ingest_bit_identical_to_serial(num_ingestors):
         edges, NUM_NODES, config=config, num_ingestors=num_ingestors
     )
     assert np.array_equal(
-        serial.tensor_pool._buckets, engine.tensor_pool._buckets
+        serial.tensor_pool._planes, engine.tensor_pool._planes
     )
     assert (
         engine.list_spanning_forest().partition_signature()
@@ -178,7 +178,7 @@ def test_truncated_worker_snapshot_is_redispatched(tmp_path, torn_in):
     assert report.worker_attempts == [1, 2]
     assert report.worker_retries == 1
     assert np.array_equal(
-        engine.tensor_pool._buckets, _serial_reference(edges, config).tensor_pool._buckets
+        engine.tensor_pool._planes, _serial_reference(edges, config).tensor_pool._planes
     )
 
 

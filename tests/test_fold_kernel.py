@@ -36,6 +36,8 @@ from sketch_reference import SEVEN_COLUMN_DELTA, pool_geometry
 
 _SHIFT32 = np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
+#: ``fold_hashed``'s plane layouts by ``packed``: words, or alpha and gamma.
+PACKS = {True: pool_geometry(16).pack, False: pool_geometry(16, wide=True).pack}
 
 
 def reference_fold(indices, depths, checksums, num_rows, dsts, edge_rows, locate):
@@ -125,7 +127,7 @@ def fold_cases(draw):
 def test_kernel_matches_scalar_reference(case):
     indices, depths, checksums, num_rows, dsts, edge_rows, packed = case
     result = fold_hashed(
-        indices, depths, checksums, num_rows, dsts, edge_rows=edge_rows, packed=packed
+        indices, depths, checksums, num_rows, dsts, edge_rows=edge_rows, pack=PACKS[packed]
     )
     expected = reference_fold(
         indices, depths, checksums, num_rows, dsts, edge_rows,
@@ -155,7 +157,7 @@ def test_duplicate_updates_cancel_to_zero_contributions():
     twice = np.tile(np.arange(10), 2)
     for packed in (True, False):
         targets, *values = fold_hashed(
-            indices, depths, checksums, 6, np.tile(dsts, 2), edge_rows=twice, packed=packed
+            indices, depths, checksums, 6, np.tile(dsts, 2), edge_rows=twice, pack=PACKS[packed]
         )
         assert targets.size > 0
         assert all(not plane.any() for plane in values)
@@ -180,7 +182,7 @@ def test_packed_wide_boundary(num_nodes):
     dsts = np.concatenate([lo, hi])
     edge_rows = np.tile(np.arange(6), 2)
     result = fold_hashed(
-        indices, depths, checksums, num_rows, dsts, edge_rows=edge_rows, packed=packed
+        indices, depths, checksums, num_rows, dsts, edge_rows=edge_rows, pack=PACKS[packed]
     )
     expected = reference_fold(
         indices, depths, checksums, num_rows, dsts, edge_rows,
@@ -206,7 +208,7 @@ def _fold_with_pool_layout(pool, indices, depths, checksums, dsts, edge_rows):
     kernel_dsts, slot_offsets = pool._fold_layout(dsts)
     return fold_hashed(
         indices, depths, checksums, pool.num_rows, kernel_dsts, edge_rows=edge_rows,
-        dst_stride=pool.num_columns, slot_offsets=slot_offsets, packed=pool._packed,
+        dst_stride=pool.num_columns, slot_offsets=slot_offsets, pack=pool.geometry.pack,
     )
 
 
@@ -222,7 +224,7 @@ def test_flat_pool_layout_relocation(force_wide):
         return ((round_index * pool.num_nodes + dst) * pool.num_columns + col) * pool.num_rows
 
     result = _fold_with_pool_layout(pool, indices, depths, checksums, dsts, edge_rows)
-    assert emitted_buckets(result, pool._packed) == reference_fold(
+    assert emitted_buckets(result, pool.geometry.packed) == reference_fold(
         indices, depths, checksums, pool.num_rows, dsts, edge_rows, locate
     )
 
@@ -244,7 +246,7 @@ def test_paged_pool_layout_relocation(force_wide):
         return page * pool._page_elems + in_page
 
     result = _fold_with_pool_layout(pool, indices, depths, checksums, dsts, edge_rows)
-    assert emitted_buckets(result, pool._packed) == reference_fold(
+    assert emitted_buckets(result, pool.geometry.packed) == reference_fold(
         indices, depths, checksums, pool.num_rows, dsts, edge_rows, locate
     )
 
@@ -270,7 +272,9 @@ def _golden_pool(pool_cls=NodeTensorPool, **kwargs):
     v = (u + 1 + (i * 104729 + 7) % (num_nodes - 1)) % num_nodes
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     idx = encoder.encode_canonical_pairs(lo, hi)
-    pool.apply_edges(lo[:2000], hi[:2000], idx[:2000], chunk_size=700)
+    pool._fold_pass_elements = 1 << 12  # a numpy fold in many small passes
+    pool.apply_edges(lo[:2000], hi[:2000], idx[:2000])
+    del pool._fold_pass_elements
     pool.apply_updates(
         np.concatenate([lo[2000:], hi[2000:]]), np.concatenate([idx[2000:], idx[2000:]])
     )
@@ -280,12 +284,13 @@ def _golden_pool(pool_cls=NodeTensorPool, **kwargs):
 
 def test_golden_pool_digest_packed():
     pool = _golden_pool()
-    assert payload_digest(pool._buckets.tobytes()) == GOLDEN_PACKED
+    (words,) = pool._planes
+    assert payload_digest(words.tobytes()) == GOLDEN_PACKED
 
 
 def test_golden_pool_digest_wide():
     pool = _golden_pool(geometry=pool_geometry(211, wide=True, delta=SEVEN_COLUMN_DELTA))
-    digests = (payload_digest(pool._alpha.tobytes()), payload_digest(pool._gamma.tobytes()))
+    digests = tuple(payload_digest(plane.tobytes()) for plane in pool._planes)
     assert digests == GOLDEN_WIDE
 
 
@@ -491,8 +496,8 @@ def test_fold_shard_on_two_threads_gives_the_serial_bytes(native_provider):
         assert not worker.is_alive()
     for mask, node_lo, node_hi in shards:
         serial.fold_shard(dsts[mask], indices[mask], node_lo, node_hi)
-    assert serial._buckets.any()
-    assert np.array_equal(serial._buckets, threaded._buckets)
+    assert serial._planes[0].any()
+    assert np.array_equal(serial._planes, threaded._planes)
 
 
 # ----------------------------------------------------------------------
@@ -802,7 +807,7 @@ def _child_split_digest(conn, num_nodes, count, numpy_count):
     pool.apply_edges(lo, hi, indices)
     (_, _, numpy_pool), lo, hi, indices = _split_case(None, num_nodes, numpy_count)
     numpy_pool.apply_edges(lo, hi, indices)
-    conn.send((payload_digest(pool._buckets.tobytes()), _tensor_bytes(numpy_pool)))
+    conn.send((payload_digest(pool._planes[0].tobytes()), _tensor_bytes(numpy_pool)))
     conn.close()
 
 
@@ -817,8 +822,8 @@ def test_split_fold_in_a_forked_child(native_provider, split):
     parent.apply_edges(lo, hi, indices)
     assert handed  # the helpers exist in the parent now
     native_provider.fold_pool_edges(serial, indices, lo, hi, split=False)
-    expected = payload_digest(serial._buckets.tobytes())
-    assert payload_digest(parent._buckets.tobytes()) == expected
+    expected = payload_digest(serial._planes[0].tobytes())
+    assert payload_digest(parent._planes[0].tobytes()) == expected
     # The numpy fold splits over the same helpers (a smaller batch: the
     # numpy pair costs about ten native ones).
     (numpy_native, _, numpy_split), lo, hi, indices = _split_case(native_provider, 1024, 4_096)

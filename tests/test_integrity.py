@@ -89,9 +89,7 @@ def _pools_equal(a, b) -> bool:
             if not all((x == y).all() for x, y in zip(ta, tb)):
                 return False
         return True
-    ta = (a._buckets,) if a._packed else (a._alpha, a._gamma)
-    tb = (b._buckets,) if b._packed else (b._alpha, b._gamma)
-    return all((x == y).all() for x, y in zip(ta, tb))
+    return all((x == y).all() for x, y in zip(a._planes, b._planes))
 
 
 # ----------------------------------------------------------------------
@@ -452,11 +450,7 @@ def test_snapshot_payload_bit_flip_rejected_without_mutation(tmp_path, flat_engi
     target = GraphZeppelin(NUM_NODES, config=GraphZeppelinConfig(validate_stream=False))
     with pytest.raises(CorruptionError, match="payload checksum mismatch"):
         load_snapshot_into(path, target.tensor_pool)
-    tensors = (
-        (target.tensor_pool._buckets,)
-        if target.tensor_pool._packed
-        else (target.tensor_pool._alpha, target.tensor_pool._gamma)
-    )
+    tensors = target.tensor_pool._planes
     assert all(not t.any() for t in tensors), "corrupt load mutated the pool"
 
 

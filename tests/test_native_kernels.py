@@ -148,7 +148,6 @@ def test_segment_xor_bit_identical(seed, force_wide):
     dsts = np.sort(rng.integers(0, num_nodes, count)).astype(np.int64)
     indices = rng.integers(0, engine.encoder.vector_length, count, dtype=np.uint64)
     pool.apply_updates(dsts, indices)
-    keys = ("packed",) if pool._packed else ("alpha", "gamma")
     labels = rng.integers(0, 40, num_nodes)
     order = np.argsort(labels, kind="stable")
     nodes = order.astype(np.int64)
@@ -156,9 +155,9 @@ def test_segment_xor_bit_identical(seed, force_wide):
         np.r_[True, np.diff(labels[order]) != 0]
     ).astype(np.int64)
     cols, rows = pool.num_columns, pool.num_rows
-    for key in keys:
+    for plane in range(len(pool._planes)):
         for round_index in (0, pool.num_rounds - 1):
-            slab = pool._round_view(key, round_index)
+            slab = pool._round_view(plane, round_index)
             for col_start, col_stop in ((0, 1), (1, cols), (0, cols)):
                 width = (col_stop - col_start) * rows
                 expected = segmented_xor(

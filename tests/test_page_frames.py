@@ -197,8 +197,7 @@ def test_no_accessor_returns_a_view_of_a_frame(force_wide, num_rounds):
         *pool._node_round_arrays(node, 0),
         sketch._alpha,
         sketch._gamma,
-        pool._page_round_array(pool.page_of(node), "packed" if pool._packed else "alpha", 0),
-        pool._round_view("packed" if pool._packed else "alpha", 0),
+        pool._round_view(0, 0),
         *pool.raw_tensors(),
     ]
     frames = _all_frames(pool)

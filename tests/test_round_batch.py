@@ -310,8 +310,7 @@ def test_rot_in_a_page_read_mid_round_is_caught_before_the_slab_and_repaired(
     pool.replace_page(page, copy)
     engine.memory.fault_plan = None
     assert page not in pool._resident
-    key = "packed" if pool._packed else "alpha"
-    slab = pool._slab_buffer(key)
+    slab = pool._slab_buffer(0)
     slab.fill(0xEEEEEEEE)
     failures = engine.io_stats.checksum_failures
     with pytest.raises(CorruptionError):
@@ -321,7 +320,7 @@ def test_rot_in_a_page_read_mid_round_is_caught_before_the_slab_and_repaired(
     # Every slab row holds either the sentinel or its verified value.
     flat = GraphZeppelin(NUM_NODES, GraphZeppelinConfig(seed=5, validate_stream=False))
     flat.ingest_batch(edges)
-    truth = flat.tensor_pool._round_view(key, 0)
+    truth = flat.tensor_pool._round_view(0, 0)
     lo, hi = pool.page_span(page)
     assert (slab[lo:hi] == 0xEEEEEEEE).all()
     for row, want in zip(slab, truth):

@@ -217,11 +217,9 @@ def _hand_built_pools(force_wide):
     ]
     for pool in pools:
         for node, column, row, alpha, gamma in buckets:
-            if pool._packed:
-                pool._buckets[0, node, column, row] = (alpha << 32) | gamma
-            else:
-                pool._alpha[0, node, column, row] = alpha
-                pool._gamma[0, node, column, row] = gamma
+            values = pool.geometry.pack(np.uint64(alpha), np.uint64(gamma))
+            for plane, value in zip(pool._planes, values):
+                plane[0, node, column, row] = value
     labels = np.asarray([0, 0, 2, 3, 4, 4, 6, 7], dtype=np.int64)
     return pools, labels, backwards, edge
 
@@ -229,7 +227,7 @@ def _hand_built_pools(force_wide):
 @pytest.mark.parametrize("force_wide", [False, True])
 def test_sample_kernel_decode_branches(force_wide):
     (numpy_pool, native_pool), labels, backwards, edge = _hand_built_pools(force_wide)
-    assert (not force_wide) == numpy_pool._packed
+    assert (not force_wide) == numpy_pool.geometry.packed
     expected = numpy_pool.query_components(labels, 0)
     got = native_pool.query_components(labels, 0)
     for exp, act in zip(expected, got):

@@ -12,6 +12,8 @@ mutating the target pool.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -419,3 +421,61 @@ def test_merged_snapshots_are_flagged(tmp_path):
     merged_path = tmp_path / "merged.snap"
     save_pool_snapshot(pool, merged_path, merged=True)
     assert read_snapshot_meta(merged_path).merged
+
+
+#: sha256 of the snapshot files :func:`_pinned_snapshot` writes, recorded
+#: when the paged writer still read one page stripe per call: the flat
+#: and the paged writers must keep emitting these bytes.
+PINNED_SNAPSHOTS = {
+    (False, False): "45e2d0f57a16f3f931ce323d10d3e10f19dac2e19dddd780a4fb9b5b5d94992e",
+    (False, True): "51410272b6e1bf472f22958aad7106120e8fab26da63384feb54e366a16a5a91",
+    (True, False): "69add98c3f6a9c6a528114843ad2a5cf391bcba96b81546f51606b03729e6deb",
+    (True, True): "5d7379d70ad1c7abb7f50cb6fbeef9c2b1cf4b3142274a7532380b9859380317",
+}
+
+
+def _pinned_snapshot(path, paged: bool, wide: bool) -> str:
+    """A fixed arithmetic stream (no RNG) through two fold entry points,
+    saved with :func:`save_pool_snapshot`.  Returns the file's sha256, the
+    pool, and the size of every batched range read the save made."""
+    num_nodes = 61
+    encoder = EdgeEncoder(num_nodes)
+    settings = dict(graph_seed=20240612, geometry=pool_geometry(num_nodes, wide=wide))
+    if paged:
+        # Three resident pages of eleven: the save reads most stripes
+        # from the device and the rest out of frames.
+        pool = PagedTensorPool(
+            num_nodes, encoder, memory=HybridMemory(ram_bytes=0, block_size=512),
+            nodes_per_page=6, resident_pages=3, **settings,
+        )
+    else:
+        pool = NodeTensorPool(num_nodes, encoder, **settings)
+    i = np.arange(900, dtype=np.int64)
+    u = (i * 7919 + 3) % num_nodes
+    v = (u + 1 + (i * 104729 + 11) % (num_nodes - 1)) % num_nodes
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    idx = encoder.encode_canonical_pairs(lo, hi)
+    pool.apply_edges(lo[:600], hi[:600], idx[:600])
+    pool.apply_updates(np.concatenate([lo[600:], hi[600:]]), np.concatenate([idx[600:]] * 2))
+    batches = []
+    if paged:
+        load_ranges = pool.memory.load_ranges
+
+        def counted(requests):
+            batches.append(len(requests))
+            return load_ranges(requests)
+
+        pool.memory.load_ranges = counted
+    save_pool_snapshot(pool, path, stream_offset=900, engine_updates=900, fingerprint=7)
+    return hashlib.sha256(path.read_bytes()).hexdigest(), pool, batches
+
+
+@pytest.mark.parametrize("paged, wide", sorted(PINNED_SNAPSHOTS))
+def test_snapshot_files_are_pinned_to_recorded_digests(tmp_path, paged, wide):
+    digest, pool, batches = _pinned_snapshot(tmp_path / "pool.snap", paged, wide)
+    assert digest == PINNED_SNAPSHOTS[paged, wide]
+    if paged:
+        # One batched device read per (plane, round): every page that is
+        # not resident contributes its stripe to it.
+        reads = len(pool.geometry.planes) * pool.num_rounds
+        assert batches == [pool.num_pages - len(pool._resident)] * reads

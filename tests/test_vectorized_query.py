@@ -274,7 +274,7 @@ def test_wide_bucket_storage_matches_packed(edges, seed):
     wide = NodeTensorPool(
         NUM_NODES, encoder, graph_seed=seed, geometry=pool_geometry(NUM_NODES, wide=True)
     )
-    assert packed._packed and not wide._packed
+    assert len(packed._planes) == 1 and len(wide._planes) == 2
     if edges:
         endpoint_u = np.asarray([e[0] for e in edges], dtype=np.int64)
         endpoint_v = np.asarray([e[1] for e in edges], dtype=np.int64)
