@@ -10,18 +10,17 @@ whose public API mirrors the paper's system description (Section 5):
 * ``connected_components()`` returns the node partition implied by the
   spanning forest.
 
-Supporting pieces: per-node sketches (:mod:`node_sketch`), the edge-slot
-encoding shared by every node sketch (:mod:`edge_encoding`), a disjoint
-set union (:mod:`dsu`), the Boruvka driver (:mod:`boruvka`), and the
-StreamingCC baseline built on the general-purpose l0-sampler
-(:mod:`streaming_cc`).
+Supporting pieces: merged cut sketches of node sets (:mod:`node_sketch`),
+the edge-slot encoding shared by every node sketch
+(:mod:`edge_encoding`), a disjoint set union (:mod:`dsu`), the Boruvka
+driver (:mod:`boruvka`), and the StreamingCC baseline built on the
+general-purpose l0-sampler (:mod:`streaming_cc`).
 """
 
 from repro.core.config import GraphZeppelinConfig
 from repro.core.dsu import DisjointSetUnion
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
-from repro.core.node_sketch import NodeSketch
 from repro.core.spanning_forest import SpanningForest
 from repro.core.streaming_cc import StreamingCC
 
@@ -30,7 +29,6 @@ __all__ = [
     "EdgeEncoder",
     "GraphZeppelin",
     "GraphZeppelinConfig",
-    "NodeSketch",
     "SpanningForest",
     "StreamingCC",
 ]

@@ -14,21 +14,20 @@ no component yields a new edge (all remaining cuts are empty) or when
 the provisioned number of rounds is exhausted, in which case the result
 is flagged incomplete (the paper's asymptotically-small failure case).
 
-Two drivers share that contract: the per-component scalar reference
-(:func:`sketch_spanning_forest`) and the whole-round one engines run
-(:func:`vectorized_spanning_forest`): one batched sampler call per
-round, then the round tail -- union-find plus relabel -- through
-:func:`round_tail` or a native provider's compiled twin.
+The driver, :func:`vectorized_spanning_forest`, works a whole round
+at a time: one batched sampler call per round, then the round tail --
+union-find plus relabel -- through :func:`round_tail` or a native
+provider's compiled twin.  A per-component sampler runs under it
+through :func:`batch_sampler_from_scalar`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dsu import DisjointSetUnion
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.spanning_forest import SpanningForest
 from repro.exceptions import ConnectivityError
@@ -42,7 +41,6 @@ from repro.sketch.sketch_base import (
     SampleOutcome,
     SampleResult,
 )
-from repro.types import Edge
 
 #: Signature of the per-component cut sampler: (round, member nodes) -> sample.
 CutSampler = Callable[[int, Sequence[int]], SampleResult]
@@ -78,121 +76,14 @@ def _count(name: str, amount: int = 1) -> None:
         registry.counter(name).inc(amount)
 
 
-def sketch_spanning_forest(
-    num_nodes: int,
-    num_rounds: int,
-    encoder: EdgeEncoder,
-    cut_sampler: CutSampler,
-    strict: bool = False,
-) -> tuple[SpanningForest, BoruvkaStats]:
-    """Run Boruvka's algorithm over sketched cut samplers.
-
-    Parameters
-    ----------
-    num_nodes:
-        Number of nodes in the graph.
-    num_rounds:
-        Number of independent sketch rounds available.
-    encoder:
-        The edge-slot encoder shared by the sketches; used to decode and
-        validate sampled indices.
-    cut_sampler:
-        ``cut_sampler(round_index, members)`` must return a
-        :class:`SampleResult` for the cut between ``members`` and the
-        rest of the graph, computed from the round's sketches.
-    strict:
-        When true, exhausting the rounds while merges were still
-        happening raises :class:`ConnectivityError`; otherwise the
-        partial forest is returned with ``complete=False``.  Either way
-        the exhaustion is counted first (registry counter
-        ``query.incomplete``), as are failed samples
-        (``query.failed_samples``).
-    """
-    dsu = DisjointSetUnion(num_nodes)
-    members: Dict[int, List[int]] = {node: [node] for node in range(num_nodes)}
-    # Components whose cut has been observed empty: they can never merge
-    # again and are skipped in later rounds.
-    settled: Set[int] = set()
-    forest_edges: List[Edge] = []
-    stats = BoruvkaStats()
-
-    found_edge = True
-    round_index = 0
-    while found_edge and dsu.num_components > 1:
-        if round_index >= num_rounds:
-            _count("query.incomplete")
-            if strict:
-                raise ConnectivityError(
-                    f"Boruvka did not converge within {num_rounds} rounds "
-                    f"({dsu.num_components} components remain)"
-                )
-            forest = SpanningForest.from_edges(num_nodes, forest_edges, complete=False)
-            return forest, stats
-
-        found_edge = False
-        stats.rounds_used = round_index + 1
-        sampled_edges: List[Edge] = []
-        failures_this_round = 0
-
-        for root in list(members.keys()):
-            if root in settled:
-                continue
-            stats.component_queries += 1
-            result = cut_sampler(round_index, members[root])
-            if result.is_zero:
-                stats.zero_samples += 1
-                settled.add(root)
-                continue
-            if result.is_fail:
-                stats.failed_samples += 1
-                failures_this_round += 1
-                continue
-            stats.good_samples += 1
-            assert result.index is not None
-            if not encoder.is_valid_index(result.index):
-                # A corrupted bucket slipped past its checksum; ignore it.
-                stats.invalid_samples += 1
-                continue
-            sampled_edges.append(encoder.decode(result.index))
-        _count("query.failed_samples", failures_this_round)
-
-        merges_this_round = 0
-        for u, v in sampled_edges:
-            root_u, root_v = dsu.find(u), dsu.find(v)
-            if root_u == root_v:
-                continue
-            dsu.union(u, v)
-            # Union by size keeps one of the two old roots as the new root.
-            new_root = dsu.find(u)
-            old_root = root_v if new_root == root_u else root_u
-            members[new_root] = members[new_root] + members.pop(old_root)
-            settled.discard(new_root)
-            settled.discard(old_root)
-            forest_edges.append((u, v) if u < v else (v, u))
-            merges_this_round += 1
-            found_edge = True
-
-        stats.merges += merges_this_round
-        stats.per_round_merges.append(merges_this_round)
-        # A failed sample says nothing about the cut being empty; as long as
-        # unused rounds (with fresh, independent sketches) remain, retry the
-        # unresolved components there instead of declaring convergence.
-        if failures_this_round and not found_edge:
-            found_edge = True
-        round_index += 1
-
-    forest = SpanningForest.from_edges(num_nodes, forest_edges, complete=True)
-    return forest, stats
-
-
 def batch_sampler_from_scalar(cut_sampler: CutSampler) -> BatchCutSampler:
     """Adapt a per-component :data:`CutSampler` to the batched signature.
 
     Groups nodes by component label with one argsort (no per-merge list
     concatenation) and calls the scalar sampler once per segment, so a
     sampler without a whole-round kernel (the StreamingCC baseline, a
-    test's reference sampler over ``query_merged``) still runs under the
-    array driver.
+    test's per-component reference sampler) still runs under the array
+    driver.
     Member lists are passed in ascending node order; every sampler in
     the tree XOR-folds or sums its members, so the order cannot change
     the sample.
@@ -311,9 +202,8 @@ def vectorized_spanning_forest(
 ) -> tuple[SpanningForest, BoruvkaStats]:
     """Run Boruvka's algorithm one whole round at a time.
 
-    The array twin of :func:`sketch_spanning_forest`: component
-    membership is an int64 label per node (no Python member lists, no
-    O(n) concatenation per merge), every active component's cut is
+    Component membership is an int64 label per node (no Python member
+    lists, no O(n) concatenation per merge), every active component's cut is
     sampled by **one** ``batch_cut_sampler`` call per round, sampled
     indices are validated and decoded with vectorised
     :class:`EdgeEncoder` expressions, and the union-find is touched only
@@ -322,11 +212,11 @@ def vectorized_spanning_forest(
     it has one.  The forest keeps the concatenated merge edges and the
     final labels as arrays: no union-find object and no per-edge tuple
     is built unless a caller reads ``forest.edges``.  Output -- forest,
-    stats, and the per-component samples
-    behind them -- is bit-identical to the scalar driver under the same
-    sketches, whichever tail runs: the scalar loop visits surviving
-    components in ascending root order (dict insertion order), which is
-    exactly the sorted-label order the batched samplers return.
+    stats, and the per-component samples behind them -- is the same
+    whichever tail runs, and equal to the per-component Boruvka loop's
+    under the same sketches (``tests/sketch_reference.py`` holds that
+    loop): it visits surviving components in ascending root order, which
+    is exactly the sorted-label order the batched samplers return.
     """
     tail = getattr(kernels, "round_tail", None)
     if tail is None:

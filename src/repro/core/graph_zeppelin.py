@@ -371,7 +371,7 @@ class GraphZeppelin:
         """Validate and canonicalise an ``(N, 2)`` edge batch.
 
         The shared front half of serial :meth:`ingest_batch` and the
-        sharded parallel ingest path: shape/range/self-loop validation
+        sharded parallel ingest path: shape/dtype/range/self-loop validation
         and canonical ``(lo, hi)`` orientation.  Returns ``(lo, hi)``
         int64 columns, or ``(None, None)`` for an empty batch.  Counter
         updates, cache invalidation, and the tracked-edge toggle
@@ -384,6 +384,9 @@ class GraphZeppelin:
             return None, None
         if array.ndim != 2 or array.shape[1] != 2:
             raise InvalidStreamError("ingest_batch expects an (N, 2) edge array")
+        if array.dtype.kind not in "iu":
+            # A float or bool endpoint would be truncated into another node.
+            raise InvalidStreamError(f"ingest_batch expects integer node ids, not {array.dtype}")
         endpoints = array.astype(np.int64, copy=False)
         u, v = endpoints[:, 0], endpoints[:, 1]
         if ((u < 0) | (u >= self.num_nodes) | (v < 0) | (v >= self.num_nodes)).any():

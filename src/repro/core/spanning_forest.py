@@ -131,6 +131,8 @@ class SpanningForest:
 
     def connected(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` are in the same component of the forest."""
+        self._check_node(u)
+        self._check_node(v)
         return bool(self.labels[u] == self.labels[v])
 
     def components(self) -> List[Set[int]]:
@@ -144,7 +146,13 @@ class SpanningForest:
 
     def component_of(self, node: int) -> FrozenSet[int]:
         """The component containing ``node``."""
+        self._check_node(node)
         return frozenset(np.flatnonzero(self.labels == self.labels[node]).tolist())
+
+    def _check_node(self, node: int) -> None:
+        """Reject node ids the label array would silently wrap."""
+        if not 0 <= node < self.num_nodes:
+            raise ValueError(f"node {node} outside [0, {self.num_nodes})")
 
     def component_labels(self) -> List[int]:
         """A label per node; two nodes share a label iff connected."""

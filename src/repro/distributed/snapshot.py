@@ -7,7 +7,7 @@ The on-disk format (version 2, all integers little-endian)::
         flags        uint64  bit 0: packed buckets; bit 1: written by a
                              paged pool (informational)
         num_nodes    uint64
-        graph_seed   uint64  (masked to 64 bits, as the sketch blobs do)
+        graph_seed   uint64  (masked to 64 bits)
         num_rounds   uint64
         num_rows     uint64
         num_columns  uint64
@@ -66,7 +66,6 @@ from repro.memory.hybrid import HybridMemory
 from repro.observability.tracing import span
 from repro.sketch.geometry import SketchGeometry
 from repro.sketch.paged_pool import PagedTensorPool
-from repro.sketch.serialization import check_magic, check_payload_length
 from repro.sketch.tensor_pool import NodeTensorPool
 
 PathLike = Union[str, Path]
@@ -266,7 +265,9 @@ def read_snapshot_meta(path: PathLike) -> SnapshotMeta:
         elif magic == SNAPSHOT_MAGIC_V1:
             version = 1
         else:
-            check_magic(magic, SNAPSHOT_MAGIC, "snapshot")
+            raise StreamFormatError(
+                f"bad snapshot magic {magic:#x} (expected {SNAPSHOT_MAGIC:#x})"
+            )
         try:
             geometry = SketchGeometry(
                 num_nodes=int(num_nodes),
@@ -289,11 +290,12 @@ def read_snapshot_meta(path: PathLike) -> SnapshotMeta:
             fingerprint=int(fingerprint),
             version=version,
         )
-        check_payload_length(
-            file_bytes - _HEADER.size - meta.digest_section_bytes,
-            meta.payload_bytes,
-            f"{path} snapshot payload",
-        )
+        payload_bytes = file_bytes - _HEADER.size - meta.digest_section_bytes
+        if payload_bytes != meta.payload_bytes:
+            raise StreamFormatError(
+                f"{path} snapshot payload length {payload_bytes} does not match "
+                f"expected {meta.payload_bytes}"
+            )
         if version >= 2:
             handle.seek(_HEADER.size + meta.payload_bytes)
             raw = handle.read(meta.digest_section_bytes)

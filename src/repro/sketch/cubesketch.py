@@ -25,7 +25,7 @@ from (Figure 4).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -296,7 +296,7 @@ class CubeSketch(L0Sampler):
         return alpha, gamma
 
     def load_raw_arrays(self, alpha: np.ndarray, gamma: np.ndarray) -> None:
-        """Replace bucket contents (used by serialization)."""
+        """Replace bucket contents with copies of ``(rows, cols)`` arrays."""
         if alpha.shape != self._alpha.shape or gamma.shape != self._gamma.shape:
             raise ValueError("array shapes do not match the sketch dimensions")
         self._alpha = alpha.astype(np.uint64, copy=True)
@@ -336,21 +336,3 @@ class CubeSketch(L0Sampler):
             total.merge(sketch)
         return total
 
-
-def exhaustive_samples(sketch: CubeSketch) -> List[int]:
-    """All distinct indices recoverable from any bucket of ``sketch``.
-
-    Used by tests and by the reliability experiment to inspect how many
-    distinct coordinates a single sketch exposes; the production query
-    path stops at the first good bucket.
-    """
-    found = set()
-    for col in range(sketch.num_columns):
-        for row in range(sketch.num_rows):
-            bucket = sketch.bucket(row, col)
-            if bucket.is_empty or bucket.alpha >= sketch.vector_length:
-                continue
-            expected = seeded_hash64(bucket.alpha, sketch._checksum_seeds[col]) & 0xFFFFFFFF
-            if expected == bucket.gamma:
-                found.add(bucket.alpha)
-    return sorted(found)

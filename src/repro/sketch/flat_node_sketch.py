@@ -1,10 +1,10 @@
 """Columnar node sketches: a node's whole sketch bundle as two tensors.
 
-The legacy :class:`~repro.core.node_sketch.NodeSketch` keeps
-``ceil(log2 V)`` independent :class:`~repro.sketch.cubesketch.CubeSketch`
-objects, each of which loops over its columns in Python.  A batched
-update therefore crosses the interpreter ``num_rounds x num_columns``
-times.  :class:`FlatNodeSketch` stores the same state as two contiguous
+In the paper a node sketch is ``ceil(log2 V)`` independent
+:class:`~repro.sketch.cubesketch.CubeSketch` objects, one per Boruvka
+round, each of which loops over its columns in Python, so a batched
+update would cross the interpreter ``num_rounds x num_columns`` times.
+:class:`FlatNodeSketch` stores the same state as two contiguous
 uint64 tensors (``alpha`` and ``gamma``) covering every
 ``(round, row, column)`` bucket, and precomputes every (round, column)
 hash seed into one seed matrix, so a batch of ``K`` edge-slot indices is
@@ -20,11 +20,12 @@ hash seed into one seed matrix, so a batch of ``K`` edge-slot indices is
    fold costs about two passes over the ``updates x slots`` set whatever
    the destinations are.
 
-The arithmetic is bit-for-bit identical to the legacy path: the seeds
-are derived with the same labels, the hashes are the same functions, and
-XOR folding is order-independent, so a FlatNodeSketch and a NodeSketch
-fed the same stream hold identical buckets (the property tests assert
-this).
+The arithmetic is bit-for-bit that of the per-round CubeSketches: the
+seeds are derived with the same labels, the hashes are the same
+functions, and XOR folding is order-independent, so a FlatNodeSketch
+and a list of per-round CubeSketches fed the same stream hold identical
+buckets (the property tests assert this), and
+:meth:`FlatNodeSketch.round_sketch` hands one round out as a CubeSketch.
 
 Internally the tensors are laid out slot-major with bucket rows
 innermost -- shape ``(num_rounds, num_columns, num_rows)`` -- so that a
@@ -34,10 +35,7 @@ layout :class:`~repro.sketch.tensor_pool.NodeTensorPool` uses to hold
 *every* node's bundle in one allocation.  The public accessors
 (:meth:`FlatNodeSketch.raw_tensors`, :meth:`FlatNodeSketch.round_arrays`)
 present the conventional ``(rounds, rows, cols)`` / ``(rows, cols)``
-orientation as transposed views.  Serialisation writes the two tensors
-as single ``tobytes`` blobs: one node's entire bundle moves as one
-contiguous payload, which is what makes the out-of-core configuration's
-disk layout sequential.
+orientation as transposed views.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from repro.hashing.mixers import (
     finalise_hash64_inplace,
     hash_to_depth,
     mix_seed_array,
-    seeded_hash64,
     seeded_hash64_matrix,
 )
 from repro.hashing.prng import derive_seed
@@ -119,7 +116,7 @@ def flat_seed_matrices(
     Returns ``(membership, checksum, mixed_membership, mixed_checksum)``
     where each array has ``rounds * columns`` entries and slot
     ``s = round * columns + column``.  The raw seeds match the ones
-    the legacy per-round CubeSketches derive; the mixed variants are
+    the per-round CubeSketches derive; the mixed variants are
     pre-diffused for :func:`~repro.hashing.mixers.seeded_hash64_matrix`.
     Seeds depend only on the graph seed and the geometry, so they are
     cached and shared across every node of an engine.
@@ -301,36 +298,6 @@ def columnar_fold(
     return fold_hashed(indices, depths, checksums, num_rows, dsts)
 
 
-def query_bucket_arrays(
-    alpha: np.ndarray,
-    gamma: np.ndarray,
-    vector_length: int,
-    checksum_seeds: Sequence[int],
-) -> SampleResult:
-    """CubeSketch's query over raw ``(rows, cols)`` bucket arrays.
-
-    Scans buckets in the same order as
-    :meth:`~repro.sketch.cubesketch.CubeSketch.query` (columns outer,
-    deepest row first) so flat and legacy sketches in identical states
-    return identical samples.
-    """
-    num_rows, num_columns = alpha.shape
-    if not (alpha.any() or gamma.any()):
-        return SampleResult.zero()
-    for col in range(num_columns):
-        checksum_seed = int(checksum_seeds[col])
-        for row in range(num_rows - 1, -1, -1):
-            a = int(alpha[row, col])
-            g = int(gamma[row, col])
-            if a == 0 and g == 0:
-                continue
-            if a >= vector_length:
-                continue
-            if (seeded_hash64(a, checksum_seed) & 0xFFFFFFFF) == g:
-                return SampleResult.good(a)
-    return SampleResult.fail()
-
-
 #: Rows per block of the two-level segmented XOR.  Block sums reduce
 #: through ``bitwise_xor.reduce`` (SIMD-vectorised elementwise row ops),
 #: side-stepping ``reduceat``'s ~5ns/element scalar inner loop; 64 rows
@@ -483,7 +450,8 @@ def decode_column_batch(
 
     ``alpha`` and ``gamma`` are ``(C, num_rows)``: one column of ``C``
     merged component sketches.  Scans rows deepest-first exactly like
-    :func:`query_bucket_arrays` does within a column, checksum-verifying
+    :meth:`CubeSketch.query <repro.sketch.cubesketch.CubeSketch.query>`
+    does within a column, checksum-verifying
     with one broadcasted hash pipeline.  Returns ``(good, zero, index)``
     where ``good[c]`` flags a verified bucket, ``zero[c]`` flags an
     all-empty column, and ``index[c]`` is the recovered edge slot (-1
@@ -526,10 +494,11 @@ def query_bucket_arrays_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """CubeSketch's query over ``C`` components' bucket tensors at once.
 
-    The batched twin of :func:`query_bucket_arrays`: ``alpha`` and
-    ``gamma`` are ``(C, num_columns, num_rows)`` slot-major tensors (the
-    tensor pool's native round-slice layout -- note the transpose
-    relative to the scalar function's ``(rows, cols)`` arguments), and
+    The batched twin of :meth:`CubeSketch.query
+    <repro.sketch.cubesketch.CubeSketch.query>`: ``alpha`` and ``gamma``
+    are ``(C, num_columns, num_rows)`` slot-major tensors (the tensor
+    pool's native round-slice layout -- note the transpose relative to
+    CubeSketch's ``(rows, cols)`` arrays), and
     instead of ``C`` :class:`SampleResult` objects the result is a pair
     of arrays: ``statuses`` (:data:`~repro.sketch.sketch_base.SAMPLE_ZERO`
     / ``SAMPLE_GOOD`` / ``SAMPLE_FAIL`` codes, uint8) and ``indices``
@@ -573,10 +542,9 @@ def query_bucket_arrays_batch(
 class FlatNodeSketch:
     """A node's entire sketch bundle as two contiguous uint64 tensors.
 
-    Drop-in replacement for the legacy
-    :class:`~repro.core.node_sketch.NodeSketch` (same constructor, same
-    update/query/merge surface), with all per-round, per-column state
-    flattened so batched updates run as single numpy kernels.
+    The paper's per-round CubeSketch bundle with all per-round,
+    per-column state flattened, so batched updates run as single numpy
+    kernels; :meth:`round_sketch` hands one round out as a CubeSketch.
     """
 
     __slots__ = (
@@ -679,16 +647,16 @@ class FlatNodeSketch:
     # ------------------------------------------------------------------
     def query_round(self, round_index: int) -> SampleResult:
         """Query the sketch reserved for Boruvka round ``round_index``."""
-        base = round_index * self.num_columns
-        return query_bucket_arrays(
-            self._alpha[round_index].T,
-            self._gamma[round_index].T,
-            self.encoder.vector_length,
-            self._checksum_seeds[base : base + self.num_columns],
-        )
+        return self.round_sketch(round_index).query()
+
+    def _check_round(self, round_index: int) -> None:
+        """Reject round ids the tensors would silently wrap."""
+        if not 0 <= round_index < self.num_rounds:
+            raise ValueError(f"round {round_index} outside [0, {self.num_rounds})")
 
     def round_arrays(self, round_index: int) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only ``(rows, cols)`` views of one round's buckets."""
+        self._check_round(round_index)
         alpha = self._alpha[round_index].T.view()
         gamma = self._gamma[round_index].T.view()
         alpha.flags.writeable = False
@@ -696,7 +664,8 @@ class FlatNodeSketch:
         return alpha, gamma
 
     def round_sketch(self, round_index: int) -> CubeSketch:
-        """A legacy CubeSketch materialised from one round (compat/tests)."""
+        """One round's buckets as a standalone CubeSketch (a copy)."""
+        self._check_round(round_index)
         sketch = CubeSketch(
             self.encoder.vector_length,
             delta=self.geometry.delta,
@@ -747,7 +716,7 @@ class FlatNodeSketch:
         return clone
 
     # ------------------------------------------------------------------
-    # accounting and serialisation
+    # accounting
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
         """Total payload bytes across all rounds (paper's accounting)."""

@@ -723,17 +723,16 @@ class PagedTensorPool(NodeTensorPool):
     # ------------------------------------------------------------------
     # per-node views and merges
     # ------------------------------------------------------------------
-    @contextmanager
-    def _bundle_planes(self, node: int, dirty: bool = True):
-        """``node``'s page tensors, pinned for the block, and its index in them.
+    def _node_bundle_arrays(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One node's bundle, unpacked into fresh arrays from its pinned page.
 
-        Nothing read from them may outlive the block: the frame goes on
-        to hold another page (:meth:`_node_bundle_arrays` unpacks into
-        fresh arrays).
+        Nothing may keep a view of the page: the frame goes on to hold
+        another page.
         """
         page = self.page_of(node)
-        with self._pinned(page, dirty) as entry:
-            yield entry, node - int(self.page_bounds[page])
+        with self._pinned(page, dirty=False) as entry:
+            index = node - int(self.page_bounds[page])
+            return self.geometry.unpack([tensor[:, index] for tensor in entry])
 
     def merge_from(self, other) -> None:
         """XOR another pool into this one, one page at a time.

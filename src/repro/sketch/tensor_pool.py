@@ -42,16 +42,12 @@ the ``(lo, hi, index)`` columns straight to
 
 The pool is also the query engine's substrate: one Boruvka round's cut
 samples for *every* active component come out of a single segmented
-XOR-reduce over the round slab (:meth:`NodeTensorPool.query_components`),
-and a single component's merged sketch is one fancy gather + XOR
-reduction (:meth:`NodeTensorPool.query_merged`) instead of deserialising
-and merging per-node sketch objects.
+XOR-reduce over the round slab (:meth:`NodeTensorPool.query_components`)
+instead of deserialising and merging per-node sketch objects.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,19 +63,13 @@ from repro.sketch.flat_node_sketch import (
     fold_hashed,
     group_nodes_by_label,
     hash_depths_checksums,
-    query_bucket_arrays,
     query_bucket_arrays_batch,
     segmented_xor,
     validate_indices,
 )
 from repro.sketch.geometry import SketchGeometry
 from repro.sketch.round_split import fold_ranges, round_ranges, split_ranges
-from repro.sketch.sketch_base import (
-    SAMPLE_FAIL,
-    SAMPLE_GOOD,
-    SAMPLE_ZERO,
-    SampleResult,
-)
+from repro.sketch.sketch_base import SAMPLE_FAIL, SAMPLE_GOOD, SAMPLE_ZERO
 
 #: Element budget for one ``(updates, slots)`` matrix of a numpy fold
 #: pass: 1 << 16 uint64 elements is 512 KiB, so a pass's hash matrices
@@ -179,8 +169,9 @@ class NodeTensorPool:
     graph_seed:
         Root seed; hash seeds are derived exactly as the per-node
         sketches derive them, so pool state is bit-identical to a
-        collection of :class:`FlatNodeSketch` (or legacy ``NodeSketch``)
-        objects fed the same updates.
+        collection of :class:`FlatNodeSketch` objects (or of per-round
+        :class:`~repro.sketch.cubesketch.CubeSketch` lists) fed the same
+        updates.
     geometry:
         Rounds, columns, rows and bucket mode of every node's bundle;
         defaults to :meth:`SketchGeometry.for_graph` at ``num_nodes``.
@@ -678,47 +669,6 @@ class NodeTensorPool:
             self._round_view(plane, round_index) for plane in range(len(self.geometry.planes))
         )
 
-    def _node_round_arrays(self, node: int, round_index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """One node's ``(cols, rows)`` alpha/gamma arrays for a round."""
-        return self.geometry.unpack([slab[node] for slab in self._round_views(round_index)])
-
-    def query_round(self, node: int, round_index: int) -> SampleResult:
-        """Query one node's round-``round_index`` sketch."""
-        self._check_node(node)
-        alpha, gamma = self._node_round_arrays(node, round_index)
-        base = round_index * self.num_columns
-        return query_bucket_arrays(
-            alpha.T,
-            gamma.T,
-            self.encoder.vector_length,
-            self._checksum_seeds[base : base + self.num_columns],
-        )
-
-    def query_merged(self, members: Sequence[int], round_index: int) -> SampleResult:
-        """Query the XOR of several nodes' round-``round_index`` sketches.
-
-        The per-component Boruvka cut sampler: one fancy gather over the
-        round slab plus an XOR reduction replaces per-member sketch
-        copies and merges.
-        """
-        if len(members) == 0:
-            raise ValueError("query_merged requires at least one member node")
-        member_array = np.asarray(members, dtype=np.int64)
-        self._check_destinations(member_array)
-        if member_array.size == 1:
-            return self.query_round(int(member_array[0]), round_index)
-        alpha, gamma = self.geometry.unpack(
-            [np.bitwise_xor.reduce(slab[member_array], axis=0)
-             for slab in self._round_views(round_index)]
-        )
-        base = round_index * self.num_columns
-        return query_bucket_arrays(
-            alpha.T,
-            gamma.T,
-            self.encoder.vector_length,
-            self._checksum_seeds[base : base + self.num_columns],
-        )
-
     def query_components(
         self,
         labels: np.ndarray,
@@ -728,9 +678,8 @@ class NodeTensorPool:
         """Cut-sample **every** component of a Boruvka round in one pass.
 
         ``labels[node]`` is the node's component label; nodes sharing a
-        label form one component.  Instead of one
-        :meth:`query_merged` call per component, the whole round is a
-        segmented XOR-reduce: sort node rows by component label (int16
+        label form one component.  Instead of one XOR-merged sketch
+        query per component, the whole round is a segmented XOR-reduce: sort node rows by component label (int16
         radix sort when the labels fit), reduce label segments over the
         round slab, and decode all merged sketches with the batched
         bucket decoder.  ``node_mask`` restricts the query to the marked
@@ -746,8 +695,9 @@ class NodeTensorPool:
         ascending order, each component's
         :data:`~repro.sketch.sketch_base.SAMPLE_ZERO` /
         ``SAMPLE_GOOD`` / ``SAMPLE_FAIL`` code, and its sampled edge
-        slot (-1 unless GOOD).  Results are bit-identical to calling
-        :meth:`query_merged` per component -- also when a native
+        slot (-1 unless GOOD).  Results are bit-identical to
+        :meth:`CubeSketch.query <repro.sketch.cubesketch.CubeSketch.query>`
+        on each component's XOR-merged round sketch -- also when a native
         provider's ``sample_components`` fuses the three steps above
         into one call (``query.sample``), and when that call copies the
         components nothing changed from the round's :class:`RoundMemo`
@@ -975,23 +925,9 @@ class NodeTensorPool:
     # ------------------------------------------------------------------
     # per-node views
     # ------------------------------------------------------------------
-    @contextmanager
-    def _bundle_planes(self, node: int, dirty: bool = True):
-        """The ``(rounds, nodes, cols, rows)`` planes holding ``node``'s
-        bundle, and the node's index in them, for the block."""
-        yield self._planes, node
-
     def _node_bundle_arrays(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
         """One node's ``(rounds, cols, rows)`` uint64 alpha/gamma bundle (copies)."""
-        with self._bundle_planes(node, dirty=False) as (planes, index):
-            return self.geometry.unpack([plane[:, index] for plane in planes])
-
-    def _write_node_bundle(self, node: int, alpha: np.ndarray, gamma: np.ndarray) -> None:
-        """Overwrite one node's buckets with uint64 alpha/gamma tensors."""
-        self._stamp(node)
-        with self._bundle_planes(node) as (planes, index):
-            for plane, values in zip(planes, self.geometry.pack(alpha, gamma)):
-                plane[:, index] = values
+        return self.geometry.unpack([plane[:, node] for plane in self._planes])
 
     def node_sketch(self, node: int) -> FlatNodeSketch:
         """Materialise one node's bundle as a standalone FlatNodeSketch."""
@@ -1005,24 +941,6 @@ class NodeTensorPool:
         )
         sketch._alpha, sketch._gamma = self._node_bundle_arrays(node)
         return sketch
-
-    def load_node_sketch(self, sketch: FlatNodeSketch) -> None:
-        """Replace one node's pool buckets with a standalone sketch's state."""
-        # A view holds uint64 tensors whatever this pool's bucket mode.
-        if (
-            replace(sketch.geometry, packed=False) != replace(self.geometry, packed=False)
-            or sketch.graph_seed != self.graph_seed
-        ):
-            raise ValueError("sketch geometry/seed does not match the pool")
-        if not 0 <= sketch.node < self.num_nodes:
-            raise ValueError(f"sketch node {sketch.node} outside [0, {self.num_nodes})")
-        self._write_node_bundle(sketch.node, sketch._alpha, sketch._gamma)
-        self._bump_version()
-
-    def node_is_empty(self, node: int) -> bool:
-        self._check_node(node)
-        alpha, gamma = self._node_bundle_arrays(node)
-        return not alpha.any() and not gamma.any()
 
     def _check_node(self, node: int) -> None:
         """Reject node ids the flat tensors would silently wrap."""

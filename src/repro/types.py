@@ -11,6 +11,7 @@ These types intentionally stay close to the paper's vocabulary:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
@@ -77,7 +78,14 @@ def canonical_edge(u: int, v: int) -> Edge:
 
     >>> canonical_edge(5, 2)
     (2, 5)
+
+    Endpoints must be integers (``operator.index``: Python or numpy
+    ints); a float such as ``0.5`` is rejected rather than truncated.
     """
+    try:
+        u, v = operator.index(u), operator.index(v)
+    except TypeError:
+        raise ValueError(f"non-integer node id in edge ({u!r}, {v!r})") from None
     if u == v:
         raise ValueError(f"self loop ({u}, {v}) is not a valid edge")
     if u < 0 or v < 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.config import GraphZeppelinConfig
 from repro.core.graph_zeppelin import GraphZeppelin
@@ -17,6 +18,11 @@ from repro.generators.random_graphs import random_spanning_tree
 from repro.streaming.generator import StreamConversionSettings, graph_to_stream
 from repro.streaming.stream import GraphStream
 from repro.types import EdgeUpdate, UpdateType
+
+#: ``--hypothesis-profile=ci``: ten times Hypothesis' default example
+#: budget, for the CI step that runs the engine state machine, whose
+#: cells take a tenth of the loaded profile's budget.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ The driver is exercised with an *exact* cut sampler (computed from an
 explicit edge set), so these tests isolate the Boruvka control flow --
 component bookkeeping, settled detection, round limits -- from sketch
 randomness.  The driver contracts (round exhaustion, ``SAMPLE_FAIL``
-retry, invalid slots, plain-Python public views) are held on every
-driver users can run: the scalar reference, and the whole-round driver
+retry, invalid slots, plain-Python public views) are held on the
+scalar reference in ``sketch_reference`` and on the whole-round driver
 with the numpy and with the native round tail.
 """
 
@@ -14,15 +14,12 @@ from typing import Sequence
 
 import pytest
 
-from repro.core.boruvka import (
-    batch_sampler_from_scalar,
-    sketch_spanning_forest,
-    vectorized_spanning_forest,
-)
+from repro.core.boruvka import batch_sampler_from_scalar, vectorized_spanning_forest
 from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConnectivityError
 from repro.observability import default_registry
 from repro.sketch.sketch_base import SampleResult
+from sketch_reference import sketch_spanning_forest
 
 
 @pytest.fixture(params=["scalar", "vectorized-numpy", "vectorized-native"])

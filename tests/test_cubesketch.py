@@ -4,8 +4,26 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, IncompatibleSketchError
-from repro.sketch.cubesketch import CubeSketch, exhaustive_samples
+from repro.hashing.mixers import seeded_hash64
+from repro.sketch.cubesketch import CubeSketch
 from repro.sketch.sketch_base import SampleOutcome
+
+
+def exhaustive_samples(sketch: CubeSketch) -> list:
+    """All distinct indices recoverable from any bucket of ``sketch``.
+
+    The query stops at the first good bucket; this checks every one.
+    """
+    found = set()
+    for col in range(sketch.num_columns):
+        for row in range(sketch.num_rows):
+            bucket = sketch.bucket(row, col)
+            if bucket.is_empty or bucket.alpha >= sketch.vector_length:
+                continue
+            expected = seeded_hash64(bucket.alpha, sketch._checksum_seeds[col]) & 0xFFFFFFFF
+            if expected == bucket.gamma:
+                found.add(bucket.alpha)
+    return sorted(found)
 
 
 def test_empty_sketch_reports_zero_vector():

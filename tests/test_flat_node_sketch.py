@@ -1,9 +1,9 @@
-"""Bit-identicality of the columnar sketch engine vs the legacy path.
+"""Bit-identicality of the columnar sketch engine vs per-round CubeSketches.
 
 The flat tensor representation (FlatNodeSketch / NodeTensorPool) must
-hold *exactly* the same bucket contents as the legacy per-CubeSketch
-bundles under the same graph seed: same alpha/gamma words, same query
-results, same merged cut sketches.  These tests drive both
+hold *exactly* the same bucket contents as the paper's bundle of
+per-round CubeSketches under the same graph seed: same alpha/gamma
+words, same merged cut sketches.  These tests drive both
 implementations with identical random streams (hypothesis) and compare
 raw state.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.edge_encoding import EdgeEncoder
-from repro.core.node_sketch import NodeSketch, merged_round_sketch
+from repro.core.node_sketch import merged_round_sketch
 from repro.exceptions import IncompatibleSketchError
 from repro.sketch.cubesketch import CubeSketch
 from repro.sketch.flat_node_sketch import (
@@ -26,8 +26,9 @@ from repro.sketch.flat_node_sketch import (
     flat_seed_matrices,
     segmented_xor,
 )
+from repro.sketch.geometry import SketchGeometry
 from repro.sketch.tensor_pool import NodeTensorPool
-from sketch_reference import assert_same_node_state
+from sketch_reference import assert_same_node_state, reference_node_sketches, round_cube
 
 NUM_NODES = 24
 
@@ -42,13 +43,10 @@ def test_flat_batch_is_bit_identical_to_legacy(neighbors, seed):
     encoder = EdgeEncoder(NUM_NODES)
     node = 5
     neighbors = [w for w in neighbors if w != node]
-    legacy = NodeSketch(node, encoder, graph_seed=seed)
+    reference = reference_node_sketches(NUM_NODES, [(node, w) for w in neighbors], seed)
     flat = FlatNodeSketch(node, encoder, graph_seed=seed)
-    legacy.apply_batch(neighbors)
     flat.apply_batch(neighbors)
-    assert_same_node_state(legacy, flat)
-    for round_index in range(flat.num_rounds):
-        assert legacy.query_round(round_index) == flat.query_round(round_index)
+    assert_same_node_state(reference[node], flat)
 
 
 @given(neighbors=neighbor_lists, seed=seeds)
@@ -68,7 +66,7 @@ def test_flat_single_edges_match_batch(neighbors, seed):
 @given(seed=seeds, data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_pool_matches_legacy_engine_state(seed, data):
-    """A mixed multi-node update column folds identically to per-node legacy."""
+    """A mixed multi-node update column folds identically to per-node CubeSketches."""
     encoder = EdgeEncoder(NUM_NODES)
     edges = data.draw(
         st.lists(
@@ -78,7 +76,7 @@ def test_pool_matches_legacy_engine_state(seed, data):
         )
     )
     pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=seed)
-    legacy = [NodeSketch(n, encoder, graph_seed=seed) for n in range(NUM_NODES)]
+    reference = reference_node_sketches(NUM_NODES, edges, seed)
 
     if edges:
         endpoint_u = np.asarray([e[0] for e in edges], dtype=np.int64)
@@ -87,19 +85,15 @@ def test_pool_matches_legacy_engine_state(seed, data):
         hi = np.maximum(endpoint_u, endpoint_v)
         indices = lo.astype(np.uint64) * np.uint64(NUM_NODES) + hi.astype(np.uint64)
         pool.apply_updates(np.concatenate([lo, hi]), np.concatenate([indices, indices]))
-        for u, v in edges:
-            legacy[u].apply_edge(v)
-            legacy[v].apply_edge(u)
 
     for node in range(NUM_NODES):
-        assert_same_node_state(legacy[node], pool.node_sketch(node))
+        assert_same_node_state(reference[node], pool.node_sketch(node))
 
     members = sorted({e[0] for e in edges} | {0, 1})
+    views = [pool.node_sketch(n) for n in members]
     for round_index in range(pool.num_rounds):
-        assert (
-            pool.query_merged(members, round_index)
-            == merged_round_sketch([legacy[n] for n in members], round_index).query()
-        )
+        expected = CubeSketch.sum_of([reference[n][round_index] for n in members])
+        assert merged_round_sketch(views, round_index) == expected
 
 
 def test_flat_apply_rejects_out_of_range_indices_like_legacy():
@@ -118,7 +112,7 @@ def test_flat_apply_rejects_out_of_range_indices_like_legacy():
             np.asarray([0]), np.asarray([1]), np.asarray([encoder.vector_length])
         )
     assert flat.is_empty()
-    assert pool.node_is_empty(0)
+    assert pool.node_sketch(0).is_empty()
 
 
 def _index_targets():
@@ -164,12 +158,6 @@ def test_pool_accessors_reject_wrapping_node_ids():
     for node in (-1, NUM_NODES):
         with pytest.raises(ValueError):
             pool.node_sketch(node)
-        with pytest.raises(ValueError):
-            pool.query_round(node, 0)
-        with pytest.raises(ValueError):
-            pool.node_is_empty(node)
-    with pytest.raises(ValueError):
-        pool.query_merged([0, -1], 0)
 
 
 def test_merge_and_copy_semantics():
@@ -181,12 +169,9 @@ def test_merge_and_copy_semantics():
     clone = a.copy()
     a.merge(b)
     # Edge {0, 1} appears in both bundles and must cancel on merge.
-    merged_legacy = NodeSketch(0, encoder, graph_seed=1)
-    merged_legacy.apply_batch([2, 3])
-    legacy_b = NodeSketch(1, encoder, graph_seed=1)
-    legacy_b.apply_batch([2, 3])
-    merged_legacy.merge(legacy_b)
-    assert_same_node_state(merged_legacy, a)
+    reference = reference_node_sketches(NUM_NODES, [(0, 2), (0, 3), (1, 2), (1, 3)], seed=1)
+    merged = [CubeSketch.sum_of(pair) for pair in zip(reference[0], reference[1])]
+    assert_same_node_state(merged, a)
     # The pre-merge copy is untouched.
     assert not clone == a
 
@@ -197,9 +182,10 @@ def test_merge_and_copy_semantics():
 
 def test_seed_matrices_match_legacy_cubesketch_seeds():
     encoder = EdgeEncoder(NUM_NODES)
-    legacy = NodeSketch(0, encoder, graph_seed=77)
-    membership, checksum, _, _ = flat_seed_matrices(77, legacy.geometry)
-    for round_index, cube in enumerate(legacy.sketches):
+    geometry = SketchGeometry.for_graph(NUM_NODES)
+    membership, checksum, _, _ = flat_seed_matrices(77, geometry)
+    for round_index in range(geometry.rounds):
+        cube = round_cube(encoder.vector_length, geometry, 77, round_index)
         base = round_index * cube.num_columns
         for col in range(cube.num_columns):
             assert int(membership[base + col]) == cube._membership_seeds[col]

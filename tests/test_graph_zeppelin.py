@@ -1,5 +1,6 @@
 """Unit tests for the GraphZeppelin engine's public API and bookkeeping."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import BufferingMode, GraphZeppelinConfig
@@ -185,3 +186,45 @@ def test_node_sketch_accessor():
     sketch = gz.node_sketch(2)
     result = sketch.query_round(0)
     assert result.is_good
+
+
+def test_query_node_ids_outside_the_graph_are_rejected():
+    """``labels[-1]`` is node 7: ``is_connected(-1, 0)`` used to answer True."""
+    gz = GraphZeppelin(8, config=GraphZeppelinConfig(seed=1))
+    gz.insert(0, 7)
+    assert gz.is_connected(7, 0)
+    for u, v in ((-1, 0), (0, -1), (0, 8)):
+        with pytest.raises(ValueError, match="outside"):
+            gz.is_connected(u, v)
+    forest = gz.list_spanning_forest()
+    for node in (-1, 8):
+        with pytest.raises(ValueError, match="outside"):
+            forest.component_of(node)
+
+
+@pytest.mark.parametrize("validate", [False, True])
+@pytest.mark.parametrize(
+    "edges",
+    [np.array([[0.9, 2.2]]), np.array([[0.0, 2.0]]), np.array([[True, False]])],
+    ids=["fractional", "integral-float", "bool"],
+)
+def test_non_integer_batch_endpoints_are_rejected(edges, validate):
+    """``[[0.9, 2.2]]`` used to be truncated to the edge (0, 2)."""
+    gz = GraphZeppelin(8, config=GraphZeppelinConfig(seed=1, validate_stream=validate))
+    with pytest.raises(InvalidStreamError, match="integer"):
+        gz.ingest_batch(edges)
+    assert gz.updates_processed == 0
+    assert gz.num_connected_components() == 8
+
+
+@pytest.mark.parametrize("buffering", [BufferingMode.NONE, BufferingMode.LEAF_GUTTERS])
+@pytest.mark.parametrize("method", ["insert", "delete", "edge_update"])
+def test_non_integer_point_endpoints_are_rejected(buffering, method):
+    """``insert(0.5, 3)`` used to join nodes 0 and 3."""
+    gz = GraphZeppelin(8, config=GraphZeppelinConfig(seed=1, buffering=buffering))
+    for u, v in ((0.5, 3), (0, 3.0), (np.float64(1.0), 2)):
+        with pytest.raises(ValueError, match="integer"):
+            getattr(gz, method)(u, v)
+    assert gz.updates_processed == 0
+    gz.insert(np.int64(0), np.int32(3))
+    assert gz.is_connected(0, 3)

@@ -2,8 +2,7 @@
 
 These extend the CubeSketch properties with invariants of the
 surrounding machinery: edge encoding, DSU behaviour, node-sketch
-linearity at the graph level, stream conversion legality, and
-serialisation round-trips.
+linearity at the graph level, and stream conversion legality.
 """
 
 from collections import Counter
@@ -13,9 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dsu import DisjointSetUnion
 from repro.core.edge_encoding import EdgeEncoder
-from repro.core.node_sketch import NodeSketch
-from repro.sketch.cubesketch import CubeSketch
-from repro.sketch.serialization import cubesketch_from_bytes, cubesketch_to_bytes
+from repro.sketch.flat_node_sketch import FlatNodeSketch
 from repro.streaming.generator import StreamConversionSettings, graph_to_stream
 from repro.streaming.validation import validate_stream
 
@@ -91,7 +88,7 @@ def test_component_merge_cancels_internal_edges(edges, seed):
     of the linearity property.
     """
     encoder = EdgeEncoder(NUM_NODES)
-    sketches = [NodeSketch(v, encoder, graph_seed=seed) for v in range(NUM_NODES)]
+    sketches = [FlatNodeSketch(v, encoder, graph_seed=seed) for v in range(NUM_NODES)]
     # Apply each update to both endpoints (duplicates allowed: they toggle).
     for u, v in edges:
         sketches[u].apply_edge(v)
@@ -107,7 +104,7 @@ def test_component_merge_cancels_internal_edges(edges, seed):
 def test_single_node_sketch_samples_incident_edges(edges, seed):
     encoder = EdgeEncoder(NUM_NODES)
     node = 0
-    sketch = NodeSketch(node, encoder, graph_seed=seed)
+    sketch = FlatNodeSketch(node, encoder, graph_seed=seed)
     incident = Counter()
     for u, v in edges:
         if node in (u, v):
@@ -121,22 +118,6 @@ def test_single_node_sketch_samples_incident_edges(edges, seed):
     elif result.is_good:
         u, v = encoder.decode(result.index)
         assert {u, v} - {node} <= live_neighbors
-
-
-# ----------------------------------------------------------------------
-# serialisation
-# ----------------------------------------------------------------------
-@given(
-    updates=st.lists(st.integers(min_value=0, max_value=999), max_size=50),
-    seed=seeds,
-)
-@settings(max_examples=75, deadline=None)
-def test_cubesketch_serialisation_roundtrip_property(updates, seed):
-    sketch = CubeSketch(1000, seed=seed)
-    for index in updates:
-        sketch.update(index)
-    restored = cubesketch_from_bytes(cubesketch_to_bytes(sketch))
-    assert restored == sketch
 
 
 # ----------------------------------------------------------------------

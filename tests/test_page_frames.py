@@ -194,7 +194,6 @@ def test_no_accessor_returns_a_view_of_a_frame(force_wide, num_rounds):
     sketch = pool.node_sketch(node)
     held = [
         *pool._node_bundle_arrays(node),
-        *pool._node_round_arrays(node, 0),
         sketch._alpha,
         sketch._gamma,
         pool._round_view(0, 0),

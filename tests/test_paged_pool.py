@@ -175,7 +175,7 @@ def test_dirty_page_write_back_survives_eviction_round_trip():
     assert pool.page_ins > 0  # pages really did round-trip through bytes
 
 
-def test_paged_node_sketch_and_load_round_trip():
+def test_paged_node_sketch_reads_through_the_page():
     encoder = EdgeEncoder(16)
     memory = HybridMemory(ram_bytes=2_000, block_size=1024)
     pool = PagedTensorPool(16, encoder, memory=memory, graph_seed=2, nodes_per_page=4)
@@ -184,10 +184,8 @@ def test_paged_node_sketch_and_load_round_trip():
     reference = NodeTensorPool(16, encoder, graph_seed=2)
     reference.apply_node_batch(5, [1, 2, 9])
     assert sketch == reference.node_sketch(5)
-    assert not pool.node_is_empty(5)
-    assert pool.node_is_empty(6)
-    # load_node_sketch writes through the page and invalidates queries.
-    pool.load_node_sketch(reference.node_sketch(5))
+    assert not sketch.is_empty()
+    assert pool.node_sketch(6).is_empty()
     _assert_pools_identical(reference, pool)
 
 

@@ -5,9 +5,10 @@ paper-figure scripts only, each indexed in README.  A root-level
 ``BENCH_*.json`` ledger, an unindexed ``benchmarks/bench_*.py`` or a
 README path that went away fails here, so the two-system fork cannot
 regrow unnoticed.  Likewise a second derivation of the sketch geometry,
-or of its bucket layout.
+or of its bucket layout, and a scalar reference back in the product.
 """
 
+import ast
 import io
 import re
 import tokenize
@@ -104,6 +105,34 @@ def test_the_bucket_layout_is_decided_once():
             assert token.string != "_packed", (path, token.start)
             if token.string == "packed" and previous is not None and previous.string == ".":
                 assert not any(t.string == "if" for t in line), (path, token.start)
+
+
+#: Scalar references of the engine; they live in ``tests/`` as oracles.
+REFERENCES_OUT_OF_THE_PRODUCT = {
+    "NodeSketch",
+    "sketch_spanning_forest",
+    "query_merged",
+    "query_bucket_arrays",
+    "exhaustive_samples",
+    "cubesketch_to_bytes",
+}
+
+
+def test_references_live_in_tests_not_in_the_product():
+    """``src/`` defines no scalar reference and imports nothing from ``tests/``."""
+    test_modules = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"tests"}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name not in REFERENCES_OUT_OF_THE_PRODUCT, (path, node.lineno)
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in test_modules, (path, node.lineno)
 
 
 @pytest.mark.parametrize("wide, itemsizes", [(False, (8,)), (True, (8, 4))])

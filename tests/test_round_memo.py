@@ -154,14 +154,6 @@ def _merge_pool(engines, rng, tmp_path):
         engine.tensor_pool.merge_from(side.tensor_pool)
 
 
-def _load_node_sketch(engines, rng, tmp_path):
-    side = _engine("numpy", engines[0].config.seed)
-    side.ingest_batch(_local_edges(rng, 40))
-    node = int(rng.integers(NUM_NODES))
-    for engine in engines:
-        engine.tensor_pool.load_node_sketch(side.node_sketch(node))
-
-
 def _toggle_twice(engines, rng, tmp_path):
     edge = _random_edges(rng, 1)
     for engine in engines:
@@ -175,7 +167,7 @@ def _empty_delta(engines, rng, tmp_path):
 
 MUTATIONS = [
     _ingest_batch, _ingest_updates, _point_updates, _one_sided, _threads_stream,
-    _merge_snapshot, _merge_pool, _load_node_sketch, _toggle_twice, _empty_delta,
+    _merge_snapshot, _merge_pool, _toggle_twice, _empty_delta,
 ]
 #: A merge stamps every node, so the query after it reuses nothing.
 STAMPS_EVERY_NODE = (_merge_snapshot, _merge_pool)

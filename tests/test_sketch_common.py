@@ -1,15 +1,9 @@
-"""Tests for the shared sketch interface pieces: results, sizes, serialization."""
+"""Tests for the shared sketch interface pieces: results and sizes."""
 
 import pytest
 
-from repro.exceptions import StreamFormatError
 from repro.sketch.bucket import CubeBucket, StandardBucket
 from repro.sketch.cubesketch import CubeSketch
-from repro.sketch.serialization import (
-    cubesketch_from_bytes,
-    cubesketch_to_bytes,
-    serialized_size_bytes,
-)
 from repro.sketch.sketch_base import SampleOutcome, SampleResult
 from repro.sketch.sizes import (
     cubesketch_num_buckets,
@@ -113,39 +107,3 @@ def test_node_and_graph_sketch_sizes_scale():
     per_node = node_sketch_size_bytes(1024)
     assert graph_sketch_size_bytes(1024) == 1024 * per_node
     assert node_sketch_size_bytes(4096) > per_node
-
-
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-def test_cubesketch_serialization_roundtrip():
-    sketch = CubeSketch(10_000, seed=77)
-    for index in (1, 5000, 9999):
-        sketch.update(index)
-    payload = cubesketch_to_bytes(sketch)
-    assert len(payload) == serialized_size_bytes(sketch)
-    restored = cubesketch_from_bytes(payload)
-    assert restored == sketch
-    assert restored.query().index == sketch.query().index
-
-
-def test_serialization_rejects_garbage():
-    with pytest.raises(StreamFormatError):
-        cubesketch_from_bytes(b"not a sketch")
-    sketch = CubeSketch(100, seed=1)
-    payload = cubesketch_to_bytes(sketch)
-    with pytest.raises(StreamFormatError):
-        cubesketch_from_bytes(payload[:-4])
-    corrupted = (123456789).to_bytes(8, "little") + payload[8:]
-    with pytest.raises(StreamFormatError):
-        cubesketch_from_bytes(corrupted)
-
-
-def test_serialized_sketch_remains_mergeable():
-    a = CubeSketch(1000, seed=5)
-    b = CubeSketch(1000, seed=5)
-    a.update(3)
-    b.update(9)
-    restored = cubesketch_from_bytes(cubesketch_to_bytes(a))
-    restored.merge(b)
-    assert set(x for x in (restored.query().index,)) <= {3, 9}

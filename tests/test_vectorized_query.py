@@ -13,23 +13,28 @@ spanning forest's invalidation rules.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boruvka import (
-    batch_sampler_from_scalar,
-    sketch_spanning_forest,
-    vectorized_spanning_forest,
-)
+from repro.core.boruvka import batch_sampler_from_scalar, vectorized_spanning_forest
 from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.core.streaming_cc import StreamingCC
-from repro.sketch.flat_node_sketch import query_bucket_arrays, query_bucket_arrays_batch
+from repro.kernels import native_kernels
+from repro.sketch.flat_node_sketch import query_bucket_arrays_batch
 from repro.sketch.sketch_base import OUTCOME_BY_CODE, SAMPLE_GOOD, SampleResult
 from repro.sketch.tensor_pool import NodeTensorPool
-from sketch_reference import pool_geometry, reference_forest
+from sketch_reference import (
+    cube_query,
+    pool_cut_sample,
+    pool_geometry,
+    reference_forest,
+    sketch_spanning_forest,
+)
 
 NUM_NODES = 24
 
@@ -73,15 +78,20 @@ def test_vectorized_forest_and_stats_bit_identical_to_scalar(edges, seed, ram_bu
 @given(edges=edge_lists, seed=seeds, data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_query_components_matches_per_component_query_merged(edges, seed, data):
-    """The whole-round kernel equals query_merged per component, sample by sample."""
+    """The whole-round sample equals the CubeSketch reference per component,
+    sample by sample, on a numpy pool and (when it builds) a native one."""
     encoder = EdgeEncoder(NUM_NODES)
-    pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=seed)
+    pools = [
+        NodeTensorPool(NUM_NODES, encoder, graph_seed=seed, kernels=kernels)
+        for kernels in {None, native_kernels()}
+    ]
     if edges:
         endpoint_u = np.asarray([e[0] for e in edges], dtype=np.int64)
         endpoint_v = np.asarray([e[1] for e in edges], dtype=np.int64)
         lo = np.minimum(endpoint_u, endpoint_v)
         hi = np.maximum(endpoint_u, endpoint_v)
-        pool.apply_edges(lo, hi, encoder.encode_canonical_pairs(lo, hi))
+        for pool in pools:
+            pool.apply_edges(lo, hi, encoder.encode_canonical_pairs(lo, hi))
     labels = np.asarray(
         data.draw(
             st.lists(
@@ -98,7 +108,7 @@ def test_query_components_matches_per_component_query_merged(edges, seed, data):
         ),
         dtype=bool,
     )
-    for node_mask in (None, mask):
+    for pool, node_mask in itertools.product(pools, (None, mask)):
         for round_index in range(pool.num_rounds):
             roots, statuses, indices = pool.query_components(
                 labels, round_index, node_mask=node_mask
@@ -110,14 +120,14 @@ def test_query_components_matches_per_component_query_merged(edges, seed, data):
             assert np.array_equal(roots, expected_roots)
             for root, status, index in zip(roots, statuses, indices):
                 members = [int(n) for n in nodes if labels[n] == root]
-                reference = pool.query_merged(members, round_index)
+                reference = pool_cut_sample(pool, members, round_index)
                 assert _sample_of(status, index) == reference
 
 
 @given(edges=edge_lists, seed=seeds)
 @settings(max_examples=25, deadline=None)
 def test_batched_bucket_decode_matches_scalar_scan(edges, seed):
-    """query_bucket_arrays_batch == query_bucket_arrays over each node's rounds."""
+    """query_bucket_arrays_batch == CubeSketch.query over each node's rounds."""
     encoder = EdgeEncoder(NUM_NODES)
     pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=seed)
     if edges:
@@ -137,9 +147,7 @@ def test_batched_bucket_decode_matches_scalar_scan(edges, seed):
             alpha, gamma, encoder.vector_length, checksum_seeds
         )
         for node in range(NUM_NODES):
-            reference = query_bucket_arrays(
-                alpha[node].T, gamma[node].T, encoder.vector_length, checksum_seeds
-            )
+            reference = cube_query(pool, round_index, alpha[node], gamma[node])
             assert _sample_of(statuses[node], indices[node]) == reference
 
 
@@ -156,9 +164,7 @@ def test_batched_decode_rejects_corrupt_buckets_like_scalar():
     statuses, indices = query_bucket_arrays_batch(
         alpha, gamma, encoder.vector_length, checksum_seeds
     )
-    reference = query_bucket_arrays(
-        alpha[0].T, gamma[0].T, encoder.vector_length, checksum_seeds
-    )
+    reference = cube_query(pool, 0, alpha[0], gamma[0])
     assert reference.is_fail
     assert _sample_of(statuses[0], indices[0]) == reference
 
@@ -192,7 +198,7 @@ def test_vectorized_driver_via_scalar_adapter_matches_reference():
         pool.apply_edges(lo, hi, encoder.encode_canonical_pairs(lo, hi))
 
         def scalar_sampler(round_index, members):
-            return pool.query_merged(members, round_index)
+            return pool_cut_sample(pool, members, round_index)
 
         def pool_sampler(round_index, labels, node_mask=None):
             return pool.query_components(labels, round_index, node_mask=node_mask)
@@ -295,16 +301,11 @@ def test_wide_bucket_storage_matches_packed(edges, seed):
         for got, expected in zip(results_w, results_p):
             assert np.array_equal(got, expected)
         members = list(range(NUM_NODES // 2))
-        assert wide.query_merged(members, round_index) == packed.query_merged(
-            members, round_index
+        assert pool_cut_sample(wide, members, round_index) == pool_cut_sample(
+            packed, members, round_index
         )
     for node in (0, 3, NUM_NODES - 1):
         assert wide.node_sketch(node) == packed.node_sketch(node)
-        assert wide.node_is_empty(node) == packed.node_is_empty(node)
-    # Round-trip one node through load_node_sketch on the wide tensors.
-    sketch = packed.node_sketch(1)
-    wide.load_node_sketch(sketch)
-    assert wide.node_sketch(1) == sketch
 
 
 @pytest.fixture(params=["numpy", "native"])
@@ -335,7 +336,7 @@ def test_query_components_handles_labels_beyond_int16(pool_kernels):
         assert roots.tolist() == expected_roots
         for root, status, index in zip(roots, statuses, indices):
             members = np.flatnonzero(labels + shift == root).tolist()
-            assert _sample_of(status, index) == pool.query_merged(members, 0)
+            assert _sample_of(status, index) == pool_cut_sample(pool, members, 0)
 
 
 def test_query_components_input_validation(pool_kernels):
