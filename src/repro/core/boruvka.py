@@ -15,10 +15,11 @@ the provisioned number of rounds is exhausted, in which case the result
 is flagged incomplete (the paper's asymptotically-small failure case).
 
 The driver, :func:`vectorized_spanning_forest`, works a whole round
-at a time: one batched sampler call per round, then the round tail --
-union-find plus relabel -- through :func:`round_tail` or a native
-provider's compiled twin.  A per-component sampler runs under it
-through :func:`batch_sampler_from_scalar`.
+at a time through one :class:`RoundQuery` per query: one batched
+sampler call per round, then the round tail -- validate and decode the
+samples, union-find, relabel -- through :func:`round_tail`, or both
+steps through a native provider's compiled twins.  A per-component
+sampler runs under it through :func:`batch_sampler_from_scalar`.
 """
 
 from __future__ import annotations
@@ -116,26 +117,68 @@ def batch_sampler_from_scalar(cut_sampler: CutSampler) -> BatchCutSampler:
     return batch
 
 
-def round_tail(
-    parent: List[int],
-    size: List[int],
-    settled: np.ndarray,
-    labels: np.ndarray,
-    sampled_u: np.ndarray,
-    sampled_v: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Union one round's sampled edges and relabel the nodes (numpy path).
+#: A query's ``counts`` after a round tail: that round's tallies, then all its merges.
+ZEROS, FAILS, GOODS, INVALID, MERGES, MERGED = range(6)
 
-    ``parent`` / ``size`` (plain lists: half the cost of DSU method
-    calls) and the per-root empty-cut flags ``settled`` are updated in
-    place.  Unions are by size, ties keeping ``u``'s root, **without**
-    path compression: decisions depend only on roots and sizes, so that
-    is transparent, and the trees stay logarithmically shallow.  Returns
-    the new labels and, as one ``(2, m)`` int64 array, the edges
-    (validated samples, ``u < v``) that merged two components, in merge
-    order; a native provider's ``round_tail`` is the compiled twin over
-    int64 arrays.
+
+class RoundQuery:
+    """One query's per-node state and the two steps of each Boruvka round.
+
+    :meth:`sample` cut-samples the components of ``labels`` with an
+    ``active`` node and returns how many; :meth:`tail` is
+    :func:`round_tail` over them.  The numpy path over a
+    :data:`BatchCutSampler`: a native provider's ``bind_query`` returns a
+    subclass whose steps are one compiled call each.  Fresh per query:
+    the forest adopts ``labels`` without copying.
     """
+
+    def __init__(self, num_nodes: int, encoder: EdgeEncoder, source) -> None:
+        self._pool = source if hasattr(source, "query_components") else None
+        self._sampler = source if self._pool is None else (
+            lambda round_index, labels, mask: source.query_components(labels, round_index, mask)
+        )
+        self.encoder = encoder
+        self.labels = np.arange(num_nodes, dtype=np.int64)
+        # settled[r] for a current component root r: its cut has been
+        # observed empty, so it is skipped until (and unless) another
+        # component's sampled edge merges into it.
+        self.settled = np.zeros(num_nodes, dtype=bool)
+        self.active = np.ones(num_nodes, dtype=bool)
+        self.edges = np.empty((2, num_nodes), dtype=np.int64)
+        self.counts = np.zeros(MERGED + 1, dtype=np.int64)
+        self.parent, self.size = self._union_find(num_nodes)
+
+    @staticmethod
+    def _union_find(num_nodes: int):  # lists: round_tail's loop indexes them per edge
+        return list(range(num_nodes)), [1] * num_nodes
+
+    def sample(self, round_index: int) -> int:
+        self._sample = self._sampler(round_index, self.labels, self.active)
+        return int(self._sample[0].size)
+
+    def tail(self) -> None:
+        round_tail(self, *self._sample)
+
+
+def round_tail(
+    query: RoundQuery, roots: np.ndarray, statuses: np.ndarray, indices: np.ndarray
+) -> None:
+    """Settle, validate, decode, union and relabel one round of ``query`` (numpy).
+
+    ZERO roots are settled; GOOD slots are validated and decoded by the
+    query's :class:`EdgeEncoder` (an invalid one is a corrupted bucket
+    that slipped past its checksum: counted, ignored).  Unions are by
+    size, ties keeping ``u``'s root, **without** path compression (the
+    trees stay logarithmically shallow).  Writes the labels, the next
+    round's ``active`` mask, the merging edges (appended to ``edges`` in
+    merge order) and the ``counts``; the native round tail is its twin.
+    """
+    parent, size, settled, labels = query.parent, query.size, query.settled, query.labels
+    zero = statuses == SAMPLE_ZERO
+    settled[roots[zero]] = True
+    good_indices = indices[statuses == SAMPLE_GOOD]
+    valid = query.encoder.valid_index_mask(good_indices)
+    sampled_u, sampled_v = query.encoder.decode_endpoints(good_indices[valid])
     num_nodes = labels.size
     # Samples the merge loop would skip untouched are dropped vectorised
     # first: an edge inside one pre-round component, and re-occurrences
@@ -189,50 +232,45 @@ def round_tail(
                 new_root = parent[new_root]
             relabel[old_root] = new_root
         labels = relabel[labels]
-    return labels, np.stack((sampled_u, sampled_v))[:, merged_at]
+    query.labels = labels
+    np.logical_not(settled[labels], out=query.active)
+    offset, merges = int(query.counts[MERGED]), len(merged_at)
+    query.edges[:, offset : offset + merges] = sampled_u[merged_at], sampled_v[merged_at]
+    query.counts[:] = (
+        np.count_nonzero(zero), np.count_nonzero(statuses == SAMPLE_FAIL), good_indices.size,
+        good_indices.size - np.count_nonzero(valid), merges, offset + merges,
+    )
 
 
 def vectorized_spanning_forest(
     num_nodes: int,
     num_rounds: int,
     encoder: EdgeEncoder,
-    batch_cut_sampler: BatchCutSampler,
+    batch_cut_sampler,
     strict: bool = False,
     kernels=None,
 ) -> tuple[SpanningForest, BoruvkaStats]:
     """Run Boruvka's algorithm one whole round at a time.
 
-    Component membership is an int64 label per node (no Python member
-    lists, no O(n) concatenation per merge), every active component's cut is
-    sampled by **one** ``batch_cut_sampler`` call per round, sampled
-    indices are validated and decoded with vectorised
-    :class:`EdgeEncoder` expressions, and the union-find is touched only
-    for the at-most ``n - 1`` actual merges, by :func:`round_tail` or
-    the compiled ``round_tail`` of ``kernels`` (a native provider) when
-    it has one.  The forest keeps the concatenated merge edges and the
+    Component membership is an int64 label per node, and every round is
+    the two steps of one :class:`RoundQuery`: **one** sampler call for
+    every active component's cut, then the round tail, which touches the
+    union-find only for the at-most ``n - 1`` actual merges.
+    ``batch_cut_sampler`` is a :data:`BatchCutSampler` or a tensor pool
+    (its ``query_components``); a native ``kernels`` provider binds the
+    query to its compiled twins, so a round over a pool is exactly two
+    foreign calls.  The forest keeps the merge edges and the
     final labels as arrays: no union-find object and no per-edge tuple
     is built unless a caller reads ``forest.edges``.  Output -- forest,
     stats, and the per-component samples behind them -- is the same
-    whichever tail runs, and equal to the per-component Boruvka loop's
+    whichever steps run, and equal to the per-component Boruvka loop's
     under the same sketches (``tests/sketch_reference.py`` holds that
     loop): it visits surviving components in ascending root order, which
     is exactly the sorted-label order the batched samplers return.
     """
-    tail = getattr(kernels, "round_tail", None)
-    if tail is None:
-        tail = round_tail
-        parent, size = list(range(num_nodes)), [1] * num_nodes
-    else:
-        parent = np.arange(num_nodes, dtype=np.int64)
-        size = np.ones(num_nodes, dtype=np.int64)
+    bind = getattr(kernels, "bind_query", RoundQuery)
+    query = bind(num_nodes, encoder, batch_cut_sampler)
     num_components = num_nodes
-    labels = np.arange(num_nodes, dtype=np.int64)
-    # settled[r] for a current component root r: its cut has been
-    # observed empty, so it is skipped until (and unless) another
-    # component's sampled edge merges into it.
-    settled = np.zeros(num_nodes, dtype=bool)
-    # Each round's merging edges as a (2, m) array, joined once at the end.
-    merged_rounds: List[np.ndarray] = [np.empty((2, 0), dtype=np.int64)]
     stats = BoruvkaStats()
 
     complete = True
@@ -252,38 +290,24 @@ def vectorized_spanning_forest(
         stats.rounds_used = round_index + 1
         _count("query.rounds")
         with span("query.round"):
-            active = ~settled[labels]
-            roots, statuses, indices = batch_cut_sampler(round_index, labels, active)
-            stats.component_queries += int(roots.size)
-
-            zero_mask = statuses == SAMPLE_ZERO
-            settled[roots[zero_mask]] = True
-            stats.zero_samples += int(np.count_nonzero(zero_mask))
-            failures_this_round = int(np.count_nonzero(statuses == SAMPLE_FAIL))
-            stats.failed_samples += failures_this_round
-
-            good_mask = statuses == SAMPLE_GOOD
-            stats.good_samples += int(np.count_nonzero(good_mask))
-            good_indices = indices[good_mask]
-            valid = encoder.valid_index_mask(good_indices)
-            # Corrupted buckets that slipped past their checksums; ignore them.
-            stats.invalid_samples += int(good_indices.size - np.count_nonzero(valid))
-            sampled_u, sampled_v = encoder.decode_endpoints(good_indices[valid])
+            stats.component_queries += query.sample(round_index)
             with span("query.unionfind"):
-                labels, merged = tail(parent, size, settled, labels, sampled_u, sampled_v)
-
-        _count("query.failed_samples", failures_this_round)
-        merged_rounds.append(merged)
-        merges_this_round = merged.shape[1]
-        num_components -= merges_this_round
-        stats.merges += merges_this_round
-        stats.per_round_merges.append(merges_this_round)
+                query.tail()
+        zeros, failures, goods, invalid, merges, _ = query.counts.tolist()
+        stats.zero_samples += zeros
+        stats.failed_samples += failures
+        stats.good_samples += goods
+        stats.invalid_samples += invalid
+        _count("query.failed_samples", failures)
+        num_components -= merges
+        stats.merges += merges
+        stats.per_round_merges.append(merges)
         # A failed sample says nothing about the cut being empty; as long as
         # unused rounds (with fresh, independent sketches) remain, retry the
         # unresolved components there instead of declaring convergence.
-        found_edge = merges_this_round > 0 or failures_this_round > 0
+        found_edge = merges > 0 or failures > 0
         round_index += 1
 
-    edge_array = np.concatenate(merged_rounds, axis=1).T.copy()
-    forest = SpanningForest.from_prevalidated(num_nodes, edge_array, labels, complete=complete)
+    edge_array = query.edges[:, : stats.merges].T.copy()
+    forest = SpanningForest.from_prevalidated(num_nodes, edge_array, query.labels, complete=complete)
     return forest, stats

@@ -388,12 +388,13 @@ class GraphZeppelin:
             # A float or bool endpoint would be truncated into another node.
             raise InvalidStreamError(f"ingest_batch expects integer node ids, not {array.dtype}")
         endpoints = array.astype(np.int64, copy=False)
-        u, v = endpoints[:, 0], endpoints[:, 1]
-        if ((u < 0) | (u >= self.num_nodes) | (v < 0) | (v >= self.num_nodes)).any():
+        if endpoints.min() < 0 or endpoints.max() >= self.num_nodes:
             raise InvalidStreamError("batch contains an endpoint outside the graph")
-        if (u == v).any():
+        u, v = endpoints[:, 0], endpoints[:, 1]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if (lo == hi).any():
             raise InvalidStreamError("batch contains a self loop")
-        return np.minimum(u, v), np.maximum(u, v)
+        return lo, hi
 
     def _toggle_tracked_edges(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Toggle a canonical edge batch in the validated edge set.
@@ -477,7 +478,7 @@ class GraphZeppelin:
             num_nodes=self.num_nodes,
             num_rounds=self.num_rounds,
             encoder=self.encoder,
-            batch_cut_sampler=self._component_cut_sample_batch,
+            batch_cut_sampler=self._pool,
             strict=self.config.strict_queries,
             kernels=self._kernels,
         )
@@ -991,16 +992,3 @@ class GraphZeppelin:
             self.encoder.encode_canonical_pairs(lo, hi),
         )
         self._batches_applied += 1
-
-    def _component_cut_sample_batch(
-        self,
-        round_index: int,
-        labels: np.ndarray,
-        node_mask: Optional[np.ndarray] = None,
-    ):
-        """Whole-round cut sampler handed to the vectorized Boruvka driver.
-
-        Every component's merged sketch comes out of one segmented
-        XOR-reduce over the pool.
-        """
-        return self._pool.query_components(labels, round_index, node_mask=node_mask)

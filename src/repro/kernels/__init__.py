@@ -9,11 +9,12 @@ bucket decoder
 storage-integrity block digest
 (:func:`~repro.integrity.digest.block_digests`, which an out-of-core
 engine's hybrid memory runs over every byte that crosses the device),
-and the two halves of a Boruvka round: the fused group -> reduce ->
-decode ``sample_components`` behind
-:meth:`~repro.sketch.tensor_pool.NodeTensorPool.query_components` and
-the union-find/relabel ``round_tail``
-(:func:`~repro.core.boruvka.round_tail`) -- have compiled twins
+and the two halves of a Boruvka round: the group -> reduce -> decode
+sample of
+:meth:`~repro.sketch.tensor_pool.NodeTensorPool.query_components`,
+fused, and the validate/decode/union-find/relabel round tail
+(:func:`~repro.core.boruvka.round_tail`), bound once per query by the
+provider's ``bind_query`` -- have compiled twins
 selected through ``config.kernel_backend``.  The segmented-XOR and
 decode twins are on no engine path any more (the fused sample replaced
 them; the pool's composed query path is numpy): only tests and the

@@ -41,13 +41,17 @@ Why compiling beats the numpy kernels:
   a blob in one pass with no temporaries, so a page-in pays one call.
 * **round sample**: composed from the kernels above, a round still
   pays an argsort and ``>> 32`` / ``& LOW32`` over fresh ``(segments,
-  rows)`` temporaries.  ``sample_components`` counting-sorts the active
+  rows)`` temporaries.  ``repro_sample_components`` counting-sorts the active
   nodes by label, XORs column 0 of each component into a scratch row,
   decodes it, and reads columns 1..C-1 only while unresolved.  Given an
   in-RAM pool's round memo, it re-samples only the components whose
   members or member sketches changed since that round's last read.
-* **round tail**: ``round_tail`` runs the per-edge Python union-by-size
-  loop (no path compression, so the same trees) and the relabel in C.
+* **round tail**: ``repro_round_tail`` tallies and settles a round's
+  samples, validates and decodes its edge slots, and runs the per-edge
+  union by size (no path compression, so the same trees), the relabel
+  and the next round's active mask in C.  :meth:`CcKernels.bind_query`
+  takes a query's addresses once, so a round is exactly these two
+  calls.
 
 The calls release the GIL (ctypes ``CDLL`` semantics), which is what
 finally lets the sharded thread ingest scale past the numpy kernels'
@@ -84,6 +88,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.boruvka import RoundQuery
+from repro.observability.metrics import default_registry
+from repro.observability.tracing import span
 from repro.sketch.round_split import fold_ranges, round_ranges, split_ranges
 
 _C_SOURCE = r"""
@@ -322,9 +329,10 @@ void repro_decode_column(const uint64_t *alpha, const uint64_t *gamma,
 /* ------------------------------------------------------------------ */
 /* Fused round sample: group -> reduce -> decode for every component   */
 /* of a Boruvka round, no per-segment intermediates.  Active nodes     */
-/* (mask NULL = all) are counting-sorted by label -- the caller        */
-/* guarantees 0 <= labels[i] < num_nodes -- so components come out in  */
-/* ascending label order.  Per component: XOR column 0 of the members, */
+/* (mask NULL = all) are counting-sorted by label, so components come  */
+/* out in ascending label order; an active label outside              */
+/* [0, num_nodes) returns -1 and voids the memo (every label -1).      */
+/* Per component: XOR column 0 of the members,                         */
 /* decode, and only if that fails pull columns 1..C-1 in one pass.     */
 /* status 0 ZERO (every column empty), 1 GOOD, 2 FAIL as SAMPLE_*;     */
 /* `gamma` NULL = packed slab; scratch `work` 2*num_nodes + 1 int64,   */
@@ -366,13 +374,13 @@ static inline void repro_xor_members(
 }
 
 int64_t repro_sample_components(
-        const uint64_t *slab, const uint32_t *gamma, int64_t num_nodes,
-        int64_t num_cols, int64_t num_rows, const int64_t *labels,
-        const uint8_t *mask, uint64_t veclen, const uint64_t *mixed_seeds,
+        int64_t num_nodes, int64_t num_cols, int64_t num_rows,
+        const int64_t *labels, const uint8_t *mask, uint64_t veclen,
         int64_t *work, uint64_t *acc, uint8_t *changed, int64_t *roots,
-        uint8_t *statuses, int64_t *indices, int64_t *memo_labels,
-        uint8_t *memo_statuses, int64_t *memo_indices, const int64_t *stamps,
-        int64_t read_version) {
+        uint8_t *statuses, int64_t *indices, const uint64_t *slab,
+        const uint32_t *gamma, const uint64_t *mixed_seeds,
+        int64_t *memo_labels, uint8_t *memo_statuses, int64_t *memo_indices,
+        const int64_t *stamps, int64_t read_version) {
     const int64_t stride = num_cols * num_rows;
     int64_t *cursor = work, *sorted = work + num_nodes;
     uint64_t *xa = acc, *xg = gamma ? acc + stride : NULL;
@@ -381,7 +389,12 @@ int64_t repro_sample_components(
     memset(cursor, 0, (size_t)num_nodes * sizeof(int64_t));
     if (memo_labels) memset(changed, 0, (size_t)num_nodes);
     for (i = 0; i < num_nodes; i++) {
-        const int64_t label = (!mask || mask[i]) ? labels[i] : -1;
+        const int on = !mask || mask[i];
+        const int64_t label = on ? labels[i] : -1;
+        if (on && (label < 0 || label >= num_nodes)) {
+            if (memo_labels) memset(memo_labels, 0xff, (size_t)num_nodes * sizeof(int64_t));
+            return -1;
+        }
         if (memo_labels) {
             const int64_t last = memo_labels[i];
             if (label != last || (label >= 0 && stamps[i] > read_version)) {
@@ -439,17 +452,42 @@ int64_t repro_sample_components(
 }
 
 /* ------------------------------------------------------------------ */
-/* Boruvka round tail: union by size, no path compression, over the    */
-/* sampled edges (ties keep u's root); merged roots lose `settled`,    */
-/* merging edges are recorded in order, then every label is chased to  */
-/* its root.  All ids must lie in [0, num_nodes).  Returns the merges. */
+/* Boruvka round tail: count ZERO / FAIL / GOOD / invalid samples into */
+/* counts[0..3], settle ZERO roots, decode in order the GOOD slots     */
+/* u * slot_nodes + v with u < v (the EdgeEncoder's layout) into       */
+/* `work`, union them by size (no path compression, ties keep u's      */
+/* root; merged roots lose `settled`), append merging edges at         */
+/* counts[5] of the (2, num_nodes) `edges`, relabel, and set           */
+/* active[i] = !settled[labels[i]].  counts[4] = the merges,           */
+/* counts[5] += them.  -1 (state undefined): a root or a decoded       */
+/* endpoint outside [0, num_nodes).                                    */
 /* ------------------------------------------------------------------ */
 
 int64_t repro_round_tail(int64_t *parent, int64_t *size, uint8_t *settled,
-                         int64_t *labels, int64_t num_nodes,
-                         const int64_t *us, const int64_t *vs, int64_t k,
-                         int64_t *merged_u, int64_t *merged_v) {
-    int64_t i, merges = 0;
+                         int64_t *labels, uint8_t *active, int64_t num_nodes,
+                         int64_t slot_nodes, const int64_t *roots,
+                         const uint8_t *statuses, const int64_t *indices,
+                         int64_t *work, int64_t *edges, int64_t *counts,
+                         int64_t count) {
+    int64_t *us = work, *vs = work + num_nodes;
+    int64_t *merged_u = edges + counts[5], *merged_v = merged_u + num_nodes;
+    int64_t i, k = 0, merges = 0;
+    counts[0] = counts[1] = counts[2] = counts[3] = 0;
+    for (i = 0; i < count; i++) {
+        const int64_t idx = indices[i], u = idx / slot_nodes, v = idx % slot_nodes;
+        if (roots[i] < 0 || roots[i] >= num_nodes) return -1;
+        if (statuses[i] == 0) {
+            counts[0]++;
+            settled[roots[i]] = 1;
+        } else if (statuses[i] == 2) {
+            counts[1]++;
+        } else if (statuses[i] == 1) {
+            counts[2]++;
+            if (idx < 0 || u >= v || idx >= slot_nodes * slot_nodes) counts[3]++;
+            else if (v >= num_nodes) return -1;
+            else { us[k] = u; vs[k++] = v; }
+        }
+    }
     for (i = 0; i < k; i++) {
         int64_t ru = us[i], rv = vs[i];
         while (parent[ru] != ru) ru = parent[ru];
@@ -462,12 +500,16 @@ int64_t repro_round_tail(int64_t *parent, int64_t *size, uint8_t *settled,
         merged_u[merges] = us[i];
         merged_v[merges++] = vs[i];
     }
-    if (merges)
-        for (i = 0; i < num_nodes; i++) {
-            int64_t root = labels[i];
+    for (i = 0; i < num_nodes; i++) {
+        int64_t root = labels[i];
+        if (merges) {
             while (parent[root] != root) root = parent[root];
             labels[i] = root;
         }
+        active[i] = !settled[root];
+    }
+    counts[4] = merges;
+    counts[5] += merges;
     return merges;
 }
 
@@ -531,10 +573,10 @@ _SIGNATURES = {
     "repro_decode_column": [_P, _P, _I64, _I64, _U64, _U64, _P, _P, _P],
     "repro_block_digests": [_P, _I64, _I64, _U64, _P],
     "repro_sample_components": [
-        _P, _P, _I64, _I64, _I64, _P, _P, _U64, _P, _P, _P, _P, _P, _P, _P,
+        _I64, _I64, _I64, _P, _P, _U64, _P, _P, _P, _P, _P, _P, _P, _P, _P,
         _P, _P, _P, _P, _I64,
     ],
-    "repro_round_tail": [_P, _P, _P, _P, _I64, _P, _P, _I64, _P, _P],
+    "repro_round_tail": [_P, _P, _P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P, _P, _I64],
 }
 
 
@@ -640,9 +682,10 @@ def _addr(array: Optional[np.ndarray]) -> Optional[int]:
     A plain address builds none -- but neither does it keep the array
     alive: every array passed must be referenced by the caller until the
     call returns (a converted temporary bound to a local, not an inline
-    ``_addr(np.ascontiguousarray(...))``).
+    ``_addr(np.ascontiguousarray(...))``).  ``__array_interface__`` is
+    read in C, where ``ndarray.ctypes`` runs a Python helper per call.
     """
-    return None if array is None else array.ctypes.data
+    return None if array is None else array.__array_interface__["data"][0]
 
 
 def _as_i64(values: np.ndarray) -> np.ndarray:
@@ -858,70 +901,9 @@ class CcKernels:
         )
         return good.view(np.bool_), zero.view(np.bool_), index
 
-    def sample_components(
-        self, slabs: Tuple[np.ndarray, ...], labels: np.ndarray,
-        node_mask: Optional[np.ndarray], vector_length: int,
-        mixed_seeds: np.ndarray, memo=None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Cut-sample every component of one round in a single fused pass.
-
-        ``slabs`` is the round's ``(packed,)`` or ``(alpha, gamma)``
-        view(s), ``mixed_seeds`` its per-column checksum seeds.  The
-        caller has checked ``labels`` to lie in ``[0, num_nodes)`` and
-        ``node_mask`` to be contiguous bools; results as the composed
-        path, plus how many components were served from ``memo``.
-
-        ``memo`` (a :class:`~repro.sketch.tensor_pool.RoundMemo` of this
-        round, or ``None``) re-serves every component whose members and
-        their sketches are unchanged since its ``read_version`` and is
-        refreshed in place; the caller then advances its
-        ``read_version``.
-        """
-        slab = np.ascontiguousarray(slabs[0])
-        gamma = np.ascontiguousarray(slabs[1]) if len(slabs) == 2 else None
-        num_nodes, num_cols, num_rows = slab.shape
-        labels = _as_i64(labels)
-        seeds = _as_u64(mixed_seeds)
-        work = np.empty(2 * num_nodes + 1, dtype=np.int64)
-        acc = np.empty(2 * num_cols * num_rows, dtype=np.uint64)
-        roots, indices = np.empty((2, num_nodes), dtype=np.int64)
-        statuses, changed = np.empty((2, num_nodes), dtype=np.uint8)
-        if memo is None:
-            memo_args = (None, None, None, None, 0)
-        else:
-            memo_args = (
-                _addr(memo.labels), _addr(memo.statuses), _addr(memo.indices),
-                _addr(memo.stamps), memo.read_version,
-            )
-        count = self._lib.repro_sample_components(
-            _addr(slab), _addr(gamma), num_nodes, num_cols, num_rows,
-            _addr(labels), _addr(node_mask), np.uint64(vector_length),
-            _addr(seeds), _addr(work), _addr(acc), _addr(changed), _addr(roots),
-            _addr(statuses), _addr(indices), *memo_args,
-        )
-        return roots[:count], statuses[:count], indices[:count], int(work[-1])
-
-    def round_tail(
-        self, parent: np.ndarray, size: np.ndarray, settled: np.ndarray,
-        labels: np.ndarray, sampled_u: np.ndarray, sampled_v: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Compiled twin of :func:`repro.core.boruvka.round_tail`; the
-        int64 (``settled``: bool) per-node arrays are updated **in place**
-        and the merging edges come back as a ``(2, m)`` view of the
-        output buffer."""
-        for array in (parent, size, labels, settled):
-            dtype = np.bool_ if array is settled else np.int64
-            if array.dtype != dtype or array.shape != labels.shape or not array.flags.c_contiguous:
-                raise TypeError("round_tail needs contiguous int64/bool per-node arrays")
-        us = _as_i64(sampled_u)
-        vs = _as_i64(sampled_v)
-        merged = np.empty((2, us.size), dtype=np.int64)
-        merges = self._lib.repro_round_tail(
-            _addr(parent), _addr(size), _addr(settled), _addr(labels),
-            labels.size, _addr(us), _addr(vs), us.size,
-            _addr(merged[0]), _addr(merged[1]),
-        )
-        return labels, merged[:, :merges]
+    def bind_query(self, num_nodes: int, encoder, source) -> "CcQuery":
+        """One query's :class:`CcQuery` over a tensor pool or a sampler."""
+        return CcQuery(self._lib, num_nodes, encoder, source)
 
     # ------------------------------------------------------------------
     # storage integrity
@@ -942,6 +924,72 @@ class CcKernels:
             _addr(raw), raw.size, block_size, seed & 0xFFFFFFFFFFFFFFFF, _addr(out),
         )
         return out
+
+
+class CcQuery(RoundQuery):
+    """A :class:`~repro.core.boruvka.RoundQuery` bound to the compiled round kernels.
+
+    Its buffers' addresses are taken once, so a round over a pool is two
+    foreign calls with nothing allocated or converted between them; the
+    round's slabs come from the pool's ``_round_views`` (a paged pool
+    assembles them when read).  Over a plain sampler, only the tail is
+    compiled.
+    """
+
+    def __init__(self, lib, num_nodes: int, encoder, source) -> None:
+        super().__init__(num_nodes, encoder, source)
+        self.roots, self.indices = np.empty((2, num_nodes), dtype=np.int64)
+        self.statuses = np.empty(num_nodes, dtype=np.uint8)
+        self._work = np.empty(2 * num_nodes + 1, dtype=np.int64)  # both calls' scratch
+        self._lib, self._count, pool = lib, 0, self._pool
+        outputs = (self.roots, self.statuses, self.indices)
+        self._tail_args = (
+            *map(_addr, (self.parent, self.size, self.settled, self.labels, self.active)),
+            num_nodes, encoder.num_nodes,
+            *map(_addr, (*outputs, self._work, self.edges, self.counts)),
+        )
+        if pool is None:
+            return
+        cols, rows = pool.num_columns, pool.num_rows
+        self._scratch = (np.empty(2 * cols * rows, dtype=np.uint64), np.empty(num_nodes, np.uint8))
+        self._sample_args = (
+            num_nodes, cols, rows, _addr(self.labels), _addr(self.active),
+            pool.encoder.vector_length, *map(_addr, (self._work, *self._scratch, *outputs)),
+        )
+        self._seeds = (_addr(pool._mixed_checksum), pool._mixed_checksum.itemsize * cols)
+
+    @staticmethod
+    def _union_find(num_nodes: int):
+        return np.arange(num_nodes, dtype=np.int64), np.ones(num_nodes, dtype=np.int64)
+
+    def sample(self, round_index: int) -> int:
+        pool = self._pool
+        if pool is None:
+            sample = self._sampler(round_index, self.labels, self.active)
+            self._count = count = sample[0].size
+            self.roots[:count], self.statuses[:count], self.indices[:count] = sample
+            return count
+        views = pool._round_views(round_index)
+        slabs = (*map(_addr, views), None)[:2]
+        memo = pool._round_memo(round_index)
+        memo_args = (None,) * 4 + (0,) if memo is None else (*memo.addresses, memo.read_version)
+        seeds, step = self._seeds
+        with span("query.sample"):
+            self._count = self._lib.repro_sample_components(
+                *self._sample_args, *slabs, seeds + round_index * step, *memo_args
+            )
+        if self._count < 0:
+            raise ValueError(f"component label outside [0, {pool.num_nodes})")
+        if memo is not None:
+            memo.read_version = pool._version
+            registry = default_registry()
+            if registry.enabled and self._work[-1]:
+                registry.counter("query.reused_components").inc(int(self._work[-1]))
+        return self._count
+
+    def tail(self) -> None:
+        if self._lib.repro_round_tail(*self._tail_args, self._count) < 0:
+            raise ValueError("round sample outside the graph")
 
 
 _OFFSET_CACHE: dict = {}

@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConfigurationError, IncompatibleSketchError
-from repro.observability.metrics import default_registry
 from repro.observability.tracing import span
 from repro.sketch.flat_node_sketch import (
     FlatNodeSketch,
@@ -141,7 +140,7 @@ class RoundMemo:
     A component's round sample is a function of its member set and those
     members' round sketches only, so a later query re-samples just the
     components a write or a merge changed and copies the rest from here
-    (see the native ``sample_components``).  ``labels[node]`` is the
+    (see the native ``repro_sample_components``).  ``labels[node]`` is the
     label the node was read under (-1: inactive), ``statuses[root]`` /
     ``indices[root]`` the sample of the component rooted there, and
     ``read_version`` the pool version of that read; ``stamps`` is the
@@ -155,6 +154,8 @@ class RoundMemo:
         self.indices = np.full(stamps.size, -1, dtype=np.int64)
         self.stamps = stamps
         self.read_version = 0
+        arrays = (self.labels, self.statuses, self.indices, stamps)
+        self.addresses = tuple(array.ctypes.data for array in arrays)  # for the native kernel
 
 
 class NodeTensorPool:
@@ -238,7 +239,7 @@ class NodeTensorPool:
         # Per-node version of the last write (see _stamp) and each
         # round's last fused sample, kept where a provider's fused
         # sample reads them: never on the paged pool or under numpy.
-        memoised = _allocate and hasattr(kernels, "sample_components")
+        memoised = _allocate and hasattr(kernels, "bind_query")
         self._stamps = np.zeros(self.num_nodes, dtype=np.int64) if memoised else None
         self._round_memos: Dict[int, RoundMemo] = {}
 
@@ -642,7 +643,7 @@ class NodeTensorPool:
         A negative destination would not raise: it wraps around the flat
         tensor and silently XOR-corrupts another node's buckets.
         """
-        if ((dsts < 0) | (dsts >= self.num_nodes)).any():
+        if dsts.min() < 0 or dsts.max() >= self.num_nodes:
             raise ValueError(f"destination node outside [0, {self.num_nodes})")
 
     # ------------------------------------------------------------------
@@ -697,15 +698,18 @@ class NodeTensorPool:
         ``SAMPLE_GOOD`` / ``SAMPLE_FAIL`` code, and its sampled edge
         slot (-1 unless GOOD).  Results are bit-identical to
         :meth:`CubeSketch.query <repro.sketch.cubesketch.CubeSketch.query>`
-        on each component's XOR-merged round sketch -- also when a native
-        provider's ``sample_components`` fuses the three steps above
-        into one call (``query.sample``), and when that call copies the
+        on each component's XOR-merged round sketch, and to the samples of
+        a native provider's bound query (``bind_query``), which fuses the
+        three steps above into one call (``query.sample``) and copies the
         components nothing changed from the round's :class:`RoundMemo`
-        (registry counter ``query.reused_components``).
+        (registry counter ``query.reused_components``).  That bound
+        query, not this method, is the engine's path on a native pool.
         """
         labels = np.asarray(labels)
         if labels.shape != (self.num_nodes,):
             raise ValueError("labels must hold one component label per node")
+        if labels.dtype.kind not in "biu":
+            raise ValueError(f"component labels must be integers, not {labels.dtype}")
         if not 0 <= round_index < self.num_rounds:
             raise ValueError(f"round {round_index} outside [0, {self.num_rounds})")
         mask = None
@@ -714,25 +718,6 @@ class NodeTensorPool:
             if mask.shape != (self.num_nodes,):
                 raise ValueError("node_mask must hold one flag per node")
         base = round_index * self.num_columns
-        sample = getattr(self._kernels, "sample_components", None)
-        # The fused kernel counting-sorts into a node-sized table, and
-        # labels are caller-supplied: any outside [0, num_nodes) take
-        # the composed numpy path, whose comparison sort accepts all
-        # values (the Boruvka driver's labels never do).
-        if sample is not None and 0 <= int(labels.min()) and int(labels.max()) < self.num_nodes:
-            slabs = self._round_views(round_index)
-            seeds = self._mixed_checksum[base : base + self.num_columns]
-            memo = self._round_memo(round_index)
-            with span("query.sample"):
-                roots, statuses, indices, reused = sample(
-                    slabs, labels, mask, self.encoder.vector_length, seeds, memo
-                )
-            if memo is not None:
-                memo.read_version = self._version
-            registry = default_registry()
-            if registry.enabled and reused:
-                registry.counter("query.reused_components").inc(reused)
-            return roots, statuses, indices
         excluded = np.empty(0, dtype=np.int64) if mask is None else np.flatnonzero(~mask)
         sorted_nodes, seg_starts, roots = group_nodes_by_label(labels, node_mask)
         if roots.size == 0:

@@ -14,7 +14,8 @@ from-scratch answer after every prefix:
   incomplete -- its edges are model edges, its partition a refinement;
 * the memo-warm query of the engine equals the cold query of a fresh
   engine loaded from its snapshot, forest and every ``BoruvkaStats``
-  field;
+  field -- and, in the native cells, so does a ``kernel_backend="numpy"``
+  engine loaded from it after every query;
 * at teardown every node's buckets equal the per-round ``CubeSketch``
   reference of ``sketch_reference``.
 
@@ -151,6 +152,8 @@ class EngineMachine(RuleBasedStateMachine):
             assert (u, v) in self.edges, f"forest edge {(u, v)} is not in the graph"
         same_partition = forest.partition_signature() == _partition(exact)
         assert same_partition or not forest.complete, "a wrong forest is flagged complete"
+        if self.kernel_backend != "numpy":
+            assert _answer(self._reloaded("numpy")) == _answer(self.engine)
 
     @rule(coordinate=coordinates)
     def is_connected(self, coordinate):
@@ -162,13 +165,18 @@ class EngineMachine(RuleBasedStateMachine):
         elif self.engine.is_connected(u, v):
             assert exact[u] == exact[v]
 
-    @rule()
-    def snapshot_reload(self):
-        """Save, load into a fresh engine, compare, and carry on with it."""
+    def _reloaded(self, kernel_backend: str) -> GraphZeppelin:
+        """A fresh engine of ``kernel_backend`` loaded from the engine's snapshot."""
+        config = dataclasses.replace(self.config, kernel_backend=kernel_backend)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "state.snap"
             self.engine.save_snapshot(path)
-            fresh = GraphZeppelin.load_snapshot(path, config=self.config)
+            return GraphZeppelin.load_snapshot(path, config=config)
+
+    @rule()
+    def snapshot_reload(self):
+        """Save, load into a fresh engine, compare, and carry on with it."""
+        fresh = self._reloaded(self.kernel_backend)
         assert _answer(fresh) == _answer(self.engine)
         self.engine = fresh
 
@@ -188,7 +196,7 @@ def _partition(labels) -> frozenset:
     return frozenset(frozenset(group) for group in groups.values())
 
 
-@pytest.mark.parametrize("delta", [0.5, 0.01])
+@pytest.mark.parametrize("delta", [0.5, 0.25, 0.01])
 @pytest.mark.parametrize("kernel_backend", ["numpy", "native"])
 def test_engine_answers_like_exact_connectivity(kernel_backend, delta, request):
     if kernel_backend == "native":

@@ -1,9 +1,9 @@
 """The native Boruvka round -- fused sample kernel + round tail -- bit for bit.
 
-A native provider with ``sample_components`` and ``round_tail`` replaces
-the composed group -> reduce -> decode sampling and the Python
-union-find/relabel tail of :func:`vectorized_spanning_forest`.  Both are
-pure optimisations: forest edges *in merge order*, every
+A native provider's ``bind_query`` replaces the composed group -> reduce
+-> decode sampling and the numpy validate/decode/union-find/relabel tail
+of :func:`vectorized_spanning_forest` with one compiled call each.  Both
+are pure optimisations: forest edges *in merge order*, every
 :class:`BoruvkaStats` field and the final per-node component labels must
 equal the numpy driver's, on packed and wide pools either side of the
 65 536-node boundary, flat and paged.  The kernel is also driven directly
@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boruvka import vectorized_spanning_forest
+from repro.core.boruvka import MERGED, RoundQuery, vectorized_spanning_forest
+from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
+from repro.core.graph_zeppelin import GraphZeppelin
 from repro.hashing.mixers import finalise_hash64_inplace
 from repro.kernels import native_kernels
 from repro.memory.hybrid import HybridMemory
@@ -33,7 +35,7 @@ from sketch_reference import SEVEN_COLUMN_DELTA, pool_geometry
 NATIVE = native_kernels()
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(NATIVE, "sample_components") or not hasattr(NATIVE, "round_tail"),
+    not hasattr(NATIVE, "bind_query"),
     reason="no native provider with the round kernels",
 )
 
@@ -64,14 +66,10 @@ def _fold(pool, edges):
 
 
 def _round_trace(pool, kernels):
+    """The driver over ``pool`` as the engine runs it: bound by ``kernels``
+    (the fused sample and the compiled tail) when they are native."""
     forest, stats = vectorized_spanning_forest(
-        pool.num_nodes,
-        pool.num_rounds,
-        pool.encoder,
-        lambda round_index, labels, mask: pool.query_components(
-            labels, round_index, mask
-        ),
-        kernels=kernels,
+        pool.num_nodes, pool.num_rounds, pool.encoder, pool, kernels=kernels
     )
     return (
         forest.edges, forest.complete, dataclasses.asdict(stats),
@@ -224,12 +222,20 @@ def _hand_built_pools(force_wide):
     return pools, labels, backwards, edge
 
 
+def _bound_sample(pool, labels, mask=True):
+    """Round 0's fused sample of ``labels`` by a query bound to ``pool``."""
+    query = NATIVE.bind_query(pool.num_nodes, pool.encoder, pool)
+    query.labels[:], query.active[:] = labels, mask
+    count = query.sample(0)
+    return query.roots[:count], query.statuses[:count], query.indices[:count]
+
+
 @pytest.mark.parametrize("force_wide", [False, True])
 def test_sample_kernel_decode_branches(force_wide):
     (numpy_pool, native_pool), labels, backwards, edge = _hand_built_pools(force_wide)
     assert (not force_wide) == numpy_pool.geometry.packed
     expected = numpy_pool.query_components(labels, 0)
-    got = native_pool.query_components(labels, 0)
+    got = _bound_sample(native_pool, labels)
     for exp, act in zip(expected, got):
         assert exp.dtype == act.dtype
         assert np.array_equal(exp, act)
@@ -247,8 +253,7 @@ def test_sample_kernel_decode_branches(force_wide):
     # Masking nodes out drops whole components and shrinks {0, 1} to {1}.
     mask = np.asarray([0, 1, 0, 0, 1, 1, 1, 0], dtype=bool)
     for exp, act in zip(
-        numpy_pool.query_components(labels, 0, mask),
-        native_pool.query_components(labels, 0, mask),
+        numpy_pool.query_components(labels, 0, mask), _bound_sample(native_pool, labels, mask)
     ):
         assert np.array_equal(exp, act)
 
@@ -264,3 +269,131 @@ def test_backwards_slot_is_counted_invalid_and_ignored():
     assert stats["invalid_samples"] >= 1
     assert forest_edges == ((6, 7),)
     assert numpy_pool.encoder.decode(edge) == (6, 7)
+
+
+# ----------------------------------------------------------------------
+# the round-tail contract over hand-built samples
+# ----------------------------------------------------------------------
+def _tail_rounds(query, samples):
+    """Run ``query`` over ``samples[r]`` (roots, statuses, indices) for
+    every round ``r``; the state each round's tail leaves behind."""
+    states = []
+    for round_index in range(len(samples)):
+        query.sample(round_index)
+        query.tail()
+        states.append((
+            query.labels.tolist(), query.settled.tolist(), query.active.tolist(),
+            query.edges[:, : query.counts[MERGED]].T.tolist(), query.counts.tolist(),
+        ))
+    return states
+
+
+def test_round_tail_contract_table():
+    """Both tails over every status and every invalid slot shape."""
+    n = 10
+    encoder = EdgeEncoder(n)
+    good, zero, fail = SAMPLE_GOOD, SAMPLE_ZERO, SAMPLE_FAIL
+    table = [
+        [  # round 0: every node its own component
+            (0, good, encoder.encode(0, n - 1)),      # boundary-valid (0, n-1)
+            (1, zero, -1),
+            (2, fail, -1),
+            (3, good, -1),                            # idx = -1
+            (4, good, n * n),                         # idx >= V^2
+            (5, good, 5 * n + 5),                     # u == v
+            (6, good, 7 * n + 6),                     # u > v
+            (7, good, encoder.encode(n - 2, n - 1)),  # boundary-valid (n-2, n-1)
+            (8, good, encoder.encode(3, 4)),
+            (9, good, encoder.encode(0, n - 1)),      # sampled from both sides
+        ],
+        [  # round 1: {0, 8, 9} {1 settled} {2} {3, 4} {5} {6} {7}
+            (0, good, encoder.encode(2, 9)),
+            (2, good, encoder.encode(2, 9)),
+            (3, zero, -1),
+            (5, good, encoder.encode(1, 5)),          # merges into a settled root
+            (6, fail, -1),
+            (7, good, encoder.encode(6, 7)),
+        ],
+    ]
+    samples = [
+        tuple(np.asarray(column, dtype=dtype) for column, dtype in
+              zip(zip(*rows), (np.int64, np.uint8, np.int64)))
+        for rows in table
+    ]
+
+    def sampler(round_index, labels, mask):
+        return samples[round_index]
+
+    expected = _tail_rounds(RoundQuery(n, encoder, sampler), samples)
+    assert _tail_rounds(NATIVE.bind_query(n, encoder, sampler), samples) == expected
+    (labels0, settled0, active0, edges0, counts0), (labels1, settled1, active1, edges1, counts1) = expected
+    assert edges0 == [[0, 9], [8, 9], [3, 4]]
+    assert counts0 == [1, 1, 8, 4, 3, 3]  # ZERO, FAIL, GOOD, invalid, merges, so far
+    assert labels0 == [0, 1, 2, 3, 3, 5, 6, 7, 0, 0]
+    assert [node for node in range(n) if settled0[node]] == [1]
+    assert [node for node in range(n) if not active0[node]] == [1]
+    assert edges1 == edges0 + [[2, 9], [1, 5], [6, 7]]
+    assert counts1 == [1, 1, 4, 0, 3, 6]
+    assert labels1 == [0, 1, 0, 3, 3, 1, 6, 6, 0, 0]
+    assert [node for node in range(n) if settled1[node]] == [3]
+    assert [node for node in range(n) if not active1[node]] == [3, 4]
+    # The encoder owns the slot layout: every endpoint pair the C tail
+    # decoded is EdgeEncoder.decode of a sampled slot.
+    slots = {int(index) for _, _, indices in samples for index in indices}
+    assert all(encoder.decode(encoder.encode(u, v)) == (u, v) for u, v in edges1)
+    assert {encoder.encode(u, v) for u, v in edges1} <= slots
+
+
+def test_both_tails_decode_with_the_encoders_slot_layout():
+    """A query over fewer nodes than its encoder: slots decode as the
+    encoder's ``u * V + v``, and an endpoint past the graph raises."""
+    n, encoder = 4, EdgeEncoder(6)
+    good = np.full(2, SAMPLE_GOOD, dtype=np.uint8)
+    inside = [(np.asarray([0, 2]), good, np.asarray([encoder.encode(0, 3), encoder.encode(2, 3)]))]
+    outside = [(np.asarray([1]), good[:1], np.asarray([encoder.encode(1, 5)]))]
+
+    def bound(bind, samples):
+        return bind(n, encoder, lambda round_index, labels, mask: samples[round_index])
+
+    expected = _tail_rounds(bound(RoundQuery, inside), inside)
+    assert _tail_rounds(bound(NATIVE.bind_query, inside), inside) == expected
+    assert expected[0][3] == [[0, 3], [2, 3]]
+    with pytest.raises(IndexError):
+        _tail_rounds(bound(RoundQuery, outside), outside)
+    with pytest.raises(ValueError, match="outside the graph"):
+        _tail_rounds(bound(NATIVE.bind_query, outside), outside)
+
+
+# ----------------------------------------------------------------------
+# the bound path
+# ----------------------------------------------------------------------
+class _CountingLib:
+    """The provider's library, counting every call of every entry point."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = {}
+
+    def __getattr__(self, name):
+        entry = getattr(self._lib, name)
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return entry(*args)
+
+        return counted
+
+
+def test_a_warm_query_is_two_foreign_calls_per_round(monkeypatch):
+    engine = GraphZeppelin(240, GraphZeppelinConfig(kernel_backend="native", seed=3))
+    rng = np.random.default_rng(3)
+    u = rng.integers(0, 240, 300)
+    engine.ingest_batch(np.stack([u, (u + rng.integers(1, 12, 300)) % 240], axis=1))
+    engine.list_spanning_forest()
+    engine.ingest_batch([(0, 1), (5, 200)])
+    counting = _CountingLib(NATIVE._lib)
+    monkeypatch.setattr(NATIVE, "_lib", counting)
+    engine.list_spanning_forest()
+    rounds = engine.last_query_stats.rounds_used
+    assert rounds >= 2
+    assert counting.calls == {"repro_sample_components": rounds, "repro_round_tail": rounds}

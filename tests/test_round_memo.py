@@ -36,7 +36,7 @@ from sketch_reference import pool_geometry
 NATIVE = native_kernels()
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(NATIVE, "sample_components"),
+    not hasattr(NATIVE, "bind_query"),
     reason="no native provider with the round kernels",
 )
 
@@ -242,9 +242,7 @@ def test_regression_a_snapshot_merge_stamps_every_node(tmp_path):
 
 def _pool_answer(pool: NodeTensorPool) -> tuple:
     forest, stats = vectorized_spanning_forest(
-        pool.num_nodes, pool.num_rounds, pool.encoder,
-        lambda round_index, labels, mask: pool.query_components(labels, round_index, mask),
-        kernels=pool._kernels,
+        pool.num_nodes, pool.num_rounds, pool.encoder, pool, kernels=pool._kernels
     )
     return (
         forest.edge_array.tolist(), forest.labels.tolist(), forest.complete,
@@ -288,6 +286,56 @@ def test_reused_components_reads_zero_on_a_first_query_and_counts_after_a_delta(
     engine.ingest_batch([(0, 1)])
     engine.list_spanning_forest()
     assert _reused() > before
+
+
+def test_reused_components_total_on_a_fixed_stream():
+    """Pinned: binding the query once per query reuses exactly the
+    components the per-round calls reused before it."""
+    engine = _engine("native", 21)
+    rng = np.random.default_rng(21)
+    engine.ingest_batch(_local_edges(rng, 150))
+    before = _reused()
+    for _ in range(12):
+        engine.list_spanning_forest()
+        engine.ingest_batch(_local_edges(rng, 3))
+    engine.list_spanning_forest()
+    assert _reused() - before == 3610
+
+
+# ----------------------------------------------------------------------
+# the bound query's buffers
+# ----------------------------------------------------------------------
+def test_a_kept_forest_is_not_overwritten_by_the_next_query():
+    """The forest adopts the query's labels and edge array without
+    copying, and the C tail writes through raw addresses: each query
+    must own fresh ones."""
+    engine = _engine("native", 17)
+    path = np.stack([np.arange(119), np.arange(1, 120)], axis=1)
+    engine.ingest_batch(path)
+    first = engine.list_spanning_forest()
+    edges, labels = first.edge_array.copy(), first.labels.copy()
+    engine.ingest_batch([(119, 120), (200, 201)])
+    second = engine.list_spanning_forest()
+    assert not np.array_equal(second.labels, labels)
+    assert np.array_equal(first.edge_array, edges) and np.array_equal(first.labels, labels)
+    for array in (first.edge_array, first.labels):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 7
+
+
+def test_an_internal_label_outside_the_graph_raises_and_voids_the_memo():
+    pool = NodeTensorPool(NUM_NODES, EdgeEncoder(NUM_NODES), graph_seed=8, kernels=NATIVE)
+    edges = _local_edges(np.random.default_rng(8), 150)
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    pool.apply_edges(lo, hi, pool.encoder.encode_canonical_pairs(lo, hi))
+    answer = _pool_answer(pool)
+    query = NATIVE.bind_query(NUM_NODES, pool.encoder, pool)
+    query.labels[7] = NUM_NODES
+    with pytest.raises(ValueError, match="outside"):
+        query.sample(0)
+    assert (pool._round_memos[0].labels == -1).all()
+    assert _pool_answer(pool) == answer
 
 
 @pytest.mark.parametrize("paged", [True, False], ids=["paged-native", "numpy"])

@@ -75,6 +75,17 @@ def test_vectorized_forest_and_stats_bit_identical_to_scalar(edges, seed, ram_bu
     assert engine.last_query_stats == stats_s
 
 
+def _round_sample(pool, labels, round_index, node_mask):
+    """``query_components``, or the engine's bound query on a native pool."""
+    bind = getattr(pool._kernels, "bind_query", None)
+    if bind is None:
+        return pool.query_components(labels, round_index, node_mask=node_mask)
+    query = bind(pool.num_nodes, pool.encoder, pool)
+    query.labels[:], query.active[:] = labels, True if node_mask is None else node_mask
+    count = query.sample(round_index)
+    return query.roots[:count], query.statuses[:count], query.indices[:count]
+
+
 @given(edges=edge_lists, seed=seeds, data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_query_components_matches_per_component_query_merged(edges, seed, data):
@@ -110,9 +121,7 @@ def test_query_components_matches_per_component_query_merged(edges, seed, data):
     )
     for pool, node_mask in itertools.product(pools, (None, mask)):
         for round_index in range(pool.num_rounds):
-            roots, statuses, indices = pool.query_components(
-                labels, round_index, node_mask=node_mask
-            )
+            roots, statuses, indices = _round_sample(pool, labels, round_index, node_mask)
             nodes = (
                 np.arange(NUM_NODES) if node_mask is None else np.flatnonzero(node_mask)
             )
@@ -317,11 +326,7 @@ def pool_kernels(request):
 
 
 def test_query_components_handles_labels_beyond_int16(pool_kernels):
-    """Label values outside int16 must not wrap through the radix fast path.
-
-    Nor -- on a native pool, whose fused kernel counting-sorts by label
-    -- index past a node-sized table: ``1 << 17`` on a 24-node pool.
-    """
+    """Label values outside int16 must not wrap through the radix fast path."""
     encoder = EdgeEncoder(NUM_NODES)
     pool = NodeTensorPool(NUM_NODES, encoder, graph_seed=4, kernels=pool_kernels)
     pool.apply_edges(
@@ -354,3 +359,14 @@ def test_query_components_input_validation(pool_kernels):
         labels, 0, node_mask=np.zeros(NUM_NODES, dtype=bool)
     )
     assert roots.size == statuses.size == indices.size == 0
+
+
+def test_query_components_rejects_non_integer_labels(pool_kernels):
+    """Float labels were truncated: 3.7 and 3.2 were sampled as one component."""
+    pool = NodeTensorPool(6, EdgeEncoder(6), graph_seed=1, kernels=pool_kernels)
+    with pytest.raises(ValueError, match="integers"):
+        pool.query_components(np.array([0.5, 0.5, 2.0, 3.7, 3.2, 5.0]), 0)
+    roots, _, _ = pool.query_components(np.array([0, 0, 2, 4, 3, 5]), 0)
+    assert roots.tolist() == [0, 2, 3, 4, 5]
+    roots, _, _ = pool.query_components(np.array([1, 0, 0, 1, 1, 0], dtype=bool), 0)
+    assert roots.tolist() == [0, 1]
