@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from repro.core.config import GraphZeppelinConfig
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.exceptions import ConfigurationError
-from repro.types import EdgeUpdate, UpdateType, canonical_edge
+from repro.types import EdgeUpdate, canonical_edge
 
 
 class BipartitenessSketch:

@@ -18,11 +18,10 @@ machine-independent, as explained in DESIGN.md.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.adjacency_matrix import AdjacencyMatrixGraph
 from repro.baselines.aspen_like import AspenLike
 from repro.baselines.space_models import space_crossover_table
 from repro.baselines.terrace_like import TerraceLike
@@ -34,7 +33,6 @@ from repro.sketch.cubesketch import CubeSketch
 from repro.sketch.sizes import cubesketch_size_bytes, standard_l0_size_bytes
 from repro.sketch.standard_l0 import StandardL0Sketch
 from repro.streaming.stream import GraphStream
-from repro.types import EdgeUpdate
 
 #: Batch size the paper feeds Aspen and Terrace (scaled down by callers).
 DEFAULT_BASELINE_BATCH_SIZE = 10_000

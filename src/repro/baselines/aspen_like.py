@@ -22,10 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-import numpy as np
-
 from repro.baselines.space_models import ASPEN_BYTES_PER_DIRECTED_EDGE, ASPEN_BYTES_PER_VERTEX
-from repro.core.dsu import DisjointSetUnion
 from repro.core.spanning_forest import SpanningForest
 from repro.exceptions import ConfigurationError
 from repro.memory.hybrid import HybridMemory

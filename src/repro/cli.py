@@ -57,7 +57,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.tables import format_bytes, render_table
 from repro.baselines.adjacency_matrix import AdjacencyMatrixGraph

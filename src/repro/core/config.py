@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
@@ -175,11 +175,6 @@ class GraphZeppelinConfig:
         # far and must not change.
         blob = f"{self.delta!r}|{masked_seed}|flat".encode("ascii")
         return xxhash64(blob, seed=0x5A45_5050)
-
-    @classmethod
-    def in_memory(cls, **overrides) -> "GraphZeppelinConfig":
-        """Everything-in-RAM configuration (the Figure 13 setting)."""
-        return cls(**overrides)
 
     @classmethod
     def out_of_core(

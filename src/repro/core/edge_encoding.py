@@ -17,7 +17,7 @@ corrupted buckets.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -97,10 +97,6 @@ class EdgeEncoder:
         sites) means the index layout has one owner.
         """
         return lo.astype(np.uint64) * np.uint64(self.num_nodes) + hi.astype(np.uint64)
-
-    def decode_batch(self, indices: np.ndarray) -> List[Edge]:
-        """Decode an array of indices (all must be valid)."""
-        return [self.decode(int(index)) for index in np.asarray(indices).ravel()]
 
     def valid_index_mask(self, indices: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`is_valid_index` over an index array.

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from repro.exceptions import IncompatibleSketchError
 from repro.sketch.cubesketch import CubeSketch
 
 if TYPE_CHECKING:
@@ -26,36 +23,14 @@ if TYPE_CHECKING:
 
 
 def merged_round_sketch(
-    node_sketches: Sequence["FlatNodeSketch"], round_index: int
+    node_sketches: Sequence[FlatNodeSketch], round_index: int
 ) -> CubeSketch:
     """The XOR of the round-``round_index`` sketches of several nodes.
 
     Builds a component's cut sketch without mutating the per-node
     sketches (so the stream can continue after a query): the members'
-    raw arrays are stacked and XOR-reduced in a single numpy reduction.
+    round sketches are copies, summed with :meth:`CubeSketch.sum_of`.
     """
     if not node_sketches:
         raise ValueError("merged_round_sketch requires at least one node sketch")
-    round_sketches = [ns.round_sketch(round_index) for ns in node_sketches]
-    first = round_sketches[0]
-    if len(round_sketches) == 1:
-        return first.copy()
-    for sketch in round_sketches[1:]:
-        if not first.is_compatible(sketch):
-            raise IncompatibleSketchError(
-                "cannot merge CubeSketches with different shapes or seeds"
-            )
-    total = CubeSketch(
-        first.vector_length,
-        delta=first.delta,
-        seed=first.seed,
-        num_columns=first.num_columns,
-        num_rows=first.num_rows,
-    )
-    alpha, gamma = zip(*(sketch.raw_arrays() for sketch in round_sketches))
-    # The reduce outputs are fresh arrays, so they become the merged
-    # sketch's buckets directly -- no per-member or per-array copies.
-    total._alpha = np.bitwise_xor.reduce(np.stack(alpha))
-    total._gamma = np.bitwise_xor.reduce(np.stack(gamma))
-    total._updates_applied = sum(sketch.updates_applied for sketch in round_sketches)
-    return total
+    return CubeSketch.sum_of([ns.round_sketch(round_index) for ns in node_sketches])

@@ -16,7 +16,7 @@ a component cancels its internal edges -- exactly Section 2.2.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.core.boruvka import (
     BoruvkaStats,

@@ -558,7 +558,9 @@ def merge_snapshots_into(
     disjoint sub-streams leaves it bit-identical to serially ingesting
     the concatenated stream.  Every header -- and all-pairs
     compatibility -- is validated *before* the first payload byte is
-    applied, so a bad input leaves the pool unmutated.  Update counters
+    applied, so a bad input leaves the pool unmutated.  So is
+    uniqueness: one file named twice (under any spelling) would
+    XOR-cancel itself, since XOR is self-inverse.  Update counters
     sum; the merged ``stream_offset`` is zero (a union of sub-streams
     is not a prefix of any one stream).
     """
@@ -567,6 +569,13 @@ def merge_snapshots_into(
     paths = [Path(p) for p in paths]
     with span("snapshot.merge"):
         metas = [read_snapshot_meta(p) for p in paths]
+        for later, path in enumerate(paths):
+            for earlier in paths[:later]:
+                if os.path.samefile(earlier, path):
+                    raise StreamFormatError(
+                        f"{path}: the same file as {earlier}; merging a snapshot "
+                        "with itself would XOR-cancel it"
+                    )
         for path, meta in zip(paths, metas):
             _check_pool_matches(meta, pool, str(path))
         _check_snapshots_compatible(paths, metas)

@@ -21,16 +21,6 @@ class SketchError(ReproError):
     """Base class for sketch-related errors."""
 
 
-class SketchFailureError(SketchError):
-    """A sketch query failed to recover a sample.
-
-    l0-samplers are probabilistic; with probability at most ``delta`` a
-    query on a non-zero vector returns no sample.  The connectivity
-    algorithm normally tolerates individual failures, but raises this
-    error if the overall computation cannot complete.
-    """
-
-
 class IncompatibleSketchError(SketchError, ValueError):
     """Two sketches with different shapes or seeds were combined.
 

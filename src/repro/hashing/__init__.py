@@ -23,11 +23,10 @@ from repro.hashing.mixers import (
     xxhash_avalanche,
     xxhash_avalanche_array,
 )
-from repro.hashing.prng import SeedSequenceFactory, derive_seed
+from repro.hashing.prng import derive_seed
 from repro.hashing.xxhash64 import xxhash64, xxhash64_int
 
 __all__ = [
-    "SeedSequenceFactory",
     "derive_seed",
     "hash_to_depth",
     "mix_seed_array",

@@ -11,10 +11,6 @@ components share a hash function by accident.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
-
 from repro.hashing.mixers import MASK64, splitmix64
 
 
@@ -30,40 +26,3 @@ def derive_seed(root_seed: int, *components: int) -> int:
     for component in components:
         state = splitmix64((state ^ (component & MASK64)) & MASK64)
     return state
-
-
-class SeedSequenceFactory:
-    """Hands out independent numpy generators derived from one root seed."""
-
-    def __init__(self, root_seed: int = 0) -> None:
-        self._root_seed = root_seed & MASK64
-        self._counter = 0
-
-    @property
-    def root_seed(self) -> int:
-        return self._root_seed
-
-    def seed_for(self, *labels: int) -> int:
-        """A deterministic 64-bit seed for the given label tuple."""
-        return derive_seed(self._root_seed, *labels)
-
-    def generator_for(self, *labels: int) -> np.random.Generator:
-        """A numpy generator seeded deterministically from the labels."""
-        return np.random.default_rng(self.seed_for(*labels))
-
-    def next_generator(self) -> np.random.Generator:
-        """A fresh generator from an internal counter (order-dependent)."""
-        self._counter += 1
-        return self.generator_for(0xC0FFEE, self._counter)
-
-    def spawn(self, label: int) -> "SeedSequenceFactory":
-        """A child factory whose seeds are independent of the parent's."""
-        return SeedSequenceFactory(self.seed_for(0x5EED, label))
-
-    @staticmethod
-    def mix_labels(labels: Iterable[int]) -> int:
-        """Collapse an iterable of labels into one 64-bit label."""
-        state = 0
-        for label in labels:
-            state = splitmix64((state ^ (label & MASK64)) & MASK64)
-        return state

@@ -1,7 +1,7 @@
 """Native-speed kernel backends for the columnar sketch engine.
 
 The six hot kernels of the engine -- the ingest fold
-(:func:`~repro.sketch.flat_node_sketch.columnar_fold` /
+(:func:`~repro.sketch.flat_node_sketch.hash_depths_checksums` +
 ``fold_hashed``), the whole-round query reduce
 (:func:`~repro.sketch.flat_node_sketch.segmented_xor`), the batched
 bucket decoder
@@ -136,13 +136,3 @@ def resolve_kernels(backend: str):
                 "kernel_backend=%s: using native '%s' kernels", backend, provider.name
             )
     return provider
-
-
-def _reset_for_tests() -> None:
-    """Forget the cached provider resolution (test hook only)."""
-    global _resolved, _provider, _unavailable_reason, _logged_choice
-    with _lock:
-        _resolved = False
-        _provider = None
-        _unavailable_reason = None
-        _logged_choice = False

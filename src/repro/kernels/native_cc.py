@@ -26,10 +26,10 @@ Why compiling beats the numpy kernels:
   the plain depth loop.  XOR folding is order-independent, so the
   buckets are bit-identical to the argsort + prefix-scan emission path.
 * **segmented XOR**: ``np.bitwise_xor.reduceat`` runs a scalar inner
-  loop (~5 ns/element), and even the blocked two-level scheme pays a
-  gather copy of the reordered rows.  The C kernel fuses the gather and
-  the reduce: one pass over the segment's rows, auto-vectorised by the
-  compiler, writing only the per-segment sums.
+  loop (~5 ns/element) over a gather copy of the reordered rows.  The C
+  kernel fuses the gather and the reduce: one pass over the segment's
+  rows, auto-vectorised by the compiler, writing only the per-segment
+  sums.
 * **decode**: the numpy batched decoder makes ~6 full passes over the
   ``(C, rows)`` bucket arrays building masks before it can hash the
   candidates.  The C decoder scans each component's rows once,

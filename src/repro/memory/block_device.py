@@ -96,7 +96,7 @@ class BlockDevice:
         self.stats = stats if stats is not None else IOStats()
         self.verify_checksums = bool(verify_checksums)
         self.kernels = kernels
-        #: Consulted by :meth:`write_block` for injected bit rot
+        #: Consulted by :meth:`write_blob` for injected bit rot
         #: (``site="block"`` specs); the hybrid layer keeps it in sync
         #: with its own plan.
         self.fault_plan = None
@@ -105,21 +105,6 @@ class BlockDevice:
         self._last_block_accessed: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def write_block(self, block_id: int, payload: Buffer) -> None:
-        """Write one block; payloads longer than ``block_size`` are rejected."""
-        if len(payload) > self.block_size:
-            raise StorageError(
-                f"payload of {len(payload)} bytes exceeds block size {self.block_size}"
-            )
-        self.write_blob(block_id, payload)
-
-    def read_block(self, block_id: int) -> bytes:
-        """Read one block, verifying its checksum when enabled."""
-        return self.read_blob(block_id, 1)
-
-    def has_block(self, block_id: int) -> bool:
-        return block_id in self._blocks
-
     def delete_block(self, block_id: int) -> None:
         """Drop a block without charging an I/O (TRIM-style discard)."""
         self._blocks.pop(block_id, None)
@@ -165,18 +150,6 @@ class BlockDevice:
                 chunk = self.fault_plan.corrupt_block_write(chunk)
             self._blocks[start_block + i] = chunk
         return num_blocks
-
-    def read_blob(self, start_block: int, num_blocks: int) -> bytes:
-        """Read ``num_blocks`` consecutive blocks back as one byte string."""
-        return self.read_blob_digests(start_block, num_blocks)[0]
-
-    def read_blob_digests(
-        self, start_block: int, num_blocks: int
-    ) -> Tuple[bytes, Optional[List[int]]]:
-        """:meth:`read_into` a fresh buffer: the joined blocks and their digests."""
-        buffer = bytearray(num_blocks * self.block_size)
-        total, digests = self.read_into(start_block, num_blocks, buffer)
-        return bytes(buffer[:total]), digests
 
     def read_into(
         self, start_block: int, num_blocks: int, out: Buffer

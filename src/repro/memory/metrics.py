@@ -14,9 +14,9 @@ class IOStats:
     the benchmark harness reports, so results do not depend on the host
     machine's actual storage.
 
-    Every dataclass field is a counter: :meth:`snapshot`,
-    :meth:`merged_with` and :meth:`reset` walk ``fields(self)``, so a
-    counter declared here cannot be missed by one of them.
+    Every dataclass field is a counter: :meth:`snapshot` (and
+    :meth:`diff`, built on it) walks ``fields(self)``, so a counter
+    declared here cannot be missed by either.
     """
 
     block_reads: int = 0
@@ -66,16 +66,6 @@ class IOStats:
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
-
-    def merged_with(self, other: "IOStats") -> "IOStats":
-        """A new IOStats summing this one and ``other``."""
-        mine = self.snapshot()
-        return type(self)(**{name: mine[name] + getattr(other, name) for name in mine})
-
-    def reset(self) -> None:
-        """Zero every counter in place."""
-        for counter in fields(self):
-            setattr(self, counter.name, counter.default)
 
     def diff(self, earlier: dict) -> dict:
         """Per-counter deltas versus an earlier :meth:`snapshot` dict.

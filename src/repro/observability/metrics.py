@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",

@@ -194,8 +194,6 @@ class ShardedIngestor:
         # do concurrently in compiled code.
         self._hoist_hash = pool._kernels is None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._batches_ingested = 0
-        self._updates_ingested = 0
         self._queued_bytes = 0
         #: High-water mark of the pipelined hand-off backlog, in bytes.
         self.peak_queued_bytes = 0
@@ -236,15 +234,6 @@ class ShardedIngestor:
     def effective_workers(self) -> int:
         """Workers actually running: ``num_workers`` clamped to usable cores."""
         return max(1, min(self.num_workers, usable_cores()))
-
-    @property
-    def batches_ingested(self) -> int:
-        return self._batches_ingested
-
-    @property
-    def updates_ingested(self) -> int:
-        """Edge updates ingested through this ingestor (pre-mirroring)."""
-        return self._updates_ingested
 
     # ------------------------------------------------------------------
     def ingest_batch(self, edges: Union[np.ndarray, Sequence[Tuple[int, int]]]) -> int:
@@ -449,7 +438,5 @@ class ShardedIngestor:
         except BaseException:
             self.engine._note_parallel_ingest(0)
             raise
-        self._batches_ingested += 1
-        self._updates_ingested += count
         self.engine._toggle_tracked_edges(lo, hi)
         self.engine._note_parallel_ingest(count)

@@ -153,10 +153,6 @@ class Checkpointer:
         """Generation number of the most recently written checkpoint."""
         return self._generation
 
-    @property
-    def updates_since_checkpoint(self) -> int:
-        return self._updates_since
-
     def updates_until_due(self) -> Optional[int]:
         """Updates left before the every-N policy fires (at least 1).
 

@@ -36,7 +36,6 @@ columns, rows and bucket mode, derived once per graph):
   round slabs assembled via partial-range reads.
 """
 
-from repro.sketch.bucket import CubeBucket, StandardBucket
 from repro.sketch.cubesketch import CubeSketch
 from repro.sketch.geometry import SketchGeometry
 from repro.sketch.flat_node_sketch import FlatNodeSketch, query_bucket_arrays_batch
@@ -59,7 +58,6 @@ from repro.sketch.standard_l0 import StandardL0Sketch
 from repro.sketch.tensor_pool import NodeTensorPool
 
 __all__ = [
-    "CubeBucket",
     "CubeSketch",
     "FlatNodeSketch",
     "L0Sampler",
@@ -72,7 +70,6 @@ __all__ = [
     "SampleOutcome",
     "SampleResult",
     "SketchGeometry",
-    "StandardBucket",
     "StandardL0Sketch",
     "cubesketch_num_buckets",
     "cubesketch_size_bytes",

@@ -37,7 +37,6 @@ from repro.hashing.mixers import (
     trailing_zeros64,
 )
 from repro.hashing.prng import derive_seed
-from repro.sketch.bucket import CubeBucket
 from repro.sketch.sketch_base import L0Sampler, SampleResult
 from repro.sketch.geometry import BYTES_PER_CUBE_BUCKET, cube_shape
 
@@ -229,10 +228,6 @@ class CubeSketch(L0Sampler):
     def is_empty(self) -> bool:
         """True when every bucket is zero (the sketched vector is zero)."""
         return not self._alpha.any() and not self._gamma.any()
-
-    def bucket(self, row: int, col: int) -> CubeBucket:
-        """The logical contents of one bucket (testing / debugging)."""
-        return CubeBucket(int(self._alpha[row, col]), int(self._gamma[row, col]))
 
     # ------------------------------------------------------------------
     # linearity

@@ -275,93 +275,6 @@ def fold_hashed(
     return (np.concatenate(targets), *(np.concatenate(emitted) for emitted in values))
 
 
-def columnar_fold(
-    indices: np.ndarray,
-    mixed_membership: np.ndarray,
-    mixed_checksum: np.ndarray,
-    num_rows: int,
-    dsts: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hash and fold one chunk of ``(destination, edge slot)`` updates.
-
-    :func:`hash_depths_checksums` followed by :func:`fold_hashed`:
-    ``indices[i]`` folds into node ``dsts[i]``, updates for *all* nodes
-    in the same pass.  Returns ``(targets, alpha_values, gamma_values)``
-    -- flat bucket offsets ``(dst * S + slot) * num_rows + row`` into a
-    rows-innermost tensor and the values to XOR there.  Targets are
-    unique within one call, so the caller can fold with a fancy-indexed
-    ``pool[targets] ^= values`` (no slow ``ufunc.at`` scatter needed).
-    """
-    depths, checksums = hash_depths_checksums(
-        indices, mixed_membership, mixed_checksum, num_rows, reuse_scratch=True
-    )
-    return fold_hashed(indices, depths, checksums, num_rows, dsts)
-
-
-#: Rows per block of the two-level segmented XOR.  Block sums reduce
-#: through ``bitwise_xor.reduce`` (SIMD-vectorised elementwise row ops),
-#: side-stepping ``reduceat``'s ~5ns/element scalar inner loop; 64 rows
-#: keeps the boundary-correction gather small while leaving long
-#: segments almost entirely to the fast block pass.
-_XOR_BLOCK_ROWS = 64
-
-
-def _segmented_xor_blocked(
-    values: np.ndarray, seg_starts: np.ndarray, seg_ends: np.ndarray
-) -> np.ndarray:
-    """Two-level segmented XOR: block sums plus boundary corrections.
-
-    Level 1 XOR-reduces fixed ``_XOR_BLOCK_ROWS``-row blocks with the
-    vectorised ``reduce`` kernel and prefix-scans the block sums, so a
-    segment's fully-covered blocks cost two row lookups.  Level 2
-    gathers only the head/tail rows that straddle a block boundary and
-    reduces those fragments with ``reduceat``.  XOR is exact and
-    associative, so the result is bit-identical to a flat ``reduceat``.
-    """
-    num_rows, width = values.shape
-    block = _XOR_BLOCK_ROWS
-    num_blocks = num_rows // block
-    block_sums = np.bitwise_xor.reduce(
-        values[: num_blocks * block].reshape(num_blocks, block, width), axis=1
-    )
-    prefix = np.zeros((num_blocks + 1, width), dtype=values.dtype)
-    np.bitwise_xor.accumulate(block_sums, axis=0, out=prefix[1:])
-
-    # Full blocks inside segment [s, e): [ceil(s / block), floor(e / block)),
-    # clamped to the blocked prefix of the array; a segment contained in
-    # one block has none (first >= last) and is all boundary rows.
-    first = np.minimum(-(-seg_starts // block), num_blocks)
-    last = np.minimum(seg_ends // block, num_blocks)
-    last = np.maximum(last, first)
-    result = prefix[last] ^ prefix[first]
-
-    # Clamp the fragment boundaries into each segment: a segment inside
-    # a single block is all head, one past the blocked prefix all tail.
-    head_stops = np.clip(first * block, seg_starts, seg_ends)
-    tail_starts = np.clip(last * block, head_stops, seg_ends)
-    counts = (head_stops - seg_starts) + (seg_ends - tail_starts)
-    nonzero = np.flatnonzero(counts)
-    if nonzero.size:
-        # Boundary rows gathered in segment order (each segment's head
-        # fragment immediately followed by its tail fragment), so one
-        # reduceat over the gather with per-segment offsets reduces them.
-        spans = np.stack(
-            [seg_starts, head_stops, tail_starts, seg_ends], axis=1
-        ).reshape(-1)
-        lengths = np.diff(spans.reshape(-1, 2), axis=1).reshape(-1)
-        keep = lengths > 0
-        starts_kept, lengths_kept = spans[::2][keep], lengths[keep]
-        offsets = np.repeat(starts_kept - np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(lengths_kept)[:-1]]
-        ), lengths_kept)
-        rows = np.arange(int(lengths_kept.sum()), dtype=np.int64) + offsets
-        frag_offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts[nonzero])[:-1]]
-        )
-        result[nonzero] ^= np.bitwise_xor.reduceat(values[rows], frag_offsets, axis=0)
-    return result
-
-
 def segmented_xor(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
     """XOR-reduce consecutive row segments of a 2-D array in one pass.
 
@@ -369,32 +282,13 @@ def segmented_xor(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
     ``seg_starts`` holds each segment's first row (``seg_starts[0]`` must
     be 0 and segments must be non-empty).  Returns the
     ``(num_segments, W)`` per-segment XOR -- the query-side twin of the
-    fold kernel's segmented reduction.  XOR is exact and associative, so
-    every path below is bit-identical.  When every segment is a single
+    fold kernel's segmented reduction -- through ``reduceat``, which
+    writes only the segment results.  When every segment is a single
     row the input is returned as-is, so callers must treat the result
     as read-only.
-
-    Short segments go through ``reduceat``, which writes only the
-    segment results (measured ~3x faster here than a full
-    cumulative-XOR prefix scan plus boundary picks).  ``reduceat``'s
-    scalar inner loop (~5ns/element, no SIMD) is however the floor of
-    whole-round queries on *large* segments, so once a segment spans
-    several :data:`_XOR_BLOCK_ROWS` blocks the reduction switches to the
-    blocked two-level scheme of :func:`_segmented_xor_blocked`.
     """
-    num_rows = values.shape[0]
-    if seg_starts.size == num_rows:
+    if seg_starts.size == values.shape[0]:
         return values
-    seg_ends = np.append(seg_starts[1:], num_rows)
-    # Blocked pays off only when full blocks absorb most rows: require a
-    # segment spanning several blocks and boundary fragments (at most
-    # ~2 blocks per segment) clearly smaller than the whole array.
-    sizes = seg_ends - seg_starts
-    if (
-        int(sizes.max()) >= 4 * _XOR_BLOCK_ROWS
-        and 2 * _XOR_BLOCK_ROWS * seg_starts.size < num_rows
-    ):
-        return _segmented_xor_blocked(values, seg_starts, seg_ends)
     return np.bitwise_xor.reduceat(values, seg_starts, axis=0)
 
 
@@ -632,12 +526,15 @@ class FlatNodeSketch:
         gamma_flat = self._gamma.reshape(-1)
         for start in range(0, idx.size, BATCH_CHUNK):
             chunk = idx[start : start + BATCH_CHUNK]
-            targets, alpha_vals, gamma_vals = columnar_fold(
+            depths, checksums = hash_depths_checksums(
                 chunk,
                 self._mixed_membership,
                 self._mixed_checksum,
                 self.num_rows,
-                np.zeros(chunk.size, dtype=np.int64),
+                reuse_scratch=True,
+            )
+            targets, alpha_vals, gamma_vals = fold_hashed(
+                chunk, depths, checksums, self.num_rows, np.zeros(chunk.size, dtype=np.int64)
             )
             alpha_flat[targets] ^= alpha_vals
             gamma_flat[targets] ^= gamma_vals

@@ -31,7 +31,7 @@ not resident contributes only the blocks its round stripe straddles, roughly
 ``1 / num_rounds`` of the page, instead of a whole-page (or per-node
 blob) round trip, and the round's stripes share one device operation
 and are verified a scratchful at a time.  The assembled slab feeds the
-*unchanged* whole-round machinery of the parent class -- queries, merges,
+*unchanged* whole-round machinery of the parent class -- queries,
 snapshots and per-node views all read :meth:`_round_view`, which is what
 this pool overrides, with the bundle accessor -- so
 :func:`~repro.core.boruvka.vectorized_spanning_forest` is the single
@@ -721,7 +721,7 @@ class PagedTensorPool(NodeTensorPool):
         return buf
 
     # ------------------------------------------------------------------
-    # per-node views and merges
+    # per-node views
     # ------------------------------------------------------------------
     def _node_bundle_arrays(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
         """One node's bundle, unpacked into fresh arrays from its pinned page.
@@ -733,50 +733,6 @@ class PagedTensorPool(NodeTensorPool):
         with self._pinned(page, dirty=False) as entry:
             index = node - int(self.page_bounds[page])
             return self.geometry.unpack([tensor[:, index] for tensor in entry])
-
-    def merge_from(self, other) -> None:
-        """XOR another pool into this one, one page at a time.
-
-        The out-of-core counterpart of
-        :meth:`~repro.sketch.tensor_pool.NodeTensorPool.merge_from`:
-        each own page is pinned, XORed with the other pool's matching
-        node range, and marked dirty, so the merge never holds more
-        than the working set in RAM.  The source may be a paged pool
-        with the same page geometry (pages pair up one to one), a flat
-        pool (its round slabs are sliced by view), or -- the rare
-        fallback -- a paged pool with *different* page bounds, which is
-        read one assembled round slab at a time.
-        """
-        self._check_mergeable(other)
-        mismatched_paged = other.is_paged and not np.array_equal(
-            self.page_bounds, other.page_bounds
-        )
-        if mismatched_paged:
-            # Round-major outer loop: the source assembles one round
-            # slab per (plane, round) instead of once per page.
-            for round_index in range(self.num_rounds):
-                slabs = other._round_views(round_index)
-                for page in range(self.num_pages):
-                    lo, hi = self.page_span(page)
-                    with self._pinned(page) as entry:
-                        for tensor, slab in zip(entry, slabs):
-                            tensor[round_index, : hi - lo] ^= slab[lo:hi]
-        else:
-            for page in range(self.num_pages):
-                lo, hi = self.page_span(page)
-                with self._pinned(page) as entry:
-                    if other.is_paged:
-                        with other._pinned(page, dirty=False) as other_entry:
-                            for tensor, source in zip(entry, other_entry):
-                                tensor ^= source
-                    else:
-                        for plane, tensor in enumerate(entry):
-                            for round_index in range(self.num_rounds):
-                                tensor[round_index, : hi - lo] ^= other._round_view(
-                                    plane, round_index
-                                )[lo:hi]
-        self._bump_version()
-        self._updates_applied += other._updates_applied
 
     def page_stats(self) -> Dict[str, int]:
         """Working-set telemetry for reports and the CLI."""

@@ -35,14 +35,6 @@ SAMPLE_ZERO = 0
 SAMPLE_GOOD = 1
 SAMPLE_FAIL = 2
 
-#: Status code -> :class:`SampleOutcome`, for converting batched results
-#: back to the object form (tests, debugging).
-OUTCOME_BY_CODE = {
-    SAMPLE_ZERO: SampleOutcome.ZERO,
-    SAMPLE_GOOD: SampleOutcome.GOOD,
-    SAMPLE_FAIL: SampleOutcome.FAIL,
-}
-
 
 @dataclass(frozen=True, slots=True)
 class SampleResult:

@@ -28,7 +28,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError, IncompatibleSketchError
 from repro.hashing.mixers import seeded_hash64, trailing_zeros64
 from repro.hashing.prng import derive_seed
-from repro.sketch.bucket import StandardBucket
 from repro.sketch.sketch_base import L0Sampler, SampleResult
 from repro.sketch.geometry import cube_shape
 from repro.sketch.sizes import WIDE_ARITHMETIC_THRESHOLD, standard_l0_size_bytes
@@ -162,10 +161,6 @@ class StandardL0Sketch(L0Sampler):
             for r in range(self.num_rows)
             for c in range(self.num_columns)
         )
-
-    def bucket(self, row: int, col: int) -> StandardBucket:
-        """The logical contents of one bucket (testing / debugging)."""
-        return StandardBucket(self._a[row][col], self._b[row][col], self._c[row][col])
 
     # ------------------------------------------------------------------
     # linearity

@@ -11,7 +11,7 @@ round slab instead of striding across every node's full bundle.
 The pool holds one such tensor per bucket plane of its geometry
 (:attr:`~repro.sketch.geometry.SketchGeometry.planes`): up to 65 536
 nodes a single plane of packed ``alpha << 32 | gamma`` words, so folds,
-merges and reductions run as one XOR on one tensor, and above that a
+snapshot merges and reductions run as one XOR on one tensor, and above that a
 uint64 alpha plane plus a uint32 gamma plane.  Every pool operation is
 an XOR per plane; only :meth:`SketchGeometry.pack
 <repro.sketch.geometry.SketchGeometry.pack>` and ``unpack`` know what
@@ -53,7 +53,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.edge_encoding import EdgeEncoder
-from repro.exceptions import ConfigurationError, IncompatibleSketchError
+from repro.exceptions import ConfigurationError
 from repro.observability.tracing import span
 from repro.sketch.flat_node_sketch import (
     FlatNodeSketch,
@@ -139,7 +139,7 @@ class RoundMemo:
 
     A component's round sample is a function of its member set and those
     members' round sketches only, so a later query re-samples just the
-    components a write or a merge changed and copies the rest from here
+    components a write changed and copies the rest from here
     (see the native ``repro_sample_components``).  ``labels[node]`` is the
     label the node was read under (-1: inactive), ``statuses[root]`` /
     ``indices[root]`` the sample of the component rooted there, and
@@ -590,53 +590,6 @@ class NodeTensorPool:
         self._bump_version()
         self._updates_applied += int(count)
 
-    # ------------------------------------------------------------------
-    # merging (the distributed plane)
-    # ------------------------------------------------------------------
-    def _check_mergeable(self, other: "NodeTensorPool") -> None:
-        """Reject pools whose XOR would not be the sketch of a stream union.
-
-        Linearity only holds for sketches built under identical hash
-        functions and geometry, and the packed/wide layouts are not
-        byte-compatible, so the geometry (bucket mode included) and the
-        seed must match.  Raised *before* any bucket is touched -- a
-        failed merge leaves both pools exactly as they were.
-        """
-        if other is self:
-            raise IncompatibleSketchError(
-                "merging a pool into itself would zero it (XOR is self-inverse)"
-            )
-        if self.geometry != other.geometry:
-            raise IncompatibleSketchError(
-                f"pool geometry mismatch: {self!r} cannot merge {other!r}"
-            )
-        if self.graph_seed != other.graph_seed:
-            raise IncompatibleSketchError(
-                f"pool seeds differ ({self.graph_seed} vs {other.graph_seed}); "
-                "XOR of sketches under different hash functions is meaningless"
-            )
-
-    def merge_from(self, other: "NodeTensorPool") -> None:
-        """XOR another pool's buckets into this one (``self ^= other``).
-
-        Sketches are linear: the XOR of two pools built from disjoint
-        update sub-streams is bit-identical to the pool of the
-        concatenated stream, which is what lets independent ingestors
-        each fold a slice of a heavy stream and combine afterwards.
-        ``other`` may be any pool flavour with matching geometry/seed
-        (a paged source is read one round slab at a time); it is not
-        modified.  Update accounting is summed and the slab cache is
-        invalidated, exactly as if the other pool's stream had been
-        folded here.
-        """
-        self._check_mergeable(other)
-        self._stamp()
-        for round_index in range(self.num_rounds):
-            for tensor, slab in zip(self._planes, other._round_views(round_index)):
-                tensor[round_index] ^= slab
-        self._bump_version()
-        self._updates_applied += other._updates_applied
-
     def _check_destinations(self, dsts: np.ndarray) -> None:
         """Reject out-of-range destinations before they index the pool.
 
@@ -657,7 +610,7 @@ class NodeTensorPool:
     def _round_view(self, plane: int, round_index: int) -> np.ndarray:
         """One round's ``(num_nodes, cols, rows)`` slab of bucket plane ``plane``.
 
-        Every whole-round read -- queries, merges, snapshots, the
+        Every whole-round read -- queries, snapshots, the
         per-node views -- reaches bucket state through this accessor,
         which is what lets the paged pool substitute slabs assembled
         from node-group pages without touching any of them.

@@ -225,6 +225,22 @@ def test_resume_refuses_merged_snapshot(tmp_path, capsys):
     assert "merged snapshot" in capsys.readouterr().out
 
 
+def test_merge_refuses_the_same_snapshot_twice(tmp_path, monkeypatch):
+    """XOR is self-inverse: merging a file with itself must fail, not
+    write an all-zero sketch."""
+    from repro.exceptions import StreamFormatError
+
+    stream_path = tmp_path / "kron13.stream"
+    main(["generate", "kron13", str(stream_path), "--scale-reduction", "8", "--seed", "3"])
+    snap = tmp_path / "a.snap"
+    assert main(["snapshot", str(stream_path), str(snap), "--seed", "5"]) == 0
+    monkeypatch.chdir(tmp_path)
+    merged = tmp_path / "merged.snap"
+    with pytest.raises(StreamFormatError, match="same file"):
+        main(["merge", str(merged), str(snap), "./a.snap"])
+    assert not merged.exists()
+
+
 # ----------------------------------------------------------------------
 # checkpointing flags and directory recovery
 # ----------------------------------------------------------------------

@@ -95,13 +95,6 @@ def test_encode_batch_rejects_self_loop_and_range():
         encoder.encode_batch(3, [50])
 
 
-def test_decode_batch():
-    encoder = EdgeEncoder(20)
-    edges = [(1, 2), (0, 19), (5, 6)]
-    indices = np.array([encoder.encode(u, v) for u, v in edges], dtype=np.uint64)
-    assert encoder.decode_batch(indices) == edges
-
-
 def test_requires_two_nodes():
     with pytest.raises(ConfigurationError):
         EdgeEncoder(1)

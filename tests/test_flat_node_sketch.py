@@ -19,11 +19,10 @@ from repro.core.node_sketch import merged_round_sketch
 from repro.exceptions import IncompatibleSketchError
 from repro.sketch.cubesketch import CubeSketch
 from repro.sketch.flat_node_sketch import (
-    _XOR_BLOCK_ROWS,
     FlatNodeSketch,
-    _segmented_xor_blocked,
-    columnar_fold,
     flat_seed_matrices,
+    fold_hashed,
+    hash_depths_checksums,
     segmented_xor,
 )
 from repro.sketch.geometry import SketchGeometry
@@ -198,12 +197,11 @@ def test_columnar_fold_targets_are_unique():
     rng = np.random.default_rng(0)
     indices = (rng.integers(0, NUM_NODES - 1, 500) + 1).astype(np.uint64)
     dsts = rng.integers(0, NUM_NODES, 500)
-    targets, alpha_vals, gamma_vals = columnar_fold(
-        indices,
-        sketch._mixed_membership,
-        sketch._mixed_checksum,
-        sketch.num_rows,
-        dsts=dsts,
+    depths, checksums = hash_depths_checksums(
+        indices, sketch._mixed_membership, sketch._mixed_checksum, sketch.num_rows
+    )
+    targets, alpha_vals, gamma_vals = fold_hashed(
+        indices, depths, checksums, sketch.num_rows, dsts
     )
     assert targets.size == np.unique(targets).size
     assert targets.size == alpha_vals.size == gamma_vals.size
@@ -211,44 +209,25 @@ def test_columnar_fold_targets_are_unique():
 
 
 # ----------------------------------------------------------------------
-# segmented XOR: the blocked two-level path must match plain reduceat
+# segmented XOR
 # ----------------------------------------------------------------------
 @given(
-    num_rows=st.integers(min_value=1, max_value=6 * _XOR_BLOCK_ROWS),
+    num_rows=st.integers(min_value=1, max_value=300),
     width=st.integers(min_value=1, max_value=12),
     num_segments=st.integers(min_value=1, max_value=12),
     dtype=st.sampled_from([np.uint64, np.uint32]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_segmented_xor_blocked_is_bit_identical(
-    num_rows, width, num_segments, dtype, seed
-):
+def test_segmented_xor_matches_a_per_segment_reduce(num_rows, width, num_segments, dtype, seed):
     rng = np.random.default_rng(seed)
     num_segments = min(num_segments, num_rows)
-    starts = np.sort(
-        rng.choice(num_rows, size=num_segments, replace=False)
-    ).astype(np.int64)
+    starts = np.sort(rng.choice(num_rows, size=num_segments, replace=False)).astype(np.int64)
     starts[0] = 0
-    info = np.iinfo(dtype)
-    values = rng.integers(0, info.max, size=(num_rows, width), dtype=dtype)
-    reference = np.bitwise_xor.reduceat(values, starts, axis=0)
-    # The public entry point (whichever path its gate picks)...
-    assert np.array_equal(reference, segmented_xor(values, starts))
-    # ...and the blocked path forced, including segments inside a single
-    # block, straddling blocks, and past the blocked prefix of the array.
-    ends = np.append(starts[1:], num_rows)
-    assert np.array_equal(reference, _segmented_xor_blocked(values, starts, ends))
-
-
-def test_segmented_xor_gate_picks_blocked_on_large_segments():
-    rng = np.random.default_rng(1)
-    values = rng.integers(
-        0, 1 << 63, size=(16 * _XOR_BLOCK_ROWS, 4), dtype=np.uint64
-    )
-    starts = np.array([0, values.shape[0] // 2], dtype=np.int64)
-    reference = np.bitwise_xor.reduceat(values, starts, axis=0)
-    assert np.array_equal(reference, segmented_xor(values, starts))
-    # Single-row segments still short-circuit to the input itself.
-    one_row = np.arange(values.shape[0], dtype=np.int64)
+    values = rng.integers(0, np.iinfo(dtype).max, size=(num_rows, width), dtype=dtype)
+    bounds = [*starts.tolist(), num_rows]
+    expected = [np.bitwise_xor.reduce(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(segmented_xor(values, starts), np.stack(expected))
+    # Single-row segments short-circuit to the input itself.
+    one_row = np.arange(num_rows, dtype=np.int64)
     assert segmented_xor(values, one_row) is values

@@ -25,7 +25,6 @@ from repro.integrity.digest import payload_digest
 from repro.memory.hybrid import HybridMemory
 from repro.parallel.cost_model import usable_cores
 from repro.sketch.flat_node_sketch import (
-    columnar_fold,
     fold_hashed,
     fold_scratch_bytes,
     hash_depths_checksums,
@@ -317,10 +316,12 @@ def test_scratch_arena_bounded_by_largest_batch():
         for size in sizes.tolist():
             lo = rng.integers(0, 63, size)
             hi = lo + 1 + rng.integers(0, 63 - lo)
-            columnar_fold(
-                encoder.encode_canonical_pairs(lo, hi),
-                pool._mixed_membership, pool._mixed_checksum, pool.num_rows, lo,
+            indices = encoder.encode_canonical_pairs(lo, hi)
+            depths, checksums = hash_depths_checksums(
+                indices, pool._mixed_membership, pool._mixed_checksum, pool.num_rows,
+                reuse_scratch=True,
             )
+            fold_hashed(indices, depths, checksums, pool.num_rows, lo)
         arena_bytes.append(fold_scratch_bytes())
 
     # The arena is per thread: a fresh thread starts from an empty one.

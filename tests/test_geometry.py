@@ -20,7 +20,7 @@ from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.distributed.snapshot import load_pool_snapshot, read_snapshot_meta
-from repro.exceptions import ConfigurationError, IncompatibleSketchError, StreamFormatError
+from repro.exceptions import ConfigurationError, StreamFormatError
 from repro.sketch.geometry import SketchGeometry, cubesketch_num_columns, node_sketch_columns
 from repro.sketch.tensor_pool import NodeTensorPool
 from repro.types import EdgeUpdate, UpdateType
@@ -173,8 +173,6 @@ def test_every_site_reads_the_one_builder(request, monkeypatch, tmp_path, paged,
     monkeypatch.undo()
     default = NodeTensorPool(NUM_NODES, EdgeEncoder(NUM_NODES), graph_seed=41)
     assert default.geometry != geometry
-    with pytest.raises(IncompatibleSketchError, match="geometry"):
-        default.merge_from(pool)
     with pytest.raises(StreamFormatError, match="geometry"):
         GraphZeppelin.load_snapshot(path, config=config)
     with pytest.raises(StreamFormatError, match="geometry"):

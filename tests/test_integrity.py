@@ -324,7 +324,9 @@ def test_tampered_payload_record_fails_although_every_block_verifies(kernels):
     payload = os.urandom(50)
     memory = _spill(kernels, payload)
     start = memory._allocations["k"][0]
-    assert memory.device.read_blob(start, 4) == payload  # device-level checks pass
+    blob = bytearray(4 * 16)
+    total, _ = memory.device.read_into(start, 4, blob)  # device-level checks pass
+    assert bytes(blob[:total]) == payload
     memory._payload_digests["k"][2] ^= 1
     with pytest.raises(CorruptionError, match="payload for key 'k'"):
         memory.load("k")
@@ -338,15 +340,16 @@ def test_short_non_final_block_is_verified_block_by_block(kernels):
     device = BlockDevice(block_size=16, kernels=kernels)
     parts = [b"a" * 16, b"b" * 5, b"c" * 16, b""]
     for block_id, part in enumerate(parts):
-        device.write_block(block_id, part)
-    blob, digests = device.read_blob_digests(0, 4)
-    assert blob == b"".join(parts)
+        device.write_blob(block_id, part)
+    blob = bytearray(4 * 16)
+    total, digests = device.read_into(0, 4, blob)
+    assert bytes(blob[:total]) == b"".join(parts)
     assert digests == [payload_digest(part) for part in parts]
     device._blocks[2] = b"c" * 15 + b"d"
     with pytest.raises(CorruptionError, match="block 2 failed"):
-        device.read_blob(0, 4)
+        device.read_into(0, 4, blob)
     assert device.stats.checksum_failures == 1
-    assert device.read_blob(0, 2) == b"a" * 16 + b"b" * 5
+    assert device.read_into(0, 2, blob)[0] == 21 and bytes(blob[:21]) == b"a" * 16 + b"b" * 5
 
 
 def test_unchecked_memory_digests_nothing():

@@ -107,24 +107,78 @@ def test_the_bucket_layout_is_decided_once():
                 assert not any(t.string == "if" for t in line), (path, token.start)
 
 
-#: Scalar references of the engine; they live in ``tests/`` as oracles.
-REFERENCES_OUT_OF_THE_PRODUCT = {
+#: Names ``src/`` must not define again.  Two kinds: the engine's scalar
+#: references, which live in ``tests/`` as oracles, and second paths and
+#: surface that only tests reached, which the tests now reach through the
+#: product API.  A method is ``Class.name``; anything else is its bare name.
+OUT_OF_THE_PRODUCT = {
+    # scalar references
     "NodeSketch",
     "sketch_spanning_forest",
     "query_merged",
     "query_bucket_arrays",
     "exhaustive_samples",
     "cubesketch_to_bytes",
+    # the pool-to-pool merge (snapshots are the one merge path)
+    "NodeTensorPool.merge_from",
+    "NodeTensorPool._check_mergeable",
+    "PagedTensorPool.merge_from",
+    # the blocked segmented XOR (``reduceat`` is the one reduce)
+    "_segmented_xor_blocked",
+    "_XOR_BLOCK_ROWS",
+    # a wrapper and test-only surface
+    "columnar_fold",
+    "CubeBucket",
+    "StandardBucket",
+    "CubeSketch.bucket",
+    "StandardL0Sketch.bucket",
+    "SeedSequenceFactory",
+    "BlockDevice.write_block",
+    "BlockDevice.read_block",
+    "BlockDevice.has_block",
+    "BlockDevice.read_blob",
+    "BlockDevice.read_blob_digests",
+    "IOStats.merged_with",
+    "IOStats.reset",
+    "EdgeEncoder.decode_batch",
+    "OUTCOME_BY_CODE",
+    # dead code
+    "SketchFailureError",
+    "_reset_for_tests",
+    "ShardedIngestor.batches_ingested",
+    "ShardedIngestor.updates_ingested",
+    "Checkpointer.updates_since_checkpoint",
+    "GraphZeppelinConfig.in_memory",
 }
 
 
+def _defined_names(tree):
+    """Every name a module binds by ``def``, ``class`` or assignment, plus
+    ``Class.name`` for each method."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{child.name}", child.lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+
+
 def test_references_live_in_tests_not_in_the_product():
-    """``src/`` defines no scalar reference and imports nothing from ``tests/``."""
+    """``src/`` defines nothing in :data:`OUT_OF_THE_PRODUCT` and imports
+    nothing from ``tests/``."""
+    assert not (ROOT / "src" / "repro" / "sketch" / "bucket.py").exists()
     test_modules = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"tests"}
     for path in sorted((ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                assert node.name not in REFERENCES_OUT_OF_THE_PRODUCT, (path, node.lineno)
+        tree = ast.parse(path.read_text(), str(path))
+        for name, lineno in _defined_names(tree):
+            assert name not in OUT_OF_THE_PRODUCT, (path, lineno, name)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -133,6 +187,28 @@ def test_references_live_in_tests_not_in_the_product():
                 continue
             for module in modules:
                 assert module.split(".")[0] not in test_modules, (path, node.lineno)
+
+
+def test_src_imports_nothing_it_does_not_use():
+    """Every import in a ``src/repro`` module is read there; package
+    ``__init__`` modules are skipped, since their imports are re-exports.
+    A name read only inside a quoted annotation counts as unused: write
+    the annotation unquoted, under ``from __future__ import annotations``."""
+    unused = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [(path.relative_to(ROOT), node.lineno, name) for name in bound if name not in used]
+    assert not unused
 
 
 @pytest.mark.parametrize("wide, itemsizes", [(False, (8,)), (True, (8, 4))])

@@ -147,13 +147,6 @@ def _merge_snapshot(engines, rng, tmp_path):
         merge_snapshots_into([path], engine.tensor_pool)
 
 
-def _merge_pool(engines, rng, tmp_path):
-    side = _engine("numpy", engines[0].config.seed)
-    side.ingest_batch(_local_edges(rng, 5))
-    for engine in engines:
-        engine.tensor_pool.merge_from(side.tensor_pool)
-
-
 def _toggle_twice(engines, rng, tmp_path):
     edge = _random_edges(rng, 1)
     for engine in engines:
@@ -167,10 +160,10 @@ def _empty_delta(engines, rng, tmp_path):
 
 MUTATIONS = [
     _ingest_batch, _ingest_updates, _point_updates, _one_sided, _threads_stream,
-    _merge_snapshot, _merge_pool, _toggle_twice, _empty_delta,
+    _merge_snapshot, _toggle_twice, _empty_delta,
 ]
 #: A merge stamps every node, so the query after it reuses nothing.
-STAMPS_EVERY_NODE = (_merge_snapshot, _merge_pool)
+STAMPS_EVERY_NODE = (_merge_snapshot,)
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda f: f.__name__.strip("_"))

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sketch.bucket import CubeBucket, StandardBucket
 from repro.sketch.cubesketch import CubeSketch
 from repro.sketch.sketch_base import SampleOutcome, SampleResult
 from repro.sketch.sizes import (
@@ -33,27 +32,6 @@ def test_sample_result_validation():
         SampleResult(SampleOutcome.GOOD, None)
     with pytest.raises(ValueError):
         SampleResult(SampleOutcome.ZERO, 3)
-
-
-# ----------------------------------------------------------------------
-# bucket value objects
-# ----------------------------------------------------------------------
-def test_cube_bucket_toggle_roundtrip():
-    bucket = CubeBucket(0, 0)
-    assert bucket.is_empty
-    once = bucket.toggled(42, 99)
-    assert once.alpha == 42 and once.gamma == 99 and not once.is_empty
-    twice = once.toggled(42, 99)
-    assert twice.is_empty
-
-
-def test_standard_bucket_apply():
-    bucket = StandardBucket(0, 0, 0)
-    assert bucket.is_empty
-    applied = bucket.applied(index=7, delta=1, checksum_term=13, prime=97)
-    assert applied == StandardBucket(7, 1, 13)
-    cancelled = applied.applied(index=7, delta=-1, checksum_term=13, prime=97)
-    assert cancelled.is_empty
 
 
 # ----------------------------------------------------------------------

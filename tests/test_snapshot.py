@@ -30,11 +30,7 @@ from repro.distributed.snapshot import (
     read_snapshot_meta,
     save_pool_snapshot,
 )
-from repro.exceptions import (
-    ConfigurationError,
-    IncompatibleSketchError,
-    StreamFormatError,
-)
+from repro.exceptions import ConfigurationError, StreamFormatError
 from repro.memory.hybrid import HybridMemory
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.tensor_pool import NodeTensorPool
@@ -199,13 +195,10 @@ def test_wide_snapshot_roundtrip_and_merge(tmp_path_factory, edges, seed, paged)
     merged, _ = merge_snapshots(halves)
     _assert_identical(reference, merged)
 
-    # merge_from covers the pool-to-pool path, paged target included.
-    target = _wide_pool(seed, memory=HybridMemory(ram_bytes=4_000))
-    _fold_edges(target, array[0::2])
-    source = _wide_pool(seed)
-    _fold_edges(source, array[1::2])
-    target.merge_from(source)
-    _assert_identical(reference, target)
+    # The paged target: merged page by page under the RAM budget.
+    paged_merged, _ = merge_snapshots(halves, memory=HybridMemory(ram_bytes=4_000))
+    assert paged_merged.is_paged
+    _assert_identical(reference, paged_merged)
 
 
 # ----------------------------------------------------------------------
@@ -366,10 +359,18 @@ def test_resume_with_stream_validation_rejected(snapshot_file):
         )
 
 
-def test_merge_from_self_rejected():
-    pool = _wide_pool(3)
-    with pytest.raises(IncompatibleSketchError, match="itself"):
-        pool.merge_from(pool)
+def test_merge_from_self_rejected(tmp_path, snapshot_file, monkeypatch):
+    """One file named twice would XOR-cancel itself into an all-zero pool
+    that still reports the doubled update count."""
+    path, _ = snapshot_file
+    monkeypatch.chdir(tmp_path)
+    for spelling in (path, f"./{path.name}", tmp_path / ".." / tmp_path.name / path.name):
+        target = GraphZeppelin(NUM_NODES, config=GraphZeppelinConfig(seed=11))
+        with pytest.raises(StreamFormatError, match="same file"):
+            merge_snapshots_into([path, spelling], target.tensor_pool)
+        _assert_pool_untouched(target.tensor_pool)
+    with pytest.raises(StreamFormatError, match="same file"):
+        merge_snapshots([path, path])
 
 
 def test_meta_roundtrip(snapshot_file):

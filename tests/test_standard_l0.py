@@ -139,14 +139,6 @@ def test_invalid_parameters_rejected():
         StandardL0Sketch(10, delta=0)
 
 
-def test_bucket_view():
-    sketch = StandardL0Sketch(100, seed=1)
-    sketch.update(7, 1)
-    bucket = sketch.bucket(0, 0)
-    assert bucket.a == 7
-    assert bucket.b == 1
-
-
 def test_failure_never_fabricates_index():
     rng = np.random.default_rng(1)
     for trial in range(30):

@@ -26,7 +26,13 @@ from repro.core.graph_zeppelin import GraphZeppelin
 from repro.core.streaming_cc import StreamingCC
 from repro.kernels import native_kernels
 from repro.sketch.flat_node_sketch import query_bucket_arrays_batch
-from repro.sketch.sketch_base import OUTCOME_BY_CODE, SAMPLE_GOOD, SampleResult
+from repro.sketch.sketch_base import (
+    SAMPLE_FAIL,
+    SAMPLE_GOOD,
+    SAMPLE_ZERO,
+    SampleOutcome,
+    SampleResult,
+)
 from repro.sketch.tensor_pool import NodeTensorPool
 from sketch_reference import (
     cube_query,
@@ -53,6 +59,15 @@ def _engine(seed: int, edges, **overrides) -> GraphZeppelin:
     if edges:
         engine.ingest_batch(np.asarray(edges, dtype=np.int64))
     return engine
+
+
+#: Status code -> :class:`SampleOutcome`, for converting batched results
+#: back to the object form.
+OUTCOME_BY_CODE = {
+    SAMPLE_ZERO: SampleOutcome.ZERO,
+    SAMPLE_GOOD: SampleOutcome.GOOD,
+    SAMPLE_FAIL: SampleOutcome.FAIL,
+}
 
 
 def _sample_of(status: int, index: int) -> SampleResult:
