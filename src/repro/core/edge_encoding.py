@@ -21,7 +21,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, InvalidStreamError
 from repro.types import Edge
 
 
@@ -125,3 +125,22 @@ class EdgeEncoder:
 
     def __repr__(self) -> str:
         return f"EdgeEncoder(num_nodes={self.num_nodes})"
+
+
+def canonical_edge_columns(endpoints: np.ndarray, num_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of ``(N, 2)`` int64 edge rows, or :func:`edge_batch_error` for
+    the first bad row: the numpy twin of ``native_cc``'s ``repro_canonical_edges``."""
+    u, v = endpoints[:, 0], endpoints[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo < 0) | (hi >= num_nodes) | (lo == hi)
+    if bad.any():
+        raise edge_batch_error(endpoints, int(bad.argmax()), num_nodes)
+    return lo, hi
+
+
+def edge_batch_error(endpoints: np.ndarray, row: int, num_nodes: int) -> InvalidStreamError:
+    """What both providers raise for ``row``: an endpoint outside the graph, or a self loop."""
+    u, v = endpoints[row].tolist()
+    if min(u, v) < 0 or max(u, v) >= num_nodes:
+        return InvalidStreamError(f"batch row {row}: endpoint outside the graph [0, {num_nodes})")
+    return InvalidStreamError(f"batch row {row}: self loop ({u}, {v})")

@@ -48,7 +48,7 @@ from repro.buffering.gutter_tree import GutterTree
 from repro.buffering.leaf_gutters import LeafGutters
 from repro.core.boruvka import BoruvkaStats, vectorized_spanning_forest
 from repro.core.config import BufferingMode, GraphZeppelinConfig
-from repro.core.edge_encoding import EdgeEncoder
+from repro.core.edge_encoding import EdgeEncoder, canonical_edge_columns
 from repro.core.spanning_forest import SpanningForest
 from repro.exceptions import (
     ConfigurationError,
@@ -319,13 +319,14 @@ class GraphZeppelin:
     def ingest_batch(self, edges: Union[np.ndarray, Sequence[Tuple[int, int]]]) -> int:
         """Columnar ingestion of an ``(N, 2)`` array of edge toggles.
 
-        The whole batch is canonicalised, mirrored, and encoded with
-        numpy; no per-edge Python work happens anywhere on the path.
-        With the in-RAM tensor pool the mixed multi-node update column
-        goes straight through the columnar fold kernel (buffering would
-        only add copying); out-of-core configurations route the columns
-        through the buffering structure's vectorised ``insert_batch`` so
-        per-page batches still amortise sketch page-ins.
+        The whole batch is validated, canonicalised, mirrored and encoded
+        columnar -- on a native in-RAM pool, in two compiled calls -- with
+        no per-edge Python work.  With the in-RAM tensor pool the batch
+        goes straight through the fold kernel (buffering would only add
+        copying); out-of-core configurations route the columns through
+        the buffering structure's vectorised ``insert_batch`` so per-page
+        batches still amortise sketch page-ins.  A bad batch raises
+        :class:`~repro.exceptions.InvalidStreamError` and changes nothing.
 
         Like :meth:`edge_update`, each row is a toggle: inserting an
         absent edge and deleting a present one are the same operation
@@ -339,62 +340,51 @@ class GraphZeppelin:
         what the buffers emitted but could not fold is back in the
         buffers, and a later :meth:`flush` applies it.
         """
-        lo, hi = self._canonical_edge_columns(edges)
-        if lo is None:
+        endpoints = self._edge_rows(edges)
+        if endpoints is None:
             return 0
-        self._toggle_tracked_edges(lo, hi)
-        count = int(lo.size)
-        self._updates_processed += count
-        self._cached_forest = None
-        registry = default_registry()
-        if registry.enabled:
-            registry.counter("ingest.updates").inc(count)
-
         with span("ingest.batch"):
             if self._buffering is None or not self._pool.is_paged:
                 # In-RAM pools fold directly even when buffering is
                 # configured (the gutters would only copy); the paged pool
                 # keeps the buffering layer in front so small batches still
-                # amortise page pins.
-                self._pool.apply_edges(
-                    lo, hi, self.encoder.encode_canonical_pairs(lo, hi)
-                )
+                # amortise page pins.  A rejected batch writes nothing; a
+                # fold stopped part way has, so the cached answer goes first.
+                self._cached_forest = None
+                self._accept_batch(*self._pool.apply_edge_rows(endpoints))
                 self._batches_applied += 1
             else:
+                lo, hi = canonical_edge_columns(endpoints, self.num_nodes)
+                self._accept_batch(lo, hi)
                 dsts = np.concatenate([lo, hi])
                 neighbors = np.concatenate([hi, lo])
                 self._apply_emitted(self._buffering.insert_batch(dsts, neighbors))
-        self._note_checkpoint_progress(count)
-        return count
+        self._note_checkpoint_progress(endpoints.shape[0])
+        return endpoints.shape[0]
 
-    def _canonical_edge_columns(self, edges):
-        """Validate and canonicalise an ``(N, 2)`` edge batch.
-
-        The shared front half of serial :meth:`ingest_batch` and the
-        sharded parallel ingest path: shape/dtype/range/self-loop validation
-        and canonical ``(lo, hi)`` orientation.  Returns ``(lo, hi)``
-        int64 columns, or ``(None, None)`` for an empty batch.  Counter
-        updates, cache invalidation, and the tracked-edge toggle
-        (:meth:`_toggle_tracked_edges`) stay with the caller -- the
-        parallel path defers all of them to its batch barrier so a
-        batch whose workers fail leaves no phantom state behind.
-        """
+    @staticmethod
+    def _edge_rows(edges) -> Optional[np.ndarray]:
+        """An edge batch as ``(N, 2)`` int64 rows, or ``None`` for ``[]`` or
+        ``(0, 2)``: the shape and dtype checks every provider shares."""
         array = np.asarray(edges)
-        if array.size == 0:
-            return None, None
+        if array.shape in ((0,), (0, 2)):
+            return None
         if array.ndim != 2 or array.shape[1] != 2:
             raise InvalidStreamError("ingest_batch expects an (N, 2) edge array")
         if array.dtype.kind not in "iu":
             # A float or bool endpoint would be truncated into another node.
             raise InvalidStreamError(f"ingest_batch expects integer node ids, not {array.dtype}")
-        endpoints = array.astype(np.int64, copy=False)
-        if endpoints.min() < 0 or endpoints.max() >= self.num_nodes:
-            raise InvalidStreamError("batch contains an endpoint outside the graph")
-        u, v = endpoints[:, 0], endpoints[:, 1]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        if (lo == hi).any():
-            raise InvalidStreamError("batch contains a self loop")
-        return lo, hi
+        return array.astype(np.int64, copy=False)
+
+    def _accept_batch(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Record a validated serial batch: tracked edges, counters, cached answer."""
+        self._toggle_tracked_edges(lo, hi)
+        count = lo.size
+        self._updates_processed += count
+        self._cached_forest = None
+        registry = default_registry()
+        if registry.enabled:
+            registry.counter("ingest.updates").inc(count)
 
     def _toggle_tracked_edges(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Toggle a canonical edge batch in the validated edge set.

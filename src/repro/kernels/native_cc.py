@@ -1,9 +1,9 @@
 """The compiled-C native kernel provider (gcc + ctypes, zero dependencies).
 
-This module implements the six hot kernels of the engine -- the ingest
-fold, the query-side segmented XOR-reduce, the batched bucket decode,
-the storage-integrity block digest, and the fused sample and the round
-tail of a Boruvka round -- as a small C library compiled
+This module implements the hot kernels of the engine -- the ingest
+fold and its canonical edge batch, the query-side segmented XOR-reduce,
+the batched bucket decode, the storage-integrity block digest, and the
+fused sample and the round tail of a Boruvka round -- as a small C library compiled
 **at first use** with the host's C compiler and loaded through
 :mod:`ctypes`.  It is the provider of the ``native`` kernel backend,
 property-tested bit-identical to the numpy path.
@@ -25,6 +25,8 @@ Why compiling beats the numpy kernels:
   head applies from ``num_rows >= 4``; a two-node graph (3 rows) keeps
   the plain depth loop.  XOR folding is order-independent, so the
   buckets are bit-identical to the argsort + prefix-scan emission path.
+* **canonical edges**: twenty numpy calls, cold after a query, checked and
+  encoded a 64-edge delta in twice the fold's time; the kernel is one call.
 * **segmented XOR**: ``np.bitwise_xor.reduceat`` runs a scalar inner
   loop (~5 ns/element) over a gather copy of the reordered rows.  The C
   kernel fuses the gather and the reduce: one pass over the segment's
@@ -89,6 +91,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.boruvka import RoundQuery
+from repro.core.edge_encoding import edge_batch_error
 from repro.observability.metrics import default_registry
 from repro.observability.tracing import span
 from repro.sketch.round_split import fold_ranges, round_ranges, split_ranges
@@ -251,6 +254,29 @@ void repro_fold_edges_packed(uint64_t *pool, REPRO_EDGE_ARGS) {
 
 void repro_fold_edges_wide(uint64_t *alpha, uint32_t *gamma, REPRO_EDGE_ARGS) {
     REPRO_FOLD(2, REPRO_EDGE_DST, REPRO_WIDE)
+}
+
+/* Canonical edge batch: row j is edges[j * row_stride] and the int64  */
+/* col_stride after it.  Returns the first row with an endpoint outside */
+/* [0, n) or a self loop, writing nothing; else -1 after writing lo <   */
+/* hi, idx = lo * slot_nodes + hi and both stamps (NULL: none).         */
+int64_t repro_canonical_edges(const int64_t *edges, int64_t k, int64_t row_stride,
+                              int64_t col_stride, int64_t n, int64_t slot_nodes,
+                              int64_t *lo, int64_t *hi, uint64_t *idx,
+                              int64_t *stamps, int64_t stamp) {
+    int64_t j;
+    for (j = 0; j < k; j++) {
+        const int64_t u = edges[j * row_stride], v = edges[j * row_stride + col_stride];
+        if ((uint64_t)u >= (uint64_t)n || (uint64_t)v >= (uint64_t)n || u == v) return j;
+    }
+    for (j = 0; j < k; j++) {
+        const int64_t u = edges[j * row_stride], v = edges[j * row_stride + col_stride];
+        lo[j] = u < v ? u : v;
+        hi[j] = u < v ? v : u;
+        idx[j] = (uint64_t)lo[j] * (uint64_t)slot_nodes + (uint64_t)hi[j];
+        if (stamps) stamps[u] = stamps[v] = stamp;
+    }
+    return -1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -568,6 +594,7 @@ _SIGNATURES = {
     "repro_fold_sep64": [_P, _P, _P, _P, _I64, _P, _P, _I64, _I64, _I64, _P],
     "repro_fold_edges_packed": [_P, _P, _P, _P, _I64, _P, _P, _I64, _I64, _I64, _P],
     "repro_fold_edges_wide": [_P, _P, _P, _P, _P, _I64, _P, _P, _I64, _I64, _I64, _P],
+    "repro_canonical_edges": [_P, _I64, _I64, _I64, _I64, _I64, _P, _P, _P, _P, _I64],
     "repro_seg_xor_u64": [_P, _I64, _I64, _I64, _P, _I64, _P, _I64, _P],
     "repro_seg_xor_u32": [_P, _I64, _I64, _I64, _P, _I64, _P, _I64, _P],
     "repro_decode_column": [_P, _P, _I64, _I64, _U64, _U64, _P, _P, _P],
@@ -667,9 +694,9 @@ def _build_library() -> ctypes.CDLL:
     for name, argtypes in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes = argtypes
-        # The two round kernels return a count, the rest nothing.
-        returns_count = name in ("repro_sample_components", "repro_round_tail")
-        fn.restype = _I64 if returns_count else None
+        # The round kernels return a count, the canonical edges a row.
+        returns = ("repro_sample_components", "repro_round_tail", "repro_canonical_edges")
+        fn.restype = _I64 if name in returns else None
     return lib
 
 
@@ -696,6 +723,10 @@ def _as_u64(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.uint64)
 
 
+#: Most ``(lo, hi, idx)`` rows a pool keeps between edge batches (1.5 MiB,
+#: one ``GraphZeppelin.ingest`` chunk); a longer batch allocates its own.
+INGEST_SCRATCH_ROWS = 1 << 16
+
 #: Least (update, slot) work one round range of a split fold is given:
 #: below it, handing a range to a helper thread costs more than folding
 #: it on the caller.  A hand-off costs ~50-100 us on a 2-core x86 VM,
@@ -718,7 +749,7 @@ class CcKernels:
 
     def __init__(self) -> None:
         self._lib = _build_library()
-        #: pool -> its bound fold arguments (see :meth:`_fold_tail`).
+        #: pool -> its bound fold arguments (see :meth:`_bound`).
         self._fold_tails: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     # Singletons survive copy/pickle by reference/name: a pool carrying
@@ -738,6 +769,19 @@ class CcKernels:
     # ------------------------------------------------------------------
     # ingest folds
     # ------------------------------------------------------------------
+    def _bound(self, pool, offsets: np.ndarray) -> list:
+        """``pool``'s ``[arrays, tails by range count, (lo, hi, idx) scratch,
+        (edge fold, *plane addresses), stamp address]`` from its first fold:
+        the arrays keep the addresses valid; the pool itself is not held."""
+        arrays = (offsets, pool._mixed_membership, pool._mixed_checksum, pool._planes, pool._stamps)
+        bound = self._fold_tails.get(pool)
+        if bound is None or any(x is not y for x, y in zip(bound[0], arrays)):
+            layout = "packed" if len(pool._planes) == 1 else "wide"
+            fold = (getattr(self._lib, f"repro_fold_edges_{layout}"), *map(_addr, pool._planes))
+            empty = np.empty((3, 0), np.int64)
+            bound = self._fold_tails[pool] = [arrays, {}, empty, fold, _addr(pool._stamps)]
+        return bound
+
     def _fold_tail(self, pool, offsets: np.ndarray, ranges: int = 1) -> tuple:
         """The pool-constant tails of a fold cut into ``ranges`` round ranges.
 
@@ -747,14 +791,9 @@ class CcKernels:
         are slot-indexed and round-major, so a range is three addresses
         into them.  The vectors never change for the life of a pool, so
         the addresses are computed on the first fold with that range
-        count instead of on every 64-edge delta; the cache entry holds
-        the three vectors, which keeps them valid, and no reference to
-        the pool itself.
+        count instead of on every 64-edge delta (:meth:`_bound`).
         """
-        vectors = (offsets, pool._mixed_membership, pool._mixed_checksum)
-        bound = self._fold_tails.get(pool)
-        if bound is None or any(x is not y for x, y in zip(bound[0], vectors)):
-            bound = self._fold_tails[pool] = (vectors, {})
+        bound = self._bound(pool, offsets)
         tails = bound[1].get(ranges)
         if tails is None:
             cols = pool.num_columns
@@ -904,6 +943,36 @@ class CcKernels:
     def bind_query(self, num_nodes: int, encoder, source) -> "CcQuery":
         """One query's :class:`CcQuery` over a tensor pool or a sampler."""
         return CcQuery(self._lib, num_nodes, encoder, source)
+
+    def ingest_edges(self, pool, endpoints: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Check, orient, encode and stamp ``(k, 2)`` int64 edge rows of an
+        in-RAM pool in one call (a bad row raises :func:`edge_batch_error`,
+        nothing written), then fold them as :meth:`fold_pool_edges` does;
+        returns ``(lo, hi)``, valid until the pool's next batch."""
+        if endpoints.dtype != np.int64 or endpoints.shape[1:] != (2,):
+            raise ValueError("expected (k, 2) int64 edge rows")
+        if not endpoints.flags.aligned:  # strides not in whole int64s
+            endpoints = np.ascontiguousarray(endpoints)
+        k, (step, col) = endpoints.shape[0], endpoints.strides
+        bound = self._bound(pool, pool._slot_offsets)
+        columns = bound[2] if bound[2].shape[1] >= k else np.empty((3, k), np.int64)
+        if k <= INGEST_SCRATCH_ROWS:
+            bound[2] = columns
+        lo, hi, idx = (_addr(columns) + row * columns.strides[0] for row in range(3))
+        (fold, *planes), stamps = bound[3:]
+        bad = self._lib.repro_canonical_edges(
+            _addr(endpoints), k, step >> 3, col >> 3, pool.num_nodes,
+            pool.encoder.num_nodes, lo, hi, idx, stamps, pool._version + 1,
+        )
+        if bad >= 0:
+            raise edge_batch_error(endpoints, bad, pool.num_nodes)
+        try:
+            with span("ingest.fold"):
+                self._fold_split(pool, fold, (*planes, idx, lo, hi, k), True)
+            pool._updates_applied += 2 * k
+        finally:
+            pool._bump_version()
+        return columns[0, :k], columns[1, :k]
 
     # ------------------------------------------------------------------
     # storage integrity

@@ -51,6 +51,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.edge_encoding import canonical_edge_columns
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.exceptions import ConfigurationError
 from repro.parallel.cost_model import usable_cores
@@ -358,9 +359,11 @@ class ShardedIngestor:
         GIL-free code, so the producer stays a pure partitioner and the
         workers scale past the hash-bound ceiling.
         """
-        lo, hi = self.engine._canonical_edge_columns(edges)
-        if lo is None:
+        endpoints = self.engine._edge_rows(edges)
+        if endpoints is None:
             return None
+        # Counters and the tracked-edge toggle wait for the batch barrier.
+        lo, hi = canonical_edge_columns(endpoints, self.engine.num_nodes)
         pool = self.pool
         indices = self.engine.encoder.encode_canonical_pairs(lo, hi)
         dsts, edge_rows, cuts = partition_mirrored_updates(lo, hi, self.bounds)

@@ -36,9 +36,9 @@ otherwise hash + kernel + scatter per chunk.  The paged pool overrides
 only where offsets point and how they are scattered.
 
 This is what turns ``GraphZeppelin.ingest_batch`` into a columnar
-pipeline: canonicalise the edge array, encode the edge slots, and hand
-the ``(lo, hi, index)`` columns straight to
-:meth:`NodeTensorPool.apply_edges`.
+pipeline (:meth:`NodeTensorPool.apply_edge_rows`): canonicalise the edge
+array, encode the edge slots, and hand the ``(lo, hi, index)`` columns
+straight to :meth:`NodeTensorPool.apply_edges`.
 
 The pool is also the query engine's substrate: one Boruvka round's cut
 samples for *every* active component come out of a single segmented
@@ -52,7 +52,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.edge_encoding import EdgeEncoder
+from repro.core.edge_encoding import EdgeEncoder, canonical_edge_columns
 from repro.exceptions import ConfigurationError
 from repro.observability.tracing import span
 from repro.sketch.flat_node_sketch import (
@@ -450,6 +450,15 @@ class NodeTensorPool:
         self._check_destinations(lo)
         self._check_destinations(hi)
         self._fold_serial(idx, (lo, hi))
+
+    def apply_edge_rows(self, endpoints: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`apply_edges` of ``(N, 2)`` int64 rows, all checked first (native
+        in RAM: two compiled calls); returns ``(lo, hi)``, read before the next batch."""
+        if self._kernels is None or self.is_paged:
+            lo, hi = canonical_edge_columns(endpoints, self.num_nodes)
+            self.apply_edges(lo, hi, self.encoder.encode_canonical_pairs(lo, hi))
+            return lo, hi
+        return self._kernels.ingest_edges(self, endpoints)
 
     def apply_node_batch(self, node: int, neighbors) -> None:
         """Fold a batch of edges ``{node, w}`` into one node's bundle.

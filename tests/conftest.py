@@ -70,6 +70,39 @@ def fold_helpers(monkeypatch):
     shut_down()
 
 
+@pytest.fixture(scope="session")
+def portable_build(tmp_path_factory):
+    """``(provider, cache)``: the library a compiler without ``-march=native`` gives.
+
+    Built into its own ``REPRO_KERNEL_CACHE`` through a ``$CC`` wrapper
+    that fails on ``-march=native`` the way a cross compiler does, so
+    ``_build_library`` takes its fallback branch.
+    """
+    from repro.kernels import native_cc
+
+    compiler = native_cc.find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler")
+    root = tmp_path_factory.mktemp("portable")
+    wrapper = root / "cc-without-march-native"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        'for arg in "$@"; do\n'
+        '  if [ "$arg" = "-march=native" ]; then\n'
+        '    echo "error: unsupported option -march=native" >&2; exit 1\n'
+        "  fi\n"
+        "done\n"
+        f'exec "{compiler}" "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    cache = root / "cache"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("CC", str(wrapper))
+        patch.setenv("REPRO_KERNEL_CACHE", str(cache))
+        provider = native_cc.CcKernels()
+    return provider, cache
+
+
 @pytest.fixture
 def small_graph():
     """A fixed 8-node graph with two non-trivial components and two isolates.

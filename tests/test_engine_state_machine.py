@@ -3,9 +3,14 @@
 Hypothesis drives one :class:`GraphZeppelin` through a random sequence
 of operations -- point toggles through ``insert`` / ``delete``, edge
 batches (empty ones, and ones whose toggles cancel inside the batch),
-``ingest`` of update lists, flushes, queries, ``is_connected`` lookups,
-and a snapshot saved and loaded into a fresh engine that then carries
-on.  The model is the set of edges toggled an odd number of times; the
+``ingest`` of update lists and of ``GraphStream`` rows, flushes,
+queries, ``is_connected`` lookups, and a snapshot saved and loaded into
+a fresh engine that then carries on.  Half the engines fold split by
+round (the split floors lowered to one pair, two usable cores), and an
+ingest may run with ``INGEST_CHUNK_ROWS`` and the native
+``INGEST_SCRATCH_ROWS`` lowered to 1 or 3 rows, so a stream is ingested
+a few rows per batch and a longer batch folds from columns allocated for
+it.  The model is the set of edges toggled an odd number of times; the
 claim (after Berkholz et al.) is that the maintained answer equals the
 from-scratch answer after every prefix:
 
@@ -26,6 +31,7 @@ profile's example budget: 10 in tier-1, 100 under
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import tempfile
 from pathlib import Path
@@ -40,9 +46,14 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.core import graph_zeppelin
 from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.dsu import DisjointSetUnion
 from repro.core.graph_zeppelin import GraphZeppelin
+from repro.kernels import native_cc
+from repro.parallel import cost_model
+from repro.sketch import tensor_pool
+from repro.streaming.stream import GraphStream
 from repro.types import EdgeUpdate, UpdateType
 from sketch_reference import assert_node_state_matches, reference_node_sketches
 
@@ -53,6 +64,20 @@ MAX_NODES = 64
 coordinates = st.tuples(
     st.integers(0, MAX_NODES - 1), st.integers(0, MAX_NODES - 2)
 )
+
+
+#: ``INGEST_CHUNK_ROWS`` and ``INGEST_SCRATCH_ROWS`` for one ingest
+#: (``None``: unchanged).
+chunk_rows = st.sampled_from([None, 1, 3])
+
+
+@contextlib.contextmanager
+def _chunked(rows):
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(graph_zeppelin, "INGEST_CHUNK_ROWS", rows)
+            patch.setattr(native_cc, "INGEST_SCRATCH_ROWS", rows)
+        yield
 
 
 def _answer(engine: GraphZeppelin) -> tuple:
@@ -80,12 +105,19 @@ class EngineMachine(RuleBasedStateMachine):
         num_nodes=st.integers(2, MAX_NODES),
         seed=st.integers(0, 2**32 - 1),
         buffering=st.sampled_from([BufferingMode.NONE, BufferingMode.LEAF_GUTTERS]),
+        split=st.booleans(),
     )
-    def build(self, num_nodes, seed, buffering):
+    def build(self, num_nodes, seed, buffering, split):
         self.config = GraphZeppelinConfig(
             seed=seed, delta=self.delta, kernel_backend=self.kernel_backend, buffering=buffering
         )
         self.engine = GraphZeppelin(num_nodes, config=self.config)
+        self.patches = pytest.MonkeyPatch()
+        if split:
+            # Every fold of two or more (update, slot) pairs splits by round.
+            self.patches.setattr(cost_model, "usable_cores", lambda: 2)
+            self.patches.setattr(native_cc, "SPLIT_FLOOR", 1)
+            self.patches.setattr(tensor_pool, "SPLIT_FLOOR", 1)
 
     # ------------------------------------------------------------------
     # the model
@@ -116,26 +148,38 @@ class EngineMachine(RuleBasedStateMachine):
             self.engine.insert(u, v)
         self._toggle(u, v)
 
-    @rule(batch=st.lists(coordinates, max_size=12), cancel=st.booleans())
-    def ingest_batch(self, batch, cancel):
+    @rule(batch=st.lists(coordinates, max_size=12), cancel=st.booleans(), chunk_rows=chunk_rows)
+    def ingest_batch(self, batch, cancel, chunk_rows):
         pairs = [self._pair(coordinate) for coordinate in batch]
         if cancel:
             # Every toggle meets its twin inside the one batch.
             pairs += [(v, u) for u, v in reversed(pairs)]
         edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        assert self.engine.ingest_batch(edges) == len(pairs)
+        with _chunked(chunk_rows):  # a longer batch allocates its own columns
+            assert self.engine.ingest_batch(edges) == len(pairs)
         for u, v in pairs:
             self._toggle(u, v)
 
-    @rule(batch=st.lists(coordinates, max_size=12))
-    def ingest_stream(self, batch):
+    def _updates(self, batch) -> list:
         updates = []
         for coordinate in batch:
             u, v = self._pair(coordinate)
             present = (min(u, v), max(u, v)) in self.edges
             updates.append(EdgeUpdate(u, v, UpdateType.DELETE if present else UpdateType.INSERT))
             self._toggle(u, v)
+        return updates
+
+    @rule(batch=st.lists(coordinates, max_size=12))
+    def ingest_updates(self, batch):
+        updates = self._updates(batch)
         assert self.engine.ingest(updates) == len(updates)
+
+    @rule(batch=st.lists(coordinates, max_size=12), chunk_rows=chunk_rows)
+    def ingest_stream(self, batch, chunk_rows):
+        """``ingest`` of a :class:`GraphStream`: batches of strided row views."""
+        stream = GraphStream(self.engine.num_nodes, self._updates(batch))
+        with _chunked(chunk_rows):
+            assert self.engine.ingest(stream) == len(stream.rows)
 
     @rule()
     def flush(self):
@@ -183,6 +227,7 @@ class EngineMachine(RuleBasedStateMachine):
     def teardown(self):
         if self.engine is None:
             return
+        self.patches.undo()
         reference = reference_node_sketches(
             self.engine.num_nodes, sorted(self.edges), self.config.seed, self.delta
         )

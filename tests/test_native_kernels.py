@@ -428,39 +428,6 @@ def test_health_reports_resolved_backend():
 # ----------------------------------------------------------------------
 # the C build: cache key, and the portable flavour of every kernel
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def portable_build(tmp_path_factory):
-    """``(provider, cache)``: the library a compiler without ``-march=native`` gives.
-
-    Built into its own ``REPRO_KERNEL_CACHE`` through a ``$CC`` wrapper
-    that fails on ``-march=native`` the way a cross compiler does, so
-    ``_build_library`` takes its fallback branch.
-    """
-    from repro.kernels import native_cc
-
-    compiler = native_cc.find_compiler()
-    if compiler is None:
-        pytest.skip("no C compiler")
-    root = tmp_path_factory.mktemp("portable")
-    wrapper = root / "cc-without-march-native"
-    wrapper.write_text(
-        "#!/bin/sh\n"
-        'for arg in "$@"; do\n'
-        '  if [ "$arg" = "-march=native" ]; then\n'
-        '    echo "error: unsupported option -march=native" >&2; exit 1\n'
-        "  fi\n"
-        "done\n"
-        f'exec "{compiler}" "$@"\n'
-    )
-    wrapper.chmod(0o755)
-    cache = root / "cache"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("CC", str(wrapper))
-        patch.setenv("REPRO_KERNEL_CACHE", str(cache))
-        provider = native_cc.CcKernels()
-    return provider, cache
-
-
 def test_build_flavours_get_their_own_cache_paths(portable_build, monkeypatch):
     from repro.kernels import native_cc
 

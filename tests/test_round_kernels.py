@@ -24,6 +24,7 @@ from repro.core.boruvka import MERGED, RoundQuery, vectorized_spanning_forest
 from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
+from repro.exceptions import InvalidStreamError
 from repro.hashing.mixers import finalise_hash64_inplace
 from repro.kernels import native_kernels
 from repro.memory.hybrid import HybridMemory
@@ -397,3 +398,66 @@ def test_a_warm_query_is_two_foreign_calls_per_round(monkeypatch):
     rounds = engine.last_query_stats.rounds_used
     assert rounds >= 2
     assert counting.calls == {"repro_sample_components": rounds, "repro_round_tail": rounds}
+
+
+def _native_engine(num_nodes=240, seed=3):
+    engine = GraphZeppelin(num_nodes, GraphZeppelinConfig(kernel_backend="native", seed=seed))
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, num_nodes, 300)
+    engine.ingest_batch(np.stack([u, (u + rng.integers(1, 12, 300)) % num_nodes], axis=1))
+    return engine, rng
+
+
+def test_a_warm_ingest_is_two_foreign_calls(monkeypatch):
+    """After a query, a 64-edge batch is the canonical-edge kernel and one
+    fold, and the stamps that kernel wrote steer the next query's memo."""
+    counting = _CountingLib(NATIVE._lib)
+    monkeypatch.setattr(NATIVE, "_lib", counting)
+    engine, rng = _native_engine()
+    engine.list_spanning_forest()
+    u = rng.integers(0, 240, 64)
+    counting.calls.clear()
+    engine.ingest_batch(np.stack([u, (u + rng.integers(1, 239, 64)) % 240], axis=1))
+    assert counting.calls == {"repro_canonical_edges": 1, "repro_fold_edges_packed": 1}
+
+    forest = engine.list_spanning_forest()
+    warm = (forest.edges, dataclasses.asdict(engine.last_query_stats))
+    engine._cached_forest = None
+    pool = engine.tensor_pool
+    memos, pool._round_memos = pool._round_memos, {}
+    forest = engine.list_spanning_forest()
+    assert warm == (forest.edges, dataclasses.asdict(engine.last_query_stats))
+    assert memos  # the warm query did read its memos
+
+
+def test_a_batch_past_the_scratch_is_still_one_check_and_one_fold(monkeypatch):
+    """A batch longer than ``INGEST_SCRATCH_ROWS`` is folded from columns
+    allocated for it: still two foreign calls, the buckets numpy's, the
+    retained scratch no longer than the cap, and a bad last row writes
+    nothing."""
+    from repro.kernels import native_cc
+
+    monkeypatch.setattr(native_cc, "INGEST_SCRATCH_ROWS", 100)
+    rng = np.random.default_rng(8)
+    u = rng.integers(0, 240, 250)
+    batch = np.stack([u, (u + rng.integers(1, 239, 250)) % 240], axis=1)
+    counting = _CountingLib(NATIVE._lib)
+    monkeypatch.setattr(NATIVE, "_lib", counting)
+    native = GraphZeppelin(240, GraphZeppelinConfig(kernel_backend="native", seed=3))
+    reference = GraphZeppelin(240, GraphZeppelinConfig(seed=3))
+    pool = native.tensor_pool
+    for engine in (native, reference):
+        engine.ingest_batch(batch)
+        engine.ingest_batch(batch[:60])
+    assert counting.calls == {"repro_canonical_edges": 2, "repro_fold_edges_packed": 2}
+    assert NATIVE._bound(pool, pool._slot_offsets)[2].shape == (3, 60)
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(pool.raw_tensors(), reference.tensor_pool.raw_tensors())
+    )
+    version, before = pool._version, pool.raw_tensors()
+    batch[-1] = (7, 7)
+    with pytest.raises(InvalidStreamError, match="batch row 249: self loop"):
+        native.ingest_batch(batch)
+    assert pool._version == version
+    assert all(np.array_equal(a, b) for a, b in zip(pool.raw_tensors(), before))
