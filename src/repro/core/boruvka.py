@@ -17,9 +17,10 @@ is flagged incomplete (the paper's asymptotically-small failure case).
 The driver, :func:`vectorized_spanning_forest`, works a whole round
 at a time through one :class:`RoundQuery` per query: one batched
 sampler call per round, then the round tail -- validate and decode the
-samples, union-find, relabel -- through :func:`round_tail`, or both
-steps through a native provider's compiled twins.  A per-component
-sampler runs under it through :func:`batch_sampler_from_scalar`.
+samples, union-find, relabel -- through :func:`round_tail`, or through
+a native provider's compiled twins (in one call for every round of an
+in-RAM pool).  A per-component sampler runs under it through
+:func:`batch_sampler_from_scalar`.
 """
 
 from __future__ import annotations
@@ -126,10 +127,11 @@ class RoundQuery:
 
     :meth:`sample` cut-samples the components of ``labels`` with an
     ``active`` node and returns how many; :meth:`tail` is
-    :func:`round_tail` over them.  The numpy path over a
-    :data:`BatchCutSampler`: a native provider's ``bind_query`` returns a
-    subclass whose steps are one compiled call each.  Fresh per query:
-    the forest adopts ``labels`` without copying.
+    :func:`round_tail` over them; :meth:`run` steps the rounds.  The
+    numpy path over a :data:`BatchCutSampler`: a native provider's
+    ``bind_query`` returns a subclass whose steps are one compiled call
+    each (over an in-RAM pool, one whose :meth:`run` is).  Fresh per
+    query: the forest adopts ``labels`` without copying.
     """
 
     def __init__(self, num_nodes: int, encoder: EdgeEncoder, source) -> None:
@@ -158,6 +160,26 @@ class RoundQuery:
 
     def tail(self) -> None:
         round_tail(self, *self._sample)
+
+    def run(self, num_rounds: int) -> List[List[int]]:
+        """Step rounds while fewer than ``num_rounds`` ran, more than one
+        component is left and the last round merged or failed (a failed
+        sample says nothing about the cut being empty, so it is retried in
+        a fresh round): one ``counts[:MERGED]`` row per round run."""
+        table: List[List[int]] = []
+        components, found_edge = self.labels.size, True
+        for round_index in range(num_rounds):
+            if components < 2 or not found_edge:
+                break
+            with span("query.round"):
+                self.sample(round_index)
+                with span("query.unionfind"):
+                    self.tail()
+            row = self.counts[:MERGED].tolist()
+            table.append(row)
+            components -= row[MERGES]
+            found_edge = row[MERGES] > 0 or row[FAILS] > 0
+        return table
 
 
 def round_tail(
@@ -252,61 +274,49 @@ def vectorized_spanning_forest(
 ) -> tuple[SpanningForest, BoruvkaStats]:
     """Run Boruvka's algorithm one whole round at a time.
 
-    Component membership is an int64 label per node, and every round is
-    the two steps of one :class:`RoundQuery`: **one** sampler call for
-    every active component's cut, then the round tail, which touches the
-    union-find only for the at-most ``n - 1`` actual merges.
+    Component membership is an int64 label per node, and the rounds are
+    :meth:`RoundQuery.run` of one query: per round, **one** sampler call
+    for every active component's cut, then the round tail, which touches
+    the union-find only for the at-most ``n - 1`` actual merges.
     ``batch_cut_sampler`` is a :data:`BatchCutSampler` or a tensor pool
     (its ``query_components``); a native ``kernels`` provider binds the
-    query to its compiled twins, so a round over a pool is exactly two
-    foreign calls.  The forest keeps the merge edges and the
-    final labels as arrays: no union-find object and no per-edge tuple
-    is built unless a caller reads ``forest.edges``.  Output -- forest,
-    stats, and the per-component samples behind them -- is the same
-    whichever steps run, and equal to the per-component Boruvka loop's
-    under the same sketches (``tests/sketch_reference.py`` holds that
-    loop): it visits surviving components in ascending root order, which
-    is exactly the sorted-label order the batched samplers return.
+    query to its compiled twins, so a round over a paged pool is two
+    foreign calls and a whole query over an in-RAM pool is one.  The
+    forest keeps the merge edges and the final labels as arrays: no
+    union-find object and no per-edge tuple is built unless a caller
+    reads ``forest.edges``.  Output -- forest, stats, counters, and the
+    per-component samples behind them -- is the same whichever steps
+    run, and equal to the per-component Boruvka loop's under the same
+    sketches (``tests/sketch_reference.py`` holds that loop): it visits
+    surviving components in ascending root order, which is exactly the
+    sorted-label order the batched samplers return.
     """
     bind = getattr(kernels, "bind_query", RoundQuery)
     query = bind(num_nodes, encoder, batch_cut_sampler)
-    num_components = num_nodes
-    stats = BoruvkaStats()
-
-    complete = True
-    found_edge = True
-    round_index = 0
-    while found_edge and num_components > 1:
-        if round_index >= num_rounds:
-            _count("query.incomplete")
-            if strict:
-                raise ConnectivityError(
-                    f"Boruvka did not converge within {num_rounds} rounds "
-                    f"({num_components} components remain)"
-                )
-            complete = False
-            break
-
-        stats.rounds_used = round_index + 1
-        _count("query.rounds")
-        with span("query.round"):
-            stats.component_queries += query.sample(round_index)
-            with span("query.unionfind"):
-                query.tail()
-        zeros, failures, goods, invalid, merges, _ = query.counts.tolist()
+    table = query.run(num_rounds)
+    stats = BoruvkaStats(rounds_used=len(table))
+    num_components, found_edge = num_nodes, True
+    for zeros, failures, goods, invalid, merges in table:
+        stats.component_queries += zeros + failures + goods
         stats.zero_samples += zeros
         stats.failed_samples += failures
         stats.good_samples += goods
         stats.invalid_samples += invalid
-        _count("query.failed_samples", failures)
-        num_components -= merges
         stats.merges += merges
         stats.per_round_merges.append(merges)
-        # A failed sample says nothing about the cut being empty; as long as
-        # unused rounds (with fresh, independent sketches) remain, retry the
-        # unresolved components there instead of declaring convergence.
+        num_components -= merges
         found_edge = merges > 0 or failures > 0
-        round_index += 1
+    _count("query.rounds", stats.rounds_used)
+    _count("query.failed_samples", stats.failed_samples)
+    # The rounds stop early only on convergence: still merging means exhausted.
+    complete = not (found_edge and num_components > 1)
+    if not complete:
+        _count("query.incomplete")
+        if strict:
+            raise ConnectivityError(
+                f"Boruvka did not converge within {num_rounds} rounds "
+                f"({num_components} components remain)"
+            )
 
     edge_array = query.edges[:, : stats.merges].T.copy()
     forest = SpanningForest.from_prevalidated(num_nodes, edge_array, query.labels, complete=complete)

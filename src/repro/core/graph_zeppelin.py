@@ -244,9 +244,10 @@ class GraphZeppelin:
         counts still happen there.  A chunk ends where the attached
         checkpointer's every-N policy falls due, so generations are
         written at the same ``updates_processed`` values.  And an update
-        the per-update API would reject -- an endpoint outside the graph
-        or, under ``validate_stream``, an insert of a present edge or a
-        delete of an absent one -- raises the same
+        the per-update API would reject -- an endpoint outside the graph,
+        a negative one or a self loop (update objects other than
+        ``EdgeUpdate`` can carry them) or, under ``validate_stream``, an
+        insert of a present edge or a delete of an absent one -- raises
         :class:`~repro.exceptions.InvalidStreamError` after exactly the
         updates before it were applied.
         """
@@ -274,7 +275,7 @@ class GraphZeppelin:
         else:
             iterator = iter(updates)
             while chunk := list(islice(iterator, self._ingest_chunk_limit())):
-                yield update_rows(chunk)
+                yield update_rows(chunk, kinds=self._current_edges is not None)
 
     def _ingest_chunk_limit(self) -> int:
         limit = INGEST_CHUNK_ROWS
@@ -293,12 +294,14 @@ class GraphZeppelin:
         ingested, which for valid rows is exactly insert and delete.
         """
         valid, violation = rows.shape[0], None
-        outside = np.flatnonzero((rows[:, 1:] >= self.num_nodes).any(axis=1))
-        if outside.size:
-            valid = int(outside[0])
+        lo, hi = np.minimum(rows[:, 1], rows[:, 2]), np.maximum(rows[:, 1], rows[:, 2])
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= self.num_nodes))
+        if bad.size:
+            valid = int(bad[0])
             _, u, v = rows[valid].tolist()
             violation = (
-                f"update {(u, v)} references a node outside [0, {self.num_nodes})"
+                f"update {(u, v)} is a self loop" if u == v
+                else f"update {(u, v)} references a node outside [0, {self.num_nodes})"
             )
         if self._current_edges is None:
             return valid, violation

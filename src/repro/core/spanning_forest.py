@@ -20,7 +20,6 @@ from typing import FrozenSet, List, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.dsu import DisjointSetUnion
-from repro.sketch.flat_node_sketch import group_nodes_by_label
 from repro.types import Edge
 
 
@@ -137,12 +136,16 @@ class SpanningForest:
 
     def components(self) -> List[Set[int]]:
         """The node partition as a list of sets (sorted by minimum node)."""
-        sorted_nodes, seg_starts, _ = group_nodes_by_label(self.labels)
-        # The sort is stable, so a segment's first node is its minimum.
-        by_minimum = np.argsort(sorted_nodes[seg_starts]).tolist()
-        nodes = sorted_nodes.tolist()
-        bounds = seg_starts.tolist() + [len(nodes)]
-        return [set(nodes[bounds[seg] : bounds[seg + 1]]) for seg in by_minimum]
+        # Few numpy calls (right after a query numpy's code is cold); the
+        # sort is stable, so a label segment's first node is its minimum.
+        if not self.num_nodes:
+            return []
+        order = np.argsort(self.labels, kind="stable")
+        ordered = self.labels[order]
+        nodes = order.tolist()
+        bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(nodes)]
+        segments = sorted(zip(bounds, bounds[1:]), key=lambda segment: nodes[segment[0]])
+        return [set(nodes[start:end]) for start, end in segments]
 
     def component_of(self, node: int) -> FrozenSet[int]:
         """The component containing ``node``."""

@@ -13,8 +13,9 @@ and the two halves of a Boruvka round: the group -> reduce -> decode
 sample of
 :meth:`~repro.sketch.tensor_pool.NodeTensorPool.query_components`,
 fused, and the validate/decode/union-find/relabel round tail
-(:func:`~repro.core.boruvka.round_tail`), bound once per query by the
-provider's ``bind_query`` -- have compiled twins
+(:func:`~repro.core.boruvka.round_tail`), bound by the provider's
+``bind_query`` (once per in-RAM pool, whose whole query is then one
+call; once per query otherwise) -- have compiled twins
 selected through ``config.kernel_backend``.  The segmented-XOR and
 decode twins are on no engine path any more (the fused sample replaced
 them; the pool's composed query path is numpy): only tests and the

@@ -51,9 +51,12 @@ Why compiling beats the numpy kernels:
 * **round tail**: ``repro_round_tail`` tallies and settles a round's
   samples, validates and decodes its edge slots, and runs the per-edge
   union by size (no path compression, so the same trees), the relabel
-  and the next round's active mask in C.  :meth:`CcKernels.bind_query`
-  takes a query's addresses once, so a round is exactly these two
-  calls.
+  and the next round's active mask in C.
+* **Boruvka**: ``repro_boruvka`` runs both over every round of a query
+  on an in-RAM pool, under the driver's stop rule, so the query is one
+  call: :meth:`CcKernels.bind_query` binds its buffers once per pool
+  (:class:`CcBoruvka`).  A paged pool or a plain sampler is bound per
+  query (:class:`CcQuery`), and each round is the two per-round calls.
 
 The calls release the GIL (ctypes ``CDLL`` semantics), which is what
 finally lets the sharded thread ingest scale past the numpy kernels'
@@ -86,20 +89,22 @@ import shutil
 import subprocess
 import tempfile
 import weakref
+from time import perf_counter
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.boruvka import RoundQuery
+from repro.core.boruvka import MERGED, RoundQuery
 from repro.core.edge_encoding import edge_batch_error
 from repro.observability.metrics import default_registry
-from repro.observability.tracing import span
+from repro.observability.tracing import record_span, span
 from repro.sketch.round_split import fold_ranges, round_ranges, split_ranges
 
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
 #include <string.h>
+#include <time.h>
 
 /* Bit-identical C twins of repro.hashing.mixers: splitmix64 followed by
  * the xxHash64 avalanche, over pre-mixed (seed-diffused) keys.  All
@@ -540,6 +545,65 @@ int64_t repro_round_tail(int64_t *parent, int64_t *size, uint8_t *settled,
 }
 
 /* ------------------------------------------------------------------ */
+/* Every round of one query over an in-RAM pool: reset the query, then */
+/* sample round r (its slab, seeds and memo row; read_versions[r] =    */
+/* version) and run its tail under the Python driver's stop rule.      */
+/* table row r: counts[0..4], reused components, sample and tail ns.   */
+/* Returns the rounds run; -1 / -2 as the sample / the tail fails.     */
+/* ------------------------------------------------------------------ */
+
+static inline int64_t repro_now_ns(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + (int64_t)ts.tv_nsec;
+}
+
+int64_t repro_boruvka(
+        int64_t *labels, int64_t num_rounds, int64_t version,
+        int64_t num_nodes, int64_t num_cols, int64_t num_rows, uint64_t veclen,
+        int64_t slot_nodes, int64_t *parent, int64_t *size, uint8_t *settled,
+        uint8_t *active, int64_t *work, uint64_t *acc, uint8_t *changed,
+        int64_t *roots, uint8_t *statuses, int64_t *indices, int64_t *edges,
+        int64_t *counts, const uint64_t *slab, const uint32_t *gamma,
+        const uint64_t *mixed_seeds, int64_t *memo_labels,
+        uint8_t *memo_statuses, int64_t *memo_indices, const int64_t *stamps,
+        int64_t *read_versions, int64_t *table) {
+    const int64_t slab_size = num_nodes * num_cols * num_rows;
+    int64_t i, r, components = num_nodes, found = 1;
+    for (i = 0; i < num_nodes; i++) {
+        labels[i] = parent[i] = i;
+        size[i] = 1;
+    }
+    memset(settled, 0, (size_t)num_nodes);
+    memset(active, 1, (size_t)num_nodes);
+    counts[5] = 0;
+    for (r = 0; r < num_rounds && components > 1 && found; r++) {
+        const int64_t at = r * num_nodes, start = repro_now_ns();
+        int64_t *row = table + 8 * r, count, sampled;
+        count = repro_sample_components(
+            num_nodes, num_cols, num_rows, labels, active, veclen, work, acc,
+            changed, roots, statuses, indices, slab + r * slab_size,
+            gamma ? gamma + r * slab_size : NULL, mixed_seeds + r * num_cols,
+            memo_labels + at, memo_statuses + at, memo_indices + at, stamps,
+            read_versions[r]);
+        if (count < 0) return -1;
+        read_versions[r] = version;
+        sampled = repro_now_ns();
+        if (repro_round_tail(parent, size, settled, labels, active, num_nodes,
+                             slot_nodes, roots, statuses, indices, work, edges,
+                             counts, count) < 0)
+            return -2;
+        memcpy(row, counts, 5 * sizeof(int64_t));
+        row[5] = work[2 * num_nodes];
+        row[6] = sampled - start;
+        row[7] = repro_now_ns() - sampled;
+        components -= counts[4];
+        found = counts[4] > 0 || counts[1] > 0;
+    }
+    return r;
+}
+
+/* ------------------------------------------------------------------ */
 /* Storage digests (repro.integrity.digest): out[b] is the digest of   */
 /* bytes [b * block_size, (b + 1) * block_size) of `data`, the last    */
 /* block possibly short; an empty payload is one empty block.  Words   */
@@ -599,12 +663,11 @@ _SIGNATURES = {
     "repro_seg_xor_u32": [_P, _I64, _I64, _I64, _P, _I64, _P, _I64, _P],
     "repro_decode_column": [_P, _P, _I64, _I64, _U64, _U64, _P, _P, _P],
     "repro_block_digests": [_P, _I64, _I64, _U64, _P],
-    "repro_sample_components": [
-        _I64, _I64, _I64, _P, _P, _U64, _P, _P, _P, _P, _P, _P, _P, _P, _P,
-        _P, _P, _P, _P, _I64,
-    ],
+    "repro_sample_components": [_I64, _I64, _I64, _P, _P, _U64, *[_P] * 13, _I64],
     "repro_round_tail": [_P, _P, _P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P, _P, _I64],
+    "repro_boruvka": [_P, _I64, _I64, _I64, _I64, _I64, _U64, _I64, *[_P] * 21],
 }
+_RETURNS = {"repro_sample_components", "repro_round_tail", "repro_boruvka", "repro_canonical_edges"}
 
 
 def _cache_dir() -> str:
@@ -695,8 +758,7 @@ def _build_library() -> ctypes.CDLL:
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         # The round kernels return a count, the canonical edges a row.
-        returns = ("repro_sample_components", "repro_round_tail", "repro_canonical_edges")
-        fn.restype = _I64 if name in returns else None
+        fn.restype = _I64 if name in _RETURNS else None
     return lib
 
 
@@ -771,15 +833,16 @@ class CcKernels:
     # ------------------------------------------------------------------
     def _bound(self, pool, offsets: np.ndarray) -> list:
         """``pool``'s ``[arrays, tails by range count, (lo, hi, idx) scratch,
-        (edge fold, *plane addresses), stamp address]`` from its first fold:
-        the arrays keep the addresses valid; the pool itself is not held."""
+        (edge fold, *plane addresses), stamp address, CcBoruvka]`` from its
+        first fold or query: the arrays keep the addresses valid; the pool
+        itself is not held."""
         arrays = (offsets, pool._mixed_membership, pool._mixed_checksum, pool._planes, pool._stamps)
         bound = self._fold_tails.get(pool)
         if bound is None or any(x is not y for x, y in zip(bound[0], arrays)):
             layout = "packed" if len(pool._planes) == 1 else "wide"
             fold = (getattr(self._lib, f"repro_fold_edges_{layout}"), *map(_addr, pool._planes))
             empty = np.empty((3, 0), np.int64)
-            bound = self._fold_tails[pool] = [arrays, {}, empty, fold, _addr(pool._stamps)]
+            bound = self._fold_tails[pool] = [arrays, {}, empty, fold, _addr(pool._stamps), None]
         return bound
 
     def _fold_tail(self, pool, offsets: np.ndarray, ranges: int = 1) -> tuple:
@@ -940,9 +1003,16 @@ class CcKernels:
         )
         return good.view(np.bool_), zero.view(np.bool_), index
 
-    def bind_query(self, num_nodes: int, encoder, source) -> "CcQuery":
-        """One query's :class:`CcQuery` over a tensor pool or a sampler."""
-        return CcQuery(self._lib, num_nodes, encoder, source)
+    def bind_query(self, num_nodes: int, encoder, source):
+        """The pool's :class:`CcBoruvka` for an in-RAM pool with round memos,
+        else one query's :class:`CcQuery` over a paged pool or a sampler."""
+        if getattr(source, "_stamps", None) is None:
+            return CcQuery(self._lib, num_nodes, encoder, source)
+        bound = self._bound(source, source._slot_offsets)
+        if bound[5] is None or bound[5].memo is not source._round_memos:
+            bound[5] = CcBoruvka(self, source)
+        bound[5].version = source._version
+        return bound[5]
 
     def ingest_edges(self, pool, endpoints: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Check, orient, encode and stamp ``(k, 2)`` int64 edge rows of an
@@ -959,7 +1029,7 @@ class CcKernels:
         if k <= INGEST_SCRATCH_ROWS:
             bound[2] = columns
         lo, hi, idx = (_addr(columns) + row * columns.strides[0] for row in range(3))
-        (fold, *planes), stamps = bound[3:]
+        (fold, *planes), stamps = bound[3:5]
         bad = self._lib.repro_canonical_edges(
             _addr(endpoints), k, step >> 3, col >> 3, pool.num_nodes,
             pool.encoder.num_nodes, lo, hi, idx, stamps, pool._version + 1,
@@ -1040,25 +1110,72 @@ class CcQuery(RoundQuery):
             return count
         views = pool._round_views(round_index)
         slabs = (*map(_addr, views), None)[:2]
-        memo = pool._round_memo(round_index)
-        memo_args = (None,) * 4 + (0,) if memo is None else (*memo.addresses, memo.read_version)
         seeds, step = self._seeds
         with span("query.sample"):
             self._count = self._lib.repro_sample_components(
-                *self._sample_args, *slabs, seeds + round_index * step, *memo_args
+                *self._sample_args, *slabs, seeds + round_index * step, *(None,) * 4, 0
             )
         if self._count < 0:
             raise ValueError(f"component label outside [0, {pool.num_nodes})")
-        if memo is not None:
-            memo.read_version = pool._version
-            registry = default_registry()
-            if registry.enabled and self._work[-1]:
-                registry.counter("query.reused_components").inc(int(self._work[-1]))
         return self._count
 
     def tail(self) -> None:
         if self._lib.repro_round_tail(*self._tail_args, self._count) < 0:
             raise ValueError("round sample outside the graph")
+
+
+class CcBoruvka:
+    """Every Boruvka round of a query over an in-RAM pool, in one foreign call.
+
+    Bound once per pool (its :meth:`CcKernels._bound` entry): the query
+    state, a per-round table and every round's memo keep their addresses,
+    and the C loop resets the state.  Each :meth:`run` gives the forest
+    fresh ``labels``; ``version`` is the pool's at :meth:`CcKernels.bind_query`.
+    """
+
+    def __init__(self, kernels: CcKernels, pool) -> None:
+        n, cols, rows, rounds = pool.num_nodes, pool.num_columns, pool.num_rows, pool.num_rounds
+        self._kernels, self._rounds, self.version = kernels, rounds, pool._version
+        self.memo = memo = pool._bind_round_memos()
+        # parent, size, roots, indices; settled, active, statuses, changed
+        ints, flags = np.empty((4, n), np.int64), np.empty((4, n), np.uint8)
+        self.edges, counts = np.empty((2, n), np.int64), np.empty(MERGED + 1, np.int64)
+        self._table = np.empty((rounds, 8), np.int64)
+        scratch = (np.empty(2 * n + 1, np.int64), np.empty(2 * cols * rows, np.uint64))
+        self._buffers = (ints, flags, counts, scratch)  # the addresses below stay valid
+        planes = (*pool._planes, None)[:2]
+        self._args = (
+            n, cols, rows, pool.encoder.vector_length, pool.encoder.num_nodes,
+            *map(_addr, (ints[0], ints[1], flags[0], flags[1], *scratch, flags[3], ints[2],
+                         flags[2], ints[3], self.edges, counts, *planes, pool._mixed_checksum,
+                         memo.labels, memo.statuses, memo.indices, pool._stamps,
+                         memo.read_versions, self._table)),
+        )
+
+    def run(self, num_rounds: int) -> list:
+        """:meth:`RoundQuery.run <repro.core.boruvka.RoundQuery.run>` in C; publishes
+        ``query.reused_components`` and the round spans the loop timed."""
+        n = self._args[0]
+        if num_rounds > self._rounds:
+            raise ValueError(f"{num_rounds} rounds asked of a {self._rounds}-round pool")
+        self.labels = labels = np.empty(n, dtype=np.int64)  # the C loop labels every node
+        start = perf_counter()
+        ran = self._kernels._lib.repro_boruvka(_addr(labels), num_rounds, self.version, *self._args)
+        if ran < 0:  # -1: the sample failed, -2: the tail
+            raise ValueError(("component label", "round sample")[-1 - ran] + " outside the graph")
+        table = self._table[:ran].tolist()
+        registry = default_registry()
+        if registry.enabled:
+            reused = sum(row[5] for row in table)
+            if reused:
+                registry.counter("query.reused_components").inc(reused)
+            for *_, sample_ns, tail_ns in table:
+                sample, tail = sample_ns * 1e-9, tail_ns * 1e-9
+                record_span("query.sample", start, sample)
+                record_span("query.unionfind", start + sample, tail)
+                record_span("query.round", start, sample + tail)
+                start += sample + tail
+        return [row[:MERGED] for row in table]
 
 
 _OFFSET_CACHE: dict = {}

@@ -28,6 +28,7 @@ __all__ = [
     "TraceRing",
     "chrome_trace",
     "install_trace_ring",
+    "record_span",
     "span",
     "trace_ring",
 ]
@@ -111,12 +112,7 @@ class _Span:
         return self
 
     def __exit__(self, *exc) -> None:
-        start = self._start
-        duration = perf_counter() - start
-        self._registry.histogram(self._name).observe(duration)
-        ring = _ring
-        if ring is not None:
-            ring.record(self._name, start, duration)
+        record_span(self._name, self._start, perf_counter() - self._start, self._registry)
 
 
 def span(name: str, registry: Optional[MetricsRegistry] = None):
@@ -125,6 +121,19 @@ def span(name: str, registry: Optional[MetricsRegistry] = None):
     if not reg.enabled:
         return _NOP
     return _Span(name, reg)
+
+
+def record_span(
+    name: str, start: float, duration: float, registry: Optional[MetricsRegistry] = None
+) -> None:
+    """Record a span timed elsewhere (in C, say) as :func:`span` would:
+    seconds, ``start`` on the ``perf_counter`` clock."""
+    registry = registry if registry is not None else default_registry()
+    if registry.enabled:
+        registry.histogram(name).observe(duration)
+        ring = _ring
+        if ring is not None:
+            ring.record(name, start, duration)
 
 
 def chrome_trace(ring: Optional[TraceRing] = None) -> dict:

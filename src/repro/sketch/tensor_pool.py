@@ -135,27 +135,24 @@ def xor_scatter(
 
 
 class RoundMemo:
-    """One round's last fused sample on an in-RAM pool, kept for the next query.
+    """Each round's last fused sample on an in-RAM pool, kept for the next query.
 
     A component's round sample is a function of its member set and those
     members' round sketches only, so a later query re-samples just the
     components a write changed and copies the rest from here
-    (see the native ``repro_sample_components``).  ``labels[node]`` is the
-    label the node was read under (-1: inactive), ``statuses[root]`` /
-    ``indices[root]`` the sample of the component rooted there, and
-    ``read_version`` the pool version of that read; ``stamps`` is the
-    pool's per-node modification stamps, shared by every round's memo.
+    (see the native ``repro_boruvka``).  Row ``r`` is round ``r``:
+    ``labels[r, node]`` is the label the node was read under (-1:
+    inactive), ``statuses[r, root]`` / ``indices[r, root]`` the sample of
+    the component rooted there, and ``read_versions[r]`` the pool version
+    of that read; the pool's per-node ``_stamps`` say what changed since.
     17 bytes per node per round.
     """
 
-    def __init__(self, stamps: np.ndarray) -> None:
-        self.labels = np.full(stamps.size, -1, dtype=np.int64)
-        self.statuses = np.zeros(stamps.size, dtype=np.uint8)
-        self.indices = np.full(stamps.size, -1, dtype=np.int64)
-        self.stamps = stamps
-        self.read_version = 0
-        arrays = (self.labels, self.statuses, self.indices, stamps)
-        self.addresses = tuple(array.ctypes.data for array in arrays)  # for the native kernel
+    def __init__(self, num_rounds: int, num_nodes: int) -> None:
+        self.labels = np.full((num_rounds, num_nodes), -1, dtype=np.int64)
+        self.statuses = np.zeros((num_rounds, num_nodes), dtype=np.uint8)
+        self.indices = np.full((num_rounds, num_nodes), -1, dtype=np.int64)
+        self.read_versions = np.zeros(num_rounds, dtype=np.int64)
 
 
 class NodeTensorPool:
@@ -236,12 +233,12 @@ class NodeTensorPool:
         # engine's complement trick; invalidated by any fold.
         self._version = 0
         self._slab_cache: Dict[Tuple[int, int], Tuple[int, np.ndarray]] = {}
-        # Per-node version of the last write (see _stamp) and each
+        # Per-node version of the last write (see _stamp) and every
         # round's last fused sample, kept where a provider's fused
         # sample reads them: never on the paged pool or under numpy.
         memoised = _allocate and hasattr(kernels, "bind_query")
         self._stamps = np.zeros(self.num_nodes, dtype=np.int64) if memoised else None
-        self._round_memos: Dict[int, RoundMemo] = {}
+        self._round_memos: Optional[RoundMemo] = None
 
     # ------------------------------------------------------------------
     # versions and stamps
@@ -663,7 +660,7 @@ class NodeTensorPool:
         on each component's XOR-merged round sketch, and to the samples of
         a native provider's bound query (``bind_query``), which fuses the
         three steps above into one call (``query.sample``) and copies the
-        components nothing changed from the round's :class:`RoundMemo`
+        components nothing changed from the pool's :class:`RoundMemo`
         (registry counter ``query.reused_components``).  That bound
         query, not this method, is the engine's path on a native pool.
         """
@@ -751,15 +748,12 @@ class NodeTensorPool:
         ] = SAMPLE_ZERO
         return roots, statuses, indices
 
-    def _round_memo(self, round_index: int) -> Optional[RoundMemo]:
-        """Round ``round_index``'s memo, made at its first fused sample
-        (``None`` on a pool without stamps)."""
-        if self._stamps is None:
-            return None
-        memo = self._round_memos.get(round_index)
-        if memo is None:
-            memo = self._round_memos[round_index] = RoundMemo(self._stamps)
-        return memo
+    def _bind_round_memos(self) -> RoundMemo:
+        """Every round's memo, made when a native query is first bound to
+        the pool (only a pool with stamps is)."""
+        if self._round_memos is None:
+            self._round_memos = RoundMemo(self.num_rounds, self.num_nodes)
+        return self._round_memos
 
     def _merged_round_cols(
         self,

@@ -19,13 +19,15 @@ _KIND_OF = {int(kind): kind for kind in UpdateType}
 _COLUMNS = (attrgetter("kind"), attrgetter("u"), attrgetter("v"))
 
 
-def update_rows(updates: Iterable[EdgeUpdate]) -> np.ndarray:
-    """``(N, 3)`` int64 ``(kind, u, v)`` rows of a run of update objects."""
+def update_rows(updates: Iterable[EdgeUpdate], kinds: bool = True) -> np.ndarray:
+    """``(N, 3)`` int64 ``(kind, u, v)`` rows of a run of update objects;
+    ``kinds=False`` leaves the kind column zero (an ``IntEnum`` read is slow)."""
     if not isinstance(updates, (list, tuple)):
         updates = list(updates)
-    rows = np.empty((len(updates), 3), dtype=np.int64)
+    rows = np.zeros((len(updates), 3), dtype=np.int64)
     for column, getter in enumerate(_COLUMNS):
-        rows[:, column] = np.fromiter(map(getter, updates), np.int64, len(updates))
+        if column or kinds:
+            rows[:, column] = np.fromiter(map(getter, updates), np.int64, len(updates))
     return rows
 
 

@@ -9,6 +9,8 @@ partition-independent.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,28 @@ def test_ingest_rejects_an_endpoint_outside_the_graph_after_the_prefix(monkeypat
     _per_update(reference, updates[:70])
     with pytest.raises(InvalidStreamError, match=r"\(3, 24\).*outside \[0, 24\)"):
         columnar.ingest(updates[:70] + [EdgeUpdate(24, 3)] + updates[70:])
+    assert columnar.updates_processed == 70
+    assert _pool_digests(columnar) == _pool_digests(reference)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [((3, 3), r"update \(3, 3\) is a self loop"),
+     ((-1, 2), r"update \(-1, 2\) references a node outside \[0, 24\)"),
+     ((3, 24), r"update \(3, 24\) references a node outside \[0, 24\)")],
+    ids=["self-loop", "negative", "outside"],
+)
+def test_regression_ingest_applies_the_prefix_before_any_rejected_update(monkeypatch, bad, message):
+    """Update objects that bypass ``EdgeUpdate``'s checks: a self loop or a
+    negative endpoint once rejected the whole chunk, prefix included."""
+    monkeypatch.setattr(graph_zeppelin, "INGEST_CHUNK_ROWS", 64)
+    updates = _legal_updates(100, seed=7)
+    reference = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=2))
+    columnar = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=2))
+    _per_update(reference, updates[:70])
+    spliced = SimpleNamespace(u=bad[0], v=bad[1], kind=UpdateType.INSERT)
+    with pytest.raises(InvalidStreamError, match=message):
+        columnar.ingest(updates[:70] + [spliced] + updates[70:])
     assert columnar.updates_processed == 70
     assert _pool_digests(columnar) == _pool_digests(reference)
 

@@ -4,8 +4,10 @@ Hypothesis drives one :class:`GraphZeppelin` through a random sequence
 of operations -- point toggles through ``insert`` / ``delete``, edge
 batches (empty ones, and ones whose toggles cancel inside the batch),
 ``ingest`` of update lists and of ``GraphStream`` rows, flushes,
-queries, ``is_connected`` lookups, and a snapshot saved and loaded into
-a fresh engine that then carries on.  Half the engines fold split by
+queries, ``is_connected`` lookups, a snapshot saved and loaded into
+a fresh engine that then carries on, and a snapshot merged into a fresh
+engine that ingested a batch of its own (the model becomes the XOR of
+the two edge sets).  Half the engines fold split by
 round (the split floors lowered to one pair, two usable cores), and an
 ingest may run with ``INGEST_CHUNK_ROWS`` and the native
 ``INGEST_SCRATCH_ROWS`` lowered to 1 or 3 rows, so a stream is ingested
@@ -50,6 +52,7 @@ from repro.core import graph_zeppelin
 from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.dsu import DisjointSetUnion
 from repro.core.graph_zeppelin import GraphZeppelin
+from repro.distributed.snapshot import merge_snapshots_into
 from repro.kernels import native_cc
 from repro.parallel import cost_model
 from repro.sketch import tensor_pool
@@ -222,6 +225,31 @@ class EngineMachine(RuleBasedStateMachine):
         """Save, load into a fresh engine, compare, and carry on with it."""
         fresh = self._reloaded(self.kernel_backend)
         assert _answer(fresh) == _answer(self.engine)
+        self.engine = fresh
+
+    @rule(batch=st.lists(coordinates, max_size=12))
+    def snapshot_merge(self, batch):
+        """A fresh engine of the same seed ingests ``batch`` and answers
+        (its round memos warm), the machine's snapshot is merged into it,
+        and it carries on: its memo-warm answer equals a cold one."""
+        fresh = GraphZeppelin(self.engine.num_nodes, config=self.config)
+        pairs = [self._pair(coordinate) for coordinate in batch]
+        fresh.ingest_batch(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+        fresh.list_spanning_forest()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.snap"
+            self.engine.save_snapshot(path)
+            merge_snapshots_into([path], fresh.tensor_pool)
+        for u, v in pairs:
+            self._toggle(u, v)
+        fresh._cached_forest = None  # the pool-level merge bypasses the engine
+        warm, pool = _answer(fresh), fresh.tensor_pool
+        memos, pool._round_memos = pool._round_memos, None
+        fresh._cached_forest = None
+        try:
+            assert _answer(fresh) == warm
+        finally:
+            pool._round_memos = memos
         self.engine = fresh
 
     def teardown(self):

@@ -2,7 +2,8 @@
 
 A native provider's ``bind_query`` replaces the composed group -> reduce
 -> decode sampling and the numpy validate/decode/union-find/relabel tail
-of :func:`vectorized_spanning_forest` with one compiled call each.  Both
+of :func:`vectorized_spanning_forest` with one compiled call each, and on
+an in-RAM pool runs every round in one call (``repro_boruvka``).  All
 are pure optimisations: forest edges *in merge order*, every
 :class:`BoruvkaStats` field and the final per-node component labels must
 equal the numpy driver's, on packed and wide pools either side of the
@@ -24,10 +25,12 @@ from repro.core.boruvka import MERGED, RoundQuery, vectorized_spanning_forest
 from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
-from repro.exceptions import InvalidStreamError
+from repro.exceptions import ConnectivityError, InvalidStreamError
 from repro.hashing.mixers import finalise_hash64_inplace
-from repro.kernels import native_kernels
+from repro.kernels import native_cc, native_kernels
 from repro.memory.hybrid import HybridMemory
+from repro.observability import default_registry, install_trace_ring
+from repro.observability.tracing import remove_trace_ring
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.sketch_base import SAMPLE_FAIL, SAMPLE_GOOD, SAMPLE_ZERO
 from repro.sketch.tensor_pool import NodeTensorPool
@@ -157,11 +160,13 @@ def test_shaped_graphs_round_bit_identical(num_nodes, edges, components, paged):
         assert len(edges_out) == num_nodes - components == stats["merges"]
 
 
-def test_single_node_needs_no_round():
+def test_single_node_needs_no_round(monkeypatch):
     def sampler(round_index, labels, mask):
         raise AssertionError("a one-node graph has no cut to sample")
 
     traces = []
+    counting = _CountingLib(NATIVE._lib)
+    monkeypatch.setattr(NATIVE, "_lib", counting)
     for kernels in (None, NATIVE):
         forest, stats = vectorized_spanning_forest(
             1, 3, EdgeEncoder(2), sampler, kernels=kernels
@@ -169,6 +174,135 @@ def test_single_node_needs_no_round():
         traces.append((forest.edges, stats, forest.component_labels()))
     assert traces[0] == traces[1] == ((), traces[0][1], [0])
     assert traces[0][1].rounds_used == 0
+    assert counting.calls == {}  # no foreign call either
+
+
+# ----------------------------------------------------------------------
+# the one-call query of an in-RAM pool
+# ----------------------------------------------------------------------
+COUNTERS = ("query.rounds", "query.failed_samples", "query.reused_components", "query.incomplete")
+
+
+@pytest.fixture(
+    scope="module", params=["native", "portable"], ids=["numpy-vs-native", "numpy-vs-portable"]
+)
+def one_call_provider(request):
+    """The provider under test: this build, or the one without ``-march=native``."""
+    if request.param == "portable":
+        return request.getfixturevalue("portable_build")[0]
+    return NATIVE
+
+
+def _observed_trace(pool, num_rounds, strict=False):
+    """:func:`_round_trace` at ``num_rounds``, plus the registry counters'
+    deltas and how many ``query.round`` spans it observed."""
+    def observed():
+        snapshot = default_registry().snapshot()
+        spans = snapshot.histograms.get("query.round")
+        return [snapshot.counters.get(name, 0) for name in COUNTERS], spans.count if spans else 0
+
+    (counters, spans), raised = observed(), None
+    try:
+        forest, stats = vectorized_spanning_forest(
+            pool.num_nodes, num_rounds, pool.encoder, pool, strict=strict, kernels=pool._kernels
+        )
+        trace = (
+            forest.edges, forest.complete, dataclasses.asdict(stats),
+            forest.component_labels(),
+        )
+    except ConnectivityError as error:
+        trace, raised = None, str(error)
+    after, spans_after = observed()
+    return trace, raised, [b - a for a, b in zip(counters, after)], spans_after - spans
+
+
+@given(
+    graph=small_graphs(), seed=seeds, force_wide=st.booleans(), data=st.data(),
+    delta=st.sampled_from([0.01, 0.3, 0.6]),
+)
+@settings(max_examples=50, deadline=None)
+def test_one_call_query_matches_the_numpy_driver_and_the_paged_pool(
+    one_call_provider, graph, seed, force_wide, delta, data
+):
+    """Forest in merge order, labels, every stats field, the four counters'
+    deltas and the round spans: the one-call query of an in-RAM pool, warm
+    and cold, equals the numpy driver and the paged native pool's
+    per-round calls, also when the rounds run out (strict or not)."""
+    num_nodes, edges = graph
+    provider, shape = one_call_provider, dict(wide=force_wide, delta=delta)
+    pools = [
+        _pool(num_nodes, seed, None, False, **shape),
+        _pool(num_nodes, seed, provider, True, **shape),
+        _pool(num_nodes, seed, provider, False, **shape),
+    ]
+    flat = pools[2]
+    assert isinstance(provider.bind_query(num_nodes, flat.encoder, flat), native_cc.CcBoruvka)
+    num_rounds = data.draw(st.integers(min_value=1, max_value=flat.num_rounds))
+    strict = data.draw(st.booleans())
+    cut = data.draw(st.integers(min_value=0, max_value=len(edges)))
+    _fold(flat, edges[:cut])
+    _observed_trace(flat, flat.num_rounds)  # the memos now hold the prefix's samples
+    for pool in pools:
+        _fold(pool, edges[cut:] if pool is flat else edges)
+    expected = _observed_trace(pools[0], num_rounds, strict)
+    assert _observed_trace(pools[1], num_rounds, strict) == expected
+    warm = _observed_trace(flat, num_rounds, strict)
+    memos, flat._round_memos = flat._round_memos, None
+    try:
+        assert _observed_trace(flat, num_rounds, strict) == expected  # cold: nothing reused
+    finally:
+        flat._round_memos = memos
+    counters = list(expected[2])
+    counters[2] = warm[2][2]  # the warm query may reuse memoised samples
+    assert warm == (*expected[:2], counters, expected[3])
+    assert expected[2][2] == 0 and (expected[1] is None) != (expected[2][3] == 1 and strict)
+
+
+def test_the_one_call_query_records_each_round_in_the_trace_ring():
+    """Three spans per round, timed in C: the round starts with its
+    sample, its tail follows the sample, and rounds follow each other."""
+    pool = _pool(64, 5, NATIVE, False)
+    _fold(pool, PATH)
+    ring = install_trace_ring()
+    try:
+        _, _, counters, spans = _observed_trace(pool, pool.num_rounds)
+    finally:
+        remove_trace_ring()
+    events = [(name, start, duration) for name, start, duration, _ in ring.events()]
+    assert [name for name, _, _ in events] == ["query.sample", "query.unionfind", "query.round"] * spans
+    assert spans == counters[0] >= 2
+    end = events[0][1]
+    for (_, sample, sampled), (_, tail, tailed), (_, round_start, took) in zip(*[iter(events)] * 3):
+        assert round_start == sample >= end and tail == sample + sampled
+        assert took == sampled + tailed > 0
+        end = round_start + took
+
+
+def test_running_out_of_rounds_is_counted_then_raised_under_strict():
+    """A 64-node path needs more than two rounds: at one or two the forest
+    is incomplete, ``query.incomplete`` counts it, and ``strict`` raises
+    only after that count is made; the one-call query agrees with numpy
+    (its memo, warm after the first query, aside)."""
+    pools = [_pool(64, 5, kernels, False) for kernels in (None, NATIVE)]
+    for pool in pools:
+        _fold(pool, PATH)
+
+    def traces(num_rounds, strict):
+        both = [_observed_trace(pool, num_rounds, strict) for pool in pools]
+        for trace in both:
+            del trace[2][2]  # query.reused_components
+        assert both[0] == both[1]
+        return both[1]
+
+    for num_rounds in (1, 2):
+        (_, complete, stats, _), raised, counters, spans = traces(num_rounds, False)
+        assert not complete and raised is None
+        assert stats["rounds_used"] == num_rounds == counters[0] == spans
+        assert counters[2] == 1  # query.incomplete
+        trace, raised, strict_counters, strict_spans = traces(num_rounds, True)
+        assert trace is None
+        assert raised.startswith(f"Boruvka did not converge within {num_rounds} rounds")
+        assert (strict_counters, strict_spans) == (counters, spans)
 
 
 # ----------------------------------------------------------------------
@@ -224,8 +358,8 @@ def _hand_built_pools(force_wide):
 
 
 def _bound_sample(pool, labels, mask=True):
-    """Round 0's fused sample of ``labels`` by a query bound to ``pool``."""
-    query = NATIVE.bind_query(pool.num_nodes, pool.encoder, pool)
+    """Round 0's fused sample of ``labels`` by a per-round query over ``pool``."""
+    query = native_cc.CcQuery(NATIVE._lib, pool.num_nodes, pool.encoder, pool)
     query.labels[:], query.active[:] = labels, mask
     count = query.sample(0)
     return query.roots[:count], query.statuses[:count], query.indices[:count]
@@ -385,19 +519,36 @@ class _CountingLib:
         return counted
 
 
-def test_a_warm_query_is_two_foreign_calls_per_round(monkeypatch):
-    engine = GraphZeppelin(240, GraphZeppelinConfig(kernel_backend="native", seed=3))
+def _warm_query_calls(monkeypatch, config):
+    """The foreign calls of a query after a query and a small delta, and its rounds."""
+    engine = GraphZeppelin(240, config)
     rng = np.random.default_rng(3)
     u = rng.integers(0, 240, 300)
     engine.ingest_batch(np.stack([u, (u + rng.integers(1, 12, 300)) % 240], axis=1))
     engine.list_spanning_forest()
     engine.ingest_batch([(0, 1), (5, 200)])
+    engine.flush()
     counting = _CountingLib(NATIVE._lib)
-    monkeypatch.setattr(NATIVE, "_lib", counting)
-    engine.list_spanning_forest()
+    with monkeypatch.context() as patch:
+        patch.setattr(NATIVE, "_lib", counting)
+        engine.list_spanning_forest()
     rounds = engine.last_query_stats.rounds_used
     assert rounds >= 2
-    assert counting.calls == {"repro_sample_components": rounds, "repro_round_tail": rounds}
+    return counting.calls, rounds
+
+
+def test_a_warm_flat_query_is_one_foreign_call(monkeypatch):
+    config = GraphZeppelinConfig(kernel_backend="native", seed=3)
+    assert _warm_query_calls(monkeypatch, config)[0] == {"repro_boruvka": 1}
+
+
+def test_a_paged_query_is_two_foreign_calls_per_round(monkeypatch):
+    config = GraphZeppelinConfig.out_of_core(
+        GraphZeppelin(240).sketch_bytes() // 4, kernel_backend="native", seed=3
+    )
+    calls, rounds = _warm_query_calls(monkeypatch, config)
+    assert calls["repro_sample_components"] == calls["repro_round_tail"] == rounds
+    assert "repro_boruvka" not in calls
 
 
 def _native_engine(num_nodes=240, seed=3):
@@ -424,7 +575,7 @@ def test_a_warm_ingest_is_two_foreign_calls(monkeypatch):
     warm = (forest.edges, dataclasses.asdict(engine.last_query_stats))
     engine._cached_forest = None
     pool = engine.tensor_pool
-    memos, pool._round_memos = pool._round_memos, {}
+    memos, pool._round_memos = pool._round_memos, None
     forest = engine.list_spanning_forest()
     assert warm == (forest.edges, dataclasses.asdict(engine.last_query_stats))
     assert memos  # the warm query did read its memos

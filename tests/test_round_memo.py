@@ -27,7 +27,7 @@ from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.distributed.snapshot import merge_snapshots_into
-from repro.kernels import native_kernels
+from repro.kernels import native_cc, native_kernels
 from repro.observability import default_registry
 from repro.sketch.tensor_pool import NodeTensorPool
 from repro.types import EdgeUpdate, UpdateType
@@ -66,7 +66,7 @@ def _answer(engine: GraphZeppelin) -> tuple:
 def _cold_answer(engine: GraphZeppelin) -> tuple:
     """:func:`_answer` with every round memo dropped, then put back."""
     pool = engine.tensor_pool
-    memos, pool._round_memos = pool._round_memos, {}
+    memos, pool._round_memos = pool._round_memos, None
     try:
         return _answer(engine)
     finally:
@@ -261,7 +261,7 @@ def test_wide_and_narrow_pools_answer_as_a_cold_query(wide, delta):
         for pool in pools:
             pool.apply_edges(lo, hi, pool.encoder.encode_canonical_pairs(lo, hi))
         memoised = _pool_answer(pools[0])
-        memos, pools[0]._round_memos = pools[0]._round_memos, {}
+        memos, pools[0]._round_memos = pools[0]._round_memos, None
         assert memoised == _pool_answer(pools[0])
         pools[0]._round_memos = memos
         assert memoised == _pool_answer(pools[1])
@@ -317,17 +317,20 @@ def test_a_kept_forest_is_not_overwritten_by_the_next_query():
             array[0] = 7
 
 
-def test_an_internal_label_outside_the_graph_raises_and_voids_the_memo():
+def test_an_internal_label_outside_the_graph_raises():
+    """A per-round query over an in-RAM pool reads no memo: a bad label
+    raises and leaves the memos and the next answer as they were."""
     pool = NodeTensorPool(NUM_NODES, EdgeEncoder(NUM_NODES), graph_seed=8, kernels=NATIVE)
     edges = _local_edges(np.random.default_rng(8), 150)
     lo, hi = edges.min(axis=1), edges.max(axis=1)
     pool.apply_edges(lo, hi, pool.encoder.encode_canonical_pairs(lo, hi))
     answer = _pool_answer(pool)
-    query = NATIVE.bind_query(NUM_NODES, pool.encoder, pool)
+    memo_labels = pool._round_memos.labels.copy()
+    query = native_cc.CcQuery(NATIVE._lib, NUM_NODES, pool.encoder, pool)
     query.labels[7] = NUM_NODES
     with pytest.raises(ValueError, match="outside"):
         query.sample(0)
-    assert (pool._round_memos[0].labels == -1).all()
+    assert np.array_equal(pool._round_memos.labels, memo_labels)
     assert _pool_answer(pool) == answer
 
 

@@ -24,7 +24,7 @@ from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.core.streaming_cc import StreamingCC
-from repro.kernels import native_kernels
+from repro.kernels import native_cc, native_kernels
 from repro.sketch.flat_node_sketch import query_bucket_arrays_batch
 from repro.sketch.sketch_base import (
     SAMPLE_FAIL,
@@ -91,11 +91,10 @@ def test_vectorized_forest_and_stats_bit_identical_to_scalar(edges, seed, ram_bu
 
 
 def _round_sample(pool, labels, round_index, node_mask):
-    """``query_components``, or the engine's bound query on a native pool."""
-    bind = getattr(pool._kernels, "bind_query", None)
-    if bind is None:
+    """``query_components``, or a per-round native query's fused sample."""
+    if pool._kernels is None:
         return pool.query_components(labels, round_index, node_mask=node_mask)
-    query = bind(pool.num_nodes, pool.encoder, pool)
+    query = native_cc.CcQuery(pool._kernels._lib, pool.num_nodes, pool.encoder, pool)
     query.labels[:], query.active[:] = labels, True if node_mask is None else node_mask
     count = query.sample(round_index)
     return query.roots[:count], query.statuses[:count], query.indices[:count]
