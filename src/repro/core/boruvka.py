@@ -17,10 +17,11 @@ is flagged incomplete (the paper's asymptotically-small failure case).
 The driver, :func:`vectorized_spanning_forest`, works a whole round
 at a time through one :class:`RoundQuery` per query: one batched
 sampler call per round, then the round tail -- validate and decode the
-samples, union-find, relabel -- through :func:`round_tail`, or through
-a native provider's compiled twins (in one call for every round of an
-in-RAM pool).  A per-component sampler runs under it through
-:func:`batch_sampler_from_scalar`.
+samples, union-find, relabel -- through :func:`round_tail`.  Over a
+tensor pool, a native provider's bound query runs the same rounds in C
+(one call for every round of an in-RAM pool, one per round of a paged
+one); both stop under :func:`run_rounds`.  A per-component sampler runs
+under it through :func:`batch_sampler_from_scalar`.
 """
 
 from __future__ import annotations
@@ -122,22 +123,38 @@ def batch_sampler_from_scalar(cut_sampler: CutSampler) -> BatchCutSampler:
 ZEROS, FAILS, GOODS, INVALID, MERGES, MERGED = range(6)
 
 
-class RoundQuery:
-    """One query's per-node state and the two steps of each Boruvka round.
+def run_rounds(num_nodes: int, num_rounds: int, step: Callable[[int], list]) -> List[list]:
+    """Call ``step(round)`` for rounds 0, 1, ... while fewer than ``num_rounds``
+    ran, more than one component is left and the last round merged or failed
+    (a failed sample says nothing about the cut being empty, so it is retried
+    in a fresh round); the rule is checked before a round is read.  Returns
+    the rows ``step`` returned, each one round's ``counts[:MERGED]``."""
+    table: List[list] = []
+    components, found_edge = num_nodes, True
+    for round_index in range(num_rounds):
+        if components < 2 or not found_edge:
+            break
+        row = step(round_index)
+        table.append(row)
+        components -= row[MERGES]
+        found_edge = row[MERGES] > 0 or row[FAILS] > 0
+    return table
 
-    :meth:`sample` cut-samples the components of ``labels`` with an
-    ``active`` node and returns how many; :meth:`tail` is
-    :func:`round_tail` over them; :meth:`run` steps the rounds.  The
-    numpy path over a :data:`BatchCutSampler`: a native provider's
-    ``bind_query`` returns a subclass whose steps are one compiled call
-    each (over an in-RAM pool, one whose :meth:`run` is).  Fresh per
-    query: the forest adopts ``labels`` without copying.
+
+class RoundQuery:
+    """One query's per-node state and its Boruvka rounds, in numpy.
+
+    A round samples the components of ``labels`` with an ``active`` node
+    in one :data:`BatchCutSampler` call (a tensor pool's
+    ``query_components``), then runs :func:`round_tail` over them;
+    :meth:`run` steps the rounds.  Fresh per query: the forest adopts
+    ``labels`` without copying.
     """
 
     def __init__(self, num_nodes: int, encoder: EdgeEncoder, source) -> None:
-        self._pool = source if hasattr(source, "query_components") else None
-        self._sampler = source if self._pool is None else (
-            lambda round_index, labels, mask: source.query_components(labels, round_index, mask)
+        sample = getattr(source, "query_components", None)
+        self._sampler = source if sample is None else (
+            lambda round_index, labels, mask: sample(labels, round_index, mask)
         )
         self.encoder = encoder
         self.labels = np.arange(num_nodes, dtype=np.int64)
@@ -148,38 +165,19 @@ class RoundQuery:
         self.active = np.ones(num_nodes, dtype=bool)
         self.edges = np.empty((2, num_nodes), dtype=np.int64)
         self.counts = np.zeros(MERGED + 1, dtype=np.int64)
-        self.parent, self.size = self._union_find(num_nodes)
-
-    @staticmethod
-    def _union_find(num_nodes: int):  # lists: round_tail's loop indexes them per edge
-        return list(range(num_nodes)), [1] * num_nodes
-
-    def sample(self, round_index: int) -> int:
-        self._sample = self._sampler(round_index, self.labels, self.active)
-        return int(self._sample[0].size)
-
-    def tail(self) -> None:
-        round_tail(self, *self._sample)
+        # lists: round_tail's loop indexes them per edge
+        self.parent, self.size = list(range(num_nodes)), [1] * num_nodes
 
     def run(self, num_rounds: int) -> List[List[int]]:
-        """Step rounds while fewer than ``num_rounds`` ran, more than one
-        component is left and the last round merged or failed (a failed
-        sample says nothing about the cut being empty, so it is retried in
-        a fresh round): one ``counts[:MERGED]`` row per round run."""
-        table: List[List[int]] = []
-        components, found_edge = self.labels.size, True
-        for round_index in range(num_rounds):
-            if components < 2 or not found_edge:
-                break
-            with span("query.round"):
-                self.sample(round_index)
-                with span("query.unionfind"):
-                    self.tail()
-            row = self.counts[:MERGED].tolist()
-            table.append(row)
-            components -= row[MERGES]
-            found_edge = row[MERGES] > 0 or row[FAILS] > 0
-        return table
+        """The rounds :func:`run_rounds` allows: one ``counts[:MERGED]`` row each."""
+        return run_rounds(self.labels.size, num_rounds, self._round)
+
+    def _round(self, round_index: int) -> List[int]:
+        with span("query.round"):
+            sample = self._sampler(round_index, self.labels, self.active)
+            with span("query.unionfind"):
+                round_tail(self, *sample)
+        return self.counts[:MERGED].tolist()
 
 
 def round_tail(
@@ -279,9 +277,9 @@ def vectorized_spanning_forest(
     for every active component's cut, then the round tail, which touches
     the union-find only for the at-most ``n - 1`` actual merges.
     ``batch_cut_sampler`` is a :data:`BatchCutSampler` or a tensor pool
-    (its ``query_components``); a native ``kernels`` provider binds the
-    query to its compiled twins, so a round over a paged pool is two
-    foreign calls and a whole query over an in-RAM pool is one.  The
+    (its ``query_components``); a native ``kernels`` provider binds a
+    pool's query to its compiled loop, so a round over a paged pool is
+    one foreign call and a whole query over an in-RAM pool is one.  The
     forest keeps the merge edges and the final labels as arrays: no
     union-find object and no per-edge tuple is built unless a caller
     reads ``forest.edges``.  Output -- forest, stats, counters, and the
@@ -291,8 +289,10 @@ def vectorized_spanning_forest(
     surviving components in ascending root order, which is exactly the
     sorted-label order the batched samplers return.
     """
-    bind = getattr(kernels, "bind_query", RoundQuery)
-    query = bind(num_nodes, encoder, batch_cut_sampler)
+    if kernels is not None and hasattr(batch_cut_sampler, "query_components"):
+        query = kernels.bind_query(batch_cut_sampler)
+    else:
+        query = RoundQuery(num_nodes, encoder, batch_cut_sampler)
     table = query.run(num_rounds)
     stats = BoruvkaStats(rounds_used=len(table))
     num_components, found_edge = num_nodes, True

@@ -52,11 +52,11 @@ Why compiling beats the numpy kernels:
   samples, validates and decodes its edge slots, and runs the per-edge
   union by size (no path compression, so the same trees), the relabel
   and the next round's active mask in C.
-* **Boruvka**: ``repro_boruvka`` runs both over every round of a query
-  on an in-RAM pool, under the driver's stop rule, so the query is one
-  call: :meth:`CcKernels.bind_query` binds its buffers once per pool
-  (:class:`CcBoruvka`).  A paged pool or a plain sampler is bound per
-  query (:class:`CcQuery`), and each round is the two per-round calls.
+* **Boruvka**: ``repro_boruvka`` runs both over a query's rounds under
+  the driver's stop rule, resuming from any round.
+  :meth:`CcKernels.bind_query` binds its buffers once per pool
+  (:class:`CcBoruvka`): a query over an in-RAM pool is one call, and
+  over a paged pool one call per round, on the slab the pool assembles.
 
 The calls release the GIL (ctypes ``CDLL`` semantics), which is what
 finally lets the sharded thread ingest scale past the numpy kernels'
@@ -94,7 +94,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.boruvka import MERGED, RoundQuery
+from repro.core.boruvka import MERGED, run_rounds
 from repro.core.edge_encoding import edge_batch_error
 from repro.observability.metrics import default_registry
 from repro.observability.tracing import record_span, span
@@ -545,11 +545,13 @@ int64_t repro_round_tail(int64_t *parent, int64_t *size, uint8_t *settled,
 }
 
 /* ------------------------------------------------------------------ */
-/* Every round of one query over an in-RAM pool: reset the query, then */
-/* sample round r (its slab, seeds and memo row; read_versions[r] =    */
-/* version) and run its tail under the Python driver's stop rule.      */
+/* Rounds first .. num_rounds - 1 of one query, under the Python       */
+/* driver's stop rule: sample round r (`slab` / `gamma` hold round     */
+/* `first`, later rounds follow; memo row r unless memo_labels is NULL; */
+/* read_versions[r] = version), then run its tail.  Round 0 resets the */
+/* query; a later first round resumes from the state its buffers hold. */
 /* table row r: counts[0..4], reused components, sample and tail ns.   */
-/* Returns the rounds run; -1 / -2 as the sample / the tail fails.     */
+/* Returns the next round; -1 / -2 as the sample / the tail fails.     */
 /* ------------------------------------------------------------------ */
 
 static inline int64_t repro_now_ns(void) {
@@ -559,35 +561,42 @@ static inline int64_t repro_now_ns(void) {
 }
 
 int64_t repro_boruvka(
-        int64_t *labels, int64_t num_rounds, int64_t version,
+        int64_t *labels, int64_t first, int64_t num_rounds, int64_t version,
+        const uint64_t *slab, const uint32_t *gamma,
         int64_t num_nodes, int64_t num_cols, int64_t num_rows, uint64_t veclen,
         int64_t slot_nodes, int64_t *parent, int64_t *size, uint8_t *settled,
         uint8_t *active, int64_t *work, uint64_t *acc, uint8_t *changed,
         int64_t *roots, uint8_t *statuses, int64_t *indices, int64_t *edges,
-        int64_t *counts, const uint64_t *slab, const uint32_t *gamma,
-        const uint64_t *mixed_seeds, int64_t *memo_labels,
+        int64_t *counts, const uint64_t *mixed_seeds, int64_t *memo_labels,
         uint8_t *memo_statuses, int64_t *memo_indices, const int64_t *stamps,
         int64_t *read_versions, int64_t *table) {
     const int64_t slab_size = num_nodes * num_cols * num_rows;
-    int64_t i, r, components = num_nodes, found = 1;
-    for (i = 0; i < num_nodes; i++) {
-        labels[i] = parent[i] = i;
-        size[i] = 1;
+    int64_t i, r, components, found;
+    if (first == 0) {
+        for (i = 0; i < num_nodes; i++) {
+            labels[i] = parent[i] = i;
+            size[i] = 1;
+        }
+        memset(settled, 0, (size_t)num_nodes);
+        memset(active, 1, (size_t)num_nodes);
+        counts[5] = 0;
     }
-    memset(settled, 0, (size_t)num_nodes);
-    memset(active, 1, (size_t)num_nodes);
-    counts[5] = 0;
-    for (r = 0; r < num_rounds && components > 1 && found; r++) {
-        const int64_t at = r * num_nodes, start = repro_now_ns();
+    components = num_nodes - counts[5];
+    found = first == 0 || counts[4] > 0 || counts[1] > 0;
+    for (r = first; r < num_rounds && components > 1 && found; r++) {
+        const int64_t at = r * num_nodes, shift = (r - first) * slab_size;
+        const int64_t start = repro_now_ns();
         int64_t *row = table + 8 * r, count, sampled;
         count = repro_sample_components(
             num_nodes, num_cols, num_rows, labels, active, veclen, work, acc,
-            changed, roots, statuses, indices, slab + r * slab_size,
-            gamma ? gamma + r * slab_size : NULL, mixed_seeds + r * num_cols,
-            memo_labels + at, memo_statuses + at, memo_indices + at, stamps,
-            read_versions[r]);
+            changed, roots, statuses, indices, slab + shift,
+            gamma ? gamma + shift : NULL, mixed_seeds + r * num_cols,
+            memo_labels ? memo_labels + at : NULL,
+            memo_labels ? memo_statuses + at : NULL,
+            memo_labels ? memo_indices + at : NULL, stamps,
+            memo_labels ? read_versions[r] : 0);
         if (count < 0) return -1;
-        read_versions[r] = version;
+        if (memo_labels) read_versions[r] = version;
         sampled = repro_now_ns();
         if (repro_round_tail(parent, size, settled, labels, active, num_nodes,
                              slot_nodes, roots, statuses, indices, work, edges,
@@ -665,7 +674,7 @@ _SIGNATURES = {
     "repro_block_digests": [_P, _I64, _I64, _U64, _P],
     "repro_sample_components": [_I64, _I64, _I64, _P, _P, _U64, *[_P] * 13, _I64],
     "repro_round_tail": [_P, _P, _P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P, _P, _I64],
-    "repro_boruvka": [_P, _I64, _I64, _I64, _I64, _I64, _U64, _I64, *[_P] * 21],
+    "repro_boruvka": [_P, _I64, _I64, _I64, _P, _P, _I64, _I64, _I64, _U64, _I64, *[_P] * 19],
 }
 _RETURNS = {"repro_sample_components", "repro_round_tail", "repro_boruvka", "repro_canonical_edges"}
 
@@ -1003,15 +1012,13 @@ class CcKernels:
         )
         return good.view(np.bool_), zero.view(np.bool_), index
 
-    def bind_query(self, num_nodes: int, encoder, source):
-        """The pool's :class:`CcBoruvka` for an in-RAM pool with round memos,
-        else one query's :class:`CcQuery` over a paged pool or a sampler."""
-        if getattr(source, "_stamps", None) is None:
-            return CcQuery(self._lib, num_nodes, encoder, source)
-        bound = self._bound(source, source._slot_offsets)
-        if bound[5] is None or bound[5].memo is not source._round_memos:
-            bound[5] = CcBoruvka(self, source)
-        bound[5].version = source._version
+    def bind_query(self, pool) -> "CcBoruvka":
+        """``pool``'s :class:`CcBoruvka`, kept in the :meth:`_bound` entry its
+        folds use and rebound only when its round memos were swapped."""
+        bound = self._bound(pool, pool._combined_offsets if pool.is_paged else pool._slot_offsets)
+        if bound[5] is None or bound[5].memo is not pool._round_memos:
+            bound[5] = CcBoruvka(self, pool)
+        bound[5].version = pool._version
         return bound[5]
 
     def ingest_edges(self, pool, endpoints: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -1065,105 +1072,65 @@ class CcKernels:
         return out
 
 
-class CcQuery(RoundQuery):
-    """A :class:`~repro.core.boruvka.RoundQuery` bound to the compiled round kernels.
-
-    Its buffers' addresses are taken once, so a round over a pool is two
-    foreign calls with nothing allocated or converted between them; the
-    round's slabs come from the pool's ``_round_views`` (a paged pool
-    assembles them when read).  Over a plain sampler, only the tail is
-    compiled.
-    """
-
-    def __init__(self, lib, num_nodes: int, encoder, source) -> None:
-        super().__init__(num_nodes, encoder, source)
-        self.roots, self.indices = np.empty((2, num_nodes), dtype=np.int64)
-        self.statuses = np.empty(num_nodes, dtype=np.uint8)
-        self._work = np.empty(2 * num_nodes + 1, dtype=np.int64)  # both calls' scratch
-        self._lib, self._count, pool = lib, 0, self._pool
-        outputs = (self.roots, self.statuses, self.indices)
-        self._tail_args = (
-            *map(_addr, (self.parent, self.size, self.settled, self.labels, self.active)),
-            num_nodes, encoder.num_nodes,
-            *map(_addr, (*outputs, self._work, self.edges, self.counts)),
-        )
-        if pool is None:
-            return
-        cols, rows = pool.num_columns, pool.num_rows
-        self._scratch = (np.empty(2 * cols * rows, dtype=np.uint64), np.empty(num_nodes, np.uint8))
-        self._sample_args = (
-            num_nodes, cols, rows, _addr(self.labels), _addr(self.active),
-            pool.encoder.vector_length, *map(_addr, (self._work, *self._scratch, *outputs)),
-        )
-        self._seeds = (_addr(pool._mixed_checksum), pool._mixed_checksum.itemsize * cols)
-
-    @staticmethod
-    def _union_find(num_nodes: int):
-        return np.arange(num_nodes, dtype=np.int64), np.ones(num_nodes, dtype=np.int64)
-
-    def sample(self, round_index: int) -> int:
-        pool = self._pool
-        if pool is None:
-            sample = self._sampler(round_index, self.labels, self.active)
-            self._count = count = sample[0].size
-            self.roots[:count], self.statuses[:count], self.indices[:count] = sample
-            return count
-        views = pool._round_views(round_index)
-        slabs = (*map(_addr, views), None)[:2]
-        seeds, step = self._seeds
-        with span("query.sample"):
-            self._count = self._lib.repro_sample_components(
-                *self._sample_args, *slabs, seeds + round_index * step, *(None,) * 4, 0
-            )
-        if self._count < 0:
-            raise ValueError(f"component label outside [0, {pool.num_nodes})")
-        return self._count
-
-    def tail(self) -> None:
-        if self._lib.repro_round_tail(*self._tail_args, self._count) < 0:
-            raise ValueError("round sample outside the graph")
-
-
 class CcBoruvka:
-    """Every Boruvka round of a query over an in-RAM pool, in one foreign call.
+    """The Boruvka rounds of a pool's queries, in C, bound once per pool.
 
-    Bound once per pool (its :meth:`CcKernels._bound` entry): the query
-    state, a per-round table and every round's memo keep their addresses,
-    and the C loop resets the state.  Each :meth:`run` gives the forest
-    fresh ``labels``; ``version`` is the pool's at :meth:`CcKernels.bind_query`.
+    Its :meth:`CcKernels._bound` entry keeps the query state, a per-round
+    table and, on an in-RAM pool, every round's memo at fixed addresses;
+    the C loop resets the state at round 0.  A query over an in-RAM pool
+    is one ``repro_boruvka`` call; over a paged pool, each round is the
+    slab ``_round_views`` assembles, then one call that runs that round
+    and resumes from the last.  Each :meth:`run` gives the forest fresh
+    ``labels``; ``version`` is the pool's at :meth:`CcKernels.bind_query`.
     """
 
     def __init__(self, kernels: CcKernels, pool) -> None:
         n, cols, rows, rounds = pool.num_nodes, pool.num_columns, pool.num_rows, pool.num_rounds
         self._kernels, self._rounds, self.version = kernels, rounds, pool._version
-        self.memo = memo = pool._bind_round_memos()
+        # A paged pool keeps no memo and is held weakly: the entry must not keep it alive.
+        self.memo = memo = None if pool.is_paged else pool._bind_round_memos()
+        self._views = weakref.WeakMethod(pool._round_views) if pool.is_paged else None
+        self._slabs = tuple(map(_addr, (*pool._planes, None)[:2]))
         # parent, size, roots, indices; settled, active, statuses, changed
         ints, flags = np.empty((4, n), np.int64), np.empty((4, n), np.uint8)
         self.edges, counts = np.empty((2, n), np.int64), np.empty(MERGED + 1, np.int64)
         self._table = np.empty((rounds, 8), np.int64)
         scratch = (np.empty(2 * n + 1, np.int64), np.empty(2 * cols * rows, np.uint64))
         self._buffers = (ints, flags, counts, scratch)  # the addresses below stay valid
-        planes = (*pool._planes, None)[:2]
+        memos = (None,) * 5 if memo is None else (
+            memo.labels, memo.statuses, memo.indices, pool._stamps, memo.read_versions
+        )
         self._args = (
             n, cols, rows, pool.encoder.vector_length, pool.encoder.num_nodes,
             *map(_addr, (ints[0], ints[1], flags[0], flags[1], *scratch, flags[3], ints[2],
-                         flags[2], ints[3], self.edges, counts, *planes, pool._mixed_checksum,
-                         memo.labels, memo.statuses, memo.indices, pool._stamps,
-                         memo.read_versions, self._table)),
+                         flags[2], ints[3], self.edges, counts, pool._mixed_checksum,
+                         *memos, self._table)),
         )
 
     def run(self, num_rounds: int) -> list:
-        """:meth:`RoundQuery.run <repro.core.boruvka.RoundQuery.run>` in C; publishes
-        ``query.reused_components`` and the round spans the loop timed."""
-        n = self._args[0]
+        """:meth:`RoundQuery.run <repro.core.boruvka.RoundQuery.run>` in C."""
         if num_rounds > self._rounds:
             raise ValueError(f"{num_rounds} rounds asked of a {self._rounds}-round pool")
-        self.labels = labels = np.empty(n, dtype=np.int64)  # the C loop labels every node
+        self.labels = np.empty(self._args[0], dtype=np.int64)  # round 0 labels every node
+        if self._views is None:
+            return self._call(0, num_rounds, *self._slabs)
+        return run_rounds(self._args[0], num_rounds, self._paged_round)
+
+    def _paged_round(self, round_index: int) -> list:
+        views = self._views()(round_index)  # the pool's reusable slab buffers
+        return self._call(round_index, round_index + 1, *(*map(_addr, views), None)[:2])[0]
+
+    def _call(self, first: int, stop: int, slab: int, gamma: Optional[int]) -> list:
+        """Rounds ``first .. stop - 1`` over the slabs from round ``first``'s,
+        until the stop rule holds; publishes ``query.reused_components`` and
+        the round spans the loop timed.  Their ``counts[:MERGED]`` rows."""
         start = perf_counter()
-        ran = self._kernels._lib.repro_boruvka(_addr(labels), num_rounds, self.version, *self._args)
+        ran = self._kernels._lib.repro_boruvka(
+            _addr(self.labels), first, stop, self.version, slab, gamma, *self._args
+        )
         if ran < 0:  # -1: the sample failed, -2: the tail
             raise ValueError(("component label", "round sample")[-1 - ran] + " outside the graph")
-        table = self._table[:ran].tolist()
+        table = self._table[first:ran].tolist()
         registry = default_registry()
         if registry.enabled:
             reused = sum(row[5] for row in table)

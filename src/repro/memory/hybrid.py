@@ -333,45 +333,47 @@ class HybridMemory:
         one digest call per scratchful, and every block is verified
         against its write-time digest before any byte of that
         scratchful is copied out.  The whole batch is one device
-        operation to the circuit breaker and one ``device.read`` span,
-        while the fault plan, the deadline and the retry policy apply to
-        each range as they would to a read of its own.  Returns the
-        bytes copied per request.  Not re-entrant (one scratch): callers
-        serialise range reads.
+        operation to the circuit breaker, one ``memory.load_ranges``
+        span and, inside it, one ``device.read`` span, while the fault
+        plan, the deadline and the retry policy apply to each range as
+        they would to a read of its own.  Returns the bytes copied per
+        request.  Not re-entrant (one scratch): callers serialise range
+        reads.
         """
-        block_size = self.block_size
-        copied = [0] * len(requests)
-        # Plain ints per range -- a query round holds one entry per
-        # spilled page, so no view is kept alive before its copy-out.
-        reads = []  # (request index, first block, blocks, skip, length)
-        for index, (key, offset, out) in enumerate(requests):
-            if offset < 0:
-                raise StorageError("offset must be non-negative")
-            start, _, stored_length = self._allocations[key]
-            stop = min(offset + len(byte_view(out)), stored_length)
-            if stop > offset:
-                first = offset // block_size
-                num_blocks = -(-stop // block_size) - first
-                skip = offset - first * block_size
-                reads.append((index, start + first, num_blocks, skip, stop - offset))
-        if not reads:
+        with span("memory.load_ranges"):
+            block_size = self.block_size
+            copied = [0] * len(requests)
+            # Plain ints per range -- a query round holds one entry per
+            # spilled page, so no view is kept alive before its copy-out.
+            reads = []  # (request index, first block, blocks, skip, length)
+            for index, (key, offset, out) in enumerate(requests):
+                if offset < 0:
+                    raise StorageError("offset must be non-negative")
+                start, _, stored_length = self._allocations[key]
+                stop = min(offset + len(byte_view(out)), stored_length)
+                if stop > offset:
+                    first = offset // block_size
+                    num_blocks = -(-stop // block_size) - first
+                    skip = offset - first * block_size
+                    reads.append((index, start + first, num_blocks, skip, stop - offset))
+            if not reads:
+                return copied
+            scratch = self._scratch(
+                sum(read[2] for read in reads), max(read[2] for read in reads)
+            )
+            capacity = len(scratch) // block_size
+
+            def read_scratchfuls() -> None:
+                first, used = 0, 0
+                for last, read in enumerate(reads):
+                    if used + read[2] > capacity:
+                        self._read_scratchful(requests, reads[first:last], scratch, copied)
+                        first, used = last, 0
+                    used += read[2]
+                self._read_scratchful(requests, reads[first:], scratch, copied)
+
+            self._admitted(read_scratchfuls, is_write=False)
             return copied
-        scratch = self._scratch(
-            sum(read[2] for read in reads), max(read[2] for read in reads)
-        )
-        capacity = len(scratch) // block_size
-
-        def read_scratchfuls() -> None:
-            first, used = 0, 0
-            for last, read in enumerate(reads):
-                if used + read[2] > capacity:
-                    self._read_scratchful(requests, reads[first:last], scratch, copied)
-                    first, used = last, 0
-                used += read[2]
-            self._read_scratchful(requests, reads[first:], scratch, copied)
-
-        self._admitted(read_scratchfuls, is_write=False)
-        return copied
 
     def _read_scratchful(
         self, requests: Sequence, reads: list, scratch: bytearray, copied: List[int]

@@ -236,7 +236,7 @@ class NodeTensorPool:
         # Per-node version of the last write (see _stamp) and every
         # round's last fused sample, kept where a provider's fused
         # sample reads them: never on the paged pool or under numpy.
-        memoised = _allocate and hasattr(kernels, "bind_query")
+        memoised = _allocate and kernels is not None
         self._stamps = np.zeros(self.num_nodes, dtype=np.int64) if memoised else None
         self._round_memos: Optional[RoundMemo] = None
 
@@ -750,7 +750,7 @@ class NodeTensorPool:
 
     def _bind_round_memos(self) -> RoundMemo:
         """Every round's memo, made when a native query is first bound to
-        the pool (only a pool with stamps is)."""
+        the pool (only an in-RAM pool's is)."""
         if self._round_memos is None:
             self._round_memos = RoundMemo(self.num_rounds, self.num_nodes)
         return self._round_memos

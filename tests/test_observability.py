@@ -100,6 +100,55 @@ def test_disabled_path_allocates_nothing_on_the_fold_hot_loop():
     assert not grown, f"disabled observability allocated: {grown}"
 
 
+def _paged(kernel_backend: str) -> GraphZeppelin:
+    """A paged engine at 1/8 of its sketch state in 4-node pages, holding
+    a flushed graph."""
+    state = GraphZeppelin(NUM_NODES).sketch_bytes()
+    config = GraphZeppelinConfig.out_of_core(
+        state // 8, seed=9, kernel_backend=kernel_backend, nodes_per_page=4
+    )
+    engine = GraphZeppelin(NUM_NODES, config)
+    engine.ingest_batch(_random_edges(300, seed=4))
+    engine.flush()
+    return engine
+
+
+@pytest.mark.parametrize("kernel_backend", ["numpy", "auto"])
+def test_a_paged_query_reads_each_round_in_one_load_ranges_span(kernel_backend):
+    """The round's stripes are one batch: one ``memory.load_ranges`` span
+    around one ``device.read`` per round, timed under the round spans."""
+    engine = _paged(kernel_backend)
+    default_registry().reset()
+    engine.list_spanning_forest()
+    histograms = default_registry().snapshot().histograms
+    rounds = engine.last_query_stats.rounds_used
+    assert histograms["memory.load_ranges"].count == histograms["device.read"].count == rounds
+    assert histograms["query.round"].count == rounds
+
+
+@pytest.mark.parametrize("kernel_backend", ["numpy", "auto"])
+def test_disabled_path_allocates_nothing_on_a_paged_query(kernel_backend):
+    engine = _paged(kernel_backend)
+    engine.list_spanning_forest()  # warm every lazy code path first
+    disable()
+    for seed in (5, 6):  # the disabled branch itself, then the traced query
+        engine.ingest_batch(_random_edges(20, seed=seed))
+        engine.flush()
+        if seed == 5:
+            engine.list_spanning_forest()
+    tracemalloc.start()
+    before = tracemalloc.take_snapshot()
+    engine.list_spanning_forest()
+    after = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    grown = [
+        stat
+        for stat in after.compare_to(before, "lineno")
+        if stat.size_diff > 0 and "observability" in stat.traceback[0].filename
+    ]
+    assert not grown, f"disabled observability allocated: {grown}"
+
+
 def test_disabled_run_records_no_metrics():
     disable()
     default_registry().reset()

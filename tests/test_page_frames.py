@@ -23,6 +23,7 @@ from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.exceptions import CorruptionError
+from repro.kernels import native_kernels
 from repro.memory.hybrid import HybridMemory
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.sketch.paged_pool import PagedTensorPool
@@ -213,14 +214,16 @@ def test_no_accessor_returns_a_view_of_a_frame(force_wide, num_rounds):
 # ----------------------------------------------------------------------
 # policy and device-op order, pinned by counts taken at the parent commit
 # ----------------------------------------------------------------------
-def _recorded_paged_run(num_nodes: int, budget_divisor: int):
+def _recorded_paged_run(num_nodes: int, budget_divisor: int, kernel_backend: str = "numpy"):
     """Five seeded epochs (ingest, flush, query) on a paged engine and its
-    flat twin.  Returns the pool's page statistics, ``(block_reads,
-    block_writes)`` and every device op as ``(kind, start_block,
-    blocks)``, all taken before the closing bit-identity check.  The
-    counts were recorded on the 7-column sketch, so both engines run at
-    :data:`SEVEN_COLUMN_DELTA`."""
-    config = GraphZeppelinConfig(delta=SEVEN_COLUMN_DELTA, seed=3, validate_stream=False)
+    flat twin, both on ``kernel_backend``.  Returns the pool's page
+    statistics, ``(block_reads, block_writes)`` and every device op as
+    ``(kind, start_block, blocks)``, all taken before the closing
+    bit-identity check.  The counts were recorded on the 7-column sketch,
+    so both engines run at :data:`SEVEN_COLUMN_DELTA`."""
+    config = GraphZeppelinConfig(
+        delta=SEVEN_COLUMN_DELTA, seed=3, validate_stream=False, kernel_backend=kernel_backend
+    )
     state = GraphZeppelin(num_nodes, config).sketch_bytes()
     engine = GraphZeppelin(
         num_nodes,
@@ -230,6 +233,7 @@ def _recorded_paged_run(num_nodes: int, budget_divisor: int):
             validate_stream=False,
             seed=3,
             nodes_per_page=4,
+            kernel_backend=kernel_backend,
         ),
     )
     flat = GraphZeppelin(num_nodes, config)
@@ -270,11 +274,19 @@ def _recorded_paged_run(num_nodes: int, budget_divisor: int):
     return result
 
 
-def test_device_traffic_repeats_the_parent_commit_op_for_op():
+@pytest.mark.parametrize(
+    "kernel_backend",
+    ["numpy", pytest.param("native", marks=pytest.mark.skipif(
+        native_kernels() is None, reason="no native kernel provider"
+    ))],
+)
+def test_device_traffic_repeats_the_parent_commit_op_for_op(kernel_backend):
     """Budget = state / 8 (the benchmark's ratio).  At the parent the byte
     cache had no room left once the slab was reserved, so its device
-    traffic is exactly the LRU policy's -- and must be op for op ours."""
-    stats, block_ios, ops = _recorded_paged_run(256, 8)
+    traffic is exactly the LRU policy's -- and must be op for op ours.
+    Under either provider: the native query reads a round's stripes only
+    when the stop rule lets that round run, as the numpy driver does."""
+    stats, block_ios, ops = _recorded_paged_run(256, 8, kernel_backend)
     assert (stats["num_pages"], stats["page_blocks"], stats["resident_budget"]) == (64, 2, 5)
     assert (stats["page_ins"], stats["page_writebacks"], stats["partial_reads"]) == (
         256, 315, 1003,

@@ -142,6 +142,9 @@ OUT_OF_THE_PRODUCT = {
     "IOStats.reset",
     "EdgeEncoder.decode_batch",
     "OUTCOME_BY_CODE",
+    # the per-query native binding (CcBoruvka binds every pool's query)
+    "CcQuery",
+    "RoundQuery._union_find",
     # dead code
     "SketchFailureError",
     "_reset_for_tests",

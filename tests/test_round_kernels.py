@@ -2,13 +2,15 @@
 
 A native provider's ``bind_query`` replaces the composed group -> reduce
 -> decode sampling and the numpy validate/decode/union-find/relabel tail
-of :func:`vectorized_spanning_forest` with one compiled call each, and on
-an in-RAM pool runs every round in one call (``repro_boruvka``).  All
-are pure optimisations: forest edges *in merge order*, every
-:class:`BoruvkaStats` field and the final per-node component labels must
-equal the numpy driver's, on packed and wide pools either side of the
-65 536-node boundary, flat and paged.  The kernel is also driven directly
-over hand-built slabs for the decode branches random streams rarely hit.
+of :func:`vectorized_spanning_forest` with one C loop
+(``repro_boruvka``): every round of an in-RAM pool's query in one call,
+one call per round of a paged pool's.  All are pure optimisations:
+forest edges *in merge order*, every :class:`BoruvkaStats` field and the
+final per-node component labels must equal the numpy driver's, on packed
+and wide pools either side of the 65 536-node boundary, flat and paged.
+The sample and the tail kernels are also driven directly
+(``native_round``) over hand-built slabs and samples, for the branches
+random streams rarely hit.
 
 Skips (not errors) when no provider with the round kernels is usable.
 """
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boruvka import MERGED, RoundQuery, vectorized_spanning_forest
+from repro.core.boruvka import MERGED, RoundQuery, round_tail, vectorized_spanning_forest
 from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
@@ -34,12 +36,13 @@ from repro.observability.tracing import remove_trace_ring
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.sketch_base import SAMPLE_FAIL, SAMPLE_GOOD, SAMPLE_ZERO
 from repro.sketch.tensor_pool import NodeTensorPool
+from native_round import NativeTail, fused_sample
 from sketch_reference import SEVEN_COLUMN_DELTA, pool_geometry
 
 NATIVE = native_kernels()
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(NATIVE, "bind_query"),
+    NATIVE is None,
     reason="no native provider with the round kernels",
 )
 
@@ -227,7 +230,7 @@ def test_one_call_query_matches_the_numpy_driver_and_the_paged_pool(
     """Forest in merge order, labels, every stats field, the four counters'
     deltas and the round spans: the one-call query of an in-RAM pool, warm
     and cold, equals the numpy driver and the paged native pool's
-    per-round calls, also when the rounds run out (strict or not)."""
+    call per round, also when the rounds run out (strict or not)."""
     num_nodes, edges = graph
     provider, shape = one_call_provider, dict(wide=force_wide, delta=delta)
     pools = [
@@ -236,7 +239,7 @@ def test_one_call_query_matches_the_numpy_driver_and_the_paged_pool(
         _pool(num_nodes, seed, provider, False, **shape),
     ]
     flat = pools[2]
-    assert isinstance(provider.bind_query(num_nodes, flat.encoder, flat), native_cc.CcBoruvka)
+    assert all(isinstance(provider.bind_query(pool), native_cc.CcBoruvka) for pool in pools[1:])
     num_rounds = data.draw(st.integers(min_value=1, max_value=flat.num_rounds))
     strict = data.draw(st.booleans())
     cut = data.draw(st.integers(min_value=0, max_value=len(edges)))
@@ -357,12 +360,9 @@ def _hand_built_pools(force_wide):
     return pools, labels, backwards, edge
 
 
-def _bound_sample(pool, labels, mask=True):
-    """Round 0's fused sample of ``labels`` by a per-round query over ``pool``."""
-    query = native_cc.CcQuery(NATIVE._lib, pool.num_nodes, pool.encoder, pool)
-    query.labels[:], query.active[:] = labels, mask
-    count = query.sample(0)
-    return query.roots[:count], query.statuses[:count], query.indices[:count]
+def _bound_sample(pool, labels, mask=None):
+    """Round 0's fused sample of ``labels`` over ``pool``, by the C kernel."""
+    return fused_sample(NATIVE._lib, pool, labels, 0, mask)
 
 
 @pytest.mark.parametrize("force_wide", [False, True])
@@ -410,12 +410,16 @@ def test_backwards_slot_is_counted_invalid_and_ignored():
 # the round-tail contract over hand-built samples
 # ----------------------------------------------------------------------
 def _tail_rounds(query, samples):
-    """Run ``query`` over ``samples[r]`` (roots, statuses, indices) for
-    every round ``r``; the state each round's tail leaves behind."""
+    """Feed ``samples[r]`` (roots, statuses, indices) to ``query``'s tail --
+    the numpy :func:`round_tail` of a :class:`RoundQuery`, or the C tail of
+    a :class:`NativeTail` -- for every round ``r``; the state each round's
+    tail leaves behind."""
     states = []
-    for round_index in range(len(samples)):
-        query.sample(round_index)
-        query.tail()
+    for sample in samples:
+        if isinstance(query, NativeTail):
+            query.tail(*sample)
+        else:
+            round_tail(query, *sample)
         states.append((
             query.labels.tolist(), query.settled.tolist(), query.active.tolist(),
             query.edges[:, : query.counts[MERGED]].T.tolist(), query.counts.tolist(),
@@ -456,11 +460,8 @@ def test_round_tail_contract_table():
         for rows in table
     ]
 
-    def sampler(round_index, labels, mask):
-        return samples[round_index]
-
-    expected = _tail_rounds(RoundQuery(n, encoder, sampler), samples)
-    assert _tail_rounds(NATIVE.bind_query(n, encoder, sampler), samples) == expected
+    expected = _tail_rounds(RoundQuery(n, encoder, None), samples)
+    assert _tail_rounds(NativeTail(NATIVE._lib, n, encoder), samples) == expected
     (labels0, settled0, active0, edges0, counts0), (labels1, settled1, active1, edges1, counts1) = expected
     assert edges0 == [[0, 9], [8, 9], [3, 4]]
     assert counts0 == [1, 1, 8, 4, 3, 3]  # ZERO, FAIL, GOOD, invalid, merges, so far
@@ -487,16 +488,13 @@ def test_both_tails_decode_with_the_encoders_slot_layout():
     inside = [(np.asarray([0, 2]), good, np.asarray([encoder.encode(0, 3), encoder.encode(2, 3)]))]
     outside = [(np.asarray([1]), good[:1], np.asarray([encoder.encode(1, 5)]))]
 
-    def bound(bind, samples):
-        return bind(n, encoder, lambda round_index, labels, mask: samples[round_index])
-
-    expected = _tail_rounds(bound(RoundQuery, inside), inside)
-    assert _tail_rounds(bound(NATIVE.bind_query, inside), inside) == expected
+    expected = _tail_rounds(RoundQuery(n, encoder, None), inside)
+    assert _tail_rounds(NativeTail(NATIVE._lib, n, encoder), inside) == expected
     assert expected[0][3] == [[0, 3], [2, 3]]
     with pytest.raises(IndexError):
-        _tail_rounds(bound(RoundQuery, outside), outside)
+        _tail_rounds(RoundQuery(n, encoder, None), outside)
     with pytest.raises(ValueError, match="outside the graph"):
-        _tail_rounds(bound(NATIVE.bind_query, outside), outside)
+        _tail_rounds(NativeTail(NATIVE._lib, n, encoder), outside)
 
 
 # ----------------------------------------------------------------------
@@ -542,13 +540,23 @@ def test_a_warm_flat_query_is_one_foreign_call(monkeypatch):
     assert _warm_query_calls(monkeypatch, config)[0] == {"repro_boruvka": 1}
 
 
-def test_a_paged_query_is_two_foreign_calls_per_round(monkeypatch):
-    config = GraphZeppelinConfig.out_of_core(
-        GraphZeppelin(240).sketch_bytes() // 4, kernel_backend="native", seed=3
-    )
-    calls, rounds = _warm_query_calls(monkeypatch, config)
-    assert calls["repro_sample_components"] == calls["repro_round_tail"] == rounds
-    assert "repro_boruvka" not in calls
+def test_a_paged_one_call_query_is_one_call_per_round(one_call_provider, monkeypatch):
+    """A warm query over a paged pool: ``repro_boruvka`` once per round,
+    neither per-round entry point, and the numpy driver's answer."""
+    provider, rng = one_call_provider, np.random.default_rng(3)
+    u = rng.integers(0, 240, 300)
+    edges = np.stack([u, (u + rng.integers(1, 12, 300)) % 240], axis=1).tolist()
+    pools = [_pool(240, 3, kernels, True) for kernels in (None, provider)]
+    for pool in pools:
+        _fold(pool, edges)
+        _round_trace(pool, pool._kernels)
+        _fold(pool, [(0, 1), (5, 200)])
+    expected = _round_trace(pools[0], None)
+    counting = _CountingLib(provider._lib)
+    monkeypatch.setattr(provider, "_lib", counting)
+    assert _round_trace(pools[1], provider) == expected
+    rounds = expected[2]["rounds_used"]
+    assert rounds >= 2 and counting.calls == {"repro_boruvka": rounds}
 
 
 def _native_engine(num_nodes=240, seed=3):

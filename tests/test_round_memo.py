@@ -27,16 +27,17 @@ from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.distributed.snapshot import merge_snapshots_into
-from repro.kernels import native_cc, native_kernels
+from repro.kernels import native_kernels
 from repro.observability import default_registry
 from repro.sketch.tensor_pool import NodeTensorPool
 from repro.types import EdgeUpdate, UpdateType
+from native_round import fused_sample
 from sketch_reference import pool_geometry
 
 NATIVE = native_kernels()
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(NATIVE, "bind_query"),
+    NATIVE is None,
     reason="no native provider with the round kernels",
 )
 
@@ -318,18 +319,18 @@ def test_a_kept_forest_is_not_overwritten_by_the_next_query():
 
 
 def test_an_internal_label_outside_the_graph_raises():
-    """A per-round query over an in-RAM pool reads no memo: a bad label
-    raises and leaves the memos and the next answer as they were."""
+    """The fused sample kernel without a memo: a bad label raises and
+    leaves the memos and the next answer as they were."""
     pool = NodeTensorPool(NUM_NODES, EdgeEncoder(NUM_NODES), graph_seed=8, kernels=NATIVE)
     edges = _local_edges(np.random.default_rng(8), 150)
     lo, hi = edges.min(axis=1), edges.max(axis=1)
     pool.apply_edges(lo, hi, pool.encoder.encode_canonical_pairs(lo, hi))
     answer = _pool_answer(pool)
     memo_labels = pool._round_memos.labels.copy()
-    query = native_cc.CcQuery(NATIVE._lib, NUM_NODES, pool.encoder, pool)
-    query.labels[7] = NUM_NODES
+    labels = np.arange(NUM_NODES)
+    labels[7] = NUM_NODES
     with pytest.raises(ValueError, match="outside"):
-        query.sample(0)
+        fused_sample(NATIVE._lib, pool, labels)
     assert np.array_equal(pool._round_memos.labels, memo_labels)
     assert _pool_answer(pool) == answer
 

@@ -24,7 +24,7 @@ from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.core.streaming_cc import StreamingCC
-from repro.kernels import native_cc, native_kernels
+from repro.kernels import native_kernels
 from repro.sketch.flat_node_sketch import query_bucket_arrays_batch
 from repro.sketch.sketch_base import (
     SAMPLE_FAIL,
@@ -34,6 +34,7 @@ from repro.sketch.sketch_base import (
     SampleResult,
 )
 from repro.sketch.tensor_pool import NodeTensorPool
+from native_round import fused_sample
 from sketch_reference import (
     cube_query,
     pool_cut_sample,
@@ -91,13 +92,10 @@ def test_vectorized_forest_and_stats_bit_identical_to_scalar(edges, seed, ram_bu
 
 
 def _round_sample(pool, labels, round_index, node_mask):
-    """``query_components``, or a per-round native query's fused sample."""
+    """``query_components``, or the native fused sample kernel's."""
     if pool._kernels is None:
         return pool.query_components(labels, round_index, node_mask=node_mask)
-    query = native_cc.CcQuery(pool._kernels._lib, pool.num_nodes, pool.encoder, pool)
-    query.labels[:], query.active[:] = labels, True if node_mask is None else node_mask
-    count = query.sample(round_index)
-    return query.roots[:count], query.statuses[:count], query.indices[:count]
+    return fused_sample(pool._kernels._lib, pool, labels, round_index, node_mask)
 
 
 @given(edges=edge_lists, seed=seeds, data=st.data())
