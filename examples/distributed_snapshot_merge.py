@@ -7,7 +7,8 @@ random stream:
    "crash", reload, and finish from the recorded offset -- the final
    forest is bit-identical to a run that never stopped.
 2. **Snapshot merge**: two engines ingest disjoint halves of the
-   stream; XOR-merging their snapshots yields the pool of the whole
+   stream; XOR-merging their snapshots into a fresh engine
+   (``GraphZeppelin.merge_snapshots``) yields the pool of the whole
    stream (sketch linearity).
 3. **Distributed driver**: the same split/merge run end to end across
    worker processes with one call.
@@ -23,7 +24,6 @@ import numpy as np
 
 from repro import GraphZeppelin, GraphZeppelinConfig
 from repro.distributed.multi_ingestor import distributed_ingest
-from repro.distributed.snapshot import merge_snapshots
 from repro.generators.random_graphs import random_multigraph_edges
 
 
@@ -62,10 +62,13 @@ def main() -> None:
         worker.ingest_batch(edges[part::2])  # round-robin slice
         paths.append(workdir / f"part{part}.snap")
         worker.save_snapshot(paths[-1])
-    pool, meta = merge_snapshots(paths)
+    merged = GraphZeppelin(num_nodes, config=config)
+    meta = merged.merge_snapshots(paths)
     identical = all(
         np.array_equal(got, want)
-        for got, want in zip(pool.raw_tensors(), reference.tensor_pool.raw_tensors())
+        for got, want in zip(
+            merged.tensor_pool.raw_tensors(), reference.tensor_pool.raw_tensors()
+        )
     )
     print(f"merged {len(paths)} snapshots: {meta.pool_updates} folded updates, "
           f"tensors bit-identical = {identical}")

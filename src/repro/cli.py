@@ -711,9 +711,6 @@ def _cmd_resume(args) -> int:
             f"{args.stream} holds only {len(stream)} updates; the stream file "
             "does not match the one the checkpoint was taken from"
         )
-    if not read_snapshot_meta(snapshot_path).verified:
-        print(f"note: {snapshot_path} is a pre-digest (version-1) snapshot; "
-              "its payload loaded unverified")
     remaining = stream.edge_array(start=offset)
     engine.ingest_batch(remaining)
     mode = f"resumed at offset {offset} (+{remaining.shape[0]} updates)"
@@ -766,10 +763,7 @@ def _cmd_scrub(args) -> int:
             print(f"{path}: CORRUPT (unreadable: {exc})")
             corrupt += 1
             continue
-        if meta.verified:
-            print(f"{path}: ok ({len(meta.stripe_digests)} stripe digests verified)")
-        else:
-            print(f"{path}: unverified (pre-digest format, version {meta.version})")
+        print(f"{path}: ok ({len(meta.stripe_digests)} stripe digests verified)")
     if corrupt:
         print(f"{corrupt}/{len(paths)} file(s) corrupt")
         return 1
@@ -777,17 +771,20 @@ def _cmd_scrub(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    from repro.distributed.snapshot import merge_snapshots, save_pool_snapshot
+    from repro.distributed.snapshot import read_snapshot_meta, save_pool_snapshot
 
-    ram_budget = _ram_budget_bytes(args)
-    memory = None
-    if ram_budget is not None:
-        from repro.memory.hybrid import HybridMemory
-
-        memory = HybridMemory(ram_bytes=ram_budget)
-    pool, meta = merge_snapshots(args.inputs, memory=memory)
+    # An engine of the first input's seed and delta (paged under
+    # --ram-budget-mib) takes every input through its one merge path.
+    first = read_snapshot_meta(args.inputs[0])
+    config = GraphZeppelinConfig(
+        seed=first.graph_seed,
+        delta=first.geometry.delta,
+        ram_budget_bytes=_ram_budget_bytes(args),
+    )
+    engine = GraphZeppelin(first.geometry.num_nodes, config=config)
+    meta = engine.merge_snapshots(args.inputs)
     save_pool_snapshot(
-        pool,
+        engine.tensor_pool,
         args.output,
         stream_offset=meta.stream_offset,
         engine_updates=meta.engine_updates,

@@ -178,9 +178,10 @@ class GraphZeppelin:
         )
         self._last_query_stats: Optional[BoruvkaStats] = None
         # The spanning forest is a pure function of the sketch state, so
-        # it is cached between queries and invalidated whenever an
-        # update touches the sketches (directly or via the buffers).
+        # it is cached between queries with the pool version it was
+        # computed at; every write to the pool moves that version.
         self._cached_forest: Optional[SpanningForest] = None
+        self._cached_version = -1
         # Stream position recorded by the snapshot this engine was
         # loaded from (0 for a fresh engine): resume ingestion there.
         self._resume_offset = 0
@@ -351,9 +352,7 @@ class GraphZeppelin:
                 # In-RAM pools fold directly even when buffering is
                 # configured (the gutters would only copy); the paged pool
                 # keeps the buffering layer in front so small batches still
-                # amortise page pins.  A rejected batch writes nothing; a
-                # fold stopped part way has, so the cached answer goes first.
-                self._cached_forest = None
+                # amortise page pins.
                 self._accept_batch(*self._pool.apply_edge_rows(endpoints))
                 self._batches_applied += 1
             else:
@@ -380,11 +379,10 @@ class GraphZeppelin:
         return array.astype(np.int64, copy=False)
 
     def _accept_batch(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Record a validated serial batch: tracked edges, counters, cached answer."""
+        """Record a validated serial batch: tracked edges and counters."""
         self._toggle_tracked_edges(lo, hi)
         count = lo.size
         self._updates_processed += count
-        self._cached_forest = None
         registry = default_registry()
         if registry.enabled:
             registry.counter("ingest.updates").inc(count)
@@ -431,11 +429,11 @@ class GraphZeppelin:
 
         The shard workers write the pool tensors directly, bypassing
         every user-facing entry point, so the coordinator records the
-        counters here -- and, crucially,
-        invalidates the cached spanning forest and the pool's slab
-        cache, exactly like a serial ingest would.  ``count=0`` signals
-        a batch whose workers failed partway: the caches still have to
-        go (some shards' folds landed), but no updates are claimed.
+        counters here -- and, crucially, moves the pool version, which
+        retires the cached spanning forest and the pool's slab cache,
+        exactly like a serial ingest would.  ``count=0`` signals a
+        batch whose workers failed partway: the version still moves
+        (some shards' folds landed), but no updates are claimed.
         """
         if count:
             self._updates_processed += int(count)
@@ -443,7 +441,6 @@ class GraphZeppelin:
             registry = default_registry()
             if registry.enabled:
                 registry.counter("ingest.updates").inc(int(count))
-        self._cached_forest = None
         self._pool.mark_external_updates(2 * int(count))
         if count:
             self._note_checkpoint_progress(int(count))
@@ -459,14 +456,17 @@ class GraphZeppelin:
         node sketches.  The node sketches are not consumed -- the stream
         can continue after the query.
 
-        The forest is cached: repeated connectivity queries
-        (``is_connected`` point lookups, ``num_connected_components``
-        polls) between updates reuse it instead of re-running Boruvka,
-        and any ingested update invalidates it.
+        The forest is cached with the pool version it was computed at:
+        repeated connectivity queries (``is_connected`` point lookups,
+        ``num_connected_components`` polls) between updates reuse it
+        instead of re-running Boruvka, and any write to the pool --
+        an ingest, a flush, a snapshot load or merge, a repair, even
+        one made straight through :attr:`tensor_pool` -- retires it.
         """
-        if self._cached_forest is not None:
-            return self._cached_forest
         self.flush()
+        version = self._pool._version
+        if self._cached_forest is not None and self._cached_version == version:
+            return self._cached_forest
         forest, stats = vectorized_spanning_forest(
             num_nodes=self.num_nodes,
             num_rounds=self.num_rounds,
@@ -476,7 +476,7 @@ class GraphZeppelin:
             kernels=self._kernels,
         )
         self._last_query_stats = stats
-        self._cached_forest = forest
+        self._cached_forest, self._cached_version = forest, version
         return forest
 
     def spanning_forest(self) -> SpanningForest:
@@ -563,8 +563,33 @@ class GraphZeppelin:
         load_snapshot_into(path, engine._pool)
         engine._updates_processed = meta.engine_updates
         engine._resume_offset = meta.stream_offset
-        engine._cached_forest = None
         return engine
+
+    def merge_snapshots(self, paths):
+        """XOR snapshots into this engine's sketch state; returns the merged meta.
+
+        By linearity the result is the state of this engine's stream
+        plus the snapshots' sub-streams: merged into a fresh engine,
+        K snapshots of disjoint sub-streams leave it bit-identical to
+        serially ingesting their concatenation.  Every input is
+        validated against the pool -- and against each other -- before
+        a bucket is touched (:func:`~repro.distributed.snapshot.merge_snapshots_into`).
+        The inputs' ``engine_updates`` add to :attr:`updates_processed`
+        and reach the attached checkpointer like any ingest.  Refused
+        under ``validate_stream``: the tracked edge set is not part of
+        a snapshot.
+        """
+        from repro.distributed.snapshot import merge_snapshots_into
+
+        if self.config.validate_stream:
+            raise ConfigurationError(
+                "cannot merge snapshots with validate_stream: the tracked edge "
+                "set is not part of a snapshot"
+            )
+        meta = merge_snapshots_into(paths, self._pool)
+        self._updates_processed += meta.engine_updates
+        self._note_checkpoint_progress(meta.engine_updates)
+        return meta
 
     @property
     def resume_offset(self) -> int:
@@ -663,7 +688,7 @@ class GraphZeppelin:
         swallowing a failed checkpoint) would silently drop the popped
         updates and quietly diverge from the fault-free stream.
         """
-        if self._buffering is None:
+        if self._buffering is None or self._buffering.pending_updates() == 0:
             return
         self._apply_emitted(self._buffering.flush_all())
 
@@ -920,7 +945,6 @@ class GraphZeppelin:
         registry = default_registry()
         if registry.enabled:
             registry.counter("ingest.updates").inc()
-        self._cached_forest = None
         if self._buffering is None:
             self._pool.apply_node_batch(u, [v])
             self._pool.apply_node_batch(v, [u])
@@ -960,7 +984,6 @@ class GraphZeppelin:
             return
         dsts = np.concatenate([b.dsts for b in page_batches])
         neighbors = np.concatenate([b.neighbors for b in page_batches])
-        self._cached_forest = None
         lo = np.minimum(dsts, neighbors)
         hi = np.maximum(dsts, neighbors)
         self._pool.apply_updates(dsts, self.encoder.encode_canonical_pairs(lo, hi))
@@ -975,7 +998,6 @@ class GraphZeppelin:
         """
         if len(batch) == 0:
             return
-        self._cached_forest = None
         lo = np.minimum(batch.dsts, batch.neighbors)
         hi = np.maximum(batch.dsts, batch.neighbors)
         self._pool.fold_page_batch(

@@ -237,11 +237,7 @@ def distributed_ingest(
     pool and the merge runs page by page under the coordinator's
     budget.
     """
-    from repro.distributed.snapshot import (
-        merge_snapshots_into,
-        read_snapshot_meta,
-        verify_snapshot_payload,
-    )
+    from repro.distributed.snapshot import read_snapshot_meta, verify_snapshot_payload
     from repro.resilience.supervisor import WorkerSupervisor
 
     config = config or GraphZeppelinConfig()
@@ -317,9 +313,8 @@ def distributed_ingest(
         # slower or re-dispatched peers are still running.
         merge_start = time.perf_counter()
         with span("distributed.merge"):
-            meta = merge_snapshots_into([paths[worker]], engine.tensor_pool)
+            meta = engine.merge_snapshots([paths[worker]])
         report.merge_seconds += time.perf_counter() - merge_start
-        engine._updates_processed += meta.engine_updates
         report.per_worker_updates[worker] = meta.engine_updates
         report.snapshot_bytes += paths[worker].stat().st_size
         # Fold the worker's metrics sidecar (when it shipped one) into
@@ -366,8 +361,7 @@ def distributed_ingest(
         report.worker_retries = sum(len(record.failures) for record in records)
         report.straggler_kills = sum(record.straggler_kills for record in records)
         report.deadline_kills = sum(record.deadline_kills for record in records)
-        report.updates_total = engine._updates_processed
-        engine._cached_forest = None
+        report.updates_total = engine.updates_processed
         if not owns_workdir or keep_snapshots:
             report.workdir = str(workdir)
             report.snapshot_paths = [str(path) for path in paths]

@@ -21,13 +21,12 @@ The on-disk format (version 2, all integers little-endian)::
         (:attr:`~repro.sketch.geometry.SketchGeometry.planes`), in plane
         order: that plane's round-major ``(rounds, nodes, cols, rows)``
         tensor in C order.
-    digest trailer (version >= 2):
+    digest trailer:
         one ``uint64`` :func:`~repro.integrity.digest.payload_digest`
         per (section, round) stripe, section-major (``sections x
         rounds`` entries), letting every loader reject a silently
-        corrupted payload before any pool mutation.  Version-1 files
-        have no trailer; they still load, flagged unverified
-        (``SnapshotMeta.verified`` false).
+        corrupted payload before any pool mutation.  A magic with any
+        other version is refused.
 
 Round-major payload order is what makes snapshots cheap for *both* pool
 flavours: the writer streams one round slab per plane and round, read
@@ -40,11 +39,15 @@ page (or one chunk) at a time, so a paged pool is never materialised in
 RAM, going in either direction.
 
 Because sketches are linear, snapshots are also the unit of
-*distribution*: :func:`merge_snapshots` XOR-combines the pools of K
-disjoint sub-streams into the pool of their union, bit-identically to
-serial ingestion.  Every loader validates the full header -- and, for
-merges, pairwise compatibility of every input -- before a single bucket
-is touched, so a bad file raises a clear
+*distribution*: :func:`merge_snapshots_into` XOR-combines the pools of
+K disjoint sub-streams into the pool of their union, bit-identically to
+serial ingestion.  Engines reach both through
+:meth:`~repro.core.graph_zeppelin.GraphZeppelin.load_snapshot` and
+:meth:`~repro.core.graph_zeppelin.GraphZeppelin.merge_snapshots`, which
+build the pool and keep the engine's counters and cached answer
+current.  Every loader validates the full header -- and, for merges,
+pairwise compatibility of every input -- before a single bucket is
+touched, so a bad file raises a clear
 :class:`~repro.exceptions.StreamFormatError` and leaves the target pool
 unmutated.
 """
@@ -59,10 +62,8 @@ from typing import BinaryIO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConfigurationError, CorruptionError, StreamFormatError
 from repro.integrity.digest import StreamingDigest, payload_digest
-from repro.memory.hybrid import HybridMemory
 from repro.observability.tracing import span
 from repro.sketch.geometry import SketchGeometry
 from repro.sketch.paged_pool import PagedTensorPool
@@ -72,8 +73,6 @@ PathLike = Union[str, Path]
 
 #: Magic identifying a pool snapshot ("SNAP" + format version 2).
 SNAPSHOT_MAGIC = 0x534E4150_00000002
-#: The pre-digest format (no trailer); still readable, never written.
-SNAPSHOT_MAGIC_V1 = 0x534E4150_00000001
 
 _FLAG_PACKED = 1 << 0
 _FLAG_PAGED_ORIGIN = 1 << 1
@@ -105,11 +104,9 @@ class SnapshotMeta:
     #: True for snapshots produced by a merge: a union of sub-streams,
     #: not a resumable stream prefix (``stream_offset`` is meaningless).
     merged: bool = False
-    #: On-disk format version (embedded in the magic).
-    version: int = 2
-    #: Per-(section, round) payload digests, section-major; ``None`` for
-    #: version-1 files, which carry none (loaded but unverified).
-    stripe_digests: Optional[Tuple[int, ...]] = None
+    #: Per-(section, round) payload digests, section-major (empty only
+    #: on the metadata :func:`save_pool_snapshot` builds before writing).
+    stripe_digests: Tuple[int, ...] = ()
 
     @property
     def payload_bytes(self) -> int:
@@ -118,15 +115,8 @@ class SnapshotMeta:
 
     @property
     def digest_section_bytes(self) -> int:
-        """Length of the digest trailer (zero for version-1 files)."""
-        if self.version < 2:
-            return 0
+        """Length of the digest trailer."""
         return len(self.geometry.planes) * self.geometry.rounds * 8
-
-    @property
-    def verified(self) -> bool:
-        """Whether this snapshot's payload can be checksum-verified."""
-        return self.stripe_digests is not None
 
     def section_offset(self, plane: int) -> int:
         """Byte offset of a bucket plane's section inside the snapshot file."""
@@ -236,9 +226,7 @@ def read_snapshot_meta(path: PathLike) -> SnapshotMeta:
     recorded geometry is one :class:`SketchGeometry` accepts, and that
     the file holds *exactly* the payload + digest trailer the geometry
     implies -- truncated or padded files fail here, before any loader
-    mutates a pool.  Version-2 files come back with their stripe
-    digests parsed; version-1 files load with ``stripe_digests=None``
-    (readable, but unverifiable).
+    mutates a pool.  The stripe digests come back parsed.
     """
     path = Path(path)
     file_bytes = path.stat().st_size
@@ -260,11 +248,7 @@ def read_snapshot_meta(path: PathLike) -> SnapshotMeta:
             engine_updates,
             fingerprint,
         ) = _HEADER.unpack(header)
-        if magic == SNAPSHOT_MAGIC:
-            version = 2
-        elif magic == SNAPSHOT_MAGIC_V1:
-            version = 1
-        else:
+        if magic != SNAPSHOT_MAGIC:
             raise StreamFormatError(
                 f"bad snapshot magic {magic:#x} (expected {SNAPSHOT_MAGIC:#x})"
             )
@@ -288,7 +272,6 @@ def read_snapshot_meta(path: PathLike) -> SnapshotMeta:
             stream_offset=int(stream_offset),
             engine_updates=int(engine_updates),
             fingerprint=int(fingerprint),
-            version=version,
         )
         payload_bytes = file_bytes - _HEADER.size - meta.digest_section_bytes
         if payload_bytes != meta.payload_bytes:
@@ -296,11 +279,10 @@ def read_snapshot_meta(path: PathLike) -> SnapshotMeta:
                 f"{path} snapshot payload length {payload_bytes} does not match "
                 f"expected {meta.payload_bytes}"
             )
-        if version >= 2:
-            handle.seek(_HEADER.size + meta.payload_bytes)
-            raw = handle.read(meta.digest_section_bytes)
-            count = meta.digest_section_bytes // 8
-            meta = replace(meta, stripe_digests=struct.unpack(f"<{count}Q", raw))
+        handle.seek(_HEADER.size + meta.payload_bytes)
+        raw = handle.read(meta.digest_section_bytes)
+        count = meta.digest_section_bytes // 8
+        meta = replace(meta, stripe_digests=struct.unpack(f"<{count}Q", raw))
     return meta
 
 
@@ -311,16 +293,11 @@ def verify_snapshot_payload(
 
     One sequential pass over the payload; raises
     :class:`~repro.exceptions.CorruptionError` naming the first
-    mismatching stripe.  Version-1 snapshots carry no digests and pass
-    through unverified (``meta.verified`` stays false) -- rejecting
-    them would break every pre-digest checkpoint on disk.  Returns the
-    (possibly freshly read) metadata.
+    mismatching stripe.  Returns the (possibly freshly read) metadata.
     """
     path = Path(path)
     if meta is None:
         meta = read_snapshot_meta(path)
-    if meta.stripe_digests is None:
-        return meta
     geometry = meta.geometry
     row_elems = geometry.columns * geometry.rows
     index = 0
@@ -452,8 +429,8 @@ def load_snapshot_into(path: PathLike, pool: NodeTensorPool) -> SnapshotMeta:
     with span("snapshot.load"):
         meta = read_snapshot_meta(path)
         _check_pool_matches(meta, pool, str(path))
-        # Version-2 payloads are digest-verified end to end *before* the
-        # first bucket is applied; a silently corrupted snapshot raises
+        # The payload is digest-verified end to end *before* the first
+        # bucket is applied; a silently corrupted snapshot raises
         # CorruptionError here and leaves the pool untouched.
         verify_snapshot_payload(path, meta)
         with path.open("rb") as handle:
@@ -467,80 +444,15 @@ def load_snapshot_into(path: PathLike, pool: NodeTensorPool) -> SnapshotMeta:
     return meta
 
 
-def _build_pool(
-    path: PathLike,
-    meta: SnapshotMeta,
-    memory: Optional[HybridMemory],
-    nodes_per_page: Optional[int],
-) -> NodeTensorPool:
-    """Construct an empty pool with a snapshot's geometry.
-
-    The columns this build derives from the recorded delta must be the
-    recorded ones, or the snapshot was written by an incompatible build.
-    """
-    geometry = meta.geometry
-    derived = SketchGeometry.for_graph(geometry.num_nodes, geometry.delta).columns
-    if derived != geometry.columns:
-        raise StreamFormatError(
-            f"{path}: snapshot geometry mismatch: it holds {geometry.columns} "
-            f"columns per round sketch at delta={geometry.delta!r}, where this "
-            f"build derives {derived}"
-        )
-    encoder = EdgeEncoder(geometry.num_nodes)
-    if memory is not None:
-        return PagedTensorPool(
-            geometry.num_nodes,
-            encoder,
-            memory=memory,
-            graph_seed=meta.graph_seed,
-            geometry=geometry,
-            nodes_per_page=nodes_per_page,
-        )
-    return NodeTensorPool(
-        geometry.num_nodes, encoder, graph_seed=meta.graph_seed, geometry=geometry
-    )
-
-
-def load_pool_snapshot(
-    path: PathLike,
-    memory: Optional[HybridMemory] = None,
-    nodes_per_page: Optional[int] = None,
-) -> Tuple[NodeTensorPool, SnapshotMeta]:
-    """Reconstruct a pool from a snapshot file.
-
-    With ``memory`` (a byte-budgeted
-    :class:`~repro.memory.hybrid.HybridMemory`) the result is an
-    out-of-core :class:`~repro.sketch.paged_pool.PagedTensorPool` --
-    pages stream through the memory as they are read, so a pool far
-    larger than RAM loads under the budget.  Without it the result is
-    an in-RAM :class:`~repro.sketch.tensor_pool.NodeTensorPool`.  The
-    snapshot's own origin does not matter: flat snapshots load paged
-    and vice versa.
-    """
-    meta = read_snapshot_meta(path)
-    pool = _build_pool(path, meta, memory, nodes_per_page)
-    load_snapshot_into(path, pool)
-    return pool, meta
-
-
 # ----------------------------------------------------------------------
 # merging
 # ----------------------------------------------------------------------
 def _check_snapshots_compatible(paths: Sequence[Path], metas: Sequence[SnapshotMeta]) -> None:
-    """All-pairs compatibility, checked before any payload is read."""
+    """All-pairs compatibility, checked before any payload is read.  Every
+    input already matched the pool's geometry and seed, so what is left
+    to compare is the recorded config fingerprint."""
     first_path, first = paths[0], metas[0]
     for path, meta in zip(paths[1:], metas[1:]):
-        if meta.geometry != first.geometry:
-            raise StreamFormatError(
-                f"{path}: geometry {meta.geometry} does not match "
-                f"{first_path}'s {first.geometry}"
-            )
-        if meta.graph_seed != first.graph_seed:
-            raise StreamFormatError(
-                f"{path}: graph seed {meta.graph_seed} does not match "
-                f"{first_path}'s {first.graph_seed}; XOR of sketches under "
-                "different hash functions is meaningless"
-            )
         if meta.fingerprint != first.fingerprint:
             raise StreamFormatError(
                 f"{path}: config fingerprint {meta.fingerprint:#x} does not "
@@ -553,10 +465,11 @@ def merge_snapshots_into(
 ) -> SnapshotMeta:
     """XOR every snapshot's buckets into ``pool``; returns merged metadata.
 
-    The distributed driver's merge step: ``pool`` is typically a fresh
-    engine's (all-zero) pool, so the XOR of K snapshots built from
-    disjoint sub-streams leaves it bit-identical to serially ingesting
-    the concatenated stream.  Every header -- and all-pairs
+    The pool half of :meth:`GraphZeppelin.merge_snapshots
+    <repro.core.graph_zeppelin.GraphZeppelin.merge_snapshots>`: into a
+    fresh (all-zero) pool, the XOR of K snapshots built from disjoint
+    sub-streams leaves it bit-identical to serially ingesting the
+    concatenated stream.  Every header -- and all-pairs
     compatibility -- is validated *before* the first payload byte is
     applied, so a bad input leaves the pool unmutated.  So is
     uniqueness: one file named twice (under any spelling) would
@@ -581,14 +494,20 @@ def merge_snapshots_into(
         _check_snapshots_compatible(paths, metas)
         for path, meta in zip(paths, metas):
             verify_snapshot_payload(path, meta)
-        for path, meta in zip(paths, metas):
-            with path.open("rb") as handle:
-                if pool.is_paged:
-                    _apply_paged(handle, meta, pool, xor=True)
-                else:
-                    handle.seek(_HEADER.size)
-                    _apply_flat(handle, pool, xor=True)
-        pool.mark_external_updates(sum(meta.pool_updates for meta in metas))
+        merged = 0
+        try:
+            for path, meta in zip(paths, metas):
+                with path.open("rb") as handle:
+                    if pool.is_paged:
+                        _apply_paged(handle, meta, pool, xor=True)
+                    else:
+                        handle.seek(_HEADER.size)
+                        _apply_flat(handle, pool, xor=True)
+                merged += meta.pool_updates
+        finally:
+            # A merge stopped by a storage error has written some pages:
+            # the version still moves, so no cache serves the old state.
+            pool.mark_external_updates(merged)
     return replace(
         metas[0],
         pool_updates=sum(meta.pool_updates for meta in metas),
@@ -596,23 +515,3 @@ def merge_snapshots_into(
         stream_offset=0,
         merged=True,
     )
-
-
-def merge_snapshots(
-    paths: Sequence[PathLike],
-    memory: Optional[HybridMemory] = None,
-    nodes_per_page: Optional[int] = None,
-) -> Tuple[NodeTensorPool, SnapshotMeta]:
-    """Build one pool holding the XOR of several snapshots.
-
-    By linearity this is the pool of the *union* of the snapshots'
-    update streams -- bit-identical to serially ingesting their
-    concatenation.  ``memory`` selects a paged result (merged page by
-    page under the RAM budget); otherwise the merge lands in an in-RAM
-    pool.
-    """
-    if not paths:
-        raise ValueError("merge_snapshots needs at least one snapshot path")
-    pool = _build_pool(paths[0], read_snapshot_meta(paths[0]), memory, nodes_per_page)
-    meta = merge_snapshots_into(paths, pool)
-    return pool, meta

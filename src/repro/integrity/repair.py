@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import CorruptionError, RecoveryError, StreamFormatError
+from repro.exceptions import RecoveryError, StreamFormatError
 from repro.observability.tracing import span
 
 PathLike = Union[str, Path]
@@ -77,50 +77,31 @@ def find_valid_checkpoint(
     mismatches, checkpoints taken *after* the engine's current stream
     position (their pages would contain folds the suffix replay would
     double-apply), and -- the integrity plane's contribution -- any
-    generation whose payload fails digest verification.  Pre-digest
-    (version-1) checkpoints are accepted but cannot be verified; they
-    are better than no repair source at all.
+    generation whose payload fails digest verification.
 
     Returns ``(path, meta, skipped)``; raises
     :class:`~repro.exceptions.RecoveryError` when nothing qualifies.
     """
-    from repro.distributed.snapshot import read_snapshot_meta, verify_snapshot_payload
-    from repro.resilience.checkpoint import list_checkpoints
+    from repro.distributed.snapshot import verify_snapshot_payload
+    from repro.resilience.checkpoint import scan_checkpoints
 
     fingerprint = engine.config.sketch_fingerprint()
-    skipped: List[Tuple[str, str]] = []
-    for _, path in list_checkpoints(directory):
-        try:
-            meta = read_snapshot_meta(path)
-            if meta.merged:
-                skipped.append((str(path), "merged snapshot (not a stream prefix)"))
-                continue
-            if meta.geometry.num_nodes != engine.num_nodes:
-                skipped.append(
-                    (str(path), f"{meta.geometry.num_nodes} nodes, engine has {engine.num_nodes}")
-                )
-                continue
-            if meta.fingerprint != fingerprint:
-                skipped.append((str(path), "config fingerprint mismatch"))
-                continue
-            if meta.stream_offset > engine.updates_processed:
-                skipped.append(
-                    (str(path), "checkpoint is ahead of the engine's stream position")
-                )
-                continue
-            verify_snapshot_payload(path, meta)
-        except CorruptionError:
-            skipped.append((str(path), "payload checksum mismatch"))
-            continue
-        except (StreamFormatError, OSError) as exc:
-            skipped.append((str(path), str(exc)))
-            continue
-        return path, meta, skipped
-    detail = "; ".join(f"{Path(p).name}: {reason}" for p, reason in skipped)
-    raise RecoveryError(
-        f"no valid repair checkpoint in {directory} "
-        f"({len(skipped)} rejected: {detail or 'directory empty'})"
+
+    def usable(path, meta):
+        if meta.geometry.num_nodes != engine.num_nodes:
+            raise StreamFormatError(
+                f"{meta.geometry.num_nodes} nodes, engine has {engine.num_nodes}"
+            )
+        if meta.fingerprint != fingerprint:
+            raise StreamFormatError("config fingerprint mismatch")
+        if meta.stream_offset > engine.updates_processed:
+            raise StreamFormatError("checkpoint is ahead of the engine's stream position")
+        return verify_snapshot_payload(path, meta)
+
+    path, meta, skipped = scan_checkpoints(
+        directory, usable, "merged snapshot (not a stream prefix)", "no valid repair checkpoint"
     )
+    return path, meta, [(str(rejected), reason) for rejected, reason in skipped]
 
 
 def repair_pages(
@@ -194,12 +175,12 @@ def repair_pages(
                 dsts = np.concatenate(dst_parts)
                 pool._fold(np.concatenate(idx_parts), (dsts,))
                 replayed = int(dsts.size)
-    # Publish: bump the pool version (fold caches must not serve
-    # pre-repair assemblies) but *not* the update counters -- see above.
+    # Publish: bump the pool version (fold caches and the engine's
+    # cached answer must not serve pre-repair state) but *not* the
+    # update counters -- see above.
     pool._bump_version()
     pool.sync()
     pool.memory.stats.pages_repaired += len(pages)
-    engine._cached_forest = None
     return replayed
 
 

@@ -269,7 +269,6 @@ def run_chaos_soak(
     from repro.core.config import GraphZeppelinConfig
     from repro.core.graph_zeppelin import GraphZeppelin
     from repro.distributed.multi_ingestor import distributed_ingest
-    from repro.distributed.snapshot import merge_snapshots_into
     from repro.integrity.repair import scrub_and_repair
     from repro.resilience.checkpoint import CheckpointPolicy
     from repro.resilience.supervisor import WorkerRetryPolicy
@@ -384,14 +383,11 @@ def run_chaos_soak(
                 report.deadline_kills += dist_report.deadline_kills
                 merge_path = dist_dir / "cycle-merge.snap"
                 side.save_snapshot(merge_path, stream_offset=0)
-                merge_snapshots_into([merge_path], engine.tensor_pool)
-                engine._updates_processed += side.updates_processed
-                engine._cached_forest = None
-                engine._note_checkpoint_progress(int(chunk_edges.shape[0]))
+                engine.merge_snapshots([merge_path])
             except (WorkerFailure, CorruptionError, OSError):
-                # The whole distributed attempt is expendable: nothing
-                # merged into the soaking engine (the merge is the last
-                # step), so recovery re-ingests the chunk serially.
+                # The whole distributed attempt is expendable: recovery
+                # drops the soaking engine (which a merge stopped part
+                # way has half-mutated) and re-ingests the chunk serially.
                 recover(end)
         position = end
         observe_budget()

@@ -80,6 +80,45 @@ def list_checkpoints(directory: Union[str, Path]) -> List[Tuple[int, Path]]:
     return found
 
 
+def scan_checkpoints(
+    directory: Union[str, Path],
+    check: Callable,
+    merged_reason: str,
+    nothing: str,
+) -> Tuple[Path, object, List[Tuple[Path, str]]]:
+    """The newest checkpoint generation in ``directory`` that ``check`` accepts.
+
+    Walks generations newest-first.  A merged snapshot is skipped with
+    ``merged_reason`` (its state is a union of sub-streams, not a stream
+    prefix); any other generation goes to ``check(path, meta)``, which
+    returns its result or rejects by raising.  A
+    :class:`~repro.exceptions.CorruptionError` is recorded as a payload
+    checksum mismatch -- distinct from a torn or truncated file, whose
+    ``StreamFormatError`` / ``OSError`` is recorded by its message.
+    Returns ``(path, result, skipped)`` with a ``(path, reason)`` per
+    newer generation passed over; raises
+    :class:`~repro.exceptions.RecoveryError` (``"<nothing> in
+    <directory> (...)"``) when no generation qualifies.
+    """
+    from repro.distributed.snapshot import read_snapshot_meta
+
+    skipped: List[Tuple[Path, str]] = []
+    for _, path in list_checkpoints(directory):
+        try:
+            meta = read_snapshot_meta(path)
+            if meta.merged:
+                raise StreamFormatError(merged_reason)
+            return path, check(path, meta), skipped
+        except CorruptionError:
+            skipped.append((path, "payload checksum mismatch"))
+        except (StreamFormatError, OSError) as exc:
+            skipped.append((path, str(exc)))
+    detail = "; ".join(f"{path.name}: {reason}" for path, reason in skipped)
+    raise RecoveryError(
+        f"{nothing} in {directory} ({len(skipped)} rejected: {detail or 'directory empty'})"
+    )
+
+
 @dataclass(frozen=True)
 class CheckpointPolicy:
     """When to checkpoint, and how many generations to keep.
@@ -264,30 +303,13 @@ def recover_latest(
     holds no usable checkpoint at all.
     """
     from repro.core.graph_zeppelin import GraphZeppelin
-    from repro.distributed.snapshot import read_snapshot_meta
 
-    candidates = list_checkpoints(directory)
-    if not candidates:
+    if not list_checkpoints(directory):
         raise RecoveryError(f"no checkpoints found in {directory}")
-    skipped: List[Tuple[Path, str]] = []
-    for _, path in candidates:
-        try:
-            if read_snapshot_meta(path).merged:
-                raise StreamFormatError(
-                    "merged snapshot (a union of sub-streams, not a stream prefix)"
-                )
-            engine = GraphZeppelin.load_snapshot(path, config=config, memory=memory)
-        except CorruptionError:
-            # Distinct from a torn/truncated file: the header parsed and
-            # the length checked out, but the payload digests did not --
-            # silent corruption the generation fallback must skip too.
-            skipped.append((path, "payload checksum mismatch"))
-            continue
-        except (StreamFormatError, OSError) as exc:
-            skipped.append((path, str(exc)))
-            continue
-        return engine, path, skipped
-    detail = "; ".join(f"{path.name}: {reason}" for path, reason in skipped)
-    raise RecoveryError(
-        f"no valid checkpoint in {directory} ({len(skipped)} rejected: {detail})"
+    path, engine, skipped = scan_checkpoints(
+        directory,
+        lambda path, _meta: GraphZeppelin.load_snapshot(path, config=config, memory=memory),
+        "merged snapshot (a union of sub-streams, not a stream prefix)",
+        "no valid checkpoint",
     )
+    return engine, path, skipped

@@ -579,10 +579,15 @@ class NodeTensorPool:
         and update counter -- exactly like a direct fold would.  The
         sharded parallel path keeps calling :meth:`fold_shard` raw and
         publishing once per batch barrier instead.  Being serial, it may
-        split a large native fold across the cores.
+        split a large native fold across the cores.  Like
+        :meth:`_fold_serial`, the version moves even when the fold raises
+        part way.
         """
-        count = self.fold_shard(dsts, indices, node_lo, node_hi, split=True)
-        self.mark_external_updates(count)
+        count = 0
+        try:
+            count = self.fold_shard(dsts, indices, node_lo, node_hi, split=True)
+        finally:
+            self.mark_external_updates(count)
         return count
 
     def mark_external_updates(self, count: int) -> None:

@@ -76,13 +76,16 @@ def portable_build(tmp_path_factory):
 
     Built into its own ``REPRO_KERNEL_CACHE`` through a ``$CC`` wrapper
     that fails on ``-march=native`` the way a cross compiler does, so
-    ``_build_library`` takes its fallback branch.
+    ``_build_library`` takes its fallback branch.  Skips when there is no
+    compiler, or one that cannot build the ordinary library either.
     """
-    from repro.kernels import native_cc
+    from repro.kernels import native_cc, native_kernels, native_unavailable_reason
 
     compiler = native_cc.find_compiler()
     if compiler is None:
         pytest.skip("no C compiler")
+    if native_kernels() is None:
+        pytest.skip(f"the C compiler cannot build the kernels ({native_unavailable_reason()})")
     root = tmp_path_factory.mktemp("portable")
     wrapper = root / "cc-without-march-native"
     wrapper.write_text(

@@ -161,7 +161,6 @@ def test_snapshot_resume_roundtrip(tmp_path, capsys):
 def test_cli_merge_snapshots_of_disjoint_substreams(tmp_path, capsys):
     from repro.core.config import GraphZeppelinConfig
     from repro.core.graph_zeppelin import GraphZeppelin
-    from repro.distributed.snapshot import load_pool_snapshot
     from repro.streaming.io import read_stream_binary as read_binary
     import numpy as np
 
@@ -190,9 +189,9 @@ def test_cli_merge_snapshots_of_disjoint_substreams(tmp_path, capsys):
 
     serial = GraphZeppelin(stream.num_nodes, config=GraphZeppelinConfig(seed=5))
     serial.ingest_batch(stream.edge_array())
-    pool, meta = load_pool_snapshot(merged_path)
-    assert np.array_equal(serial.tensor_pool._planes, pool._planes)
-    assert meta.engine_updates == serial.updates_processed
+    merged = GraphZeppelin.load_snapshot(merged_path)
+    assert np.array_equal(serial.tensor_pool._planes, merged.tensor_pool._planes)
+    assert merged.updates_processed == serial.updates_processed
 
 
 def test_components_distributed_matches_reference(tmp_path, capsys):

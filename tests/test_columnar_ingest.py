@@ -9,6 +9,9 @@ partition-independent.
 
 from __future__ import annotations
 
+import functools
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -345,27 +348,35 @@ def test_regression_ingest_applies_the_prefix_before_any_rejected_update(monkeyp
     assert _pool_digests(columnar) == _pool_digests(reference)
 
 
+def _checkpoints_written(directory, every: int, run) -> list:
+    """``engine_updates`` of every checkpoint an engine writes at cadence
+    ``every`` while ``run`` feeds it the cadence test's 290 updates."""
+    engine = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=5))
+    engine.attach_checkpointer(
+        directory, policy=CheckpointPolicy(every_n_updates=every, keep=1_000)
+    )
+    # Start the stream off the cadence's beat.
+    engine.insert(0, 1)
+    engine.delete(0, 1)
+    run(engine, _legal_updates(290, seed=9))
+    return sorted(
+        read_snapshot_meta(path).engine_updates for _, path in list_checkpoints(directory)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _per_update_checkpoints(every: int) -> tuple:
+    """The per-update reference of a cadence: one run, shared by both sources."""
+    with tempfile.TemporaryDirectory() as directory:
+        return tuple(_checkpoints_written(Path(directory), every, _per_update))
+
+
 @pytest.mark.parametrize("source", ["generator", "stream"])
 @pytest.mark.parametrize("every", [1, 100, 63, 64, 65])
 def test_ingest_checkpoints_at_the_per_update_cadence(monkeypatch, tmp_path, every, source):
     monkeypatch.setattr(graph_zeppelin, "INGEST_CHUNK_ROWS", 64)
-    updates = _legal_updates(290, seed=9)
-    written = {}
-    for name, run in (
-        ("per-update", _per_update),
-        ("columnar", lambda engine, items: engine.ingest(_SOURCES[source](items))),
-    ):
-        engine = GraphZeppelin(_INGEST_NODES, config=GraphZeppelinConfig(seed=5))
-        engine.attach_checkpointer(
-            tmp_path / name, policy=CheckpointPolicy(every_n_updates=every, keep=1_000)
-        )
-        # Start the stream off the cadence's beat.
-        engine.insert(0, 1)
-        engine.delete(0, 1)
-        run(engine, updates)
-        written[name] = sorted(
-            read_snapshot_meta(path).engine_updates
-            for _, path in list_checkpoints(tmp_path / name)
-        )
-    assert written["columnar"] == written["per-update"]
-    assert written["columnar"] == list(range(every, 292 + 1, every))
+    written = _checkpoints_written(
+        tmp_path, every, lambda engine, items: engine.ingest(_SOURCES[source](items))
+    )
+    assert tuple(written) == _per_update_checkpoints(every)
+    assert written == list(range(every, 292 + 1, every))

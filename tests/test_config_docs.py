@@ -69,3 +69,14 @@ def test_retired_shared_memory_pool_stays_gone():
         if retired.search(line)
     ]
     assert hits == []
+
+
+def test_readme_quotes_no_benchmark_ledger():
+    """Measured numbers live with their change in CHANGES.md; README
+    points there and holds no ``bench/compare.py`` output."""
+    readme = README.read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        assert not re.search(r"^workload\s+metric\s+old\s+new", block, flags=re.MULTILINE)
+        assert not re.search(r"^old: \{'commit'", block, flags=re.MULTILINE)

@@ -104,17 +104,26 @@ def test_a_failed_page_read_loses_no_buffered_update(kernels, monkeypatch):
             prefixes.append((clean.updates_processed, _raw_state(clean)))
         return prefixes[count]
 
+    # A fault-free twin of the prefix walks the chunks once, counting its
+    # device reads: the run faulting read `at` starts from the twin's state
+    # before the chunk holding that read, its plan counting from there.
+    twin = _clone(prefix, monkeypatch)
+    twin.memory.fault_plan = counter = FaultPlan([])
+    count, before, reads = first - 1, None, 0
     differing = 0
     for at in range(2, 42, 2):
-        engine = _clone(prefix, monkeypatch)
-        engine.memory.fault_plan = FaultPlan([FaultSpec(site="device.read", at=at)])
-        for count in range(first, len(chunks)):
-            try:
-                engine.ingest_batch(chunks[count])
-            except InjectedFault:
-                break
-        else:
-            pytest.fail(f"the read fault at {at} never fired inside an ingest")
+        while counter._device_reads < at:
+            count += 1
+            if count == len(chunks):
+                pytest.fail(f"the read fault at {at} never fired inside an ingest")
+            before, reads = _clone(twin, monkeypatch), counter._device_reads
+            twin.ingest_batch(chunks[count])
+        # The last fault run of a chunk takes the saved state itself.
+        shared = at + 2 < 42 and counter._device_reads >= at + 2
+        engine = _clone(before, monkeypatch) if shared else before
+        engine.memory.fault_plan = FaultPlan([FaultSpec(site="device.read", at=at - reads)])
+        with pytest.raises(InjectedFault):
+            engine.ingest_batch(chunks[count])
         engine.memory.fault_plan = None
         updates, want = clean_prefix(count)
         # The batch that raised was accepted: counted, and in the buffers.

@@ -52,7 +52,6 @@ from repro.core import graph_zeppelin
 from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.dsu import DisjointSetUnion
 from repro.core.graph_zeppelin import GraphZeppelin
-from repro.distributed.snapshot import merge_snapshots_into
 from repro.kernels import native_cc
 from repro.parallel import cost_model
 from repro.sketch import tensor_pool
@@ -239,13 +238,12 @@ class EngineMachine(RuleBasedStateMachine):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "state.snap"
             self.engine.save_snapshot(path)
-            merge_snapshots_into([path], fresh.tensor_pool)
+            fresh.merge_snapshots([path])
         for u, v in pairs:
             self._toggle(u, v)
-        fresh._cached_forest = None  # the pool-level merge bypasses the engine
         warm, pool = _answer(fresh), fresh.tensor_pool
         memos, pool._round_memos = pool._round_memos, None
-        fresh._cached_forest = None
+        fresh._cached_forest = None  # compute the cold answer, do not reuse the warm one
         try:
             assert _answer(fresh) == warm
         finally:

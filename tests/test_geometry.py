@@ -19,7 +19,7 @@ import pytest
 from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
-from repro.distributed.snapshot import load_pool_snapshot, read_snapshot_meta
+from repro.distributed.snapshot import read_snapshot_meta
 from repro.exceptions import ConfigurationError, StreamFormatError
 from repro.sketch.geometry import SketchGeometry, cubesketch_num_columns, node_sketch_columns
 from repro.sketch.tensor_pool import NodeTensorPool
@@ -167,8 +167,10 @@ def test_every_site_reads_the_one_builder(request, monkeypatch, tmp_path, paged,
     loaded = GraphZeppelin.load_snapshot(path, config=config)
     assert loaded.geometry == geometry
     assert loaded.list_spanning_forest().edges == forest.edges
-    reloaded, _ = load_pool_snapshot(path)
-    assert reloaded.geometry == geometry
+    merged = GraphZeppelin(NUM_NODES, config=config)
+    merged.merge_snapshots([path])
+    assert merged.tensor_pool.geometry == geometry
+    assert merged.list_spanning_forest().edges == forest.edges
 
     monkeypatch.undo()
     default = NodeTensorPool(NUM_NODES, EdgeEncoder(NUM_NODES), graph_seed=41)
@@ -176,4 +178,4 @@ def test_every_site_reads_the_one_builder(request, monkeypatch, tmp_path, paged,
     with pytest.raises(StreamFormatError, match="geometry"):
         GraphZeppelin.load_snapshot(path, config=config)
     with pytest.raises(StreamFormatError, match="geometry"):
-        load_pool_snapshot(path)
+        GraphZeppelin(NUM_NODES, config=config).merge_snapshots([path])

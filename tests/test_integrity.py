@@ -1,7 +1,6 @@
 """Tests for the integrity plane: digests, detection, scrub, read-repair."""
 
 import os
-import struct
 
 import numpy as np
 import pytest
@@ -432,11 +431,10 @@ def test_snapshot_v2_records_and_verifies_stripe_digests(tmp_path, flat_engine):
 
     path = tmp_path / "a.snap"
     written = flat_engine.save_snapshot(path)
-    assert written.version == 2 and written.verified
     meta = read_snapshot_meta(path)
     assert meta.stripe_digests == written.stripe_digests
     assert len(meta.stripe_digests) == meta.geometry.rounds * (1 if meta.geometry.packed else 2)
-    assert verify_snapshot_payload(path).verified
+    assert verify_snapshot_payload(path) == meta
 
 
 @pytest.mark.parametrize("seed", [101, 102, 103])
@@ -467,30 +465,6 @@ def test_flat_and_paged_snapshots_share_stripe_digests(tmp_path):
     meta_flat = flat.save_snapshot(tmp_path / "flat.snap")
     meta_paged = paged.save_snapshot(tmp_path / "paged.snap")
     assert meta_flat.stripe_digests == meta_paged.stripe_digests
-
-
-def test_v1_snapshot_loads_unverified_and_bit_identical(tmp_path, flat_engine):
-    from repro.distributed.snapshot import (
-        SNAPSHOT_MAGIC_V1,
-        _HEADER,
-        load_pool_snapshot,
-        read_snapshot_meta,
-        verify_snapshot_payload,
-    )
-
-    path = tmp_path / "v2.snap"
-    meta2 = flat_engine.save_snapshot(path)
-    v1 = tmp_path / "v1.snap"
-    raw = bytearray(path.read_bytes())
-    raw[:8] = struct.pack("<Q", SNAPSHOT_MAGIC_V1)
-    v1.write_bytes(bytes(raw[: _HEADER.size + meta2.payload_bytes]))
-
-    meta1 = read_snapshot_meta(v1)
-    assert meta1.version == 1 and not meta1.verified
-    assert meta1.stripe_digests is None and meta1.digest_section_bytes == 0
-    assert not verify_snapshot_payload(v1).verified  # passes through
-    pool, _ = load_pool_snapshot(v1)
-    assert _pools_equal(pool, flat_engine.tensor_pool)
 
 
 def test_recover_latest_reports_checksum_mismatch_distinctly(tmp_path):
@@ -716,13 +690,8 @@ def test_cli_report_shows_blocks_digested(stream_file, capsys):
     assert match is not None and int(match.group(1)) > 0
 
 
-def test_cli_resume_report_and_v1_note(tmp_path, stream_file, capsys):
+def test_cli_resume_report(tmp_path, stream_file, capsys):
     from repro.cli import main
-    from repro.distributed.snapshot import (
-        SNAPSHOT_MAGIC_V1,
-        _HEADER,
-        read_snapshot_meta,
-    )
 
     snap = tmp_path / "half.snap"
     assert main(["snapshot", str(stream_file), str(snap), "--up-to", "500"]) == 0
@@ -730,14 +699,6 @@ def test_cli_resume_report_and_v1_note(tmp_path, stream_file, capsys):
     assert main(["resume", str(snap), str(stream_file), "--report"]) == 0
     out = capsys.readouterr().out
     assert "io report        : engine is fully in RAM" in out
-    assert "pre-digest" not in out
-
-    meta = read_snapshot_meta(snap)
-    raw = bytearray(snap.read_bytes())
-    raw[:8] = struct.pack("<Q", SNAPSHOT_MAGIC_V1)
-    snap.write_bytes(bytes(raw[: _HEADER.size + meta.payload_bytes]))
-    assert main(["resume", str(snap), str(stream_file)]) == 0
-    assert "pre-digest" in capsys.readouterr().out
 
 
 def test_cli_scrub_every_rejects_parallel_ingest(stream_file, capsys):

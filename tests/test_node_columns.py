@@ -17,7 +17,7 @@ import pytest
 from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
-from repro.distributed.snapshot import load_pool_snapshot, read_snapshot_meta
+from repro.distributed.snapshot import read_snapshot_meta
 from repro.exceptions import RecoveryError, StreamFormatError
 from repro.resilience.checkpoint import CheckpointPolicy, recover_latest
 from repro.sketch import geometry as geometry_module
@@ -119,15 +119,14 @@ def test_seven_column_snapshot_at_the_default_delta_is_refused(tmp_path, seven_c
     path = _seven_column_snapshot(tmp_path / "seven.snap", seven_column_rule)
     meta = read_snapshot_meta(path)
     assert (meta.geometry.columns, meta.geometry.delta) == (7, 0.01)
-    built = r"holds 7 columns per round sketch at delta=0\.01, where this build derives 3"
-    with pytest.raises(StreamFormatError, match=built):
-        load_pool_snapshot(path)
     with pytest.raises(StreamFormatError, match=ENGINE_MISMATCH):
         GraphZeppelin.load_snapshot(path)
     with pytest.raises(StreamFormatError, match=ENGINE_MISMATCH):
         GraphZeppelin.load_snapshot(
             path, config=GraphZeppelinConfig(seed=17, validate_stream=False)
         )
+    with pytest.raises(StreamFormatError, match=ENGINE_MISMATCH):
+        GraphZeppelin(NUM_NODES, GraphZeppelinConfig(seed=17)).merge_snapshots([path])
 
 
 def test_seven_column_checkpoint_is_refused_on_recovery(tmp_path, seven_column_rule):
@@ -148,8 +147,9 @@ def test_seven_column_delta_snapshot_round_trips(tmp_path):
     assert read_snapshot_meta(path).geometry == engine.geometry
     loaded = GraphZeppelin.load_snapshot(path)
     assert loaded.geometry.columns == 7
-    pool, _ = load_pool_snapshot(path)
-    for tensors in (loaded.tensor_pool.raw_tensors(), pool.raw_tensors()):
+    merged = GraphZeppelin(NUM_NODES, GraphZeppelinConfig(seed=17, delta=SEVEN_COLUMN_DELTA))
+    merged.merge_snapshots([path])
+    for tensors in (loaded.tensor_pool.raw_tensors(), merged.tensor_pool.raw_tensors()):
         for got, want in zip(tensors, engine.tensor_pool.raw_tensors()):
             assert np.array_equal(got, want)
     assert loaded.list_spanning_forest().edges == engine.list_spanning_forest().edges

@@ -9,6 +9,7 @@ or of its bucket layout, and a scalar reference back in the product.
 """
 
 import ast
+import functools
 import io
 import re
 import tokenize
@@ -62,10 +63,22 @@ def test_each_geometry_formula_is_written_once():
             assert not formulas.findall(path.read_text()), path
 
 
+@functools.lru_cache(maxsize=None)
+def _parsed(path):
+    """A module's syntax tree, parsed once for every test here."""
+    return ast.parse(path.read_text(), str(path))
+
+
+@functools.lru_cache(maxsize=None)
+def _tokens(path):
+    """A module's tokens, tokenized once for every test here."""
+    return tuple(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+
+
 def _code_tokens(path):
     """``(token, previous token)`` pairs of a module, each with its logical line."""
     line, previous = [], None
-    for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+    for token in _tokens(path):
         if token.type in (tokenize.COMMENT, tokenize.NL):
             continue
         line.append(token)
@@ -110,7 +123,8 @@ def test_the_bucket_layout_is_decided_once():
 #: Names ``src/`` must not define again.  Two kinds: the engine's scalar
 #: references, which live in ``tests/`` as oracles, and second paths and
 #: surface that only tests reached, which the tests now reach through the
-#: product API.  A method is ``Class.name``; anything else is its bare name.
+#: product API.  A method is ``Class.name``; anything else is its bare name,
+#: which also catches a method of that name (:func:`_defined_names`).
 OUT_OF_THE_PRODUCT = {
     # scalar references
     "NodeSketch",
@@ -145,6 +159,12 @@ OUT_OF_THE_PRODUCT = {
     # the per-query native binding (CcBoruvka binds every pool's query)
     "CcQuery",
     "RoundQuery._union_find",
+    # the pool-level snapshot loaders (engines load and merge snapshots)
+    # and the pre-digest format's reader
+    "load_pool_snapshot",
+    "merge_snapshots",
+    "_build_pool",
+    "SNAPSHOT_MAGIC_V1",
     # dead code
     "SketchFailureError",
     "_reset_for_tests",
@@ -155,21 +175,49 @@ OUT_OF_THE_PRODUCT = {
 }
 
 
+#: Methods whose bare name is a retired module function in
+#: :data:`OUT_OF_THE_PRODUCT`: the engine's merge replaced the
+#: pool-building ``merge_snapshots`` under the same name.
+METHODS_REUSING_A_RETIRED_NAME = {"GraphZeppelin.merge_snapshots"}
+
+
 def _defined_names(tree):
     """Every name a module binds by ``def``, ``class`` or assignment, plus
-    ``Class.name`` for each method."""
-    for node in ast.walk(tree):
+    ``Class.name`` for each method.  A method also yields its bare name,
+    so a bare entry still catches a retired method re-added on any class,
+    unless the method is in :data:`METHODS_REUSING_A_RETIRED_NAME`."""
+    reusing = set()
+    for node in ast.walk(tree):  # breadth first: a class before its methods
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.lineno
+            if node not in reusing:
+                yield node.name, node.lineno
         if isinstance(node, ast.ClassDef):
             for child in node.body:
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{child.name}", child.lineno
+                    method = f"{node.name}.{child.name}"
+                    if method in METHODS_REUSING_A_RETIRED_NAME:
+                        reusing.add(child)
+                    yield method, child.lineno
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
                     yield target.id, node.lineno
+
+
+def test_the_guard_catches_a_retired_method_and_function():
+    """A bare entry catches a method as well as a module function of
+    that name; only the listed method may reuse a retired name."""
+    def caught(source):
+        return {name for name, _ in _defined_names(ast.parse(source))} & OUT_OF_THE_PRODUCT
+
+    method = "class NodeTensorPool:\n    def query_merged(self): pass\n"
+    assert caught(method) == {"query_merged"}
+    assert caught("def merge_snapshots(paths): pass\n") == {"merge_snapshots"}
+    assert caught("class GraphZeppelin:\n    def merge_snapshots(self, paths): pass\n") == set()
+    assert caught("class Other:\n    def merge_snapshots(self, paths): pass\n") == {
+        "merge_snapshots"
+    }
 
 
 def test_references_live_in_tests_not_in_the_product():
@@ -178,7 +226,7 @@ def test_references_live_in_tests_not_in_the_product():
     assert not (ROOT / "src" / "repro" / "sketch" / "bucket.py").exists()
     test_modules = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"tests"}
     for path in sorted((ROOT / "src").rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+        tree = _parsed(path)
         for name, lineno in _defined_names(tree):
             assert name not in OUT_OF_THE_PRODUCT, (path, lineno, name)
         for node in ast.walk(tree):
@@ -201,7 +249,7 @@ def test_src_imports_nothing_it_does_not_use():
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(), str(path))
+        tree = _parsed(path)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):

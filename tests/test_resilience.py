@@ -195,11 +195,12 @@ def test_recover_latest_skips_merged_snapshots(tmp_path):
     edges = _random_edges(100, seed=4)
     engine = _serial_reference(edges, GraphZeppelinConfig(seed=2))
     engine.save_snapshot(tmp_path / checkpoint_filename(1))
-    from repro.distributed.snapshot import merge_snapshots, save_pool_snapshot
+    from repro.distributed.snapshot import save_pool_snapshot
 
-    pool, meta = merge_snapshots([tmp_path / checkpoint_filename(1)])
+    merged = GraphZeppelin(engine.num_nodes, config=GraphZeppelinConfig(seed=2))
+    meta = merged.merge_snapshots([tmp_path / checkpoint_filename(1)])
     save_pool_snapshot(
-        pool, tmp_path / checkpoint_filename(2), merged=True,
+        merged.tensor_pool, tmp_path / checkpoint_filename(2), merged=True,
         fingerprint=meta.fingerprint,
     )
     recovered, path, skipped = recover_latest(tmp_path)

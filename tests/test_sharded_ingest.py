@@ -192,7 +192,7 @@ def test_parallel_ingest_invalidates_cached_forest(backend):
         cached = engine.list_spanning_forest()
         assert engine.list_spanning_forest() is cached  # cache hit
         ingestor.ingest_batch(second)
-        assert engine._cached_forest is None  # parallel path invalidated it
+        assert engine.list_spanning_forest() is not cached  # parallel path retired it
 
         reference = _engine(num_nodes)
         reference.ingest_batch(np.concatenate([first, second]))
@@ -204,7 +204,7 @@ def test_parallel_ingest_invalidates_cached_forest(backend):
         )
 
 
-def test_worker_failure_invalidates_caches_without_counting():
+def test_worker_failure_invalidates_caches_without_counting(tmp_path):
     """A shard worker crash mid-batch must not claim the batch landed.
 
     The surviving shards' folds already mutated the pool, so the forest
@@ -214,7 +214,7 @@ def test_worker_failure_invalidates_caches_without_counting():
     num_nodes = 30
     engine = _engine(num_nodes)
     engine.ingest_batch(random_multigraph_edges(num_nodes, 80, seed=53))
-    engine.list_spanning_forest()  # populate caches
+    cached = engine.list_spanning_forest()  # populate caches
     before = engine.updates_processed
 
     with ShardedIngestor(engine, num_workers=2, num_shards=3) as ingestor:
@@ -222,7 +222,13 @@ def test_worker_failure_invalidates_caches_without_counting():
             with pytest.raises(RuntimeError, match="worker crash"):
                 ingestor.ingest_batch(random_multigraph_edges(num_nodes, 80, seed=54))
     assert engine.updates_processed == before
-    assert engine._cached_forest is None  # caches still invalidated
+    # The caches are still retired: the answer is recomputed, and it is
+    # the answer of a fresh engine over the state the surviving shards left.
+    forest = engine.list_spanning_forest()
+    assert forest is not cached
+    snapshot = tmp_path / "after-failure.snap"
+    engine.save_snapshot(snapshot)
+    assert forest.edges == GraphZeppelin.load_snapshot(snapshot).list_spanning_forest().edges
 
 
 @contextmanager
@@ -276,11 +282,11 @@ def test_failed_stream_chunk_still_publishes_dispatched_batch():
     bad = np.asarray([(5, 5)], dtype=np.int64)  # self loop -> InvalidStreamError
 
     engine = _engine(num_nodes)
-    engine.list_spanning_forest()  # populate forest + slab caches
+    cached = engine.list_spanning_forest()  # populate forest + slab caches
     with ShardedIngestor(engine, num_workers=2) as ingestor:
         with pytest.raises(InvalidStreamError):
             ingestor.ingest_stream([good, bad])
-    assert engine._cached_forest is None
+    assert engine.list_spanning_forest() is not cached
     assert engine.updates_processed == good.shape[0]
 
     reference = _engine(num_nodes)

@@ -1,10 +1,12 @@
 """Pool snapshots must round-trip, merge, and resume bit-identically.
 
-The PR 5 acceptance properties: (1) snapshot -> load -> resume yields
-final state bit-identical to an uninterrupted run, across flat/paged
-pools and packed/wide bucket modes; (2) the XOR merge of K snapshots
-built from disjoint sub-streams is bit-identical -- tensors, forest,
-update counts -- to serially ingesting the whole stream.  Plus the
+The acceptance properties: (1) snapshot -> load -> resume yields final
+state bit-identical to an uninterrupted run, across flat/paged pools
+and packed/wide bucket modes; (2) the XOR merge of K snapshots built
+from disjoint sub-streams into an engine is bit-identical -- tensors,
+forest, update counts -- to serially ingesting the whole stream; (3) an
+engine's answer after any write to its pool, a merge made straight
+through ``tensor_pool`` included, equals a fresh engine's.  Plus the
 robustness half: truncated payloads, corrupted magic/version, geometry
 and seed mismatches all raise clear ``StreamFormatError``s *without*
 mutating the target pool.
@@ -12,6 +14,7 @@ mutating the target pool.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -23,15 +26,17 @@ from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.distributed.snapshot import (
     SnapshotMeta,
-    load_pool_snapshot,
     load_snapshot_into,
-    merge_snapshots,
     merge_snapshots_into,
     read_snapshot_meta,
     save_pool_snapshot,
 )
 from repro.exceptions import ConfigurationError, StreamFormatError
+from repro.generators.random_graphs import random_multigraph_edges
 from repro.memory.hybrid import HybridMemory
+from repro.resilience.checkpoint import CheckpointPolicy
+from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
+from repro.sketch import geometry as geometry_module
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.tensor_pool import NodeTensorPool
 from sketch_reference import pool_geometry
@@ -55,8 +60,8 @@ def _edge_array(edges):
     return np.asarray(edges, dtype=np.int64)
 
 
-def _config(seed, ram_budget):
-    return GraphZeppelinConfig(seed=seed, ram_budget_bytes=ram_budget)
+def _config(seed, ram_budget, **settings):
+    return GraphZeppelinConfig(seed=seed, ram_budget_bytes=ram_budget, **settings)
 
 
 def _tensors(engine_or_pool):
@@ -72,22 +77,21 @@ def _assert_identical(a, b):
     assert np.array_equal(gamma_a, gamma_b)
 
 
-def _fold_edges(pool: NodeTensorPool, edges: np.ndarray) -> None:
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    pool.apply_edges(lo, hi, pool.encoder.encode_canonical_pairs(lo, hi))
+@contextlib.contextmanager
+def _wide_engines():
+    """Engines built inside store their buckets wide (which they choose on
+    their own only past 65 536 nodes)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry_module, "PACKED_MAX_VECTOR", 0)
+        yield
 
 
-def _wide_pool(seed: int, memory=None) -> NodeTensorPool:
-    encoder = EdgeEncoder(NUM_NODES)
-    if memory is not None:
-        return PagedTensorPool(
-            NUM_NODES, encoder, memory=memory, graph_seed=seed,
-            geometry=pool_geometry(NUM_NODES, wide=True), nodes_per_page=7,
-        )
-    return NodeTensorPool(
-        NUM_NODES, encoder, graph_seed=seed, geometry=pool_geometry(NUM_NODES, wide=True)
-    )
+def _engine(seed, ram_budget, edges=None, **settings) -> GraphZeppelin:
+    engine = GraphZeppelin(NUM_NODES, config=_config(seed, ram_budget, **settings))
+    if edges is not None:
+        engine.ingest_batch(edges)
+        engine.flush()
+    return engine
 
 
 # ----------------------------------------------------------------------
@@ -159,46 +163,45 @@ def test_merged_snapshots_bit_identical_to_serial(
         paths.append(workdir / f"part-{part}.snap")
         worker.save_snapshot(paths[-1])
 
-    memory = None if merge_budget is None else HybridMemory(ram_bytes=merge_budget)
-    pool, meta = merge_snapshots(paths, memory=memory)
-    _assert_identical(serial, pool)
-    assert meta.engine_updates == serial.updates_processed
-    assert pool.updates_applied == serial.tensor_pool.updates_applied
+    merged = GraphZeppelin(NUM_NODES, config=_config(seed, merge_budget))
+    meta = merged.merge_snapshots(paths)
+    _assert_identical(serial, merged)
+    assert meta.engine_updates == merged.updates_processed == serial.updates_processed
+    assert merged.tensor_pool.updates_applied == serial.tensor_pool.updates_applied
 
 
 # ----------------------------------------------------------------------
-# property: wide-mode pools (pool level; wide only self-selects > 65536
-# nodes, so force_wide exercises the second bucket layout at test size)
+# property: wide-mode engines (wide only self-selects > 65536 nodes, so
+# _wide_engines exercises the second bucket layout at test size)
 # ----------------------------------------------------------------------
 @given(edges=edge_lists, seed=seeds, paged=st.booleans())
 @settings(max_examples=15, deadline=None)
 def test_wide_snapshot_roundtrip_and_merge(tmp_path_factory, edges, seed, paged):
     workdir = tmp_path_factory.mktemp("wide")
     array = _edge_array(edges)
+    paged_settings = dict(ram_budget=4_000, nodes_per_page=7)
 
-    reference = _wide_pool(seed)
-    _fold_edges(reference, array)
+    with _wide_engines():
+        reference = _engine(seed, None, array)
+        assert not reference.geometry.packed
 
-    halves = []
-    for part in range(2):
-        memory = HybridMemory(ram_bytes=4_000) if paged else None
-        pool = _wide_pool(seed, memory=memory)
-        _fold_edges(pool, array[part::2])
-        halves.append(workdir / f"half-{part}.snap")
-        save_pool_snapshot(pool, halves[-1])
+        halves = []
+        for part in range(2):
+            writer = _engine(seed, **(paged_settings if paged else {"ram_budget": None}))
+            writer.ingest_batch(array[part::2])
+            halves.append(workdir / f"half-{part}.snap")
+            writer.save_snapshot(halves[-1])
+            _assert_identical(writer, GraphZeppelin.load_snapshot(halves[-1]))
 
-    loaded, _ = load_pool_snapshot(halves[0])
-    _half = _wide_pool(seed)
-    _fold_edges(_half, array[0::2])
-    _assert_identical(_half, loaded)
+        merged = _engine(seed, None)
+        merged.merge_snapshots(halves)
+        _assert_identical(reference, merged)
 
-    merged, _ = merge_snapshots(halves)
-    _assert_identical(reference, merged)
-
-    # The paged target: merged page by page under the RAM budget.
-    paged_merged, _ = merge_snapshots(halves, memory=HybridMemory(ram_bytes=4_000))
-    assert paged_merged.is_paged
-    _assert_identical(reference, paged_merged)
+        # The paged target: merged page by page under the RAM budget.
+        paged_merged = _engine(seed, **paged_settings)
+        paged_merged.merge_snapshots(halves)
+        assert paged_merged.tensor_pool.is_paged
+        _assert_identical(reference, paged_merged)
 
 
 # ----------------------------------------------------------------------
@@ -264,13 +267,16 @@ def test_corrupted_magic_rejected(tmp_path, snapshot_file):
 
 
 def test_future_version_rejected(tmp_path, snapshot_file):
+    """Version 2 is the one format: a future version and the retired
+    pre-digest version 1 are both an unknown magic."""
     path, _ = snapshot_file
-    data = bytearray(path.read_bytes())
-    data[0] = 3  # version lives in the magic's low word (current is 2)
-    future = tmp_path / "future.snap"
-    future.write_bytes(bytes(data))
-    with pytest.raises(StreamFormatError, match="magic"):
-        read_snapshot_meta(future)
+    for version in (3, 1):
+        data = bytearray(path.read_bytes())
+        data[0] = version  # version lives in the magic's low word (current is 2)
+        other = tmp_path / f"version-{version}.snap"
+        other.write_bytes(bytes(data))
+        with pytest.raises(StreamFormatError, match="magic"):
+            read_snapshot_meta(other)
 
 
 def test_geometry_mismatch_rejected_without_mutation(snapshot_file):
@@ -293,7 +299,7 @@ def test_zero_round_header_rejected(tmp_path, snapshot_file):
     zero = tmp_path / "zero-rounds.snap"
     zero.write_bytes(_HEADER.pack(*fields))
     with pytest.raises(StreamFormatError, match="round"):
-        load_pool_snapshot(zero)
+        GraphZeppelin.load_snapshot(zero)
 
 
 def test_seed_mismatch_on_merge_without_mutation(tmp_path, snapshot_file):
@@ -310,17 +316,32 @@ def test_seed_mismatch_on_merge_without_mutation(tmp_path, snapshot_file):
 
 def test_mixed_bucket_modes_rejected_on_merge(tmp_path, snapshot_file):
     path, _ = snapshot_file
-    wide = _wide_pool(11)
+    with _wide_engines():
+        wide = _engine(11, None)
     wide_path = tmp_path / "wide.snap"
-    save_pool_snapshot(wide, wide_path)
+    wide.save_snapshot(wide_path)
+    target = _engine(11, None)
     with pytest.raises(StreamFormatError, match="packed"):
-        merge_snapshots([wide_path, path])
+        target.merge_snapshots([wide_path, path])
+    _assert_pool_untouched(target.tensor_pool)
 
 
 def test_fingerprint_mismatch_rejected_on_load(snapshot_file):
     path, _ = snapshot_file
     with pytest.raises(StreamFormatError, match="fingerprint"):
         GraphZeppelin.load_snapshot(path, config=GraphZeppelinConfig(seed=99))
+
+
+def test_fingerprint_mismatch_rejected_on_merge(tmp_path, snapshot_file):
+    """Geometry and seed are checked against the pool; the fingerprint
+    is checked between the inputs."""
+    path, engine = snapshot_file
+    other = tmp_path / "other-fingerprint.snap"
+    save_pool_snapshot(engine.tensor_pool, other, fingerprint=7)
+    target = _engine(11, None)
+    with pytest.raises(StreamFormatError, match="fingerprint"):
+        target.merge_snapshots([path, other])
+    _assert_pool_untouched(target.tensor_pool)
 
 
 def test_sketch_fingerprint_golden_values():
@@ -340,7 +361,7 @@ def test_sketch_fingerprint_golden_values():
 
 def test_merge_requires_at_least_one_path():
     with pytest.raises(ValueError):
-        merge_snapshots([])
+        _engine(0, None).merge_snapshots([])
 
 
 def test_snapshot_leaves_no_temp_file(tmp_path, snapshot_file):
@@ -369,8 +390,11 @@ def test_merge_from_self_rejected(tmp_path, snapshot_file, monkeypatch):
         with pytest.raises(StreamFormatError, match="same file"):
             merge_snapshots_into([path, spelling], target.tensor_pool)
         _assert_pool_untouched(target.tensor_pool)
+    target = _engine(11, None)
     with pytest.raises(StreamFormatError, match="same file"):
-        merge_snapshots([path, path])
+        target.merge_snapshots([path, path])
+    assert target.updates_processed == 0
+    _assert_pool_untouched(target.tensor_pool)
 
 
 def test_meta_roundtrip(snapshot_file):
@@ -417,11 +441,84 @@ def test_merged_snapshots_are_flagged(tmp_path):
         paths.append(tmp_path / f"p{part}.snap")
         engine.save_snapshot(paths[-1])
     assert not read_snapshot_meta(paths[0]).merged
-    pool, meta = merge_snapshots(paths)
+    merged = _engine(2, None)
+    meta = merged.merge_snapshots(paths)
     assert meta.merged
     merged_path = tmp_path / "merged.snap"
-    save_pool_snapshot(pool, merged_path, merged=True)
+    save_pool_snapshot(merged.tensor_pool, merged_path, merged=True)
     assert read_snapshot_meta(merged_path).merged
+
+
+# ----------------------------------------------------------------------
+# the engine merge: counters, checkpoints, and the cached answer
+# ----------------------------------------------------------------------
+def _halves_and_whole(tmp_path, ram_budget=None):
+    """An engine holding half of a 200-node graph and queried, the other
+    half's snapshot, and a fresh engine holding the whole graph."""
+    edges = random_multigraph_edges(200, 320, seed=1)
+    engine = GraphZeppelin(200, GraphZeppelinConfig(seed=1, ram_budget_bytes=ram_budget))
+    engine.ingest_batch(edges[0::2])
+    other = GraphZeppelin(200, GraphZeppelinConfig(seed=1))
+    other.ingest_batch(edges[1::2])
+    path = tmp_path / "other-half.snap"
+    other.save_snapshot(path)
+    whole = GraphZeppelin(200, GraphZeppelinConfig(seed=1))
+    whole.ingest_batch(edges)
+    half_answer = engine.list_spanning_forest().partition_signature()
+    assert half_answer != whole.list_spanning_forest().partition_signature()
+    return engine, path, whole
+
+
+def test_a_pool_merge_under_a_queried_engine_is_not_served_stale(tmp_path):
+    """The cached forest is keyed on the pool version, so a merge made
+    straight into ``tensor_pool`` -- past every engine entry point --
+    still retires it: the next answer is the fresh engine's."""
+    engine, path, whole = _halves_and_whole(tmp_path)
+    merge_snapshots_into([path], engine.tensor_pool)
+    forest, expected = engine.list_spanning_forest(), whole.list_spanning_forest()
+    assert forest.partition_signature() == expected.partition_signature()
+    assert forest.edges == expected.edges
+
+
+def test_a_merge_stopped_by_a_storage_error_retires_the_cached_forest(tmp_path):
+    """The pages merged before a failed page read stay merged, so the
+    next answer is recomputed -- and is a fresh engine's over that state."""
+    engine, path, _ = _halves_and_whole(tmp_path, ram_budget=12_000)
+    assert engine.tensor_pool.num_pages == 3
+    cached, before = engine.list_spanning_forest(), engine.updates_processed
+    engine.memory.fault_plan = FaultPlan([FaultSpec(site="device.read", at=2)])
+    with pytest.raises(InjectedFault):
+        engine.merge_snapshots([path])
+    engine.memory.fault_plan = None
+    assert engine.updates_processed == before
+    forest = engine.list_spanning_forest()
+    assert forest is not cached
+    state = tmp_path / "part-merged.snap"
+    engine.save_snapshot(state)
+    assert forest.edges == GraphZeppelin.load_snapshot(state).list_spanning_forest().edges
+
+
+def test_engine_merge_counts_updates_and_notifies_the_checkpointer(tmp_path):
+    engine, path, whole = _halves_and_whole(tmp_path)
+    before = engine.updates_processed
+    other_updates = read_snapshot_meta(path).engine_updates
+    checkpointer = engine.attach_checkpointer(
+        tmp_path / "ckpt", policy=CheckpointPolicy(every_n_updates=other_updates, keep=2)
+    )
+    meta = engine.merge_snapshots([path])
+    assert meta.merged and meta.engine_updates == other_updates
+    assert engine.updates_processed == before + other_updates == whole.updates_processed
+    assert checkpointer.checkpoints_written == 1
+    _assert_identical(engine, whole)
+    assert engine.list_spanning_forest().edges == whole.list_spanning_forest().edges
+
+
+def test_engine_merge_refuses_a_validated_stream(snapshot_file):
+    path, _ = snapshot_file
+    engine = _engine(11, None, validate_stream=True)
+    with pytest.raises(ConfigurationError, match="validate_stream"):
+        engine.merge_snapshots([path])
+    _assert_pool_untouched(engine.tensor_pool)
 
 
 #: sha256 of the snapshot files :func:`_pinned_snapshot` writes, recorded
