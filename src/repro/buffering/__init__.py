@@ -12,7 +12,7 @@ Two buffering structures are provided, matching the paper:
 * :class:`repro.buffering.gutter_tree.GutterTree` -- a simplified
   buffer tree whose leaves are the gutters, used when even the gutters
   do not fit in RAM; parent-to-child flushes are charged to the
-  simulated block device.
+  block device's latency model (no bytes are written).
 
 Both emit :class:`repro.buffering.base.PageBatch` mixed-node columns,
 which the engine folds in one kernel pass per page.

@@ -9,8 +9,8 @@ and when a leaf gutter fills, its updates are emitted as a batch for
 the Graph Workers.
 
 The tree in this reproduction keeps update payloads in Python lists
-(the source of truth) and mirrors every parent-to-child flush and leaf
-read onto the simulated block device via
+(the source of truth) and charges every parent-to-child flush and leaf
+read to the block device's latency model via
 :meth:`~repro.memory.hybrid.HybridMemory.charge_write` /
 ``charge_read``, so the I/O counters and modelled time reflect what the
 on-SSD structure would pay.  This is the substitution documented in

@@ -565,7 +565,7 @@ class GraphZeppelin:
         engine._resume_offset = meta.stream_offset
         return engine
 
-    def merge_snapshots(self, paths):
+    def merge_snapshots(self, paths, verified: bool = False):
         """XOR snapshots into this engine's sketch state; returns the merged meta.
 
         By linearity the result is the state of this engine's stream
@@ -577,7 +577,8 @@ class GraphZeppelin:
         The inputs' ``engine_updates`` add to :attr:`updates_processed`
         and reach the attached checkpointer like any ingest.  Refused
         under ``validate_stream``: the tracked edge set is not part of
-        a snapshot.
+        a snapshot.  ``verified=True`` skips the payload digest pass for
+        inputs the caller has just verified itself.
         """
         from repro.distributed.snapshot import merge_snapshots_into
 
@@ -586,7 +587,7 @@ class GraphZeppelin:
                 "cannot merge snapshots with validate_stream: the tracked edge "
                 "set is not part of a snapshot"
             )
-        meta = merge_snapshots_into(paths, self._pool)
+        meta = merge_snapshots_into(paths, self._pool, verified=verified)
         self._updates_processed += meta.engine_updates
         self._note_checkpoint_progress(meta.engine_updates)
         return meta

@@ -313,7 +313,8 @@ def distributed_ingest(
         # slower or re-dispatched peers are still running.
         merge_start = time.perf_counter()
         with span("distributed.merge"):
-            meta = engine.merge_snapshots([paths[worker]])
+            # validate() has digest-checked this payload; one pass is enough.
+            meta = engine.merge_snapshots([paths[worker]], verified=True)
         report.merge_seconds += time.perf_counter() - merge_start
         report.per_worker_updates[worker] = meta.engine_updates
         report.snapshot_bytes += paths[worker].stat().st_size

@@ -461,7 +461,7 @@ def _check_snapshots_compatible(paths: Sequence[Path], metas: Sequence[SnapshotM
 
 
 def merge_snapshots_into(
-    paths: Sequence[PathLike], pool: NodeTensorPool
+    paths: Sequence[PathLike], pool: NodeTensorPool, verified: bool = False
 ) -> SnapshotMeta:
     """XOR every snapshot's buckets into ``pool``; returns merged metadata.
 
@@ -475,7 +475,10 @@ def merge_snapshots_into(
     uniqueness: one file named twice (under any spelling) would
     XOR-cancel itself, since XOR is self-inverse.  Update counters
     sum; the merged ``stream_offset`` is zero (a union of sub-streams
-    is not a prefix of any one stream).
+    is not a prefix of any one stream).  ``verified=True`` says the
+    caller has already digest-checked every payload
+    (:func:`verify_snapshot_payload`) since it was written, so that pass
+    is not made twice.
     """
     if not paths:
         raise ValueError("merge_snapshots_into needs at least one snapshot path")
@@ -492,8 +495,9 @@ def merge_snapshots_into(
         for path, meta in zip(paths, metas):
             _check_pool_matches(meta, pool, str(path))
         _check_snapshots_compatible(paths, metas)
-        for path, meta in zip(paths, metas):
-            verify_snapshot_payload(path, meta)
+        if not verified:
+            for path, meta in zip(paths, metas):
+                verify_snapshot_payload(path, meta)
         merged = 0
         try:
             for path, meta in zip(paths, metas):

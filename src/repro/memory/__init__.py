@@ -1,4 +1,4 @@
-"""Hybrid-memory (RAM + simulated disk) substrate.
+"""Hybrid-memory (RAM + disk) substrate.
 
 The paper's hybrid graph streaming model (Section 2.1) gives an
 algorithm ``O(polylog V)`` RAM plus ``O(V polylog V)`` disk, where disk
@@ -6,11 +6,13 @@ is only accessible in blocks of ``B`` words.  The evaluation then runs
 GraphZeppelin, Aspen and Terrace with artificially limited RAM so their
 data structures spill to SSD.
 
-This package simulates that environment deterministically:
+This package reproduces that environment with deterministic accounting:
 
-* :class:`repro.memory.block_device.BlockDevice` -- a block-addressed
-  store that counts reads/writes and models sequential vs random access
-  latency,
+* :class:`repro.memory.block_device.FileBlockDevice` -- a block-addressed
+  store whose blocks live in a scratch file, outside the process heap;
+  its :class:`~repro.memory.block_device.BlockDevice` base checksums
+  every block, counts reads/writes and models sequential vs random
+  access latency,
 * :class:`repro.memory.hybrid.HybridMemory` -- the device plus the RAM
   budget *ledger*; objects stored through it report how many I/Os and
   how much modelled time their access pattern would cost on an SSD.
@@ -26,13 +28,14 @@ this substrate rather than wall-clock time, so results are reproducible
 on any machine.
 """
 
-from repro.memory.block_device import BlockDevice, DeviceProfile
+from repro.memory.block_device import BlockDevice, DeviceProfile, FileBlockDevice
 from repro.memory.hybrid import HybridMemory
 from repro.memory.metrics import IOStats
 
 __all__ = [
     "BlockDevice",
     "DeviceProfile",
+    "FileBlockDevice",
     "HybridMemory",
     "IOStats",
 ]

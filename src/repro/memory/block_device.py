@@ -1,11 +1,24 @@
-"""A simulated block-addressed storage device.
+"""A block-addressed storage device with I/O accounting.
 
-The device stores byte blocks in a Python dict (so contents are real
-and round-trip exactly), while charging every access to an
+:class:`FileBlockDevice` is the device :class:`~repro.memory.hybrid.HybridMemory`
+builds: block ``b`` lives at byte ``b * block_size`` of one unlinked
+scratch file (``tempfile.TemporaryFile()``, so it honours ``TMPDIR``),
+created at the first write and gone when the device is collected or the
+process exits.  The sketch state therefore sits in the operating
+system's page cache or on disk, not in the process heap.  The file is
+scratch, not durable storage -- nothing is fsynced; snapshots are the
+durable path.
+
+The :class:`BlockDevice` base keeps everything but the bytes: per-block
+lengths and write-time digests (verified on every read), fault-plan bit
+rot, and the accounting that charges every access to an
 :class:`~repro.memory.metrics.IOStats` instance according to a latency
 profile.  Sequential accesses (the block following the previously
 accessed block) are charged less than random accesses, mirroring how
-SSD throughput differs between streaming and random 16 KB reads.
+SSD throughput differs between streaming and random 16 KB reads.  So
+the counters and the modelled time are the same whatever holds the
+bytes -- the file here, or a dict in the test suite's fault-injection
+double.
 
 The default profile approximates the Samsung 870 EVO SATA SSD used in
 the paper's evaluation: ~530 MB/s sequential, ~90 us random-access
@@ -14,10 +27,14 @@ latency per 16 KB block.
 
 from __future__ import annotations
 
+import copy
+import os
+import tempfile
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CorruptionError, StorageError
 from repro.integrity.digest import Buffer, block_digests, byte_view
@@ -27,10 +44,13 @@ from repro.memory.metrics import IOStats
 #: for its gutter tree (Section 5.1).
 DEFAULT_BLOCK_SIZE = 16 * 1024
 
+#: Bytes per read/write when a device file is copied (``copy.deepcopy``).
+_COPY_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """Latency/throughput model of the simulated device."""
+    """Latency/throughput model the device charges its accesses to."""
 
     #: Seconds to transfer one block when the access is sequential.
     sequential_seconds_per_block: float = DEFAULT_BLOCK_SIZE / (530 * 1024 * 1024)
@@ -59,7 +79,12 @@ class DeviceProfile:
 
 
 class BlockDevice:
-    """Block-addressed storage with I/O accounting.
+    """Block-addressed storage with I/O accounting and per-block digests.
+
+    Everything but the bytes: a subclass says where they live by
+    implementing :meth:`_store` (write a blob's bytes at a block) and
+    :meth:`_fetch` (copy a run of written blocks into a buffer).
+    :class:`FileBlockDevice` is the one the product uses.
 
     Parameters
     ----------
@@ -100,15 +125,31 @@ class BlockDevice:
         #: (``site="block"`` specs); the hybrid layer keeps it in sync
         #: with its own plan.
         self.fault_plan = None
-        self._blocks: Dict[int, bytes] = {}
-        self._digests: Dict[int, int] = {}
+        #: Per-block records, indexed by block id: the stored length
+        #: (-1: never written, or discarded) and the write-time digest
+        #: (``None`` with checksums off).
+        self._sizes: List[int] = []
+        self._digests: List[Optional[int]] = []
         self._last_block_accessed: Optional[int] = None
+
+    # ------------------------------------------------------------------
+    # where the bytes live
+    # ------------------------------------------------------------------
+    def _store(self, start_block: int, data: Buffer) -> None:
+        """Write ``data`` from the first byte of ``start_block`` on."""
+        raise NotImplementedError
+
+    def _fetch(self, start_block: int, sizes: List[int], view: memoryview, at: int) -> None:
+        """Copy the written blocks from ``start_block`` on, whose lengths
+        are ``sizes``, to ``view[at:]`` back to back."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def delete_block(self, block_id: int) -> None:
         """Drop a block without charging an I/O (TRIM-style discard)."""
-        self._blocks.pop(block_id, None)
-        self._digests.pop(block_id, None)
+        if 0 <= block_id < len(self._sizes):
+            self._sizes[block_id] = -1
+            self._digests[block_id] = None
 
     # ------------------------------------------------------------------
     def write_blob(
@@ -124,32 +165,56 @@ class BlockDevice:
         is how a contiguous node-group sketch read behaves on disk.
         ``_digests`` lets a caller that already block-digested this
         payload (the hybrid memory does, at ``store`` time) hand the
-        digests down instead of paying a second hashing pass.  Every
-        block is stored as its own ``bytes`` copy, so ``payload`` may be
-        a view of memory the caller goes on to reuse (a page frame).
+        digests down instead of paying a second hashing pass.  The
+        device keeps its own copy of the bytes, so ``payload`` may be a
+        view of memory the caller goes on to reuse (a page frame).
         """
         if start_block < 0:
             raise StorageError("block ids are non-negative")
-        num_blocks = max(1, -(-len(payload) // self.block_size))
+        view = byte_view(payload)
+        num_blocks = max(1, -(-len(view) // self.block_size))
         if not self.verify_checksums:
             digests = None
         elif _digests is not None and len(_digests) == num_blocks:
             digests = _digests
         else:
-            digests = self.block_digests(payload)
-        self._charge(start_block, num_blocks, is_write=True, nbytes=len(payload))
-        for i in range(num_blocks):
-            chunk = bytes(payload[i * self.block_size : (i + 1) * self.block_size])
-            if digests is not None:
-                # Checksum what the caller handed us, then let the fault
-                # plan model bit rot *after* the digest was taken -- that
-                # is the silent-corruption ordering the read-side check
-                # defends.
-                self._digests[start_block + i] = digests[i]
-            if self.fault_plan is not None:
-                chunk = self.fault_plan.corrupt_block_write(chunk)
-            self._blocks[start_block + i] = chunk
+            digests = self.block_digests(view)
+        # Checksum what the caller handed us, then let the fault plan
+        # model bit rot *after* the digest was taken -- that is the
+        # silent-corruption ordering the read-side check defends.
+        self._store(start_block, view if self.fault_plan is None else self._rotted(view))
+        self._charge(start_block, num_blocks, is_write=True, nbytes=len(view))
+        self._record(start_block, num_blocks, len(view), digests)
         return num_blocks
+
+    def _rotted(self, view: memoryview) -> Buffer:
+        """``view`` as it reaches the medium: every block is offered to the
+        fault plan, which may flip a bit in it; copied only if one rots."""
+        data, block_size = view, self.block_size
+        for lo in range(0, max(len(view), 1), block_size):
+            chunk = data[lo : lo + block_size]
+            rotten = self.fault_plan.corrupt_block_write(chunk)
+            if rotten is not chunk:
+                if data is view:
+                    data = bytearray(view)
+                data[lo : lo + len(rotten)] = rotten
+        return data
+
+    def _record(
+        self, start_block: int, num_blocks: int, nbytes: int, digests: Optional[list]
+    ) -> None:
+        """Note the lengths and digests of a blob just written."""
+        stop = start_block + num_blocks
+        sizes = self._sizes
+        if stop > len(sizes):
+            grow = stop - len(sizes)
+            sizes.extend([-1] * grow)
+            self._digests.extend([None] * grow)
+        block_size = self.block_size
+        sizes[start_block:stop] = [block_size] * (num_blocks - 1) + [
+            nbytes - (num_blocks - 1) * block_size
+        ]
+        self._digests[start_block:stop] = digests if digests is not None else [None] * num_blocks
 
     def read_into(
         self, start_block: int, num_blocks: int, out: Buffer
@@ -224,18 +289,16 @@ class BlockDevice:
 
         Returns the sizes of the blocks copied.
         """
-        blocks = self._blocks
-        sizes = []
-        total = at
-        for block_id in range(start_block, start_block + num_blocks):
-            payload = blocks.get(block_id)
-            if payload is None:
-                raise StorageError(f"block {block_id} has never been written")
-            stop = total + len(payload)
-            view[total:stop] = payload
-            sizes.append(stop - total)
-            total = stop
-        self._charge(start_block, num_blocks, is_write=False, nbytes=total - at)
+        sizes = self._sizes[start_block : start_block + num_blocks] if start_block >= 0 else []
+        if len(sizes) < num_blocks or -1 in sizes:
+            missing = start_block + (sizes.index(-1) if -1 in sizes else len(sizes))
+            raise StorageError(f"block {missing} has never been written")
+        total = sum(sizes)
+        if at + total > len(view):
+            raise ValueError(f"a {len(view)}-byte buffer cannot take {at + total} bytes")
+        if total:
+            self._fetch(start_block, sizes, view, at)
+        self._charge(start_block, num_blocks, is_write=False, nbytes=total)
         return sizes
 
     def _verify_runs(
@@ -267,12 +330,12 @@ class BlockDevice:
                 stop += size
         recorded = self._digests
         for block_id, digest in zip(block_ids, digests):
-            expected = recorded.get(block_id)
+            expected = recorded[block_id]
             if expected is not None and digest != expected:
                 self.stats.checksum_failures += 1
                 raise CorruptionError(
                     f"block {block_id} failed checksum verification "
-                    f"({len(self._blocks[block_id])} bytes): stored content no "
+                    f"({self._sizes[block_id]} bytes): stored content no "
                     f"longer matches its write-time digest"
                 )
         return digests
@@ -284,11 +347,12 @@ class BlockDevice:
     # ------------------------------------------------------------------
     @property
     def blocks_in_use(self) -> int:
-        return len(self._blocks)
+        return len(self._sizes) - self._sizes.count(-1)
 
     @property
     def bytes_in_use(self) -> int:
-        return sum(len(b) for b in self._blocks.values())
+        # Each unwritten block's -1 is cancelled by the count.
+        return sum(self._sizes) + self._sizes.count(-1)
 
     def _charge(self, start_block: int, num_blocks: int, is_write: bool, nbytes: int) -> None:
         """Charge a run of consecutive blocks holding ``nbytes`` in all.
@@ -324,6 +388,82 @@ class BlockDevice:
 
     def __repr__(self) -> str:
         return (
-            f"BlockDevice(block_size={self.block_size}, profile={self.profile.name}, "
+            f"{type(self).__name__}(block_size={self.block_size}, profile={self.profile.name}, "
             f"blocks_in_use={self.blocks_in_use})"
         )
+
+
+class FileBlockDevice(BlockDevice):
+    """A :class:`BlockDevice` whose blocks live in one unlinked scratch file.
+
+    Block ``b`` sits at byte ``b * block_size``; a blob is one
+    ``os.pwrite`` and a run of blocks one ``os.preadv`` straight into the
+    caller's buffer (a short block inside a run leaves a hole in the
+    file, so such a run is read block by block).  The file is made at
+    the first write and closed when the device is collected; a
+    ``copy.deepcopy`` gets a file of its own with the same contents.  A
+    process forked after the first write inherits the descriptor, but
+    its writes are refused (:class:`~repro.exceptions.StorageError`), so
+    a worker can never change its parent's blocks.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: The scratch file (made at the first write), its descriptor,
+        #: and the process that made it.
+        self._file = None
+        self._fd = -1
+        self._owner = None
+
+    def _open(self) -> int:
+        """The file's descriptor, made on first use by this process."""
+        if self._file is None:
+            self._file = tempfile.TemporaryFile()
+            self._fd, self._owner = self._file.fileno(), os.getpid()
+            weakref.finalize(self, self._file.close)
+        elif self._owner != os.getpid():
+            raise StorageError(
+                f"device file belongs to process {self._owner}; "
+                "a forked process may not write it"
+            )
+        return self._fd
+
+    def _store(self, start_block: int, data: Buffer) -> None:
+        _pwrite(self._open(), memoryview(data), start_block * self.block_size)
+
+    def _fetch(self, start_block: int, sizes: List[int], view: memoryview, at: int) -> None:
+        block_size = self.block_size
+        total = sum(sizes)
+        if total == (len(sizes) - 1) * block_size + sizes[-1]:
+            _pread(self._fd, view[at : at + total], start_block * block_size)
+            return
+        for block_id, size in enumerate(sizes, start_block):
+            _pread(self._fd, view[at : at + size], block_id * block_size)
+            at += size
+
+    def __deepcopy__(self, memo) -> "FileBlockDevice":
+        clone = type(self).__new__(type(self))
+        memo[id(self)] = clone
+        state = {key: value for key, value in self.__dict__.items() if key != "_file"}
+        clone.__dict__.update(copy.deepcopy(state, memo))
+        clone._file, clone._fd, clone._owner = None, -1, None
+        if self._file is not None:
+            target, offset = clone._open(), 0
+            while chunk := os.pread(self._fd, _COPY_CHUNK, offset):
+                _pwrite(target, memoryview(chunk), offset)
+                offset += len(chunk)
+        return clone
+
+
+def _pread(fd: int, into: memoryview, offset: int) -> None:
+    """Fill ``into`` from ``offset`` of ``fd`` (a regular file reads short
+    only at its end, which a written block is never past)."""
+    if os.preadv(fd, [into], offset) != len(into):
+        raise StorageError(f"device file ends before byte {offset + len(into)}")
+
+
+def _pwrite(fd: int, data: memoryview, offset: int) -> None:
+    """Write all of ``data`` at ``offset`` of ``fd``."""
+    done = 0
+    while done < len(data):
+        done += os.pwrite(fd, data[done:], offset + done)

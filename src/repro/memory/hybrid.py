@@ -2,8 +2,9 @@
 
 :class:`HybridMemory` is the substrate the rest of the system stores
 its large objects through.  There is **one RAM tier and the memory
-does not own it**: payloads live on the simulated
-:class:`~repro.memory.block_device.BlockDevice` and in whatever working
+does not own it**: payloads live on the
+:class:`~repro.memory.block_device.FileBlockDevice` (a scratch file,
+outside the process heap) and in whatever working
 set a client keeps (the paged tensor pool's page frames), so
 :meth:`~HybridMemory.store` writes through to the device and
 :meth:`~HybridMemory.load` reads into the caller's buffer, each moving
@@ -40,7 +41,7 @@ from repro.exceptions import (
     StorageError,
 )
 from repro.integrity.digest import Buffer, byte_view
-from repro.memory.block_device import DEFAULT_BLOCK_SIZE, BlockDevice, DeviceProfile
+from repro.memory.block_device import DEFAULT_BLOCK_SIZE, DeviceProfile, FileBlockDevice
 from repro.memory.metrics import IOStats
 from repro.observability.tracing import span
 
@@ -81,7 +82,12 @@ class RetryPolicy:
 
 
 class HybridMemory:
-    """A keyed byte store on a simulated disk, plus the RAM budget ledger.
+    """A keyed byte store on a block device, plus the RAM budget ledger.
+
+    The device is a :attr:`device_type`: a :class:`FileBlockDevice`,
+    whose bytes sit in a scratch file while its I/O is charged to a
+    disk model.  Tests put their dict-backed fault-injection double in
+    its place.
 
     Parameters
     ----------
@@ -128,6 +134,8 @@ class HybridMemory:
         blocks (``None``: the numpy digests, same values).
     """
 
+    device_type = FileBlockDevice
+
     def __init__(
         self,
         ram_bytes: Optional[int] = None,
@@ -150,7 +158,7 @@ class HybridMemory:
         self.breaker = breaker
         self.verify_checksums = bool(verify_checksums)
         self.stats = IOStats()
-        self.device = BlockDevice(
+        self.device = self.device_type(
             block_size=block_size,
             profile=profile,
             stats=self.stats,

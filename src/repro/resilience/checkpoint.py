@@ -178,6 +178,9 @@ class Checkpointer:
         self._clock = clock
         existing = list_checkpoints(self.directory)
         self._generation = existing[0][0] if existing else 0
+        #: The generations on disk, newest first: this one scan, then
+        #: every write, so rotation never lists the directory again.
+        self._on_disk: List[Path] = [path for _, path in existing]
         self._updates_since = 0
         self._last_time = clock()
         #: Telemetry: checkpoints written / policy-driven writes that
@@ -260,6 +263,7 @@ class Checkpointer:
         self.checkpoints_written += 1
         self._updates_since = 0
         self._last_time = self._clock()
+        self._on_disk.insert(0, path)
         if self.fault_plan is not None:
             self.fault_plan.after_snapshot_write(path)
         self._rotate()
@@ -272,12 +276,18 @@ class Checkpointer:
         is *counted* (:attr:`rotation_failures`), not silently
         swallowed, so a filesystem quietly refusing unlinks shows up in
         the CLI's counter report instead of as unbounded disk growth.
+        A generation whose unlink failed stays on the list, so the next
+        rotation tries it again.
         """
-        for _, path in list_checkpoints(self.directory)[self.policy.keep :]:
+        keep = self.policy.keep
+        failed = []
+        for path in self._on_disk[keep:]:
             try:
-                path.unlink()
+                path.unlink(missing_ok=True)
             except (CorruptionError, OSError):
                 self.rotation_failures += 1
+                failed.append(path)
+        self._on_disk[keep:] = failed
 
 
 def recover_latest(

@@ -15,9 +15,11 @@ from repro.core.config import GraphZeppelinConfig
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.generators.erdos_renyi import erdos_renyi_gnm
 from repro.generators.random_graphs import random_spanning_tree
+from repro.memory.hybrid import HybridMemory
 from repro.streaming.generator import StreamConversionSettings, graph_to_stream
 from repro.streaming.stream import GraphStream
 from repro.types import EdgeUpdate, UpdateType
+from dict_device import DEVICE_TYPES
 
 #: ``--hypothesis-profile=ci``: ten times Hypothesis' default example
 #: budget, for the CI step that runs the engine state machine, whose
@@ -28,6 +30,32 @@ settings.register_profile("ci", max_examples=1000)
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--block-device",
+        choices=sorted(DEVICE_TYPES),
+        default="file",
+        help="device type every HybridMemory builds outside the ``device`` "
+        "fixture: the product's file device (default) or the dict test double",
+    )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def session_block_device(request):
+    with pytest.MonkeyPatch.context() as patch:
+        device_type = DEVICE_TYPES[request.config.getoption("block_device")]
+        patch.setattr(HybridMemory, "device_type", device_type)
+        yield
+
+
+@pytest.fixture(params=sorted(DEVICE_TYPES))
+def device(request, monkeypatch):
+    """Every ``HybridMemory`` the test builds stores on this device type:
+    the product's file device, or the dict-backed test double."""
+    monkeypatch.setattr(HybridMemory, "device_type", DEVICE_TYPES[request.param])
+    return request.param
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ unit coverage of the partitioner and the driver's guard rails.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,25 @@ def test_snapshot_reader_bug_propagates_instead_of_redispatching(monkeypatch):
             config=GraphZeppelinConfig(seed=1), num_ingestors=2,
         )
     assert len(calls) == 1  # surfaced on first sight, no retry budget spent
+
+
+def test_each_worker_snapshot_is_digest_checked_once(monkeypatch):
+    """validate() verifies the payload before the merge, and the merge
+    does not verify it again: one payload pass per worker snapshot."""
+    import repro.distributed.snapshot as snapshot
+
+    checked = []
+    verify = snapshot.verify_snapshot_payload
+
+    def counting(path, meta=None):
+        checked.append(Path(path).name)
+        return verify(path, meta)
+
+    monkeypatch.setattr(snapshot, "verify_snapshot_payload", counting)
+    edges = _random_edges(200, seed=4)
+    config = GraphZeppelinConfig(seed=1)
+    engine, _ = distributed_ingest(edges, NUM_NODES, config=config, num_ingestors=2)
+    assert sorted(checked) == ["ingestor-0.snap", "ingestor-1.snap"]
+    assert np.array_equal(
+        engine.tensor_pool._planes, _serial_reference(edges, config).tensor_pool._planes
+    )

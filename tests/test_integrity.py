@@ -18,11 +18,11 @@ from repro.integrity.digest import (
 )
 from repro.integrity.repair import RepairReport, find_valid_checkpoint, scrub_and_repair
 from repro.kernels import native_kernels, native_unavailable_reason
-from repro.memory.block_device import BlockDevice
 from repro.memory.hybrid import HybridMemory
 from repro.observability.metrics import default_registry
 from repro.resilience.checkpoint import CheckpointPolicy, recover_latest
 from repro.resilience.faults import FaultPlan, FaultSpec
+from dict_device import overwrite_stored_block, rot_stored_block, stored_block
 
 NUM_NODES = 40
 
@@ -72,10 +72,8 @@ def _flip_spilled_bit(engine, rng) -> int:
     key = keys[int(rng.integers(0, len(keys)))]
     start, num_blocks, length = memory._allocations[key]
     block = start + int(rng.integers(0, max(1, -(-length // memory.block_size))))
-    raw = bytearray(memory.device._blocks[block])
-    bit = int(rng.integers(0, len(raw) * 8))
-    raw[bit >> 3] ^= 1 << (bit & 7)
-    memory.device._blocks[block] = bytes(raw)
+    bit = int(rng.integers(0, len(stored_block(memory.device, block)) * 8))
+    rot_stored_block(memory.device, block, bit)
     return int(key[1])
 
 
@@ -242,9 +240,7 @@ def test_corruption_error_is_not_retried():
         ram_bytes=0, block_size=16, retry=RetryPolicy(attempts=5, backoff_seconds=0.0)
     )
     memory.store("k", b"0123456789abcdef")
-    raw = bytearray(memory.device._blocks[memory._allocations["k"][0]])
-    raw[0] ^= 0x01
-    memory.device._blocks[memory._allocations["k"][0]] = bytes(raw)
+    rot_stored_block(memory.device, memory._allocations["k"][0])
     with pytest.raises(CorruptionError):
         memory.load("k")
     assert memory.stats.checksum_failures == 1
@@ -257,9 +253,7 @@ def test_unchecked_memory_does_not_verify():
 
     memory = HybridMemory(ram_bytes=0, block_size=16, verify_checksums=False)
     memory.store("k", b"0123456789abcdef")
-    raw = bytearray(memory.device._blocks[memory._allocations["k"][0]])
-    raw[0] ^= 0x01
-    memory.device._blocks[memory._allocations["k"][0]] = bytes(raw)
+    rot_stored_block(memory.device, memory._allocations["k"][0])
     assert memory.load("k") != b"0123456789abcdef"  # rot passes through
     assert memory.stats.checksum_failures == 0
     assert memory.scrub() == []
@@ -336,7 +330,7 @@ def test_tampered_payload_record_fails_although_every_block_verifies(kernels):
 
 @pytest.mark.parametrize("kernels", PROVIDERS)
 def test_short_non_final_block_is_verified_block_by_block(kernels):
-    device = BlockDevice(block_size=16, kernels=kernels)
+    device = HybridMemory.device_type(block_size=16, kernels=kernels)
     parts = [b"a" * 16, b"b" * 5, b"c" * 16, b""]
     for block_id, part in enumerate(parts):
         device.write_blob(block_id, part)
@@ -344,7 +338,7 @@ def test_short_non_final_block_is_verified_block_by_block(kernels):
     total, digests = device.read_into(0, 4, blob)
     assert bytes(blob[:total]) == b"".join(parts)
     assert digests == [payload_digest(part) for part in parts]
-    device._blocks[2] = b"c" * 15 + b"d"
+    overwrite_stored_block(device, 2, b"c" * 15 + b"d")
     with pytest.raises(CorruptionError, match="block 2 failed"):
         device.read_into(0, 4, blob)
     assert device.stats.checksum_failures == 1

@@ -5,9 +5,10 @@ from dataclasses import dataclass, fields
 import pytest
 
 from repro.exceptions import StorageError
-from repro.memory.block_device import DEFAULT_BLOCK_SIZE, BlockDevice, DeviceProfile
+from repro.memory.block_device import DEFAULT_BLOCK_SIZE, DeviceProfile
 from repro.memory.hybrid import HybridMemory
 from repro.memory.metrics import IOStats
+from dict_device import rot_stored_block, stored_block, stored_blocks
 
 
 # ----------------------------------------------------------------------
@@ -44,8 +45,13 @@ def test_iostats_helpers_cover_every_declared_counter():
 
 
 # ----------------------------------------------------------------------
-# BlockDevice
+# BlockDevice: the type every HybridMemory builds (tests/test_block_device.py
+# holds the file device and the dict double to one contract table)
 # ----------------------------------------------------------------------
+def _device(**settings):
+    return HybridMemory.device_type(**settings)
+
+
 def _read(device, start_block, num_blocks):
     out = bytearray(num_blocks * device.block_size)
     total, _ = device.read_into(start_block, num_blocks, out)
@@ -53,7 +59,7 @@ def _read(device, start_block, num_blocks):
 
 
 def test_block_roundtrip_and_counters():
-    device = BlockDevice(block_size=64)
+    device = _device(block_size=64)
     assert device.write_blob(0, b"hello") == 1
     assert _read(device, 0, 1) == b"hello"
     assert device.stats.block_writes == 1
@@ -62,13 +68,13 @@ def test_block_roundtrip_and_counters():
 
 
 def test_reading_unwritten_block_fails():
-    device = BlockDevice()
+    device = _device()
     with pytest.raises(StorageError):
         _read(device, 7, 1)
 
 
 def test_sequential_vs_random_accounting():
-    device = BlockDevice(block_size=16)
+    device = _device(block_size=16)
     device.write_blob(0, b"a")
     device.write_blob(1, b"b")   # sequential
     device.write_blob(10, b"c")  # random
@@ -78,7 +84,7 @@ def test_sequential_vs_random_accounting():
 
 
 def test_blob_roundtrip_spans_blocks():
-    device = BlockDevice(block_size=8)
+    device = _device(block_size=8)
     payload = bytes(range(30))
     blocks = device.write_blob(5, payload)
     assert blocks == 4
@@ -86,7 +92,7 @@ def test_blob_roundtrip_spans_blocks():
 
 
 def test_delete_block_is_free():
-    device = BlockDevice(block_size=8)
+    device = _device(block_size=8)
     device.write_blob(0, b"x")
     ios_before = device.stats.total_ios
     device.delete_block(0)
@@ -103,7 +109,7 @@ def test_device_profiles_ordering():
 
 def test_invalid_block_size_rejected():
     with pytest.raises(StorageError):
-        BlockDevice(block_size=0)
+        _device(block_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -342,9 +348,7 @@ def test_failed_fresh_write_does_not_leak_blocks():
 def _rot_device_block(memory, key, block_offset=0, bit=0):
     """Flip one bit of the ``block_offset``-th device block backing ``key``."""
     start, _, _ = memory._allocations[key]
-    raw = bytearray(memory.device._blocks[start + block_offset])
-    raw[bit >> 3] ^= 1 << (bit & 7)
-    memory.device._blocks[start + block_offset] = bytes(raw)
+    rot_stored_block(memory.device, start + block_offset, bit)
 
 
 def test_spilled_block_bit_flip_raises_typed_error():
@@ -454,7 +458,7 @@ def test_outgrown_allocation_is_trimmed_once_the_regrow_succeeded():
     memory.store("k", b"L" * 64)
     assert memory.load("k") == b"L" * 64
     assert (memory.device.blocks_in_use, memory.device_bytes) == (4, 64)
-    assert 0 not in memory.device._blocks and memory.scrub() == []
+    assert stored_block(memory.device, 0) is None and memory.scrub() == []
 
 
 def test_a_write_ruled_too_slow_is_still_described_by_the_records():
@@ -481,7 +485,7 @@ def test_scrub_mutates_nothing():
     state = (
         dict(memory._allocations),
         {key: list(digests) for key, digests in memory._payload_digests.items()},
-        dict(memory.device._blocks),
+        stored_blocks(memory.device),
         memory.cached_bytes,
         memory.reserved_bytes,
     )
@@ -491,7 +495,7 @@ def test_scrub_mutates_nothing():
     assert state == (
         memory._allocations,
         memory._payload_digests,
-        memory.device._blocks,
+        stored_blocks(memory.device),
         memory.cached_bytes,
         memory.reserved_bytes,
     )

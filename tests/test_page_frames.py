@@ -274,18 +274,26 @@ def _recorded_paged_run(num_nodes: int, budget_divisor: int, kernel_backend: str
     return result
 
 
+_NO_NATIVE = pytest.mark.skipif(native_kernels() is None, reason="no native kernel provider")
+
+
 @pytest.mark.parametrize(
-    "kernel_backend",
-    ["numpy", pytest.param("native", marks=pytest.mark.skipif(
-        native_kernels() is None, reason="no native kernel provider"
-    ))],
+    "kernel_backend, device",
+    [
+        pytest.param("numpy", "file", id="numpy"),
+        pytest.param("native", "file", id="native", marks=_NO_NATIVE),
+        pytest.param("numpy", "dict", id="numpy-dict"),
+        pytest.param("native", "dict", id="native-dict", marks=_NO_NATIVE),
+    ],
+    indirect=["device"],
 )
-def test_device_traffic_repeats_the_parent_commit_op_for_op(kernel_backend):
+def test_device_traffic_repeats_the_parent_commit_op_for_op(kernel_backend, device):
     """Budget = state / 8 (the benchmark's ratio).  At the parent the byte
     cache had no room left once the slab was reserved, so its device
     traffic is exactly the LRU policy's -- and must be op for op ours.
     Under either provider: the native query reads a round's stripes only
-    when the stop rule lets that round run, as the numpy driver does."""
+    when the stop rule lets that round run, as the numpy driver does.
+    On either device: where the bytes live moves no device op."""
     stats, block_ios, ops = _recorded_paged_run(256, 8, kernel_backend)
     assert (stats["num_pages"], stats["page_blocks"], stats["resident_budget"]) == (64, 2, 5)
     assert (stats["page_ins"], stats["page_writebacks"], stats["partial_reads"]) == (

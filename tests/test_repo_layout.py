@@ -165,6 +165,9 @@ OUT_OF_THE_PRODUCT = {
     "merge_snapshots",
     "_build_pool",
     "SNAPSHOT_MAGIC_V1",
+    # the dict-backed block device (the tests' fault-injection double;
+    # the product's device is the file)
+    "DictBlockDevice",
     # dead code
     "SketchFailureError",
     "_reset_for_tests",

@@ -12,6 +12,7 @@ tensors and forests identical to a run that never failed.
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,38 @@ def test_attach_checkpointer_writes_generations_during_ingest(tmp_path):
     assert remaining[0][0] == checkpointer.generation
     assert engine.detach_checkpointer() is checkpointer
     assert engine.checkpointer is None
+
+
+def test_rotation_lists_the_directory_once_and_retries_a_failed_unlink(tmp_path, monkeypatch):
+    import repro.resilience.checkpoint as checkpoint
+
+    scans = []
+
+    def counted_scan(directory):
+        scans.append(directory)
+        return list_checkpoints(directory)
+
+    monkeypatch.setattr(checkpoint, "list_checkpoints", counted_scan)
+    engine = GraphZeppelin(NUM_NODES)
+    engine.ingest_batch(_random_edges(50, seed=1))
+    checkpointer = engine.attach_checkpointer(tmp_path, policy=CheckpointPolicy(keep=2))
+    refused, unlink = [], Path.unlink
+
+    def refuse_once(path, missing_ok=False):
+        if path.name == checkpoint_filename(1) and not refused:
+            refused.append(path.name)
+            raise OSError("unlink refused")
+        return unlink(path, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", refuse_once)
+    for _ in range(3):
+        checkpointer.checkpoint()
+    assert checkpointer.rotation_failures == 1
+    assert [generation for generation, _ in list_checkpoints(tmp_path)] == [3, 2, 1]
+    checkpointer.checkpoint()  # the next rotation tries generation 1 again
+    assert [generation for generation, _ in list_checkpoints(tmp_path)] == [4, 3]
+    assert checkpointer.rotation_failures == 1
+    assert scans == [tmp_path]  # at construction only
 
 
 def test_generation_counter_resumes_from_directory(tmp_path):

@@ -25,6 +25,7 @@ from repro.observability.metrics import default_registry
 from repro.resilience.checkpoint import CheckpointPolicy
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.resilience.overload import CircuitBreaker
+from dict_device import rot_stored_block
 from sketch_reference import SEVEN_COLUMN_DELTA
 
 NATIVE = native_kernels()
@@ -140,8 +141,8 @@ def test_a_failed_range_is_retried_alone_and_the_batch_resumes_there():
             FaultSpec(site="device.read", at=6, mode="slow", delay_seconds=0.05),
         ]
     )
-    memory = _memory(retry=RetryPolicy(attempts=2, backoff_seconds=0.0), deadline_seconds=0.02)
-    memory.fault_plan = plan
+    memory = _memory(retry=RetryPolicy(attempts=2, backoff_seconds=0.0))
+    memory.deadline_seconds, memory.fault_plan = 0.02, plan  # reads only, not the stores
     gathered = []
     gather = memory.device._gather
     memory.device._gather = lambda start, blocks, view, at: (
@@ -169,8 +170,8 @@ def test_a_slow_range_past_its_retries_raises_the_deadline_error():
     plan = FaultPlan(
         [FaultSpec(site="device.read", at=1, mode="slow", delay_seconds=0.05)]
     )
-    memory = _memory(deadline_seconds=0.02)
-    memory.fault_plan = plan
+    memory = _memory()
+    memory.deadline_seconds, memory.fault_plan = 0.02, plan  # reads only, not the stores
     with pytest.raises(DeadlineExceededError):
         _batch(memory, [("a", 0, BLOCK), ("b", 0, BLOCK)])
     assert memory.stats.deadline_misses == 1
@@ -178,9 +179,7 @@ def test_a_slow_range_past_its_retries_raises_the_deadline_error():
 
 def _rot(memory, key, block_offset, bit=5):
     block = memory._allocations[key][0] + block_offset
-    raw = bytearray(memory.device._blocks[block])
-    raw[bit >> 3] ^= 1 << (bit & 7)
-    memory.device._blocks[block] = bytes(raw)
+    rot_stored_block(memory.device, block, bit)
     return block
 
 
