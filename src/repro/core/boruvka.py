@@ -14,14 +14,16 @@ no component yields a new edge (all remaining cuts are empty) or when
 the provisioned number of rounds is exhausted, in which case the result
 is flagged incomplete (the paper's asymptotically-small failure case).
 
-The driver, :func:`vectorized_spanning_forest`, works a whole round
-at a time through one :class:`RoundQuery` per query: one batched
+The driver works a whole round at a time.  :func:`vectorized_spanning_forest`
+runs one :class:`RoundQuery` per query over a batched sampler: one
 sampler call per round, then the round tail -- validate and decode the
 samples, union-find, relabel -- through :func:`round_tail`.  Over a
-tensor pool, a native provider's bound query runs the same rounds in C
-(one call for every round of an in-RAM pool, one per round of a paged
-one); both stop under :func:`run_rounds`.  A per-component sampler runs
-under it through :func:`batch_sampler_from_scalar`.
+tensor pool, :func:`pool_spanning_forest` runs the query the pool's
+kernel provider binds: the numpy provider's is a :class:`RoundQuery`
+sampling the pool, the compiled one's runs the same rounds in C (one
+call for every round of an in-RAM pool, one per round of a paged one);
+both stop under :func:`run_rounds`.  A per-component sampler runs under
+the driver through :func:`batch_sampler_from_scalar`.
 """
 
 from __future__ import annotations
@@ -145,17 +147,14 @@ class RoundQuery:
     """One query's per-node state and its Boruvka rounds, in numpy.
 
     A round samples the components of ``labels`` with an ``active`` node
-    in one :data:`BatchCutSampler` call (a tensor pool's
-    ``query_components``), then runs :func:`round_tail` over them;
-    :meth:`run` steps the rounds.  Fresh per query: the forest adopts
-    ``labels`` without copying.
+    in one :data:`BatchCutSampler` call (the numpy provider's bound query
+    wraps a tensor pool's ``query_components``), then runs
+    :func:`round_tail` over them; :meth:`run` steps the rounds.  Fresh
+    per query: the forest adopts ``labels`` without copying.
     """
 
-    def __init__(self, num_nodes: int, encoder: EdgeEncoder, source) -> None:
-        sample = getattr(source, "query_components", None)
-        self._sampler = source if sample is None else (
-            lambda round_index, labels, mask: sample(labels, round_index, mask)
-        )
+    def __init__(self, num_nodes: int, encoder: EdgeEncoder, sampler: BatchCutSampler) -> None:
+        self._sampler = sampler
         self.encoder = encoder
         self.labels = np.arange(num_nodes, dtype=np.int64)
         # settled[r] for a current component root r: its cut has been
@@ -266,33 +265,41 @@ def vectorized_spanning_forest(
     num_nodes: int,
     num_rounds: int,
     encoder: EdgeEncoder,
-    batch_cut_sampler,
+    batch_cut_sampler: BatchCutSampler,
     strict: bool = False,
-    kernels=None,
 ) -> tuple[SpanningForest, BoruvkaStats]:
     """Run Boruvka's algorithm one whole round at a time.
 
     Component membership is an int64 label per node, and the rounds are
     :meth:`RoundQuery.run` of one query: per round, **one** sampler call
     for every active component's cut, then the round tail, which touches
-    the union-find only for the at-most ``n - 1`` actual merges.
-    ``batch_cut_sampler`` is a :data:`BatchCutSampler` or a tensor pool
-    (its ``query_components``); a native ``kernels`` provider binds a
-    pool's query to its compiled loop, so a round over a paged pool is
-    one foreign call and a whole query over an in-RAM pool is one.  The
+    the union-find only for the at-most ``n - 1`` actual merges.  The
     forest keeps the merge edges and the final labels as arrays: no
     union-find object and no per-edge tuple is built unless a caller
     reads ``forest.edges``.  Output -- forest, stats, counters, and the
-    per-component samples behind them -- is the same whichever steps
-    run, and equal to the per-component Boruvka loop's under the same
-    sketches (``tests/sketch_reference.py`` holds that loop): it visits
-    surviving components in ascending root order, which is exactly the
+    per-component samples behind them -- is equal to the per-component
+    Boruvka loop's under the same sketches
+    (``tests/sketch_reference.py`` holds that loop): it visits surviving
+    components in ascending root order, which is exactly the
     sorted-label order the batched samplers return.
     """
-    if kernels is not None and hasattr(batch_cut_sampler, "query_components"):
-        query = kernels.bind_query(batch_cut_sampler)
-    else:
-        query = RoundQuery(num_nodes, encoder, batch_cut_sampler)
+    query = RoundQuery(num_nodes, encoder, batch_cut_sampler)
+    return _run_query(query, num_nodes, num_rounds, strict)
+
+
+def pool_spanning_forest(
+    pool, num_rounds: int, strict: bool = False
+) -> tuple[SpanningForest, BoruvkaStats]:
+    """:func:`vectorized_spanning_forest` over a tensor pool's first
+    ``num_rounds`` rounds, run by the query its kernel provider binds
+    (``bind_query``): a round over a paged pool is one foreign call on
+    the compiled provider, and a whole query over an in-RAM pool is one.
+    Forest, stats and counters are the same whichever provider runs."""
+    return _run_query(pool._kernels.bind_query(pool), pool.num_nodes, num_rounds, strict)
+
+
+def _run_query(query, num_nodes: int, num_rounds: int, strict: bool):
+    """Run ``query``'s rounds and build the forest and stats from its table."""
     table = query.run(num_rounds)
     stats = BoruvkaStats(rounds_used=len(table))
     num_components, found_edge = num_nodes, True

@@ -91,17 +91,15 @@ class GraphZeppelinConfig:
         How long an open breaker rejects before admitting a half-open
         probe call.
     kernel_backend:
-        Which implementation of the three hot kernels (ingest fold,
-        whole-round segmented XOR, batched bucket decode) the engine
-        runs: ``"numpy"`` (default) uses the pure-numpy kernels,
-        ``"native"`` requires the compiled provider (the C library
-        built at first use) and raises when it is not usable,
-        ``"auto"`` prefers it and falls back to numpy when no compiler
-        is found.  The provider is property-tested bit-identical to
-        numpy under the same seed, so
-        this field deliberately stays **out** of
-        :meth:`sketch_fingerprint` -- snapshots interchange freely
-        across kernel backends.
+        Which kernel provider (:mod:`repro.kernels`) runs the engine's
+        ingest folds, edge-row ingest, Boruvka query and storage
+        digests: ``"numpy"`` (default) the pure-numpy provider,
+        ``"native"`` the compiled one (the C library built at first
+        use), raising when it is not usable, and ``"auto"`` the compiled
+        one when a compiler is found, else numpy.  The providers are
+        property-tested bit-identical under the same seed, so this
+        field deliberately stays **out** of :meth:`sketch_fingerprint`
+        -- snapshots interchange freely across kernel backends.
     """
 
     delta: float = 0.01

@@ -46,7 +46,7 @@ import numpy as np
 from repro.buffering.base import BufferingSystem, PageBatch
 from repro.buffering.gutter_tree import GutterTree
 from repro.buffering.leaf_gutters import LeafGutters
-from repro.core.boruvka import BoruvkaStats, vectorized_spanning_forest
+from repro.core.boruvka import BoruvkaStats, pool_spanning_forest
 from repro.core.config import BufferingMode, GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder, canonical_edge_columns
 from repro.core.spanning_forest import SpanningForest
@@ -109,17 +109,15 @@ class GraphZeppelin:
         self.geometry = SketchGeometry.for_graph(self.num_nodes, self.config.delta)
         self.num_rounds = self.geometry.rounds
 
-        # Resolve the hot-kernel provider once; the pool, its node
-        # views and the hybrid memory's block digests share the same
-        # instance (providers are stateless singletons, so sharing is
-        # free).
+        # Resolve the kernel provider once; the pool, its node views and
+        # the hybrid memory's block digests share the same instance
+        # (providers are process-wide singletons, so sharing is free).
         from repro.kernels import resolve_kernels
 
         self._kernels = resolve_kernels(self.config.kernel_backend)
         if memory is not None:
             self.memory: Optional[HybridMemory] = memory
-            if memory.kernels is None:
-                memory.kernels = self._kernels
+            memory.kernels = self._kernels
         elif self.config.ram_budget_bytes is not None:
             retry = None
             if self.config.io_retry_attempts > 1:
@@ -467,13 +465,8 @@ class GraphZeppelin:
         version = self._pool._version
         if self._cached_forest is not None and self._cached_version == version:
             return self._cached_forest
-        forest, stats = vectorized_spanning_forest(
-            num_nodes=self.num_nodes,
-            num_rounds=self.num_rounds,
-            encoder=self.encoder,
-            batch_cut_sampler=self._pool,
-            strict=self.config.strict_queries,
-            kernels=self._kernels,
+        forest, stats = pool_spanning_forest(
+            self._pool, self.num_rounds, strict=self.config.strict_queries
         )
         self._last_query_stats = stats
         self._cached_forest, self._cached_version = forest, version
@@ -884,10 +877,10 @@ class GraphZeppelin:
         """Which hot-kernel implementation this engine actually runs.
 
         ``config.kernel_backend`` is the *request* (``"auto"`` may fall
-        back); this is the outcome: the provider's name (``"cc"``) when
-        the native provider is live, else ``"numpy"``.
+        back); this is the outcome: the resolved provider's name,
+        ``"cc"`` or ``"numpy"``.
         """
-        return self._kernels.name if self._kernels is not None else "numpy"
+        return self._kernels.name
 
     @property
     def tensor_pool(self) -> NodeTensorPool:

@@ -8,10 +8,11 @@ integrity plane shares: a position-sensitive xxHash64-style digest of a
 byte payload, computed with the same vectorised mixing kernels the
 sketch hot path uses (:mod:`repro.hashing.mixers`), so checksumming a
 16 KB block is a handful of numpy passes rather than a Python loop --
-or, when the caller passes the native kernel provider its engine
+or, when the caller passes the compiled kernel provider its engine
 resolved (``kernels=``), one compiled pass over the bytes.  Digests are
-an on-disk format: the numpy code here is the reference, and every
-provider's ``block_digests`` kernel is bit-identical to it.
+an on-disk format: the numpy code here (:func:`numpy_block_digests`,
+the numpy provider's kernel) is the reference, and every provider's
+``block_digests`` kernel is bit-identical to it.
 
 The digest views the payload as little-endian 64-bit words (the tail is
 zero-padded), XORs each word with its diffused word position and the
@@ -39,6 +40,7 @@ from repro.hashing.mixers import (
     splitmix64_array,
     splitmix64_inplace,
 )
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.observability.metrics import default_registry
 
 #: Seed for every storage digest.  Fixed (not configurable): digests are
@@ -127,30 +129,25 @@ class StreamingDigest:
         return seeded_hash64(acc ^ splitmix64(self._nbytes), self._seed)
 
 
-def payload_digest(data: Buffer, seed: int = DIGEST_SEED, kernels=None) -> int:
-    """The 64-bit digest of one byte payload.
+def payload_digest(data: Buffer, seed: int = DIGEST_SEED, kernels=NUMPY_KERNELS) -> int:
+    """The 64-bit digest of one byte payload: one block of its own length.
 
-    ``kernels`` is the caller's resolved native provider (or ``None``
-    for the numpy reference); the value is the same either way.
+    ``kernels`` is the caller's resolved provider; the value is the same
+    whichever it is.
     """
-    if kernels is not None:
-        return int(kernels.block_digests(data, max(len(data), 1), seed)[0])
-    digest = StreamingDigest(seed)
-    digest.update(data)
-    return digest.digest()
+    return int(kernels.block_digests(data, max(len(data), 1), seed)[0])
 
 
 def block_digests(
-    payload: Buffer, block_size: int, seed: int = DIGEST_SEED, kernels=None
+    payload: Buffer, block_size: int, seed: int = DIGEST_SEED, kernels=NUMPY_KERNELS
 ) -> List[int]:
     """Per-block digests of a blob, one pass over all of its blocks.
 
     Entry ``i`` equals ``payload_digest(payload[i*B : (i+1)*B])``
     bit-for-bit, so a writer checksums every block of a blob at once
-    and a reader verifies any block range against those records.  With
-    ``kernels`` (the native provider the owning engine resolved) the
-    whole blob is one compiled call; without, full blocks share one
-    vectorised numpy pass.  Counts the blocks it hashed in the
+    and a reader verifies any block range against those records.
+    ``kernels`` (the provider the owning engine resolved) hashes the
+    whole blob in one call.  Counts the blocks it hashed in the
     ``integrity.blocks_digested`` registry counter.
     """
     data = memoryview(payload)
@@ -158,10 +155,19 @@ def block_digests(
     registry = default_registry()
     if registry.enabled:
         registry.counter("integrity.blocks_digested").inc(num_blocks)
-    if kernels is not None:
-        return kernels.block_digests(data, block_size, seed).tolist()
+    return kernels.block_digests(data, block_size, seed).tolist()
+
+
+def numpy_block_digests(data: Buffer, block_size: int, seed: int) -> np.ndarray:
+    """The numpy provider's block digests, and the reference of every other.
+
+    Full blocks share one vectorised pass; a short final block (or a
+    block size that is not a whole number of words) is streamed alone.
+    """
+    data = memoryview(data)
+    num_blocks = max(1, -(-len(data) // block_size))
     full = len(data) // block_size
-    digests: List[int] = []
+    digests = np.empty(num_blocks, dtype=np.uint64)
     if full and block_size % 8 == 0:
         words_per_block = block_size >> 3
         mixed_seed = splitmix64(seed & MASK64)
@@ -174,11 +180,13 @@ def block_digests(
         with np.errstate(over="ignore"):
             accs ^= np.uint64(splitmix64(block_size) ^ mixed_seed)
         finalise_hash64_inplace(accs)
-        digests.extend(int(d) for d in accs)
+        digests[:full] = accs
     else:
         full = 0
     for i in range(full, num_blocks):
-        digests.append(payload_digest(data[i * block_size : (i + 1) * block_size], seed))
+        digest = StreamingDigest(seed)
+        digest.update(data[i * block_size : (i + 1) * block_size])
+        digests[i] = digest.digest()
     return digests
 
 
@@ -188,5 +196,6 @@ __all__ = [
     "StreamingDigest",
     "block_digests",
     "byte_view",
+    "numpy_block_digests",
     "payload_digest",
 ]

@@ -1,48 +1,40 @@
-"""Native-speed kernel backends for the columnar sketch engine.
+"""Kernel providers: the one interface the engine's hot kernels sit behind.
 
-The six hot kernels of the engine -- the ingest fold
-(:func:`~repro.sketch.flat_node_sketch.hash_depths_checksums` +
-``fold_hashed``), the whole-round query reduce
-(:func:`~repro.sketch.flat_node_sketch.segmented_xor`), the batched
-bucket decoder
-(:func:`~repro.sketch.flat_node_sketch.decode_column_batch`), the
-storage-integrity block digest
-(:func:`~repro.integrity.digest.block_digests`, which an out-of-core
-engine's hybrid memory runs over every byte that crosses the device),
-and the two halves of a Boruvka round: the group -> reduce -> decode
-sample of
-:meth:`~repro.sketch.tensor_pool.NodeTensorPool.query_components`,
-fused, and the validate/decode/union-find/relabel round tail
-(:func:`~repro.core.boruvka.round_tail`), looped over a query's rounds
-by the provider's ``bind_query`` (bound once per pool: a whole query
-over an in-RAM pool is one call, a round over a paged pool is one) --
-have compiled twins selected through ``config.kernel_backend``.  The segmented-XOR and
-decode twins are on no engine path any more (the fused sample replaced
-them; the pool's composed query path is numpy): only tests and the
-benchmark tracer call them.
+A provider is an object with one contract: the in-RAM pool folds
+``fold_pool`` and ``fold_pool_edges``, the paged pool's ``fold_page``,
+the per-node ``fold_bundle``, the checked edge-row ``ingest_edges``, the
+Boruvka query ``bind_query`` (bound once per pool by the compiled
+provider: a whole query over an in-RAM pool is one call, a round over a
+paged pool is one) and the storage ``block_digests``.  Pools, node
+sketches, the query driver and the block device call it whatever they
+hold; where the two providers really differ they read a named attribute
+(``hoists_hash``: the sharded producer hashes for the workers;
+``memoises_rounds``: a pool keeps per-node write stamps for the round
+memo).  ``config.kernel_backend`` selects one:
 
 ``"numpy"``
-    The default: the pure-numpy kernels, no compiled code anywhere.
+    The default: :data:`~repro.kernels.numpy_kernels.NUMPY_KERNELS`,
+    no compiled code anywhere.
 ``"native"``
-    Require the compiled provider; raise
+    Require the compiled provider, :mod:`repro.kernels.native_cc` (a
+    small C library compiled at first use with the host toolchain and
+    driven through :mod:`ctypes`); raise
     :class:`~repro.exceptions.ConfigurationError` when it is not usable.
 ``"auto"``
     Use the compiled provider when it is available, fall back to numpy
     otherwise (the selection is logged once per process, the reason
     kept, and ``kernels.provider_unavailable`` counted).
 
-There is one provider, :mod:`repro.kernels.native_cc`: a small C
-library compiled at first use with the host toolchain and driven
-through :mod:`ctypes`.
-
-It is property-tested **bit-identical** to the numpy path
-(``tests/test_native_kernels.py``; ``tests/test_integrity.py`` for the
-digests, which are an on-disk format): same seed in, same tensors,
-forests, and stats out, across packed/wide bucket modes, flat/paged
-pools, and serial/sharded/distributed ingest.  ``kernel_backend``
-therefore stays out of
-:meth:`~repro.core.config.GraphZeppelinConfig.sketch_fingerprint` --
-snapshots interchange freely across backends.
+The compiled provider is property-tested **bit-identical** to the numpy
+one, method by method (``tests/test_native_kernels.py``;
+``tests/test_integrity.py`` for the digests, which are an on-disk
+format): same seed in, same tensors, forests, and stats out, across
+packed/wide bucket modes, flat/paged pools, and
+serial/sharded/distributed ingest.  ``kernel_backend`` therefore stays
+out of :meth:`~repro.core.config.GraphZeppelinConfig.sketch_fingerprint`
+-- snapshots interchange freely across backends.  Its ``segment_xor``
+and ``decode_column`` are outside the contract: only tests and the
+benchmark tracer call them.
 """
 
 from __future__ import annotations
@@ -52,6 +44,7 @@ import threading
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.observability.log import get_logger
 from repro.observability.metrics import default_registry
 
@@ -68,7 +61,7 @@ _logged_choice = False
 
 
 def native_kernels():
-    """The process-wide native kernel provider, or ``None``.
+    """The process-wide compiled kernel provider, or ``None`` where it cannot be built.
 
     Resolution happens once per process: the C library is built (or
     loaded from its cache) on the first call.  Both the provider
@@ -106,15 +99,15 @@ def native_unavailable_reason() -> Optional[str]:
 def resolve_kernels(backend: str):
     """Resolve a ``kernel_backend`` config value to a provider.
 
-    Returns the provider instance for native execution or ``None`` for
-    the numpy kernels.  ``"native"`` raises
-    :class:`~repro.exceptions.ConfigurationError` when the provider is
-    not usable; ``"auto"`` falls back to numpy and logs the choice once per
-    process.
+    ``"numpy"`` is :data:`~repro.kernels.numpy_kernels.NUMPY_KERNELS`;
+    ``"native"`` is the compiled provider, and raises
+    :class:`~repro.exceptions.ConfigurationError` when it is not usable;
+    ``"auto"`` is the compiled provider when it is usable and numpy
+    otherwise, and logs the choice once per process.
     """
     global _logged_choice
     if backend == "numpy":
-        return None
+        return NUMPY_KERNELS
     if backend not in KERNEL_BACKENDS:
         raise ConfigurationError(
             f"unknown kernel_backend {backend!r} (use 'numpy', 'native', or 'auto')"
@@ -136,4 +129,4 @@ def resolve_kernels(backend: str):
             logger.info(
                 "kernel_backend=%s: using native '%s' kernels", backend, provider.name
             )
-    return provider
+    return NUMPY_KERNELS if provider is None else provider

@@ -816,22 +816,19 @@ class CcKernels:
     """
 
     name = "cc"
-    is_native = True
+    #: The fold hashes in-kernel, so the sharded producer only partitions.
+    hoists_hash = False
+    #: The bound query keeps every round's sample in a pool's ``RoundMemo``.
+    memoises_rounds = True
 
     def __init__(self) -> None:
         self._lib = _build_library()
         #: pool -> its bound fold arguments (see :meth:`_bound`).
         self._fold_tails: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-    # Singletons survive copy/pickle by reference/name: a pool carrying
-    # a kernels object must stay deep-copyable and picklable even
-    # though a ctypes library handle is neither.
-    def __copy__(self) -> "CcKernels":
-        return self
-
-    def __deepcopy__(self, memo) -> "CcKernels":
-        return self
-
+    # The singleton survives copy and pickle by name: a pool carrying a
+    # provider must stay deep-copyable and picklable even though a
+    # ctypes library handle is neither.
     def __reduce__(self):
         from repro.kernels import resolve_kernels
 
@@ -903,7 +900,8 @@ class CcKernels:
             split_ranges(head[-1] * pool.num_slots, pool.num_rounds, SPLIT_FLOOR)
             if split else 1
         )
-        fold_ranges(fold, head, self._fold_tail(pool, pool._slot_offsets, ranges))
+        with span("ingest.fold"):
+            fold_ranges(fold, head, self._fold_tail(pool, pool._slot_offsets, ranges))
 
     def fold_pool(
         self, pool, indices: np.ndarray, dsts: np.ndarray, split: bool = False
@@ -936,7 +934,8 @@ class CcKernels:
         """
         idx, dst = _as_u64(indices), _as_i64(local_dsts)
         fold, head = self._fold_head(entry, idx, (dst,))
-        fold(*head, *self._fold_tail(pool, pool._combined_offsets)[0])
+        with span("ingest.fold"):
+            fold(*head, *self._fold_tail(pool, pool._combined_offsets)[0])
 
     def fold_bundle(self, sketch, indices: np.ndarray) -> None:
         """Fold edge slots into one node's whole bundle (FlatNodeSketch)."""
@@ -1044,8 +1043,7 @@ class CcKernels:
         if bad >= 0:
             raise edge_batch_error(endpoints, bad, pool.num_nodes)
         try:
-            with span("ingest.fold"):
-                self._fold_split(pool, fold, (*planes, idx, lo, hi, k), True)
+            self._fold_split(pool, fold, (*planes, idx, lo, hi, k), True)
             pool._updates_applied += 2 * k
         finally:
             pool._bump_version()

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import CorruptionError, StorageError
 from repro.integrity.digest import Buffer, block_digests, byte_view
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.memory.metrics import IOStats
 
 #: Default block size: 16 KB, the write granularity GraphZeppelin uses
@@ -95,15 +96,14 @@ class BlockDevice:
     stats:
         Optionally share an existing :class:`IOStats` (e.g. with a cache
         layered on top); a fresh one is created otherwise.
-    verify_checksums:
-        When true (the default) every written block carries an xxHash64
-        digest and every read verifies it, raising
-        :class:`~repro.exceptions.CorruptionError` on mismatch.  Turning
-        it off skips checksumming entirely.
     kernels:
-        The native kernel provider of the owning engine (``None`` for
-        the numpy digests); it only changes how fast blocks are hashed,
-        never a digest value.
+        The kernel provider of the owning engine, which hashes the
+        blocks; it only changes how fast they are hashed, never a digest
+        value.
+
+    Every written block carries an xxHash64 digest and every read
+    verifies it, raising :class:`~repro.exceptions.CorruptionError` on
+    mismatch.
     """
 
     def __init__(
@@ -111,15 +111,13 @@ class BlockDevice:
         block_size: int = DEFAULT_BLOCK_SIZE,
         profile: Optional[DeviceProfile] = None,
         stats: Optional[IOStats] = None,
-        verify_checksums: bool = True,
-        kernels=None,
+        kernels=NUMPY_KERNELS,
     ) -> None:
         if block_size <= 0:
             raise StorageError("block_size must be positive")
         self.block_size = int(block_size)
         self.profile = profile or DeviceProfile()
         self.stats = stats if stats is not None else IOStats()
-        self.verify_checksums = bool(verify_checksums)
         self.kernels = kernels
         #: Consulted by :meth:`write_blob` for injected bit rot
         #: (``site="block"`` specs); the hybrid layer keeps it in sync
@@ -127,7 +125,7 @@ class BlockDevice:
         self.fault_plan = None
         #: Per-block records, indexed by block id: the stored length
         #: (-1: never written, or discarded) and the write-time digest
-        #: (``None`` with checksums off).
+        #: (``None`` for a discarded block).
         self._sizes: List[int] = []
         self._digests: List[Optional[int]] = []
         self._last_block_accessed: Optional[int] = None
@@ -173,9 +171,7 @@ class BlockDevice:
             raise StorageError("block ids are non-negative")
         view = byte_view(payload)
         num_blocks = max(1, -(-len(view) // self.block_size))
-        if not self.verify_checksums:
-            digests = None
-        elif _digests is not None and len(_digests) == num_blocks:
+        if _digests is not None and len(_digests) == num_blocks:
             digests = _digests
         else:
             digests = self.block_digests(view)
@@ -201,7 +197,7 @@ class BlockDevice:
         return data
 
     def _record(
-        self, start_block: int, num_blocks: int, nbytes: int, digests: Optional[list]
+        self, start_block: int, num_blocks: int, nbytes: int, digests: list
     ) -> None:
         """Note the lengths and digests of a blob just written."""
         stop = start_block + num_blocks
@@ -214,11 +210,11 @@ class BlockDevice:
         sizes[start_block:stop] = [block_size] * (num_blocks - 1) + [
             nbytes - (num_blocks - 1) * block_size
         ]
-        self._digests[start_block:stop] = digests if digests is not None else [None] * num_blocks
+        self._digests[start_block:stop] = digests
 
     def read_into(
         self, start_block: int, num_blocks: int, out: Buffer
-    ) -> Tuple[int, Optional[List[int]]]:
+    ) -> Tuple[int, List[int]]:
         """Range-verified read into a caller-owned buffer.
 
         Every block is fetched and charged in order and copied to the
@@ -229,16 +225,13 @@ class BlockDevice:
         the block's write-time record
         (:class:`~repro.exceptions.CorruptionError` on the first
         mismatch, leaving unverified bytes in ``out``).  Returns the
-        byte count and the computed digests (``None`` when checksums
-        are off), so a caller holding its own per-block record of the
-        same bytes (the hybrid memory does) compares instead of hashing
-        again.
+        byte count and the computed digests, so a caller holding its own
+        per-block record of the same bytes (the hybrid memory does)
+        compares instead of hashing again.
         """
         view = byte_view(out)
         sizes = self._gather(start_block, num_blocks, view, 0)
         total = sum(sizes)
-        if not self.verify_checksums:
-            return total, None
         block_ids = range(start_block, start_block + num_blocks)
         return total, self._verify(block_ids, view, sizes)
 
@@ -304,9 +297,8 @@ class BlockDevice:
     def _verify_runs(
         self, runs: Sequence[Tuple[int, int]], view: memoryview, sizes: List[int]
     ) -> None:
-        if self.verify_checksums:
-            block_ids = chain.from_iterable(range(s, s + n) for s, n in runs)
-            self._verify(block_ids, view, sizes)
+        block_ids = chain.from_iterable(range(s, s + n) for s, n in runs)
+        self._verify(block_ids, view, sizes)
 
     def _verify(self, block_ids: Iterable[int], view: memoryview, sizes: List[int]) -> List[int]:
         """Hash the blocks joined at the front of ``view`` and check each one.
@@ -330,8 +322,7 @@ class BlockDevice:
                 stop += size
         recorded = self._digests
         for block_id, digest in zip(block_ids, digests):
-            expected = recorded[block_id]
-            if expected is not None and digest != expected:
+            if digest != recorded[block_id]:
                 self.stats.checksum_failures += 1
                 raise CorruptionError(
                     f"block {block_id} failed checksum verification "

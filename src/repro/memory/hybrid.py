@@ -41,6 +41,7 @@ from repro.exceptions import (
     StorageError,
 )
 from repro.integrity.digest import Buffer, byte_view
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.memory.block_device import DEFAULT_BLOCK_SIZE, DeviceProfile, FileBlockDevice
 from repro.memory.metrics import IOStats
 from repro.observability.tracing import span
@@ -108,11 +109,6 @@ class HybridMemory:
         injected ``OSError`` -- the deterministic-fault-injection hook
         of the resilience tests.  ``site="block"`` corruption specs are
         forwarded to the device, which flips bits in stored blocks.
-    verify_checksums:
-        When true (the default) every device block and every stored
-        payload carries an xxHash64 digest; reads raise
-        :class:`~repro.exceptions.CorruptionError` on mismatch, and
-        :meth:`scrub` audits everything at rest.
     deadline_seconds:
         Optional per-operation deadline on device calls: an attempt
         that ran longer (e.g. under an injected ``slow`` fault) raises
@@ -130,8 +126,12 @@ class HybridMemory:
         entirely -- corruption is data damage, not device
         unavailability.
     kernels:
-        The native kernel provider of the owning engine, used to hash
-        blocks (``None``: the numpy digests, same values).
+        The kernel provider of the owning engine, which hashes the
+        blocks (every provider gives the same digests).
+
+    Every device block and every stored payload carries an xxHash64
+    digest; reads raise :class:`~repro.exceptions.CorruptionError` on
+    mismatch, and :meth:`scrub` audits everything at rest.
     """
 
     device_type = FileBlockDevice
@@ -143,10 +143,9 @@ class HybridMemory:
         profile: Optional[DeviceProfile] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan=None,
-        verify_checksums: bool = True,
         deadline_seconds: Optional[float] = None,
         breaker=None,
-        kernels=None,
+        kernels=NUMPY_KERNELS,
     ) -> None:
         if ram_bytes is not None and ram_bytes < 0:
             raise StorageError("ram_bytes must be non-negative or None")
@@ -156,13 +155,11 @@ class HybridMemory:
         self.retry = retry
         self.deadline_seconds = deadline_seconds
         self.breaker = breaker
-        self.verify_checksums = bool(verify_checksums)
         self.stats = IOStats()
         self.device = self.device_type(
             block_size=block_size,
             profile=profile,
             stats=self.stats,
-            verify_checksums=verify_checksums,
             kernels=kernels,
         )
         self.fault_plan = fault_plan
@@ -238,7 +235,7 @@ class HybridMemory:
         gets the flat in-RAM pool).
         """
         view = byte_view(payload)
-        digests = self.device.block_digests(view) if self.verify_checksums else None
+        digests = self.device.block_digests(view)
         if self.fault_plan is not None and self.fault_plan.on_memory_check():
             # Injected allocation squeeze: degrade (listeners shrink
             # their working sets), never refuse the bytes -- pressure
@@ -262,8 +259,7 @@ class HybridMemory:
             # attempt is then ruled past its deadline -- so the records
             # must describe them.
             self._allocations[key] = (start, capacity, len(view))
-            if digests is not None:
-                self._payload_digests[key] = digests
+            self._payload_digests[key] = digests
             if outgrown:
                 self._next_block = start + num_blocks
                 if previous is not None:
@@ -300,8 +296,7 @@ class HybridMemory:
                 lambda: self.device.read_into(start, -(-length // self.block_size), buffer),
                 is_write=False,
             )
-            expected = self._payload_digests.get(key)
-            if digests is not None and expected is not None and digests != expected:
+            if digests != self._payload_digests[key]:
                 self.stats.checksum_failures += 1
                 raise CorruptionError(
                     f"payload for key {key!r} failed checksum verification "
@@ -433,8 +428,6 @@ class HybridMemory:
         touched): every block digest, then the payload record; raises
         :class:`~repro.exceptions.CorruptionError` on the first mismatch.
         """
-        if not self.verify_checksums:
-            return 0
         return -(-len(self.load(key)) // self.block_size)
 
     def scrub(self) -> list:

@@ -189,11 +189,11 @@ class ShardedIngestor:
         if max_queued_bytes < 1:
             raise ConfigurationError("max_queued_bytes must be at least 1")
         self.max_queued_bytes = int(max_queued_bytes)
-        # Hash-hoist only pays on the numpy path: native kernels fuse
-        # hashing into the fold (and release the GIL there), so a
-        # producer-side hash pass would serialise work the workers can
-        # do concurrently in compiled code.
-        self._hoist_hash = pool._kernels is None
+        # Hash-hoist only pays for a provider that folds precomputed
+        # matrices: the compiled fold hashes in-kernel (and releases the
+        # GIL there), so a producer-side hash pass would serialise work
+        # the workers can do concurrently in compiled code.
+        self._hoist_hash = pool._kernels.hoists_hash
         self._executor: Optional[ThreadPoolExecutor] = None
         self._queued_bytes = 0
         #: High-water mark of the pipelined hand-off backlog, in bytes.
@@ -351,13 +351,14 @@ class ShardedIngestor:
     def _prepare(self, edges) -> Optional[Tuple[int, list, np.ndarray, np.ndarray]]:
         """Producer half: canonicalise, hash, mirror, and partition a batch.
 
-        The hash matrices depend only on the edge slot, so on the numpy
-        path they are computed **once per edge** here and shared by
-        reference with every worker (each gathers its group's rows) --
-        half the hash cost of hashing per mirrored copy.  Native kernels
-        skip the hoist: the fold re-hashes per update inside compiled,
-        GIL-free code, so the producer stays a pure partitioner and the
-        workers scale past the hash-bound ceiling.
+        The hash matrices depend only on the edge slot, so for a
+        provider that ``hoists_hash`` (numpy) they are computed **once
+        per edge** here and shared by reference with every worker (each
+        gathers its group's rows) -- half the hash cost of hashing per
+        mirrored copy.  The compiled provider skips the hoist: its fold
+        re-hashes per update inside compiled, GIL-free code, so the
+        producer stays a pure partitioner and the workers scale past the
+        hash-bound ceiling.
         """
         endpoints = self.engine._edge_rows(edges)
         if endpoints is None:

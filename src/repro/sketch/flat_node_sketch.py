@@ -56,6 +56,7 @@ from repro.hashing.mixers import (
     seeded_hash64_matrix,
 )
 from repro.hashing.prng import derive_seed
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.sketch.cubesketch import (
     _CHECKSUM_LABEL,
     _MEMBERSHIP_LABEL,
@@ -67,11 +68,6 @@ from repro.sketch.sketch_base import SAMPLE_FAIL, SAMPLE_GOOD, SAMPLE_ZERO, Samp
 
 _GAMMA_MASK = np.uint64(0xFFFFFFFF)
 _ZERO64 = np.uint64(0)
-
-#: Updates per internal chunk of :meth:`FlatNodeSketch.apply_indices`;
-#: bounds the ``(K, slots)`` temporaries to a few tens of megabytes
-#: while keeping per-chunk fixed costs amortised.
-BATCH_CHUNK = 1 << 15
 
 #: Thread-local scratch arena for the hash phase's ``(K, S)`` matrices.
 #: Chunked ingest hashes millions of batches, so reusing the buffers
@@ -464,7 +460,7 @@ class FlatNodeSketch:
         encoder: EdgeEncoder,
         graph_seed: int = 0,
         geometry: Optional[SketchGeometry] = None,
-        kernels=None,
+        kernels=NUMPY_KERNELS,
     ) -> None:
         self.node = int(node)
         self.encoder = encoder
@@ -484,8 +480,8 @@ class FlatNodeSketch:
             self._mixed_membership,
             self._mixed_checksum,
         ) = flat_seed_matrices(self.graph_seed, self.geometry)
-        #: Optional native kernel provider (see :mod:`repro.kernels`);
-        #: ``None`` keeps the numpy fold.  Bit-identical either way.
+        #: The kernel provider whose ``fold_bundle`` folds the updates
+        #: (see :mod:`repro.kernels`); bit-identical whichever it is.
         self._kernels = kernels
 
     # ------------------------------------------------------------------
@@ -518,26 +514,7 @@ class FlatNodeSketch:
         idx = validate_indices(indices, self.encoder.vector_length)
         if idx is None:
             return
-        kernels = getattr(self, "_kernels", None)
-        if kernels is not None:
-            kernels.fold_bundle(self, idx)
-            return
-        alpha_flat = self._alpha.reshape(-1)
-        gamma_flat = self._gamma.reshape(-1)
-        for start in range(0, idx.size, BATCH_CHUNK):
-            chunk = idx[start : start + BATCH_CHUNK]
-            depths, checksums = hash_depths_checksums(
-                chunk,
-                self._mixed_membership,
-                self._mixed_checksum,
-                self.num_rows,
-                reuse_scratch=True,
-            )
-            targets, alpha_vals, gamma_vals = fold_hashed(
-                chunk, depths, checksums, self.num_rows, np.zeros(chunk.size, dtype=np.int64)
-            )
-            alpha_flat[targets] ^= alpha_vals
-            gamma_flat[targets] ^= gamma_vals
+        self._kernels.fold_bundle(self, idx)
 
     # ------------------------------------------------------------------
     # queries and merging
@@ -609,7 +586,7 @@ class FlatNodeSketch:
         clone._checksum_seeds = self._checksum_seeds
         clone._mixed_membership = self._mixed_membership
         clone._mixed_checksum = self._mixed_checksum
-        clone._kernels = getattr(self, "_kernels", None)
+        clone._kernels = self._kernels
         return clone
 
     # ------------------------------------------------------------------

@@ -14,11 +14,10 @@ through the hybrid memory -- handed a view of the frame -- when the
 working set evicts them (paying modelled SSD I/O once per page instead
 of once per node).  Bytes move once each way; nothing is allocated.
 
-Folds run through the parent's single fold path.  Pages are uniform, so
-a numpy kernel pass takes its updates whatever pages they touch: the
-kernel emits page-pool-flat offsets, which are grouped by page id and
-scattered one pinned page at a time.  The native provider instead folds
-straight into each pinned page's tensors.
+Folds run through the parent's entry points into this pool's one fold
+path: the updates are grouped by page, and each page is pinned and
+handed to the kernel provider's ``fold_page``, which folds straight into
+the pinned page's tensors at page-local offsets.
 
 Layout.  A page covering nodes ``[lo, hi)`` holds one C-order tensor of
 shape ``(num_rounds, hi - lo, cols, rows)`` per bucket plane of the
@@ -82,10 +81,11 @@ import numpy as np
 
 from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConfigurationError
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.memory.hybrid import HybridMemory
 from repro.observability.tracing import span
 from repro.sketch.geometry import SketchGeometry
-from repro.sketch.tensor_pool import MAX_PAGE_NODES, NodeTensorPool, xor_scatter
+from repro.sketch.tensor_pool import MAX_PAGE_NODES, NodeTensorPool
 
 #: Default target payload size of one page, in device blocks (16 KB
 #: blocks -> 256 KB pages).  Big enough that one page-in amortises over
@@ -140,11 +140,6 @@ class PagedTensorPool(NodeTensorPool):
         (:meth:`~repro.memory.hybrid.HybridMemory.reserve`).
     """
 
-    #: A numpy fold pass pins every page its updates touch, so out of
-    #: core a pass is as large as its temporaries allow (~32 MiB per
-    #: matrix) rather than cache-sized: fewer passes, fewer page pins.
-    _fold_pass_elements = 1 << 22
-
     def __init__(
         self,
         num_nodes: int,
@@ -154,7 +149,7 @@ class PagedTensorPool(NodeTensorPool):
         geometry: Optional[SketchGeometry] = None,
         nodes_per_page: Optional[int] = None,
         resident_pages: Optional[int] = None,
-        kernels=None,
+        kernels=NUMPY_KERNELS,
     ) -> None:
         if memory is None or memory.is_unbounded:
             raise ConfigurationError(
@@ -180,9 +175,8 @@ class PagedTensorPool(NodeTensorPool):
         self.num_pages = int(self.page_bounds.size - 1)
         self.nodes_per_page = int(self.page_bounds[1] - self.page_bounds[0])
         # Pages are *uniform*: the tail page's tensor is padded to the
-        # full node count (unused node rows stay zero).  Uniform shapes
-        # keep the combined fold's affine target mapping exact and make
-        # every payload the same whole number of device blocks.
+        # full node count (unused node rows stay zero), so every payload
+        # is the same whole number of device blocks.
         raw_bytes = self.nodes_per_page * node_bytes
         block = memory.block_size
         self._page_bytes = -(-raw_bytes // block) * block
@@ -196,10 +190,9 @@ class PagedTensorPool(NodeTensorPool):
         self._working_set_reserved = memory.reserve(frames * self._page_bytes)
         #: Frames not holding a page (last released, first taken).
         self._free_frames: List[np.ndarray] = [self._new_frame() for _ in range(frames)]
-        # Fold segment mapping (see _fold_layout): remapped destination
-        # d' = (d // npp) * rounds * npp + d % npp makes the
-        # page-pool-flat bucket offset affine in d', so one kernel call
-        # covers updates for every page.
+        # Page-local fold segment mapping: bucket (dst, slot) of a page
+        # fold lands at round-major segment
+        # dst * num_columns + _combined_offsets[slot] of the page.
         slots = np.arange(self.num_slots, dtype=np.int64)
         self._combined_offsets = (slots // self.num_columns) * (
             self.nodes_per_page * self.num_columns
@@ -559,71 +552,48 @@ class PagedTensorPool(NodeTensorPool):
             groups.append((int(sorted_pages[start]), [col[rows] for col in columns]))
         return groups
 
-    def _fold_layout(self, dsts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Kernel destinations and slot offsets emitting page-pool-flat offsets.
-
-        Pages are uniform, so the offset of bucket ``(dst, slot)`` in
-        the concatenation of all page tensors is affine in the remapped
-        destination ``d' = (dst // npp) * rounds * npp + dst % npp``
-        with the page-local slot offsets -- exactly as the in-RAM
-        pool's round-major mapping is in ``dst`` itself.
-        """
-        npp = np.int64(self.nodes_per_page)
-        dsts = dsts.astype(np.int64, copy=False)
-        remapped = (dsts // npp) * np.int64(self.num_rounds) * npp + dsts % npp
-        return remapped, self._combined_offsets
-
-    def _scatter(self, targets: np.ndarray, values: Sequence[np.ndarray]) -> None:
-        """XOR one fold's emitted values into their pages, one pin each.
-
-        The kernel emits row-major, not ascending, offsets, so they are
-        grouped by page id first; pages are then visited in ascending
-        order and each is pinned only for its own scatter.
-        """
-        page_elems = np.int64(self._page_elems)
-        for page, (page_targets, *page_values) in self._split_by_page(
-            targets // page_elems, [targets, *values]
-        ):
-            with self._pinned(page) as entry:
-                xor_scatter(entry, page_targets - page * page_elems, page_values)
-
     def _fold(
         self, indices: np.ndarray, dst_columns: Sequence[np.ndarray], split: bool = False
     ) -> int:
-        """The in-RAM pool's fold, never split by round: a page fold pins
-        pages, and the LRU and the order of device operations must not
-        depend on which thread folds which round range."""
-        return super()._fold(indices, dst_columns)
+        """Fold validated edge slots page by page, whatever the provider.
 
-    def _fold_native(
-        self, indices: np.ndarray, dst_columns: Sequence[np.ndarray], split: bool
-    ) -> None:
-        """Provider fold, one pinned page at a time.
-
-        The native fold hashes + scatters per update straight into a
-        page's tensors (re-hashing the mirrored copy of an edge is
-        deterministic, so the result stays bit-identical), and has no
-        per-page fixed cost worth amortising.  A single column whose
-        destinations all lie in one page -- what ``fold_page_batch`` is
-        handed -- goes to that page as it is; anything else is grouped
-        by page first.  ``split`` is always off (see :meth:`_fold`).
+        The updates are grouped by page -- a single column whose
+        destinations all lie in one page, which is what
+        ``fold_page_batch`` is handed, goes to that page as it is -- and
+        the pages are visited in ascending order, each pinned only for
+        its own ``fold_page``.  A mirrored edge's two copies are hashed
+        per page (hashing is deterministic, so the buckets stay
+        bit-identical).  Never split by round: a fold pins pages, and
+        the LRU and the order of device operations must not depend on
+        which thread folds which round range.  Paged pools keep no
+        stamps.
         """
+        groups = None
         if len(dst_columns) == 1:
             dsts = dst_columns[0]
             page = self.page_of(dsts.min())
             if dsts.max() < self.page_bounds[page + 1]:
-                self._fold_page_native(page, indices, dsts)
-                return
-        dsts = np.concatenate(dst_columns).astype(np.int64, copy=False)
-        rows = np.tile(np.arange(indices.size), len(dst_columns))
-        pages = np.searchsorted(self.page_bounds, dsts, side="right") - 1
-        for page, (page_dsts, page_rows) in self._split_by_page(pages, [dsts, rows]):
-            self._fold_page_native(page, indices[page_rows], page_dsts)
+                groups = [(page, indices, dsts)]
+        if groups is None:
+            dsts = np.concatenate(dst_columns).astype(np.int64, copy=False)
+            rows = np.tile(np.arange(indices.size), len(dst_columns))
+            pages = np.searchsorted(self.page_bounds, dsts, side="right") - 1
+            groups = [
+                (page, indices[page_rows], page_dsts)
+                for page, (page_dsts, page_rows) in self._split_by_page(pages, [dsts, rows])
+            ]
+        for page, page_indices, page_dsts in groups:
+            with self._pinned(page) as entry:
+                self._kernels.fold_page(
+                    self, entry, page_indices, page_dsts - self.page_bounds[page]
+                )
+        return len(dst_columns) * int(indices.size)
 
-    def _fold_page_native(self, page: int, indices: np.ndarray, dsts: np.ndarray) -> None:
-        """Pin ``page`` and fold its (global) destinations' updates into it."""
-        with self._pinned(page) as entry:
-            self._kernels.fold_page(self, entry, indices, dsts - self.page_bounds[page])
+    def apply_edge_rows(self, endpoints: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The numpy provider's ``ingest_edges`` whatever the pool's provider:
+        a compiled ingest writes an in-RAM pool's planes, and this pool
+        folds the checked rows page by page through :meth:`apply_edges`."""
+        return NUMPY_KERNELS.ingest_edges(self, endpoints)
 
     # The fold entry points are the parent's.  They are bound on this
     # class as well because bench/trace.py patches them per class and

@@ -18,27 +18,26 @@ an XOR per plane; only :meth:`SketchGeometry.pack
 the planes hold.
 
 Bucket ``(round, node, row, col)`` sits at flat offset
-``((round * num_nodes + node) * cols + col) * rows + row``; the shared
-:func:`~repro.sketch.flat_node_sketch.fold_hashed` kernel emits these
-offsets directly (via its ``dst_stride`` / ``slot_offsets`` segment
-mapping), so a *mixed multi-node* batch of updates folds with one hash,
-one sort of its destinations, one segmented XOR per bucket row and one
-fancy-indexed XOR into the pool per chunk -- no Python loop over nodes,
-rounds, or columns, and no dependence on how the destinations spread.
+``((round * num_nodes + node) * cols + col) * rows + row``; the numpy
+provider's :func:`~repro.sketch.flat_node_sketch.fold_hashed` kernel
+emits these offsets directly (via its ``dst_stride`` / ``slot_offsets``
+segment mapping), and the compiled fold writes the same buckets, so a
+*mixed multi-node* batch of updates folds with no Python loop over
+nodes, rounds, or columns, and no dependence on how the destinations
+spread.
 
 Every fold entry point (:meth:`~NodeTensorPool.apply_updates`,
 ``apply_edges``, ``apply_node_batch``, ``fold_shard``,
 ``fold_shard_hashed``, ``fold_page_batch``) validates its arguments and
-hands them to one private path, :meth:`NodeTensorPool._fold`: a native
-provider call when the pool has one (which a serial entry point lets
-split a large batch by Boruvka round across the usable cores),
-otherwise hash + kernel + scatter per chunk.  The paged pool overrides
-only where offsets point and how they are scattered.
+hands them to one private path, :meth:`NodeTensorPool._fold`: one call
+of the pool's kernel provider (:mod:`repro.kernels`), which a serial
+entry point lets split a large batch by Boruvka round across the usable
+cores.  The paged pool overrides that path only: it folds page by page.
 
 This is what turns ``GraphZeppelin.ingest_batch`` into a columnar
 pipeline (:meth:`NodeTensorPool.apply_edge_rows`): canonicalise the edge
-array, encode the edge slots, and hand the ``(lo, hi, index)`` columns
-straight to :meth:`NodeTensorPool.apply_edges`.
+array, encode the edge slots, and fold the ``(lo, hi, index)`` columns
+-- the provider's ``ingest_edges``.
 
 The pool is also the query engine's substrate: one Boruvka round's cut
 samples for *every* active component come out of a single segmented
@@ -52,41 +51,21 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.edge_encoding import EdgeEncoder, canonical_edge_columns
+from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConfigurationError
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.observability.tracing import span
 from repro.sketch.flat_node_sketch import (
     FlatNodeSketch,
     decode_column_batch,
     flat_seed_matrices,
-    fold_hashed,
     group_nodes_by_label,
-    hash_depths_checksums,
     query_bucket_arrays_batch,
     segmented_xor,
     validate_indices,
 )
 from repro.sketch.geometry import SketchGeometry
-from repro.sketch.round_split import fold_ranges, round_ranges, split_ranges
 from repro.sketch.sketch_base import SAMPLE_FAIL, SAMPLE_GOOD, SAMPLE_ZERO
-
-#: Element budget for one ``(updates, slots)`` matrix of a numpy fold
-#: pass: 1 << 16 uint64 elements is 512 KiB, so a pass's hash matrices
-#: and the kernel's gathers stay cache-resident, and the pass shrinks
-#: as the graph (and with it the slot count) grows.  Interleaved runs
-#: at 20 000 nodes: 312 edges per pass folds ~45% more edges per second
-#: than 8 192 per pass, and no slower at 200 or 1 000 nodes.
-_FOLD_PASS_ELEMENTS = 1 << 16
-
-#: Least (update, slot) work one round range of a split numpy fold is
-#: given (see :mod:`repro.sketch.round_split`).  A range pays its own
-#: Python pass loop and destination sort, so this is not the native
-#: floor scaled by the ~11x costlier numpy pair.  Split over serial,
-#: minimum of 5, 2-core x86 VM, at 1 024 and 20 000 nodes: 1 << 14
-#: lost 15-27 % on 256-768-edge batches, 1 << 15 won 1.2-2.1x from
-#: 512 edges and never lost beyond noise, 1 << 16 and 1 << 17 left
-#: 512-1 024-edge batches serial.  8 192 edges: 1.4-1.9x.
-SPLIT_FLOOR = 1 << 15
 
 #: Shards per worker of the automatic shard planner: enough that a
 #: worker which drew a light node range picks up another, few enough
@@ -119,19 +98,6 @@ def auto_num_shards(num_units: int, num_workers: int = 1) -> int:
     nodes) and caps the count.
     """
     return max(1, min(int(num_units), SHARDS_PER_WORKER * max(int(num_workers), 1)))
-
-
-def xor_scatter(
-    tensors: Sequence[np.ndarray], targets: np.ndarray, values: Sequence[np.ndarray]
-) -> None:
-    """XOR fold-kernel output into bucket tensors at flat offsets.
-
-    ``tensors`` and ``values`` pair up plane by plane.  Targets are
-    unique within one kernel call, which is what makes the
-    fancy-indexed XOR exact.
-    """
-    for tensor, vals in zip(tensors, values):
-        tensor.reshape(-1)[targets] ^= vals.astype(tensor.dtype, copy=False)
 
 
 class RoundMemo:
@@ -177,15 +143,12 @@ class NodeTensorPool:
         equivalence tests pass a wide geometry to exercise it at
         test-sized graphs.
     kernels:
-        Optional native kernel provider (see :mod:`repro.kernels`).
-        When given, the fold and the round sample run the provider's
-        compiled kernels instead of the numpy ones; all providers are
+        The kernel provider (see :mod:`repro.kernels`) whose folds,
+        edge-row ingest and bound query this pool runs: the numpy
+        provider unless given the compiled one.  Every provider is
         bit-identical to numpy under the same seed, so pool state and
         query results do not depend on this choice.
     """
-
-    #: Element budget of one numpy fold pass (see :meth:`_pass_rows`).
-    _fold_pass_elements = _FOLD_PASS_ELEMENTS
 
     def __init__(
         self,
@@ -193,7 +156,7 @@ class NodeTensorPool:
         encoder: EdgeEncoder,
         graph_seed: int = 0,
         geometry: Optional[SketchGeometry] = None,
-        kernels=None,
+        kernels=NUMPY_KERNELS,
         _allocate: bool = True,
     ) -> None:
         self.geometry = geometry or SketchGeometry.for_graph(num_nodes)
@@ -234,9 +197,9 @@ class NodeTensorPool:
         self._version = 0
         self._slab_cache: Dict[Tuple[int, int], Tuple[int, np.ndarray]] = {}
         # Per-node version of the last write (see _stamp) and every
-        # round's last fused sample, kept where a provider's fused
-        # sample reads them: never on the paged pool or under numpy.
-        memoised = _allocate and kernels is not None
+        # round's last fused sample, kept where the provider's bound
+        # query reads them: never on the paged pool.
+        memoised = _allocate and kernels.memoises_rounds
         self._stamps = np.zeros(self.num_nodes, dtype=np.int64) if memoised else None
         self._round_memos: Optional[RoundMemo] = None
 
@@ -270,74 +233,6 @@ class NodeTensorPool:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def _fold_layout(self, dsts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Kernel destinations and slot offsets that emit this pool's offsets.
-
-        Bucket ``(dst, slot)`` of the slot-major kernel lands at
-        round-major segment ``dst * num_columns + _slot_offsets[slot]``.
-        """
-        return dsts, self._slot_offsets
-
-    def _scatter(self, targets: np.ndarray, values: Sequence[np.ndarray]) -> None:
-        """XOR one fold's emitted values into the pool at flat offsets."""
-        xor_scatter(self._planes, targets, values)
-
-    def _fold_native(
-        self, indices: np.ndarray, dst_columns: Sequence[np.ndarray], split: bool
-    ) -> None:
-        """Provider fold of ``indices`` into every destination column.
-
-        The native fold fuses hash + depth + XOR scatter with no
-        temporaries, so the whole batch goes in one call; the mirrored
-        form hashes each edge slot once and scatters to both endpoints.
-        With ``split`` a large batch spreads its rounds over the usable
-        cores (see :mod:`repro.kernels.native_cc`).
-        """
-        if len(dst_columns) == 2:
-            self._kernels.fold_pool_edges(self, indices, *dst_columns, split=split)
-        else:
-            self._kernels.fold_pool(self, indices, dst_columns[0], split=split)
-
-    def _fold_chunk(
-        self,
-        dsts: np.ndarray,
-        edge_rows: np.ndarray,
-        indices: np.ndarray,
-        depths: np.ndarray,
-        checksums: np.ndarray,
-        slots: slice = slice(None),
-    ) -> None:
-        """Reduce one hashed chunk with the level-peeling kernel and scatter it.
-
-        ``depths`` and ``checksums`` hold the columns of the pool slots
-        ``slots`` (all of them unless a round range is folding).
-        """
-        with span("ingest.fold"):
-            kernel_dsts, slot_offsets = self._fold_layout(dsts)
-            targets, *values = fold_hashed(
-                indices,
-                depths,
-                checksums,
-                self.num_rows,
-                kernel_dsts,
-                edge_rows=edge_rows,
-                dst_stride=self.num_columns,
-                slot_offsets=slot_offsets[slots],
-                pack=self.geometry.pack,
-            )
-            self._scatter(targets, values)
-
-    def _pass_rows(self, rows: int, width: int, slots: Optional[int] = None) -> int:
-        """Rows per numpy fold pass, each row carrying ``width`` updates.
-
-        As many as keep the kernel's ``(updates, slots)`` matrices inside
-        this pool's element budget (never more than the batch itself);
-        ``slots`` defaults to every slot of the pool.
-        """
-        slots = self.num_slots if slots is None else slots
-        updates = min(self._fold_pass_elements // slots, width * rows)
-        return max(updates // width, 1)
-
     def _fold(
         self,
         indices: np.ndarray,
@@ -349,59 +244,22 @@ class NodeTensorPool:
         The single fold path behind every entry point: ``indices[i]``
         goes to node ``column[i]`` of each column (one column for a
         plain update batch, two for the mirrored halves of an edge
-        batch), hashed **once** per index whatever the column count.
-        ``split`` is set by the serial entry points only, which the
-        sharded workers are not: a fold of at least two floors of
-        (update, slot) work -- :data:`repro.kernels.native_cc.SPLIT_FLOOR`
-        native, :data:`SPLIT_FLOOR` numpy -- is then cut into round
-        ranges folded on every usable core
-        (:mod:`repro.sketch.round_split`).  The numpy path runs
-        :meth:`_fold_rounds` per range.  Stamps the destinations but
+        batch), hashed **once** per index whatever the column count, by
+        the provider's ``fold_pool`` / ``fold_pool_edges``.  ``split``
+        is set by the serial entry points only, which the sharded
+        workers are not: the provider may then cut a large fold into
+        round ranges folded on every usable core
+        (:mod:`repro.sketch.round_split`).  Stamps the destinations but
         bumps neither the version nor the update counter; returns the
         updates folded.
         """
         for column in dst_columns:
             self._stamp(column)
-        count = len(dst_columns) * int(indices.size)
-        if self._kernels is not None:
-            with span("ingest.fold"):
-                self._fold_native(indices, dst_columns, split)
-            return count
-        ranges = (
-            split_ranges(count * self.num_slots, self.num_rounds, SPLIT_FLOOR)
-            if split else 1
-        )
-        fold_ranges(
-            self._fold_rounds,
-            (indices, dst_columns),
-            round_ranges(self.num_rounds, ranges),
-        )
-        return count
-
-    def _fold_rounds(
-        self,
-        indices: np.ndarray,
-        dst_columns: Sequence[np.ndarray],
-        lo: int,
-        hi: int,
-    ) -> None:
-        """numpy fold of the batch into rounds ``[lo, hi)``: hash + kernel +
-        scatter per pass of :meth:`_pass_rows` indices, against the
-        seeds and slot offsets of those rounds only."""
-        width = len(dst_columns)
-        slots = slice(lo * self.num_columns, hi * self.num_columns)
-        membership = self._mixed_membership[slots]
-        checksum = self._mixed_checksum[slots]
-        chunk = self._pass_rows(indices.size, width, membership.size)
-        for start in range(0, indices.size, chunk):
-            block = indices[start : start + chunk]
-            with span("ingest.hash"):
-                depths, checksums = hash_depths_checksums(
-                    block, membership, checksum, self.num_rows, reuse_scratch=True
-                )
-            dsts = np.concatenate([column[start : start + chunk] for column in dst_columns])
-            edge_rows = np.tile(np.arange(block.size), width)
-            self._fold_chunk(dsts, edge_rows, block, depths, checksums, slots)
+        if len(dst_columns) == 2:
+            self._kernels.fold_pool_edges(self, indices, *dst_columns, split=split)
+        else:
+            self._kernels.fold_pool(self, indices, dst_columns[0], split=split)
+        return len(dst_columns) * int(indices.size)
 
     def _fold_serial(self, indices: np.ndarray, dst_columns: Sequence[np.ndarray]) -> None:
         """A serial entry point's fold, counted and published: the version
@@ -449,12 +307,9 @@ class NodeTensorPool:
         self._fold_serial(idx, (lo, hi))
 
     def apply_edge_rows(self, endpoints: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`apply_edges` of ``(N, 2)`` int64 rows, all checked first (native
-        in RAM: two compiled calls); returns ``(lo, hi)``, read before the next batch."""
-        if self._kernels is None or self.is_paged:
-            lo, hi = canonical_edge_columns(endpoints, self.num_nodes)
-            self.apply_edges(lo, hi, self.encoder.encode_canonical_pairs(lo, hi))
-            return lo, hi
+        """:meth:`apply_edges` of ``(N, 2)`` int64 rows, all checked first, by
+        the provider's ``ingest_edges`` (compiled: two calls); returns
+        ``(lo, hi)``, read before the next batch."""
         return self._kernels.ingest_edges(self, endpoints)
 
     def apply_node_batch(self, node: int, neighbors) -> None:
@@ -539,10 +394,11 @@ class NodeTensorPool:
         coordinator hashes the *unique* ``indices`` once and shard
         workers read their rows through ``edge_rows[i]`` (the position
         of update ``i``'s edge in ``indices``) -- half the hash cost of
-        :meth:`fold_shard`, which is what the numpy shard workers use:
-        threads share the matrices by reference.  Same shard-ownership
-        contract and (deliberate) lack of version/counter updates as
-        :meth:`fold_shard`; ``indices`` must already be validated.
+        :meth:`fold_shard`, which is what the shard workers of a
+        provider that ``hoists_hash`` use: threads share the matrices by
+        reference.  Same shard-ownership contract and (deliberate) lack
+        of version/counter updates as :meth:`fold_shard`; ``indices``
+        must already be validated.
         """
         dsts = np.asarray(dsts)
         if dsts.shape != np.shape(edge_rows) or dsts.ndim != 1:
@@ -550,22 +406,14 @@ class NodeTensorPool:
         if dsts.size == 0:
             return 0
         self._check_shard(dsts, node_lo, node_hi)
-        if self._kernels is not None:
-            # The native fold hashes in-kernel for less than the cost of
-            # gathering the precomputed matrices, and hashing is
-            # deterministic, so re-deriving depths/checksums from the
-            # indices keeps the buckets bit-identical.
-            return self._fold(np.asarray(indices)[edge_rows], (dsts,))
-        chunk = self._pass_rows(dsts.size, 1)
-        for start in range(0, dsts.size, chunk):
-            self._fold_chunk(
-                dsts[start : start + chunk],
-                edge_rows[start : start + chunk],
-                indices,
-                depths,
-                checksums,
-            )
-        return int(dsts.size)
+        if self._kernels.hoists_hash and not self.is_paged:
+            self._kernels.fold_hashed(self, dsts, edge_rows, indices, depths, checksums)
+            return int(dsts.size)
+        # A compiled fold hashes in-kernel for less than the cost of
+        # gathering the precomputed matrices, and a page fold hashes its
+        # own updates; hashing is deterministic, so re-deriving
+        # depths/checksums from the indices keeps the buckets bit-identical.
+        return self._fold(np.asarray(indices)[edge_rows], (dsts,))
 
     def fold_page_batch(
         self, node_lo: int, node_hi: int, dsts: np.ndarray, indices: np.ndarray
@@ -579,7 +427,7 @@ class NodeTensorPool:
         and update counter -- exactly like a direct fold would.  The
         sharded parallel path keeps calling :meth:`fold_shard` raw and
         publishing once per batch barrier instead.  Being serial, it may
-        split a large native fold across the cores.  Like
+        split a large fold across the cores.  Like
         :meth:`_fold_serial`, the version moves even when the fold raises
         part way.
         """
@@ -663,11 +511,11 @@ class NodeTensorPool:
         slot (-1 unless GOOD).  Results are bit-identical to
         :meth:`CubeSketch.query <repro.sketch.cubesketch.CubeSketch.query>`
         on each component's XOR-merged round sketch, and to the samples of
-        a native provider's bound query (``bind_query``), which fuses the
-        three steps above into one call (``query.sample``) and copies the
-        components nothing changed from the pool's :class:`RoundMemo`
-        (registry counter ``query.reused_components``).  That bound
-        query, not this method, is the engine's path on a native pool.
+        the compiled provider's bound query (``bind_query``), which fuses
+        the three steps above into one call (``query.sample``) and copies
+        the components nothing changed from the pool's :class:`RoundMemo`
+        (registry counter ``query.reused_components``).  The numpy
+        provider's bound query samples each round with this method.
         """
         labels = np.asarray(labels)
         if labels.shape != (self.num_nodes,):
@@ -754,8 +602,8 @@ class NodeTensorPool:
         return roots, statuses, indices
 
     def _bind_round_memos(self) -> RoundMemo:
-        """Every round's memo, made when a native query is first bound to
-        the pool (only an in-RAM pool's is)."""
+        """Every round's memo, made when a memoising provider's query is
+        first bound to the pool (only an in-RAM pool's is)."""
         if self._round_memos is None:
             self._round_memos = RoundMemo(self.num_rounds, self.num_nodes)
         return self._round_memos

@@ -24,17 +24,20 @@ from sketch_reference import sketch_spanning_forest
 
 @pytest.fixture(params=["scalar", "vectorized-numpy", "vectorized-native"])
 def run_driver(request):
-    """``run(num_nodes, num_rounds, encoder, cut_sampler, strict=False)``."""
+    """``run(num_nodes, num_rounds, encoder, cut_sampler, strict=False)``.
+
+    A sampler has no kernel provider, so both vectorized cases run the
+    same driver; the native one only where the provider builds.
+    """
     if request.param == "scalar":
         return sketch_spanning_forest
-    kernels = None
     if request.param == "vectorized-native":
-        kernels = request.getfixturevalue("native_provider")
+        request.getfixturevalue("native_provider")
 
     def run(num_nodes, num_rounds, encoder, cut_sampler, strict=False):
         return vectorized_spanning_forest(
             num_nodes, num_rounds, encoder, batch_sampler_from_scalar(cut_sampler),
-            strict=strict, kernels=kernels,
+            strict=strict,
         )
 
     return run

@@ -28,6 +28,7 @@ from repro.core.edge_encoding import EdgeEncoder, canonical_edge_columns
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.exceptions import InvalidStreamError
 from repro.kernels import native_cc, native_kernels
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.sketch.tensor_pool import NodeTensorPool
 from sketch_reference import pool_geometry
 
@@ -92,7 +93,7 @@ def _pools(kernels, wide):
     geometry = pool_geometry(N, wide=wide)
     pools = [
         NodeTensorPool(N, EdgeEncoder(N), graph_seed=9, geometry=geometry, kernels=k)
-        for k in (None, kernels)
+        for k in (NUMPY_KERNELS, kernels)
     ]
     lo, hi = np.asarray([0, 2, 3]), np.asarray([1, 5, 8])
     for pool in pools:

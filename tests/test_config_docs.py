@@ -80,3 +80,13 @@ def test_readme_quotes_no_benchmark_ledger():
     for block in blocks:
         assert not re.search(r"^workload\s+metric\s+old\s+new", block, flags=re.MULTILINE)
         assert not re.search(r"^old: \{'commit'", block, flags=re.MULTILINE)
+
+
+#: README's length when "Kernel providers" replaced the per-change
+#: history of "Native kernels"; a change that grows README past it takes
+#: as many lines out elsewhere (the history belongs in CHANGES.md).
+README_LINE_BUDGET = 698
+
+
+def test_readme_stays_inside_its_line_budget():
+    assert len(README.read_text().splitlines()) <= README_LINE_BUDGET

@@ -54,7 +54,7 @@ from repro.core.dsu import DisjointSetUnion
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.kernels import native_cc
 from repro.parallel import cost_model
-from repro.sketch import tensor_pool
+from repro.kernels import numpy_kernels
 from repro.streaming.stream import GraphStream
 from repro.types import EdgeUpdate, UpdateType
 from sketch_reference import assert_node_state_matches, reference_node_sketches
@@ -119,7 +119,7 @@ class EngineMachine(RuleBasedStateMachine):
             # Every fold of two or more (update, slot) pairs splits by round.
             self.patches.setattr(cost_model, "usable_cores", lambda: 2)
             self.patches.setattr(native_cc, "SPLIT_FLOOR", 1)
-            self.patches.setattr(tensor_pool, "SPLIT_FLOOR", 1)
+            self.patches.setattr(numpy_kernels, "SPLIT_FLOOR", 1)
 
     # ------------------------------------------------------------------
     # the model

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 from repro.core.edge_encoding import EdgeEncoder
 from repro.integrity.digest import payload_digest
+from repro.kernels import numpy_kernels
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.memory.hybrid import HybridMemory
 from repro.parallel.cost_model import usable_cores
 from repro.sketch.flat_node_sketch import (
@@ -203,10 +205,9 @@ def _pool_case(pool, seed):
     return indices, depths, checksums, np.concatenate([lo, hi]), np.tile(np.arange(40), 2)
 
 
-def _fold_with_pool_layout(pool, indices, depths, checksums, dsts, edge_rows):
-    kernel_dsts, slot_offsets = pool._fold_layout(dsts)
+def _fold_with_pool_layout(pool, slot_offsets, indices, depths, checksums, dsts, edge_rows):
     return fold_hashed(
-        indices, depths, checksums, pool.num_rows, kernel_dsts, edge_rows=edge_rows,
+        indices, depths, checksums, pool.num_rows, dsts, edge_rows=edge_rows,
         dst_stride=pool.num_columns, slot_offsets=slot_offsets, pack=pool.geometry.pack,
     )
 
@@ -222,7 +223,9 @@ def test_flat_pool_layout_relocation(force_wide):
         round_index, col = divmod(slot, pool.num_columns)
         return ((round_index * pool.num_nodes + dst) * pool.num_columns + col) * pool.num_rows
 
-    result = _fold_with_pool_layout(pool, indices, depths, checksums, dsts, edge_rows)
+    result = _fold_with_pool_layout(
+        pool, pool._slot_offsets, indices, depths, checksums, dsts, edge_rows
+    )
     assert emitted_buckets(result, pool.geometry.packed) == reference_fold(
         indices, depths, checksums, pool.num_rows, dsts, edge_rows, locate
     )
@@ -236,17 +239,18 @@ def test_paged_pool_layout_relocation(force_wide):
     )
     indices, depths, checksums, dsts, edge_rows = _pool_case(pool, seed=9)
     npp = pool.nodes_per_page
+    local_dsts = dsts % npp  # a page fold's destinations are page-local
 
-    def locate(dst, slot):
-        # Offset in the concatenation of all (uniform) page tensors.
-        page, local = divmod(dst, npp)
+    def locate(local, slot):
+        # Offset in one page's round-major tensor.
         round_index, col = divmod(slot, pool.num_columns)
-        in_page = ((round_index * npp + local) * pool.num_columns + col) * pool.num_rows
-        return page * pool._page_elems + in_page
+        return ((round_index * npp + local) * pool.num_columns + col) * pool.num_rows
 
-    result = _fold_with_pool_layout(pool, indices, depths, checksums, dsts, edge_rows)
+    result = _fold_with_pool_layout(
+        pool, pool._combined_offsets, indices, depths, checksums, local_dsts, edge_rows
+    )
     assert emitted_buckets(result, pool.geometry.packed) == reference_fold(
-        indices, depths, checksums, pool.num_rows, dsts, edge_rows, locate
+        indices, depths, checksums, pool.num_rows, local_dsts, edge_rows, locate
     )
 
 
@@ -271,9 +275,9 @@ def _golden_pool(pool_cls=NodeTensorPool, **kwargs):
     v = (u + 1 + (i * 104729 + 7) % (num_nodes - 1)) % num_nodes
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     idx = encoder.encode_canonical_pairs(lo, hi)
-    pool._fold_pass_elements = 1 << 12  # a numpy fold in many small passes
-    pool.apply_edges(lo[:2000], hi[:2000], idx[:2000])
-    del pool._fold_pass_elements
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numpy_kernels, "FOLD_PASS_ELEMENTS", 1 << 12)  # many small passes
+        pool.apply_edges(lo[:2000], hi[:2000], idx[:2000])
     pool.apply_updates(
         np.concatenate([lo[2000:], hi[2000:]]), np.concatenate([idx[2000:], idx[2000:]])
     )
@@ -393,7 +397,7 @@ def test_native_fold_block_edges(native_provider, size, paged, force_wide):
     rng = np.random.default_rng(size)
     lo, hi = _random_pairs(num_nodes, size, rng)
     native = _make_pool(paged, num_nodes, native_provider, force_wide)
-    numpy_pool = _make_pool(False, num_nodes, None, force_wide)
+    numpy_pool = _make_pool(False, num_nodes, NUMPY_KERNELS, force_wide)
     indices = native.encoder.encode_canonical_pairs(lo, hi)
     # fold_pool_edges (flat) / the grouped multi-page path (paged) ...
     native.apply_edges(lo, hi, indices)
@@ -444,7 +448,7 @@ def test_native_fold_narrow_geometry(native_provider, num_nodes, num_rows, force
     lo, hi = _random_pairs(num_nodes, 301, rng)
     # Seven columns: enough hashes that one reaches the last row.
     native = _make_pool(False, num_nodes, native_provider, force_wide, SEVEN_COLUMN_DELTA)
-    numpy_pool = _make_pool(False, num_nodes, None, force_wide, SEVEN_COLUMN_DELTA)
+    numpy_pool = _make_pool(False, num_nodes, NUMPY_KERNELS, force_wide, SEVEN_COLUMN_DELTA)
     assert native.num_rows == num_rows
     indices = native.encoder.encode_canonical_pairs(lo, hi)
     for pool in (native, numpy_pool):
@@ -600,7 +604,7 @@ def _split_case(provider, num_nodes, count, force_wide=False, num_rounds=None, s
             geometry=pool_geometry(num_nodes, wide=force_wide, rounds=num_rounds),
             kernels=kernels,
         )
-        for kernels in (provider, provider, None)
+        for kernels in (provider, provider, NUMPY_KERNELS)
     ]
     return pools, lo, hi, encoder.encode_canonical_pairs(lo, hi)
 
@@ -806,7 +810,7 @@ def _child_split_digest(conn, num_nodes, count, numpy_count):
 
     (pool, _, _), lo, hi, indices = _split_case(native_kernels(), num_nodes, count)
     pool.apply_edges(lo, hi, indices)
-    (_, _, numpy_pool), lo, hi, indices = _split_case(None, num_nodes, numpy_count)
+    (_, _, numpy_pool), lo, hi, indices = _split_case(NUMPY_KERNELS, num_nodes, numpy_count)
     numpy_pool.apply_edges(lo, hi, indices)
     conn.send((payload_digest(pool._planes[0].tobytes()), _tensor_bytes(numpy_pool)))
     conn.close()

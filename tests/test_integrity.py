@@ -18,6 +18,7 @@ from repro.integrity.digest import (
 )
 from repro.integrity.repair import RepairReport, find_valid_checkpoint, scrub_and_repair
 from repro.kernels import native_kernels, native_unavailable_reason
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.memory.hybrid import HybridMemory
 from repro.observability.metrics import default_registry
 from repro.resilience.checkpoint import CheckpointPolicy, recover_latest
@@ -30,7 +31,7 @@ NATIVE = native_kernels()
 #: The digest providers: the numpy reference and, when one is usable,
 #: the native kernels (skipped like ``tests/test_native_kernels.py``).
 PROVIDERS = [
-    pytest.param(None, id="numpy"),
+    pytest.param(NUMPY_KERNELS, id="numpy"),
     pytest.param(
         NATIVE,
         id="native",
@@ -247,39 +248,6 @@ def test_corruption_error_is_not_retried():
     assert memory.stats.io_retries == 0
 
 
-def test_unchecked_memory_does_not_verify():
-    """verify_checksums=False: no detection, no cost."""
-    from repro.memory.hybrid import HybridMemory
-
-    memory = HybridMemory(ram_bytes=0, block_size=16, verify_checksums=False)
-    memory.store("k", b"0123456789abcdef")
-    rot_stored_block(memory.device, memory._allocations["k"][0])
-    assert memory.load("k") != b"0123456789abcdef"  # rot passes through
-    assert memory.stats.checksum_failures == 0
-    assert memory.scrub() == []
-
-
-def test_unchecked_engine_is_bit_identical_to_checked():
-    """Verification never perturbs state: the same spilled pages and the
-    same forest with the digests on (default) or off."""
-    edges = _random_edges(600, seed=35)
-    checked = GraphZeppelin(NUM_NODES, config=_paged_config())
-    unchecked = GraphZeppelin(
-        NUM_NODES,
-        config=_paged_config(),
-        memory=HybridMemory(ram_bytes=1 << 14, verify_checksums=False),
-    )
-    for engine in (checked, unchecked):
-        engine.ingest_batch(edges)
-        _settle(engine)
-    assert checked.memory.stats.block_writes > 0  # pages really went to the device
-    assert _pools_equal(checked.tensor_pool, unchecked.tensor_pool)
-    assert (
-        checked.list_spanning_forest().partition_signature()
-        == unchecked.list_spanning_forest().partition_signature()
-    )
-
-
 # ----------------------------------------------------------------------
 # range-verified reads: one hash per page-in, and no check lost with it
 # ----------------------------------------------------------------------
@@ -345,15 +313,6 @@ def test_short_non_final_block_is_verified_block_by_block(kernels):
     assert device.read_into(0, 2, blob)[0] == 21 and bytes(blob[:21]) == b"a" * 16 + b"b" * 5
 
 
-def test_unchecked_memory_digests_nothing():
-    memory = HybridMemory(ram_bytes=0, block_size=16, verify_checksums=False)
-    before = _blocks_digested()
-    memory.store("k", os.urandom(70))
-    assert len(memory.load("k")) == 70 and len(memory.load_range("k", 10, 30)) == 30
-    assert memory.scrub() == []
-    assert _blocks_digested() == before
-
-
 @pytest.mark.parametrize("kernels", PROVIDERS)
 def test_page_in_hashes_every_block_exactly_once(kernels):
     """The tentpole, pinned: n blocks in, n blocks digested -- not 2n."""
@@ -375,6 +334,8 @@ def test_page_in_hashes_every_block_exactly_once(kernels):
 @pytest.mark.parametrize("writer, reader", [(None, NATIVE), (NATIVE, None)])
 @pytest.mark.skipif(NATIVE is None, reason="no native kernel provider usable")
 def test_device_records_written_by_one_provider_verify_under_the_other(writer, reader):
+    # None (which keeps the ids stable) is the numpy provider.
+    writer, reader = (provider or NUMPY_KERNELS for provider in (writer, reader))
     payload = os.urandom(16 * 6 + 11)
     memory = _spill(writer, payload)
     memory.kernels = reader

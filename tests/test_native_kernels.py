@@ -17,22 +17,28 @@ supported configuration and its suite must stay green.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import os
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.core.boruvka import pool_spanning_forest
 from repro.core.config import GraphZeppelinConfig
+from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.exceptions import ConfigurationError
 from repro.kernels import native_kernels, native_unavailable_reason, resolve_kernels
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
+from repro.memory.hybrid import HybridMemory
 from repro.sketch.flat_node_sketch import (
     FlatNodeSketch,
     decode_column_batch,
     hash_depths_checksums,
     segmented_xor,
 )
+from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.tensor_pool import NodeTensorPool
 from sketch_reference import (
     assert_node_state_matches,
@@ -346,7 +352,7 @@ def test_snapshots_interchange_across_backends(tmp_path):
 # dispatch plumbing
 # ----------------------------------------------------------------------
 def test_resolve_kernels_modes():
-    assert resolve_kernels("numpy") is None
+    assert resolve_kernels("numpy") is NUMPY_KERNELS
     assert resolve_kernels("auto") is NATIVE
     assert resolve_kernels("native") is NATIVE
     with pytest.raises(ConfigurationError):
@@ -374,7 +380,7 @@ def test_failed_c_build_is_typed_counted_and_never_silent(monkeypatch, tmp_path)
     counter = default_registry().counter("kernels.provider_unavailable")
     before = counter.value
 
-    assert resolve_kernels("auto") is None
+    assert resolve_kernels("auto") is NUMPY_KERNELS
     reason = native_unavailable_reason()
     assert "cc:" in reason and "false" in reason
     assert counter.value == before + 1
@@ -413,9 +419,10 @@ def test_kernel_backend_stays_out_of_sketch_fingerprint():
 
 
 def test_provider_survives_copy_and_pickle():
-    assert copy.copy(NATIVE) is NATIVE
-    assert copy.deepcopy(NATIVE) is NATIVE
-    assert pickle.loads(pickle.dumps(NATIVE)) is NATIVE
+    for provider in (NATIVE, NUMPY_KERNELS):
+        assert copy.copy(provider) is provider
+        assert copy.deepcopy(provider) is provider
+        assert pickle.loads(pickle.dumps(provider)) is provider
 
 
 def test_health_reports_resolved_backend():
@@ -469,7 +476,7 @@ def test_portable_build_kernels_bit_identical(portable_build, force_wide):
     lo, hi = edges.min(axis=1), edges.max(axis=1)
     indices = engine.encoder.encode_canonical_pairs(lo, hi)
     results = []
-    for kernels in (None, provider):
+    for kernels in (NUMPY_KERNELS, provider):
         pool = NodeTensorPool(
             num_nodes, engine.encoder, graph_seed=5,
             geometry=pool_geometry(num_nodes, wide=force_wide), kernels=kernels,
@@ -477,8 +484,94 @@ def test_portable_build_kernels_bit_identical(portable_build, force_wide):
         pool.apply_edges(lo, hi, indices)
         pool.apply_updates(hi[::4], indices[::4])
         alpha, gamma = pool.raw_tensors()
-        results.append((alpha.tolist(), gamma.tolist(), _round_trace(pool, kernels)))
+        results.append((alpha.tolist(), gamma.tolist(), _round_trace(pool)))
     assert results[0] == results[1]
 
     payload = np.random.default_rng(3).bytes(40_001)
     assert block_digests(payload, 4096, kernels=provider) == block_digests(payload, 4096)
+
+
+# ----------------------------------------------------------------------
+# the provider contract, method by method
+# ----------------------------------------------------------------------
+CONTRACT_NODES = 40
+#: ``(contract method, case)``: what each case of
+#: :func:`test_provider_contract` runs through that method.
+CONTRACT_CASES = [
+    ("fold_pool", "flat"),
+    ("fold_pool_edges", "flat"),
+    ("fold_page", "edges-across-pages"),  # a mirrored batch, grouped by page
+    ("fold_page", "one-page-column"),  # what fold_page_batch hands over
+    ("fold_bundle", "node"),
+    ("ingest_edges", "flat"),
+    ("bind_query", "flat"),
+    ("bind_query", "paged"),
+    ("block_digests", "blob"),
+]
+
+
+def _contract_pool(kernels, wide, paged):
+    """A 40-node pool; paged: 6-node pages, one resident, the rest spilled."""
+    encoder, geometry = EdgeEncoder(CONTRACT_NODES), pool_geometry(CONTRACT_NODES, wide=wide)
+    if not paged:
+        return NodeTensorPool(
+            CONTRACT_NODES, encoder, graph_seed=11, geometry=geometry, kernels=kernels
+        )
+    return PagedTensorPool(
+        CONTRACT_NODES, encoder, memory=HybridMemory(ram_bytes=1), graph_seed=11,
+        geometry=geometry, nodes_per_page=6, resident_pages=1, kernels=kernels,
+    )
+
+
+def _contract_result(method, case, kernels, wide):
+    """Run ``method`` of ``kernels`` on the case's fixed input; what it made."""
+    edges = _random_edges(CONTRACT_NODES, 160, seed=12)
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    idx = EdgeEncoder(CONTRACT_NODES).encode_canonical_pairs(lo, hi)
+    if method == "block_digests":
+        return kernels.block_digests(np.random.default_rng(5).bytes(16 * 9 + 5), 16, 7).tolist()
+    if method == "fold_bundle":
+        sketch = FlatNodeSketch(
+            3, EdgeEncoder(CONTRACT_NODES), graph_seed=11,
+            geometry=pool_geometry(CONTRACT_NODES, wide=wide), kernels=kernels,
+        )
+        kernels.fold_bundle(sketch, idx)
+        return sketch._alpha.tolist(), sketch._gamma.tolist()
+    pool = _contract_pool(kernels, wide, paged=case != "flat")
+    if method == "fold_pool":
+        kernels.fold_pool(pool, idx, hi)
+    elif method == "fold_pool_edges":
+        kernels.fold_pool_edges(pool, idx, lo, hi)
+    elif method == "ingest_edges":
+        returned = [column.tolist() for column in kernels.ingest_edges(pool, edges)]
+        return returned, [plane.tolist() for plane in pool.raw_tensors()], pool.updates_applied
+    elif case == "one-page-column":
+        page_lo, page_hi = pool.page_span(2)
+        column = (lo >= page_lo) & (lo < page_hi)
+        assert 0 < column.sum() < lo.size
+        pool.fold_page_batch(page_lo, page_hi, lo[column], idx[column])
+    else:  # edges-across-pages, and the pools a query reads
+        if pool.is_paged:  # the batch reaches every page
+            assert {pool.page_of(node) for node in (*lo, *hi)} == set(range(pool.num_pages))
+        pool.apply_edges(lo, hi, idx)
+    planes = [plane.tolist() for plane in pool.raw_tensors()]
+    if method != "bind_query":
+        return planes
+    forest, stats = pool_spanning_forest(pool, pool.num_rounds)
+    return planes, forest.edges, forest.component_labels(), dataclasses.asdict(stats)
+
+
+@pytest.mark.parametrize("build", ["native", "portable"])
+@pytest.mark.parametrize("wide", [False, True], ids=["packed", "wide"])
+@pytest.mark.parametrize(
+    "method, case", CONTRACT_CASES, ids=[f"{method}-{case}" for method, case in CONTRACT_CASES]
+)
+def test_provider_contract(method, case, wide, build, request):
+    """Each contract method of the numpy provider and of a C build (this
+    host's ``-march=native`` one and the portable one) makes the same
+    buckets, forest and stats from the same input."""
+    provider = request.getfixturevalue("portable_build")[0] if build == "portable" else NATIVE
+    assert getattr(NUMPY_KERNELS, method) and getattr(provider, method)
+    assert _contract_result(method, case, provider, wide) == _contract_result(
+        method, case, NUMPY_KERNELS, wide
+    )

@@ -22,7 +22,9 @@ from repro.memory.hybrid import HybridMemory
 from repro.sketch.flat_node_sketch import fold_scratch_bytes
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.round_split import round_ranges, split_ranges
-from repro.sketch.tensor_pool import _FOLD_PASS_ELEMENTS, NodeTensorPool
+from repro.kernels import numpy_kernels
+from repro.kernels.numpy_kernels import FOLD_PASS_ELEMENTS, NUMPY_KERNELS
+from repro.sketch.tensor_pool import NodeTensorPool
 from sketch_reference import pool_geometry
 
 
@@ -34,12 +36,11 @@ def split(fold_helpers, monkeypatch):
     from; ``handed`` collects every job handed to a helper thread.
     """
     from repro.parallel import cost_model
-    from repro.sketch import tensor_pool
 
     def force(cores, floor=None):
         monkeypatch.setattr(cost_model, "usable_cores", lambda: cores)
         if floor is not None:
-            monkeypatch.setattr(tensor_pool, "SPLIT_FLOOR", floor)
+            monkeypatch.setattr(numpy_kernels, "SPLIT_FLOOR", floor)
 
     return force, fold_helpers
 
@@ -49,7 +50,7 @@ def _random_pairs(num_nodes, count, rng):
     return lo, lo + 1 + rng.integers(0, num_nodes - 1 - lo)
 
 
-def _case(num_nodes, count, force_wide=False, num_rounds=None, kernels=(None, None)):
+def _case(num_nodes, count, force_wide=False, num_rounds=None, kernels=(NUMPY_KERNELS,) * 2):
     """``(pools, lo, hi, indices)``: one pool per ``kernels`` entry, one edge batch."""
     encoder = EdgeEncoder(num_nodes)
     lo, hi = _random_pairs(num_nodes, count, np.random.default_rng(3))
@@ -206,13 +207,13 @@ def test_a_failed_numpy_range_propagates_after_every_range_finished(
 ):
     force, _ = split
     force(3, floor=1)
-    (pool,), lo, hi, indices = _case(100, 600, num_rounds=4, kernels=(None,))
-    real = NodeTensorPool._fold_rounds
+    (pool,), lo, hi, indices = _case(100, 600, num_rounds=4, kernels=(NUMPY_KERNELS,))
+    real = numpy_kernels._fold_rounds
     caller = threading.current_thread()
     lock = threading.Lock()
     calls, failed, finished = [], [], []
 
-    def flaky(self, *args):
+    def flaky(*args):
         on_caller = threading.current_thread() is caller
         with lock:
             calls.append(on_caller)
@@ -222,10 +223,10 @@ def test_a_failed_numpy_range_propagates_after_every_range_finished(
         if fail:
             raise RuntimeError("injected")
         time.sleep(0.2)
-        real(self, *args)
+        real(*args)
         finished.append(on_caller)
 
-    monkeypatch.setattr(NodeTensorPool, "_fold_rounds", flaky)
+    monkeypatch.setattr(numpy_kernels, "_fold_rounds", flaky)
     with pytest.raises(RuntimeError, match="injected"):
         pool.apply_edges(lo, hi, indices)
     assert failed == [failing == "caller"]
@@ -241,8 +242,8 @@ def test_helper_scratch_stays_within_one_pass(split):
 
     force, handed = split
     force(2)  # one helper thread, the real floor
-    (pool,), lo, hi, indices = _case(2_048, 16_384, kernels=(None,))
+    (pool,), lo, hi, indices = _case(2_048, 16_384, kernels=(NUMPY_KERNELS,))
     pool.apply_edges(lo, hi, indices)
     assert handed
     helper_bytes = round_split._helper_pool().submit(fold_scratch_bytes).result()
-    assert 0 < helper_bytes <= 2 * 8 * _FOLD_PASS_ELEMENTS
+    assert 0 < helper_bytes <= 2 * 8 * FOLD_PASS_ELEMENTS

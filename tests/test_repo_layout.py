@@ -168,6 +168,13 @@ OUT_OF_THE_PRODUCT = {
     # the dict-backed block device (the tests' fault-injection double;
     # the product's device is the file)
     "DictBlockDevice",
+    # the pools' per-provider fold paths (one provider contract: the
+    # paged pool folds page by page through ``fold_page``)
+    "_fold_layout",
+    "_scatter",
+    "_fold_native",
+    "_fold_page_native",
+    "_fold_pass_elements",
     # dead code
     "SketchFailureError",
     "_reset_for_tests",
@@ -241,6 +248,59 @@ def test_references_live_in_tests_not_in_the_product():
                 continue
             for module in modules:
                 assert module.split(".")[0] not in test_modules, (path, node.lineno)
+
+
+def _provider_forks(tree):
+    """Line numbers of every place a module forks on which kernel provider
+    it holds: a ``... kernels is [not] None`` test, a
+    ``getattr(..., "_kernels", None)`` or a ``hasattr(..., "query_components")``."""
+    def is_const(node, value):
+        return isinstance(node, ast.Constant) and type(node.value) is type(value) and (
+            node.value == value
+        )
+
+    def names_kernels(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+        return isinstance(node, (ast.Name, ast.Attribute)) and name.endswith("kernels")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Is, ast.IsNot)):
+            operands = (node.left, *node.comparators)
+            if any(map(names_kernels, operands)) and any(is_const(op, None) for op in operands):
+                yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            args = node.args
+            if node.func.id == "getattr" and len(args) == 3:
+                if is_const(args[1], "_kernels") and is_const(args[2], None):
+                    yield node.lineno
+            if node.func.id == "hasattr" and len(args) == 2:
+                if is_const(args[1], "query_components"):
+                    yield node.lineno
+
+
+def test_every_layer_calls_one_provider_contract():
+    """The numpy kernels are a provider object like the compiled one, so
+    nothing under ``src/repro`` asks whether it holds a provider at all."""
+    forks = [
+        (path.relative_to(ROOT), line)
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for line in _provider_forks(_parsed(path))
+    ]
+    assert forks == []
+
+
+def test_the_provider_guard_catches_each_fork():
+    def caught(source):
+        return len(list(_provider_forks(ast.parse(source))))
+
+    assert caught("if self._kernels is None:\n    pass\n") == 1
+    assert caught("use = kernels is not None and pool.is_paged\n") == 1
+    assert caught("if memory.kernels is None:\n    pass\n") == 1
+    assert caught("kernels = getattr(self, '_kernels', None)\n") == 1
+    assert caught("bound = hasattr(sampler, 'query_components')\n") == 1
+    assert caught("if provider is None:\n    pass\n") == 0
+    assert caught("hoist = pool._kernels.hoists_hash\n") == 0
+    assert caught("kernels = getattr(self, '_kernels')\n") == 0
 
 
 def test_src_imports_nothing_it_does_not_use():

@@ -23,13 +23,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boruvka import MERGED, RoundQuery, round_tail, vectorized_spanning_forest
+from repro.core.boruvka import (
+    MERGED, RoundQuery, pool_spanning_forest, round_tail, vectorized_spanning_forest,
+)
 from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.exceptions import ConnectivityError, InvalidStreamError
 from repro.hashing.mixers import finalise_hash64_inplace
 from repro.kernels import native_cc, native_kernels
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.memory.hybrid import HybridMemory
 from repro.observability import default_registry, install_trace_ring
 from repro.observability.tracing import remove_trace_ring
@@ -72,12 +75,10 @@ def _fold(pool, edges):
     pool.apply_edges(lo, hi, pool.encoder.encode_canonical_pairs(lo, hi))
 
 
-def _round_trace(pool, kernels):
-    """The driver over ``pool`` as the engine runs it: bound by ``kernels``
-    (the fused sample and the compiled tail) when they are native."""
-    forest, stats = vectorized_spanning_forest(
-        pool.num_nodes, pool.num_rounds, pool.encoder, pool, kernels=kernels
-    )
+def _round_trace(pool):
+    """The driver over ``pool`` as the engine runs it: bound by the pool's
+    provider (the fused sample and the compiled tail when it is native)."""
+    forest, stats = pool_spanning_forest(pool, pool.num_rounds)
     return (
         forest.edges, forest.complete, dataclasses.asdict(stats),
         forest.component_labels(), forest.num_components,
@@ -86,10 +87,10 @@ def _round_trace(pool, kernels):
 
 def _assert_native_round_matches_numpy(num_nodes, seed, edges, paged, **shape):
     traces = []
-    for kernels in (None, NATIVE):
+    for kernels in (NUMPY_KERNELS, NATIVE):
         pool = _pool(num_nodes, seed, kernels, paged, **shape)
         _fold(pool, edges)
-        traces.append(_round_trace(pool, kernels))
+        traces.append(_round_trace(pool))
     assert traces[1] == traces[0]
     return traces[0]
 
@@ -167,16 +168,11 @@ def test_single_node_needs_no_round(monkeypatch):
     def sampler(round_index, labels, mask):
         raise AssertionError("a one-node graph has no cut to sample")
 
-    traces = []
     counting = _CountingLib(NATIVE._lib)
     monkeypatch.setattr(NATIVE, "_lib", counting)
-    for kernels in (None, NATIVE):
-        forest, stats = vectorized_spanning_forest(
-            1, 3, EdgeEncoder(2), sampler, kernels=kernels
-        )
-        traces.append((forest.edges, stats, forest.component_labels()))
-    assert traces[0] == traces[1] == ((), traces[0][1], [0])
-    assert traces[0][1].rounds_used == 0
+    forest, stats = vectorized_spanning_forest(1, 3, EdgeEncoder(2), sampler)
+    assert (forest.edges, forest.component_labels()) == ((), [0])
+    assert stats.rounds_used == 0
     assert counting.calls == {}  # no foreign call either
 
 
@@ -206,9 +202,7 @@ def _observed_trace(pool, num_rounds, strict=False):
 
     (counters, spans), raised = observed(), None
     try:
-        forest, stats = vectorized_spanning_forest(
-            pool.num_nodes, num_rounds, pool.encoder, pool, strict=strict, kernels=pool._kernels
-        )
+        forest, stats = pool_spanning_forest(pool, num_rounds, strict=strict)
         trace = (
             forest.edges, forest.complete, dataclasses.asdict(stats),
             forest.component_labels(),
@@ -234,7 +228,7 @@ def test_one_call_query_matches_the_numpy_driver_and_the_paged_pool(
     num_nodes, edges = graph
     provider, shape = one_call_provider, dict(wide=force_wide, delta=delta)
     pools = [
-        _pool(num_nodes, seed, None, False, **shape),
+        _pool(num_nodes, seed, NUMPY_KERNELS, False, **shape),
         _pool(num_nodes, seed, provider, True, **shape),
         _pool(num_nodes, seed, provider, False, **shape),
     ]
@@ -286,7 +280,7 @@ def test_running_out_of_rounds_is_counted_then_raised_under_strict():
     is incomplete, ``query.incomplete`` counts it, and ``strict`` raises
     only after that count is made; the one-call query agrees with numpy
     (its memo, warm after the first query, aside)."""
-    pools = [_pool(64, 5, kernels, False) for kernels in (None, NATIVE)]
+    pools = [_pool(64, 5, kernels, False) for kernels in (NUMPY_KERNELS, NATIVE)]
     for pool in pools:
         _fold(pool, PATH)
 
@@ -335,7 +329,7 @@ def _hand_built_pools(force_wide):
             num_nodes, EdgeEncoder(num_nodes), graph_seed=5,
             geometry=geometry, kernels=kernels,
         )
-        for kernels in (None, NATIVE)
+        for kernels in (NUMPY_KERNELS, NATIVE)
     ]
     reference = pools[0]
     assert reference.num_columns > 3
@@ -395,10 +389,7 @@ def test_sample_kernel_decode_branches(force_wide):
 
 def test_backwards_slot_is_counted_invalid_and_ignored():
     (numpy_pool, native_pool), labels, _, edge = _hand_built_pools(False)
-    traces = [
-        _round_trace(pool, kernels)
-        for pool, kernels in ((numpy_pool, None), (native_pool, NATIVE))
-    ]
+    traces = [_round_trace(numpy_pool), _round_trace(native_pool)]
     assert traces[0] == traces[1]
     forest_edges, _, stats, _, _ = traces[1]
     assert stats["invalid_samples"] >= 1
@@ -546,15 +537,15 @@ def test_a_paged_one_call_query_is_one_call_per_round(one_call_provider, monkeyp
     provider, rng = one_call_provider, np.random.default_rng(3)
     u = rng.integers(0, 240, 300)
     edges = np.stack([u, (u + rng.integers(1, 12, 300)) % 240], axis=1).tolist()
-    pools = [_pool(240, 3, kernels, True) for kernels in (None, provider)]
+    pools = [_pool(240, 3, kernels, True) for kernels in (NUMPY_KERNELS, provider)]
     for pool in pools:
         _fold(pool, edges)
-        _round_trace(pool, pool._kernels)
+        _round_trace(pool)
         _fold(pool, [(0, 1), (5, 200)])
-    expected = _round_trace(pools[0], None)
+    expected = _round_trace(pools[0])
     counting = _CountingLib(provider._lib)
     monkeypatch.setattr(provider, "_lib", counting)
-    assert _round_trace(pools[1], provider) == expected
+    assert _round_trace(pools[1]) == expected
     rounds = expected[2]["rounds_used"]
     assert rounds >= 2 and counting.calls == {"repro_boruvka": rounds}
 

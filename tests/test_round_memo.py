@@ -22,12 +22,13 @@ import gc
 import numpy as np
 import pytest
 
-from repro.core.boruvka import vectorized_spanning_forest
+from repro.core.boruvka import pool_spanning_forest
 from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.distributed.snapshot import merge_snapshots_into
 from repro.kernels import native_kernels
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.observability import default_registry
 from repro.sketch.tensor_pool import NodeTensorPool
 from repro.types import EdgeUpdate, UpdateType
@@ -235,9 +236,7 @@ def test_regression_a_snapshot_merge_stamps_every_node(tmp_path):
 
 
 def _pool_answer(pool: NodeTensorPool) -> tuple:
-    forest, stats = vectorized_spanning_forest(
-        pool.num_nodes, pool.num_rounds, pool.encoder, pool, kernels=pool._kernels
-    )
+    forest, stats = pool_spanning_forest(pool, pool.num_rounds)
     return (
         forest.edge_array.tolist(), forest.labels.tolist(), forest.complete,
         dataclasses.asdict(stats),
@@ -253,7 +252,7 @@ def test_wide_and_narrow_pools_answer_as_a_cold_query(wide, delta):
     pools = [
         NodeTensorPool(NUM_NODES, EdgeEncoder(NUM_NODES), graph_seed=4,
                        geometry=geometry, kernels=kernels)
-        for kernels in (NATIVE, None)
+        for kernels in (NATIVE, NUMPY_KERNELS)
     ]
     rng = np.random.default_rng(4)
     for count in (150, 3, 1, 4, 2):

@@ -25,6 +25,7 @@ from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.core.streaming_cc import StreamingCC
 from repro.kernels import native_kernels
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.sketch.flat_node_sketch import query_bucket_arrays_batch
 from repro.sketch.sketch_base import (
     SAMPLE_FAIL,
@@ -93,7 +94,7 @@ def test_vectorized_forest_and_stats_bit_identical_to_scalar(edges, seed, ram_bu
 
 def _round_sample(pool, labels, round_index, node_mask):
     """``query_components``, or the native fused sample kernel's."""
-    if pool._kernels is None:
+    if pool._kernels is NUMPY_KERNELS:
         return pool.query_components(labels, round_index, node_mask=node_mask)
     return fused_sample(pool._kernels._lib, pool, labels, round_index, node_mask)
 
@@ -106,7 +107,7 @@ def test_query_components_matches_per_component_query_merged(edges, seed, data):
     encoder = EdgeEncoder(NUM_NODES)
     pools = [
         NodeTensorPool(NUM_NODES, encoder, graph_seed=seed, kernels=kernels)
-        for kernels in {None, native_kernels()}
+        for kernels in {NUMPY_KERNELS, native_kernels() or NUMPY_KERNELS}
     ]
     if edges:
         endpoint_u = np.asarray([e[0] for e in edges], dtype=np.int64)
@@ -331,9 +332,9 @@ def test_wide_bucket_storage_matches_packed(edges, seed):
 
 @pytest.fixture(params=["numpy", "native"])
 def pool_kernels(request):
-    """``None`` for the numpy kernels, else the native provider (or skip)."""
+    """The numpy provider, or the native one (or skip)."""
     if request.param == "numpy":
-        return None
+        return NUMPY_KERNELS
     return request.getfixturevalue("native_provider")
 
 
