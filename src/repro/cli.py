@@ -448,19 +448,18 @@ _REPORT_SPANS = (
 def _print_io_report(engine, checkpointer=None) -> None:
     """The --report ledger: every fault and integrity counter in one place.
 
-    Counters come from the same :class:`IOStats` snapshot and metrics
-    registry that ``stats`` / ``--metrics-out`` expose, so the ledger
-    and the exposition formats can never disagree.
+    Counters come from the same ``engine.metrics()`` snapshot (its
+    ``io.*`` gauges) that ``stats`` / ``--metrics-out`` expose, so the
+    ledger and the exposition formats can never disagree.
     """
     health = engine.health()
     snap = engine.metrics()
     print(f"kernel backend   : {health['kernel_backend']} "
           f"(requested {engine.config.kernel_backend})")
-    stats = engine.io_stats
-    if stats is None:
+    counters = {n[3:]: int(v) for n, v in snap.gauges.items() if n.startswith("io.")}
+    if not counters:
         print("io report        : engine is fully in RAM (no device)")
     else:
-        counters = stats.snapshot()
         print(f"io failures      : {counters['read_failures']} read, "
               f"{counters['write_failures']} write, "
               f"{counters['io_retries']} retried")

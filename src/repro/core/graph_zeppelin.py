@@ -77,6 +77,16 @@ INGEST_CHUNK_ROWS = 1 << 16
 _INSERT_PRESENT = "edge {} inserted while already present"
 _DELETE_ABSENT = "edge {} deleted while absent"
 
+#: Levels that make :meth:`GraphZeppelin.health` report ``"degraded"``
+#: once any of them is nonzero.
+_DEGRADED_WHEN_NONZERO = (
+    "io.pressure_events",
+    "io.deadline_misses",
+    "breaker.times_opened",
+    "page.pressure_degradations",
+    "checkpoint.failures_total",
+)
+
 
 class GraphZeppelin:
     """Streaming connected-components sketch over a fixed node universe.
@@ -758,49 +768,46 @@ class GraphZeppelin:
         )
         return self._checkpoint_failures_absorbed + current
 
-    def publish_metrics(self) -> None:
-        """Publish engine-level levels as gauges in the default registry.
+    def _levels(self) -> Dict[str, Union[int, float]]:
+        """This engine's levels, read from their owners now.
 
-        Event totals (fold spans, query rounds, checkpoint writes) are
-        recorded at event time by the instrumented subsystems; the
-        levels that only the engine can see -- update totals, I/O
-        counters, breaker and page state -- are published here, called
-        by :meth:`metrics` and :meth:`health` so every exposition path
-        sees a complete registry.
+        Update totals, :class:`IOStats`, breaker and page state and the
+        checkpoint failures have one home each (the engine, its memory,
+        its breaker, its pool, its checkpointers); this table is the one
+        read of them behind :meth:`metrics`' gauges and :meth:`health`.
         """
-        registry = default_registry()
-        if not registry.enabled:
-            return
-        registry.gauge("engine.updates_processed").set(float(self._updates_processed))
-        registry.gauge("engine.batches_applied").set(float(self._batches_applied))
+        levels: Dict[str, Union[int, float]] = {
+            "engine.updates_processed": self._updates_processed,
+            "engine.batches_applied": self._batches_applied,
+        }
         stats = self.io_stats
         if stats is not None:
-            for key, value in stats.snapshot().items():
-                registry.gauge(f"io.{key}").set(float(value))
+            levels.update((f"io.{key}", v) for key, v in stats.snapshot().items())
         breaker = self.memory.breaker if self.memory is not None else None
         if breaker is not None:
-            registry.gauge("breaker.times_opened").set(float(breaker.times_opened))
-            registry.gauge("breaker.rejections").set(float(breaker.rejections))
-            registry.gauge("breaker.probes").set(float(breaker.probes))
-            registry.gauge("breaker.open").set(1.0 if breaker.state == "open" else 0.0)
+            levels["breaker.times_opened"] = breaker.times_opened
+            levels["breaker.rejections"] = breaker.rejections
+            levels["breaker.probes"] = breaker.probes
+            levels["breaker.open"] = int(breaker.state == "open")
         if self._pool.is_paged:
-            for key, value in self._pool.page_stats().items():
-                registry.gauge(f"page.{key}").set(float(value))
-        registry.gauge("checkpoint.failures_total").set(float(self.checkpoint_failures))
+            levels.update((f"page.{key}", v) for key, v in self._pool.page_stats().items())
+        levels["checkpoint.failures_total"] = self.checkpoint_failures
+        return levels
 
     def metrics(self, format: str = "snapshot"):
-        """The process-wide metrics, engine gauges freshly published.
+        """The process-wide metrics, with this engine's levels as gauges.
 
         ``format`` selects the representation: ``"snapshot"`` (default)
         returns the picklable
         :class:`~repro.observability.metrics.MetricsSnapshot`,
         ``"prometheus"`` the text exposition string, ``"json"`` a
-        plain-dict dump.  The registry is process-wide, so spans from
-        every engine in the process land in one place -- exactly like
-        ``default_registry().snapshot()``, plus this engine's gauges.
+        plain-dict dump.  The registry is process-wide, so counters and
+        spans from every engine in the process land in one place --
+        exactly ``default_registry().snapshot()`` -- while the gauges
+        are this engine's levels, read when this is called.
         """
-        self.publish_metrics()
         snap = default_registry().snapshot()
+        snap.gauges = {name: float(value) for name, value in self._levels().items()}
         if format == "snapshot":
             return snap
         if format == "prometheus":
@@ -825,41 +832,28 @@ class GraphZeppelin:
         deadlines, or failed checkpoints were absorbed; answers remain
         exact), or ``"circuit-open"`` (the device breaker is currently
         shedding I/O).  The CLI's ``--report`` prints this; the chaos
-        harness records it per cycle.  Levels are published to the
-        metrics registry first, so ``health()`` and :meth:`metrics`
-        always agree.
+        harness records it per cycle.  It reads the same level table as
+        :meth:`metrics`' gauges, so the two always agree.
         """
-        self.publish_metrics()
+        levels = self._levels()
         report: dict = {
             "status": "ok",
-            "updates_processed": self._updates_processed,
+            "updates_processed": levels["engine.updates_processed"],
             "kernel_backend": self.resolved_kernel_backend,
         }
-        degraded = False
-        circuit_open = False
-        stats = self.io_stats
-        if stats is not None:
-            report["pressure_events"] = stats.pressure_events
-            report["deadline_misses"] = stats.deadline_misses
-            report["breaker_rejections"] = stats.breaker_rejections
-            degraded = degraded or stats.pressure_events > 0
-            degraded = degraded or stats.deadline_misses > 0
-        breaker = self.memory.breaker if self.memory is not None else None
-        if breaker is not None:
-            report["breaker"] = breaker.snapshot()
-            degraded = degraded or breaker.times_opened > 0
-            circuit_open = breaker.state == "open"
-        if self._pool.is_paged:
-            page_stats = self._pool.page_stats()
+        if "io.block_reads" in levels:
+            for key in ("pressure_events", "deadline_misses", "breaker_rejections"):
+                report[key] = levels[f"io.{key}"]
+        if "breaker.open" in levels:
+            report["breaker"] = self.memory.breaker.snapshot()
+        page_stats = {n[5:]: v for n, v in levels.items() if n.startswith("page.")}
+        if page_stats:
             report["page_stats"] = page_stats
-            degraded = degraded or page_stats["pressure_degradations"] > 0
-        checkpoint_failures = self.checkpoint_failures
         if self._checkpointer is not None or self._checkpoint_failures_absorbed:
-            report["checkpoint_failures"] = checkpoint_failures
-        degraded = degraded or checkpoint_failures > 0
-        if circuit_open:
+            report["checkpoint_failures"] = levels["checkpoint.failures_total"]
+        if levels.get("breaker.open"):
             report["status"] = "circuit-open"
-        elif degraded:
+        elif any(levels.get(name, 0) > 0 for name in _DEGRADED_WHEN_NONZERO):
             report["status"] = "degraded"
         return report
 

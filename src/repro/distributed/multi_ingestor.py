@@ -108,9 +108,10 @@ class DistributedReport:
     worker_retries: int = 0
     straggler_kills: int = 0
     deadline_kills: int = 0
-    #: Merged per-worker metrics registries (each worker process resets
-    #: its registry, records its slice's spans/counters, and ships a
-    #: snapshot back next to its pool snapshot).  ``None`` when the
+    #: Merged per-worker metrics (each worker process resets its
+    #: registry, records its slice's spans/counters, and ships its
+    #: engine's ``metrics()`` back next to its pool snapshot; gauges are
+    #: the max of the worker engines' levels).  ``None`` when the
     #: workers ran with observability disabled.
     metrics: Optional[MetricsSnapshot] = None
 
@@ -164,10 +165,9 @@ def _worker_ingest(task: Tuple) -> None:
             # Ship this attempt's registry back next to the snapshot (the
             # same sidecar pattern as the .err traceback); best-effort --
             # a failed metrics write must not fail a healthy ingest.
-            engine.publish_metrics()
             try:
                 with path.with_suffix(path.suffix + ".metrics").open("wb") as handle:
-                    pickle.dump(registry.snapshot(), handle)
+                    pickle.dump(engine.metrics(), handle)
             except OSError:
                 pass
         if fault_plan is not None:
@@ -321,7 +321,8 @@ def distributed_ingest(
         # Fold the worker's metrics sidecar (when it shipped one) into
         # the report and the coordinator's live registry -- worker
         # telemetry aggregates across processes exactly like the pool
-        # snapshots the workers shipped alongside it.
+        # snapshots the workers shipped alongside it.  The worker
+        # engines' levels (its gauges) stay in the report.
         metrics_path = paths[worker].with_suffix(paths[worker].suffix + ".metrics")
         try:
             with metrics_path.open("rb") as handle:

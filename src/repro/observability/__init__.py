@@ -2,11 +2,14 @@
 
 Every subsystem of the engine records into one process-wide
 :class:`~repro.observability.metrics.MetricsRegistry` -- counters for
-event totals, gauges for point-in-time levels, and fixed-bucket latency
-histograms fed by the :func:`~repro.observability.tracing.span` timers
-wrapped around every hot site (ingest folds, Boruvka query rounds, page
+event totals and fixed-bucket latency histograms fed by the
+:func:`~repro.observability.tracing.span` timers wrapped around every
+hot site (ingest folds, Boruvka query rounds, page
 pin/evict/write-back, device calls, checkpoint writes, scrub/repair,
 snapshot save/load/merge, and the distributed worker lifecycle).
+An engine's levels (I/O, page, breaker and checkpoint state) stay with
+their owners; ``GraphZeppelin.metrics()`` reads them as the snapshot's
+gauges when it is called.
 
 Design constraints, in order:
 
@@ -35,11 +38,10 @@ observability on, off, or merged -- property-tested).
 from __future__ import annotations
 
 from repro.observability.exposition import metrics_json, prometheus_text
-from repro.observability.log import configure_logging, get_logger, log_event
+from repro.observability.log import configure_logging, get_logger
 from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     HistogramSnapshot,
     MetricsRegistry,
@@ -49,20 +51,17 @@ from repro.observability.metrics import (
     disable,
     enable,
     enabled,
-    gauge,
 )
 from repro.observability.tracing import (
     TraceRing,
     chrome_trace,
     install_trace_ring,
     span,
-    trace_ring,
 )
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "HistogramSnapshot",
     "MetricsRegistry",
@@ -75,12 +74,9 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "gauge",
     "get_logger",
     "install_trace_ring",
-    "log_event",
     "metrics_json",
     "prometheus_text",
     "span",
-    "trace_ring",
 ]

@@ -7,8 +7,7 @@ backend resolution, before the rest of the package exists).
 All engine diagnostics flow through loggers under the ``repro`` root;
 :func:`configure_logging` maps the CLI ``-v/--verbose`` count onto
 levels (0 = WARNING, 1 = INFO, 2+ = DEBUG) with a single structured
-``key=value`` line format.  :func:`log_event` renders ``fields`` in
-deterministic order so log lines are greppable and diffable.
+``key=value`` line format.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import logging
 import sys
 
-__all__ = ["configure_logging", "get_logger", "log_event"]
+__all__ = ["configure_logging", "get_logger"]
 
 _ROOT = "repro"
 _FORMAT = "%(asctime)s %(levelname)s %(name)s %(message)s"
@@ -52,13 +51,3 @@ def configure_logging(verbosity: int = 0, stream=None) -> None:
         _configured = True
     root.setLevel(level)
 
-
-def log_event(logger: logging.Logger, level: int, event: str, **fields) -> None:
-    """Emit ``event key=value ...`` with fields in insertion order."""
-    if not logger.isEnabledFor(level):
-        return
-    if fields:
-        rendered = " ".join(f"{k}={v}" for k, v in fields.items())
-        logger.log(level, "%s %s", event, rendered)
-    else:
-        logger.log(level, "%s", event)

@@ -1,19 +1,21 @@
 """Low-overhead metrics primitives and the process-wide registry.
 
-Three instrument kinds, all ``__slots__`` objects so the hot path is a
+Two instrument kinds, both ``__slots__`` objects so the hot path is a
 couple of attribute loads:
 
 * :class:`Counter` -- monotonically increasing event total.
-* :class:`Gauge` -- point-in-time level (set/add); merges take the max.
 * :class:`Histogram` -- fixed log-spaced latency buckets (seconds) with
   running sum and count; buckets add under merge, so merge is
   associative and commutative like the XOR sketches themselves.
 
 The :class:`MetricsRegistry` hands out instruments by name
 (create-or-get under a lock, lock-free thereafter) and turns into a
-picklable :class:`MetricsSnapshot` on demand.  One process-wide default
-registry exists per process; it is *never replaced*, only enabled or
-disabled, so instrumentation sites may safely cache instrument handles.
+picklable :class:`MetricsSnapshot` on demand.  One process-wide
+default registry exists per process; it is *never replaced*, only
+enabled or disabled, so instrumentation sites may safely cache
+instrument handles.  Levels (an engine's I/O, page and breaker state)
+are not instruments: each stays with the object that owns it, and
+``GraphZeppelin.metrics()`` reads them into the snapshot's ``gauges``.
 
 Thread-safety note: increments are plain ``+=`` on purpose.  Under
 free-threading two racing increments may lose one -- acceptable for
@@ -31,7 +33,6 @@ from typing import Dict, Tuple
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "HistogramSnapshot",
     "MetricsRegistry",
@@ -41,7 +42,6 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "gauge",
 ]
 
 # Log-spaced seconds: 1us .. 10s, four buckets per decade.  Wide enough
@@ -62,22 +62,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """Point-in-time level; merged snapshots keep the max."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -139,7 +123,8 @@ class HistogramSnapshot:
 
 @dataclass
 class MetricsSnapshot:
-    """Picklable point-in-time copy of a registry.
+    """Picklable point-in-time copy of a registry, plus the ``gauges``
+    (levels) of the engine whose ``metrics()`` built it.
 
     Merges associatively: counters add, gauges take the max (levels,
     not totals), histogram buckets add.  Travels through
@@ -173,12 +158,11 @@ class MetricsRegistry:
     disabled registry costs one attribute read per hot site.
     """
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_histograms", "_lock")
+    __slots__ = ("enabled", "_counters", "_histograms", "_lock")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
@@ -187,13 +171,6 @@ class MetricsRegistry:
         if inst is None:
             with self._lock:
                 inst = self._counters.setdefault(name, Counter(name))
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._gauges.get(name)
-        if inst is None:
-            with self._lock:
-                inst = self._gauges.setdefault(name, Gauge(name))
         return inst
 
     def histogram(
@@ -209,7 +186,6 @@ class MetricsRegistry:
         with self._lock:
             return MetricsSnapshot(
                 counters={n: c.value for n, c in self._counters.items()},
-                gauges={n: g.value for n, g in self._gauges.items()},
                 histograms={
                     n: HistogramSnapshot(
                         bounds=h.bounds,
@@ -222,12 +198,11 @@ class MetricsRegistry:
             )
 
     def absorb(self, snap: MetricsSnapshot) -> None:
-        """Merge a snapshot (e.g. from a worker process) into live state."""
+        """Merge a snapshot's counters and histograms (e.g. from a worker
+        process) into live state; its gauges are another engine's levels
+        and stay in the snapshot."""
         for name, value in snap.counters.items():
             self.counter(name).inc(value)
-        for name, value in snap.gauges.items():
-            g = self.gauge(name)
-            g.value = max(g.value, value)
         for name, hist in snap.histograms.items():
             mine = self.histogram(name, hist.bounds)
             if mine.bounds != hist.bounds:
@@ -240,7 +215,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
 
@@ -268,8 +242,3 @@ def enabled() -> bool:
 def counter(name: str) -> Counter:
     """Shorthand for ``default_registry().counter(name)``."""
     return _default.counter(name)
-
-
-def gauge(name: str) -> Gauge:
-    """Shorthand for ``default_registry().gauge(name)``."""
-    return _default.gauge(name)

@@ -30,7 +30,6 @@ __all__ = [
     "install_trace_ring",
     "record_span",
     "span",
-    "trace_ring",
 ]
 
 
@@ -67,10 +66,8 @@ _ring: Optional[TraceRing] = None
 
 
 def install_trace_ring(capacity: int = 4096) -> TraceRing:
-    """Install (or replace) the process-wide trace ring and return it.
-
-    Pass ``capacity=0``-like removal via :func:`remove_trace_ring`.
-    """
+    """Install (or replace) the process-wide trace ring and return it;
+    :func:`remove_trace_ring` uninstalls it."""
     global _ring
     _ring = TraceRing(capacity)
     return _ring
@@ -79,10 +76,6 @@ def install_trace_ring(capacity: int = 4096) -> TraceRing:
 def remove_trace_ring() -> None:
     global _ring
     _ring = None
-
-
-def trace_ring() -> Optional[TraceRing]:
-    return _ring
 
 
 class _NopTimer:

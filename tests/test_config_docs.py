@@ -1,9 +1,11 @@
-"""The config's fields, its docstring and README's backend matrix agree.
+"""The config's fields, its docstring and README's backend matrix agree,
+and so do README's metric names and the names ``src/`` instruments.
 
 A field that goes without its documentation (or the reverse) fails here,
 so a retired switch cannot linger in the docs.
 """
 
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -90,3 +92,48 @@ README_LINE_BUDGET = 698
 
 def test_readme_stays_inside_its_line_budget():
     assert len(README.read_text().splitlines()) <= README_LINE_BUDGET
+
+
+#: Calls whose first argument names a registry counter or histogram.
+INSTRUMENTING_CALLS = {"span", "record_span", "counter", "_count"}
+
+
+def _string_literals(node):
+    """A string constant, or every string either branch of a conditional
+    expression can yield (``span("device.write" if w else "device.read")``)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+    elif isinstance(node, ast.IfExp):
+        yield from _string_literals(node.body)
+        yield from _string_literals(node.orelse)
+
+
+def _instrumented_names():
+    names = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and node.args:
+                func = node.func
+                called = getattr(func, "attr", getattr(func, "id", None))
+                if called in INSTRUMENTING_CALLS:
+                    names.update(_string_literals(node.args[0]))
+    return names
+
+
+def test_readme_metric_names_are_exactly_the_instrumented_names():
+    """Every counter and histogram in README's "Metric names" table is
+    recorded somewhere in ``src/``, and every recorded name is in the
+    table (the gauge row lists engine levels, not registry instruments)."""
+    table = README.read_text().split("\nMetric names:\n\n")[1].split("\n\n")[0]
+    rows = [line.split("|") for line in table.splitlines()]
+    assert [cell.strip() for cell in rows[0][1:3]] == ["name", "kind"]
+    documented = {
+        name
+        for row in rows[2:]
+        if row[2].strip() != "gauge"
+        for name in re.findall(r"`([^`]+)`", row[1])
+    }
+    instrumented = _instrumented_names()
+    assert {"device.read", "device.write"} <= instrumented
+    assert sorted(documented - instrumented) == []
+    assert sorted(instrumented - documented) == []

@@ -10,6 +10,7 @@ three ``health()`` statuses and the exposition formats.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -156,6 +157,8 @@ def test_disabled_run_records_no_metrics():
     engine.list_spanning_forest()
     snap = default_registry().snapshot()
     assert not snap.counters and not snap.histograms
+    # Levels are the engine's, not the registry's: still read when disabled.
+    assert engine.metrics().gauges["engine.updates_processed"] == engine.updates_processed
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +247,17 @@ def test_distributed_merge_bit_identical_and_counters_equal_serial(tmp_path):
     assert (
         default_registry().snapshot().counters["ingest.updates"] == serial_updates
     )
+    # The worker engines' levels stay in the report (max across workers);
+    # the registry takes none, and the coordinator's gauges are its own.
+    assert report.metrics.gauges["engine.updates_processed"] == max(
+        report.per_worker_updates
+    )
+    assert default_registry().snapshot().gauges == {}
+    assert engine.metrics().gauges == {
+        "engine.updates_processed": float(edges.shape[0]),
+        "engine.batches_applied": float(engine.batches_applied),
+        "checkpoint.failures_total": 0.0,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -302,6 +316,13 @@ def test_registry_absorb_matches_snapshot_merge():
     merged = a.snapshot().merged_with(b.snapshot())
     a.absorb(b.snapshot())
     assert a.snapshot() == merged
+    # A worker's shipped snapshot carries its engine's levels as gauges;
+    # the registry absorbs its counters and histograms, not those.
+    shipped = b.snapshot()
+    shipped.gauges = {"io.block_reads": 37.0}
+    merged = a.snapshot().merged_with(shipped)
+    a.absorb(shipped)
+    assert a.snapshot() == dataclasses.replace(merged, gauges={})
 
 
 # ----------------------------------------------------------------------
@@ -388,6 +409,31 @@ def test_metrics_json_matches_snapshot():
     assert hist["p50"] <= hist["p99"]
     assert prometheus_text(snap) == engine.metrics("prometheus")
     assert metrics_json(snap) == payload
+
+
+def test_metrics_gauges_are_the_called_engines_own_levels():
+    """A paged engine's I/O and page levels equal their owners' counts and
+    never show up in another engine's ``metrics()``."""
+    budget = GraphZeppelin(NUM_NODES).sketch_bytes() // 4
+    paged = GraphZeppelin(
+        NUM_NODES, config=GraphZeppelinConfig(seed=9, ram_budget_bytes=budget)
+    )
+    paged.ingest_batch(_random_edges(200, seed=43))
+    paged.list_spanning_forest()
+    gauges = paged.metrics().gauges
+
+    def levels(prefix):
+        return {n[len(prefix):]: v for n, v in gauges.items() if n.startswith(prefix)}
+
+    assert levels("io.") == paged.io_stats.snapshot()
+    assert levels("page.") == paged.tensor_pool.page_stats()
+    in_ram = _ingested(_random_edges(100, seed=43))
+    assert in_ram.io_stats is None
+    assert set(in_ram.metrics().gauges) == {
+        "engine.updates_processed",
+        "engine.batches_applied",
+        "checkpoint.failures_total",
+    }
 
 
 def test_metrics_rejects_unknown_format():

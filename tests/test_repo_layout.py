@@ -175,6 +175,14 @@ OUT_OF_THE_PRODUCT = {
     "_fold_native",
     "_fold_page_native",
     "_fold_pass_elements",
+    # engine levels copied into registry gauges (each level is read
+    # from its owner when ``metrics()`` is called)
+    "publish_metrics",
+    "Gauge",
+    "gauge",
+    # observability surface with no caller
+    "log_event",
+    "trace_ring",
     # dead code
     "SketchFailureError",
     "_reset_for_tests",
