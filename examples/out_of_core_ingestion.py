@@ -14,8 +14,9 @@ hit rate from the hybrid-memory substrate, plus an unbuffered run
 showing why batching matters once sketches live on disk.
 
 The RAM tier is the paged pool's working set of page frames, so
-``cache_hit_rate`` is frame-table hits / page pins: how often a fold
-found its page already resident instead of reading it from the device.
+``cache_hit_rate`` is frame-table hits / (hits + page-ins): how often a
+fold found its page already resident instead of reading it from the
+device (the first pin of a never-written page counts as neither).
 
 Run with:  python examples/out_of_core_ingestion.py
 """
@@ -93,7 +94,7 @@ def main() -> None:
     print("I/O profile changes.  Buffered configurations amortise each node-")
     print("sketch read over a whole batch of updates, which is why the")
     print("unbuffered run pays orders of magnitude more block I/Os.")
-    print("\ncache_hit_rate = frame-table hits / page pins.  A buffered flush")
+    print("\ncache_hit_rate = frame-table hits / (hits + page-ins).  A buffered flush")
     print("visits each page once, in page order, so with more pages than")
     print("frames it reads 0.00; the unbuffered run pins a page per update and")
     print("finds it resident about as often as the working set covers the pool.")

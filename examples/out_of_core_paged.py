@@ -91,8 +91,8 @@ def main() -> None:
     print(
         f"RAM tier: {format_bytes(paged.memory.reserved_bytes + paged.memory.cached_bytes)} "
         f"of the budget held (page frames, query slab, range scratch); "
-        f"{io.cache_hits} of {io.cache_hits + io.cache_misses} page pins found "
-        f"their page resident (hit rate {io.cache_hit_rate:.2f})."
+        f"{io.cache_hits} of {io.cache_hits + io.cache_misses} pins of a stored page "
+        f"found it resident (hit rate {io.cache_hit_rate:.2f})."
     )
 
     print("\nParallel ingest: ShardedIngestor needs the in-RAM pool; "

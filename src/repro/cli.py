@@ -371,11 +371,12 @@ def _print_forest(engine, num_nodes: int, ingest_mode: str, show: int) -> None:
               f"{format_bytes(page_info['page_payload_bytes'])} "
               f"({page_info['page_blocks']} blocks)")
         # The RAM tier is the pool's working set of page frames: a hit
-        # is a page pin that found its page already resident.
+        # is a page pin that found its page already resident, a miss one
+        # that read it from the device (a never-written page is neither).
         stats = engine.io_stats
         pins = stats.cache_hits + stats.cache_misses
         print(f"RAM-tier hit rate: {stats.cache_hit_rate:.1%} "
-              f"({stats.cache_hits}/{pins} page pins, "
+              f"({stats.cache_hits}/{pins} pins of stored pages, "
               f"{page_info['resident_pages']}/{page_info['num_pages']} pages resident)")
     if engine.io_stats is not None:
         print(f"modelled disk I/O: {engine.io_stats.total_ios} block accesses, "

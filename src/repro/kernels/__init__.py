@@ -5,7 +5,10 @@ A provider is an object with one contract: the in-RAM pool folds
 the per-node ``fold_bundle``, the checked edge-row ``ingest_edges``, the
 Boruvka query ``bind_query`` (bound once per pool by the compiled
 provider: a whole query over an in-RAM pool is one call, a round over a
-paged pool is one) and the storage ``block_digests``.  Pools, node
+paged pool is one), the storage ``block_digests`` and the block
+device's batched ``read_runs`` (one compiled call per scratchful of a
+query round's stripe reads; the numpy provider's is the per-run loop,
+and the compiled one hands it any scratchful it refuses).  Pools, node
 sketches, the query driver and the block device call it whatever they
 hold; where the two providers really differ they read a named attribute
 (``hoists_hash``: the sharded producer hashes for the workers;

@@ -2,8 +2,9 @@
 
 This module implements the hot kernels of the engine -- the ingest
 fold and its canonical edge batch, the query-side segmented XOR-reduce,
-the batched bucket decode, the storage-integrity block digest, and the
-fused sample and the round tail of a Boruvka round -- as a small C library compiled
+the batched bucket decode, the storage-integrity block digest and the
+batched device read, and the fused sample and the round tail of a
+Boruvka round -- as a small C library compiled
 **at first use** with the host's C compiler and loaded through
 :mod:`ctypes`.  It is the provider of the ``native`` kernel backend,
 property-tested bit-identical to the numpy path.
@@ -40,7 +41,13 @@ Why compiling beats the numpy kernels:
   call overhead (a position-vector XOR, five in-place splitmix passes,
   a reduce, a scalar finaliser) around ~2 us of arithmetic.  The C
   kernel mixes, XOR-reduces, length-folds and finalises every block of
-  a blob in one pass with no temporaries, so a page-in pays one call.
+  a blob in one pass with no temporaries, so a page-in pays one call;
+  where the build has AVX-512 F and DQ, eight words go through each
+  vector step, against a constructor-filled table of diffused positions.
+* **batched reads**: a paged query round's ~240 stripe reads were each
+  an ``os.preadv`` under four Python layers, plus a digest pass per
+  scratchful.  ``repro_read_runs`` preads, checks, charges and copies
+  out a whole scratchful in one call.
 * **round sample**: composed from the kernels above, a round still
   pays an argsort and ``>> 32`` / ``& LOW32`` over fresh ``(segments,
   rows)`` temporaries.  ``repro_sample_components`` counting-sorts the active
@@ -96,6 +103,8 @@ import numpy as np
 
 from repro.core.boruvka import MERGED, run_rounds
 from repro.core.edge_encoding import edge_batch_error
+from repro.integrity.digest import DIGEST_SEED
+from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.observability.metrics import default_registry
 from repro.observability.tracing import record_span, span
 from repro.sketch.round_split import fold_ranges, round_ranges, split_ranges
@@ -105,6 +114,8 @@ _C_SOURCE = r"""
 #include <stddef.h>
 #include <string.h>
 #include <time.h>
+#include <errno.h>
+#include <unistd.h>
 
 /* Bit-identical C twins of repro.hashing.mixers: splitmix64 followed by
  * the xxHash64 avalanche, over pre-mixed (seed-diffused) keys.  All
@@ -618,7 +629,11 @@ int64_t repro_boruvka(
 /* block possibly short; an empty payload is one empty block.  Words   */
 /* are little-endian with a zero-padded tail, each mixed with its      */
 /* diffused position and the diffused seed, XOR-reduced, then folded   */
-/* with the block's byte length through the seeded finaliser.          */
+/* with the block's byte length through the seeded finaliser.  Under   */
+/* AVX-512 (F for the ternary XOR, DQ for vpmullq) the words go eight  */
+/* lanes at a time into two accumulators, their diffused positions     */
+/* read from a table the library constructor fills; XOR reduction is   */
+/* order-free, so both bodies give the same digests bit for bit.       */
 /* ------------------------------------------------------------------ */
 
 static inline uint64_t repro_load_le64(const uint8_t *p, size_t n) {
@@ -630,29 +645,174 @@ static inline uint64_t repro_load_le64(const uint8_t *p, size_t n) {
     return w;
 }
 
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#include <immintrin.h>
+
+/* splitmix64(i) for the word positions of a 16 KiB block. */
+#define REPRO_POSITIONS 2048
+static uint64_t repro_positions[REPRO_POSITIONS] __attribute__((aligned(64)));
+
+__attribute__((constructor)) static void repro_fill_positions(void) {
+    uint64_t i;
+    for (i = 0; i < REPRO_POSITIONS; i++) repro_positions[i] = repro_splitmix64(i);
+}
+
+static inline __m512i repro_splitmix64x8(__m512i v) {
+    v = _mm512_add_epi64(v, _mm512_set1_epi64((long long)0x9E3779B97F4A7C15ULL));
+    v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 30));
+    v = _mm512_mullo_epi64(v, _mm512_set1_epi64((long long)0xBF58476D1CE4E5B9ULL));
+    v = _mm512_xor_si512(v, _mm512_srli_epi64(v, 27));
+    v = _mm512_mullo_epi64(v, _mm512_set1_epi64((long long)0x94D049BB133111EBULL));
+    return _mm512_xor_si512(v, _mm512_srli_epi64(v, 31));
+}
+
+/* Positions i .. i + 7, from the table while it reaches. */
+static inline __m512i repro_positions_x8(int64_t i) {
+    if (i + 8 <= REPRO_POSITIONS) return _mm512_load_si512(repro_positions + i);
+    return repro_splitmix64x8(_mm512_add_epi64(
+        _mm512_set1_epi64(i), _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7)));
+}
+
+/* XOR of the mixed words 0 .. (nwords & ~15) - 1 of p; sets *done. */
+static inline uint64_t repro_mix_words(const uint8_t *p, int64_t nwords,
+                                       uint64_t mixed_seed, int64_t *done) {
+    const __m512i seed = _mm512_set1_epi64((long long)mixed_seed);
+    __m512i acc0 = _mm512_setzero_si512(), acc1 = _mm512_setzero_si512();
+    uint64_t lanes[8], acc = 0;
+    int64_t i, l;
+    for (i = 0; i + 16 <= nwords; i += 16) {
+        const __m512i w0 = _mm512_loadu_si512(p + 8 * i);
+        const __m512i w1 = _mm512_loadu_si512(p + 8 * i + 64);
+        acc0 = _mm512_xor_si512(acc0, repro_splitmix64x8(_mm512_ternarylogic_epi64(
+            w0, repro_positions_x8(i), seed, 0x96)));
+        acc1 = _mm512_xor_si512(acc1, repro_splitmix64x8(_mm512_ternarylogic_epi64(
+            w1, repro_positions_x8(i + 8), seed, 0x96)));
+    }
+    _mm512_storeu_si512(lanes, _mm512_xor_si512(acc0, acc1));
+    for (l = 0; l < 8; l++) acc ^= lanes[l];
+    *done = i;
+    return acc;
+}
+#endif
+
+/* The digest of one block of `len` bytes at p. */
+static inline uint64_t repro_digest_block(const uint8_t *p, int64_t len,
+                                          uint64_t mixed_seed) {
+    const int64_t nwords = len >> 3;
+    int64_t i = 0;
+    uint64_t acc = 0;
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+    acc = repro_mix_words(p, nwords, mixed_seed, &i);
+#endif
+    for (; i < nwords; i++)
+        acc ^= repro_splitmix64(repro_load_le64(p + 8 * i, 8)
+                                ^ repro_splitmix64((uint64_t)i) ^ mixed_seed);
+    if (len & 7)
+        acc ^= repro_splitmix64(repro_load_le64(p + 8 * nwords, (size_t)(len & 7))
+                                ^ repro_splitmix64((uint64_t)nwords) ^ mixed_seed);
+    return repro_finalise(acc ^ repro_splitmix64((uint64_t)len) ^ mixed_seed);
+}
+
 void repro_block_digests(const uint8_t *data, int64_t nbytes,
                          int64_t block_size, uint64_t seed, uint64_t *out) {
     const uint64_t mixed_seed = repro_splitmix64(seed);
     const int64_t num_blocks =
         nbytes > 0 ? (nbytes + block_size - 1) / block_size : 1;
-    int64_t b, i;
+    int64_t b;
     for (b = 0; b < num_blocks; b++) {
-        const uint8_t *p = data + b * block_size;
         const int64_t rest = nbytes - b * block_size;
-        const int64_t len = rest < block_size ? rest : block_size;
-        const int64_t nwords = len >> 3;
-        uint64_t acc = 0;
-        for (i = 0; i < nwords; i++)
-            acc ^= repro_splitmix64(repro_load_le64(p + 8 * i, 8)
-                                    ^ repro_splitmix64((uint64_t)i)
-                                    ^ mixed_seed);
-        if (len & 7)
-            acc ^= repro_splitmix64(
-                repro_load_le64(p + 8 * nwords, (size_t)(len & 7))
-                ^ repro_splitmix64((uint64_t)nwords) ^ mixed_seed);
-        out[b] = repro_finalise(
-            acc ^ repro_splitmix64((uint64_t)len) ^ mixed_seed);
+        out[b] = repro_digest_block(data + b * block_size,
+                                    rest < block_size ? rest : block_size, mixed_seed);
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Batched device reads (BlockDevice.read_ranges on a file device,     */
+/* block b at byte b * block_size of fd).  Run i is                    */
+/* runs[2i .. 2i+1] = (first block, block count); its blocks, whose    */
+/* lengths are sizes[] (-1: never written), land back to back in       */
+/* `scratch`, one pread per run (per block where a short block breaks  */
+/* the grid), are hashed where they landed and checked against         */
+/* digests[], and are charged as BlockDevice._charge charges a run:    */
+/* counts = {has_last, last block, random, sequential, block reads,    */
+/* bytes read} and *seconds summed in the same order.  Only when every */
+/* block of every run checked out are the copies applied -- bytes     */
+/* [skip, skip + length) of run i to out + at, with                    */
+/* copies[3i .. 3i+2] = (skip, length, at) -- and the charges written  */
+/* back.  Otherwise nothing is copied or charged, and the status names */
+/* why, for the per-run path to redo the runs and raise: 1 a block     */
+/* never written or off the device (or a run shorter than its copy),   */
+/* 2 a read error or short read, 3 the scratch too small, 4 a digest   */
+/* mismatch.                                                           */
+/* ------------------------------------------------------------------ */
+
+static int repro_pread_full(int fd, uint8_t *into, int64_t n, int64_t offset) {
+    while (n > 0) {
+        const ssize_t got = pread(fd, into, (size_t)n, (off_t)offset);
+        if (got < 0 && errno == EINTR) continue;
+        if (got <= 0) return -1;
+        into += got;
+        n -= got;
+        offset += got;
+    }
+    return 0;
+}
+
+int64_t repro_read_runs(int64_t fd, int64_t block_size, uint64_t seed,
+                        const int64_t *runs, const int64_t *copies, int64_t num_runs,
+                        const int64_t *sizes, const uint64_t *digests,
+                        int64_t num_blocks, uint8_t *scratch, int64_t scratch_len,
+                        uint8_t *out, double *seconds, int64_t *counts,
+                        double random_seconds, double sequential_seconds) {
+    const uint64_t mixed_seed = repro_splitmix64(seed);
+    double s = *seconds;
+    int64_t c[6], i, b, at = 0;
+    memcpy(c, counts, sizeof c);
+    for (i = 0; i < num_runs; i++) {
+        const int64_t first = runs[2 * i], n = runs[2 * i + 1];
+        int64_t total = 0, on_grid = 1, k;
+        if (first < 0 || n < 1 || first > num_blocks - n) return 1;
+        for (b = first; b < first + n; b++) {
+            if (sizes[b] < 0) return 1;
+            on_grid &= b == first + n - 1 || sizes[b] == block_size;
+            total += sizes[b];
+        }
+        if (copies[3 * i] + copies[3 * i + 1] > total) return 1;
+        if (at + total > scratch_len) return 3;
+        if (on_grid) {
+            if (total && repro_pread_full((int)fd, scratch + at, total, first * block_size))
+                return 2;
+        } else {
+            for (b = first, k = at; b < first + n; k += sizes[b++])
+                if (repro_pread_full((int)fd, scratch + k, sizes[b], b * block_size))
+                    return 2;
+        }
+        for (b = first, k = at; b < first + n; k += sizes[b++])
+            if (repro_digest_block(scratch + k, sizes[b], mixed_seed) != digests[b])
+                return 4;
+        if (!(c[0] && first == c[1] + 1)) {
+            c[2] += 1;
+            s += random_seconds;
+            k = n - 1;
+        } else {
+            k = n;
+        }
+        c[3] += k;
+        while (k-- > 0) s += sequential_seconds;
+        c[0] = 1;
+        c[1] = first + n - 1;
+        c[4] += n;
+        c[5] += total;
+        at += total;
+    }
+    for (i = 0, at = 0; i < num_runs; i++) {
+        const int64_t first = runs[2 * i], n = runs[2 * i + 1];
+        memcpy(out + copies[3 * i + 2], scratch + at + copies[3 * i], (size_t)copies[3 * i + 1]);
+        for (b = first; b < first + n; b++) at += sizes[b];
+    }
+    *seconds = s;
+    memcpy(counts, c, sizeof c);
+    return 0;
 }
 """
 
@@ -672,11 +832,18 @@ _SIGNATURES = {
     "repro_seg_xor_u32": [_P, _I64, _I64, _I64, _P, _I64, _P, _I64, _P],
     "repro_decode_column": [_P, _P, _I64, _I64, _U64, _U64, _P, _P, _P],
     "repro_block_digests": [_P, _I64, _I64, _U64, _P],
+    "repro_read_runs": [
+        _I64, _I64, _U64, _P, _P, _I64, _P, _P, _I64, _P, _I64, _P, _P, _P,
+        ctypes.c_double, ctypes.c_double,
+    ],
     "repro_sample_components": [_I64, _I64, _I64, _P, _P, _U64, *[_P] * 13, _I64],
     "repro_round_tail": [_P, _P, _P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P, _P, _I64],
     "repro_boruvka": [_P, _I64, _I64, _I64, _P, _P, _I64, _I64, _I64, _U64, _I64, *[_P] * 19],
 }
-_RETURNS = {"repro_sample_components", "repro_round_tail", "repro_boruvka", "repro_canonical_edges"}
+_RETURNS = {
+    "repro_sample_components", "repro_round_tail", "repro_boruvka", "repro_canonical_edges",
+    "repro_read_runs",
+}
 
 
 def _cache_dir() -> str:
@@ -1068,6 +1235,47 @@ class CcKernels:
             _addr(raw), raw.size, block_size, seed & 0xFFFFFFFFFFFFFFFF, _addr(out),
         )
         return out
+
+    def read_runs(self, device, runs: np.ndarray, scratch, out: np.ndarray,
+                  copies: np.ndarray, attempt) -> None:
+        """One scratchful of a file device's runs in one C call.
+
+        ``repro_read_runs`` preads each run's blocks into ``scratch``,
+        hashes and checks every one, charges them as ``_charge`` would
+        and, only when all checked out, copies each run's ``(skip,
+        length, at)`` range into ``out`` and hands the charges back.  A
+        device with no file, or a scratchful that did not check out
+        (a block never written, a read error, a digest mismatch), goes to
+        the numpy provider's per-run path, which charges each block once
+        and raises what a read of its own would.
+        """
+        if device._fd >= 0:
+            runs, copies = _as_i64(runs), _as_i64(copies)
+            scratch = np.frombuffer(scratch, dtype=np.uint8)
+            stats, last, profile = device.stats, device._last_block_accessed, device.profile
+            sizes, digests = device._sizes, device._digests
+            seconds = np.array([stats.modelled_seconds])
+            counts = np.array(
+                [last is not None, last or 0, stats.random_accesses,
+                 stats.sequential_accesses, stats.block_reads, stats.bytes_read],
+                dtype=np.int64,
+            )
+            status = self._lib.repro_read_runs(
+                device._fd, device.block_size, DIGEST_SEED, _addr(runs), _addr(copies),
+                len(runs), _addr(sizes), _addr(digests), sizes.size, _addr(scratch),
+                scratch.size, _addr(out), _addr(seconds), _addr(counts),
+                profile.random_seconds_per_block, profile.sequential_seconds_per_block,
+            )
+            if status == 0:
+                (has_last, last, stats.random_accesses, stats.sequential_accesses,
+                 stats.block_reads, stats.bytes_read) = counts.tolist()
+                device._last_block_accessed = last if has_last else None
+                stats.modelled_seconds = float(seconds[0])
+                registry = default_registry()
+                if registry.enabled:
+                    registry.counter("integrity.blocks_digested").inc(int(runs[:, 1].sum()))
+                return
+        NUMPY_KERNELS.read_runs(device, runs, scratch, out, copies, attempt)
 
 
 class CcBoruvka:

@@ -204,6 +204,22 @@ class NumpyKernels:
 
         return numpy_block_digests(data, block_size, seed)
 
+    def read_runs(self, device, runs: np.ndarray, scratch, out: np.ndarray,
+                  copies: np.ndarray, attempt) -> None:
+        """Read one scratchful of a block device's ``runs`` into ``scratch``,
+        verify every block, then copy each run's ``(skip, length, at)``
+        range to ``out`` (see
+        :meth:`~repro.memory.block_device.BlockDevice.read_ranges`): the
+        per-run path, each run fetched and charged through ``attempt``."""
+        from repro.integrity.digest import byte_view
+
+        lengths = device._read_runs(runs, byte_view(scratch), attempt)
+        source = np.frombuffer(scratch, dtype=np.uint8)
+        at = 0
+        for (skip, length, dest), nbytes in zip(copies.tolist(), lengths):
+            out[dest : dest + length] = source[at + skip : at + skip + length]
+            at += nbytes
+
 
 #: What ``resolve_kernels("numpy")`` returns and every pool, sketch and
 #: block device holds unless given another provider.

@@ -10,10 +10,10 @@ scratch, not durable storage -- nothing is fsynced; snapshots are the
 durable path.
 
 The :class:`BlockDevice` base keeps everything but the bytes: per-block
-lengths and write-time digests (verified on every read), fault-plan bit
-rot, and the accounting that charges every access to an
-:class:`~repro.memory.metrics.IOStats` instance according to a latency
-profile.  Sequential accesses (the block following the previously
+lengths and write-time digests (two numpy arrays indexed by block id,
+verified on every read), fault-plan bit rot, and the accounting that
+charges every access to an :class:`~repro.memory.metrics.IOStats`
+instance according to a latency profile.  Sequential accesses (the block following the previously
 accessed block) are charged less than random accesses, mirroring how
 SSD throughput differs between streaming and random 16 KB reads.  So
 the counters and the modelled time are the same whatever holds the
@@ -33,8 +33,9 @@ import tempfile
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import CorruptionError, StorageError
 from repro.integrity.digest import Buffer, block_digests, byte_view
@@ -106,6 +107,12 @@ class BlockDevice:
     mismatch.
     """
 
+    #: The descriptor of the file block ``b`` sits in at byte
+    #: ``b * block_size``, which the compiled ``read_runs`` reads
+    #: directly; -1 where the bytes live elsewhere (or nowhere yet), and
+    #: then every batch takes the per-run path.
+    _fd = -1
+
     def __init__(
         self,
         block_size: int = DEFAULT_BLOCK_SIZE,
@@ -123,11 +130,11 @@ class BlockDevice:
         #: (``site="block"`` specs); the hybrid layer keeps it in sync
         #: with its own plan.
         self.fault_plan = None
-        #: Per-block records, indexed by block id: the stored length
-        #: (-1: never written, or discarded) and the write-time digest
-        #: (``None`` for a discarded block).
-        self._sizes: List[int] = []
-        self._digests: List[Optional[int]] = []
+        #: Per-block records, indexed by block id and grown by doubling:
+        #: the stored length (-1: never written, or discarded) and the
+        #: write-time digest (0 where the length is -1).
+        self._sizes = np.full(0, -1, dtype=np.int64)
+        self._digests = np.zeros(0, dtype=np.uint64)
         self._last_block_accessed: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -147,7 +154,7 @@ class BlockDevice:
         """Drop a block without charging an I/O (TRIM-style discard)."""
         if 0 <= block_id < len(self._sizes):
             self._sizes[block_id] = -1
-            self._digests[block_id] = None
+            self._digests[block_id] = 0
 
     # ------------------------------------------------------------------
     def write_blob(
@@ -201,15 +208,13 @@ class BlockDevice:
     ) -> None:
         """Note the lengths and digests of a blob just written."""
         stop = start_block + num_blocks
-        sizes = self._sizes
-        if stop > len(sizes):
-            grow = stop - len(sizes)
-            sizes.extend([-1] * grow)
-            self._digests.extend([None] * grow)
+        if stop > len(self._sizes):
+            grow = max(stop, 2 * len(self._sizes)) - len(self._sizes)
+            self._sizes = np.concatenate([self._sizes, np.full(grow, -1, np.int64)])
+            self._digests = np.concatenate([self._digests, np.zeros(grow, np.uint64)])
         block_size = self.block_size
-        sizes[start_block:stop] = [block_size] * (num_blocks - 1) + [
-            nbytes - (num_blocks - 1) * block_size
-        ]
+        self._sizes[start_block:stop] = block_size
+        self._sizes[stop - 1] = nbytes - (num_blocks - 1) * block_size
         self._digests[start_block:stop] = digests
 
     def read_into(
@@ -231,50 +236,68 @@ class BlockDevice:
         """
         view = byte_view(out)
         sizes = self._gather(start_block, num_blocks, view, 0)
-        total = sum(sizes)
-        block_ids = range(start_block, start_block + num_blocks)
-        return total, self._verify(block_ids, view, sizes)
+        block_ids = np.arange(start_block, start_block + num_blocks)
+        return sum(sizes), self._verify(block_ids, view, sizes)
 
     def read_ranges(
         self,
-        runs: Sequence[Tuple[int, int]],
-        out: Buffer,
+        runs: np.ndarray,
+        scratch: Buffer,
+        attempt: Callable[[Callable[[], List[int]]], List[int]],
+        out: np.ndarray,
+        copies: np.ndarray,
+        batch: bool = False,
+    ) -> None:
+        """Read several runs of consecutive blocks back to back, verify them, copy out.
+
+        ``runs`` is an int64 ``(k, 2)`` array of ``(start_block,
+        num_blocks)``; their blocks land in the front of ``scratch`` one
+        run after another, and each run is charged as :meth:`read_into`
+        would charge it, in order, so the random/sequential split and
+        ``modelled_seconds`` are those of one :meth:`read_into` per run.
+        Every block is compared against its write-time record, and only
+        then is each run's ``copies`` row ``(skip, length, at)`` applied:
+        bytes ``[skip, skip + length)`` of the run go to
+        ``out[at : at + length]`` (``out`` a C-contiguous ``uint8``
+        array).  The first mismatch, in run order, raises
+        :class:`~repro.exceptions.CorruptionError` with nothing copied.
+
+        With ``batch`` (the caller arms no fault plan and no deadline)
+        the kernel provider reads the runs in one call
+        (``kernels.read_runs``).  Otherwise, and wherever that call
+        declines, :meth:`_read_runs` does them one at a time through
+        ``attempt`` (the hybrid memory's fault/deadline/retry loop), so a
+        failed run is retried alone and the batch resumes at it.
+        """
+        kernels = self.kernels if batch else NUMPY_KERNELS
+        kernels.read_runs(self, runs, scratch, out, copies, attempt)
+
+    def _read_runs(
+        self,
+        runs: np.ndarray,
+        view: memoryview,
         attempt: Callable[[Callable[[], List[int]]], List[int]],
     ) -> List[int]:
-        """Read several runs of consecutive blocks back to back, verified once.
-
-        ``runs`` is a sequence of ``(start_block, num_blocks)``; their
-        blocks are fetched into the front of ``out`` one run after
-        another and each run is charged as :meth:`read_into` would
-        charge it, in order, so the random/sequential split and
-        ``modelled_seconds`` are those of one :meth:`read_into` per run.
-        ``attempt`` (the hybrid memory's fault/deadline/retry loop) is
-        called with every run's fetch and returns its result, so a
-        failed run is retried alone and the batch resumes at it.  Then
-        **one** :func:`block_digests` call hashes everything that
-        landed (as in :meth:`read_into`), and every block is compared
-        against its write-time record before this returns: the first
-        mismatch, in run order, raises
-        :class:`~repro.exceptions.CorruptionError`, leaving unverified
-        bytes in ``out`` for the caller to drop.  A run whose fetch
-        fails for good verifies what was fetched before it first, so
-        corruption there still surfaces ahead of the device error.
-        Returns the byte count of each run.
+        """The per-run path of :meth:`read_ranges`: fetch and charge each run
+        through ``attempt``, then **one** :func:`block_digests` call over
+        everything that landed and the checks.  A run whose fetch fails
+        for good verifies what was fetched before it first, so corruption
+        there still surfaces ahead of the device error.  Returns the byte
+        count of each run.
         """
-        view = byte_view(out)
         sizes: List[int] = []
         lengths: List[int] = []
         total = 0
         try:
-            for start_block, num_blocks in runs:
+            for start_block, num_blocks in runs.tolist():
                 run_sizes = attempt(partial(self._gather, start_block, num_blocks, view, total))
                 sizes += run_sizes
                 lengths.append(sum(run_sizes))
                 total += lengths[-1]
         except OSError:
-            self._verify_runs(runs[: len(lengths)], view, sizes)
+            self._verify(_block_ids(runs[: len(lengths)]), view, sizes)
             raise
-        self._verify_runs(runs, view, sizes)
+        self._verify(_block_ids(runs), view, sizes)
         return lengths
 
     def _gather(self, start_block: int, num_blocks: int, view: memoryview, at: int) -> List[int]:
@@ -282,8 +305,8 @@ class BlockDevice:
 
         Returns the sizes of the blocks copied.
         """
-        sizes = self._sizes[start_block : start_block + num_blocks] if start_block >= 0 else []
-        if len(sizes) < num_blocks or -1 in sizes:
+        sizes = self._sizes[max(start_block, 0) : start_block + num_blocks].tolist()
+        if start_block < 0 or len(sizes) < num_blocks or -1 in sizes:
             missing = start_block + (sizes.index(-1) if -1 in sizes else len(sizes))
             raise StorageError(f"block {missing} has never been written")
         total = sum(sizes)
@@ -294,20 +317,15 @@ class BlockDevice:
         self._charge(start_block, num_blocks, is_write=False, nbytes=total)
         return sizes
 
-    def _verify_runs(
-        self, runs: Sequence[Tuple[int, int]], view: memoryview, sizes: List[int]
-    ) -> None:
-        block_ids = chain.from_iterable(range(s, s + n) for s, n in runs)
-        self._verify(block_ids, view, sizes)
-
-    def _verify(self, block_ids: Iterable[int], view: memoryview, sizes: List[int]) -> List[int]:
+    def _verify(self, block_ids: np.ndarray, view: memoryview, sizes: List[int]) -> List[int]:
         """Hash the blocks joined at the front of ``view`` and check each one.
 
         ``sizes`` are the joined blocks' sizes, ``block_ids`` their ids
         in the same order.  One :func:`block_digests` call covers them
         all while they sit on the ``block_size`` grid; a short block
         before the last one (or an empty last one) puts them off it, and
-        then each block is hashed alone.  Returns the digests.
+        then each block is hashed alone.  The expected digests are one
+        gather of the records.  Returns the digests.
         """
         if not sizes:
             return []
@@ -320,15 +338,15 @@ class BlockDevice:
             for size in sizes:
                 digests.append(self.block_digests(view[stop : stop + size])[0])
                 stop += size
-        recorded = self._digests
-        for block_id, digest in zip(block_ids, digests):
-            if digest != recorded[block_id]:
-                self.stats.checksum_failures += 1
-                raise CorruptionError(
-                    f"block {block_id} failed checksum verification "
-                    f"({self._sizes[block_id]} bytes): stored content no "
-                    f"longer matches its write-time digest"
-                )
+        bad = np.flatnonzero(np.array(digests, dtype=np.uint64) != self._digests[block_ids])
+        if bad.size:
+            block_id = int(block_ids[bad[0]])
+            self.stats.checksum_failures += 1
+            raise CorruptionError(
+                f"block {block_id} failed checksum verification "
+                f"({self._sizes[block_id]} bytes): stored content no "
+                f"longer matches its write-time digest"
+            )
         return digests
 
     def block_digests(self, payload: Buffer) -> List[int]:
@@ -338,12 +356,11 @@ class BlockDevice:
     # ------------------------------------------------------------------
     @property
     def blocks_in_use(self) -> int:
-        return len(self._sizes) - self._sizes.count(-1)
+        return int(np.count_nonzero(self._sizes >= 0))
 
     @property
     def bytes_in_use(self) -> int:
-        # Each unwritten block's -1 is cancelled by the count.
-        return sum(self._sizes) + self._sizes.count(-1)
+        return int(self._sizes[self._sizes >= 0].sum())
 
     def _charge(self, start_block: int, num_blocks: int, is_write: bool, nbytes: int) -> None:
         """Charge a run of consecutive blocks holding ``nbytes`` in all.
@@ -390,7 +407,9 @@ class FileBlockDevice(BlockDevice):
     Block ``b`` sits at byte ``b * block_size``; a blob is one
     ``os.pwrite`` and a run of blocks one ``os.preadv`` straight into the
     caller's buffer (a short block inside a run leaves a hole in the
-    file, so such a run is read block by block).  The file is made at
+    file, so such a run is read block by block) -- or, for a batch of
+    runs, a ``pread`` each inside the compiled ``read_runs``, which
+    reads the file through its descriptor.  The file is made at
     the first write and closed when the device is collected; a
     ``copy.deepcopy`` gets a file of its own with the same contents.  A
     process forked after the first write inherits the descriptor, but
@@ -444,6 +463,13 @@ class FileBlockDevice(BlockDevice):
                 _pwrite(target, memoryview(chunk), offset)
                 offset += len(chunk)
         return clone
+
+
+def _block_ids(runs: np.ndarray) -> np.ndarray:
+    """The ids of every block of ``runs``, run after run."""
+    starts, counts = runs[:, 0], runs[:, 1]
+    before = np.cumsum(counts) - counts
+    return np.repeat(starts - before, counts) + np.arange(int(counts.sum()))
 
 
 def _pread(fd: int, into: memoryview, offset: int) -> None:

@@ -34,6 +34,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.exceptions import (
     CircuitOpenError,
     CorruptionError,
@@ -172,11 +174,11 @@ class HybridMemory:
         self._payload_digests: Dict[Hashable, List[int]] = {}
         self._next_block = 0
         self._reserved_bytes = 0
-        #: The one buffer the memory itself holds: :meth:`load_ranges`
+        #: The one buffer the memory itself holds: :meth:`load_ranges_into`
         #: reads the blocks a batch of ranges straddles into it (at most
         #: :data:`RANGE_SCRATCH_BLOCKS` at a time, at least the largest
         #: range), charged to the budget as :attr:`cached_bytes`.
-        self._range_scratch = bytearray()
+        self._range_scratch = np.empty(0, dtype=np.uint8)
         self._scratch_charged = 0
         #: Callbacks fired on every memory-pressure event (refused
         #: reservation or injected allocation squeeze); the paged pool
@@ -325,76 +327,96 @@ class HybridMemory:
     def load_ranges(self, requests: Sequence[Tuple[Hashable, int, Buffer]]) -> List[int]:
         """Fill each ``out`` with the bytes at ``offset`` of ``key``'s payload.
 
+        :meth:`load_ranges_into` for ``(key, offset, out)`` requests whose
+        ``out`` (any writable contiguous buffer; its length is the
+        range's) is a buffer of its own: the batch lands in one joined
+        buffer, copied out once the whole batch has been verified.
+        Returns the bytes copied per request.
+        """
+        views = [byte_view(out) for _, _, out in requests]
+        lengths = np.array([len(view) for view in views], dtype=np.int64)
+        at = np.cumsum(lengths) - lengths
+        joined = np.empty(int(lengths.sum()), dtype=np.uint8)
+        copied = self.load_ranges_into(
+            [key for key, _, _ in requests],
+            np.array([offset for _, offset, _ in requests], dtype=np.int64),
+            joined, at, lengths,
+        ).tolist()
+        for view, start, nbytes in zip(views, at.tolist(), copied):
+            view[:nbytes] = joined[start : start + nbytes]
+        return copied
+
+    def load_ranges_into(
+        self,
+        keys: Sequence[Hashable],
+        offsets: np.ndarray,
+        out: np.ndarray,
+        at: np.ndarray,
+        lengths: np.ndarray,
+    ) -> np.ndarray:
+        """Copy ``lengths[i]`` bytes at ``offsets[i]`` of ``keys[i]``'s payload
+        to ``out[at[i]:]``, every range clipped to its payload.
+
         The paged tensor pool's query path: one Boruvka round occupies a
         contiguous byte range of every node-group page, so a page only
         pays the block reads covering that range, and a round's pages
-        are read as **one** batch of ``(key, offset, out)`` requests
-        (``out`` is the page's slice of the query slab; its length is
-        the range's, clipped to the payload).  Exactly the blocks each
-        range straddles are read and charged, in request order; they
-        land back to back in the reusable scratch, which is hashed with
-        one digest call per scratchful, and every block is verified
-        against its write-time digest before any byte of that
-        scratchful is copied out.  The whole batch is one device
-        operation to the circuit breaker, one ``memory.load_ranges``
-        span and, inside it, one ``device.read`` span, while the fault
-        plan, the deadline and the retry policy apply to each range as
-        they would to a read of its own.  Returns the bytes copied per
-        request.  Not re-entrant (one scratch): callers serialise range
-        reads.
+        are read as **one** batch (``out`` is the query slab's bytes, a
+        C-contiguous ``uint8`` array; ``offsets`` may be one offset for
+        every request).  Exactly the blocks each range straddles are read
+        and charged, in request order; they land back to back in the
+        reusable scratch, and every block of a scratchful is verified
+        against its write-time digest before any byte of it is copied
+        out.  With no fault plan and no deadline armed, a scratchful is
+        one ``kernels.read_runs`` call (read, verify, charge, copy); else
+        each range goes through the fault plan, the deadline and the
+        retry policy as a read of its own would
+        (:meth:`BlockDevice.read_ranges`).  The whole batch is one device
+        operation to the circuit breaker, one ``memory.load_ranges`` span
+        and, inside it, one ``device.read`` span.  Returns the bytes
+        copied per request.  Not re-entrant (one scratch): callers
+        serialise range reads.
         """
         with span("memory.load_ranges"):
-            block_size = self.block_size
-            copied = [0] * len(requests)
-            # Plain ints per range -- a query round holds one entry per
-            # spilled page, so no view is kept alive before its copy-out.
-            reads = []  # (request index, first block, blocks, skip, length)
-            for index, (key, offset, out) in enumerate(requests):
-                if offset < 0:
-                    raise StorageError("offset must be non-negative")
-                start, _, stored_length = self._allocations[key]
-                stop = min(offset + len(byte_view(out)), stored_length)
-                if stop > offset:
-                    first = offset // block_size
-                    num_blocks = -(-stop // block_size) - first
-                    skip = offset - first * block_size
-                    reads.append((index, start + first, num_blocks, skip, stop - offset))
-            if not reads:
+            count = len(keys)
+            allocations = np.array(
+                [self._allocations[key] for key in keys], dtype=np.int64
+            ).reshape(count, 3)
+            offsets = np.broadcast_to(np.asarray(offsets, dtype=np.int64), (count,))
+            if (offsets < 0).any():
+                raise StorageError("offset must be non-negative")
+            stop = np.minimum(offsets + lengths, allocations[:, 2])
+            copied = np.maximum(stop - offsets, 0)
+            live = np.flatnonzero(copied)
+            if not live.size:
                 return copied
-            scratch = self._scratch(
-                sum(read[2] for read in reads), max(read[2] for read in reads)
-            )
+            if out.dtype != np.uint8 or not (out.flags.c_contiguous and out.flags.writeable):
+                raise ValueError("out must be a writable C-contiguous uint8 array")
+            if (at[live] < 0).any() or (at[live] + copied[live] > out.size).any():
+                raise ValueError(f"a {out.size}-byte buffer cannot take every range")
+            block_size = self.block_size
+            first = offsets[live] // block_size
+            blocks = -(-stop[live] // block_size) - first
+            runs = np.stack([allocations[live, 0] + first, blocks], axis=1)
+            copies = np.stack([offsets[live] - first * block_size, copied[live], at[live]], axis=1)
+            scratch = self._scratch(int(blocks.sum()), int(blocks.max()))
             capacity = len(scratch) // block_size
+            ends = np.cumsum(blocks)
+            batch = self.fault_plan is None and self.deadline_seconds is None
+            attempt = partial(self._retried_call, is_write=False)
 
             def read_scratchfuls() -> None:
-                first, used = 0, 0
-                for last, read in enumerate(reads):
-                    if used + read[2] > capacity:
-                        self._read_scratchful(requests, reads[first:last], scratch, copied)
-                        first, used = last, 0
-                    used += read[2]
-                self._read_scratchful(requests, reads[first:], scratch, copied)
+                lo, used = 0, 0
+                while lo < len(runs):
+                    hi = int(np.searchsorted(ends, used + capacity, side="right"))
+                    self.device.read_ranges(
+                        runs[lo:hi], scratch, attempt, out, copies[lo:hi], batch
+                    )
+                    lo, used = hi, int(ends[hi - 1])
 
             self._admitted(read_scratchfuls, is_write=False)
             return copied
 
-    def _read_scratchful(
-        self, requests: Sequence, reads: list, scratch: bytearray, copied: List[int]
-    ) -> None:
-        """Read, verify and copy out the ``reads`` that fit one scratch."""
-        run_bytes = self.device.read_ranges(
-            [(first, num_blocks) for _, first, num_blocks, _, _ in reads],
-            scratch,
-            partial(self._retried_call, is_write=False),
-        )
-        source = memoryview(scratch)
-        at = 0
-        for (index, _, _, skip, length), nbytes in zip(reads, run_bytes):
-            byte_view(requests[index][2])[:length] = source[at + skip : at + skip + length]
-            copied[index] = length
-            at += nbytes
-
-    def _scratch(self, total_blocks: int, largest_blocks: int) -> bytearray:
+    def _scratch(self, total_blocks: int, largest_blocks: int) -> np.ndarray:
         """The range-read buffer for a batch of ``total_blocks`` blocks.
 
         Sized to the batch, capped at :data:`RANGE_SCRATCH_BLOCKS` and at
@@ -409,7 +431,7 @@ class HybridMemory:
             blocks = min(blocks, (self.ram_bytes - self._reserved_bytes) // block_size)
         nbytes = max(blocks, largest_blocks) * block_size
         if len(self._range_scratch) < nbytes:
-            self._range_scratch = bytearray(nbytes)
+            self._range_scratch = np.empty(nbytes, dtype=np.uint8)
             if not self.is_unbounded:
                 self._scratch_charged = min(nbytes, self.ram_bytes - self._reserved_bytes)
         return self._range_scratch
@@ -570,8 +592,8 @@ class HybridMemory:
     def _admitted(self, call: Callable[[], T], is_write: bool) -> T:
         """Run ``call`` as one device operation: breaker admission and span.
 
-        :meth:`load_ranges` runs a whole batch of range reads as one such
-        operation, each read going through :meth:`_retried_call` inside.
+        :meth:`load_ranges_into` runs a whole batch of range reads as one
+        such operation, each read going through :meth:`_retried_call` inside.
         """
         if self.breaker is not None:
             try:
@@ -597,7 +619,7 @@ class HybridMemory:
 
     def _retried_call(self, call: Callable[[], T], is_write: bool) -> T:
         """The retry loop (fault plan + deadline) of :meth:`_device_call`
-        and of each range of a :meth:`load_ranges` batch."""
+        and of each range of a :meth:`load_ranges_into` batch."""
         attempts = self.retry.attempts if self.retry is not None else 1
         failed = 0
         while True:

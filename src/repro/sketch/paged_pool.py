@@ -25,7 +25,7 @@ geometry, back to back in plane order.  Round-major
 *within the page* means one Boruvka round of the page is a contiguous
 byte range of the payload, so the query side rebuilds a whole round
 slab with **one batched range read**
-(:meth:`~repro.memory.hybrid.HybridMemory.load_ranges`): a page that is
+(:meth:`~repro.memory.hybrid.HybridMemory.load_ranges_into`): a page that is
 not resident contributes only the blocks its round stripe straddles, roughly
 ``1 / num_rounds`` of the page, instead of a whole-page (or per-node
 blob) round trip, and the round's stripes share one device operation
@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,8 +224,10 @@ class PagedTensorPool(NodeTensorPool):
         self._assembled: Dict[int, Tuple[int, int]] = {}
         # Working-set telemetry (page_ins counts misses that had to read
         # the device; partial_reads counts query-side round stripes
-        # served by byte-range loads; frame-table hits and misses at
-        # _pin are memory.stats.cache_hits / cache_misses).
+        # served by byte-range loads; frame-table hits at _pin, and the
+        # misses that found a stored page, are memory.stats.cache_hits /
+        # cache_misses -- the first pin of a never-written page is
+        # neither, as it reads nothing).
         self.page_ins = 0
         self.page_writebacks = 0
         self.partial_reads = 0
@@ -306,6 +308,7 @@ class PagedTensorPool(NodeTensorPool):
         try:
             key = self._page_key(page)
             if key in self.memory:
+                self.memory.stats.cache_misses += 1
                 with span("page.materialize"):
                     self.memory.load(key, frame)
                     self.page_ins += 1
@@ -340,7 +343,6 @@ class PagedTensorPool(NodeTensorPool):
                 self._resident[page] = self._resident.pop(page)
                 self._pins[page] = self._pins.get(page, 0) + 1
                 return entry
-            self.memory.stats.cache_misses += 1
             entry = self._page_in(page)
             # Pin BEFORE evicting: when every other resident page is
             # pinned (a one-page working set, or concurrent pins), the
@@ -607,39 +609,46 @@ class PagedTensorPool(NodeTensorPool):
     # ------------------------------------------------------------------
     # query-side slab assembly
     # ------------------------------------------------------------------
-    def _read_round_stripes(
-        self, plane: int, round_index: int, stripes: Iterable[Tuple[int, np.ndarray]]
-    ) -> None:
-        """Copy each ``(page, out)`` page's plane stripe of a round into its ``out``.
+    def _read_round_stripes(self, plane: int, round_index: int, slab: np.ndarray) -> None:
+        """Copy every page's plane stripe of a round into its rows of ``slab``.
 
-        ``out`` is a C-contiguous ``(page_nodes, cols, rows)`` array
-        (the page's slice of the query slab), so tail pages hand over
-        only the node rows they own.  A resident page copies out of its
-        frame and a never-written one is zeros; every other page pays a
-        partial-range read covering only this round's bytes, all of
-        them in **one** batched
-        :meth:`~repro.memory.hybrid.HybridMemory.load_ranges` that
-        verifies the blocks before copying them straight into ``out``.
+        ``slab`` is the C-contiguous ``(num_nodes, cols, rows)`` query
+        slab, so tail pages hand over only the node rows they own.  A
+        resident page copies out of its frame and a never-written one is
+        zeros; every other page pays a partial-range read covering only
+        this round's bytes, all of them in **one** batched
+        :meth:`~repro.memory.hybrid.HybridMemory.load_ranges_into` that
+        verifies the blocks before copying them straight into the slab.
         Queries deliberately do not promote pages into the working set
         -- a round scan touching every page would evict the fold path's
         hot pages for read-only data.
         """
-        offset = self._round_stripe_offset(plane, round_index)
+        bounds = self.page_bounds
         with self._lock:
-            requests = []
-            for page, out in stripes:
-                entry = self._resident.get(page)
-                if entry is not None:
-                    out[...] = entry[plane][round_index, : out.shape[0]]
-                    continue
-                memory_key = self._page_key(page)
-                if memory_key not in self.memory:
-                    out.fill(0)
-                    continue
-                requests.append((memory_key, offset, out))
-            if requests:
-                self.memory.load_ranges(requests)
-                self.partial_reads += len(requests)
+            spilled = np.ones(self.num_pages, dtype=bool)
+            for page, entry in self._resident.items():
+                lo, hi = int(bounds[page]), int(bounds[page + 1])
+                slab[lo:hi] = entry[plane][round_index, : hi - lo]
+                spilled[page] = False
+            keys, pages = [], []
+            for page in np.flatnonzero(spilled).tolist():
+                key = self._page_key(page)
+                if key in self.memory:
+                    keys.append(key)
+                    pages.append(page)
+                else:
+                    slab[bounds[page] : bounds[page + 1]] = 0
+            if pages:
+                lo, hi = bounds[pages], bounds[np.add(pages, 1)]
+                row_bytes = slab.strides[0]
+                self.memory.load_ranges_into(
+                    keys,
+                    self._round_stripe_offset(plane, round_index),
+                    slab.reshape(-1).view(np.uint8),
+                    lo * row_bytes,
+                    (hi - lo) * row_bytes,
+                )
+                self.partial_reads += len(pages)
 
     def _slab_buffer(self, plane: int) -> np.ndarray:
         """The persistent whole-graph round-slab buffer of one bucket plane.
@@ -680,12 +689,7 @@ class PagedTensorPool(NodeTensorPool):
             if self._assembled.get(plane) == (round_index, self._version):
                 return buf
             version = self._version
-        bounds = self.page_bounds.tolist()
-        self._read_round_stripes(
-            plane,
-            round_index,
-            ((page, buf[bounds[page] : bounds[page + 1]]) for page in range(self.num_pages)),
-        )
+        self._read_round_stripes(plane, round_index, buf)
         with self._lock:
             self._assembled[plane] = (round_index, version)
         return buf

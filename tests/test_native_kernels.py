@@ -28,10 +28,13 @@ from repro.core.boruvka import pool_spanning_forest
 from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, CorruptionError, StorageError
+from repro.integrity.digest import DIGEST_SEED
 from repro.kernels import native_kernels, native_unavailable_reason, resolve_kernels
 from repro.kernels.numpy_kernels import NUMPY_KERNELS
+from repro.memory.block_device import FileBlockDevice
 from repro.memory.hybrid import HybridMemory
+from repro.observability.metrics import default_registry
 from repro.sketch.flat_node_sketch import (
     FlatNodeSketch,
     decode_column_batch,
@@ -40,6 +43,7 @@ from repro.sketch.flat_node_sketch import (
 )
 from repro.sketch.paged_pool import PagedTensorPool
 from repro.sketch.tensor_pool import NodeTensorPool
+from dict_device import rot_stored_block
 from sketch_reference import (
     assert_node_state_matches,
     pool_geometry,
@@ -492,6 +496,122 @@ def test_portable_build_kernels_bit_identical(portable_build, force_wide):
 
 
 # ----------------------------------------------------------------------
+# the storage kernels of both builds: block digests and batched reads
+# ----------------------------------------------------------------------
+BUILDS = ["native", "portable"]
+
+
+def _build(build, request):
+    """This host's ``-march=native`` provider or the portable build's."""
+    return request.getfixturevalue("portable_build")[0] if build == "portable" else NATIVE
+
+
+def _digest_lengths(block_size: int):
+    """Payload lengths 0 .. 3 blocks + 1: all of them for small blocks; for
+    large ones, those around 0, 1, 2 and 3 blocks (every tail mod 8)."""
+    if block_size <= 16:
+        return range(3 * block_size + 2)
+    near = (n for k in (1, 2, 3) for n in range(k * block_size - 8, k * block_size + 2))
+    return sorted({*range(17), *near})
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_block_digests_bit_identical_to_numpy(build, request):
+    """The compiled digest -- the 8-lane AVX-512 body where the native build
+    has it, the scalar loop on the portable build -- gives numpy's values
+    for every tail length, block size, seed and start alignment."""
+    provider = _build(build, request)
+    source = np.random.default_rng(46).bytes(3 * 16384 + 1)
+    landing = np.zeros(len(source) + 8, dtype=np.uint8)  # 64-byte aligned
+    for block_size in (1, 7, 8, 16, 16384, None):  # None: the payload's own length
+        for length in _digest_lengths(block_size or 16384):
+            size = block_size or max(length, 1)
+            for seed in (DIGEST_SEED, 0, 2**63 + 0x2F):
+                want = NUMPY_KERNELS.block_digests(source[:length], size, seed).tolist()
+                for shift in range(8):
+                    data = landing[shift : shift + length]
+                    data[:] = np.frombuffer(source, np.uint8, length)
+                    got = provider.block_digests(data, size, seed).tolist()
+                    assert got == want, (block_size, length, seed, shift)
+
+
+def _read_runs_memory(kernels) -> HybridMemory:
+    """Three payloads on a 16-byte-block file device, one with a 5-byte tail."""
+    memory = HybridMemory(ram_bytes=1 << 20, block_size=16, kernels=kernels)
+    rng = np.random.default_rng(3)
+    for key, length in (("a", 40 * 16), ("b", 30 * 16 + 5), ("c", 50 * 16)):
+        memory.store(key, rng.integers(0, 256, length, dtype=np.uint8).tobytes())
+    return memory
+
+
+def _read_runs_batch(memory, out: np.ndarray):
+    """A seeded batch of straddling, clipped and empty ranges into ``out``:
+    the bytes copied per range, or the error the batch raised."""
+    rng = np.random.default_rng(9)
+    keys = [("a", "b", "c")[k] for k in rng.integers(0, 3, 60)]
+    offsets = rng.integers(0, 50 * 16, 60)
+    lengths = rng.integers(0, 5 * 16, 60)
+    at = np.cumsum(lengths) - lengths
+    try:
+        return memory.load_ranges_into(keys, offsets, out, at, lengths).tolist()
+    except (CorruptionError, StorageError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _read_runs_result(kernels, harm=None):
+    """What one batch through ``kernels`` read, copied, charged and hashed,
+    and how many runs the per-run path fetched; ``harm(memory)`` first
+    rots or discards stored blocks."""
+    memory = _read_runs_memory(kernels)
+    if harm is not None:
+        harm(memory)
+    gathered = []
+    gather = memory.device._gather
+    memory.device._gather = lambda *args: gathered.append(args[0]) or gather(*args)
+    out = np.full(60 * 5 * 16, 0xEE, dtype=np.uint8)
+    digested = default_registry().counter("integrity.blocks_digested").value
+    copied = _read_runs_batch(memory, out)
+    digested = default_registry().counter("integrity.blocks_digested").value - digested
+    device = memory.device
+    charges = (memory.stats.snapshot(), device._last_block_accessed, digested)
+    return (copied, out.tobytes(), charges), len(gathered)
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_read_runs_is_one_call_that_reads_charges_and_copies_like_the_per_run_path(
+    build, request, monkeypatch
+):
+    monkeypatch.setattr(HybridMemory, "device_type", FileBlockDevice)
+    want, per_run = _read_runs_result(NUMPY_KERNELS)
+    got, fallbacks = _read_runs_result(_build(build, request))
+    assert got == want  # modelled_seconds included: the float is summed alike
+    assert per_run > 0 and fallbacks == 0
+    assert isinstance(want[0], list) and 0 < sum(want[0]) < len(want[1])
+
+
+def _rot(memory):
+    rot_stored_block(memory.device, memory._allocations["b"][0] + 7, bit=3)
+
+
+def _discard(memory):
+    memory.device.delete_block(memory._allocations["c"][0] + 12)
+
+
+@pytest.mark.parametrize("harm", [_rot, _discard], ids=["rotten-block", "discarded-block"])
+@pytest.mark.parametrize("build", BUILDS)
+def test_a_scratchful_the_c_call_refuses_is_redone_by_the_per_run_path(
+    build, harm, request, monkeypatch
+):
+    """Same error naming the same block, each block charged once, and no
+    byte of the refused scratchful copied."""
+    monkeypatch.setattr(HybridMemory, "device_type", FileBlockDevice)
+    want, _ = _read_runs_result(NUMPY_KERNELS, harm)
+    got, fallbacks = _read_runs_result(_build(build, request), harm)
+    assert got == want and fallbacks > 0
+    assert isinstance(want[0], str) and "block" in want[0]
+
+
+# ----------------------------------------------------------------------
 # the provider contract, method by method
 # ----------------------------------------------------------------------
 CONTRACT_NODES = 40
@@ -507,6 +627,7 @@ CONTRACT_CASES = [
     ("bind_query", "flat"),
     ("bind_query", "paged"),
     ("block_digests", "blob"),
+    ("read_runs", "file-device"),  # through BlockDevice.read_ranges
 ]
 
 
@@ -530,6 +651,8 @@ def _contract_result(method, case, kernels, wide):
     idx = EdgeEncoder(CONTRACT_NODES).encode_canonical_pairs(lo, hi)
     if method == "block_digests":
         return kernels.block_digests(np.random.default_rng(5).bytes(16 * 9 + 5), 16, 7).tolist()
+    if method == "read_runs":
+        return _read_runs_result(kernels)[0]
     if method == "fold_bundle":
         sketch = FlatNodeSketch(
             3, EdgeEncoder(CONTRACT_NODES), graph_seed=11,

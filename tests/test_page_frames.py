@@ -12,6 +12,7 @@ steady-state epoch makes no page-sized allocation.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import tracemalloc
 from collections import Counter
@@ -244,10 +245,10 @@ def _recorded_paged_run(num_nodes: int, budget_divisor: int, kernel_backend: str
         ops.append(("read", start, blocks))
         return read_into(start, blocks, out)
 
-    def recording_batch(runs, out, attempt):
+    def recording_batch(runs, *args):
         # A batch of stripe reads is one read per stripe, in order.
-        ops.extend(("read", start, blocks) for start, blocks in runs)
-        return read_ranges(runs, out, attempt)
+        ops.extend(("read", start, blocks) for start, blocks in runs.tolist())
+        return read_ranges(runs, *args)
 
     def recording_write(start, payload, _digests=None):
         ops.append(("write", start, -(-len(payload) // device.block_size)))
@@ -339,10 +340,20 @@ def test_device_traffic_is_within_a_percent_where_the_parent_cache_had_hits():
 def test_a_warmed_epoch_makes_no_page_sized_allocation(native_provider):
     """Traced from before the engine exists, so that the simulated disk's
     own contents (a rewritten block replaces one of the same size) net
-    out and what is left is the RAM the epoch itself asked for."""
+    out and what is left is the RAM the epoch itself asked for.  The
+    epoch's query reads its rounds through the batched ``read_runs``
+    path, so this also holds that path to no page- or slab-sized buffer
+    per round.
+
+    Both snapshots count live blocks only: garbage waiting in a
+    reference cycle is collected first.  Otherwise whether an earlier
+    test's engines -- or this one's cycles -- are still traced depends
+    on when the collector last ran, and so on which test files share
+    the run."""
     num_nodes = 1024
     state = GraphZeppelin(num_nodes).sketch_bytes()
     rng = np.random.default_rng(31)
+    gc.collect()
     tracemalloc.start()
     try:
         engine = GraphZeppelin(
@@ -369,6 +380,7 @@ def test_a_warmed_epoch_makes_no_page_sized_allocation(native_provider):
         page_ins, device_bytes = pool.page_ins, engine.memory.device_bytes
 
         def large_blocks():
+            gc.collect()
             return Counter(
                 (trace.size, trace.traceback)
                 for trace in tracemalloc.take_snapshot().traces

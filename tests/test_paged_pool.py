@@ -216,6 +216,27 @@ def test_paged_engine_charges_io_and_reports_page_stats():
     assert forest.partition_signature() == in_ram.list_spanning_forest().partition_signature()
 
 
+def test_a_pin_that_reads_nothing_is_neither_a_hit_nor_a_miss():
+    """The RAM tier's misses are its page-ins: the first pin of a page that
+    was never written zeroes a frame and reads nothing from the device."""
+    engine = GraphZeppelin(
+        40,
+        config=GraphZeppelinConfig(
+            seed=11, ram_budget_bytes=2_000, nodes_per_page=5, buffering="none"
+        ),
+    )
+    pool, stats = engine.tensor_pool, engine.io_stats
+    rng = np.random.default_rng(11)
+    u = rng.integers(0, 40, 500)
+    v = (u + 1 + rng.integers(0, 38, 500)) % 40
+    edges = np.stack([u, v], axis=1)
+    engine.ingest_batch(edges[:125])  # every page pinned fresh, then spilled
+    assert pool.page_writebacks >= pool.num_pages - pool.resident_pages
+    assert (stats.cache_hits, stats.cache_misses, pool.page_ins) == (0, 0, 0)
+    engine.ingest_batch(edges[125:])
+    assert stats.cache_misses == pool.page_ins > 0
+
+
 def test_wide_mode_paged_pool_matches_in_ram():
     encoder = EdgeEncoder(20)
     memory = HybridMemory(ram_bytes=1_000, block_size=512)

@@ -557,13 +557,13 @@ def _pinned_snapshot(path, paged: bool, wide: bool) -> str:
     pool.apply_updates(np.concatenate([lo[600:], hi[600:]]), np.concatenate([idx[600:]] * 2))
     batches = []
     if paged:
-        load_ranges = pool.memory.load_ranges
+        load_ranges_into = pool.memory.load_ranges_into
 
-        def counted(requests):
-            batches.append(len(requests))
-            return load_ranges(requests)
+        def counted(keys, *args):
+            batches.append(len(keys))
+            return load_ranges_into(keys, *args)
 
-        pool.memory.load_ranges = counted
+        pool.memory.load_ranges_into = counted
     save_pool_snapshot(pool, path, stream_offset=900, engine_updates=900, fingerprint=7)
     return hashlib.sha256(path.read_bytes()).hexdigest(), pool, batches
 
