@@ -61,7 +61,7 @@ from repro.observability.metrics import default_registry
 from repro.observability.tracing import span
 from repro.sketch.flat_node_sketch import FlatNodeSketch
 from repro.sketch.geometry import SketchGeometry
-from repro.sketch.paged_pool import PagedTensorPool
+from repro.sketch.paged_pool import PageEmission, PagedTensorPool
 from repro.sketch.tensor_pool import MAX_PAGE_NODES, NodeTensorPool, shard_bounds
 from repro.streaming.stream import GraphStream, StreamUpdates, update_rows
 from repro.types import Edge, EdgeUpdate, UpdateType, canonical_edge
@@ -682,12 +682,15 @@ class GraphZeppelin:
 
         Failure-atomic against storage errors: an in-RAM engine applies
         the whole emission coalesced (pure-RAM folds cannot fail
-        partway), while an out-of-core engine applies one page batch at
-        a time -- each batch's fold only mutates state after its page is
-        resident, so a batch that raises (rotten page read, failed
-        writeback) has not been applied, and it plus the unapplied tail
-        are restored to the gutters before the error propagates
-        (:meth:`_apply_emitted`, which every buffered path shares).
+        partway), while an out-of-core engine hands it to the pool as
+        one :class:`~repro.sketch.paged_pool.PageEmission`, applied in
+        order a whole page batch at a time (with the native provider
+        mostly in one ``fold_pages`` call) -- each batch's fold only
+        mutates state after its page is resident, so a batch that
+        raises (rotten page read, failed writeback) has not been
+        applied, and it plus the unapplied tail are restored to the
+        gutters before the error propagates (:meth:`_apply_emitted`,
+        which every buffered path shares).
         Without this, an absorbed mid-flush error (a checkpointer
         swallowing a failed checkpoint) would silently drop the popped
         updates and quietly diverge from the fault-free stream.
@@ -948,23 +951,29 @@ class GraphZeppelin:
         concatenated and handed to the pool as **one** mixed column: a
         flush can emit hundreds of batches (one per gutter), and the
         fold kernel takes them in a single pass whatever pages they
-        span.  Out of core each batch folds on its own, and a batch's
-        fold mutates nothing before its page is resident, so when a
-        storage error (a rotten page read, a failed write-back)
+        span.  Out of core the batches are concatenated and encoded once
+        into a :class:`~repro.sketch.paged_pool.PageEmission` for the
+        pool's ``fold_page_batches`` (the provider's ``fold_pages``:
+        batch by batch, or planned and run in one C call), which folds
+        each batch on its own page and counts the batches it applied; a
+        batch's fold mutates nothing before its page is resident, so
+        when a storage error (a rotten page read, a failed write-back)
         propagates, the failing batch and every one after it are
-        restored to the buffers first: the updates stay accepted and
-        the next flush applies them.
+        restored to the buffers first: the updates stay accepted and the
+        next flush applies them.
         """
         page_batches = [b for b in batches if len(b) > 0]
         if self._pool.is_paged:
-            applied = 0
+            if not page_batches:
+                return
+            emission = PageEmission.of(page_batches, self.encoder)
             try:
-                for batch in page_batches:
-                    self._apply_batch(batch)
-                    applied += 1
+                self._pool.fold_page_batches(emission)
             except BaseException:
-                self._buffering.restore(page_batches[applied:])
+                self._buffering.restore(page_batches[emission.applied :])
                 raise
+            finally:
+                self._batches_applied += emission.applied
             return
         if len(page_batches) <= 1:
             for batch in page_batches:

@@ -1,8 +1,10 @@
 """Kernel providers: the one interface the engine's hot kernels sit behind.
 
 A provider is an object with one contract: the in-RAM pool folds
-``fold_pool`` and ``fold_pool_edges``, the paged pool's ``fold_page``,
-the per-node ``fold_bundle``, the checked edge-row ``ingest_edges``, the
+``fold_pool`` and ``fold_pool_edges``, the paged pool's ``fold_page``
+and its flush's ``fold_pages`` (one compiled call per emission; the
+numpy provider's is the per-page loop, and the compiled one hands it
+any step it refuses), the per-node ``fold_bundle``, the checked edge-row ``ingest_edges``, the
 Boruvka query ``bind_query`` (bound once per pool by the compiled
 provider: a whole query over an in-RAM pool is one call, a round over a
 paged pool is one), the storage ``block_digests`` and the block

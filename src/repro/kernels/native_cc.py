@@ -2,10 +2,10 @@
 
 This module implements the hot kernels of the engine -- the ingest
 fold and its canonical edge batch, the query-side segmented XOR-reduce,
-the batched bucket decode, the storage-integrity block digest and the
-batched device read, and the fused sample and the round tail of a
-Boruvka round -- as a small C library compiled
-**at first use** with the host's C compiler and loaded through
+the batched bucket decode, the storage-integrity block digest, the
+batched device read and the batched out-of-core flush, and the fused
+sample and the round tail of a Boruvka round -- as a small C library
+compiled **at first use** with the host's C compiler and loaded through
 :mod:`ctypes`.  It is the provider of the ``native`` kernel backend,
 property-tested bit-identical to the numpy path.
 
@@ -48,6 +48,11 @@ Why compiling beats the numpy kernels:
   an ``os.preadv`` under four Python layers, plus a digest pass per
   scratchful.  ``repro_read_runs`` preads, checks, charges and copies
   out a whole scratchful in one call.
+* **batched flushes**: a flush's page batch was ~200 us of Python glue
+  around ~290 us of pread, digests, pwrite and fold.  ``repro_fold_pages``
+  runs the paged pool's plan of a whole emission -- each page read and
+  checked, its LRU victim digested and written back, then folded -- in
+  one call.
 * **round sample**: composed from the kernels above, a round still
   pays an argsort and ``>> 32`` / ``& LOW32`` over fresh ``(segments,
   rows)`` temporaries.  ``repro_sample_components`` counting-sorts the active
@@ -733,9 +738,8 @@ void repro_block_digests(const uint8_t *data, int64_t nbytes,
 /* lengths are sizes[] (-1: never written), land back to back in       */
 /* `scratch`, one pread per run (per block where a short block breaks  */
 /* the grid), are hashed where they landed and checked against         */
-/* digests[], and are charged as BlockDevice._charge charges a run:    */
-/* counts = {has_last, last block, random, sequential, block reads,    */
-/* bytes read} and *seconds summed in the same order.  Only when every */
+/* digests[], and are charged as BlockDevice._charge charges a run     */
+/* (repro_charge).  Only when every                                    */
 /* block of every run checked out are the copies applied -- bytes     */
 /* [skip, skip + length) of run i to out + at, with                    */
 /* copies[3i .. 3i+2] = (skip, length, at) -- and the charges written  */
@@ -758,6 +762,26 @@ static int repro_pread_full(int fd, uint8_t *into, int64_t n, int64_t offset) {
     return 0;
 }
 
+/* Charge n blocks from `first` (nbytes in all) as BlockDevice._charge */
+/* does: c = {has_last, last block, random, sequential, block reads,   */
+/* bytes read, block writes, bytes written}, *s summed in its order.   */
+static inline void repro_charge(int64_t *c, double *s, int64_t first, int64_t n,
+                                int64_t nbytes, int is_write, double random_seconds,
+                                double sequential_seconds) {
+    int64_t k = n;
+    if (!(c[0] && first == c[1] + 1)) {
+        c[2] += 1;
+        *s += random_seconds;
+        k = n - 1;
+    }
+    c[3] += k;
+    while (k-- > 0) *s += sequential_seconds;
+    c[0] = 1;
+    c[1] = first + n - 1;
+    c[is_write ? 6 : 4] += n;
+    c[is_write ? 7 : 5] += nbytes;
+}
+
 int64_t repro_read_runs(int64_t fd, int64_t block_size, uint64_t seed,
                         const int64_t *runs, const int64_t *copies, int64_t num_runs,
                         const int64_t *sizes, const uint64_t *digests,
@@ -766,7 +790,7 @@ int64_t repro_read_runs(int64_t fd, int64_t block_size, uint64_t seed,
                         double random_seconds, double sequential_seconds) {
     const uint64_t mixed_seed = repro_splitmix64(seed);
     double s = *seconds;
-    int64_t c[6], i, b, at = 0;
+    int64_t c[8], i, b, at = 0;
     memcpy(c, counts, sizeof c);
     for (i = 0; i < num_runs; i++) {
         const int64_t first = runs[2 * i], n = runs[2 * i + 1];
@@ -790,19 +814,7 @@ int64_t repro_read_runs(int64_t fd, int64_t block_size, uint64_t seed,
         for (b = first, k = at; b < first + n; k += sizes[b++])
             if (repro_digest_block(scratch + k, sizes[b], mixed_seed) != digests[b])
                 return 4;
-        if (!(c[0] && first == c[1] + 1)) {
-            c[2] += 1;
-            s += random_seconds;
-            k = n - 1;
-        } else {
-            k = n;
-        }
-        c[3] += k;
-        while (k-- > 0) s += sequential_seconds;
-        c[0] = 1;
-        c[1] = first + n - 1;
-        c[4] += n;
-        c[5] += total;
+        repro_charge(c, &s, first, n, total, 0, random_seconds, sequential_seconds);
         at += total;
     }
     for (i = 0, at = 0; i < num_runs; i++) {
@@ -813,6 +825,107 @@ int64_t repro_read_runs(int64_t fd, int64_t block_size, uint64_t seed,
     *seconds = s;
     memcpy(counts, c, sizeof c);
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* A flush's page steps on a file device (the paged pool's batched     */
+/* fold_pages).  Step i is steps[8i .. 8i+7] = (read block, read       */
+/* blocks, frame, victim frame, write block, write blocks, first row,  */
+/* end row), done in this order:                                       */
+/*   read block >= 0: pread the page into the frame (as read_runs      */
+/*     reads a run) and check every block where it landed; -1 zeroes  */
+/*     the frame, -2 leaves it (a resident page);                      */
+/*   victim frame != 0: pwrite its page_bytes at the write block, then */
+/*     record each block's length and digest in sizes[] / digests[];   */
+/*   fold rows [first, end) of idx / dsts into the frame's planes (the */
+/*     gamma plane at byte gamma_at, or one packed plane when < 0).    */
+/* Reads and writes are charged to counts / *seconds (repro_charge).   */
+/* A step commits whole: a block never written, a page                 */
+/* longer than its frame, a read or write error or short transfer, or  */
+/* a digest mismatch stops the call before that step is charged or    */
+/* recorded, for the per-page path to redo it and raise.  Returns the  */
+/* steps done.                                                         */
+/* ------------------------------------------------------------------ */
+
+static int repro_pwrite_full(int fd, const uint8_t *from, int64_t n, int64_t offset) {
+    while (n > 0) {
+        const ssize_t put = pwrite(fd, from, (size_t)n, (off_t)offset);
+        if (put < 0 && errno == EINTR) continue;
+        if (put <= 0) return -1;
+        from += put;
+        n -= put;
+        offset += put;
+    }
+    return 0;
+}
+
+int64_t repro_fold_pages(int64_t fd, int64_t block_size, uint64_t seed,
+                         const int64_t *steps, int64_t num_steps, int64_t page_bytes,
+                         int64_t *sizes, uint64_t *digests, int64_t num_blocks,
+                         double *seconds, int64_t *counts, double random_seconds,
+                         double sequential_seconds, const uint64_t *idx,
+                         const int64_t *dsts, const uint64_t *mm, const uint64_t *mc,
+                         int64_t num_slots, int64_t num_rows, int64_t dst_stride,
+                         const int64_t *slot_offsets, int64_t gamma_at) {
+    const uint64_t mixed_seed = repro_splitmix64(seed);
+    int64_t i, b, k;
+    for (i = 0; i < num_steps; i++) {
+        const int64_t *step = steps + 8 * i;
+        const int64_t first = step[0], n = step[1], wfirst = step[4], wn = step[5];
+        uint8_t *frame = (uint8_t *)(intptr_t)step[2];
+        const uint8_t *victim = (const uint8_t *)(intptr_t)step[3];
+        double s = *seconds;
+        int64_t c[8];
+        memcpy(c, counts, sizeof c);
+        if (first >= 0) {
+            int64_t total = 0, on_grid = 1;
+            if (n < 1 || first > num_blocks - n) return i;
+            for (b = first; b < first + n; b++) {
+                if (sizes[b] < 0) return i;
+                on_grid &= b == first + n - 1 || sizes[b] == block_size;
+                total += sizes[b];
+            }
+            if (total > page_bytes) return i;
+            if (on_grid) {
+                if (total && repro_pread_full((int)fd, frame, total, first * block_size))
+                    return i;
+            } else {
+                for (b = first, k = 0; b < first + n; k += sizes[b++])
+                    if (repro_pread_full((int)fd, frame + k, sizes[b], b * block_size))
+                        return i;
+            }
+            for (b = first, k = 0; b < first + n; k += sizes[b++])
+                if (repro_digest_block(frame + k, sizes[b], mixed_seed) != digests[b])
+                    return i;
+            repro_charge(c, &s, first, n, total, 0, random_seconds, sequential_seconds);
+        } else if (first == -1) {
+            memset(frame, 0, (size_t)page_bytes);
+        }
+        if (victim) {
+            if (wfirst < 0 || wn < 1 || wfirst > num_blocks - wn) return i;
+            if (repro_pwrite_full((int)fd, victim, page_bytes, wfirst * block_size)) return i;
+            for (b = 0; b < wn; b++) {
+                const int64_t rest = page_bytes - b * block_size;
+                sizes[wfirst + b] = rest < block_size ? rest : block_size;
+                digests[wfirst + b] =
+                    repro_digest_block(victim + b * block_size, sizes[wfirst + b], mixed_seed);
+            }
+            repro_charge(c, &s, wfirst, wn, page_bytes, 1, random_seconds, sequential_seconds);
+        }
+        if (step[7] > step[6]) {
+            if (gamma_at < 0)
+                repro_fold_packed((uint64_t *)frame, idx + step[6], dsts + step[6],
+                                  step[7] - step[6], mm, mc, num_slots, num_rows,
+                                  dst_stride, slot_offsets);
+            else
+                repro_fold_wide((uint64_t *)frame, (uint32_t *)(frame + gamma_at),
+                                idx + step[6], dsts + step[6], step[7] - step[6], mm, mc,
+                                num_slots, num_rows, dst_stride, slot_offsets);
+        }
+        *seconds = s;
+        memcpy(counts, c, sizeof c);
+    }
+    return num_steps;
 }
 """
 
@@ -836,13 +949,17 @@ _SIGNATURES = {
         _I64, _I64, _U64, _P, _P, _I64, _P, _P, _I64, _P, _I64, _P, _P, _P,
         ctypes.c_double, ctypes.c_double,
     ],
+    "repro_fold_pages": [
+        _I64, _I64, _U64, _P, _I64, _I64, _P, _P, _I64, _P, _P, ctypes.c_double,
+        ctypes.c_double, _P, _P, _P, _P, _I64, _I64, _I64, _P, _I64,
+    ],
     "repro_sample_components": [_I64, _I64, _I64, _P, _P, _U64, *[_P] * 13, _I64],
     "repro_round_tail": [_P, _P, _P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P, _P, _I64],
     "repro_boruvka": [_P, _I64, _I64, _I64, _P, _P, _I64, _I64, _I64, _U64, _I64, *[_P] * 19],
 }
 _RETURNS = {
     "repro_sample_components", "repro_round_tail", "repro_boruvka", "repro_canonical_edges",
-    "repro_read_runs",
+    "repro_read_runs", "repro_fold_pages",
 }
 
 
@@ -1104,6 +1221,41 @@ class CcKernels:
         with span("ingest.fold"):
             fold(*head, *self._fold_tail(pool, pool._combined_offsets)[0])
 
+    def fold_pages(self, pool, emission) -> None:
+        """Fold a paged pool's emission: as much as one ``repro_fold_pages``
+        call can, then the per-page path from where it stopped.
+
+        On a file device this process may write, with no fault plan, no
+        deadline and no breaker that is not closed
+        (:attr:`~repro.memory.hybrid.HybridMemory.batches_device_calls`),
+        the pool plans the batches and the call preads, checks, writes
+        back and folds every step (:meth:`PagedTensorPool.fold_planned
+        <repro.sketch.paged_pool.PagedTensorPool.fold_planned>`).  What it
+        does not finish -- a step it refused, or none at all on a dict
+        device -- goes to the numpy provider's per-page loop, which
+        resumes at ``emission.applied`` and raises what it raises.
+        """
+        memory = pool.memory
+        if memory.device._writable_fd() >= 0 and memory.batches_device_calls:
+            pool.fold_planned(emission, self._fold_steps)
+        NUMPY_KERNELS.fold_pages(pool, emission)
+
+    def _fold_steps(self, pool, steps: np.ndarray, indices: np.ndarray, dsts: np.ndarray,
+                    counts: np.ndarray, seconds: np.ndarray) -> int:
+        """One ``repro_fold_pages`` call over a plan's ``steps``; the steps done."""
+        device = pool.memory.device
+        sizes, digests, profile = device._sizes, device._digests, device.profile
+        idx, dst = _as_u64(indices), _as_i64(dsts)
+        gamma_at = int(pool._plane_offsets[1]) if len(pool._plane_offsets) > 1 else -1
+        with span("page.fold_pages"):
+            return self._lib.repro_fold_pages(
+                device._writable_fd(), device.block_size, DIGEST_SEED, _addr(steps),
+                len(steps), pool._page_bytes, _addr(sizes), _addr(digests), sizes.size,
+                _addr(seconds), _addr(counts), profile.random_seconds_per_block,
+                profile.sequential_seconds_per_block, _addr(idx), _addr(dst),
+                *self._fold_tail(pool, pool._combined_offsets)[0], gamma_at,
+            )
+
     def fold_bundle(self, sketch, indices: np.ndarray) -> None:
         """Fold edge slots into one node's whole bundle (FlatNodeSketch)."""
         idx = _as_u64(indices)
@@ -1252,14 +1404,8 @@ class CcKernels:
         if device._fd >= 0:
             runs, copies = _as_i64(runs), _as_i64(copies)
             scratch = np.frombuffer(scratch, dtype=np.uint8)
-            stats, last, profile = device.stats, device._last_block_accessed, device.profile
-            sizes, digests = device._sizes, device._digests
-            seconds = np.array([stats.modelled_seconds])
-            counts = np.array(
-                [last is not None, last or 0, stats.random_accesses,
-                 stats.sequential_accesses, stats.block_reads, stats.bytes_read],
-                dtype=np.int64,
-            )
+            sizes, digests, profile = device._sizes, device._digests, device.profile
+            counts, seconds = device._charges()
             status = self._lib.repro_read_runs(
                 device._fd, device.block_size, DIGEST_SEED, _addr(runs), _addr(copies),
                 len(runs), _addr(sizes), _addr(digests), sizes.size, _addr(scratch),
@@ -1267,10 +1413,7 @@ class CcKernels:
                 profile.random_seconds_per_block, profile.sequential_seconds_per_block,
             )
             if status == 0:
-                (has_last, last, stats.random_accesses, stats.sequential_accesses,
-                 stats.block_reads, stats.bytes_read) = counts.tolist()
-                device._last_block_accessed = last if has_last else None
-                stats.modelled_seconds = float(seconds[0])
+                device._settle(counts, seconds)
                 registry = default_registry()
                 if registry.enabled:
                     registry.counter("integrity.blocks_digested").inc(int(runs[:, 1].sum()))

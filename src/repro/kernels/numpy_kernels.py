@@ -151,6 +151,14 @@ class NumpyKernels:
             0, pool.num_rounds,
         )
 
+    def fold_pages(self, pool, emission) -> None:
+        """Fold a paged pool's emission batch by batch from
+        ``emission.applied`` on, one ``fold_page_batch`` each, counting
+        each in ``applied`` once it folded: the per-page path."""
+        while emission.applied < len(emission):
+            pool.fold_page_batch(*emission.batch(emission.applied))
+            emission.applied += 1
+
     def fold_hashed(
         self, pool, dsts: np.ndarray, edge_rows: np.ndarray, indices: np.ndarray,
         depths: np.ndarray, checksums: np.ndarray,

@@ -41,6 +41,7 @@ from repro.exceptions import CorruptionError, StorageError
 from repro.integrity.digest import Buffer, block_digests, byte_view
 from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.memory.metrics import IOStats
+from repro.observability.metrics import default_registry
 
 #: Default block size: 16 KB, the write granularity GraphZeppelin uses
 #: for its gutter tree (Section 5.1).
@@ -149,6 +150,12 @@ class BlockDevice:
         are ``sizes``, to ``view[at:]`` back to back."""
         raise NotImplementedError
 
+    def _writable_fd(self) -> int:
+        """The descriptor a compiled call may also write blocks through
+        (the compiled ``fold_pages``), or -1: no file, or one another
+        process made."""
+        return -1
+
     # ------------------------------------------------------------------
     def delete_block(self, block_id: int) -> None:
         """Drop a block without charging an I/O (TRIM-style discard)."""
@@ -208,14 +215,18 @@ class BlockDevice:
     ) -> None:
         """Note the lengths and digests of a blob just written."""
         stop = start_block + num_blocks
-        if stop > len(self._sizes):
-            grow = max(stop, 2 * len(self._sizes)) - len(self._sizes)
-            self._sizes = np.concatenate([self._sizes, np.full(grow, -1, np.int64)])
-            self._digests = np.concatenate([self._digests, np.zeros(grow, np.uint64)])
+        self._grow(stop)
         block_size = self.block_size
         self._sizes[start_block:stop] = block_size
         self._sizes[stop - 1] = nbytes - (num_blocks - 1) * block_size
         self._digests[start_block:stop] = digests
+
+    def _grow(self, stop: int) -> None:
+        """Make the records reach block ``stop - 1`` (grown by doubling)."""
+        if stop > len(self._sizes):
+            grow = max(stop, 2 * len(self._sizes)) - len(self._sizes)
+            self._sizes = np.concatenate([self._sizes, np.full(grow, -1, np.int64)])
+            self._digests = np.concatenate([self._digests, np.zeros(grow, np.uint64)])
 
     def read_into(
         self, start_block: int, num_blocks: int, out: Buffer
@@ -271,6 +282,35 @@ class BlockDevice:
         """
         kernels = self.kernels if batch else NUMPY_KERNELS
         kernels.read_runs(self, runs, scratch, out, copies, attempt)
+
+    def page_steps(
+        self, steps: np.ndarray, call: Callable[[np.ndarray, np.ndarray], int]
+    ) -> int:
+        """Run a planned sequence of whole-page reads and write-backs in one call.
+
+        ``steps`` is the paged pool's int64 ``(k, 8)`` plan (see
+        :meth:`~repro.sketch.paged_pool.PagedTensorPool.fold_planned`):
+        row ``i`` reads ``steps[i, 1]`` blocks from block ``steps[i, 0]``
+        (none when it is negative) and writes ``steps[i, 5]`` from block
+        ``steps[i, 4]`` (none when its victim ``steps[i, 3]`` is 0).  The
+        records are grown to cover every write first; ``call(counts,
+        seconds)`` -- the provider's ``repro_fold_pages`` -- then runs the
+        steps against them and the charge state (:meth:`_charges`), and
+        returns how many it finished, whose charges are settled here and
+        whose blocks are counted in ``integrity.blocks_digested``.
+        """
+        for start, blocks in steps[steps[:, 3] != 0][:, 4:6].tolist():
+            self._grow(start + blocks)
+        counts, seconds = self._charges()
+        done = call(counts, seconds)
+        self._settle(counts, seconds)
+        registry = default_registry()
+        if registry.enabled and done:
+            finished = steps[:done]
+            read = int(finished[finished[:, 0] >= 0, 1].sum())
+            written = int(finished[finished[:, 3] != 0, 5].sum())
+            registry.counter("integrity.blocks_digested").inc(read + written)
+        return done
 
     def _read_runs(
         self,
@@ -362,6 +402,27 @@ class BlockDevice:
     def bytes_in_use(self) -> int:
         return int(self._sizes[self._sizes >= 0].sum())
 
+    def _charges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The charge state as the compiled calls take it: int64 ``counts``
+        ``(has_last, last block, random, sequential, block reads, bytes
+        read, block writes, bytes written)`` and a one-float ``seconds``."""
+        stats, last = self.stats, self._last_block_accessed
+        counts = np.array(
+            [last is not None, last or 0, stats.random_accesses, stats.sequential_accesses,
+             stats.block_reads, stats.bytes_read, stats.block_writes, stats.bytes_written],
+            dtype=np.int64,
+        )
+        return counts, np.array([stats.modelled_seconds])
+
+    def _settle(self, counts: np.ndarray, seconds: np.ndarray) -> None:
+        """Write a compiled call's :meth:`_charges` back."""
+        stats = self.stats
+        (has_last, last, stats.random_accesses, stats.sequential_accesses,
+         stats.block_reads, stats.bytes_read, stats.block_writes,
+         stats.bytes_written) = counts.tolist()
+        self._last_block_accessed = last if has_last else None
+        stats.modelled_seconds = float(seconds[0])
+
     def _charge(self, start_block: int, num_blocks: int, is_write: bool, nbytes: int) -> None:
         """Charge a run of consecutive blocks holding ``nbytes`` in all.
 
@@ -437,6 +498,9 @@ class FileBlockDevice(BlockDevice):
                 "a forked process may not write it"
             )
         return self._fd
+
+    def _writable_fd(self) -> int:
+        return self._fd if self._owner == os.getpid() else -1
 
     def _store(self, start_block: int, data: Buffer) -> None:
         _pwrite(self._open(), memoryview(data), start_block * self.block_size)

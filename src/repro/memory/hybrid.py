@@ -47,6 +47,7 @@ from repro.kernels.numpy_kernels import NUMPY_KERNELS
 from repro.memory.block_device import DEFAULT_BLOCK_SIZE, DeviceProfile, FileBlockDevice
 from repro.memory.metrics import IOStats
 from repro.observability.tracing import span
+from repro.resilience.overload import CLOSED
 
 T = TypeVar("T")
 
@@ -439,6 +440,18 @@ class HybridMemory:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._allocations
 
+    @property
+    def batches_device_calls(self) -> bool:
+        """Whether a run of device calls may go as one compiled call: no
+        fault plan or deadline to consult per call, and no breaker that is
+        not closed (a closed one admits every call, and a success only
+        closes it again)."""
+        return (
+            self.fault_plan is None
+            and self.deadline_seconds is None
+            and (self.breaker is None or self.breaker.state == CLOSED)
+        )
+
     def keys(self) -> Iterator[Hashable]:
         return iter(self._allocations)
 
@@ -663,3 +676,71 @@ class HybridMemory:
     def __repr__(self) -> str:
         limit = "unbounded" if self.is_unbounded else f"{self.ram_bytes}B"
         return f"HybridMemory(ram={limit}, block_size={self.block_size})"
+
+
+class StorePlan:
+    """The extents of a run of :meth:`HybridMemory.load` and
+    :meth:`HybridMemory.store` calls, planned ahead of the one compiled
+    call that makes them (the paged pool's batched flush).
+
+    It allocates as :meth:`~HybridMemory.store` would, in call order, and
+    changes nothing until :meth:`commit`, which records what the
+    :meth:`store` calls planned so far wrote: the allocations, the
+    payload digests (the blocks' write-time records) and the next free
+    block.  ``check_records=False`` skips the payload-record check of
+    :meth:`load`: for re-planning a prefix of a run whose call has
+    since rewritten block records, every load of which passed it.
+    """
+
+    def __init__(self, memory: HybridMemory, check_records: bool = True) -> None:
+        self.memory = memory
+        self.check_records = check_records
+        self.next_block = memory._next_block
+        #: key -> ``(start_block, capacity_blocks, payload_length)``, in store order.
+        self.stored: Dict[Hashable, Tuple[int, int, int]] = {}
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self.stored or key in self.memory
+
+    def load(self, key: Hashable, length: int) -> Optional[Tuple[int, int]]:
+        """``(start_block, blocks)`` a load of ``key``'s ``length``-byte
+        payload reads, or ``None`` where the batched call cannot stand in
+        for :meth:`~HybridMemory.load`: another length, or a payload
+        record that is not the device's block records (a load raises)."""
+        stored = self.stored.get(key)
+        if stored is not None:
+            start, _, stored_length = stored
+        else:
+            memory = self.memory
+            start, _, stored_length = memory._allocations[key]
+            blocks = -(-stored_length // memory.block_size)
+            records = memory.device._digests[start : start + blocks].tolist()
+            if self.check_records and memory._payload_digests[key] != records:
+                return None
+        if stored_length != length:
+            return None
+        return start, -(-length // self.memory.block_size)
+
+    def store(self, key: Hashable, length: int) -> Optional[Tuple[int, int]]:
+        """``(start_block, blocks)`` a store of ``length`` bytes under ``key``
+        writes, or ``None`` where it would move an allocation (the batched
+        call keeps every extent in place)."""
+        blocks = max(1, -(-length // self.memory.block_size))
+        previous = self.stored.get(key) or self.memory._allocations.get(key)
+        if previous is None:
+            previous = (self.next_block, blocks, length)
+            self.next_block += blocks
+        elif previous[1] < blocks:
+            return None
+        self.stored[key] = (previous[0], previous[1], length)
+        return previous[0], blocks
+
+    def commit(self) -> None:
+        """Record the planned stores, whose blocks the device now holds."""
+        memory, block_size = self.memory, self.memory.block_size
+        records = memory.device._digests
+        for key, (start, capacity, length) in self.stored.items():
+            memory._allocations[key] = (start, capacity, length)
+            blocks = max(1, -(-length // block_size))
+            memory._payload_digests[key] = records[start : start + blocks].tolist()
+        memory._next_block = self.next_block

@@ -17,7 +17,15 @@ of once per node).  Bytes move once each way; nothing is allocated.
 Folds run through the parent's entry points into this pool's one fold
 path: the updates are grouped by page, and each page is pinned and
 handed to the kernel provider's ``fold_page``, which folds straight into
-the pinned page's tensors at page-local offsets.
+the pinned page's tensors at page-local offsets.  A buffered flush hands
+its whole emission over at once (:meth:`~PagedTensorPool.fold_page_batches`,
+a :class:`PageEmission`) to the provider's ``fold_pages``: the numpy
+provider pins and folds batch by batch; the compiled one has the pool
+plan every batch's pin under the lock -- hit, page-in or zeroed page,
+frame, dirty victim and its extent, in the per-page path's order -- and
+reads, verifies, writes back and folds them in one C call
+(:meth:`~PagedTensorPool.fold_planned`), leaving whatever that call does
+not finish to the per-page path.
 
 Layout.  A page covering nodes ``[lo, hi)`` holds one C-order tensor of
 shape ``(num_rounds, hi - lo, cols, rows)`` per bucket plane of the
@@ -75,14 +83,18 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.buffering.base import PageBatch
 from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConfigurationError
 from repro.kernels.numpy_kernels import NUMPY_KERNELS
-from repro.memory.hybrid import HybridMemory
+from repro.memory.hybrid import HybridMemory, StorePlan
 from repro.observability.tracing import span
 from repro.sketch.geometry import SketchGeometry
 from repro.sketch.tensor_pool import MAX_PAGE_NODES, NodeTensorPool
@@ -117,6 +129,51 @@ def plan_page_bounds(
     if bounds.size >= 2 and bounds[-1] == bounds[-2]:
         bounds = bounds[:-1]
     return bounds
+
+
+@dataclass
+class PageEmission:
+    """The page batches one buffering emission hands over, concatenated.
+
+    Batch ``i`` is rows ``offsets[i] : offsets[i + 1]`` of ``dsts`` and of
+    ``indices`` (their edge slots, encoded once for the whole emission),
+    bound for nodes ``[bounds[i, 0], bounds[i, 1])``.  ``applied`` counts
+    the batches folded so far, in emission order.
+    """
+
+    bounds: np.ndarray
+    offsets: np.ndarray
+    dsts: np.ndarray
+    indices: np.ndarray
+    applied: int = 0
+
+    @classmethod
+    def of(cls, batches: Sequence[PageBatch], encoder: EdgeEncoder) -> "PageEmission":
+        """The non-empty ``batches``, in order, with one encode for all of them."""
+        dsts = np.concatenate([batch.dsts for batch in batches])
+        neighbors = np.concatenate([batch.neighbors for batch in batches])
+        offsets = np.cumsum([0, *(len(batch) for batch in batches)], dtype=np.int64)
+        bounds = np.array(
+            [(batch.node_lo, batch.node_hi) for batch in batches], dtype=np.int64
+        ).reshape(-1, 2)
+        indices = encoder.encode_canonical_pairs(
+            np.minimum(dsts, neighbors), np.maximum(dsts, neighbors)
+        )
+        return cls(bounds, offsets, dsts, indices)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def batch(self, i: int) -> Tuple[int, int, np.ndarray, np.ndarray]:
+        """``(node_lo, node_hi, dsts, indices)`` of batch ``i``."""
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        lo, hi = self.bounds[i].tolist()
+        return lo, hi, self.dsts[rows], self.indices[rows]
+
+
+def _address(frame: np.ndarray) -> int:
+    """A frame's data address, for a step of a planned flush."""
+    return frame.__array_interface__["data"][0]
 
 
 class PagedTensorPool(NodeTensorPool):
@@ -596,6 +653,154 @@ class PagedTensorPool(NodeTensorPool):
         a compiled ingest writes an in-RAM pool's planes, and this pool
         folds the checked rows page by page through :meth:`apply_edges`."""
         return NUMPY_KERNELS.ingest_edges(self, endpoints)
+
+    def fold_page_batches(self, emission: "PageEmission") -> None:
+        """Fold an emission's page batches, in order, from ``emission.applied`` on.
+
+        The provider's ``fold_pages`` does it: the numpy provider one
+        :meth:`fold_page_batch` per batch; the compiled one as many as one
+        call can (:meth:`fold_planned`), then the same per-page loop from
+        where that call stopped.  ``emission.applied`` counts the batches
+        folded, also when an error propagates.
+        """
+        self._kernels.fold_pages(self, emission)
+
+    def fold_planned(self, emission: "PageEmission", run) -> None:
+        """Fold as many of ``emission``'s batches as one compiled call can.
+
+        Under the lock, the batches from ``emission.applied`` on are planned
+        from the working set as the per-page path would pin them: a hit,
+        a page-in into the frame it would take (a never-written page is
+        zeroed), the dirty LRU victim it would write back and the extent
+        that write takes, then the fold -- one int64 row of eight per
+        batch: ``(read block, read blocks, frame, victim frame, write
+        block, write blocks, first row, end row)``, read block -1 for a
+        zeroed page and -2 for a hit, victim 0 for none.  The plan stops
+        at the first batch the per-page path would refuse or could not
+        mirror in one step (an invalid column, a payload record the
+        device does not hold, no free frame, a second dirty victim), or
+        at once while another caller holds a pin.  ``run(pool, steps,
+        indices, dsts, counts, seconds)``, the provider's call, runs the
+        steps through
+        :meth:`~repro.memory.block_device.BlockDevice.page_steps` and
+        returns how many it finished; the working set, the memory's
+        records and the counters then take exactly those steps.
+        """
+        with self._lock:
+            pages = np.searchsorted(self.page_bounds, emission.bounds[:, 0], side="right") - 1
+            plan = self._plan_pages(emission, pages, self._foldable(emission, pages))
+            if plan is None:
+                return
+            steps = plan[0]
+            dsts = emission.dsts - np.repeat(self.page_bounds[pages], np.diff(emission.offsets))
+            call = partial(run, self, steps, emission.indices, dsts)
+            done = self.memory.device.page_steps(steps, call)
+            if done < len(steps):  # the same plan, cut after the steps done
+                plan = self._plan_pages(emission, pages, emission.applied + done, False)
+            if plan is not None:
+                self._adopt(emission, *plan)
+
+    def _foldable(self, emission: "PageEmission", pages: np.ndarray) -> int:
+        """The first batch :meth:`fold_page_batch` would refuse, or one not
+        inside its page (``pages``: the page of each batch's first node);
+        ``len(emission)`` when there is none."""
+        lo, hi = emission.bounds[:, 0], emission.bounds[:, 1]
+        ends = self.page_bounds[np.clip(pages + 1, 0, self.num_pages)]
+        bad = np.flatnonzero(
+            (lo < 0) | (lo > hi) | (hi > self.num_nodes) | (pages < 0) | (hi > ends)
+        )
+        lengths = np.diff(emission.offsets)
+        rows = np.flatnonzero(
+            (emission.dsts < np.repeat(lo, lengths))
+            | (emission.dsts >= np.repeat(hi, lengths))
+            | (emission.indices >= self.encoder.vector_length)
+        )
+        first = len(emission) if not bad.size else int(bad[0])
+        if rows.size:
+            first = min(first, int(np.searchsorted(emission.offsets, rows[0], side="right")) - 1)
+        return first
+
+    def _plan_pages(
+        self, emission: "PageEmission", pages: np.ndarray, stop: int, check_records: bool = True
+    ):
+        """The plan of batches ``emission.applied .. stop - 1`` on their
+        ``pages`` (see :meth:`fold_planned`), or ``None`` when it has no
+        step: ``(steps, frames by page in LRU order, dirty pages, free
+        frames, store plan, (hits, page-ins, write-backs))``.
+        ``check_records`` as :class:`~repro.memory.hybrid.StorePlan`'s."""
+        first = emission.applied
+        if self._pins or stop <= first:
+            return None
+        stores = StorePlan(self.memory, check_records)
+        frames = {page: self._frames[page] for page in self._resident}
+        dirty, free = set(self._dirty), list(self._free_frames)
+        pages = pages[first:stop].tolist()
+        rows = emission.offsets[first : stop + 1].tolist()
+        page_bytes, budget = self._page_bytes, self.resident_pages
+        steps, hits, page_ins, writebacks = [], 0, 0, 0
+        for page, row, end in zip(pages, rows, rows[1:]):
+            frame = frames.pop(page, None)
+            if frame is not None:  # a hit: to the MRU end, dirty after its fold
+                hits += 1
+                frames[page] = frame
+                dirty.add(page)
+                steps.append((-2, 0, _address(frame), 0, 0, 0, row, end))
+                continue
+            if not free:  # an overflow frame: the per-page path allocates it
+                break
+            key = self._page_key(page)
+            read = (-1, 0)
+            if key in stores:
+                read = stores.load(key, page_bytes)
+                if read is None:
+                    break
+            victims = list(islice(frames, max(len(frames) + 1 - budget, 0)))
+            dirty_victims = [victim for victim in victims if victim in dirty]
+            write = (0, 0, 0)
+            if dirty_victims:
+                extent = None
+                if len(dirty_victims) == 1:
+                    extent = stores.store(self._page_key(dirty_victims[0]), page_bytes)
+                if extent is None:
+                    break
+                write = (_address(frames[dirty_victims[0]]), *extent)
+                dirty.discard(dirty_victims[0])
+                writebacks += 1
+            if read[0] >= 0:
+                page_ins += 1
+            frame = free.pop()
+            frames[page] = frame
+            for victim in victims:
+                released = frames.pop(victim)
+                if len(free) + len(frames) <= budget:
+                    free.append(released)
+            dirty.add(page)
+            steps.append((*read, _address(frame), *write, row, end))
+        if not steps:
+            return None
+        counts = (hits, page_ins, writebacks)
+        return np.array(steps, dtype=np.int64), frames, dirty, free, stores, counts
+
+    def _adopt(self, emission, steps, frames, dirty, free, stores, counts) -> None:
+        """Make the working set, the memory's records and the counters
+        those of a plan whose steps all ran."""
+        stores.commit()
+        entries, held = self._resident, self._frames
+        self._resident = {
+            page: entries[page] if held.get(page) is frame else self._frame_tensors(frame)
+            for page, frame in frames.items()
+        }
+        self._frames, self._dirty, self._free_frames = frames, dirty, free
+        hits, page_ins, writebacks = counts
+        stats = self.memory.stats
+        stats.cache_hits += hits
+        stats.cache_misses += page_ins
+        self.page_ins += page_ins
+        self.page_writebacks += writebacks
+        if self.memory.breaker is not None and (page_ins or writebacks):
+            self.memory.breaker.record_success()
+        emission.applied += len(steps)
+        self.mark_external_updates(int(steps[-1, 7] - steps[0, 6]))
 
     # The fold entry points are the parent's.  They are bound on this
     # class as well because bench/trace.py patches them per class and

@@ -24,6 +24,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.buffering.base import PageBatch
 from repro.core.boruvka import pool_spanning_forest
 from repro.core.config import GraphZeppelinConfig
 from repro.core.edge_encoding import EdgeEncoder
@@ -41,9 +42,10 @@ from repro.sketch.flat_node_sketch import (
     hash_depths_checksums,
     segmented_xor,
 )
-from repro.sketch.paged_pool import PagedTensorPool
+from repro.sketch.paged_pool import PagedTensorPool, PageEmission
 from repro.sketch.tensor_pool import NodeTensorPool
 from dict_device import rot_stored_block
+from test_round_kernels import _CountingLib
 from sketch_reference import (
     assert_node_state_matches,
     pool_geometry,
@@ -612,6 +614,124 @@ def test_a_scratchful_the_c_call_refuses_is_redone_by_the_per_run_path(
 
 
 # ----------------------------------------------------------------------
+# the batched flush: one fold_pages call, and the step it refuses
+# ----------------------------------------------------------------------
+def _flush_into_rot(kernels, monkeypatch, device_type=FileBlockDevice):
+    """A paged engine on ``kernels`` whose second flush meets a spilled page
+    with one rotten block.  Returns what a numpy engine must reproduce --
+    the error, the batches that flush applied, every stat, the buffered
+    updates, the state once the bit is flipped back, the forest after the
+    next flush -- and the foreign calls of the provider (0 for numpy)."""
+    monkeypatch.setattr(HybridMemory, "device_type", device_type)
+    monkeypatch.setattr("repro.kernels.resolve_kernels", lambda backend: kernels)
+    calls = {}
+    if kernels is not NUMPY_KERNELS:
+        monkeypatch.setattr(kernels, "_lib", _CountingLib(kernels._lib))
+        calls = kernels._lib.calls
+    num_nodes = 128
+    state = GraphZeppelin(num_nodes).sketch_bytes()
+    engine = GraphZeppelin(
+        num_nodes,
+        GraphZeppelinConfig.out_of_core(
+            state // 8, seed=3, validate_stream=False, nodes_per_page=4,
+            kernel_backend="native",
+        ),
+    )
+    pool, memory = engine.tensor_pool, engine.memory
+    folded, emissions = NodeTensorPool(
+        num_nodes, engine.encoder, graph_seed=pool.graph_seed, geometry=pool.geometry
+    ), []
+    fold_page_batches = type(pool).fold_page_batches
+
+    def recording(self, emission):
+        emissions.append(emission)
+        try:
+            fold_page_batches(self, emission)
+        finally:  # the twin takes exactly the rows the pool took
+            rows = emission.offsets[emission.applied]
+            folded.apply_updates(emission.dsts[:rows], emission.indices[:rows])
+
+    monkeypatch.setattr(type(pool), "fold_page_batches", recording)
+    rng = np.random.default_rng(47)
+    epochs = [
+        np.stack([u, (u + 1 + rng.integers(0, num_nodes - 1, 400)) % num_nodes], axis=1)
+        for u in (rng.integers(0, num_nodes, 400) for _ in range(2))
+    ]
+    engine.ingest_batch(epochs[0])
+    engine.flush()
+    engine.ingest_batch(epochs[1])
+    spilled = sorted(
+        page for page in range(pool.num_pages)
+        if page not in pool._resident and ("sketch-page", page) in memory
+    )
+    block = memory._allocations[("sketch-page", spilled[len(spilled) // 2])][0] + 1
+    rot_stored_block(memory.device, block, bit=5)
+    before = dict(calls)
+    with pytest.raises(CorruptionError) as raised:
+        engine.flush()
+    failing = emissions[-1]
+    rest = failing.offsets[-1] - failing.offsets[failing.applied]
+    assert engine._buffering.pending_updates() == rest > 0
+    per_page_folds = sum(
+        calls.get(name, 0) - before.get(name, 0)
+        for name in ("repro_fold_packed", "repro_fold_wide")
+    )
+    stats = (memory.stats.snapshot(), pool.page_stats())
+    rot_stored_block(memory.device, block, bit=5)  # heal it
+    for got, want in zip(pool.raw_tensors(), folded.raw_tensors()):
+        assert np.array_equal(got, want)  # every batch before it applied once
+    forest = engine.list_spanning_forest()  # flushes what was restored
+    result = (
+        str(raised.value), failing.applied, len(failing), rest, stats,
+        [plane.tolist() for plane in pool.raw_tensors()], forest.edges,
+    )
+    return result, (calls.get("repro_fold_pages", 0), per_page_folds)
+
+
+_NUMPY_FLUSHES = {}
+
+
+def _numpy_flush_into_rot(monkeypatch, device_type):
+    """The numpy engine's :func:`_flush_into_rot`, run once per device type."""
+    if device_type not in _NUMPY_FLUSHES:
+        _NUMPY_FLUSHES[device_type] = _flush_into_rot(NUMPY_KERNELS, monkeypatch, device_type)[0]
+    return _NUMPY_FLUSHES[device_type]
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_a_fold_pages_step_the_c_call_refuses_is_redone_by_the_per_page_path(
+    build, request, monkeypatch
+):
+    """Same error naming the same block as the numpy engine, every batch
+    before it applied exactly once (by the C call), the failing batch and
+    the ones after it still buffered, and the same stats and state."""
+    want = _numpy_flush_into_rot(monkeypatch, FileBlockDevice)
+    got, (c_calls, per_page_folds) = _flush_into_rot(_build(build, request), monkeypatch)
+    assert got == want
+    assert want[0].startswith("block ") and 0 < want[1] < want[2]
+    assert c_calls >= 2 and per_page_folds == 0  # the failing flush folded in C only
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_fold_pages_folds_into_a_clean_resident_page_and_writes_it_back(build, request):
+    """After a sync the resident page is clean; a batched flush that hits
+    it must leave it dirty, so the next step's eviction writes the fold
+    back."""
+    edges = _random_edges(CONTRACT_NODES, 160, seed=12)
+    got = _fold_pages_result(_build(build, request), False, edges, (2, 4, 4, 2), sync=True)
+    assert got == _fold_pages_result(NUMPY_KERNELS, False, edges, (2, 4, 4, 2), sync=True)
+
+
+def test_fold_pages_on_a_dict_device_takes_the_per_page_path(monkeypatch):
+    """No file to read or write: no ``repro_fold_pages`` call, same answers."""
+    from dict_device import DictBlockDevice
+
+    want = _numpy_flush_into_rot(monkeypatch, DictBlockDevice)
+    got, (c_calls, _) = _flush_into_rot(NATIVE, monkeypatch, DictBlockDevice)
+    assert got == want and c_calls == 0
+
+
+# ----------------------------------------------------------------------
 # the provider contract, method by method
 # ----------------------------------------------------------------------
 CONTRACT_NODES = 40
@@ -628,6 +748,7 @@ CONTRACT_CASES = [
     ("bind_query", "paged"),
     ("block_digests", "blob"),
     ("read_runs", "file-device"),  # through BlockDevice.read_ranges
+    ("fold_pages", "file-device"),  # a flush evicting and re-reading in one call
 ]
 
 
@@ -653,6 +774,8 @@ def _contract_result(method, case, kernels, wide):
         return kernels.block_digests(np.random.default_rng(5).bytes(16 * 9 + 5), 16, 7).tolist()
     if method == "read_runs":
         return _read_runs_result(kernels)[0]
+    if method == "fold_pages":
+        return _fold_pages_result(kernels, wide, edges)
     if method == "fold_bundle":
         sketch = FlatNodeSketch(
             3, EdgeEncoder(CONTRACT_NODES), graph_seed=11,
@@ -682,6 +805,36 @@ def _contract_result(method, case, kernels, wide):
         return planes
     forest, stats = pool_spanning_forest(pool, pool.num_rounds)
     return planes, forest.edges, forest.component_labels(), dataclasses.asdict(stats)
+
+
+def _fold_pages_result(kernels, wide, edges, pages=(2, 4, 2, 4), sync=False):
+    """``pages[:2]`` folded one at a time on a one-page working set (so the
+    first is written back), then, after a :meth:`sync` if ``sync``, the
+    two-step emission ``pages[2:]``: by default page 2 again, evicting
+    dirty page 4, then page 4, re-read after that write.  What it left in
+    the planes, the stats and the records, and the blocks it digested."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HybridMemory, "device_type", FileBlockDevice)
+        pool = _contract_pool(kernels, wide, paged=True)
+    batches = []
+    for page in pages:
+        lo, hi = pool.page_span(page)
+        column = (edges[:, 0] >= lo) & (edges[:, 0] < hi)
+        batches.append(PageBatch(page, lo, hi, edges[column, 0], edges[column, 1]))
+    for batch in batches[:2]:
+        pool.fold_page_batches(PageEmission.of([batch], pool.encoder))
+    if sync:
+        pool.sync()
+    counter = default_registry().counter("integrity.blocks_digested")
+    digested = counter.value
+    emission = PageEmission.of(batches[2:], pool.encoder)
+    pool.fold_page_batches(emission)
+    memory = pool.memory
+    return (
+        emission.applied, counter.value - digested, memory.stats.snapshot(),
+        pool.page_stats(), memory._allocations, memory._payload_digests,
+        memory.device._last_block_accessed, [plane.tolist() for plane in pool.raw_tensors()],
+    )
 
 
 @pytest.mark.parametrize("build", ["native", "portable"])

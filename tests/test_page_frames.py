@@ -240,6 +240,7 @@ def _recorded_paged_run(num_nodes: int, budget_divisor: int, kernel_backend: str
     flat = GraphZeppelin(num_nodes, config)
     device, ops = engine.memory.device, []
     read_into, read_ranges, write_blob = device.read_into, device.read_ranges, device.write_blob
+    page_steps = device.page_steps
 
     def recording_read(start, blocks, out):
         ops.append(("read", start, blocks))
@@ -254,8 +255,19 @@ def _recorded_paged_run(num_nodes: int, budget_divisor: int, kernel_backend: str
         ops.append(("write", start, -(-len(payload) // device.block_size)))
         return write_blob(start, payload, _digests=_digests)
 
+    def recording_steps(steps, call):
+        # A planned flush step reads its page, then writes its victim back;
+        # only the steps the call finished happened.
+        done = page_steps(steps, call)
+        for read, blocks, _, victim, write, written, *_ in steps[:done].tolist():
+            if read >= 0:
+                ops.append(("read", read, blocks))
+            if victim:
+                ops.append(("write", write, written))
+        return done
+
     device.read_into, device.read_ranges = recording_read, recording_batch
-    device.write_blob = recording_write
+    device.write_blob, device.page_steps = recording_write, recording_steps
     rng = np.random.default_rng(2024)
     for _ in range(5):
         u = rng.integers(0, num_nodes, 512)
@@ -337,13 +349,14 @@ def test_device_traffic_is_within_a_percent_where_the_parent_cache_had_hits():
 # ----------------------------------------------------------------------
 # steady state allocates no page
 # ----------------------------------------------------------------------
-def test_a_warmed_epoch_makes_no_page_sized_allocation(native_provider):
+def test_a_warmed_epoch_makes_no_page_sized_allocation(native_provider, monkeypatch):
     """Traced from before the engine exists, so that the simulated disk's
     own contents (a rewritten block replaces one of the same size) net
     out and what is left is the RAM the epoch itself asked for.  The
-    epoch's query reads its rounds through the batched ``read_runs``
-    path, so this also holds that path to no page- or slab-sized buffer
-    per round.
+    epoch's flush goes through the batched ``fold_pages`` call (no
+    per-page ``fold_page``) and its query reads its rounds through the
+    batched ``read_runs`` path, so this also holds both to no page- or
+    slab-sized buffer.
 
     Both snapshots count live blocks only: garbage waiting in a
     reference cycle is collected first.  Otherwise whether an earlier
@@ -387,6 +400,13 @@ def test_a_warmed_epoch_makes_no_page_sized_allocation(native_provider):
                 if trace.size >= page_bytes // 2
             )
 
+        calls = Counter()
+        for name in ("fold_page", "_fold_steps"):
+            method = getattr(native_provider, name)
+            monkeypatch.setattr(
+                native_provider, name,
+                lambda *args, _name=name, _method=method: calls.update([_name]) or _method(*args),
+            )
         before = large_blocks()
         baseline, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -395,6 +415,7 @@ def test_a_warmed_epoch_makes_no_page_sized_allocation(native_provider):
         after = large_blocks()
     finally:
         tracemalloc.stop()
+    assert calls["_fold_steps"] >= 1 and calls["fold_page"] == 0
     assert pool.page_ins - page_ins >= pool.num_pages // 2  # the epoch did page
     assert engine.memory.device_bytes == device_bytes
     assert sum(before.values()) >= pool.resident_pages + 1  # the frames are traced
