@@ -12,7 +12,10 @@ Timing convention: ingestion rates count *stream updates per second of
 processing time*, where processing time is wall-clock time plus the
 modelled I/O time accumulated by the hybrid-memory substrate (zero for
 in-RAM configurations).  This keeps the "on SSD" numbers meaningful and
-machine-independent, as explained in DESIGN.md.
+machine-independent.  It is a substitution for the paper's measured SSD
+time: the spilled state lives in a file the OS page cache may hold, so
+the wall clock alone would time RAM, and the block device's latency
+model charges each block access what an SSD would take instead.
 """
 
 from __future__ import annotations

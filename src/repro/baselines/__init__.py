@@ -13,9 +13,11 @@
   for every system, used to reproduce the Figure 11 crossover at the
   paper's full scales without materialising terabyte graphs.
 
-The Aspen-like and Terrace-like classes are *stand-ins* (see DESIGN.md):
-they reproduce the comparators' space footprints, batch-oriented APIs
-and in-RAM/out-of-core behaviour, not their internal engineering.
+The Aspen-like and Terrace-like classes are *stand-ins*, a substitution
+for the C++ systems the paper measures: they reproduce the comparators'
+space footprints, batch-oriented APIs and in-RAM/out-of-core behaviour,
+not their internal engineering, so their ingestion rates compare
+designs, not the original implementations' speed.
 """
 
 from repro.baselines.adjacency_matrix import AdjacencyMatrixGraph

@@ -1,15 +1,14 @@
-"""Common types and interface for the buffering layer.
+"""Common types and column helpers for the buffering layer.
 
-Both gutter structures key their buffers by node-group *page* (a
-contiguous node range; one node per page unless the caller passes
-``page_bounds``) and emit one batch type, :class:`PageBatch`.
+The gutters key their buffers by node-group *page* (a contiguous node
+range; one node per page unless the caller passes ``page_bounds``) and
+emit one batch type, :class:`PageBatch`.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -45,65 +44,6 @@ class PageBatch:
         return len(self) * BYTES_PER_BUFFERED_UPDATE
 
 
-class BufferingSystem(abc.ABC):
-    """Interface shared by the leaf-only gutters and the gutter tree."""
-
-    @abc.abstractmethod
-    def insert(self, u: int, v: int) -> List[PageBatch]:
-        """Buffer the update ``{u, v}`` for node ``u``.
-
-        Returns the (possibly empty) list of batches that became full as
-        a result and must now be folded into the sketches.  The caller
-        is responsible for also inserting the mirrored update
-        ``(v, u)`` -- ``edge_update`` in the engine does both.
-        """
-
-    @abc.abstractmethod
-    def flush_all(self) -> List[PageBatch]:
-        """Empty every buffer, returning all remaining non-empty batches."""
-
-    @abc.abstractmethod
-    def restore(self, batches: List[PageBatch]) -> None:
-        """Put emitted-but-unapplied batches back into the buffers.
-
-        The engine's failure-atomic flush depends on this:
-        :meth:`flush_all` pops updates out of the buffers *before* they
-        are applied, so an application that dies partway (a rotten page
-        read, a failed device write) would silently lose the unapplied
-        tail if its batches could not be returned.  Restored gutters may
-        temporarily exceed capacity -- that only makes the next emission
-        larger, which the partition-independent sketch fold absorbs.
-        """
-
-    @abc.abstractmethod
-    def pending_updates(self) -> int:
-        """Number of updates currently sitting in buffers."""
-
-    @property
-    @abc.abstractmethod
-    def capacity_per_node(self) -> int:
-        """Updates a single node's gutter holds before it is emitted."""
-
-    def insert_edge(self, u: int, v: int) -> List[PageBatch]:
-        """Buffer both directions of an edge update (the public entry point)."""
-        batches = self.insert(u, v)
-        batches.extend(self.insert(v, u))
-        return batches
-
-    def insert_batch(self, dsts, neighbors) -> List[PageBatch]:
-        """Buffer a column of single-direction updates at once.
-
-        ``dsts[i]`` receives the update ``{dsts[i], neighbors[i]}``; the
-        columnar ingest path passes both mirrored halves of its edge
-        array in one call.  The base implementation loops; the concrete
-        buffering structures override it with vectorised grouping.
-        """
-        batches: List[PageBatch] = []
-        for u, v in zip(dsts, neighbors):
-            batches.extend(self.insert(int(u), int(v)))
-        return batches
-
-
 def as_update_columns(
     dsts, neighbors, num_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -127,12 +67,17 @@ def group_update_columns(
 ) -> Iterator[Tuple[int, Tuple[np.ndarray, ...]]]:
     """Yield ``(key, column_chunks)`` groups of parallel update columns.
 
-    One stable argsort of ``keys``, then contiguous segments -- the
-    single grouping pass behind every vectorised buffering insert.
+    One stable argsort of ``keys`` (non-negative ids: a page or a tree
+    vertex), then contiguous segments -- the single grouping pass behind
+    every gutter fill, tree routing step and paged fold.  Keys that fit
+    int16 sort as int16, which numpy's stable sort radix-sorts.
     """
     if keys.size == 0:
         return
-    order = np.argsort(keys, kind="stable")
+    if keys.max() <= np.iinfo(np.int16).max:
+        order = np.argsort(keys.astype(np.int16), kind="stable")
+    else:
+        order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     # One gather per column up front; every group is then a zero-copy
     # contiguous slice (a flush can yield thousands of groups).

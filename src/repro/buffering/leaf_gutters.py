@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.buffering.base import (
-    BufferingSystem,
     PageBatch,
     as_update_columns,
     group_update_columns,
@@ -34,8 +33,11 @@ from repro.exceptions import ConfigurationError
 from repro.memory.hybrid import HybridMemory
 
 
-class LeafGutters(BufferingSystem):
-    """Per-page update gutters kept in RAM.
+class LeafGutters:
+    """Per-page update gutters kept in RAM: the one buffering interface.
+
+    :class:`~repro.buffering.gutter_tree.GutterTree` is these gutters
+    behind staging levels; the engine sees only this class's methods.
 
     Parameters
     ----------
@@ -101,6 +103,7 @@ class LeafGutters(BufferingSystem):
     # ------------------------------------------------------------------
     @property
     def capacity_per_node(self) -> int:
+        """Updates a single node's gutter holds before it is emitted."""
         return self._capacity
 
     def _page_of(self, node: int) -> int:
@@ -110,6 +113,13 @@ class LeafGutters(BufferingSystem):
         return self._capacity * int(self._bounds[page + 1] - self._bounds[page])
 
     def insert(self, u: int, v: int) -> List[PageBatch]:
+        """Buffer the update ``{u, v}`` for node ``u``.
+
+        Returns the (possibly empty) list of batches that became full as
+        a result and must now be folded into the sketches.  The caller
+        is responsible for also inserting the mirrored update
+        ``(v, u)`` -- :meth:`insert_edge` does both.
+        """
         self._check_node(u)
         self._check_node(v)
         page = self._page_of(u)
@@ -121,49 +131,58 @@ class LeafGutters(BufferingSystem):
             return [self._emit(page)]
         return []
 
-    def insert_batch(self, dsts, neighbors) -> List[PageBatch]:
-        """Vectorised buffering of a whole update column.
+    def insert_edge(self, u: int, v: int) -> List[PageBatch]:
+        """Buffer both directions of an edge update (the public entry point)."""
+        batches = self.insert(u, v)
+        batches.extend(self.insert(v, u))
+        return batches
 
-        Groups the column by owning gutter with one argsort and extends
-        each gutter with its contiguous chunk, instead of one Python
-        call per update.  Emission semantics match the scalar path: a
+    def insert_batch(self, dsts, neighbors) -> List[PageBatch]:
+        """Buffer a column of single-direction updates at once.
+
+        ``dsts[i]`` receives the update ``{dsts[i], neighbors[i]}``; the
+        columnar ingest path passes both mirrored halves of its edge
+        array in one call.  Emission semantics match the scalar path: a
         gutter that reaches capacity is emitted whole (batches may
         exceed capacity when a chunk overshoots it, which only makes
         the emitted batches larger -- the sketch fold is partition
         independent).
         """
-        dst_array, neighbor_array = as_update_columns(dsts, neighbors, self.num_nodes)
-        if dst_array.size == 0:
-            return []
-        keys = page_of_nodes(dst_array, self._bounds)
+        return self._fill(*as_update_columns(dsts, neighbors, self.num_nodes))
+
+    def _fill(self, dsts: np.ndarray, neighbors: np.ndarray) -> List[PageBatch]:
+        """Extend the page gutters with validated int64 columns, in one
+        grouping pass, and emit every gutter that reached capacity."""
+        self._pending += dsts.size
         batches: List[PageBatch] = []
-        for page, (dst_chunk, neighbor_chunk) in group_update_columns(
-            keys, dst_array, neighbor_array
+        for page, chunks in group_update_columns(
+            page_of_nodes(dsts, self._bounds), dsts, neighbors
         ):
-            gutter_dsts, gutter_neighbors = self._gutters.setdefault(page, ([], []))
-            gutter_dsts.extend(dst_chunk.tolist())
-            gutter_neighbors.extend(neighbor_chunk.tolist())
-            self._pending += dst_chunk.size
-            if len(gutter_dsts) >= self._page_capacity(page):
+            if extend_gutter(self._gutters, page, *chunks) >= self._page_capacity(page):
                 batches.append(self._emit(page))
         return batches
 
     def flush_all(self) -> List[PageBatch]:
-        batches = [
-            self._emit(page) for page in sorted(self._gutters) if self._gutters[page][0]
-        ]
-        return [batch for batch in batches if len(batch) > 0]
+        """Empty every gutter, returning all remaining non-empty batches."""
+        return [self._emit(page) for page in sorted(self._gutters) if self._gutters[page][0]]
 
     def restore(self, batches: List[PageBatch]) -> None:
+        """Put emitted-but-unapplied batches back into their gutters.
+
+        The engine's failure-atomic flush depends on this:
+        :meth:`flush_all` pops updates out of the buffers *before* they
+        are applied, so an application that dies partway (a rotten page
+        read, a failed device write) would silently lose the unapplied
+        tail if its batches could not be returned.  Restored gutters may
+        temporarily exceed capacity -- that only makes the next emission
+        larger, which the partition-independent sketch fold absorbs.
+        """
         for batch in batches:
-            gutter_dsts, gutter_neighbors = self._gutters.setdefault(
-                batch.page, ([], [])
-            )
-            gutter_dsts.extend(batch.dsts.tolist())
-            gutter_neighbors.extend(batch.neighbors.tolist())
+            extend_gutter(self._gutters, batch.page, batch.dsts, batch.neighbors)
             self._pending += len(batch)
 
     def pending_updates(self) -> int:
+        """Number of updates currently sitting in buffers."""
         return self._pending
 
     def pending_for(self, node: int) -> int:
@@ -173,7 +192,6 @@ class LeafGutters(BufferingSystem):
             return 0
         return sum(1 for dst in gutter[0] if dst == node)
 
-    # ------------------------------------------------------------------
     def _emit(self, page: int) -> PageBatch:
         dsts, neighbors = self._gutters.pop(page, ([], []))
         self._pending -= len(dsts)
@@ -184,11 +202,19 @@ class LeafGutters(BufferingSystem):
             dsts=np.asarray(dsts, dtype=np.int64),
             neighbors=np.asarray(neighbors, dtype=np.int64),
         )
-        if self.memory is not None and not self.memory.is_unbounded:
-            # Gutters that overflowed RAM live on disk; emitting the batch
-            # reads it back sequentially.
-            self.memory.charge_read(batch.size_bytes, sequential=True)
+        # Gutters that overflowed RAM live on disk; emitting the batch
+        # reads it back sequentially.
+        self._charge(batch.size_bytes, write=False)
         return batch
+
+    def _charge(self, nbytes: int, write: bool) -> None:
+        """Charge modelled buffer traffic to the device, under a RAM budget."""
+        if self.memory is None or self.memory.is_unbounded:
+            return
+        if write:
+            self.memory.charge_write(nbytes, sequential=True)
+        else:
+            self.memory.charge_read(nbytes, sequential=True)
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
@@ -199,3 +225,16 @@ class LeafGutters(BufferingSystem):
             f"LeafGutters(num_nodes={self.num_nodes}, capacity={self._capacity}, "
             f"pages={self._bounds.size - 1}, pending={self._pending})"
         )
+
+
+def extend_gutter(
+    gutters: Dict[int, Tuple[List[int], List[int]]],
+    key: int,
+    dsts: np.ndarray,
+    neighbors: np.ndarray,
+) -> int:
+    """Append update columns to the ``key`` gutter of ``gutters``; its new length."""
+    gutter_dsts, gutter_neighbors = gutters.setdefault(key, ([], []))
+    gutter_dsts.extend(dsts.tolist())
+    gutter_neighbors.extend(neighbors.tolist())
+    return len(gutter_dsts)

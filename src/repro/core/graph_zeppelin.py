@@ -30,8 +30,9 @@ bounded :class:`~repro.memory.hybrid.HybridMemory`):
 
 Either pool keeps the engine fully columnar: buffering (when
 configured) collects mixed-node update columns per page and emits
-:class:`~repro.buffering.base.PageBatch` objects that fold in one
-kernel pass per page, and connectivity queries always run the
+:class:`~repro.buffering.base.PageBatch` objects that fold as one
+:class:`~repro.sketch.paged_pool.PageEmission` (one kernel pass in
+RAM, one per page out of core), and connectivity queries always run the
 vectorized whole-round Boruvka driver over the pool -- one driver for
 in-RAM and out-of-core alike.
 """
@@ -43,7 +44,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from repro.buffering.base import BufferingSystem, PageBatch
+from repro.buffering.base import PageBatch
 from repro.buffering.gutter_tree import GutterTree
 from repro.buffering.leaf_gutters import LeafGutters
 from repro.core.boruvka import BoruvkaStats, pool_spanning_forest
@@ -680,17 +681,15 @@ class GraphZeppelin:
     def flush(self) -> None:
         """Apply every buffered update to the node sketches.
 
-        Failure-atomic against storage errors: an in-RAM engine applies
-        the whole emission coalesced (pure-RAM folds cannot fail
-        partway), while an out-of-core engine hands it to the pool as
-        one :class:`~repro.sketch.paged_pool.PageEmission`, applied in
-        order a whole page batch at a time (with the native provider
-        mostly in one ``fold_pages`` call) -- each batch's fold only
-        mutates state after its page is resident, so a batch that
-        raises (rotten page read, failed writeback) has not been
-        applied, and it plus the unapplied tail are restored to the
-        gutters before the error propagates (:meth:`_apply_emitted`,
-        which every buffered path shares).
+        Failure-atomic against storage errors: the emission goes to the
+        pool as one :class:`~repro.sketch.paged_pool.PageEmission`; out
+        of core it is applied in order a whole page batch at a time
+        (with the native provider mostly in one ``fold_pages`` call) --
+        each batch's fold only mutates state after its page is
+        resident, so a batch that raises (rotten page read, failed
+        writeback) has not been applied, and it plus the unapplied tail
+        are restored to the gutters before the error propagates
+        (:meth:`_apply_emitted`, which every buffered path shares).
         Without this, an absorbed mid-flush error (a checkpointer
         swallowing a failed checkpoint) would silently drop the popped
         updates and quietly diverge from the fault-free stream.
@@ -866,7 +865,7 @@ class GraphZeppelin:
         return self._last_query_stats
 
     @property
-    def buffering(self) -> Optional[BufferingSystem]:
+    def buffering(self) -> Optional[LeafGutters]:
         return self._buffering
 
     @property
@@ -909,7 +908,7 @@ class GraphZeppelin:
             return self._pool.page_bounds
         return shard_bounds(self.num_nodes, -(-self.num_nodes // MAX_PAGE_NODES))
 
-    def _build_buffering(self) -> Optional[BufferingSystem]:
+    def _build_buffering(self) -> Optional[LeafGutters]:
         mode = self.config.buffering
         if mode is BufferingMode.NONE:
             return None
@@ -947,60 +946,26 @@ class GraphZeppelin:
     def _apply_emitted(self, batches: Sequence[PageBatch]) -> None:
         """Apply the page batches the buffering layer emitted.
 
-        In RAM, where a fold cannot fail part way, the page columns are
-        concatenated and handed to the pool as **one** mixed column: a
-        flush can emit hundreds of batches (one per gutter), and the
-        fold kernel takes them in a single pass whatever pages they
-        span.  Out of core the batches are concatenated and encoded once
-        into a :class:`~repro.sketch.paged_pool.PageEmission` for the
-        pool's ``fold_page_batches`` (the provider's ``fold_pages``:
-        batch by batch, or planned and run in one C call), which folds
-        each batch on its own page and counts the batches it applied; a
-        batch's fold mutates nothing before its page is resident, so
-        when a storage error (a rotten page read, a failed write-back)
-        propagates, the failing batch and every one after it are
-        restored to the buffers first: the updates stay accepted and the
-        next flush applies them.
+        The non-empty batches are concatenated and encoded once into a
+        :class:`~repro.sketch.paged_pool.PageEmission` for the pool's
+        ``fold_page_batches``: in RAM one fold of the whole mixed column
+        (a flush can emit hundreds of batches, one per gutter); out of
+        core the provider's ``fold_pages`` (batch by batch, or planned
+        and run in one C call), which folds each batch on its own page
+        and counts the batches it applied.  A paged batch's fold mutates
+        nothing before its page is resident, so when a storage error (a
+        rotten page read, a failed write-back) propagates, the failing
+        batch and every one after it are restored to the buffers first:
+        the updates stay accepted and the next flush applies them.
         """
         page_batches = [b for b in batches if len(b) > 0]
-        if self._pool.is_paged:
-            if not page_batches:
-                return
-            emission = PageEmission.of(page_batches, self.encoder)
-            try:
-                self._pool.fold_page_batches(emission)
-            except BaseException:
-                self._buffering.restore(page_batches[emission.applied :])
-                raise
-            finally:
-                self._batches_applied += emission.applied
+        if not page_batches:
             return
-        if len(page_batches) <= 1:
-            for batch in page_batches:
-                self._apply_batch(batch)
-            return
-        dsts = np.concatenate([b.dsts for b in page_batches])
-        neighbors = np.concatenate([b.neighbors for b in page_batches])
-        lo = np.minimum(dsts, neighbors)
-        hi = np.maximum(dsts, neighbors)
-        self._pool.apply_updates(dsts, self.encoder.encode_canonical_pairs(lo, hi))
-        self._batches_applied += len(page_batches)
-
-    def _apply_batch(self, batch: PageBatch) -> None:
-        """Fold one emitted page column into the sketch state.
-
-        The whole mixed-node column encodes vectorised and folds through
-        :meth:`~repro.sketch.tensor_pool.NodeTensorPool.fold_page_batch`
-        -- for a paged pool that is exactly one page pin.
-        """
-        if len(batch) == 0:
-            return
-        lo = np.minimum(batch.dsts, batch.neighbors)
-        hi = np.maximum(batch.dsts, batch.neighbors)
-        self._pool.fold_page_batch(
-            batch.node_lo,
-            batch.node_hi,
-            batch.dsts,
-            self.encoder.encode_canonical_pairs(lo, hi),
-        )
-        self._batches_applied += 1
+        emission = PageEmission.of(page_batches, self.encoder)
+        try:
+            self._pool.fold_page_batches(emission)
+        except BaseException:
+            self._buffering.restore(page_batches[emission.applied :])
+            raise
+        finally:
+            self._batches_applied += emission.applied

@@ -6,7 +6,11 @@ handful of sparse real-world graphs from SNAP / NetworkRepository.
 This package regenerates both families -- the Kronecker graphs with the
 same R-MAT specification (at configurable, laptop-friendly scales) and
 the real-world graphs as synthetic stand-ins with matching size and
-degree skew (see DESIGN.md for the substitution rationale).
+degree skew.  That is a substitution: the SNAP / NetworkRepository
+files are not bundled, so each real graph is regenerated from a seed
+with its node count, edge count and heavy-tailed degrees, scaled like
+the Kronecker graphs; answers on a stand-in say nothing about the real
+graph's components.
 """
 
 from repro.generators.erdos_renyi import erdos_renyi_gnm, erdos_renyi_gnp

@@ -90,7 +90,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.buffering.base import PageBatch
+from repro.buffering.base import PageBatch, group_update_columns
 from repro.core.edge_encoding import EdgeEncoder
 from repro.exceptions import ConfigurationError
 from repro.kernels.numpy_kernels import NUMPY_KERNELS
@@ -588,29 +588,6 @@ class PagedTensorPool(NodeTensorPool):
     # ------------------------------------------------------------------
     # folds (updates)
     # ------------------------------------------------------------------
-    def _split_by_page(
-        self, pages: np.ndarray, columns: Sequence[np.ndarray]
-    ) -> List[Tuple[int, List[np.ndarray]]]:
-        """Group columns by page id: ascending ``(page, column_groups)``.
-
-        One stable argsort of the (small-int) page ids groups the whole
-        batch, mirroring the sharded partition step.
-        """
-        if self.num_pages <= np.iinfo(np.int16).max:
-            order = np.argsort(pages.astype(np.int16), kind="stable")
-        else:
-            order = np.argsort(pages, kind="stable")
-        sorted_pages = pages[order]
-        cuts = np.flatnonzero(
-            np.concatenate([[True], sorted_pages[1:] != sorted_pages[:-1]])
-        )
-        ends = np.append(cuts[1:], pages.size)
-        groups = []
-        for start, stop in zip(cuts.tolist(), ends.tolist()):
-            rows = order[start:stop]
-            groups.append((int(sorted_pages[start]), [col[rows] for col in columns]))
-        return groups
-
     def _fold(
         self, indices: np.ndarray, dst_columns: Sequence[np.ndarray], split: bool = False
     ) -> int:
@@ -639,7 +616,7 @@ class PagedTensorPool(NodeTensorPool):
             pages = np.searchsorted(self.page_bounds, dsts, side="right") - 1
             groups = [
                 (page, indices[page_rows], page_dsts)
-                for page, (page_dsts, page_rows) in self._split_by_page(pages, [dsts, rows])
+                for page, (page_dsts, page_rows) in group_update_columns(pages, dsts, rows)
             ]
         for page, page_indices, page_dsts in groups:
             with self._pinned(page) as entry:

@@ -420,7 +420,7 @@ class NodeTensorPool:
     ) -> int:
         """Serial entry point for one page's mixed-node update column.
 
-        What the engine calls when the buffering layer emits a
+        What a paged fold of an emission calls per
         :class:`~repro.buffering.base.PageBatch`: folds the column
         through :meth:`fold_shard` (whose node-range contract the page
         bounds satisfy) and then publishes the effects -- version bump
@@ -437,6 +437,12 @@ class NodeTensorPool:
         finally:
             self.mark_external_updates(count)
         return count
+
+    def fold_page_batches(self, emission) -> None:
+        """Fold a :class:`~repro.sketch.paged_pool.PageEmission` as one
+        mixed column (an in-RAM fold cannot fail part way)."""
+        self.apply_updates(emission.dsts, emission.indices)
+        emission.applied = len(emission)
 
     def mark_external_updates(self, count: int) -> None:
         """Record updates folded outside :meth:`apply_updates`'s accounting.

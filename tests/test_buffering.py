@@ -1,7 +1,10 @@
 """Tests for the buffering layer: leaf gutters, gutter tree."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.buffering.base import (
     BYTES_PER_BUFFERED_UPDATE,
@@ -219,3 +222,66 @@ def test_gutter_tree_page_mode_emits_page_batches():
     assert tree.pending_updates() == 0
     for batch in emitted:
         assert ((batch.dsts >= batch.node_lo) & (batch.dsts < batch.node_hi)).all()
+
+
+# ----------------------------------------------------------------------
+# The tree against its own leaves: same updates out, per page
+# ----------------------------------------------------------------------
+_NODES = 16
+_node = st.integers(0, _NODES - 1)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _node, _node),
+        st.tuples(st.just("insert_batch"), st.lists(st.tuples(_node, _node), max_size=40)),
+        st.tuples(st.just("restore"), st.integers(0, 4)),
+        st.tuples(st.just("flush_all")),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cuts=st.sets(st.integers(1, _NODES - 1), max_size=6), operations=_operations)
+def test_gutter_tree_emits_what_its_leaves_emit(cuts, operations):
+    """Tiny buffers (three updates per vertex, fan-out 2, four levels, two
+    updates per leaf node): under any interleaving of ``insert``,
+    ``insert_batch``, ``restore`` (of the last few batches each structure
+    emitted) and ``flush_all``, the tree and plain leaf gutters over the
+    same pages emit the same ``(dst, neighbor)`` multiset per page, every
+    batch inside its page, and nothing stays pending."""
+    bounds = np.asarray([0, *sorted(cuts), _NODES])
+    tree = GutterTree(
+        _NODES, node_sketch_bytes=16, buffer_bytes=24, flush_block_bytes=12,
+        leaf_fraction=1.0, page_bounds=bounds,
+    )
+    leaves = LeafGutters(_NODES, capacity_updates=2, page_bounds=bounds)
+    assert (tree.height, tree.fanout, tree.capacity_per_node) == (4, 2, 2)
+    emitted = {tree: [], leaves: []}
+    for name, *args in operations:
+        for gutters, batches in emitted.items():
+            if name == "insert":
+                batches.extend(gutters.insert(*args))
+            elif name == "insert_batch":
+                columns = np.asarray(args[0], dtype=np.int64).reshape(-1, 2)
+                batches.extend(gutters.insert_batch(columns[:, 0], columns[:, 1]))
+            elif name == "restore":
+                count = min(args[0], len(batches))
+                gutters.restore(batches[len(batches) - count :])
+                del batches[len(batches) - count :]
+            else:
+                batches.extend(gutters.flush_all())
+    emitted[tree].extend(tree.flush_all())
+    emitted[leaves].extend(leaves.flush_all())
+
+    def per_page(batches):
+        for batch in batches:
+            assert (batch.node_lo, batch.node_hi) == tuple(bounds[batch.page : batch.page + 2])
+            assert ((batch.dsts >= batch.node_lo) & (batch.dsts < batch.node_hi)).all()
+        return Counter(
+            (batch.page, dst, neighbor)
+            for batch in batches
+            for dst, neighbor in zip(batch.dsts.tolist(), batch.neighbors.tolist())
+        )
+
+    assert per_page(emitted[tree]) == per_page(emitted[leaves])
+    assert tree.pending_updates() == leaves.pending_updates() == 0

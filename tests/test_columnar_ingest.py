@@ -24,9 +24,11 @@ from repro.distributed.snapshot import read_snapshot_meta
 from repro.exceptions import InvalidStreamError
 from repro.integrity.digest import payload_digest
 from repro.kernels import native_kernels, native_unavailable_reason
+from repro.memory.hybrid import HybridMemory
 from repro.resilience.checkpoint import CheckpointPolicy, list_checkpoints
 from repro.streaming.stream import GraphStream
 from repro.types import EdgeUpdate, UpdateType
+from dict_device import DEVICE_TYPES
 from sketch_reference import (
     assert_node_state_matches,
     reference_forest,
@@ -54,28 +56,44 @@ def _engine_state(engine: GraphZeppelin):
 
 
 @pytest.mark.parametrize(
-    "buffering",
-    [BufferingMode.NONE, BufferingMode.LEAF_GUTTERS, BufferingMode.GUTTER_TREE],
+    "buffering, device",
+    [
+        pytest.param(mode, device, id=str(mode) + ("" if device is None else f"-{device}"))
+        for device in (None, *sorted(DEVICE_TYPES))
+        for mode in (BufferingMode.NONE, BufferingMode.LEAF_GUTTERS, BufferingMode.GUTTER_TREE)
+    ],
 )
-def test_ingest_batch_matches_per_edge_path(buffering):
+def test_ingest_batch_matches_per_edge_path(buffering, device, monkeypatch):
+    """Every buffering mode, in RAM or paged on either device (``device``
+    set: eight pages and a RAM budget of a quarter of the state), holds
+    the in-RAM unbuffered engine's sketch state bit for bit, by either
+    path."""
     edges = _random_edges(32, 300, seed=1)
-    per_edge = GraphZeppelin(32, config=GraphZeppelinConfig(buffering=buffering, seed=9))
-    columnar = GraphZeppelin(32, config=GraphZeppelinConfig(buffering=buffering, seed=9))
+    paging = {}
+    if device is not None:
+        monkeypatch.setattr(HybridMemory, "device_type", DEVICE_TYPES[device])
+        paging = dict(ram_budget_bytes=16 * 1024, nodes_per_page=4)
+    config = GraphZeppelinConfig(buffering=buffering, seed=9, **paging)
+    per_edge = GraphZeppelin(32, config=config)
+    columnar = GraphZeppelin(32, config=config)
+    reference = GraphZeppelin(32, config=GraphZeppelinConfig(seed=9))
+    assert per_edge.tensor_pool.is_paged == (device is not None)
 
     for u, v in edges.tolist():
         per_edge.edge_update(u, v)
     assert columnar.ingest_batch(edges) == edges.shape[0]
+    reference.ingest_batch(edges)
 
-    state_a = _engine_state(per_edge)
-    state_b = _engine_state(columnar)
-    for (alpha_a, gamma_a), (alpha_b, gamma_b) in zip(state_a, state_b):
-        assert np.array_equal(alpha_a, alpha_b)
-        assert np.array_equal(gamma_a, gamma_b)
-
-    assert per_edge.updates_processed == columnar.updates_processed
-    forest_a = per_edge.list_spanning_forest()
-    forest_b = columnar.list_spanning_forest()
-    assert forest_a.edges == forest_b.edges
+    state = _engine_state(reference)
+    for engine in (per_edge, columnar):
+        for (alpha_a, gamma_a), (alpha_b, gamma_b) in zip(state, _engine_state(engine)):
+            assert np.array_equal(alpha_a, alpha_b)
+            assert np.array_equal(gamma_a, gamma_b)
+        assert engine.updates_processed == reference.updates_processed
+        assert engine.buffer_bytes() == 0
+    forest = reference.list_spanning_forest()
+    assert per_edge.list_spanning_forest().edges == forest.edges
+    assert columnar.list_spanning_forest().edges == forest.edges
 
 
 def test_flat_and_legacy_backends_answer_identically():

@@ -19,6 +19,7 @@ from repro.core.edge_encoding import EdgeEncoder
 from repro.core.graph_zeppelin import GraphZeppelin
 from repro.exceptions import ConfigurationError
 from repro.memory.hybrid import HybridMemory
+from repro.sketch import paged_pool
 from repro.sketch.paged_pool import PagedTensorPool, plan_page_bounds
 from repro.sketch.tensor_pool import NodeTensorPool
 from sketch_reference import pool_geometry, reference_forest
@@ -379,7 +380,8 @@ def test_sync_failure_leaves_exactly_unwritten_pages_dirty():
 # ----------------------------------------------------------------------
 def _native_paged_pair(native_provider, monkeypatch):
     """A 5-node-page native pool over 21 nodes (one-node tail page), its
-    numpy in-RAM reference, and the list of pages ``_split_by_page`` grouped."""
+    numpy in-RAM reference, and the list of pages each of the pool's
+    ``group_update_columns`` passes grouped."""
     encoder = EdgeEncoder(21)
     paged = PagedTensorPool(
         21, encoder, memory=HybridMemory(ram_bytes=1 << 20), graph_seed=3,
@@ -387,14 +389,14 @@ def _native_paged_pair(native_provider, monkeypatch):
     )
     assert paged.page_span(paged.num_pages - 1) == (20, 21)
     grouped = []
-    split = paged._split_by_page
+    group = paged_pool.group_update_columns
 
-    def recording_split(pages, columns):
-        groups = split(pages, columns)
+    def recording_group(keys, *columns):
+        groups = list(group(keys, *columns))
         grouped.append([page for page, _ in groups])
         return groups
 
-    monkeypatch.setattr(paged, "_split_by_page", recording_split)
+    monkeypatch.setattr(paged_pool, "group_update_columns", recording_group)
     return paged, NodeTensorPool(21, encoder, graph_seed=3), grouped
 
 

@@ -190,6 +190,15 @@ OUT_OF_THE_PRODUCT = {
     "ShardedIngestor.updates_ingested",
     "Checkpointer.updates_since_checkpoint",
     "GraphZeppelinConfig.in_memory",
+    # the second gutter implementation (the gutter tree is the leaf
+    # gutters behind staging levels; every emission folds as one
+    # ``PageEmission``; one grouping pass, ``group_update_columns``)
+    "BufferingSystem",
+    "_TreeNode",
+    "_child_for",
+    "_emit_leaf",
+    "_apply_batch",
+    "_split_by_page",
 }
 
 
